@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-import time
 from typing import List
 
 from repro.buf.accounting import CopyMeter
 from repro.buf.packet import PacketBuffer
+from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = [
     "check_against_baseline",
@@ -56,18 +56,12 @@ RMP_STREAM_PRE_REFACTOR = {"memcpy_bytes": 44736, "memcpy_calls": 432}
 RMP_STREAM_MAX_FRACTION = 0.5
 
 
-def _wall_ns() -> int:
-    # Wall-clock is quarantined in the "measured" section — the bench's
-    # whole point is real elapsed time, never simulated time.
-    return time.perf_counter_ns()  # nectarlint: disable=ND001
-
-
 def _run_microbench() -> dict:
     """The fixed op sequence; returns its meter snapshot + wall-clock."""
     meter = CopyMeter()
     header = bytes(range(MICRO_HEADROOM))
     payload = bytes(index & 0xFF for index in range(MICRO_PAYLOAD_BYTES))
-    start = _wall_ns()
+    start = wall_clock_ns()
     for _round in range(MICRO_ROUNDS):
         view = PacketBuffer.alloc(
             MICRO_PAYLOAD_BYTES,
@@ -81,7 +75,7 @@ def _run_microbench() -> dict:
         window = stripped.slice(64, 256)  # zero-copy
         window.tobytes()  # the one boundary copy out
         framed.release()
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     return {"counters": meter.snapshot(), "wall_ns": wall_ns}
 
 
@@ -89,9 +83,9 @@ def _run_rmp_stream() -> dict:
     """The headline workload; returns host counters + wall-clock."""
     from repro.telemetry.observe import run_observe
 
-    start = _wall_ns()
+    start = wall_clock_ns()
     result = run_observe("rmp-stream")
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     return {"counters": result.system.copy_meter.snapshot(), "wall_ns": wall_ns}
 
 
@@ -104,14 +98,14 @@ def _run_scale_reference() -> dict:
     spec = WorkloadSpec(
         seed=4, rmp_flows=2, rpc_flows=1, tcp_flows=1, tcp_bytes=1024
     )
-    start = _wall_ns()
+    start = wall_clock_ns()
     system = build_fleet_system(fleet)
     workload = Workload(spec, fleet)
     workload.install(system)
     system.run()
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     counters = dict(system.copy_meter.snapshot())
-    counters["events"] = system.sim._seq
+    counters["events"] = system.sim.events_scheduled
     counters["sim_ns"] = system.sim.now
     return {"counters": counters, "wall_ns": wall_ns}
 

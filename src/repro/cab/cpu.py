@@ -165,9 +165,9 @@ def wait_sim_event(cpu: "CPU", event: Event) -> Generator:
     Bridges the two worlds — hardware/device processes complete sim events;
     threads block on wait tokens.  Returns the event's value.
     """
-    token = WaitToken(name=f"sim-event:{event.name}")
     if event.fired:
         return event.value
+    token = WaitToken(name=f"sim-event:{event.name}")
     event.callbacks.append(lambda ev: cpu.wake(token, ev.value))
     value = yield Block(token)
     return value
@@ -209,6 +209,10 @@ class CPU:
         self._pending_irqs: Deque[tuple[str, Callable[[], Optional[Generator]]]] = deque()
         self._mask_depth = 0
         self._work = Signal(sim, name=f"{name}.work")
+        # Per-event names, built once.
+        self._irq_arrival_name = f"{name}.irq_arrival"
+        self._timer_name = f"{name}.timer"
+        self._sched_track = f"{name}/sched"
         self._irq_arrival: Optional[Event] = None
         self._last_ran: Optional[TCB] = None
         self.busy_ns = 0
@@ -254,7 +258,7 @@ class CPU:
         Modelled as a real (tiny) interrupt so that a sleeping high-priority
         thread preempts a computing low-priority one when its timer fires.
         """
-        timer = self.sim.event(name=f"{self.name}.timer")
+        timer = self.sim.event(self._timer_name)
 
         def deliver(_ev: Event) -> None:
             if not token.cancelled and not token.fired:
@@ -339,19 +343,17 @@ class CPU:
                 continue
             yield from self._run_thread(tcb)
 
-    def _charge(self, ns: int) -> Generator:
-        """Advance time with the CPU busy (non-preemptible)."""
-        if ns > 0:
-            self.busy_ns += ns
-            yield self.sim.timeout(ns)
-
     def _service_one_irq(self) -> Generator:
         name, handler = self._pending_irqs.popleft()
         self.stats.add("interrupts_serviced")
-        track = f"{self.name}/irq:{name}"
-        if self.tracer is not None:
-            self.tracer.begin("kernel", f"irq:{name}", track=track)
-        yield from self._charge(self.interrupt_entry_ns)
+        tracer = self.tracer
+        if tracer is not None:
+            track = f"{self.name}/irq:{name}"
+            tracer.begin("kernel", f"irq:{name}", track=track)
+        # Entry, handler body and exit are non-preemptible busy time.
+        if self.interrupt_entry_ns > 0:
+            self.busy_ns += self.interrupt_entry_ns
+            yield self.sim.timeout(self.interrupt_entry_ns)
         if self.profiler is not None:
             self.profiler.account(
                 self.name, "irq-overhead", "entry", self.interrupt_entry_ns
@@ -364,13 +366,15 @@ class CPU:
                 handler()
         finally:
             self._active_handler = None
-        yield from self._charge(self.interrupt_exit_ns)
+        if self.interrupt_exit_ns > 0:
+            self.busy_ns += self.interrupt_exit_ns
+            yield self.sim.timeout(self.interrupt_exit_ns)
         if self.profiler is not None:
             self.profiler.account(
                 self.name, "irq-overhead", "exit", self.interrupt_exit_ns
             )
-        if self.tracer is not None:
-            self.tracer.end("kernel", f"irq:{name}", track=track)
+        if tracer is not None:
+            tracer.end("kernel", f"irq:{name}", track=track)
 
     def _run_handler(self, name: str, gen: Generator) -> Generator:
         """Run an interrupt handler generator to completion, masked."""
@@ -382,7 +386,9 @@ class CPU:
                 return
             value = None
             if isinstance(op, Compute):
-                yield from self._charge(op.ns)
+                if op.ns > 0:
+                    self.busy_ns += op.ns
+                    yield self.sim.timeout(op.ns)
                 if self.profiler is not None:
                     self.profiler.account(self.name, "irq", name, op.ns)
             else:
@@ -401,11 +407,13 @@ class CPU:
                     "kernel",
                     "context-switch",
                     {"to": tcb.name},
-                    track=f"{self.name}/sched",
+                    track=self._sched_track,
                 )
-            yield from self._charge(switch_ns)
+            if switch_ns > 0:
+                self.busy_ns += switch_ns
+                yield self.sim.timeout(switch_ns)
             if self.tracer is not None:
-                self.tracer.end("kernel", "context-switch", track=f"{self.name}/sched")
+                self.tracer.end("kernel", "context-switch", track=self._sched_track)
             if self.profiler is not None:
                 self.profiler.account(self.name, "sched", "context-switch", switch_ns)
             self.stats.add("context_switches")
@@ -514,12 +522,13 @@ class CPU:
             remaining = tcb.pending_compute_ns
             if self._mask_depth > 0:
                 # Masked: interrupts cannot slice the burst.
-                yield from self._charge(remaining)
+                self.busy_ns += remaining
+                yield self.sim.timeout(remaining)
                 if self.profiler is not None:
                     self.profiler.account(self.name, "thread", tcb.name, remaining)
                 tcb.pending_compute_ns = 0
                 break
-            self._irq_arrival = self.sim.event(name=f"{self.name}.irq_arrival")
+            self._irq_arrival = self.sim.event(self._irq_arrival_name)
             winner_index, _event = yield self.sim.any_of(
                 [self.sim.timeout(remaining), self._irq_arrival]
             )

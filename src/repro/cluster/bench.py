@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
 from typing import List, Optional
 
 from repro.cluster.conductor import Conductor, FleetResult, run_reference
 from repro.cluster.fleet import FleetSpec, make_fleet
 from repro.cluster.workload import WorkloadSpec
+from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = [
     "check_against_baseline",
@@ -44,16 +44,10 @@ __all__ = [
 ]
 
 
-def _wall_ns() -> int:
-    # Wall-clock is this module's whole point: the bench measures real
-    # elapsed time and quarantines it in the "measured" section.
-    return time.perf_counter_ns()  # nectarlint: disable=ND001
-
-
 def _timed(fn) -> FleetResult:
-    start = _wall_ns()
+    start = wall_clock_ns()
     result = fn()
-    result.wall_ns = max(1, _wall_ns() - start)
+    result.wall_ns = wall_ns_since(start)
     return result
 
 

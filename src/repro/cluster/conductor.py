@@ -504,7 +504,7 @@ def run_reference(
     merged.flows = results["flows"]
     merged.retransmits = results["retransmits"]
     merged.incomplete = sorted(workload.incomplete(system))
-    merged.events = system.sim._seq
+    merged.events = system.sim.events_scheduled
     merged.sim_ns = system.sim.now
     if telemetry:
         from repro.cluster.merge import merge_metrics, merge_traces, shard_telemetry

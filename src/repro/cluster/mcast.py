@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import time
 from typing import List, Optional
 
 from repro.cluster.conductor import Conductor, run_reference
@@ -40,6 +39,7 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.workload import Flow, Workload, WorkloadSpec
 from repro.protocols.nectar.collective import tree_depth
+from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = [
     "check_against_baseline",
@@ -52,11 +52,6 @@ __all__ = [
 _FANOUT_FLEET = ("fat-tree", 2, 2, 10, 12)
 #: The barrier/parity rig: the scale bench's 4-HUB line, 64 CABs.
 _SCALE_FLEET = ("line", 4, 16, 18)
-
-
-def _wall_ns() -> int:
-    # Wall-clock belongs to the "measured" section only.
-    return time.perf_counter_ns()  # nectarlint: disable=ND001
 
 
 def _nmp_totals(system) -> dict:
@@ -209,9 +204,9 @@ def run_mcast_bench(
         ("barrier", lambda: run_barrier_leg(rounds=rounds)),
         ("parity", lambda: run_parity_leg(seed, workers=workers, mode=mode)),
     ):
-        start = _wall_ns()
+        start = wall_clock_ns()
         legs[name] = runner()
-        walls[name] = max(1, _wall_ns() - start)
+        walls[name] = wall_ns_since(start)
     return {
         "bench": "mcast",
         "config": {

@@ -165,7 +165,7 @@ class ShardRunner:
         for name in self._elided_cabs:
             results["retransmits"][name] = dict(_ZERO_RETRANSMITS)
         results["retransmits"] = dict(sorted(results["retransmits"].items()))
-        results["events"] = self.system.sim._seq
+        results["events"] = self.system.sim.events_scheduled
         results["sim_ns"] = self.system.sim.now
         results["incomplete"] = list(self.workload.incomplete(self.system))
         if self.system.telemetry is not None:

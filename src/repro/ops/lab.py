@@ -75,8 +75,8 @@ def behavior_signature(system, workload, injector=None) -> Tuple:
 
     Deliberately excludes the event sequence counter: the observer's
     timer events consume sequence numbers without reordering anyone
-    else's, so ``sim._seq`` differs between observed and unobserved runs
-    of identical behavior.
+    else's, so ``sim.events_scheduled`` differs between observed and
+    unobserved runs of identical behavior.
     """
     nodes = tuple(
         (

@@ -23,16 +23,12 @@ drivers) use the generic exact-match check over ``config`` +
 from __future__ import annotations
 
 import importlib
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.wallclock import wall_clock_ns, wall_ns_since
+
 __all__ = ["KINDS", "Kind", "ParamSpec", "generic_check"]
-
-
-def _wall_ns() -> int:
-    # Wall-clock feeds only the quarantined "measured" sections.
-    return time.perf_counter_ns()  # nectarlint: disable=ND001
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,9 @@ def _summarize_mcast(report: dict) -> str:
 def _run_ops(params: dict) -> dict:
     from repro.ops import lab
 
-    start = _wall_ns()
+    start = wall_clock_ns()
     report = lab.run_lab(params["seed"])
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     return {
         "bench": "ops",
         "config": {"seed": params["seed"]},
@@ -209,11 +205,11 @@ def _summarize_ops(report: dict) -> str:
 def _run_engine(params: dict) -> dict:
     from repro.telemetry.observe import run_observe
 
-    start = _wall_ns()
+    start = wall_clock_ns()
     result = run_observe(
         params["workload"], seed=params["seed"], rounds=params["rounds"] or None
     )
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     events = result.system.sim.events_scheduled
     sim_ns = max(1, result.system.now)
     return {
@@ -238,14 +234,14 @@ def _run_engine(params: dict) -> dict:
 def _run_load(params: dict) -> dict:
     from repro.scenario.loadgen import run_load
 
-    start = _wall_ns()
+    start = wall_clock_ns()
     point = run_load(
         users=params["users"],
         messages=params["messages"],
         payload_bytes=params["payload_bytes"],
         warmup=params["warmup"],
     )
-    wall_ns = max(1, _wall_ns() - start)
+    wall_ns = wall_ns_since(start)
     return {
         "bench": "load",
         "config": dict(sorted(params.items())),
@@ -263,9 +259,9 @@ def _run_load(params: dict) -> dict:
 def _driver_run(module_name: str) -> Callable[[dict], dict]:
     def run(params: dict) -> dict:
         module = importlib.import_module(module_name)
-        start = _wall_ns()
+        start = wall_clock_ns()
         result = module.scenario(params)
-        wall_ns = max(1, _wall_ns() - start)
+        wall_ns = wall_ns_since(start)
         return {
             "bench": result.name,
             "config": result.config,

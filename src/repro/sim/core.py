@@ -20,18 +20,39 @@ are bit-for-bit reproducible.
 
 For sharded (multi-process) simulation the scheduling-order tie-break is not
 enough: an event injected from *another* shard has no meaningful local
-scheduling order.  Such events are scheduled in a separate *band* with an
-explicit, shard-independent sort key: queue entries order by
-``(time, band, key, seq)``, ordinary events use band 0 with an empty key,
-and keyed events (:meth:`Simulator.call_at`) use band 1.  Two runs that
-schedule the same keyed events for the same nanosecond therefore fire them
-in the same order no matter which process scheduled them first — the
-property the cluster layer's cross-shard frame exchange relies on.
+scheduling order.  Such events (:meth:`Simulator.call_at`) are scheduled in
+a second *band* with an explicit, shard-independent sort key; the queue
+orders by ``(time, band, key, seq)``.  Two runs that schedule the same keyed
+events for the same nanosecond therefore fire them in the same order no
+matter which process scheduled them first — the property the cluster
+layer's cross-shard frame exchange relies on.
+
+Heap entries
+    An ordinary (band 0) event is queued as ``(time, seq, event)``.  A keyed
+    (band 1) event is queued as ``(time, _KEYED, key, seq, event)`` where
+    ``_KEYED`` is a sentinel that compares greater than every sequence
+    number.  Tuple comparison of the two shapes therefore yields exactly the
+    ``(time, band, key, seq)`` order without band 0 paying for a band and an
+    empty key; sequence numbers are unique, so the event itself is never
+    compared.  The event is always ``entry[-1]``.
+
+Firing
+    One loop (:meth:`Simulator._drain`) serves ``run``, ``run_until`` and
+    ``step``: pop, check time is monotonic, set ``now``, mark the event
+    fired and dispatch its callbacks in place.
+
+Resumption
+    A process waiting on an event appends *itself* to ``event.callbacks``
+    and records the event in ``_target``.  When the loop meets a process in
+    a callback list it resumes it only if ``process._target is event``;
+    :meth:`Process.interrupt` defuses the pending wake-up by clearing
+    ``_target`` (and unregistering), so the event's later firing cannot
+    resume the process a second time, even if it re-yields the same event.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -66,6 +87,10 @@ class Interrupt(Exception):
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the queue, not yet fired
 _FIRED = 2
+
+#: Second element of a keyed (band 1) heap entry: greater than every
+#: sequence number, so keyed entries sort after band 0 in the same ns.
+_KEYED = float("inf")
 
 
 class Event:
@@ -115,7 +140,12 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._state = _TRIGGERED
         self.value = value
-        self.sim._schedule(delay, self)
+        sim = self.sim
+        if delay:
+            sim._schedule(delay, self)
+        else:
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim.now, seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: int = 0) -> "Event":
@@ -128,14 +158,6 @@ class Event:
         self._exc = exc
         self.sim._schedule(delay, self)
         return self
-
-    # -- internal -----------------------------------------------------------
-
-    def _fire(self) -> None:
-        self._state = _FIRED
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or type(self).__name__
@@ -150,29 +172,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(sim, name=f"timeout({delay})")
-        self._state = _TRIGGERED
+        self.sim = sim
+        self.callbacks = []
         self.value = value
-        sim._schedule(delay, self)
-
-
-class _Resumption:
-    """Callback token binding a process to the event it is waiting on.
-
-    When a process is interrupted while waiting, the old token is defused so
-    the event's later firing does not resume the process a second time.
-    """
-
-    __slots__ = ("process", "live")
-
-    def __init__(self, process: "Process"):
-        self.process = process
-        self.live = True
-
-    def __call__(self, event: Event) -> None:
-        if self.live:
-            self.live = False
-            self.process._resume(event)
+        self._exc = None
+        self._state = _TRIGGERED
+        self.name = "timeout"
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim.now + int(delay), seq, self))
 
 
 class Process(Event):
@@ -183,18 +190,17 @@ class Process(Event):
     generator's return value) or raises (the process event fails).
     """
 
-    __slots__ = ("_gen", "_resumption", "_started")
+    __slots__ = ("_gen", "_target")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
             raise SimulationError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._resumption: Optional[_Resumption] = None
-        self._started = False
         # Kick off the generator at the current simulation time.
-        start = Event(sim, name=f"start:{self.name}")
-        start.callbacks.append(lambda _ev: self._first_step())
+        start = Event(sim, "start")
+        self._target: Optional[Event] = start
+        start.callbacks.append(self)
         start.succeed()
 
     @property
@@ -209,35 +215,25 @@ class Process(Event):
         a terminated process is an error; interrupting a process that has not
         yet had its first step is allowed and kills it before it starts.
         """
-        if not self.alive:
+        if self._state != _PENDING:
             raise SimulationError(f"cannot interrupt dead process {self.name}")
-        if self._resumption is not None:
-            self._resumption.live = False
-            self._resumption = None
-        self._step(Interrupt(cause), is_exc=True)
+        target, self._target = self._target, None
+        # Unregister too, so a re-yield of the same event queues behind the
+        # callbacks added since; mid-firing the list is already detached and
+        # the cleared _target alone defuses the wake-up.
+        if target is not None and self in target.callbacks:
+            target.callbacks.remove(self)
+        self._step(None, Interrupt(cause))
 
     # -- driving the generator ----------------------------------------------
 
-    def _first_step(self) -> None:
-        if self._started or not self.alive:
-            return
-        self._started = True
-        self._step(None, is_exc=False)
-
-    def _resume(self, event: Event) -> None:
-        self._resumption = None
-        if event._exc is not None:
-            self._step(event._exc, is_exc=True)
-        else:
-            self._step(event.value, is_exc=False)
-
-    def _step(self, value: Any, is_exc: bool) -> None:
-        self._started = True
+    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Resume the generator and register on whatever it yields next."""
         try:
-            if is_exc:
-                target = self._gen.throw(value)
-            else:
+            if exc is None:
                 target = self._gen.send(value)
+            else:
+                target = self._gen.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -246,32 +242,28 @@ class Process(Event):
             # interruptor asked it to die and it complied.
             self.succeed(None)
             return
-        except BaseException as exc:
-            self.fail(exc)
-            self.sim._note_failure(self)
+        except BaseException as err:
+            self.fail(err)
+            self.sim._failures.append(self)
             return
-        if not isinstance(target, Event):
+        if target.__class__ not in _EVENT_CLASSES and not isinstance(target, Event):
             self._gen.close()
             self.fail(
                 SimulationError(f"process {self.name} yielded non-event {target!r}")
             )
-            self.sim._note_failure(self)
+            self.sim._failures.append(self)
             return
-        if target.fired:
+        if target._state == _FIRED:
             # Already fired: resume on a fresh zero-delay event to preserve
             # run-to-yield semantics without recursion blowups.
-            relay = Event(self.sim, name="relay")
-            token = _Resumption(self)
-            self._resumption = token
-            relay.callbacks.append(token)
+            relay = Event(self.sim, "relay")
             if target._exc is not None:
                 relay.fail(target._exc)
             else:
                 relay.succeed(target.value)
-        else:
-            token = _Resumption(self)
-            self._resumption = token
-            target.callbacks.append(token)
+            target = relay
+        self._target = target
+        target.callbacks.append(self)
 
 
 class AnyOf(Event):
@@ -282,48 +274,52 @@ class AnyOf(Event):
     (their other callbacks still run when they fire).
     """
 
-    __slots__ = ("_done",)
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="any_of")
-        self._done = False
         events = list(events)
         if not events:
             raise SimulationError("any_of() requires at least one event")
-        for index, event in enumerate(events):
-            if event.fired:
-                self._win(index, event)
+        self.sim = sim
+        self.callbacks = []
+        self.value = None
+        self._exc = None
+        self._state = _PENDING
+        self.name = "any_of"
+        self._events: Optional[list[Event]] = events
+        for event in events:
+            if event._state == _FIRED:
+                self(event)
                 break
-            event.callbacks.append(self._make_callback(index))
+            event.callbacks.append(self)
 
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def callback(event: Event) -> None:
-            self._win(index, event)
-
-        return callback
-
-    def _win(self, index: int, event: Event) -> None:
-        if self._done:
+    def __call__(self, event: Event) -> None:
+        """Member ``event`` fired: the first such call wins."""
+        events = self._events
+        if events is None:
             return
-        self._done = True
+        # Drop the members: a finished AnyOf is part of no reference cycle
+        # (cluster workers run with the cycle collector off).
+        self._events = None
         if event._exc is not None:
             self.fail(event._exc)
         else:
-            self.succeed((index, event))
+            self.succeed((events.index(event), event))
+
+
+#: Exact classes accepted from a yield without the isinstance() fallback.
+_EVENT_CLASSES = frozenset((Event, Timeout, Process, AnyOf))
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, seq, event)."""
+    """The event loop: a priority queue of heap entries (see module doc)."""
 
     def __init__(self):
         self.now: int = 0
-        self._queue: list[tuple[int, int, tuple, int, Event]] = []
+        self._queue: list[tuple] = []
         self._seq = 0
         self._running = False
         self._failures: list[Process] = []
-
-    def _note_failure(self, process: Process) -> None:
-        self._failures.append(process)
 
     def _claim_failure(self, process: Process) -> None:
         """Mark a failed process as handled (its exception was observed)."""
@@ -350,15 +346,11 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _schedule(
-        self, delay: int, event: Event, band: int = 0, key: tuple = ()
-    ) -> None:
+    def _schedule(self, delay: int, event: Event) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule event {delay} ns in the past")
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (self.now + int(delay), band, key, self._seq, event)
-        )
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + int(delay), seq, event))
 
     def call_at(
         self, at_ns: int, fn: Callable[[], None], key: tuple, name: str = "keyed"
@@ -381,8 +373,8 @@ class Simulator:
         event = Event(self, name=name)
         event.callbacks.append(lambda _ev: fn())
         event._state = _TRIGGERED
-        self._seq += 1
-        heapq.heappush(self._queue, (at_ns, 1, tuple(key), self._seq, event))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (at_ns, _KEYED, tuple(key), seq, event))
         return event
 
     def peek_next_time(self) -> Optional[int]:
@@ -396,15 +388,50 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
+    def _drain(
+        self,
+        until: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        wanted: Optional[Event] = None,
+    ) -> bool:
+        """The one firing loop.  Fires events in order until the queue
+        drains, the next event lies beyond ``until``, ``wanted`` has fired
+        or a process failure is unclaimed (checked only with ``wanted``), or
+        ``stop()`` holds.  Returns True only when ``stop`` halted it.
+        """
+        queue = self._queue
+        failures = self._failures
+        while queue:
+            if until is not None and queue[0][0] > until:
+                break
+            if wanted is not None and (wanted._state == _FIRED or failures):
+                break
+            if stop is not None and stop():
+                return True
+            entry = heappop(queue)
+            when = entry[0]
+            if when < self.now:  # pragma: no cover - guarded by _schedule
+                raise SimulationError("event queue corrupted: time went backwards")
+            self.now = when
+            event = entry[-1]
+            event._state = _FIRED
+            callbacks = event.callbacks
+            if callbacks:
+                event.callbacks = []
+                for callback in callbacks:
+                    if callback.__class__ is not Process:
+                        callback(event)
+                    elif callback._target is event:
+                        callback._target = None
+                        callback._step(event.value, event._exc)
+        return False
+
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
         if not self._queue:
             return False
-        when, _band, _key, _seq, event = heapq.heappop(self._queue)
-        if when < self.now:  # pragma: no cover - guarded by _schedule
-            raise SimulationError("event queue corrupted: time went backwards")
-        self.now = when
-        event._fire()
+        head = self._queue[0][-1]
+        self._drain(stop=lambda: head._state == _FIRED)
         return True
 
     def run(
@@ -428,38 +455,20 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            if until is None and stop is None:
-                while self.step():
-                    pass
-            elif stop is None:
+            if until is not None:
                 until = int(until)
-                while self._queue and self._queue[0][0] <= until:
-                    self.step()
-                if self.now < until:
-                    self.now = until
-            else:
-                if until is not None:
-                    until = int(until)
-                stopped = False
-                while self._queue and (
-                    until is None or self._queue[0][0] <= until
-                ):
-                    if stop():
-                        stopped = True
-                        break
-                    self.step()
-                # Advancing the clock to ``until`` is only legal when the
-                # stop predicate holds nothing back: a shard parked on an
-                # undelivered emission may be re-entered by that emission's
-                # echo well before ``until``, so its clock must stay at the
-                # last fired event.
-                if (
-                    not stopped
-                    and until is not None
-                    and self.now < until
-                    and not stop()
-                ):
-                    self.now = until
+            stopped = self._drain(until, stop)
+            # Advancing the clock to ``until`` is only legal when the stop
+            # predicate holds nothing back: a shard parked on an undelivered
+            # emission may be re-entered by that emission's echo well before
+            # ``until``, so its clock must stay at the last fired event.
+            if (
+                not stopped
+                and until is not None
+                and self.now < until
+                and (stop is None or not stop())
+            ):
+                self.now = until
         finally:
             self._running = False
         if self._failures:
@@ -473,20 +482,21 @@ class Simulator:
 
         Returns the event's value; raises its exception if it failed, and
         :class:`SimulationError` if the simulation stalled before it fired.
+        A process failure is raised before the next event fires.
         """
-        while not event.fired:
+        self._drain(until=limit, wanted=event)
+        if event._state != _FIRED:
             if self._failures:
                 failed = self._failures[0]
                 self._claim_failure(failed)
                 raise failed._exc  # type: ignore[misc]
-            if limit is not None and self._queue and self._queue[0][0] > limit:
+            if self._queue:
                 raise SimulationError(
                     f"time limit {limit} ns reached before {event!r} fired"
                 )
-            if not self.step():
-                raise SimulationError(
-                    f"simulation stalled at t={self.now} ns before {event!r} fired"
-                )
+            raise SimulationError(
+                f"simulation stalled at t={self.now} ns before {event!r} fired"
+            )
         if isinstance(event, Process):
             self._claim_failure(event)
         if event._exc is not None:

@@ -27,11 +27,12 @@ class Signal:
         self.sim = sim
         self.name = name
         self._waiters: list[Event] = []
+        self._wait_name = f"wait:{name}"
         self.fire_count = 0
 
     def wait(self) -> Event:
         """Return an event that fires at the next :meth:`fire`."""
-        event = self.sim.event(name=f"wait:{self.name}")
+        event = Event(self.sim, self._wait_name)
         self._waiters.append(event)
         return event
 
@@ -61,6 +62,7 @@ class Gate:
         self.name = name
         self._open = is_open
         self._waiters: list[Event] = []
+        self._wait_name = f"wait:{name}"
 
     @property
     def is_open(self) -> bool:
@@ -81,7 +83,7 @@ class Gate:
 
     def wait_open(self) -> Event:
         """Event that fires when the gate is (or becomes) open."""
-        event = self.sim.event(name=f"wait:{self.name}")
+        event = Event(self.sim, self._wait_name)
         if self._open:
             event.succeed()
         else:
@@ -105,13 +107,15 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
+        self._put_name = f"put:{name}"
+        self._get_name = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once the item has been accepted."""
-        event = self.sim.event(name=f"put:{self.name}")
+        event = Event(self.sim, self._put_name)
         if self.capacity is not None and len(self._items) >= self.capacity:
             self._putters.append((event, item))
         else:
@@ -128,7 +132,7 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        event = self.sim.event(name=f"get:{self.name}")
+        event = Event(self.sim, self._get_name)
         if self._items:
             event.succeed(self._take())
         else:
@@ -183,6 +187,7 @@ class Resource:
         self.slots = slots
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        self._acquire_name = f"acquire:{name}"
 
     @property
     def in_use(self) -> int:
@@ -194,7 +199,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Event granting one slot (FIFO order)."""
-        event = self.sim.event(name=f"acquire:{self.name}")
+        event = Event(self.sim, self._acquire_name)
         if self._in_use < self.slots:
             self._in_use += 1
             event.succeed()

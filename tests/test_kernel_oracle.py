@@ -1,0 +1,275 @@
+"""Differential oracle for the event kernel.
+
+Seeded random programs run on ``repro.sim.core`` and on the frozen naive
+kernel in ``tests/reference_kernel.py``; both must produce the same fire
+order, the same ``now`` after every step, the same resumed values and
+exceptions and the same ``events_scheduled``.  The fast kernel may change
+how an event is queued and dispatched, never which events exist or when
+they fire.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from repro.sim import core as fast
+from tests import reference_kernel as ref
+
+DELAYS = (0, 0, 0, 1, 1, 2, 3, 5)
+OPS = ("sleep", "sleep", "wait", "wait", "any", "any", "spawn", "kick", "keyed", "boom")
+
+
+def _exc(exc):
+    return (type(exc).__name__, str(exc))
+
+
+class Program:
+    """One random program, built from ``seed`` against ``kernel``'s API only.
+
+    Every random draw happens in firing order, so two kernels that fire in
+    the same order consume the same draws; a divergence shows in ``log``.
+    """
+
+    def __init__(self, kernel, seed):
+        self.kernel = kernel
+        self.rng = random.Random(seed)
+        self.sim = kernel.Simulator()
+        self.log = []
+        self.shared = [self.sim.event(f"shared{i}") for i in range(5)]
+        self.procs = []
+        for index, event in enumerate(self.shared):
+            self.sim.process(self.trigger(index, event))
+        self.roots = [self.spawn((n,), 0) for n in range(4)]
+
+    def note(self, *what):
+        self.log.append((self.sim.now,) + what)
+
+    def spawn(self, tag, depth):
+        me = []
+        proc = self.sim.process(self.worker(tag, depth, me), name=f"worker{tag}")
+        me.append(proc)
+        self.procs.append(proc)
+        return proc
+
+    def trigger(self, index, event):
+        """Fire or fail one shared event at a random time."""
+        rng = self.rng
+        yield self.sim.timeout(rng.choice(DELAYS) + index)
+        if rng.random() < 0.2:
+            event.fail(KeyError(index), delay=rng.choice((0, 2)))
+        else:
+            event.succeed(100 + index, delay=rng.choice((0, 0, 2)))
+
+    def pick_target(self, tag, step):
+        """The event a worker waits on next: the named cases of ISSUE 13."""
+        rng, sim = self.rng, self.sim
+        op = rng.choice(OPS)
+        if op == "sleep":
+            return op, sim.timeout(rng.choice(DELAYS), value=(tag, step)), None
+        if op == "wait":  # may already have fired: the relay path
+            return op, rng.choice(self.shared), None
+        if op == "any":
+            members = [sim.timeout(rng.choice(DELAYS)), rng.choice(self.shared)]
+            if rng.random() < 0.4:  # duplicated member
+                members.append(members[rng.randrange(2)])
+            fired = [event for event in self.shared if event.fired]
+            if fired and rng.random() < 0.4:  # already-fired member
+                members.insert(rng.randrange(len(members) + 1), rng.choice(fired))
+            return op, sim.any_of(members), members
+        return op, None, None
+
+    def worker(self, tag, depth, me):
+        rng, sim = self.rng, self.sim
+        for step in range(rng.randint(2, 6)):
+            op, target, members = self.pick_target(tag, step)
+            if op == "spawn" and depth < 2:  # nested processes and joins
+                child = self.spawn(tag + (step,), depth + 1)
+                target = child if rng.random() < 0.7 else None
+            elif op == "kick":  # interrupt someone, waiting or not yet started
+                victim = rng.choice(self.procs)
+                if victim.alive and victim is not me[0]:
+                    self.note(tag, step, "kicks", victim.name)
+                    victim.interrupt((tag, step))
+            elif op == "keyed":  # band 1, colliding with band-0 events
+                key = (rng.randrange(3),)
+                at = sim.now + rng.choice(DELAYS)
+                sim.call_at(at, lambda key=key: self.note("keyed", key), key)
+            elif op == "boom":
+                if rng.random() < 0.3:
+                    raise ValueError(f"boom{tag}")
+            while target is not None:
+                try:
+                    got = yield target
+                except self.kernel.Interrupt as intr:
+                    self.note(tag, step, "interrupted", intr.cause)
+                    if rng.random() < 0.5:
+                        continue  # re-yield the same (maybe stale) event
+                    break
+                except (KeyError, ValueError, self.kernel.SimulationError) as exc:
+                    self.note(tag, step, op, "raised", _exc(exc))
+                    break
+                if members is not None:  # (index, event) -> kernel-neutral
+                    got = (got[0], members.index(got[1]), got[1].value)
+                self.note(tag, step, op, "got", got)
+                break
+        return tag
+
+    def finish(self):
+        sim = self.sim
+        self.log.append(
+            (
+                "end",
+                sim.now,
+                sim.events_scheduled,
+                sim.pending_events,
+                [(p.name, p.alive, p.value, p._exc and _exc(p._exc)) for p in self.procs],
+                [_exc(p._exc) for p in sim._failures],
+            )
+        )
+        return self.log
+
+
+def drive_steps(program):
+    """step() to exhaustion: ``now`` after every single event."""
+    sim = program.sim
+    while sim.step():
+        program.log.append(("now", sim.now, sim.pending_events, sim.peek_next_time()))
+
+
+def drive_windows(program):
+    """run(until, stop) in short windows: parking on ``stop`` and resuming."""
+    sim, rng = program.sim, random.Random(program.rng.random())
+    for _window in range(10_000):
+        if not sim.pending_events:
+            return
+        budget = [rng.randint(0, 4)]
+
+        def stop():
+            budget[0] -= 1
+            return budget[0] < 0
+
+        until = rng.choice((None, sim.now, sim.now + 1, sim.now + 4, sim.now + 50))
+        try:
+            returned = sim.run(until, stop if rng.random() < 0.7 else None)
+        except (KeyError, ValueError, program.kernel.SimulationError) as exc:
+            returned = _exc(exc)
+        program.log.append(("window", until, returned, sim.now, sim.peek_next_time()))
+    raise AssertionError("windows did not drain the queue")
+
+
+def drive_run_until(program):
+    """run_until() each root (failures surface, limits, stalls), then drain."""
+    sim, rng = program.sim, random.Random(program.rng.random())
+    for root in program.roots:
+        limit = rng.choice((None, None, sim.now + 3, sim.now + 40))
+        try:
+            outcome = sim.run_until(root, limit)
+        except (KeyError, ValueError, program.kernel.SimulationError) as exc:
+            outcome = _exc(exc)
+        program.log.append(("run_until", root.name, limit, outcome, sim.now))
+    drive_steps(program)
+
+
+@pytest.mark.parametrize("drive", [drive_steps, drive_windows, drive_run_until])
+@pytest.mark.parametrize("seed", range(60))
+def test_fast_kernel_matches_reference(seed, drive):
+    logs = []
+    for kernel in (ref, fast):
+        program = Program(kernel, seed)
+        drive(program)
+        logs.append(program.finish())
+    assert logs[0] == logs[1]
+    assert logs[0][-1][2] > 20  # events_scheduled: the program did run
+
+
+def test_random_programs_reach_every_named_case():
+    """The generator is only an oracle if it actually visits the hard cases."""
+    seen = set()
+    for seed in range(60):
+        program = Program(ref, seed)
+        drive_steps(program)
+        for entry in program.finish():
+            seen.update(word for word in entry if isinstance(word, str))
+    assert {"interrupted", "kicks", "keyed", "raised", "got", "any", "wait"} <= seen
+
+
+def _scripted(kernel):
+    """Interrupt while waiting, re-yield the same event, then it fires: the
+    waiter must be resumed once, *behind* the callback added in between."""
+    sim = kernel.Simulator()
+    log = []
+    gate = sim.event("gate")
+
+    def waiter():
+        for attempt in range(2):
+            try:
+                log.append(("resumed", sim.now, (yield gate)))
+                break
+            except kernel.Interrupt as intr:
+                log.append(("interrupted", sim.now, intr.cause, attempt))
+        yield sim.timeout(0)
+        log.append(("after", sim.now))
+
+    def bystander():
+        gate.callbacks.append(lambda ev: log.append(("bystander", sim.now)))
+        proc.interrupt("again")
+        yield sim.timeout(2)
+        gate.succeed("open")
+        sim.call_at(sim.now, lambda: log.append(("keyed", sim.now)), (0,))
+
+    proc = sim.process(waiter())
+    sim.process(bystander())
+    sim.run()
+    return log, sim.events_scheduled, sim.now
+
+
+def test_reyield_after_interrupt_keeps_callback_order():
+    assert _scripted(fast) == _scripted(ref)
+    log, _events, _now = _scripted(fast)
+    # "after" rides a zero-delay band-0 event, so it precedes the keyed call
+    # of the same nanosecond although that call was scheduled first.
+    assert [entry[0] for entry in log] == [
+        "interrupted", "bystander", "resumed", "after", "keyed",
+    ]
+
+
+def test_finished_any_of_is_freed_without_the_cycle_collector():
+    class Watched(fast.AnyOf):
+        __slots__ = ("__weakref__",)
+
+    sim = fast.Simulator()
+    gc.collect()
+    gc.disable()
+    try:
+        loser = sim.event("loser")
+        any_of = Watched(sim, [sim.timeout(1), loser])
+        probe = weakref.ref(any_of)
+        sim.run_until(any_of)
+        assert any_of.value[0] == 0
+        del any_of, loser
+        assert probe() is None, "a finished AnyOf is held alive by a reference cycle"
+    finally:
+        gc.enable()
+
+
+def test_run_until_raises_a_failure_before_firing_the_next_event():
+    sim = fast.Simulator()
+    fired = []
+
+    def failing():
+        yield sim.timeout(1)
+        raise ValueError("boom")
+
+    def bystander():
+        yield sim.timeout(1)
+        fired.append(sim.now)
+
+    sim.process(failing())
+    sim.process(bystander())
+    never = sim.event("never")
+    with pytest.raises(ValueError, match="boom"):
+        sim.run_until(never)
+    assert fired == [], "the event after the failure fired before it surfaced"
+    assert sim.pending_events == 2  # the bystander's timeout, the failed process
