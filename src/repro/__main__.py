@@ -15,17 +15,17 @@ sanitizer + determinism harness (see :mod:`repro.analysis.driver`);
 ``chaos`` runs a fault-injection campaign against the reliable transports
 (see :mod:`repro.faults.campaign`); ``observe`` runs a workload with the
 telemetry plane on and exports Perfetto traces, metrics, and cycle
-profiles (see :mod:`repro.telemetry.observe`); ``scale`` runs a
-fleet-scale topology sharded across worker processes
-(see :mod:`repro.cluster`); ``mcast`` runs the NMP multicast fan-out and
-CAB-collective benchmark (see :mod:`repro.cluster.mcast`); ``ops`` runs
-the scored operations lab — reproducible incidents observed through a
-flight recorder (see :mod:`repro.ops`); ``bench`` is the unified
-scenario harness (see :mod:`repro.scenario`): it runs any committed
-scenario file, sweeps parameter grids into capacity-curve reports, and
-``bench --check-all`` is the one regression gate over every committed
-baseline (``BENCH_scale.json``, ``BENCH_buf.json``, ``BENCH_mcast.json``,
-``OPS_baseline.txt``, ``BENCH_engine.json``, ``BENCH_load.json``).
+profiles (see :mod:`repro.telemetry.observe`); ``bench`` is the scenario
+harness (see :mod:`repro.scenario`) and the only way to run or gate a
+scenario kind — the sharded fleet (``bench scale``, :mod:`repro.cluster`),
+the multicast/collective bench (``bench mcast``), the buffer plane
+(``bench buf``), the scored operations lab (``bench ops``,
+:mod:`repro.ops`), the engine and capacity workloads, and the paper's
+tables and figures: it runs any committed scenario file, takes
+``key=value`` parameter overrides, sweeps parameter grids into
+capacity-curve reports, and ``bench --check-all`` is the one regression
+gate over every committed baseline (``BENCH_*.json``,
+``OPS_baseline.txt``).
 """
 
 from __future__ import annotations
@@ -50,25 +50,11 @@ _SUBCOMMANDS = {
         "repro.telemetry.observe",
         "observe [--workload NAME] [--trace FILE] [--metrics FILE]",
     ),
-    "scale": (
-        "repro.cluster.cli",
-        "scale [--shape S] [--hubs N] [--workers LIST]\n"
-        "                       [--parity] [--bench] [--json FILE] [--check]",
-    ),
-    "mcast": (
-        "repro.cluster.mcast_cli",
-        "mcast [--seed N] [--workers LIST] [--json FILE]\n"
-        "                       [--check]",
-    ),
     "bench": (
         "repro.scenario.cli",
-        "bench <scenario> [--check | --write] [--json FILE]\n"
-        "        python -m repro  bench [--list | --check-all]",
-    ),
-    "ops": (
-        "repro.ops.cli",
-        "ops [--list] [--incident NAME] [--seed N]\n"
-        "                     [--json FILE] [--check]",
+        "bench <scenario> [key=value ...] [--json FILE]\n"
+        "        python -m repro  bench <scenario> --check | --write\n"
+        "        python -m repro  bench --list | --check-all",
     ),
 }
 

@@ -1,5 +1,6 @@
-"""The ``python -m repro bench buf`` benchmark behind ``BENCH_buf.json``.
+"""The ``buf`` scenario kind's benchmark, behind ``BENCH_buf.json``.
 
+Run and gated as ``python -m repro bench buf [--check | --write]``.
 Measures the buffer plane three ways, with the same deterministic/measured
 split as the scale bench (``repro.cluster.bench``):
 
@@ -11,34 +12,23 @@ split as the scale bench (``repro.cluster.bench``):
   ``host.memcpy_calls`` counters are the headline number of the zero-copy
   refactor, gated against both the committed baseline and the recorded
   pre-refactor measurement;
-* a small **scale** reference fleet (the unsharded ``repro scale``
-  workload), recording its copy counters and wall-clock.
+* a small **scale** reference fleet (the unsharded fleet workload),
+  recording its copy counters and wall-clock.
 
 ``deterministic`` sections are byte-identical across runs and machines;
-``measured`` holds wall-clock only and is recorded, never gated.
-
-``--check`` recomputes the deterministic sections and fails when the tree
-regresses above the committed ``BENCH_buf.json`` (the tier-1 tripwire);
-``--write`` refreshes the committed file after a deliberate change.
+``measured`` holds wall-clock only and is recorded, never gated.  Every
+run must free every buffer it allocated and hold rmp-stream under
+:data:`RMP_STREAM_CEILING_BYTES`; ``--check`` additionally requires the
+deterministic sections to match the committed ``BENCH_buf.json`` exactly.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
-from typing import List
 
 from repro.buf.accounting import CopyMeter
 from repro.buf.packet import PacketBuffer
 from repro.wallclock import wall_clock_ns, wall_ns_since
 
-__all__ = [
-    "check_against_baseline",
-    "default_baseline_path",
-    "main",
-    "render_bench_json",
-    "run_buf_bench",
-]
+__all__ = ["run_buf_bench"]
 
 #: Microbench shape: enough rounds to dominate interpreter noise in the
 #: measured section while the counters stay trivially auditable.
@@ -52,8 +42,12 @@ MICRO_HEADROOM = 16
 RMP_STREAM_PRE_REFACTOR = {"memcpy_bytes": 44736, "memcpy_calls": 432}
 
 #: The acceptance floor: the refactored data path must stay at or below
-#: half the pre-refactor byte count on rmp-stream.
+#: half the pre-refactor byte count on rmp-stream — the ``buf`` kind's
+#: ceiling invariant (see :mod:`repro.scenario.runner`).
 RMP_STREAM_MAX_FRACTION = 0.5
+RMP_STREAM_CEILING_BYTES = int(
+    RMP_STREAM_PRE_REFACTOR["memcpy_bytes"] * RMP_STREAM_MAX_FRACTION
+)
 
 
 def _run_microbench() -> dict:
@@ -153,136 +147,3 @@ def run_buf_bench() -> dict:
         "deterministic": deterministic,
         "measured": measured,
     }
-
-
-def render_bench_json(report: dict) -> str:
-    """Byte-stable serialization (sorted keys, fixed separators, newline)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def default_baseline_path() -> pathlib.Path:
-    """``BENCH_buf.json`` at the repo root (next to ``BENCH_scale.json``)."""
-    return pathlib.Path(__file__).resolve().parents[3] / "BENCH_buf.json"
-
-
-def check_against_baseline(committed: dict, fresh: dict) -> List[str]:
-    """Regression verdicts: empty means the tree holds the baseline.
-
-    The deterministic microbench and scale counters must match exactly
-    (they are pure functions of the op sequence / fleet); the rmp-stream
-    copy counters must not *exceed* the committed baseline, must stay
-    within ``RMP_STREAM_MAX_FRACTION`` of the pre-refactor measurement,
-    and every leg must free every buffer it allocated.
-    """
-    errors: List[str] = []
-    committed_det = committed.get("deterministic", {})
-    fresh_det = fresh["deterministic"]
-    for leg in ("microbench", "scale"):
-        if fresh_det[leg] != committed_det.get(leg):
-            errors.append(
-                f"{leg} counters diverged from the committed baseline: "
-                f"{fresh_det[leg]} != {committed_det.get(leg)}"
-            )
-    committed_rmp = committed_det.get("rmp_stream", {})
-    fresh_rmp = fresh_det["rmp_stream"]
-    for key in ("memcpy_bytes", "memcpy_calls"):
-        if fresh_rmp[key] > committed_rmp.get(key, 0):
-            errors.append(
-                f"rmp-stream host.{key} regressed: {fresh_rmp[key]} > "
-                f"committed {committed_rmp.get(key, 0)}"
-            )
-    ceiling = int(
-        RMP_STREAM_PRE_REFACTOR["memcpy_bytes"] * RMP_STREAM_MAX_FRACTION
-    )
-    if fresh_rmp["memcpy_bytes"] > ceiling:
-        errors.append(
-            f"rmp-stream host.memcpy_bytes {fresh_rmp['memcpy_bytes']} is "
-            f"above {ceiling} ({RMP_STREAM_MAX_FRACTION:.0%} of the "
-            f"pre-refactor {RMP_STREAM_PRE_REFACTOR['memcpy_bytes']})"
-        )
-    for leg in ("microbench", "rmp_stream", "scale"):
-        counters = fresh_det[leg]
-        if counters["buffers_allocated"] != counters["buffers_freed"]:
-            errors.append(
-                f"{leg} leaked buffers: allocated "
-                f"{counters['buffers_allocated']}, freed "
-                f"{counters['buffers_freed']}"
-            )
-    return errors
-
-
-def main(argv: List[str]) -> int:
-    """CLI entry: ``python -m repro bench buf [--check | --write] [--json F]``."""
-    import sys
-
-    check = write = False
-    json_path: pathlib.Path = default_baseline_path()
-    arguments = list(argv)
-    while arguments:
-        arg = arguments.pop(0)
-        if arg == "--check":
-            check = True
-        elif arg == "--write":
-            write = True
-        elif arg == "--json":
-            if not arguments:
-                print("--json requires a path", file=sys.stderr)
-                return 2
-            json_path = pathlib.Path(arguments.pop(0))
-        else:
-            print(f"unknown option {arg!r}", file=sys.stderr)
-            return 2
-    if check and json_path == default_baseline_path():
-        # Deprecation shim: the unified scenario gate owns this check now.
-        from repro.scenario.gate import run_gate
-        from repro.scenario.model import load_scenario
-
-        print(
-            "note: `bench buf --check` delegates to the unified gate; prefer "
-            "`python -m repro bench buf --check`",
-            file=sys.stderr,
-        )
-        try:
-            scenario = load_scenario("buf")
-        except FileNotFoundError:
-            print("no committed scenarios/buf.toml", file=sys.stderr)
-            return 2
-        result = run_gate(scenario)
-        if not result.report:
-            for error in result.errors:
-                print(error, file=sys.stderr)
-            return 2
-        for error in result.errors:
-            print(f"REGRESSION: {error}")
-        fresh = result.report["deterministic"]
-        print(
-            f"bench buf: rmp-stream host.memcpy_bytes "
-            f"{fresh['rmp_stream']['memcpy_bytes']} "
-            f"({fresh['rmp_stream_reduction_pct']['memcpy_bytes']}% below "
-            f"pre-refactor) — {'FAIL' if result.errors else 'OK'}"
-        )
-        return 1 if result.errors else 0
-    report = run_buf_bench()
-    if check:
-        try:
-            committed = json.loads(json_path.read_text())
-        except FileNotFoundError:
-            print(f"no committed baseline at {json_path}", file=sys.stderr)
-            return 2
-        errors = check_against_baseline(committed, report)
-        for error in errors:
-            print(f"REGRESSION: {error}")
-        reduction = report["deterministic"]["rmp_stream_reduction_pct"]
-        print(
-            f"bench buf: rmp-stream host.memcpy_bytes "
-            f"{report['deterministic']['rmp_stream']['memcpy_bytes']} "
-            f"({reduction['memcpy_bytes']}% below pre-refactor) — "
-            f"{'FAIL' if errors else 'OK'}"
-        )
-        return 1 if errors else 0
-    if write:
-        json_path.write_text(render_bench_json(report))
-        print(f"wrote {json_path}")
-        return 0
-    print(render_bench_json(report), end="")
-    return 0

@@ -16,8 +16,10 @@ discrete-event simulation (PDES) layer:
   with deterministic cross-shard frame exchange; inline and multi-process
   execution modes.
 * :mod:`repro.cluster.merge` — per-shard telemetry (metrics / trace) merge.
-* :mod:`repro.cluster.bench` — the ``python -m repro scale --bench``
-  harness behind ``BENCH_scale.json``.
+* :mod:`repro.cluster.bench` — the ``scale`` scenario kind
+  (``python -m repro bench scale``) behind ``BENCH_scale.json``;
+  :mod:`repro.cluster.mcast` — the ``mcast`` kind behind
+  ``BENCH_mcast.json``.
 
 The correctness bar: a sharded run's protocol-level results are
 bit-identical to the single-process reference on the same topology and

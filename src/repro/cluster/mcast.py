@@ -1,6 +1,7 @@
-"""``python -m repro mcast`` — the multicast/collective benchmark.
+"""The ``mcast`` scenario kind: the multicast/collective benchmark.
 
-Three legs, all pinned by the committed ``BENCH_mcast.json``:
+Run and gated as ``python -m repro bench mcast [key=value ...]``.  Three
+legs, all pinned by the committed ``BENCH_mcast.json``:
 
 * **fanout** — a pub/sub flow on a fat tree: one sender multicasts to an
   8-member group on a *different* leaf HUB.  The crossbars replicate the
@@ -26,8 +27,6 @@ regression gate), ``measured`` (wall-clock) is recorded but never gated.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import List, Optional
 
 from repro.cluster.conductor import Conductor, run_reference
@@ -41,12 +40,7 @@ from repro.cluster.workload import Flow, Workload, WorkloadSpec
 from repro.protocols.nectar.collective import tree_depth
 from repro.wallclock import wall_clock_ns, wall_ns_since
 
-__all__ = [
-    "check_against_baseline",
-    "default_baseline_path",
-    "render_bench_json",
-    "run_mcast_bench",
-]
+__all__ = ["run_mcast_bench"]
 
 #: The fan-out rig: 2 spines x 2 leaves, 10 CABs per leaf.
 _FANOUT_FLEET = ("fat-tree", 2, 2, 10, 12)
@@ -221,47 +215,3 @@ def run_mcast_bench(
         "deterministic": legs,
         "measured": {"wall_ns": walls},
     }
-
-
-def render_bench_json(report: dict) -> str:
-    """Byte-stable serialization (sorted keys, fixed separators, newline)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def default_baseline_path() -> pathlib.Path:
-    """``BENCH_mcast.json`` at the repo root, next to the other gates."""
-    return pathlib.Path(__file__).resolve().parents[3] / "BENCH_mcast.json"
-
-
-def check_against_baseline(committed: dict, fresh: dict) -> List[str]:
-    """Regression verdicts: empty means the tree holds the baseline.
-
-    Parity must hold, fan-out must stay as cheap as committed (the
-    crossing ratio is the tentpole number), and every deterministic
-    counter must match exactly.  Wall-clock is never compared.
-    """
-    errors: List[str] = []
-    if fresh["config"] != committed.get("config"):
-        errors.append(
-            "config diverged from the committed baseline; re-baseline "
-            "deliberately with --bench --json"
-        )
-        return errors
-    committed_det = committed.get("deterministic", {})
-    fresh_det = fresh["deterministic"]
-    if not fresh_det["parity"]["verdict"]:
-        errors.append("parity broken: sharded runs diverged from the reference")
-    fresh_ratio = fresh_det["fanout"]["crossing_ratio"]
-    committed_ratio = committed_det.get("fanout", {}).get("crossing_ratio")
-    if committed_ratio is not None and fresh_ratio > committed_ratio:
-        errors.append(
-            f"fan-out regressed: crossing ratio {fresh_ratio} > "
-            f"{committed_ratio} (multicast fell back toward unicast)"
-        )
-    for leg in ("fanout", "barrier", "parity"):
-        if fresh_det.get(leg) != committed_det.get(leg):
-            errors.append(
-                f"{leg} leg deterministic counters diverged: "
-                f"{fresh_det.get(leg)} != {committed_det.get(leg)}"
-            )
-    return errors

@@ -11,7 +11,8 @@ evidence the operator side may read.  :mod:`~repro.ops.detect` holds the
 baseline detectors and localizers that consume the journal, and
 :mod:`~repro.ops.lab` runs incidents end to end, scores
 detect/localize/mitigate against the ground truth, and renders the
-deterministic report that ``python -m repro ops`` gates on.
+deterministic report that ``python -m repro bench ops`` gates on
+(``bench ops incident=NAME`` runs one incident and keeps its journal).
 """
 
 from repro.ops.incidents import INCIDENTS, GroundTruth, Incident

@@ -21,8 +21,8 @@ For each incident the lab:
 Scores are integers out of 100: detection 40, time-to-detect up to 20,
 localization up to 25, verified mitigation 15.  The rendered report is
 built only from simulated quantities, so two invocations with the same
-seed print byte-identical text — ``python -m repro ops --check`` gates
-on the committed ``OPS_baseline.txt`` exactly like the chaos report.
+seed print byte-identical text — ``python -m repro bench ops --check``
+gates on the committed ``OPS_baseline.txt`` exactly like the chaos report.
 """
 
 from __future__ import annotations

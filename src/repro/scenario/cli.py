@@ -1,18 +1,21 @@
-"""``python -m repro bench`` — the unified scenario/benchmark CLI.
+"""``python -m repro bench`` — the one way to run or gate a scenario.
 
 Usage::
 
     python -m repro bench --list                    # committed scenarios
-    python -m repro bench <scenario> [--json FILE]  # run, print the report
+    python -m repro bench <scenario> [key=value ...] [--json FILE]
     python -m repro bench <scenario> --check        # gate vs its baseline
     python -m repro bench <scenario> --write        # refresh its baseline
     python -m repro bench --check-all               # every committed gate
 
 ``<scenario>`` is a committed scenario name (a file in ``scenarios/``)
-or a path to any ``.toml`` scenario file.  An unknown name lists the
-available scenarios and exits 2, like the top-level unknown-experiment
-path.  Exit status: 0 on success/clean gate, 1 on regression, 2 on
-usage errors.
+or a path to any ``.toml`` scenario file.  ``key=value`` overrides one of
+the kind's parameters for this run (``bench scale hubs=8 workers=1,2``,
+``bench ops incident=slow-cab``); overrides are validated like the
+scenario file's ``[params]`` and are refused with ``--check``/``--write``,
+which judge and record the committed configuration only.  Exit status:
+0 on success/clean gate, 1 on a regression or a report that breaks its
+kind's invariants, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -20,17 +23,31 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.scenario.config import ConfigError
-from repro.scenario.gate import check_all, run_gate, write_baseline
+from repro.scenario.gate import (
+    check_all,
+    invariant_verdicts,
+    run_gate,
+    write_baseline,
+)
 from repro.scenario.model import (
     Scenario,
+    apply_overrides,
     list_scenarios,
     load_scenario,
 )
+from repro.scenario.report import render_json, render_text
 from repro.scenario.runner import KINDS
 from repro.scenario.sweep import run_scenario
 
 __all__ = ["main"]
+
+USAGE = (
+    "usage: python -m repro bench <scenario> [key=value ...] [--json FILE]\n"
+    "       python -m repro bench <scenario> --check | --write\n"
+    "       python -m repro bench --list | --check-all"
+)
 
 
 def _print_available(stream) -> None:
@@ -54,8 +71,7 @@ def _run_check_all() -> int:
     failures = 0
     for result in results:
         for line in result.verdict_lines():
-            prefix = f"{result.scenario.name:12s} "
-            print(prefix + line)
+            print(f"{result.scenario.name:12s} {line}")
         failures += 0 if result.ok else 1
     gated = len(results)
     if failures:
@@ -65,9 +81,9 @@ def _run_check_all() -> int:
     return 0
 
 
-def _load(name: str) -> Optional[Scenario]:
+def _load(name: str, overrides: List[str]) -> Optional[Scenario]:
     try:
-        return load_scenario(name)
+        return apply_overrides(load_scenario(name), overrides)
     except FileNotFoundError:
         print(f"unknown scenario {name!r}", file=sys.stderr)
         _print_available(sys.stderr)
@@ -77,9 +93,53 @@ def _load(name: str) -> Optional[Scenario]:
         return None
 
 
+def _write_json(json_path: Optional[str], report: dict) -> None:
+    if json_path is not None and report:
+        with open(json_path, "w") as handle:
+            handle.write(render_json(report))
+
+
+def _gate(scenario: Scenario, json_path: Optional[str]) -> int:
+    result = run_gate(scenario)
+    for line in result.verdict_lines():
+        print(line, file=sys.stdout if result.ok else sys.stderr)
+    _write_json(json_path, result.report)
+    return 0 if result.ok else 1
+
+
+def _write(scenario: Scenario) -> int:
+    if scenario.baseline is None:
+        print(
+            f"scenario {scenario.name!r} names no baseline file to write",
+            file=sys.stderr,
+        )
+        return 2
+    result = write_baseline(scenario)
+    if not result.ok:
+        for line in result.verdict_lines():
+            print(line, file=sys.stderr)
+        print(f"{result.baseline.name} not written", file=sys.stderr)
+        return 1
+    print(f"wrote {result.baseline} ({result.detail()})")
+    return 0
+
+
+def _run(scenario: Scenario, json_path: Optional[str]) -> int:
+    report = run_scenario(scenario)
+    sys.stdout.write(render_text(scenario, report))
+    _write_json(json_path, report)
+    if json_path is not None:
+        print(f"wrote {json_path}")
+    verdicts = invariant_verdicts(scenario, report)
+    for verdict in verdicts:
+        print(f"FAIL: {verdict}", file=sys.stderr)
+    return 1 if verdicts else 0
+
+
 def main(argv: List[str]) -> int:
     """Entry point for ``python -m repro bench``; returns the exit code."""
     name: Optional[str] = None
+    overrides: List[str] = []
     check = write = list_only = do_check_all = False
     json_path: Optional[str] = None
     arguments = list(argv)
@@ -103,9 +163,12 @@ def main(argv: List[str]) -> int:
             return 2
         elif name is None:
             name = arg
+        elif "=" in arg:
+            overrides.append(arg)
         else:
             print(
-                f"unexpected argument {arg!r} (one scenario per run)",
+                f"unexpected argument {arg!r} (one scenario per run; "
+                f"overrides are key=value)",
                 file=sys.stderr,
             )
             return 2
@@ -119,44 +182,31 @@ def main(argv: List[str]) -> int:
             return 2
         return _run_check_all()
     if name is None:
-        print(
-            "usage: python -m repro bench <scenario> [--check | --write] "
-            "[--json FILE] | --list | --check-all",
-            file=sys.stderr,
-        )
+        print(USAGE, file=sys.stderr)
         _print_available(sys.stderr)
         return 2
     if check and write:
         print("--check and --write are mutually exclusive", file=sys.stderr)
         return 2
-    scenario = _load(name)
+    if overrides and (check or write):
+        print(
+            "--check/--write judge the committed configuration; "
+            "overrides are for plain runs (put a variant in its own "
+            "scenario file to gate it)",
+            file=sys.stderr,
+        )
+        return 2
+    scenario = _load(name, overrides)
     if scenario is None:
         return 2
-
-    from repro.scenario.report import render_json, render_text
-
-    if check:
-        result = run_gate(scenario)
-        for line in result.verdict_lines():
-            stream = sys.stdout if result.ok else sys.stderr
-            print(line, file=stream)
-        if json_path is not None and result.report:
-            with open(json_path, "w") as handle:
-                handle.write(render_json(result.report))
-        return 0 if result.ok else 1
-    if write:
-        result = write_baseline(scenario)
-        if not result.ok:
-            for error in result.errors:
-                print(error, file=sys.stderr)
-            return 2
-        print(f"wrote {result.baseline} ({result.detail()})")
-        return 0
-
-    report = run_scenario(scenario)
-    sys.stdout.write(render_text(scenario, report))
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            handle.write(render_json(report))
-        print(f"wrote {json_path}")
-    return 0
+    try:
+        if check:
+            return _gate(scenario, json_path)
+        if write:
+            return _write(scenario)
+        return _run(scenario, json_path)
+    except ConfigurationError as error:
+        # A well-typed parameter the execution plane refuses (an unknown
+        # fleet shape, conductor mode or incident name).
+        print(str(error), file=sys.stderr)
+        return 2

@@ -1,17 +1,26 @@
-"""The one regression gate over every committed scenario baseline.
+"""The one regression gate: a structural differ over every baseline.
 
 ``python -m repro bench <scenario> --check`` re-runs the scenario with
-its committed configuration and compares the fresh report against the
-committed baseline using the kind's own check function — for the legacy
-benches that is literally the same ``check_against_baseline`` the
-historical per-CLI gates called, so verdicts are identical by
-construction.  ``--write`` refreshes the baseline after a deliberate
-change.  ``--check-all`` replays **every** committed scenario that names
-a baseline (``BENCH_scale.json``, ``BENCH_buf.json``,
-``BENCH_mcast.json``, ``OPS_baseline.txt``, ``BENCH_engine.json``,
-``BENCH_load.json``, ...) — the single tier-1 entry point that subsumes
-the old ``scale --check`` / ``bench buf --check`` / ``mcast --check`` /
-``ops --check`` quartet.
+its committed configuration and asks two questions, the same way for
+every kind:
+
+* **did it move?** — :func:`diff_reports` walks ``config`` + ``deterministic`` of
+  the committed baseline and the fresh report together and returns one
+  key-path verdict per leaf that differs
+  (``deterministic.workers.4.barriers: 1145 -> 1200 (+55)``), per key the
+  fresh report dropped and per key it grew.  A text golden
+  (``OPS_baseline.txt``) is the ``deterministic.report`` leaf of the same
+  walk.  The match is exact: an improvement is re-baselined with
+  ``--write`` like any other deliberate change.  ``measured`` is recorded,
+  never compared.
+* **is it sound?** — :func:`invariant_verdicts` applies the kind's
+  declared invariants (:mod:`repro.scenario.runner`) to the fresh report,
+  every sweep point included.  These hold of any run, so a plain
+  ``bench <scenario>`` exits non-zero on them too.
+
+``--check-all`` gates every committed scenario that names a baseline —
+the single tier-1 entry point.  One broken baseline file is that
+scenario's FAIL, not the end of the run.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import List, Optional
 
 from repro.scenario.model import (
@@ -27,10 +37,22 @@ from repro.scenario.model import (
     load_scenario,
     repo_root,
 )
-from repro.scenario.runner import KINDS, generic_check
+from repro.scenario.report import render_json
+from repro.scenario.runner import KINDS, violations
 from repro.scenario.sweep import run_scenario
 
-__all__ = ["GateResult", "baseline_path", "check_all", "run_gate", "write_baseline"]
+__all__ = [
+    "GateResult",
+    "baseline_path",
+    "check_all",
+    "diff_reports",
+    "invariant_verdicts",
+    "run_gate",
+    "write_baseline",
+]
+
+#: The report sections a baseline pins.
+GATED = ("config", "deterministic")
 
 
 @dataclass
@@ -44,25 +66,98 @@ class GateResult:
 
     @property
     def ok(self) -> bool:
-        """True when every regression verdict came back clean."""
+        """True when every verdict came back clean."""
         return not self.errors
 
     def detail(self) -> str:
         """The kind's one-line summary of the fresh report."""
-        kind = KINDS[self.scenario.kind]
         if self.scenario.sweep:
             points = self.report["deterministic"]["points"]
             return f"{len(points)} sweep points"
-        if kind.summarize is not None:
-            return kind.summarize(self.report)
-        return "deterministic section holds"
+        return KINDS[self.scenario.kind].summarize(self.report)
 
     def verdict_lines(self) -> List[str]:
-        """Printable verdicts: one OK line, or one FAIL line per error."""
-        name = self.baseline.name if self.baseline else "(no baseline)"
+        """Printable verdicts: one OK line, or one FAIL line per key."""
+        name = self.baseline.name if self.baseline else self.scenario.name
         if self.ok:
             return [f"OK: {name} deterministic section holds ({self.detail()})"]
-        return [f"FAIL: {error}" for error in self.errors]
+        return [f"FAIL: {name}: {error}" for error in self.errors]
+
+
+def _moved(committed, fresh) -> str:
+    """``old -> new`` for one leaf: with the delta, or the first changed line."""
+    if isinstance(committed, str) and isinstance(fresh, str):
+        if "\n" in committed + fresh:
+            pairs = zip_longest(committed.splitlines(), fresh.splitlines())
+            for number, (old, new) in enumerate(pairs, start=1):
+                if old != new:
+                    return f"line {number}: {old!r} -> {new!r}"
+    elif not isinstance(committed, bool) and not isinstance(fresh, bool):
+        if isinstance(committed, (int, float)) and isinstance(fresh, (int, float)):
+            return f"{committed!r} -> {fresh!r} ({fresh - committed:+g})"
+    return f"{committed!r} -> {fresh!r}"
+
+
+def _diff(committed, fresh, path: str) -> List[str]:
+    """Key-path verdicts for every way ``fresh`` differs from ``committed``.
+
+    Both sides are JSON values.  Dicts are walked by key and lists by
+    index, so a verdict names the leaf that moved; a key on one side only
+    is named as missing or extra rather than compared.
+    """
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        verdicts: List[str] = []
+        for key in sorted(set(committed) | set(fresh)):
+            where = f"{path}.{key}"
+            if key not in fresh:
+                verdicts.append(f"{where}: missing from the fresh report")
+            elif key not in committed:
+                verdicts.append(f"{where}: not in the committed baseline")
+            else:
+                verdicts.extend(_diff(committed[key], fresh[key], where))
+        return verdicts
+    if isinstance(committed, list) and isinstance(fresh, list):
+        verdicts = []
+        for index in range(max(len(committed), len(fresh))):
+            where = f"{path}[{index}]"
+            if index >= len(fresh):
+                verdicts.append(f"{where}: missing from the fresh report")
+            elif index >= len(committed):
+                verdicts.append(f"{where}: not in the committed baseline")
+            else:
+                verdicts.extend(_diff(committed[index], fresh[index], where))
+        return verdicts
+    if committed != fresh or type(committed) is not type(fresh):
+        return [f"{path}: {_moved(committed, fresh)}"]
+    return []
+
+
+def diff_reports(committed: dict, fresh: dict) -> List[str]:
+    """Key-path verdicts over the gated sections of two reports.
+
+    A moved ``config`` is reported alone: the deterministic sections of
+    two different configurations are not comparable.
+    """
+    if not isinstance(committed, dict):
+        return ["not a report object"]
+    for section in GATED:
+        verdicts = _diff(committed.get(section), fresh[section], section)
+        if verdicts:
+            return verdicts
+    return []
+
+
+def invariant_verdicts(scenario: Scenario, report: dict) -> List[str]:
+    """The kind's invariants applied to a fresh report (each sweep point)."""
+    kind = KINDS[scenario.kind]
+    deterministic = report["deterministic"]
+    if not scenario.sweep:
+        return violations(kind, deterministic, "deterministic")
+    return [
+        verdict
+        for index, point in enumerate(deterministic["points"])
+        for verdict in violations(kind, point, f"deterministic.points[{index}]")
+    ]
 
 
 def baseline_path(scenario: Scenario) -> Optional[pathlib.Path]:
@@ -72,80 +167,71 @@ def baseline_path(scenario: Scenario) -> Optional[pathlib.Path]:
     return repo_root() / scenario.baseline
 
 
-def _load_baseline(scenario: Scenario, path: pathlib.Path):
-    text = path.read_text()
-    kind = KINDS[scenario.kind]
-    if kind.baseline_format == "text" and not scenario.sweep:
-        return text
-    return json.loads(text)
-
-
-def _check(scenario: Scenario, committed, fresh: dict) -> List[str]:
-    kind = KINDS[scenario.kind]
-    if scenario.sweep:
-        # Sweep reports use the assembled shape regardless of kind.
-        return generic_check(committed, fresh)
-    return kind.check(committed, fresh)
-
-
 def run_gate(scenario: Scenario) -> GateResult:
     """Run the scenario and gate it against its committed baseline."""
     path = baseline_path(scenario)
     if path is None:
-        report = run_scenario(scenario)
         return GateResult(
             scenario,
-            report,
+            {},
             errors=[
-                f"scenario {scenario.name!r} names no baseline; add "
-                f"'baseline = \"...\"' under [scenario] and --write it"
+                "the scenario names no baseline; add 'baseline = \"...\"' "
+                "under [scenario] and --write it"
             ],
         )
     if not path.exists():
         return GateResult(
             scenario,
             {},
-            errors=[f"no committed baseline at {path}; create it with --write"],
+            errors=["no such committed baseline; create it with --write"],
             baseline=path,
         )
-    committed = _load_baseline(scenario, path)
+    text = path.read_text()
+    committed = None
+    if path.suffix == ".json":
+        try:
+            committed = json.loads(text)
+        except json.JSONDecodeError as error:
+            return GateResult(
+                scenario,
+                {},
+                errors=[f"not valid JSON (line {error.lineno})"],
+                baseline=path,
+            )
     report = run_scenario(scenario)
-    errors = _check(scenario, committed, report)
+    # Compare JSON value to JSON value (tuples are lists, keys are strings).
+    fresh = json.loads(render_json({key: report[key] for key in GATED}))
+    if committed is None:
+        # A text golden pins one leaf: the rendered report.
+        committed = dict(
+            fresh, deterministic=dict(fresh["deterministic"], report=text)
+        )
+    errors = diff_reports(committed, fresh) + invariant_verdicts(scenario, report)
     return GateResult(scenario, report, errors=errors, baseline=path)
 
 
 def write_baseline(scenario: Scenario) -> GateResult:
-    """Run the scenario and (re)write its committed baseline file."""
-    from repro.scenario.report import render_json
+    """Run the scenario and (re)write the baseline file it names.
 
+    A report that breaks its kind's invariants is not written: it could
+    never pass the gate it would become.
+    """
     path = baseline_path(scenario)
-    if path is None:
-        return GateResult(
-            scenario,
-            {},
-            errors=[
-                f"scenario {scenario.name!r} names no baseline file to write"
-            ],
-        )
     report = run_scenario(scenario)
-    kind = KINDS[scenario.kind]
-    if kind.baseline_format == "text" and not scenario.sweep:
-        path.write_text(report["deterministic"]["report"])
-    else:
-        path.write_text(render_json(report))
-    return GateResult(scenario, report, baseline=path)
+    errors = invariant_verdicts(scenario, report)
+    if not errors:
+        if path.suffix == ".json":
+            path.write_text(render_json(report))
+        else:
+            path.write_text(report["deterministic"]["report"])
+    return GateResult(scenario, report, errors=errors, baseline=path)
 
 
 def check_all() -> List[GateResult]:
-    """Gate every committed scenario that names a baseline, sorted by name.
-
-    Scenarios without a baseline (the table/figure drivers) are skipped —
-    they have nothing committed to regress against.
-    """
+    """Gate every committed scenario that names a baseline, sorted by name."""
     results: List[GateResult] = []
     for name in list_scenarios():
         scenario = load_scenario(name)
-        if scenario.baseline is None:
-            continue
-        results.append(run_gate(scenario))
+        if scenario.baseline is not None:
+            results.append(run_gate(scenario))
     return results

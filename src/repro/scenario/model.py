@@ -23,13 +23,14 @@ the offending entry, so the error message is directly actionable.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.scenario.config import ConfigError, parse_config
+from repro.scenario.config import ConfigError, _parse_value, parse_config
 
 __all__ = [
     "Scenario",
+    "apply_overrides",
     "list_scenarios",
     "load_scenario",
     "load_scenario_text",
@@ -222,8 +223,6 @@ def load_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
         kind_params, data.get("params", {}), lines, path, "params"
     )
     sweep = _validate_sweep(kind_params, data.get("sweep", {}), lines, path)
-    if baseline is None:
-        baseline = kinds[kind].baseline_default
     return Scenario(
         name=head["name"],
         kind=kind,
@@ -232,6 +231,32 @@ def load_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
         sweep=sweep,
         baseline=baseline,
     )
+
+
+def apply_overrides(scenario: Scenario, assignments: List[str]) -> Scenario:
+    """The scenario with command-line ``key=value`` overrides applied.
+
+    Values are read by the parameter's declared type (a ``str`` takes the
+    text as is, a list takes ``1,4`` or ``[1, 4]``) and then pass the same
+    validation as a ``[params]`` section; a :class:`ConfigError` locates
+    the offending override by its position on the command line.
+    """
+    path = "<command line>"
+    specs = _kind_specs()[scenario.kind].params
+    given: Dict[str, object] = {}
+    lines: Dict[str, int] = {}
+    for position, assignment in enumerate(assignments, start=1):
+        key, _, text = assignment.partition("=")
+        lines[f"params.{key}"] = position
+        spec_type = specs[key].type if key in specs else "str"
+        if spec_type == "str":
+            given[key] = text
+        else:
+            if spec_type.endswith("_list") and not text.startswith("["):
+                text = f"[{text}]"
+            given[key] = _parse_value(text, path, position)
+    _validate_params(specs, given, lines, path, "params")
+    return replace(scenario, params=dict(scenario.params, **given))
 
 
 def repo_root() -> pathlib.Path:

@@ -78,15 +78,14 @@ def _single_report(scenario: Scenario, report: dict) -> str:
     if isinstance(deterministic.get("report"), str):
         # The ops lab's report golden is the report.
         return deterministic["report"].rstrip("\n") + "\n"
-    rows = [
-        (key, _format_cell(deterministic[key]))
-        for key in sorted(deterministic)
-        if _is_scalar(deterministic[key])
-    ]
-    if rows:
+    if all(_is_scalar(value) for value in deterministic.values()):
+        rows = [
+            (key, _format_cell(deterministic[key]))
+            for key in sorted(deterministic)
+        ]
         title = f"scenario: {scenario.name} (kind {scenario.kind})"
         return format_table(title, ["series", "value"], rows) + "\n"
-    # Nothing scalar to tabulate (the legacy nested benches): canonical JSON.
+    # Nested legs (scale, buf, mcast): the canonical JSON is the report.
     return render_json(report)
 
 

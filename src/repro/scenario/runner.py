@@ -1,34 +1,36 @@
-"""The scenario kind registry: how each scenario kind runs and gates.
+"""The scenario kind registry: how each scenario kind runs and is judged.
 
 A **kind** names one execution plane and declares, in one place:
 
 * its parameter schema (names, types, defaults) — the contract
-  :mod:`repro.scenario.model` validates scenario files against;
+  :mod:`repro.scenario.model` validates scenario files and command-line
+  overrides against;
 * ``run(params) -> report`` — a report dict with the repo's standard
   ``config`` / ``deterministic`` / ``measured`` split (byte-identical
   ``deterministic`` across runs; wall-clock quarantined in ``measured``);
-* how the report is gated: the committed baseline's default file, its
-  format (canonical JSON or a text golden), and the check function
-  producing regression verdicts.
+* its **invariants** — what must hold of any fresh report regardless of a
+  baseline (parity not broken, every buffer freed, the lab verdict PASS),
+  declared as data and applied to every run and every sweep point;
+* a one-line summary of a report for the gate's OK line.
 
-The legacy benches keep their own report shapes and check functions
-(:mod:`repro.cluster.bench`, :mod:`repro.buf.bench`,
-:mod:`repro.cluster.mcast`, :mod:`repro.ops.lab`) — the registry wraps
-them, so the unified gate's verdicts are identical to the historical
-per-CLI gates.  New kinds (``engine``, ``load``, and the table/figure
-drivers) use the generic exact-match check over ``config`` +
-``deterministic``.
+Whether a report *moved* is not a per-kind question: the one structural
+differ in :mod:`repro.scenario.gate` compares ``config`` +
+``deterministic`` against the committed baseline for every kind alike.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import json
+import operator
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Tuple
 
+from repro.buf.bench import RMP_STREAM_CEILING_BYTES
+from repro.errors import ConfigurationError
 from repro.wallclock import wall_clock_ns, wall_ns_since
 
-__all__ = ["KINDS", "Kind", "ParamSpec", "generic_check"]
+__all__ = ["KINDS", "Invariant", "Kind", "ParamSpec", "Ref", "violations"]
 
 
 @dataclass(frozen=True)
@@ -44,48 +46,65 @@ class ParamSpec:
     default: object
 
 
+class Ref(NamedTuple):
+    """An invariant bound read from another leaf of the same report."""
+
+    path: str
+
+
+class Invariant(NamedTuple):
+    """``deterministic.<path> <op> <bound>`` must hold of a fresh report."""
+
+    path: str
+    op: str
+    bound: object  # a literal, or a :class:`Ref` to a sibling leaf
+    why: str
+
+
+_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le}
+
+
 @dataclass(frozen=True)
 class Kind:
-    """One scenario kind: schema + runner + gate policy."""
+    """One scenario kind: schema + runner + fresh-report invariants."""
 
     name: str
     summary: str
     params: Dict[str, ParamSpec]
     run: Callable[[dict], dict]
-    check: Callable[[object, dict], List[str]] = field(default=None)  # type: ignore[assignment]
-    baseline_default: Optional[str] = None
-    #: ``json`` baselines are canonical-JSON reports; ``text`` baselines
-    #: are byte-compared goldens (the ops lab's report).
-    baseline_format: str = "json"
-    summarize: Callable[[dict], str] = field(default=None)  # type: ignore[assignment]
+    summarize: Callable[[dict], str]
+    invariants: Tuple[Invariant, ...] = ()
 
 
-def generic_check(committed: dict, fresh: dict) -> List[str]:
-    """Exact-match gate for kinds without a bespoke legacy check.
+def _leaf(deterministic: dict, path: str):
+    value = deterministic
+    for key in path.split("."):
+        value = value[key]
+    return value
 
-    The committed configuration must match (a config change is a
-    deliberate re-baseline, not a regression), and every deterministic
-    value must be identical.  ``measured`` is recorded, never compared.
-    """
-    errors: List[str] = []
-    if fresh.get("config") != committed.get("config"):
-        errors.append(
-            "config diverged from the committed baseline; re-baseline "
-            "deliberately with --write"
-        )
-        return errors
-    committed_det = committed.get("deterministic", {})
-    fresh_det = fresh.get("deterministic", {})
-    for key in sorted(set(committed_det) | set(fresh_det)):
-        if fresh_det.get(key) != committed_det.get(key):
-            errors.append(
-                f"deterministic[{key!r}] diverged: {fresh_det.get(key)!r} "
-                f"!= committed {committed_det.get(key)!r}"
+
+def violations(kind: Kind, deterministic: dict, prefix: str) -> list:
+    """Key-path verdicts for every invariant ``deterministic`` breaks."""
+    verdicts = []
+    for invariant in kind.invariants:
+        where = f"{prefix}.{invariant.path}"
+        try:
+            value = _leaf(deterministic, invariant.path)
+            bound = invariant.bound
+            if isinstance(bound, Ref):
+                bound = _leaf(deterministic, bound.path)
+        except (KeyError, TypeError):
+            verdicts.append(f"{where}: missing ({invariant.why})")
+            continue
+        if not _OPS[invariant.op](value, bound):
+            verdicts.append(
+                f"{where}: {value!r} must be {invariant.op} {bound!r} "
+                f"({invariant.why})"
             )
-    return errors
+    return verdicts
 
 
-# ------------------------------------------------------------ legacy kinds
+# ------------------------------------------------------------ fleet kinds
 
 
 def _run_scale(params: dict) -> dict:
@@ -108,12 +127,6 @@ def _run_scale(params: dict) -> dict:
     )
 
 
-def _check_scale(committed, fresh) -> List[str]:
-    from repro.cluster.bench import check_against_baseline
-
-    return check_against_baseline(committed, fresh)
-
-
 def _summarize_scale(report: dict) -> str:
     workers = report["deterministic"]["workers"]
     return ", ".join(
@@ -126,12 +139,6 @@ def _run_buf(params: dict) -> dict:
     from repro.buf.bench import run_buf_bench
 
     return run_buf_bench()
-
-
-def _check_buf(committed, fresh) -> List[str]:
-    from repro.buf.bench import check_against_baseline
-
-    return check_against_baseline(committed, fresh)
 
 
 def _summarize_buf(report: dict) -> str:
@@ -155,42 +162,43 @@ def _run_mcast(params: dict) -> dict:
     )
 
 
-def _check_mcast(committed, fresh) -> List[str]:
-    from repro.cluster.mcast import check_against_baseline
-
-    return check_against_baseline(committed, fresh)
-
-
 def _summarize_mcast(report: dict) -> str:
     return f"ratio {report['deterministic']['fanout']['crossing_ratio']}"
 
 
-def _run_ops(params: dict) -> dict:
-    from repro.ops import lab
+# ---------------------------------------------------------------- ops kind
 
+
+def _run_ops(params: dict) -> dict:
+    """The whole lab, or — with ``incident`` — one incident and its journal."""
+    from repro.ops import lab
+    from repro.ops.incidents import INCIDENTS
+
+    seed, name = params["seed"], params["incident"]
+    if name and name not in INCIDENTS:
+        catalogue = "\n".join(
+            f"  {known:18s} {INCIDENTS[known](seed).summary}"
+            for known in sorted(INCIDENTS)
+        )
+        raise ConfigurationError(
+            f"unknown incident {name!r}; the catalogue:\n{catalogue}"
+        )
     start = wall_clock_ns()
-    report = lab.run_lab(params["seed"])
+    result = lab.run_incident(name, seed) if name else lab.run_lab(seed)
     wall_ns = wall_ns_since(start)
+    deterministic = {
+        "passed": result.passed,
+        "report": result.render() + "\n",
+        "score": result.score if name else result.total_score,
+    }
+    if name:
+        deterministic["journal"] = json.loads(result.journal.render())
     return {
         "bench": "ops",
-        "config": {"seed": params["seed"]},
-        "deterministic": {
-            "passed": report.passed,
-            "report": report.render() + "\n",
-            "score": report.total_score,
-        },
+        "config": dict(sorted(params.items())),
+        "deterministic": deterministic,
         "measured": {"wall_ns": wall_ns},
     }
-
-
-def _check_ops(committed_text, fresh) -> List[str]:
-    errors: List[str] = []
-    deterministic = fresh["deterministic"]
-    if deterministic["report"] != committed_text:
-        errors.append("ops report differs from the committed golden")
-    if not deterministic["passed"]:
-        errors.append("ops lab verdict is FAIL")
-    return errors
 
 
 def _summarize_ops(report: dict) -> str:
@@ -256,40 +264,38 @@ def _run_load(params: dict) -> dict:
 # ------------------------------------------------------ table/figure kinds
 
 
-def _driver_run(module_name: str) -> Callable[[dict], dict]:
+def _spec_of(default) -> ParamSpec:
+    """The spec a driver default implies: its type is the default's type."""
+    if isinstance(default, list):
+        return ParamSpec(f"{type(default[0]).__name__}_list", list(default))
+    return ParamSpec(type(default).__name__, default)
+
+
+def _driver_kind(name: str, summary: str, module_name: str = "") -> Kind:
+    """A table/figure kind; its schema is the driver module's ``DEFAULTS``."""
+    module = importlib.import_module(f"repro.bench.{module_name or name}")
+
     def run(params: dict) -> dict:
-        module = importlib.import_module(module_name)
         start = wall_clock_ns()
         result = module.scenario(params)
         wall_ns = wall_ns_since(start)
         return {
             "bench": result.name,
             "config": result.config,
-            "deterministic": {"rows": result.rows, "text": result.text},
+            "deterministic": dict(
+                result.extras, rows=result.rows, text=result.text
+            ),
             "measured": {"wall_ns": wall_ns},
         }
 
-    return run
-
-
-def _driver_kind(
-    name: str,
-    summary: str,
-    params: Dict[str, ParamSpec],
-    module: Optional[str] = None,
-) -> Kind:
     return Kind(
         name=name,
         summary=summary,
-        params=params,
-        run=_driver_run(f"repro.bench.{module or name}"),
-        check=generic_check,
+        params={key: _spec_of(value) for key, value in module.DEFAULTS.items()},
+        run=run,
         summarize=lambda report: f"{len(report['deterministic']['rows'])} rows",
     )
 
-
-_FIG7_SIZES = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
-_FIG8_SIZES = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 KINDS: Dict[str, Kind] = {
     kind.name: kind
@@ -308,18 +314,34 @@ KINDS: Dict[str, Kind] = {
                 "skip_reference": ParamSpec("bool", False),
             },
             run=_run_scale,
-            check=_check_scale,
-            baseline_default="BENCH_scale.json",
             summarize=_summarize_scale,
+            invariants=(
+                # None (reference leg skipped) is no verdict, not a failure.
+                Invariant(
+                    "parity", "!=", False,
+                    "sharded runs diverged from the reference",
+                ),
+            ),
         ),
         Kind(
             name="buf",
             summary="zero-copy buffer plane: host-copy counters",
             params={},
             run=_run_buf,
-            check=_check_buf,
-            baseline_default="BENCH_buf.json",
             summarize=_summarize_buf,
+            invariants=(
+                Invariant(
+                    "rmp_stream.memcpy_bytes", "<=", RMP_STREAM_CEILING_BYTES,
+                    "half the pre-refactor host copy bytes",
+                ),
+            )
+            + tuple(
+                Invariant(
+                    f"{leg}.buffers_allocated", "==",
+                    Ref(f"{leg}.buffers_freed"), "leaked buffers",
+                )
+                for leg in ("microbench", "rmp_stream", "scale")
+            ),
         ),
         Kind(
             name="mcast",
@@ -332,19 +354,26 @@ KINDS: Dict[str, Kind] = {
                 "mode": ParamSpec("str", "process"),
             },
             run=_run_mcast,
-            check=_check_mcast,
-            baseline_default="BENCH_mcast.json",
             summarize=_summarize_mcast,
+            invariants=(
+                Invariant(
+                    "parity.verdict", "==", True,
+                    "sharded runs diverged from the reference",
+                ),
+            ),
         ),
         Kind(
             name="ops",
-            summary="scored operations lab vs. its report golden",
-            params={"seed": ParamSpec("int", 7)},
+            summary="scored operations lab (or one incident + its journal)",
+            params={
+                "seed": ParamSpec("int", 7),
+                "incident": ParamSpec("str", ""),
+            },
             run=_run_ops,
-            check=_check_ops,
-            baseline_default="OPS_baseline.txt",
-            baseline_format="text",
             summarize=_summarize_ops,
+            invariants=(
+                Invariant("passed", "==", True, "ops lab verdict is FAIL"),
+            ),
         ),
         Kind(
             name="engine",
@@ -355,7 +384,6 @@ KINDS: Dict[str, Kind] = {
                 "rounds": ParamSpec("int", 0),
             },
             run=_run_engine,
-            check=generic_check,
             summarize=lambda report: (
                 f"{report['deterministic']['events']} events"
             ),
@@ -370,52 +398,23 @@ KINDS: Dict[str, Kind] = {
                 "warmup": ParamSpec("int", 2),
             },
             run=_run_load,
-            check=generic_check,
             summarize=lambda report: (
                 f"p99 {report['deterministic']['p99_us']} us at "
                 f"{report['deterministic']['users']} users"
             ),
         ),
         _driver_kind(
-            "table1",
-            "Table 1 round-trip latencies over the four transports",
-            {
-                "message_size": ParamSpec("int", 32),
-                "rounds": ParamSpec("int", 30),
-                "warmup": ParamSpec("int", 5),
-            },
+            "table1", "Table 1 round-trip latencies over the four transports"
         ),
+        _driver_kind("fig6", "Figure 6 one-way datagram latency breakdown"),
+        _driver_kind("fig7", "Figure 7 CAB-to-CAB throughput vs message size"),
+        _driver_kind("fig8", "Figure 8 host-to-host throughput vs message size"),
         _driver_kind(
-            "fig6",
-            "Figure 6 one-way datagram latency breakdown",
-            {"message_size": ParamSpec("int", 32)},
-        ),
-        _driver_kind(
-            "fig7",
-            "Figure 7 CAB-to-CAB throughput vs message size",
-            {
-                "sizes": ParamSpec("int_list", list(_FIG7_SIZES)),
-                "count": ParamSpec("int", 40),
-            },
-        ),
-        _driver_kind(
-            "fig8",
-            "Figure 8 host-to-host throughput vs message size",
-            {
-                "sizes": ParamSpec("int_list", list(_FIG8_SIZES)),
-                "count": ParamSpec("int", 30),
-            },
-        ),
-        _driver_kind(
-            "micro",
-            "micro-cost table vs the paper's numbers",
-            {},
-            module="microcosts",
+            "micro", "micro-cost table vs the paper's numbers", "microcosts"
         ),
         _driver_kind(
             "ablations",
             "design-choice ablations (upcalls, mailbox modes, checksums)",
-            {},
         ),
     )
 }

@@ -8,8 +8,7 @@ same scenario twice yields the identical matrix — the property
 
 :func:`run_scenario` executes the matrix through the scenario's kind
 (:mod:`repro.scenario.runner`).  A scenario without a sweep returns the
-kind's native report unchanged (so the legacy gates see their historical
-shapes); a sweep returns one assembled report whose ``deterministic``
+kind's native report unchanged; a sweep returns one assembled report whose ``deterministic``
 section is the list of per-point deterministic sections — the capacity
 curve — with wall-clock quarantined under ``measured`` as everywhere
 else in the tree.

@@ -1,29 +1,14 @@
-"""The unified ``python -m repro bench`` CLI, dispatch, and legacy shims."""
+"""The ``python -m repro bench`` CLI: dispatch, overrides, exit codes."""
 
-import pathlib
-import subprocess
-import sys
+import json
 
 import pytest
 
 import repro.__main__ as entry
 from repro.scenario import cli as bench_cli
-from repro.scenario.gate import GateResult
-from repro.scenario.model import load_scenario
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
-ENV = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"}
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env=ENV,
-    )
+from repro.scenario.config import ConfigError
+from repro.scenario.model import apply_overrides, load_scenario
+from tests.conftest import run_cli
 
 
 class TestDispatch:
@@ -49,6 +34,12 @@ class TestDispatch:
         assert result.returncode == 2
         assert "unknown experiment" in result.stderr
         assert "bench" in result.stderr  # subcommand listing
+
+    @pytest.mark.parametrize("name", ["scale", "mcast", "ops"])
+    def test_deleted_clis_are_ordinary_unknown_subcommands(self, name, capsys):
+        assert name not in entry._SUBCOMMANDS
+        assert entry.main([name, "--check"]) == 2
+        assert f"unknown experiment {name!r}" in capsys.readouterr().err
 
     def test_driver_result_contract(self):
         from repro.bench import DriverResult, resolve_params
@@ -88,10 +79,11 @@ class TestBenchCli:
         assert bench_cli.main([]) == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_check_all_subsumes_every_legacy_gate(self):
-        """Tier-1 tripwire: the unified gate replays every committed
-        baseline end to end through ``python -m repro bench``."""
-        result = run_cli("bench", "--check-all")
+    def test_check_all_subsumes_every_legacy_gate(self, check_all_run):
+        """Tier-1 tripwire: the one gate replays every committed baseline
+        — the benches and the paper's tables and figures — end to end
+        through ``python -m repro bench``."""
+        result = check_all_run
         assert result.returncode == 0, result.stderr or result.stdout
         for baseline in (
             "BENCH_scale.json",
@@ -100,97 +92,104 @@ class TestBenchCli:
             "OPS_baseline.txt",
             "BENCH_engine.json",
             "BENCH_load.json",
+            "BENCH_table1.json",
+            "BENCH_fig6.json",
+            "BENCH_fig7.json",
+            "BENCH_fig8.json",
+            "BENCH_micro.json",
+            "BENCH_ablations.json",
         ):
             assert f"OK: {baseline}" in result.stdout
-        assert "bench --check-all: OK (6 gates)" in result.stdout
+        assert "bench --check-all: OK (12 gates)" in result.stdout
 
 
-def fake_gate(scenario_name, *, errors=(), report=None):
-    scenario = load_scenario(scenario_name)
-    return GateResult(
-        scenario,
-        report if report is not None else {"deterministic": {}},
-        errors=list(errors),
-        baseline=pathlib.Path(scenario.baseline),
+class TestOverrides:
+    """``bench <scenario> key=value``: typed by the kind's ParamSpec and
+    validated exactly like a scenario file's ``[params]``."""
+
+    def test_values_are_read_by_the_declared_type(self):
+        scenario = apply_overrides(
+            load_scenario("scale"),
+            ["hubs=3", "workers=1,2", "mode=inline", "skip_reference=true"],
+        )
+        assert scenario.params["hubs"] == 3
+        assert scenario.params["workers"] == [1, 2]
+        assert scenario.params["mode"] == "inline"
+        assert scenario.params["skip_reference"] is True
+        assert scenario.params["cabs_per_hub"] == 16  # the file's value stays
+        assert apply_overrides(scenario, ["workers=[4]"]).params["workers"] == [4]
+
+    def test_unknown_key_names_the_known_ones(self, capsys):
+        assert bench_cli.main(["scale", "frob=1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown [params] key 'frob'" in err and "cabs_per_hub" in err
+
+    def test_wrong_type_is_located_by_override_position(self):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(load_scenario("scale"), ["seed=1", "hubs=true"])
+        assert str(err.value).startswith("<command line>:2: ")
+        assert "must be int" in str(err.value)
+        assert bench_cli.main(["scale", "hubs=many"]) == 2
+        assert bench_cli.main(["scale", "workers=1,x"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--check", "--write"])
+    def test_override_with_check_or_write_is_refused(self, flag, capsys):
+        assert bench_cli.main(["load", "users=3", flag]) == 2
+        assert "committed configuration" in capsys.readouterr().err
+
+    def test_parameter_the_plane_refuses_exits_2(self, capsys):
+        assert bench_cli.main(["scale", "mode=threads", "hubs=2", "cabs_per_hub=1"]) == 2
+        assert "unknown conductor mode" in capsys.readouterr().err
+
+
+class TestInvariantExit:
+    """A report that breaks its kind's invariants exits 1 on a plain run."""
+
+    @pytest.mark.parametrize(
+        "name, path, value, verdict",
+        [
+            ("scale", ("parity",), False, "deterministic.parity: False must be != False"),
+            ("mcast", ("parity", "verdict"), False, "deterministic.parity.verdict: False must be == True"),
+            ("buf", ("scale", "buffers_freed"), 0, "deterministic.scale.buffers_allocated"),
+            ("buf", ("rmp_stream", "memcpy_bytes"), 30000, "must be <= 22368"),
+            ("ops", ("passed",), False, "ops lab verdict is FAIL"),
+        ],
     )
+    def test_broken_invariant_exits_1(
+        self, name, path, value, verdict, monkeypatch, capsys
+    ):
+        from repro.scenario.model import repo_root
 
+        scenario = load_scenario(name)
+        if scenario.baseline.endswith(".json"):
+            report = json.loads((repo_root() / scenario.baseline).read_text())
+        else:
+            report = {"deterministic": {"passed": True, "report": "", "score": 0}}
+        leaf = report["deterministic"]
+        for key in path[:-1]:
+            leaf = leaf[key]
+        leaf[path[-1]] = value
+        monkeypatch.setattr(bench_cli, "run_scenario", lambda scenario: report)
+        assert bench_cli.main([name]) == 1
+        assert verdict in capsys.readouterr().err
 
-class TestDeprecationShims:
-    """The four legacy ``--check`` spellings delegate to the unified gate
-    and point at the new entry point (on stderr, so stdout contracts
-    survive)."""
+    def test_sweep_points_are_each_checked(self):
+        from repro.scenario.gate import invariant_verdicts
+        from repro.scenario.model import load_scenario_text
 
-    def test_scale_check_delegates_and_points_to_bench(self, capsys, monkeypatch):
-        from repro.cluster import cli
-        from repro.scenario import gate
-
-        report = {
-            "deterministic": {"workers": {"1": {"barriers": 1}}}
-        }
-        monkeypatch.setattr(
-            gate, "run_gate", lambda scenario: fake_gate("scale", report=report)
+        scenario = load_scenario_text(
+            '[scenario]\nname = "s"\nkind = "scale"\n[sweep]\nseed = [0, 1]\n',
+            "s.toml",
         )
-        assert cli.main(["--check"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("OK: BENCH_scale.json")
-        assert "python -m repro bench scale --check" in captured.err
-
-    def test_scale_check_failure_goes_to_stderr(self, capsys, monkeypatch):
-        from repro.cluster import cli
-        from repro.scenario import gate
-
-        monkeypatch.setattr(
-            gate,
-            "run_gate",
-            lambda scenario: fake_gate("scale", errors=["it broke"]),
-        )
-        assert cli.main(["--check"]) == 1
-        assert "FAIL: it broke" in capsys.readouterr().err
-
-    def test_mcast_check_delegates_and_points_to_bench(self, capsys, monkeypatch):
-        from repro.cluster import mcast_cli
-        from repro.scenario import gate
-
-        report = {
-            "deterministic": {"fanout": {"crossing_ratio": 0.125}}
-        }
-        monkeypatch.setattr(
-            gate, "run_gate", lambda scenario: fake_gate("mcast", report=report)
-        )
-        assert mcast_cli.main(["--check"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("OK: BENCH_mcast.json")
-        assert "python -m repro bench mcast --check" in captured.err
-
-    def test_ops_check_delegates_and_points_to_bench(self, capsys, monkeypatch):
-        from repro.ops import cli
-        from repro.scenario import gate
-
-        report = {
-            "deterministic": {"passed": True, "report": "lab report\n", "score": 1}
-        }
-        monkeypatch.setattr(
-            gate, "run_gate", lambda scenario: fake_gate("ops", report=report)
-        )
-        assert cli.main(["--check"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "lab report\nops report matches OPS_baseline.txt\n"
-        assert "python -m repro bench ops --check" in captured.err
-
-    def test_buf_check_delegates_and_points_to_bench(self, capsys, monkeypatch):
-        from repro.buf import bench
-        from repro.scenario import gate
-
         report = {
             "deterministic": {
-                "rmp_stream": {"memcpy_bytes": 16416},
-                "rmp_stream_reduction_pct": {"memcpy_bytes": 63.3},
+                "points": [
+                    {"point": {"seed": 0}, "parity": True},
+                    {"point": {"seed": 1}, "parity": False},
+                ]
             }
         }
-        monkeypatch.setattr(
-            gate, "run_gate", lambda scenario: fake_gate("buf", report=report)
-        )
-        assert bench.main(["--check"]) == 0
-        captured = capsys.readouterr()
-        assert "— OK" in captured.out
-        assert "python -m repro bench buf --check" in captured.err
+        assert invariant_verdicts(scenario, report) == [
+            "deterministic.points[1].parity: False must be != False "
+            "(sharded runs diverged from the reference)"
+        ]

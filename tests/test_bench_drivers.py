@@ -1,7 +1,8 @@
 """Smoke tests for the experiment drivers (tiny parameters).
 
-The full-size runs live in ``benchmarks/``; these keep the driver code
-covered by the plain test suite.
+The full-size runs are the gated paper scenarios (``bench --check-all``
+against ``BENCH_table1.json`` ...); these keep the driver code covered by
+the plain test suite at a fraction of the cost.
 """
 
 import pytest

@@ -1,29 +1,27 @@
-"""The ``python -m repro bench buf`` CLI and its BENCH_buf.json contract.
+"""The ``buf`` kind and its BENCH_buf.json contract.
 
 The committed baseline is the tier-1 tripwire for host-copy regressions:
-a change that re-introduces payload materialization on the data path pushes
-``host.memcpy_bytes`` on rmp-stream above the committed counters and the
-``--check`` gate (exercised here in-process and via the CLI) fails.
+a change that re-introduces payload materialization on the data path moves
+``host.memcpy_bytes`` on rmp-stream off the committed counters, and
+``python -m repro bench buf --check`` names the key that moved.
 """
 
 import json
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from repro.buf.bench import (
-    RMP_STREAM_MAX_FRACTION,
+    RMP_STREAM_CEILING_BYTES,
     RMP_STREAM_PRE_REFACTOR,
-    check_against_baseline,
-    default_baseline_path,
-    render_bench_json,
     run_buf_bench,
 )
+from repro.scenario.gate import diff_reports
+from repro.scenario.model import repo_root
+from repro.scenario.report import render_json
+from repro.scenario.runner import KINDS, violations
+from tests.conftest import run_cli
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
+BASELINE = repo_root() / "BENCH_buf.json"
 
 
 @pytest.fixture(scope="module")
@@ -57,76 +55,77 @@ class TestBenchReport:
 
     def test_rmp_stream_holds_the_50_percent_reduction(self, report):
         counters = report["deterministic"]["rmp_stream"]
-        ceiling = RMP_STREAM_PRE_REFACTOR["memcpy_bytes"] * RMP_STREAM_MAX_FRACTION
-        assert counters["memcpy_bytes"] <= ceiling
+        assert counters["memcpy_bytes"] <= RMP_STREAM_CEILING_BYTES
+        assert RMP_STREAM_CEILING_BYTES * 2 == RMP_STREAM_PRE_REFACTOR["memcpy_bytes"]
         assert counters["memcpy_calls"] < RMP_STREAM_PRE_REFACTOR["memcpy_calls"]
         assert counters["buffers_allocated"] == counters["buffers_freed"]
 
     def test_render_is_canonical(self, report):
-        assert render_bench_json(report) == render_bench_json(report)
-        assert render_bench_json(report).endswith("\n")
+        assert render_json(report) == render_json(report)
+        assert render_json(report).endswith("\n")
+
+
+def buf_violations(report):
+    return violations(KINDS["buf"], report["deterministic"], "deterministic")
 
 
 class TestCheck:
+    """The buf checker's historical cases, as verdicts of the one differ
+    and the kind's invariants."""
+
+    def committed(self):
+        return json.loads(BASELINE.read_text())
+
     def test_fresh_tree_passes_the_committed_baseline(self, report):
-        committed = json.loads(default_baseline_path().read_text())
-        assert check_against_baseline(committed, report) == []
+        fresh = json.loads(render_json(report))
+        assert diff_reports(self.committed(), fresh) == []
+        assert buf_violations(fresh) == []
 
     def test_copy_regression_is_caught(self, report):
-        committed = json.loads(default_baseline_path().read_text())
-        regressed = json.loads(json.dumps(report))
+        regressed = json.loads(render_json(report))
         regressed["deterministic"]["rmp_stream"]["memcpy_bytes"] += 1
-        errors = check_against_baseline(committed, regressed)
-        assert any("memcpy_bytes regressed" in error for error in errors)
+        assert diff_reports(self.committed(), regressed) == [
+            "deterministic.rmp_stream.memcpy_bytes: 16416 -> 16417 (+1)"
+        ]
+        regressed["deterministic"]["rmp_stream"]["memcpy_bytes"] = 30000
+        assert buf_violations(regressed) == [
+            "deterministic.rmp_stream.memcpy_bytes: 30000 must be <= 22368 "
+            "(half the pre-refactor host copy bytes)"
+        ]
 
     def test_buffer_leak_is_caught(self, report):
-        committed = json.loads(default_baseline_path().read_text())
-        leaky = json.loads(json.dumps(report))
-        leaky["deterministic"]["rmp_stream"]["buffers_freed"] -= 1
-        errors = check_against_baseline(committed, leaky)
-        assert any("leaked" in error for error in errors)
+        leaky = json.loads(render_json(report))
+        counters = leaky["deterministic"]["rmp_stream"]
+        counters["buffers_freed"] -= 1
+        allocated = counters["buffers_allocated"]
+        assert buf_violations(leaky) == [
+            f"deterministic.rmp_stream.buffers_allocated: {allocated} must "
+            f"be == {allocated - 1} (leaked buffers)"
+        ]
 
     def test_counter_drift_is_caught(self, report):
-        committed = json.loads(default_baseline_path().read_text())
-        drifted = json.loads(json.dumps(report))
+        drifted = json.loads(render_json(report))
         drifted["deterministic"]["microbench"]["memcpy_calls"] += 1
-        errors = check_against_baseline(committed, drifted)
-        assert any("diverged" in error for error in errors)
+        assert diff_reports(self.committed(), drifted) == [
+            "deterministic.microbench.memcpy_calls: 768 -> 769 (+1)"
+        ]
 
 
 class TestCommittedBaseline:
     def test_bench_buf_json_exists_and_parses(self):
-        committed = json.loads(default_baseline_path().read_text())
+        committed = json.loads(BASELINE.read_text())
         assert committed["bench"] == "buf"
         assert (
             committed["deterministic"]["rmp_stream_pre_refactor"]
             == RMP_STREAM_PRE_REFACTOR
         )
         # The committed file is in canonical serialization.
-        assert default_baseline_path().read_text() == render_bench_json(committed)
+        assert BASELINE.read_text() == render_json(committed)
 
 
 class TestCLI:
-    def run_bench(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "bench", "buf", *args],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        )
-
-    def test_check_gate_passes_on_the_shipped_tree(self):
-        result = self.run_bench("--check")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "OK" in result.stdout
+    def test_check_gate_passes_on_the_shipped_tree(self, check_all_run):
+        assert "buf          OK: BENCH_buf.json" in check_all_run.stdout
 
     def test_unknown_subcommand_rejected(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "bench", "nope"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        )
-        assert result.returncode == 2
+        assert run_cli("bench", "nope").returncode == 2

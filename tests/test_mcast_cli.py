@@ -1,26 +1,21 @@
-"""The ``python -m repro mcast`` CLI and its BENCH_mcast.json contract."""
+"""The ``mcast`` kind through ``python -m repro bench`` and its
+BENCH_mcast.json contract."""
 
 import copy
 import json
-import pathlib
-import subprocess
-import sys
 
-from repro.cluster import mcast_cli
-from repro.cluster.mcast import (
-    check_against_baseline,
-    default_baseline_path,
-    render_bench_json,
-    run_barrier_leg,
-    run_fanout_leg,
-    run_mcast_bench,
-)
+import pytest
+
+from repro.cluster.mcast import run_barrier_leg, run_fanout_leg, run_mcast_bench
 from repro.protocols.nectar.collective import tree_depth
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
+from repro.scenario import cli as bench_cli
+from repro.scenario.gate import diff_reports
+from repro.scenario.model import repo_root
+from repro.scenario.report import render_json
+from repro.scenario.runner import KINDS, violations
 
 SMALL = dict(seed=0, messages=2, rounds=1, workers=[1, 2], mode="inline")
+BASELINE = repo_root() / "BENCH_mcast.json"
 
 
 class TestBenchReport:
@@ -34,7 +29,7 @@ class TestBenchReport:
         assert stable(first) == stable(second)
         # Wall-clock lives only in the quarantined section.
         assert "wall_ns" not in json.dumps(first["deterministic"])
-        assert render_bench_json(first).endswith("\n")
+        assert render_json(first).endswith("\n")
 
     def test_fanout_leg_beats_unicast_and_leaks_nothing(self):
         leg = run_fanout_leg(messages=2)
@@ -52,96 +47,89 @@ class TestBenchReport:
 
 
 class TestCheckGate:
-    def fresh_report(self):
-        return run_mcast_bench(**SMALL)
+    """The mcast checker's historical cases, as verdicts of the one differ
+    (``tests/test_gate.py`` runs the general form over every baseline)."""
 
-    def test_identical_reports_pass(self):
-        report = self.fresh_report()
-        assert check_against_baseline(copy.deepcopy(report), report) == []
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return json.loads(render_json(run_mcast_bench(**SMALL)))
 
-    def test_parity_break_is_caught(self):
-        fresh = self.fresh_report()
-        committed = copy.deepcopy(fresh)
-        fresh["deterministic"]["parity"]["verdict"] = False
-        errors = check_against_baseline(committed, fresh)
-        assert any("parity broken" in error for error in errors)
+    def test_identical_reports_pass(self, fresh):
+        assert diff_reports(copy.deepcopy(fresh), fresh) == []
+        assert violations(KINDS["mcast"], fresh["deterministic"], "d") == []
 
-    def test_crossing_ratio_regression_is_caught(self):
-        fresh = self.fresh_report()
-        committed = copy.deepcopy(fresh)
-        fresh["deterministic"]["fanout"]["crossing_ratio"] = 1.0
-        errors = check_against_baseline(committed, fresh)
-        assert any("fell back toward unicast" in error for error in errors)
+    def test_parity_break_is_caught(self, fresh):
+        broken = copy.deepcopy(fresh)
+        broken["deterministic"]["parity"]["verdict"] = False
+        assert diff_reports(fresh, broken) == [
+            "deterministic.parity.verdict: True -> False"
+        ]
+        assert violations(KINDS["mcast"], broken["deterministic"], "deterministic") == [
+            "deterministic.parity.verdict: False must be == True "
+            "(sharded runs diverged from the reference)"
+        ]
 
-    def test_counter_drift_is_caught(self):
-        fresh = self.fresh_report()
+    def test_crossing_ratio_regression_is_caught(self, fresh):
+        regressed = copy.deepcopy(fresh)
+        regressed["deterministic"]["fanout"]["crossing_ratio"] = 1.0
+        assert diff_reports(fresh, regressed) == [
+            "deterministic.fanout.crossing_ratio: 0.125 -> 1.0 (+0.875)"
+        ]
+
+    def test_counter_drift_is_caught(self, fresh):
         committed = copy.deepcopy(fresh)
         committed["deterministic"]["barrier"]["arrivals"] += 1
-        errors = check_against_baseline(committed, fresh)
-        assert any("diverged" in error for error in errors)
+        assert diff_reports(committed, fresh) == [
+            "deterministic.barrier.arrivals: 64 -> 63 (-1)"
+        ]
 
-    def test_config_mismatch_is_its_own_error(self):
-        fresh = self.fresh_report()
+    def test_config_mismatch_is_its_own_error(self, fresh):
         committed = copy.deepcopy(fresh)
         committed["config"]["seed"] += 1
-        errors = check_against_baseline(committed, fresh)
-        assert len(errors) == 1
-        assert "config diverged" in errors[0]
+        assert diff_reports(committed, fresh) == ["config.seed: 1 -> 0 (-1)"]
 
-    def test_committed_baseline_holds_via_cli_subprocess(self):
+    def test_committed_baseline_holds_via_cli_subprocess(self, check_all_run):
         """Tier-1 tripwire: the tree must hold BENCH_mcast.json's
         deterministic section, end to end through ``python -m repro``."""
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "mcast", "--check"],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-            timeout=600,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        )
-        assert result.returncode == 0, result.stderr or result.stdout
-        assert result.stdout.startswith("OK:")
+        assert "mcast        OK: BENCH_mcast.json" in check_all_run.stdout
 
 
 class TestMcastCLI:
+    """What the deleted ``mcast`` flags reached, reached through ``bench``."""
+
+    ARGS = ["mcast", "messages=2", "rounds=1", "mode=inline"]
+
     def test_default_inline_run_exits_zero(self, capsys):
-        code = mcast_cli.main(
-            ["--messages", "2", "--rounds", "1", "--workers", "1,2",
-             "--mode", "inline"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fanout:" in out
-        assert "barrier:" in out
-        assert "parity:" in out and "identical" in out
+        assert bench_cli.main(self.ARGS + ["workers=1,2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["mode"] == "inline"
+        assert set(report["deterministic"]) == {"fanout", "barrier", "parity"}
+        assert report["deterministic"]["parity"]["verdict"] is True
 
     def test_json_flag_writes_canonical_report(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_mcast.json"
-        code = mcast_cli.main(
-            ["--messages", "2", "--rounds", "1", "--workers", "1",
-             "--mode", "inline", "--json", str(target)]
-        )
-        assert code == 0
+        target = tmp_path / "mcast.json"
+        assert bench_cli.main(self.ARGS + ["workers=1", "--json", str(target)]) == 0
         report = json.loads(target.read_text())
         assert report["bench"] == "mcast"
-        assert target.read_text() == render_bench_json(report)
+        assert report["config"]["workers"] == [1]
+        assert target.read_text() == render_json(report)
         assert "wrote" in capsys.readouterr().out
 
 
 class TestCommittedBaseline:
     def test_bench_mcast_json_exists_and_parses(self):
-        path = default_baseline_path()
+        path = BASELINE
         report = json.loads(path.read_text())
         assert report["bench"] == "mcast"
         assert report["deterministic"]["parity"]["verdict"] is True
         # The committed file is in canonical serialization.
-        assert path.read_text() == render_bench_json(report)
+        assert path.read_text() == render_json(report)
 
     def test_committed_baseline_pins_the_fanout_win(self):
         """The acceptance numbers of the multicast tentpole: an 8-member
         group behind a shared subtree costs 1/8th the inter-HUB frames of
         unicast, the 64-CAB barrier tree is depth 6, and nothing leaks."""
-        report = json.loads(default_baseline_path().read_text())
+        report = json.loads(BASELINE.read_text())
         fanout = report["deterministic"]["fanout"]
         assert fanout["members"] == 8
         assert fanout["crossing_ratio"] == 0.125

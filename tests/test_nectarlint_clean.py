@@ -230,7 +230,7 @@ def test_benchmarks_and_examples_use_no_host_entropy():
     banned everywhere: a wall-clock read in a benchmark harness corrupts
     the numbers it reports just as surely as one in the simulator."""
     findings = nectarlint.lint_paths(
-        [str(REPO / "benchmarks"), str(REPO / "examples")],
+        [str(SRC / "repro" / "bench"), str(REPO / "examples")],
         select={"ND001", "ND002", "ND003"},
     )
     rendered = "\n".join(finding.render() for finding in findings)

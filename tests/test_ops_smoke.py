@@ -1,18 +1,15 @@
-"""CI gate: the ops-lab CLI works end to end and matches its golden.
+"""CI gate: the ops lab works end to end through ``bench ops``.
 
-``python -m repro ops --list`` must name every registered incident, a
-single incident must run to a passing scorecard, two identical
-invocations must print byte-identical reports, and ``--check`` must
-reproduce the committed ``OPS_baseline.txt`` exactly — the same
-report-golden discipline the chaos campaign uses.
+An unknown incident must list the whole catalogue, a single incident
+must run to a passing scorecard and carry its journal in the ``--json``
+report, two identical invocations must print byte-identical reports, and
+the committed ``OPS_baseline.txt`` must hold — the same report-golden
+discipline the chaos campaign uses.
 """
 
-import pathlib
-import subprocess
-import sys
+import json
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
+from tests.conftest import REPO, run_cli
 
 INCIDENT_NAMES = (
     "flapping-cab",
@@ -25,52 +22,49 @@ INCIDENT_NAMES = (
 
 
 def run_ops(*args):
-    """Invoke ``python -m repro ops`` in a subprocess; return the result."""
-    return subprocess.run(
-        [sys.executable, "-m", "repro", "ops", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
+    """Invoke ``python -m repro bench ops`` in a subprocess."""
+    return run_cli("bench", "ops", *args)
 
 
 def test_ops_list_names_every_incident():
-    result = run_ops("--list")
-    assert result.returncode == 0, result.stdout + result.stderr
+    result = run_ops("incident=?")
+    assert result.returncode == 2
     for name in INCIDENT_NAMES:
-        assert name in result.stdout
+        assert f"  {name:18s} " in result.stderr  # name + its summary
 
 
-def test_single_incident_runs_to_a_passing_scorecard():
-    result = run_ops("--incident", "fifo-cascade")
+def test_single_incident_runs_to_a_passing_scorecard(tmp_path):
+    target = tmp_path / "incident.json"
+    result = run_ops("incident=fifo-cascade", "--json", str(target))
     assert result.returncode == 0, result.stdout + result.stderr
     assert "incident: fifo-cascade (seed 7)" in result.stdout
     assert "detection: DETECTED" in result.stdout
     assert "mitigation: VERIFIED" in result.stdout
     assert "determinism (two identical runs): OK" in result.stdout
+    report = json.loads(target.read_text())
+    assert report["config"] == {"incident": "fifo-cascade", "seed": 7}
+    journal = report["deterministic"]["journal"]
+    assert journal["meta"]["incident"] == "fifo-cascade"
+    assert journal["samples"] and "events" in journal
 
 
 def test_incident_reports_are_byte_identical_across_invocations():
-    first = run_ops("--incident", "flapping-cab", "--seed", "7")
-    second = run_ops("--incident", "flapping-cab", "--seed", "7")
+    first = run_ops("incident=flapping-cab", "seed=7")
+    second = run_ops("incident=flapping-cab", "seed=7")
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
 
 
-def test_check_matches_the_committed_golden():
-    result = run_ops("--check")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "ops report matches OPS_baseline.txt" in result.stdout
-    assert "verdict: PASS" in result.stdout
+def test_check_matches_the_committed_golden(check_all_run):
+    assert "ops          OK: OPS_baseline.txt" in check_all_run.stdout
     golden = (REPO / "OPS_baseline.txt").read_text()
-    assert result.stdout.startswith(golden[: golden.index("\n")])
+    assert golden.endswith("verdict: PASS\n")
 
 
 def test_ops_rejects_unknown_incident():
-    result = run_ops("--incident", "meteor-strike")
+    result = run_ops("incident=meteor-strike")
     assert result.returncode == 2
-    assert "unknown incident" in result.stderr
+    assert "unknown incident 'meteor-strike'" in result.stderr
 
 
 def test_ops_rejects_unknown_option():
@@ -80,12 +74,6 @@ def test_ops_rejects_unknown_option():
 
 
 def test_main_lists_ops_in_the_unknown_subcommand_error():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "no-such-thing"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
+    result = run_cli("bench", "no-such-thing")
     assert result.returncode == 2
-    assert "ops" in result.stderr
+    assert "ops " in result.stderr and "OPS_baseline.txt" in result.stderr

@@ -1,35 +1,30 @@
-"""The ``python -m repro scale`` CLI and its BENCH_scale.json contract."""
+"""The ``scale`` kind through ``python -m repro bench`` and its
+BENCH_scale.json contract."""
 
 import copy
 import json
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-from repro.cluster import cli
-from repro.cluster.bench import (
-    check_against_baseline,
-    default_baseline_path,
-    render_bench_json,
-    run_scale_bench,
-)
+from repro.cluster.bench import run_scale_bench
 from repro.cluster.fleet import line_fleet
 from repro.cluster.workload import WorkloadSpec
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
+from repro.scenario import cli as bench_cli
+from repro.scenario.gate import diff_reports
+from repro.scenario.model import repo_root
+from repro.scenario.report import render_json
+from repro.scenario.runner import KINDS, violations
 
 FLEET = line_fleet(3, 2, hub_ports=8)
 LOAD = WorkloadSpec(seed=4, rmp_flows=2, rpc_flows=1, tcp_flows=1, tcp_bytes=1024)
+BASELINE = repo_root() / "BENCH_scale.json"
 
 
-def small_args(*extra):
-    return [
-        "--hubs", "3", "--cabs-per-hub", "2", "--hub-ports", "8",
-        "--mode", "inline", *extra,
-    ]
+def bench_small(*extra):
+    """``bench scale`` on a non-default 3-HUB / 6-CAB fleet, inline."""
+    return bench_cli.main(
+        ["scale", "hubs=3", "cabs_per_hub=2", "hub_ports=8", "mode=inline", *extra]
+    )
 
 
 class TestBenchReport:
@@ -71,132 +66,152 @@ class TestBenchReport:
         assert report["measured"]["reference"] is None
         assert report["deterministic"]["workers"]["2"]["events"] > 0
         # Still renders to stable bytes with the nulls in place.
-        assert render_bench_json(report) == render_bench_json(report)
+        assert render_json(report) == render_json(report)
 
     def test_render_is_byte_stable_for_a_given_report(self):
         report = run_scale_bench(FLEET, LOAD, workers=[1], mode="inline")
-        assert render_bench_json(report) == render_bench_json(report)
-        assert render_bench_json(report).endswith("\n")
+        assert render_json(report) == render_json(report)
+        assert render_json(report).endswith("\n")
 
 
 class TestScaleCLI:
+    """What the deleted ``scale`` flags reached, reached through ``bench``."""
+
     def test_default_run_exits_zero(self, capsys):
-        assert cli.main(small_args("--workers", "2")) == 0
-        out = capsys.readouterr().out
-        assert "flows complete" in out
+        assert bench_small("workers=2") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["hubs"] == 3 and report["config"]["cabs"] == 6
+        assert set(report["deterministic"]["workers"]) == {"2"}
 
     def test_parity_mode_passes(self, capsys):
-        assert cli.main(small_args("--parity", "--workers", "1,2", "--seeds", "4,5")) == 0
-        out = capsys.readouterr().out
-        assert "parity: PASS" in out
-        assert "identical" in out
+        assert bench_small("workers=1,2", "seed=5") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["workload"]["seed"] == 5
+        assert report["deterministic"]["parity"] is True
 
     def test_bench_mode_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_scale.json"
-        assert cli.main(
-            small_args("--bench", "--workers", "1,2", "--json", str(target))
-        ) == 0
+        target = tmp_path / "scale.json"
+        assert bench_small("workers=1,2", "--json", str(target)) == 0
         report = json.loads(target.read_text())
         assert report["bench"] == "scale"
         assert report["deterministic"]["parity"] is True
-        assert "speedup" in capsys.readouterr().out
+        assert report["measured"]["workers"]["2"]["speedup_vs_1worker"] > 0
+        assert target.read_text() == render_json(report)
+        assert f"wrote {target}" in capsys.readouterr().out
 
     def test_bench_without_json_prints_report(self, capsys):
-        assert cli.main(small_args("--bench", "--workers", "1")) == 0
+        assert bench_small("workers=1") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["cabs"] == 6
 
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["--shape", "ring"])
+    def test_unknown_shape_rejected(self, capsys):
+        assert bench_small("shape=ring") == 2
+        assert "unknown fleet shape 'ring'" in capsys.readouterr().err
 
     def test_skip_reference_bench_exits_zero_without_parity(self, capsys):
-        assert cli.main(
-            small_args("--bench", "--skip-reference", "--workers", "1,2")
-        ) == 0
+        assert bench_small("skip_reference=true", "workers=1,2") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["deterministic"]["parity"] is None
 
 
 class TestCheckGate:
-    def fresh_report(self):
-        return run_scale_bench(FLEET, LOAD, workers=[1, 2], mode="inline")
+    """The scale checker's historical cases, as verdicts of the one differ
+    (``tests/test_gate.py`` runs the general form over every baseline)."""
 
-    def test_identical_reports_pass(self):
-        report = self.fresh_report()
-        assert check_against_baseline(copy.deepcopy(report), report) == []
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        report = run_scale_bench(FLEET, LOAD, workers=[1, 2], mode="inline")
+        return json.loads(render_json(report))
 
-    def test_barrier_regression_is_caught(self):
-        fresh = self.fresh_report()
+    def test_identical_reports_pass(self, fresh):
+        assert diff_reports(copy.deepcopy(fresh), fresh) == []
+        assert violations(KINDS["scale"], fresh["deterministic"], "d") == []
+
+    def test_barrier_regression_is_caught(self, fresh):
         committed = copy.deepcopy(fresh)
         committed["deterministic"]["workers"]["2"]["barriers"] -= 1
-        errors = check_against_baseline(committed, fresh)
-        assert any("barriers regressed" in error for error in errors)
-
-    def test_ring_spill_is_caught(self):
-        fresh = self.fresh_report()
-        fresh["deterministic"]["workers"]["2"]["pickle_bytes"] += 4096
-        errors = check_against_baseline(copy.deepcopy(fresh), fresh)
-        assert errors == []  # committed carries the same spill
-        committed = copy.deepcopy(fresh)
-        committed["deterministic"]["workers"]["2"]["pickle_bytes"] = 0
-        errors = check_against_baseline(committed, fresh)
-        assert any("spilled" in error for error in errors)
-
-    def test_parity_break_is_caught(self):
-        fresh = self.fresh_report()
-        committed = copy.deepcopy(fresh)
-        fresh["deterministic"]["parity"] = False
-        errors = check_against_baseline(committed, fresh)
-        assert any("parity broken" in error for error in errors)
-
-    def test_counter_drift_is_caught(self):
-        fresh = self.fresh_report()
-        committed = copy.deepcopy(fresh)
-        committed["deterministic"]["workers"]["1"]["events"] += 1
-        errors = check_against_baseline(committed, fresh)
-        assert any("diverged" in error for error in errors)
-
-    def test_config_mismatch_is_its_own_error(self):
-        fresh = self.fresh_report()
-        committed = copy.deepcopy(fresh)
-        committed["config"]["workload"]["seed"] += 1
-        errors = check_against_baseline(committed, fresh)
-        assert errors == [
-            "config diverged from the committed baseline; re-baseline "
-            "deliberately with --bench --json"
+        now = fresh["deterministic"]["workers"]["2"]["barriers"]
+        assert diff_reports(committed, fresh) == [
+            f"deterministic.workers.2.barriers: {now - 1} -> {now} (+1)"
         ]
 
-    def test_committed_baseline_holds_via_cli_subprocess(self):
+    def test_ring_spill_is_caught(self, fresh):
+        spilled = copy.deepcopy(fresh)
+        spilled["deterministic"]["workers"]["2"]["pickle_bytes"] += 4096
+        assert diff_reports(copy.deepcopy(spilled), spilled) == []
+        assert diff_reports(fresh, spilled) == [
+            "deterministic.workers.2.pickle_bytes: 0 -> 4096 (+4096)"
+        ]
+
+    def test_parity_break_is_caught(self, fresh):
+        broken = copy.deepcopy(fresh)
+        broken["deterministic"]["parity"] = False
+        assert diff_reports(fresh, broken) == [
+            "deterministic.parity: True -> False"
+        ]
+        # ... and with no baseline at all: it is an invariant of any run.
+        assert violations(KINDS["scale"], broken["deterministic"], "deterministic") == [
+            "deterministic.parity: False must be != False "
+            "(sharded runs diverged from the reference)"
+        ]
+
+    def test_counter_drift_is_caught(self, fresh):
+        committed = copy.deepcopy(fresh)
+        committed["deterministic"]["workers"]["1"]["events"] += 1
+        (verdict,) = diff_reports(committed, fresh)
+        assert verdict.startswith("deterministic.workers.1.events: ")
+        assert verdict.endswith("(-1)")
+
+    def test_config_mismatch_is_its_own_error(self, fresh):
+        committed = copy.deepcopy(fresh)
+        committed["config"]["workload"]["seed"] += 1
+        committed["deterministic"]["workers"]["1"]["events"] += 1
+        assert diff_reports(committed, fresh) == [
+            "config.workload.seed: 5 -> 4 (-1)"
+        ]
+
+    def test_committed_baseline_holds_via_cli_subprocess(self, check_all_run):
         """Tier-1 tripwire: the tree must hold BENCH_scale.json's
         deterministic section, end to end through ``python -m repro``."""
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "scale", "--check"],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        assert "scale        OK: BENCH_scale.json" in check_all_run.stdout
+
+    def test_dropped_worker_row_is_a_named_failure(self):
+        """The gate hole the per-kind checker had: a committed worker row
+        the fresh run no longer produces used to print OK."""
+        from repro.scenario import gate
+        from repro.scenario.model import load_scenario_text
+
+        text = (repo_root() / "scenarios" / "scale.toml").read_text()
+        assert "workers = [1, 4]" in text
+        scenario = load_scenario_text(
+            text.replace("workers = [1, 4]", "workers = [1]"), "scale.toml"
         )
-        assert result.returncode == 0, result.stderr or result.stdout
-        assert result.stdout.startswith("OK:")
+        result = gate.run_gate(scenario)
+        assert result.errors == [
+            "deterministic.workers.4: missing from the fresh report"
+        ]
+        assert result.verdict_lines() == [
+            "FAIL: BENCH_scale.json: deterministic.workers.4: "
+            "missing from the fresh report"
+        ]
 
 
 class TestCommittedBaseline:
     def test_bench_scale_json_exists_and_parses(self):
-        path = default_baseline_path()
+        path = BASELINE
         report = json.loads(path.read_text())
         assert report["bench"] == "scale"
         assert report["deterministic"]["parity"] is True
         assert set(report["deterministic"]["workers"]) == {"1", "4"}
         assert report["config"]["cabs"] == 64
         # The committed file is in canonical serialization.
-        assert path.read_text() == render_bench_json(report)
+        assert path.read_text() == render_json(report)
 
     def test_committed_baseline_pins_the_epoch_collapse(self):
         """The acceptance numbers of the adaptive-lookahead rework: a lone
         shard runs in a single epoch, and the 4-way split's hand-offs all
         ride the shared-memory rings (no pickle spill)."""
-        report = json.loads(default_baseline_path().read_text())
+        report = json.loads(BASELINE.read_text())
         workers = report["deterministic"]["workers"]
         assert workers["1"]["barriers"] == 1
         assert workers["1"]["epochs"] == 1

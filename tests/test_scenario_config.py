@@ -128,11 +128,13 @@ class TestSchema:
             )
         assert "must be int" in str(err.value)
 
-    def test_baseline_defaults_from_kind(self):
+    def test_baseline_is_only_what_the_file_states(self):
+        """An ad-hoc scenario of a gated kind cannot ``--write`` over the
+        committed baseline: no kind supplies a default file."""
         scenario = load_scenario_text(
             '[scenario]\nname = "s"\nkind = "scale"\n', "s.toml"
         )
-        assert scenario.baseline == "BENCH_scale.json"
+        assert scenario.baseline is None
 
 
 class TestSweepExpansion:

@@ -7,7 +7,8 @@ import pytest
 from repro.scenario import gate as gate_mod
 from repro.scenario.model import load_scenario_text
 from repro.scenario.report import render_json, render_text
-from repro.scenario.runner import KINDS, generic_check
+from repro.scenario.gate import diff_reports
+from repro.scenario.runner import KINDS
 from repro.scenario.sweep import run_scenario
 
 SWEEP_TEXT = (
@@ -75,25 +76,25 @@ class TestReports:
 
 
 class TestGenericCheck:
+    """The one differ on the assembled sweep shape."""
+
     def test_identical_reports_pass(self):
-        report = run_scenario(load())
-        assert generic_check(json.loads(render_json(report)), report) == []
+        fresh = json.loads(render_json(run_scenario(load())))
+        assert diff_reports(json.loads(json.dumps(fresh)), fresh) == []
 
     def test_deterministic_divergence_is_flagged(self):
-        report = run_scenario(load())
-        committed = json.loads(render_json(report))
+        fresh = json.loads(render_json(run_scenario(load())))
+        committed = json.loads(json.dumps(fresh))
         committed["deterministic"]["points"][0]["p99_us"] += 1
-        errors = generic_check(committed, report)
-        assert errors and "points" in errors[0]
+        (verdict,) = diff_reports(committed, fresh)
+        assert verdict.startswith("deterministic.points[0].p99_us: ")
 
     def test_config_change_is_flagged_as_rebaseline(self):
-        report = run_scenario(load())
-        committed = json.loads(render_json(report))
+        fresh = json.loads(render_json(run_scenario(load())))
+        committed = json.loads(json.dumps(fresh))
         committed["config"]["params"]["messages"] = 99
-        errors = generic_check(committed, report)
-        assert errors == [
-            "config diverged from the committed baseline; re-baseline "
-            "deliberately with --write"
+        assert diff_reports(committed, fresh) == [
+            "config.params.messages: 99 -> 4 (-95)"
         ]
 
 
@@ -135,6 +136,60 @@ class TestGate:
         assert not result.ok
         assert "--write" in result.errors[0]
 
+    def test_dropped_sweep_point_is_a_named_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
+        gate_mod.write_baseline(self.scenario_with_baseline())
+        path = tmp_path / "TMP_gate.json"
+        committed = json.loads(path.read_text())
+        # The committed curve had a third point the tree no longer produces
+        # (same config, so the walk reaches the deterministic section).
+        committed["deterministic"]["points"].append(
+            dict(committed["deterministic"]["points"][-1])
+        )
+        path.write_text(render_json(committed))
+        result = gate_mod.run_gate(self.scenario_with_baseline())
+        assert result.errors == [
+            "deterministic.points[2]: missing from the fresh report"
+        ]
+
+    def test_malformed_baseline_is_that_gates_failure_not_a_crash(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``bench --check-all`` reports a baseline that is not JSON as
+        that scenario's FAIL, keeps gating the rest, and exits 1."""
+        from repro.scenario import cli, model
+
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        for name in ("a_broken", "b_sound"):
+            (scenarios / f"{name}.toml").write_text(
+                SINGLE_TEXT.replace('name = "one"', f'name = "{name}"').replace(
+                    'kind = "load"\n', f'kind = "load"\nbaseline = "{name}.json"\n'
+                )
+            )
+        monkeypatch.setattr(model, "repo_root", lambda: tmp_path)
+        monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
+        assert cli.main(["b_sound", "--write"]) == 0
+        (tmp_path / "a_broken.json").write_text('{\n  "bench": "load",\n  not json\n')
+        capsys.readouterr()
+        assert cli.main(["--check-all"]) == 1
+        broken, sound, total = capsys.readouterr().out.splitlines()
+        assert broken == "a_broken     FAIL: a_broken.json: not valid JSON (line 3)"
+        assert sound.startswith("b_sound      OK: b_sound.json ")
+        assert total == "bench --check-all: FAIL (1/2 gates)"
+
+    def test_invariant_breaking_report_is_not_written(self, tmp_path, monkeypatch):
+        from repro.scenario.model import load_scenario_text as load_text
+
+        monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
+        scenario = load_text(
+            '[scenario]\nname = "s"\nkind = "scale"\nbaseline = "S.json"\n', "s.toml"
+        )
+        broken = {"config": {}, "deterministic": {"parity": False}, "measured": {}}
+        monkeypatch.setattr(gate_mod, "run_scenario", lambda scenario: broken)
+        result = gate_mod.write_baseline(scenario)
+        assert not result.ok and not (tmp_path / "S.json").exists()
+
 
 class TestCommittedScenarios:
     """The committed scenario set stays loadable and correctly wired."""
@@ -147,6 +202,29 @@ class TestCommittedScenarios:
         for name in names:
             scenario = load_scenario(name)
             assert scenario.kind in KINDS
+
+    def test_every_kind_has_a_committed_gated_scenario(self):
+        """No kind without a scenario file, no scenario file without the
+        baseline it states — the file is the only declaration of either."""
+        from repro.scenario.model import list_scenarios, load_scenario, repo_root
+
+        scenarios = [load_scenario(name) for name in list_scenarios()]
+        assert {scenario.kind for scenario in scenarios} == set(KINDS)
+        for scenario in scenarios:
+            assert scenario.baseline, scenario.name
+            assert (repo_root() / scenario.baseline).is_file(), scenario.name
+
+    def test_driver_kinds_take_their_schema_from_the_driver(self):
+        from repro.bench import fig7, fig8, table1
+
+        for module, kind in ((table1, "table1"), (fig7, "fig7"), (fig8, "fig8")):
+            defaults = {
+                name: spec.default for name, spec in KINDS[kind].params.items()
+            }
+            assert defaults == module.DEFAULTS
+        assert KINDS["fig7"].params["sizes"].type == "int_list"
+        assert KINDS["fig7"].params["count"].type == "int"
+        assert KINDS["micro"].params == {}
 
     def test_legacy_gates_keep_their_baseline_files(self):
         from repro.scenario.model import load_scenario
