@@ -8,10 +8,11 @@ is about avoided copies on the CAB, ours is about the reproduction itself
 not copying payload bytes at every layer boundary (docs/buffers.md).
 
 One meter hangs off each :class:`~repro.system.NectarSystem`
-(``system.copy_meter``) and is threaded into the memory regions, the
+(``system.copy_meter``), mounted in the system's metrics store at ``host``
+like every other counter bag, and is threaded into the memory regions, the
 datalink frame builder, and every :class:`~repro.buf.packet.PacketBuffer`
-allocated on that system, so ``host.memcpy_bytes`` in the telemetry plane
-measures exactly one simulation's copies.  All counts derive from
+allocated on that system, so ``host.memcpy_bytes`` measures exactly one
+simulation's copies.  All counts derive from
 simulated traffic, so they are byte-stable across repeated runs with the
 same seed — which is what lets ``python -m repro bench buf --check`` gate
 on them.

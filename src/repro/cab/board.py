@@ -29,9 +29,9 @@ from repro.errors import CABError
 from repro.hw.fiber import FiberIn, FiberOut, Frame
 from repro.hw.memory import MemoryRegion
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
 from repro.sim.primitives import Store
+from repro.telemetry.metrics import CounterScope
 from repro.units import KB, MB
 
 __all__ = ["CAB"]
@@ -47,7 +47,7 @@ class CAB:
         self.sim = sim
         self.costs = costs
         self.name = name
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
         #: Optional repro.sim.trace.Tracer for DMA spans (wired by Runtime);
         #: one attribute test per frame when detached.
         self.tracer = None

@@ -33,9 +33,9 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.errors import CABError
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Event, Simulator
 from repro.sim.primitives import Signal
+from repro.telemetry.metrics import CounterScope
 
 __all__ = [
     "CPU",
@@ -191,7 +191,7 @@ class CPU:
         self.dispatch_ns = dispatch_ns
         self.interrupt_entry_ns = interrupt_entry_ns
         self.interrupt_exit_ns = interrupt_exit_ns
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
 
         self.current: Optional[TCB] = None
         #: Optional repro.analysis.sanitizers.Sanitizer; one attribute test

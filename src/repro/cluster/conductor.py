@@ -61,6 +61,7 @@ from typing import Dict, List, Optional
 
 from repro.buf.ring import HandoffRing
 from repro.cluster.fleet import FleetSpec, build_fleet_system
+from repro.cluster.merge import merge_metrics, merge_traces, shard_telemetry
 from repro.cluster.partition import Partition, Partitioner
 from repro.cluster.runner import ShardRunner, worker_main
 from repro.cluster.workload import Workload, WorkloadSpec
@@ -113,8 +114,10 @@ class FleetResult:
     #: payload bytes that overflowed to pickled pipe transport
     pickle_bytes: int = 0
     wall_ns: int = 0
-    #: merged telemetry (series snapshot / Chrome-trace events), when enabled
+    #: merged series snapshot: a sharded run's ``cluster.*`` counters, plus
+    #: every shard's metrics store when telemetry is enabled
     metrics: Optional[dict] = None
+    #: merged Chrome-trace events, when telemetry is enabled
     trace: Optional[list] = None
 
     def protocol_digest(self) -> dict:
@@ -461,22 +464,22 @@ class Conductor:
         for shard in shards:
             result.ring_bytes += shard.seam_ring_bytes
             result.pickle_bytes += shard.seam_pickle_bytes
+        # Shards ship their stores only under telemetry; the conductor's own
+        # counters are part of the merged snapshot either way.
+        harvests = [shard.get("telemetry", {}) for shard in shard_results]
+        metrics = merge_metrics([h.get("metrics", {}) for h in harvests])
+        for name, value in (
+            ("cluster.barriers", result.barriers),
+            ("cluster.epochs", result.epochs),
+            ("cluster.fastpath", result.fastpath),
+            ("cluster.handoffs", result.handoffs),
+            ("cluster.null_elided", result.null_elided),
+            ("cluster.pickle_bytes", result.pickle_bytes),
+            ("cluster.ring_bytes", result.ring_bytes),
+        ):
+            metrics[name] = {"type": "counter", "value": value}
+        result.metrics = dict(sorted(metrics.items()))
         if self.telemetry:
-            from repro.cluster.merge import merge_metrics, merge_traces
-
-            harvests = [shard.get("telemetry", {}) for shard in shard_results]
-            metrics = merge_metrics([h.get("metrics", {}) for h in harvests])
-            for name, value in (
-                ("cluster.barriers", result.barriers),
-                ("cluster.epochs", result.epochs),
-                ("cluster.fastpath", result.fastpath),
-                ("cluster.handoffs", result.handoffs),
-                ("cluster.null_elided", result.null_elided),
-                ("cluster.pickle_bytes", result.pickle_bytes),
-                ("cluster.ring_bytes", result.ring_bytes),
-            ):
-                metrics[name] = {"type": "counter", "value": value}
-            result.metrics = dict(sorted(metrics.items()))
             result.trace = merge_traces([h.get("trace", []) for h in harvests])
         result.flows = dict(sorted(result.flows.items()))
         result.retransmits = dict(sorted(result.retransmits.items()))
@@ -507,8 +510,6 @@ def run_reference(
     merged.events = system.sim.events_scheduled
     merged.sim_ns = system.sim.now
     if telemetry:
-        from repro.cluster.merge import merge_metrics, merge_traces, shard_telemetry
-
         harvest = shard_telemetry(system)
         merged.metrics = merge_metrics([harvest["metrics"]])
         merged.trace = merge_traces([harvest["trace"]])

@@ -51,10 +51,10 @@ _SCALE_FLEET = ("line", 4, 16, 18)
 def _nmp_totals(system) -> dict:
     """NMP/collective counters summed over every local node."""
     totals: dict = {}
-    for name in sorted(system.nodes):
-        for key, value in system.nodes[name].runtime.stats.snapshot().items():
-            if key.startswith(("nmp_", "coll_")):
-                totals[key] = totals.get(key, 0) + value
+    for series, value in system.metrics.counters(*sorted(system.nodes)).items():
+        key = series.rpartition(".")[2]
+        if key.startswith(("nmp_", "coll_")):
+            totals[key] = totals.get(key, 0) + value
     return totals
 
 

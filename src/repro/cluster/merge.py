@@ -1,12 +1,14 @@
 """Merging per-shard telemetry into one fleet-wide view.
 
-Each shard harvests its own :class:`~repro.telemetry.session.Telemetry`
-snapshot — a metrics-series dict and a Chrome-trace event list — as plain
-JSON-shaped data that crosses the worker pipe untouched.  The merge is
-deterministic: series collide only for fleet-global scopes (``net.*``,
-``sim.*``, ``span.*``, ``cycles.*``) and are combined by fixed rules
-(counters and histograms add, gauges take the max, so ``sim.elapsed_ns``
-reads as fleet completion time), while trace tracks are namespaced by
+Each shard ships a snapshot of its system's metrics store and its
+:class:`~repro.telemetry.session.Telemetry` trace — a series dict and a
+Chrome-trace event list — as plain JSON-shaped data that crosses the
+worker pipe untouched.  The merge is deterministic: series collide only
+for fleet-global scopes (``net.*``, ``host.*``, ``fault.*``, ``sim.*``,
+``span.*``, ``cycles.*``) and are combined by fixed rules (counters and
+histograms add — a histogram's bucket bounds must agree and carry through
+— gauges take the max, so ``sim.elapsed_ns`` reads as fleet completion
+time), while trace tracks are namespaced by
 shard so two shards' process ids never alias.
 """
 
@@ -29,32 +31,34 @@ _PID_STRIDE = 10000
 
 
 def shard_telemetry(system) -> dict:
-    """Harvest one system's telemetry as plain, pipe-safe data."""
+    """One system's metrics snapshot and trace as plain, pipe-safe data."""
     telemetry = system.telemetry
-    if telemetry is None:
-        return {"metrics": {}, "trace": []}
-    registry = telemetry.collect()
     trace = json.loads(telemetry.export_trace())
     return {
-        "metrics": registry.snapshot(),
+        "metrics": telemetry.collect().snapshot(),
         "trace": trace.get("traceEvents", []),
     }
 
 
-def _merge_values(kind: str, left, right):
+def _merge_values(name: str, kind: str, left, right):
     if kind == "counter":
         return left + right
     if kind == "gauge":
         return max(left, right)
     if kind == "histogram":
-        merged = {}
-        for field in left:
-            if isinstance(left[field], list):
-                merged[field] = [a + b for a, b in zip(left[field], right[field])]
-            else:
-                merged[field] = left[field] + right[field]
-        return merged
-    raise ValueError(f"unknown metric kind {kind!r}")
+        if left["bounds"] != right["bounds"]:
+            raise ValueError(
+                f"series {name}: histogram bounds mismatch "
+                f"({left['bounds']} vs {right['bounds']})"
+            )
+        return {
+            "bounds": left["bounds"],
+            "counts": [a + b for a, b in zip(left["counts"], right["counts"])],
+            "overflow": left["overflow"] + right["overflow"],
+            "sum": left["sum"] + right["sum"],
+            "count": left["count"] + right["count"],
+        }
+    raise ValueError(f"series {name}: unknown metric kind {kind!r}")
 
 
 def merge_metrics(snapshots: List[Dict[str, dict]]) -> Dict[str, dict]:
@@ -72,7 +76,7 @@ def merge_metrics(snapshots: List[Dict[str, dict]]) -> Dict[str, dict]:
                         f"({existing['type']} vs {series['type']})"
                     )
                 existing["value"] = _merge_values(
-                    series["type"], existing["value"], series["value"]
+                    name, series["type"], existing["value"], series["value"]
                 )
     return dict(sorted(merged.items()))
 

@@ -302,24 +302,9 @@ def _run_once(scenario: str, seed: int, sizes: _Sizes) -> _CampaignRun:
     except (ProtocolError, SimulationError) as exc:
         run_error = f"{type(exc).__name__}: {exc}"
 
-    counters: Dict[str, int] = {}
-    for prefix, registry in (
-        ("cab-a", a.runtime.stats),
-        ("cab-a.hw", a.cab.stats),
-        ("cab-b", b.runtime.stats),
-        ("cab-b.hw", b.cab.stats),
-        ("cab-c", c.runtime.stats),
-        ("cab-c.hw", c.cab.stats),
-        ("cab-d", d.runtime.stats),
-        ("cab-d.hw", d.cab.stats),
-        ("net", system.network.stats),
-        ("fault", injector.stats),
-    ):
-        for name, value in registry.snapshot().items():
-            counters[f"{prefix}.{name}"] = value
     return _CampaignRun(
         outcomes=outcomes,
-        counters=counters,
+        counters=system.metrics.counters(),
         fired=tuple(injector.fired),
         fires_text=injector.describe_fires(),
         final_ns=system.now,
@@ -381,16 +366,21 @@ class CampaignReport:
         return self._counter(*(f"cab-{m}.hw.crc_errors" for m in "abcd"))
 
     @property
+    def fault_drops(self) -> int:
+        """Frames/messages the fault plan ate: fabric, datalink, mailboxes."""
+        return self._counter(
+            "net.frames_dropped",
+            *(f"cab-{m}.hw.dl_fault_drops" for m in "abcd"),
+        ) + sum(
+            value
+            for name, value in self.run.counters.items()
+            if name.endswith(".fault_lost_messages")  # <cab>.mbox.<mailbox>
+        )
+
+    @property
     def dropped(self) -> int:
         """Frames/messages eaten anywhere: fabric, CRC, datalink, mailbox."""
-        return (
-            self._counter(
-                "net.frames_dropped",
-                *(f"cab-{m}.hw.dl_fault_drops" for m in "abcd"),
-                *(f"cab-{m}.fault_lost_messages" for m in "abcd"),
-            )
-            + self.crc_drops
-        )
+        return self.fault_drops + self.crc_drops
 
     def render(self) -> str:
         """The stable multi-line report text (simulated quantities only)."""
@@ -443,12 +433,7 @@ class CampaignReport:
         injected = self._counter(
             "fault.fault_drop", "fault.fault_rx-drop", "fault.fault_mbox-lose"
         )
-        observed = self._counter(
-            "net.frames_dropped",
-            *(f"cab-{m}.hw.dl_fault_drops" for m in "abcd"),
-            *(f"cab-{m}.fault_lost_messages" for m in "abcd"),
-        )
-        lines.append(f"  drops: injected={injected} observed={observed}")
+        lines.append(f"  drops: injected={injected} observed={self.fault_drops}")
         hist = Histogram("fault.fire_time_ns", buckets=_FIRE_BUCKETS)
         for time_ns, _kind, _site in run.fired:
             hist.observe(time_ns)

@@ -21,8 +21,9 @@ if-guard in the style of the PR 1 sanitizers:
 Every decision is deterministic: per-spec occurrence counters advance in
 simulation event order, and randomness comes from per-spec seeded RNGs.
 The injector records each firing as ``(time_ns, kind, site)`` in
-:attr:`Injector.fired`, and counts per-kind totals in a local
-:class:`~repro.model.stats.StatsRegistry`.
+:attr:`Injector.fired` (a timed event log, not a count), and counts per-kind
+totals in :attr:`Injector.stats`, which :meth:`Injector.install` mounts as
+the system's ``fault.*`` counters.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.model.stats import StatsRegistry
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["Injector"]
 
@@ -49,7 +50,7 @@ __all__ = ["Injector"]
 class _SpecState:
     """Mutable evaluation state for one spec: counters + its RNG stream."""
 
-    __slots__ = ("spec", "index", "rng", "occurrences", "fires")
+    __slots__ = ("spec", "index", "rng", "occurrences", "fires", "counter")
 
     def __init__(self, spec: FaultSpec, index: int, rng: random.Random):
         self.spec = spec
@@ -57,6 +58,8 @@ class _SpecState:
         self.rng = rng
         self.occurrences = 0
         self.fires = 0
+        #: The ``fault.*`` counter this spec's firings count into.
+        self.counter = f"fault_{spec.kind}"
 
     def decide(self) -> bool:
         """Advance the occurrence counter and decide whether to fire.
@@ -86,7 +89,7 @@ class Injector:
     def __init__(self, plan: FaultPlan, clock: Optional[Callable[[], int]] = None):
         self.plan = plan
         self._clock: Callable[[], int] = clock if clock is not None else (lambda: 0)
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
         #: Every firing, in simulation order: ``(time_ns, kind, site)``.
         self.fired: List[Tuple[int, str, str]] = []
         self._states = [
@@ -110,6 +113,7 @@ class Injector:
         :meth:`~repro.system.NectarSystem.add_node` itself.
         """
         self.bind_clock(lambda: system.sim.now)
+        system.metrics.mount("fault", self.stats)
         system.network.fault_hooks = self
         for node in system.nodes.values():
             node.runtime.fault_injector = self
@@ -126,7 +130,7 @@ class Injector:
         """Record one firing (time, kind, site) and bump the spec's count."""
         state.fires += 1
         self.fired.append((self._clock(), state.spec.kind, site))
-        self.stats.add(f"fault_{state.spec.kind}")
+        self.stats.add(state.counter)
 
     def _active(self, kind: str, site: str):
         """Spec states of ``kind`` whose window and site match right now."""

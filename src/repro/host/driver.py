@@ -63,6 +63,7 @@ class CABDriver:
 
         # CAB-side doorbell (host -> CAB requests).
         self.doorbell = CabDoorbell(self.runtime)
+        self.runtime.stats.mount("sig", self.doorbell.queue.stats)
         self.doorbell.register(OP_MAILBOX_KICK, self._cab_mailbox_kick)
         self.doorbell.register(OP_HEAP_WAKE, self._cab_heap_wake)
         self.doorbell.register(OP_RPC_CALL, self._cab_rpc_call)
@@ -70,6 +71,7 @@ class CABDriver:
 
         # Host signal queue (CAB -> host requests) and its sleepers.
         self.host_signal_queue = SignalQueue(f"{host.name}.host-signal-queue")
+        host.stats.mount("sig", self.host_signal_queue.stats)
         self._sleepers: Dict[HostCondition, list[WaitToken]] = {}
 
         # Sync pools: one per side (paper Sec. 3.4).

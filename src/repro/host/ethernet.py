@@ -16,9 +16,9 @@ from repro.cab.cpu import Block, Compute, WaitToken, wait_sim_event
 from repro.errors import ConfigurationError
 from repro.host.machine import Host
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
 from repro.sim.primitives import Resource, Store
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["EthernetNIC", "EthernetSegment"]
 
@@ -34,7 +34,7 @@ class EthernetSegment:
         self.name = name
         self.wire = Resource(sim, slots=1, name=f"{name}.wire")
         self.nics: Dict[str, "EthernetNIC"] = {}
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
 
     def attach(self, nic: "EthernetNIC") -> None:
         """Register a NIC on this segment."""
@@ -42,6 +42,11 @@ class EthernetSegment:
             raise ConfigurationError(
                 f"{self.name}: host {nic.host.name!r} already attached"
             )
+        registry = nic.host.stats.registry
+        if registry is not None and self.stats.registry is None:
+            # The segment is built from (sim, costs) alone; its first NIC's
+            # host says which system's store it counts into.
+            registry.mount(self.name, self.stats)
         self.nics[nic.host.name] = nic
 
 

@@ -16,9 +16,9 @@ from typing import Generator, Optional
 from repro.cab.cpu import CPU, PRIORITY_APPLICATION, TCB
 from repro.hw.vme import VMEBus
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
 from repro.system import NectarNode, NectarSystem
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["Host", "HostedNode"]
 
@@ -38,7 +38,7 @@ class Host:
             interrupt_entry_ns=costs.host_interrupt_ns // 2,
             interrupt_exit_ns=costs.host_interrupt_ns // 2,
         )
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
 
     def fork_process(self, gen: Generator, name: str = "proc") -> TCB:
         """Start a user process."""
@@ -57,7 +57,10 @@ class HostedNode:
         self.system = system
         self.node = node
         self.host = Host(system.sim, system.costs, host_name or f"host-{node.name}")
+        system.metrics.mount(self.host.name, self.host.stats)
+        self.host.stats.mount("cpu", self.host.cpu.stats)
         self.vme = VMEBus(system.sim, system.costs, name=f"vme-{node.name}")
+        node.runtime.stats.mount("vme", self.vme.stats)
         self.vme.tracer = system.tracer
         self.driver = CABDriver(self.host, node, self.vme)
 

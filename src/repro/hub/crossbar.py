@@ -13,9 +13,9 @@ import enum
 from typing import Optional
 
 from repro.errors import HubError
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
 from repro.sim.primitives import Resource
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["Hub", "PortKind", "PortAttachment"]
 
@@ -67,7 +67,8 @@ class Hub:
         ]
         #: Output ports currently pinned by an open circuit.
         self._circuit_holds: set[int] = set()
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
+        self._grant_counters = [f"out{p}_grants" for p in range(ports)]
 
     # -- wiring ---------------------------------------------------------------
 
@@ -104,7 +105,7 @@ class Hub:
     def acquire_output(self, port: int):
         """Event granting exclusive use of an output port (packet switching)."""
         self._check_port(port)
-        self.stats.add(f"out{port}_grants")
+        self.stats.add(self._grant_counters[port])
         return self._out_arbiters[port].acquire()
 
     def release_output(self, port: int) -> None:

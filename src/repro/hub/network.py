@@ -41,8 +41,8 @@ from repro.hub.groups import GroupTable, is_fanout_tree
 from repro.hub.routing import Topology
 from repro.hw.fiber import FiberIn, FiberOut, Frame
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
+from repro.telemetry.metrics import CounterScope
 
 __all__ = [
     "CorruptionInjector",
@@ -325,7 +325,7 @@ class NectarNetwork:
         #: Multicast group addresses and their per-sender fan-out trees.
         self.groups = GroupTable(self.topology)
         self.nodes: Dict[str, NetworkNode] = {}
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
         #: Called once per frame at egress; may corrupt bytes or set drop.
         self.fault_injector: Optional[Callable[[Frame], None]] = None
         #: Richer seam for :class:`repro.faults.injector.Injector`: gets the

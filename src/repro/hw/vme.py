@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
 from repro.sim.core import Simulator
 from repro.sim.primitives import Resource
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["VMEBus"]
 
@@ -28,7 +28,7 @@ class VMEBus:
         self.costs = costs
         self.name = name
         self._bus = Resource(sim, slots=1, name=f"{name}.bus")
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
         #: Optional repro.sim.trace.Tracer for bus-occupancy spans (wired by
         #: HostedNode); one attribute test per transfer when detached.
         self.tracer = None

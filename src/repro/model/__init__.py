@@ -1,13 +1,10 @@
 """Timing/cost model and measurement statistics."""
 
 from repro.model.costs import CostModel, DEFAULT_COSTS
-from repro.model.stats import Counter, LatencyRecorder, StatsRegistry, ThroughputMeter
+from repro.model.stats import LatencyRecorder
 
 __all__ = [
     "CostModel",
-    "Counter",
     "DEFAULT_COSTS",
     "LatencyRecorder",
-    "StatsRegistry",
-    "ThroughputMeter",
 ]

@@ -1,36 +1,17 @@
-"""Measurement statistics: counters, latency recorders, throughput meters.
+"""Measurement statistics: the latency recorder the experiment drivers share.
 
-Everything measured in the benchmarks flows through these classes so that
-experiment drivers can render consistent tables.
+Event counts live in the metrics plane (:mod:`repro.telemetry.metrics`);
+what is left here is the per-sample latency summary the benchmarks render
+their tables from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
 
-from repro.units import ns_to_us, throughput_mbps
+from repro.units import ns_to_us
 
-__all__ = ["Counter", "LatencyRecorder", "StatsRegistry", "ThroughputMeter"]
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing event counter."""
-
-    name: str
-    value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        """Increment by ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: cannot add negative {amount}")
-        self.value += amount
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.value = 0
+__all__ = ["LatencyRecorder"]
 
 
 class LatencyRecorder:
@@ -92,74 +73,3 @@ class LatencyRecorder:
         mean = self.mean_ns
         var = sum((s - mean) ** 2 for s in self.samples_ns) / (len(self.samples_ns) - 1)
         return math.sqrt(var)
-
-
-class ThroughputMeter:
-    """Accumulates (bytes, interval) and reports Mbit/s."""
-
-    def __init__(self, name: str = "throughput"):
-        self.name = name
-        self.bytes_moved = 0
-        self._start_ns: Optional[int] = None
-        self._end_ns: Optional[int] = None
-
-    def start(self, now_ns: int) -> None:
-        """Begin a measurement interval at ``now_ns``."""
-        self._start_ns = now_ns
-        self._end_ns = None
-        self.bytes_moved = 0
-
-    def account(self, nbytes: int, now_ns: int) -> None:
-        """Record ``nbytes`` moved at time ``now_ns``."""
-        if self._start_ns is None:
-            self._start_ns = now_ns
-        if nbytes < 0:
-            raise ValueError(f"negative byte count {nbytes}")
-        self.bytes_moved += nbytes
-        self._end_ns = now_ns
-
-    @property
-    def elapsed_ns(self) -> int:
-        if self._start_ns is None or self._end_ns is None:
-            raise ValueError("meter has not accumulated an interval")
-        return self._end_ns - self._start_ns
-
-    @property
-    def mbps(self) -> float:
-        if self.elapsed_ns == 0:
-            # All bytes landed at one instant (e.g. a single account() call):
-            # there is no interval to divide by, so report zero throughput.
-            return 0.0
-        return throughput_mbps(self.bytes_moved, self.elapsed_ns)
-
-
-@dataclass
-class StatsRegistry:
-    """A named bag of counters shared by a component tree."""
-
-    counters: Dict[str, Counter] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """The named counter, created on first use."""
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def add(self, name: str, amount: int = 1) -> None:
-        """Increment the named counter."""
-        self.counter(name).add(amount)
-
-    def value(self, name: str) -> int:
-        """Current value of the named counter (0 if never touched)."""
-        return self.counters[name].value if name in self.counters else 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """All counters as a sorted name -> value dict."""
-        return {name: counter.value for name, counter in sorted(self.counters.items())}
-
-    def reset(self, names: Optional[Iterable[str]] = None) -> None:
-        """Reset the named counters (or all of them)."""
-        targets = list(names) if names is not None else list(self.counters)
-        for name in targets:
-            if name in self.counters:
-                self.counters[name].reset()

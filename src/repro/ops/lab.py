@@ -78,21 +78,13 @@ def behavior_signature(system, workload, injector=None) -> Tuple:
     else's, so ``sim.events_scheduled`` differs between observed and
     unobserved runs of identical behavior.
     """
-    nodes = tuple(
-        (
-            name,
-            tuple(sorted(system.nodes[name].runtime.stats.snapshot().items())),
-            tuple(sorted(system.nodes[name].cab.stats.snapshot().items())),
-        )
-        for name in sorted(system.nodes)
-    )
-    net = tuple(sorted(system.network.stats.snapshot().items()))
+    counters = tuple(system.metrics.counters().items())
     fired = tuple(injector.fired) if injector is not None else ()
     flows = tuple(
         (name, tuple(sorted(record.items())))
         for name, record in sorted(workload.flow_results.items())
     )
-    return (system.sim.now, nodes, net, fired, flows)
+    return (system.sim.now, counters, fired, flows)
 
 
 def _meta(incident: Incident, seed: int) -> dict:

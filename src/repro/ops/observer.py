@@ -13,9 +13,11 @@ the live objects.
 
 Two disciplines keep the lab honest:
 
-* **Operator visibility.**  The injector's own ``fault.*`` scope and the
-  runtime's ``fault_*`` bookkeeping counters are *excluded* — a real NOC
-  does not get a counter that says "a fault was injected here".  The
+* **Operator visibility.**  Of the system's metrics store the recorder
+  selects the ``<cab>``, ``<cab>.hw`` and ``net`` counter scopes only; the
+  injector's own ``fault.*`` scope and the per-mailbox scopes that count
+  injected losses are *not selected* — a real NOC does not get a counter
+  that says "a fault was injected here".  The
   datalink's ``hw.dl_fault_drops`` stays visible: it is this simulation's
   analog of an interface's ``rx_dropped``, which real systems do export
   without knowing the cause.
@@ -40,6 +42,11 @@ __all__ = ["FlightRecorder", "Journal"]
 
 #: Spans at least this long (ns) are promoted into the journal's event log.
 SLOW_SPAN_NS = us(200)
+
+#: The operator-visible counter scopes of the metrics store: per node the
+#: runtime/protocol scope and the board, plus the fabric.
+NODE_SCOPES = ("", ".hw")
+FABRIC_SCOPES = ("net",)
 
 #: Hard cap on event-log entries; the overflow count is recorded so a
 #: truncated log never silently reads as a quiet system.
@@ -170,16 +177,11 @@ class FlightRecorder:
             if value:
                 metrics[name] = value
 
-        for name in sorted(system.nodes):
-            node = system.nodes[name]
-            for stat, value in node.runtime.stats.snapshot().items():
-                # Operator-visibility discipline: the runtime's fault_*
-                # counters are injector bookkeeping, not NOC telemetry.
-                if "fault" in stat:
-                    continue
-                put(f"{name}.{stat}", value)
-            for stat, value in node.cab.stats.snapshot().items():
-                put(f"{name}.hw.{stat}", value)
+        visible = [name + scope for name in system.nodes for scope in NODE_SCOPES]
+        for series, value in system.metrics.counters(*visible, *FABRIC_SCOPES).items():
+            put(series, value)
+
+        for name, node in system.nodes.items():
             for direction, port in (
                 ("fiber-in", node.cab.fiber_in),
                 ("fiber-out", node.cab.fiber_out),
@@ -194,9 +196,6 @@ class FlightRecorder:
                     fifo.level + fifo.squeeze_reserve,
                 )
             put(f"{name}.cpu.busy_ns", node.cab.cpu.busy_ns)
-
-        for stat, value in system.network.stats.snapshot().items():
-            put(f"net.{stat}", value)
 
         self.samples.append({"time_ns": system.sim.now, "metrics": metrics})
 

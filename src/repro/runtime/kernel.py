@@ -14,11 +14,11 @@ from typing import Deque, Dict, Generator, Optional
 from repro.cab.board import CAB, DATA_MEMORY_BYTES
 from repro.cab.cpu import Compute, PRIORITY_APPLICATION, PRIORITY_SYSTEM, TCB, WaitToken
 from repro.errors import ConfigurationError
-from repro.model.stats import StatsRegistry
 from repro.runtime.heap import BufferHeap
 from repro.runtime.mailbox import Mailbox, Message
 from repro.runtime.threads import Condition, Mutex, ThreadOps
 from repro.sim.trace import Tracer
+from repro.telemetry.metrics import CounterScope
 from repro.units import KB
 
 __all__ = ["Runtime"]
@@ -56,7 +56,7 @@ class Runtime:
         self.heap_space_hooks: list = []
         self.mailboxes: Dict[str, Mailbox] = {}
         self.tracer = tracer if tracer is not None else Tracer(lambda: cab.sim.now)
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
         # Hand the (possibly sink-less) tracer to every instrumented layer of
         # this CAB: attaching one sink then observes the whole board.
         self.cpu.tracer = self.tracer
@@ -83,6 +83,7 @@ class Runtime:
         if name in self.mailboxes:
             raise ConfigurationError(f"{self.name}: mailbox {name!r} already exists")
         mbox = Mailbox(self, name, cached_buffer_bytes=cached_buffer_bytes)
+        self.stats.mount(f"mbox.{name}", mbox.stats)
         self.mailboxes[name] = mbox
         return mbox
 

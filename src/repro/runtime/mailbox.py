@@ -28,7 +28,7 @@ from typing import Callable, Deque, Generator, Optional
 
 from repro.cab.cpu import Block, Compute, WaitToken
 from repro.errors import MailboxError
-from repro.model.stats import StatsRegistry
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["Mailbox", "Message"]
 
@@ -153,7 +153,7 @@ class Mailbox:
         #: Plain callables poked (no cost) whenever a message is queued —
         #: used by the host interface to signal host condition variables.
         self.message_hooks: list[Callable[["Mailbox"], None]] = []
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
 
         self._cached_size = cached_buffer_bytes
         self._cached_addr: Optional[int] = (

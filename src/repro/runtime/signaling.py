@@ -24,7 +24,7 @@ from typing import Any, Callable, Deque, Dict, Generator, Optional
 from repro.cab.cpu import Block, Compute, CPU, WaitToken
 from repro.errors import NectarError
 from repro.model.costs import CostModel
-from repro.model.stats import StatsRegistry
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["CabDoorbell", "HostCondition", "SignalQueue"]
 
@@ -97,7 +97,7 @@ class SignalQueue:
         self.name = name
         self.capacity = capacity
         self._entries: Deque[tuple[str, Any]] = deque()
-        self.stats = StatsRegistry()
+        self.stats = CounterScope()
 
     def push(self, opcode: str, param: Any) -> bool:
         """Append an element; returns False if the queue is full."""

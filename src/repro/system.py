@@ -40,6 +40,7 @@ from repro.protocols.udp import UDPProtocol
 from repro.runtime.kernel import Runtime
 from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["NectarNode", "NectarSystem"]
 
@@ -62,6 +63,8 @@ class NectarNode:
         self.system = system
         self.name = name
         self.cab = CAB(system.sim, system.costs, name)
+        system.metrics.mount(f"{name}.hw", self.cab.stats)
+        system.metrics.mount(f"{name}.cpu", self.cab.cpu.stats)
         # Host-copy accounting: every region access and packet buffer on
         # this node counts into the system-wide meter (host.memcpy_bytes).
         self.cab.copy_meter = system.copy_meter
@@ -72,6 +75,9 @@ class NectarNode:
         self.runtime = Runtime(
             self.cab, tracer=system.tracer, sanitizer=system.sanitizer
         )
+        # Mounted before any protocol exists: mailboxes mount themselves
+        # below the runtime's scope as they are created.
+        system.metrics.mount(name, self.runtime.stats)
         self.datalink = Datalink(self.runtime, system.network, system.registry, mtu=mtu)
         self.ip = IPProtocol(
             self.runtime, self.datalink, system.registry, input_mode=ip_input_mode
@@ -113,11 +119,15 @@ class NectarSystem:
         if sanitizer is not None:
             sanitizer.bind_clock(lambda: self.sim.now)
         self.tracer = Tracer(lambda: self.sim.now)
+        #: The one metrics store (repro.telemetry.metrics): every
+        #: component's ``.stats`` is mounted here, telemetry on or off.
+        self.metrics = MetricsRegistry()
         #: Host-level copy meter (repro.buf): counts the Python-side byte
         #: copies this simulation performs, distinct from simulated memcpy
-        #: cost.  Surfaced as the ``host.*`` counter plane by telemetry.
-        self.copy_meter = CopyMeter()
+        #: cost.  Mounted as the ``host.*`` counters.
+        self.copy_meter = self.metrics.mount("host", CopyMeter())
         self.network = NectarNetwork(self.sim, self.costs)
+        self.metrics.mount("net", self.network.stats)
         self.network.tracer = self.tracer
         self.registry = NodeRegistry(self.network)
         self.nodes: Dict[str, NectarNode] = {}
@@ -130,6 +140,7 @@ class NectarSystem:
     def add_hub(self, name: str, ports: int = 16) -> Hub:
         """Create a HUB crossbar on the fabric."""
         hub = self.network.new_hub(name, ports=ports)
+        self.metrics.mount(name, hub.stats)
         self.hubs[name] = hub
         return hub
 
@@ -220,9 +231,7 @@ class NectarSystem:
         from repro.telemetry.session import Telemetry
 
         if self.telemetry is None:
-            telemetry = Telemetry()
-            telemetry.install(self)
-            self.telemetry = telemetry
+            self.telemetry = Telemetry(self)
         return self.telemetry
 
     # -- running ------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""The metrics plane: counters, gauges, and fixed-bucket histograms.
+"""The metrics plane: the one store of counters, gauges and histograms.
 
-A :class:`MetricsRegistry` is a flat map of dotted series names to metric
-objects with hierarchical *scopes* as views (``registry.scope("cab-a")``
-prefixes everything created through it).  All values are simulated
-quantities — counts, simulated nanoseconds, bytes — sampled on simulated
-time, so two runs with the same seed expose byte-identical reports.
+Every :class:`~repro.system.NectarSystem` owns one :class:`MetricsRegistry`
+(``system.metrics``) from construction, telemetry on or off.  A component
+counts into its own :class:`CounterScope` (``component.stats``) and whoever
+assembles the component *mounts* that scope in the registry under a prefix;
+the registry owns naming, collection and exposition
+(``docs/observability.md`` has the table of mount points, checked against a
+real run).  A component built alone (a unit test's bare ``Hub`` or ``CPU``)
+simply has a scope nobody mounted: it counts the same, and is exported
+nowhere.
 
-Exposition formats:
+All values are simulated quantities — counts, simulated nanoseconds, bytes
+— so two runs with the same seed expose byte-identical reports:
 
 * :meth:`MetricsRegistry.render_json` — canonical JSON (sorted keys, fixed
   separators): byte-stable for a deterministic run.
@@ -17,12 +22,12 @@ Exposition formats:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from repro.errors import NectarError
+from repro.errors import ConfigurationError, NectarError
 
 __all__ = [
-    "Counter",
+    "CounterScope",
     "DEFAULT_NS_BUCKETS",
     "Gauge",
     "Histogram",
@@ -40,25 +45,47 @@ DEFAULT_NS_BUCKETS = (
 )
 
 
-class Counter:
-    """A monotonically increasing count of events (or bytes, or cycles)."""
+class CounterScope:
+    """One component's counters: a name -> int bag, mountable in a registry.
 
-    kind = "counter"
-    __slots__ = ("name", "value")
+    The whole write path is :meth:`add` — one frame, no per-counter object.
+    ``registry``/``prefix`` stay ``None`` until :meth:`MetricsRegistry.mount`
+    places the scope.
+    """
 
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
+    __slots__ = ("counts", "registry", "prefix")
 
-    def inc(self, amount: int = 1) -> None:
-        """Increment by ``amount`` (must be non-negative)."""
+    def __init__(self):
+        self.counts: Dict[str, int] = {}
+        self.registry: "MetricsRegistry | None" = None
+        self.prefix: "str | None" = None
+
+    def add(self, name: str, amount: int = 1) -> None:
+        """Increment the named counter by ``amount`` (must be non-negative)."""
         if amount < 0:
-            raise NectarError(f"metric {self.name}: cannot add negative {amount}")
-        self.value += amount
+            raise ValueError(f"counter {name}: cannot add negative {amount}")
+        try:
+            self.counts[name] += amount
+        except KeyError:
+            self.counts[name] = amount
 
-    def snapshot(self) -> int:
-        """The current count."""
-        return self.value
+    def value(self, name: str) -> int:
+        """Current value of the named counter (0 if never touched)."""
+        return self.counts.get(name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        """This scope's own counters as a sorted name -> value dict."""
+        return dict(sorted(self.counts.items()))
+
+    def mount(self, name: str, bag):
+        """Mount ``bag`` at ``<prefix>.<name>``, beside this scope.
+
+        A scope nobody mounted has nowhere to put it: ``bag`` stays
+        detached too.  Returns ``bag``.
+        """
+        if self.registry is not None:
+            self.registry.mount(f"{self.prefix}.{name}", bag)
+        return bag
 
 
 class Gauge:
@@ -87,7 +114,7 @@ class Gauge:
 class Histogram:
     """A fixed-bucket histogram (cumulative counts, Prometheus-style).
 
-    ``buckets`` are upper bounds in ascending order; an implicit +Inf bucket
+    ``buckets`` are upper bounds in strictly ascending order; an implicit +Inf bucket
     catches the overflow.  Bounds are fixed at construction so two runs of
     the same workload produce identical series names.
     """
@@ -96,8 +123,10 @@ class Histogram:
     __slots__ = ("name", "bounds", "counts", "overflow", "total", "count")
 
     def __init__(self, name: str, buckets: Sequence[int] = DEFAULT_NS_BUCKETS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise NectarError(f"histogram {name}: buckets must be ascending, got {buckets}")
+        if not buckets or any(a >= b for a, b in zip(buckets, buckets[1:])):
+            raise NectarError(
+                f"histogram {name}: buckets must be strictly ascending, got {buckets}"
+            )
         self.name = name
         self.bounds = tuple(buckets)
         self.counts = [0] * len(self.bounds)
@@ -126,51 +155,66 @@ class Histogram:
         }
 
 
-_Metric = Union[Counter, Gauge, Histogram]
+_Metric = Union[Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """A hierarchical registry of metrics, hung off :class:`NectarSystem`.
+    """The one metrics store of a :class:`~repro.system.NectarSystem`.
 
-    The registry proper is flat (series name -> metric); :meth:`scope`
-    returns a view that prefixes names, so components can hold a scoped
-    handle without knowing where they sit in the hierarchy.
+    Counters live in the bags mounted here (anything with a ``snapshot()``
+    of name -> int: a :class:`CounterScope`, the host-copy meter); gauges
+    and histograms are created here by full series name.  A counter's
+    series name is ``<mount prefix>.<counter name>``.
     """
 
-    def __init__(self, prefix: str = "", _metrics: Optional[Dict[str, _Metric]] = None):
-        self._prefix = prefix
-        self._metrics: Dict[str, _Metric] = _metrics if _metrics is not None else {}
+    def __init__(self):
+        self._mounts: Dict[str, object] = {}
+        self._metrics: Dict[str, _Metric] = {}
 
-    # -- structure -----------------------------------------------------------
+    # -- counters ---------------------------------------------------------------
 
-    def scope(self, name: str) -> "MetricsRegistry":
-        """A child view whose series are prefixed with ``name.``."""
-        if not name:
-            raise NectarError("scope name must be non-empty")
-        prefix = f"{self._prefix}{name}."
-        return MetricsRegistry(prefix=prefix, _metrics=self._metrics)
+    def mount(self, prefix: str, bag):
+        """Place a counter bag at ``prefix``; one bag per prefix.  Returns it."""
+        if not prefix:
+            raise ConfigurationError("metrics mount prefix must be non-empty")
+        if prefix in self._mounts:
+            raise ConfigurationError(
+                f"metrics prefix {prefix!r} is already mounted: two components "
+                f"cannot share one counter namespace"
+            )
+        self._mounts[prefix] = bag
+        if isinstance(bag, CounterScope):
+            bag.registry = self
+            bag.prefix = prefix
+        return bag
 
-    def _full(self, name: str) -> str:
-        return f"{self._prefix}{name}"
+    def mounts(self) -> Dict[str, object]:
+        """Mount prefix -> bag, sorted by prefix."""
+        return dict(sorted(self._mounts.items()))
+
+    def counters(self, *prefixes: str) -> Dict[str, int]:
+        """Counter series name -> value, sorted: the bags mounted at exactly
+        ``prefixes``, or every mounted bag when none are named."""
+        flat = {
+            f"{prefix}.{name}": value
+            for prefix in prefixes or self._mounts
+            for name, value in self._mounts[prefix].snapshot().items()
+        }
+        return dict(sorted(flat.items()))
+
+    # -- gauges and histograms --------------------------------------------------
 
     def _get(self, name: str, kind: type, **kwargs) -> _Metric:
-        full = self._full(name)
-        metric = self._metrics.get(full)
+        metric = self._metrics.get(name)
         if metric is None:
-            metric = kind(full, **kwargs)
-            self._metrics[full] = metric
+            metric = kind(name, **kwargs)
+            self._metrics[name] = metric
         elif not isinstance(metric, kind):
             raise NectarError(
-                f"metric {full} already registered as {metric.kind}, "
+                f"metric {name} already registered as {metric.kind}, "
                 f"not {kind.__name__.lower()}"
             )
         return metric
-
-    # -- creation / lookup -----------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        """The named counter, created on first use."""
-        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """The named gauge, created on first use."""
@@ -180,22 +224,29 @@ class MetricsRegistry:
         """The named histogram, created on first use with fixed buckets."""
         return self._get(name, Histogram, buckets=buckets)
 
-    def series_count(self) -> int:
-        """Number of distinct registered series."""
-        return len(self._metrics)
-
-    def names(self) -> List[str]:
-        """All registered series names, sorted."""
-        return sorted(self._metrics)
-
     # -- exposition -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:
         """All series as ``name -> {"type", "value"}``, sorted by name."""
-        return {
+        series = {
             name: {"type": metric.kind, "value": metric.snapshot()}
-            for name, metric in sorted(self._metrics.items())
+            for name, metric in self._metrics.items()
         }
+        for name, value in self.counters().items():
+            if name in series:
+                raise NectarError(
+                    f"metric {name} is both a counter and a {series[name]['type']}"
+                )
+            series[name] = {"type": "counter", "value": value}
+        return dict(sorted(series.items()))
+
+    def names(self) -> List[str]:
+        """All series names, sorted."""
+        return list(self.snapshot())
+
+    def series_count(self) -> int:
+        """Number of distinct series."""
+        return len(self.snapshot())
 
     def render_json(self) -> str:
         """Canonical (byte-stable) JSON exposition."""
@@ -208,21 +259,21 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4 (byte-stable)."""
         lines: List[str] = []
-        for name, metric in sorted(self._metrics.items()):
+        for name, series in self.snapshot().items():
             prom = _prometheus_name(name)
-            if isinstance(metric, Histogram):
-                lines.append(f"# TYPE {prom} histogram")
+            kind, value = series["type"], series["value"]
+            lines.append(f"# TYPE {prom} {kind}")
+            if kind == "histogram":
                 cumulative = 0
-                for bound, count in zip(metric.bounds, metric.counts):
+                for bound, count in zip(value["bounds"], value["counts"]):
                     cumulative += count
                     lines.append(f'{prom}_bucket{{le="{bound}"}} {cumulative}')
-                cumulative += metric.overflow
+                cumulative += value["overflow"]
                 lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative}')
-                lines.append(f"{prom}_sum {metric.total}")
-                lines.append(f"{prom}_count {metric.count}")
+                lines.append(f"{prom}_sum {value['sum']}")
+                lines.append(f"{prom}_count {value['count']}")
             else:
-                lines.append(f"# TYPE {prom} {metric.kind}")
-                lines.append(f"{prom} {metric.snapshot()}")
+                lines.append(f"{prom} {value}")
         lines.append("")
         return "\n".join(lines)
 

@@ -1,22 +1,26 @@
-"""One-stop telemetry session: recorder + metrics + cycle profiler.
+"""One-stop telemetry session: recorder + cycle profiler over the store.
 
-A :class:`Telemetry` object bundles the three observability pieces and
-knows how to wire them into a :class:`~repro.system.NectarSystem`
-(``system.enable_telemetry()`` is the usual entry point) and how to
-harvest everything into the metrics plane once the run is over.
+A :class:`Telemetry` object bundles the trace recorder and the cycle
+profiler, wires them into a :class:`~repro.system.NectarSystem`
+(``system.enable_telemetry()`` is the usual entry point), and reports
+through the system's own metrics store: ``telemetry.metrics is
+system.metrics``.  Counters are already there — every component's
+``.stats`` is mounted in the store — so :meth:`Telemetry.collect` adds only
+what is not a counter: the gauges, the span-duration histograms and the
+profiler's cycles.
 
-Harvesting happens *after* the simulation has gone idle — sampling during
+Collecting happens *after* the simulation has gone idle — sampling during
 the run would require simulation events of its own and perturb event
-order.  Everything harvested is a simulated quantity, so two runs with the
+order.  Everything collected is a simulated quantity, so two runs with the
 same seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.sim.trace import TraceRecorder
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import CounterScope, MetricsRegistry
 from repro.telemetry.perfetto import export_chrome_trace, match_spans
 from repro.telemetry.profiler import CycleProfiler
 
@@ -27,88 +31,59 @@ __all__ = ["Telemetry"]
 
 
 class Telemetry:
-    """Recorder, metrics registry, and profiler for one system."""
+    """Recorder and profiler for one system, reporting into its metrics store."""
 
-    def __init__(self):
+    def __init__(self, system: "NectarSystem"):
+        """Attach to ``system``: trace sink plus per-node profilers."""
         self.recorder = TraceRecorder()
-        self.metrics = MetricsRegistry()
         self.profiler = CycleProfiler()
-        self.system: Optional["NectarSystem"] = None
-        self._collected = False
-
-    # -- wiring ------------------------------------------------------------
-
-    def install(self, system: "NectarSystem") -> None:
-        """Attach to a system: trace sink plus per-node profilers."""
         self.system = system
+        self.metrics: MetricsRegistry = system.metrics
+        self._cycles = self.metrics.mount("cycles", CounterScope())
+        self._collected = False
         system.tracer.sink = self.recorder
         for node in system.nodes.values():
             self.attach_node(node)
+
+    # -- wiring ------------------------------------------------------------
 
     def attach_node(self, node: "NectarNode") -> None:
         """Wire the cycle profiler into one node (also used for late nodes)."""
         node.cab.cpu.profiler = self.profiler
         node.cab.profiler = self.profiler
 
-    # -- harvest -----------------------------------------------------------
+    # -- collect -----------------------------------------------------------
 
     def collect(self) -> MetricsRegistry:
-        """Harvest counters, gauges, span histograms, and profiler cycles.
+        """Add gauges, span histograms and profiler cycles to the store.
 
-        Call once, after the run.  Safe to call again (the registry is
-        rebuilt idempotently from current state), but values observed into
-        histograms are only added on the first call.
+        Call after the run.  Safe to call again (gauges and cycles are
+        re-read from current state), but span durations are observed into
+        their histograms only on the first call.
         """
-        if self.system is None:
-            raise RuntimeError("Telemetry.collect() before install()")
         system = self.system
+        metrics = self.metrics
 
-        for name, node in sorted(system.nodes.items()):
-            scope = self.metrics.scope(name)
-            for stat, value in node.runtime.stats.snapshot().items():
-                scope.counter(stat).value = value
-            hw_scope = self.metrics.scope(f"{name}.hw")
-            for stat, value in node.cab.stats.snapshot().items():
-                hw_scope.counter(stat).value = value
-            scope.gauge("cpu.busy_ns").set(node.cab.cpu.busy_ns)
-            scope.gauge("heap.bytes_in_use").set(node.runtime.heap.allocated_bytes)
-            scope.gauge("heap.free_bytes").set(node.runtime.heap.free_bytes)
-
-        net_scope = self.metrics.scope("net")
-        for stat, value in system.network.stats.snapshot().items():
-            net_scope.counter(stat).value = value
-
-        copy_meter = getattr(system, "copy_meter", None)
-        if copy_meter is not None:
-            # Host-level copy plane (repro.buf): Python-side byte copies,
-            # not simulated nanoseconds.  Deterministic for a given seed —
-            # all copies derive from simulated traffic — so double runs
-            # stay byte-identical (docs/buffers.md).
-            host_scope = self.metrics.scope("host")
-            for stat, value in copy_meter.snapshot().items():
-                host_scope.counter(stat).value = value
-
-        if system.faults is not None:
-            fault_scope = self.metrics.scope("fault")
-            for stat, value in system.faults.stats.snapshot().items():
-                fault_scope.counter(stat).value = value
-
-        self.metrics.gauge("sim.elapsed_ns").set(system.sim.now)
-        self.metrics.gauge("trace.events").set(len(self.recorder.events))
+        for name, node in system.nodes.items():
+            metrics.gauge(f"{name}.cpu.busy_ns").set(node.cab.cpu.busy_ns)
+            metrics.gauge(f"{name}.heap.bytes_in_use").set(
+                node.runtime.heap.allocated_bytes
+            )
+            metrics.gauge(f"{name}.heap.free_bytes").set(node.runtime.heap.free_bytes)
+        metrics.gauge("sim.elapsed_ns").set(system.sim.now)
+        metrics.gauge("trace.events").set(len(self.recorder.events))
 
         if not self._collected:
-            span_scope = self.metrics.scope("span")
             for component, label, duration in match_spans(self.recorder.events):
-                span_scope.histogram(f"{component}.{label}.duration_ns").observe(
+                metrics.histogram(f"span.{component}.{label}.duration_ns").observe(
                     duration
                 )
             self._collected = True
 
-        cycles_scope = self.metrics.scope("cycles")
         for stack, duration in self.profiler.snapshot().items():
-            cycles_scope.counter(stack.replace(";", ".")).value = duration
+            self._cycles.counts[stack.replace(";", ".")] = duration
 
-        return self.metrics
+        return metrics
 
     # -- exposition --------------------------------------------------------
 
@@ -117,16 +92,12 @@ class Telemetry:
         return export_chrome_trace(self.recorder.events)
 
     def render_metrics_json(self) -> str:
-        """Byte-stable JSON metrics exposition (collects first if needed)."""
-        if self.system is not None:
-            self.collect()
-        return self.metrics.render_json()
+        """Byte-stable JSON metrics exposition (collects first)."""
+        return self.collect().render_json()
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition (collects first if needed)."""
-        if self.system is not None:
-            self.collect()
-        return self.metrics.render_prometheus()
+        """Prometheus text exposition (collects first)."""
+        return self.collect().render_prometheus()
 
     def folded_profile(self) -> str:
         """Folded-stack cycle profile for flamegraph tooling."""

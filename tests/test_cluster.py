@@ -21,6 +21,7 @@ from repro.cluster.merge import merge_metrics, merge_traces, merged_metrics_json
 from repro.cluster.partition import Partitioner
 from repro.cluster.workload import WorkloadSpec
 from repro.errors import ConfigurationError
+from repro.telemetry.metrics import DEFAULT_NS_BUCKETS, Histogram
 
 
 class TestFleetSpec:
@@ -158,18 +159,38 @@ class TestMerge:
         assert merged["sim.elapsed_ns"]["value"] == 100
         assert merged["cab-x.rmp_data_in"]["value"] == 2
 
+    @staticmethod
+    def _span_snapshot(samples, **kwargs):
+        hist = Histogram("span.x", **kwargs)
+        for sample in samples:
+            hist.observe(sample)
+        return {"span.x": {"type": "histogram", "value": hist.snapshot()}}
+
     def test_histograms_add_elementwise(self):
-        histogram = lambda counts, count: {
-            "type": "histogram",
-            "value": {"counts": counts, "count": count},
-        }
+        # Two shards observing one default-bucket series: the counts add,
+        # the bucket edges are the edges — not twice the edges.
         merged = merge_metrics(
             [
-                {"span.x": histogram([1, 0, 2], 3)},
-                {"span.x": histogram([0, 4, 1], 5)},
+                self._span_snapshot([500, 5_000_000, 10**9]),
+                self._span_snapshot([50_000, 50_000, 10**9, 10**9]),
             ]
         )
-        assert merged["span.x"]["value"] == {"counts": [1, 4, 3], "count": 8}
+        assert merged["span.x"]["value"] == {
+            "bounds": list(DEFAULT_NS_BUCKETS),
+            "counts": [1, 0, 2, 0, 1],
+            "overflow": 3,
+            "sum": 500 + 5_000_000 + 2 * 50_000 + 3 * 10**9,
+            "count": 7,
+        }
+
+    def test_histogram_bounds_mismatch_is_an_error(self):
+        with pytest.raises(ValueError, match="span.x: histogram bounds mismatch"):
+            merge_metrics(
+                [
+                    self._span_snapshot([5]),
+                    self._span_snapshot([5], buckets=(10, 100)),
+                ]
+            )
 
     def test_kind_mismatch_is_an_error(self):
         with pytest.raises(ValueError, match="kind mismatch"):

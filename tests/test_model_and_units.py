@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.costs import CostModel, DEFAULT_COSTS
-from repro.model.stats import Counter, LatencyRecorder, StatsRegistry, ThroughputMeter
+from repro.model.stats import LatencyRecorder
 from repro.sim.trace import TraceRecorder, Tracer
+from repro.telemetry.metrics import CounterScope
 from repro.units import (
     KB,
     MB,
@@ -70,26 +71,25 @@ class TestCostModel:
 
 class TestStats:
     def test_counter(self):
-        counter = Counter("c")
-        counter.add()
-        counter.add(5)
-        assert counter.value == 6
+        stats = CounterScope()
+        stats.add("c")
+        stats.add("c", 5)
+        assert stats.value("c") == 6
         with pytest.raises(ValueError):
-            counter.add(-1)
-        counter.reset()
-        assert counter.value == 0
+            stats.add("c", -1)
+        assert stats.value("c") == 6
+        stats.add("zero", 0)  # a touched counter exists, at zero
+        assert stats.snapshot() == {"c": 6, "zero": 0}
 
     def test_registry(self):
-        registry = StatsRegistry()
-        registry.add("a")
-        registry.add("a", 2)
-        registry.add("b")
-        assert registry.value("a") == 3
-        assert registry.value("missing") == 0
-        assert registry.snapshot() == {"a": 3, "b": 1}
-        registry.reset(["a"])
-        assert registry.value("a") == 0
-        assert registry.value("b") == 1
+        stats = CounterScope()
+        stats.add("b")
+        stats.add("a")
+        stats.add("a", 2)
+        assert stats.value("a") == 3
+        assert stats.value("missing") == 0
+        assert "missing" not in stats.snapshot()  # reading creates nothing
+        assert list(stats.snapshot().items()) == [("a", 3), ("b", 1)]  # sorted
 
     def test_latency_recorder(self):
         recorder = LatencyRecorder()
@@ -120,28 +120,6 @@ class TestStats:
         assert recorder.percentile_ns(0) == min(samples)
         assert recorder.percentile_ns(100) == max(samples)
         assert min(samples) <= recorder.percentile_ns(50) <= max(samples)
-
-    def test_throughput_meter(self):
-        meter = ThroughputMeter()
-        meter.start(0)
-        meter.account(500, 20_000)
-        meter.account(500, 80_000)
-        assert meter.bytes_moved == 1000
-        assert meter.elapsed_ns == 80_000
-        assert meter.mbps == 100.0
-
-    def test_throughput_meter_zero_interval_reports_zero(self):
-        # Regression: a single account() call (or all bytes at one instant)
-        # used to divide by a zero interval; it must report 0.0 Mbit/s.
-        meter = ThroughputMeter()
-        meter.account(4096, 1_000)
-        assert meter.elapsed_ns == 0
-        assert meter.mbps == 0.0
-
-        started = ThroughputMeter()
-        started.start(7_000)
-        started.account(64, 7_000)
-        assert started.mbps == 0.0
 
 
 class TestTracer:

@@ -113,19 +113,8 @@ class TestDeterminismUnderObservation:
             system.add_node("cab-a", hub, 0)
             system.add_node("cab-b", hub, 1)
             lines = _workload_table1(system, rounds=2)
-            counters = {}
-            for name, node in sorted(system.nodes.items()):
-                counters.update(
-                    {f"{name}.{k}": v for k, v in node.runtime.stats.snapshot().items()}
-                )
-                counters.update(
-                    {f"{name}.hw.{k}": v for k, v in node.cab.stats.snapshot().items()}
-                )
-            counters.update(
-                {f"net.{k}": v for k, v in system.network.stats.snapshot().items()}
-            )
             busy = {n: node.cab.cpu.busy_ns for n, node in system.nodes.items()}
-            return system.now, counters, busy, lines
+            return system.now, system.metrics.counters(), busy, lines
 
         observed = run(True)
         bare = run(False)

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.errors import NectarError
+from repro.errors import ConfigurationError, NectarError
 from repro.sim.trace import TraceEvent, TraceRecorder, Tracer
 from repro.telemetry import (
-    Counter,
+    CounterScope,
     CycleProfiler,
     Histogram,
     MetricsRegistry,
@@ -163,17 +163,53 @@ class TestChromeTraceExport:
 class TestMetrics:
     def test_counter_and_gauge(self):
         registry = MetricsRegistry()
-        registry.counter("frames").inc()
-        registry.counter("frames").inc(3)
+        stats = registry.mount("rx", CounterScope())
+        stats.add("frames")
+        stats.add("frames", 3)
         registry.gauge("level").set(7)
         registry.gauge("level").add(-2)
         snap = registry.snapshot()
-        assert snap["frames"] == {"type": "counter", "value": 4}
+        assert snap["rx.frames"] == {"type": "counter", "value": 4}
         assert snap["level"] == {"type": "gauge", "value": 5}
 
     def test_counter_rejects_negative(self):
-        with pytest.raises(NectarError):
-            Counter("x").inc(-1)
+        with pytest.raises(ValueError):
+            CounterScope().add("x", -1)
+
+    def test_detached_scope_counts_but_is_exported_nowhere(self):
+        registry = MetricsRegistry()
+        alone = CounterScope()
+        alone.add("frames")
+        child = alone.mount("mbox.inbox", CounterScope())
+        assert alone.value("frames") == 1
+        assert alone.registry is None and child.registry is None
+        assert registry.counters() == {}
+
+    def test_mounted_scope_places_children_beside_itself(self):
+        registry = MetricsRegistry()
+        runtime = registry.mount("cab-a", CounterScope())
+        inbox = runtime.mount("mbox.inbox", CounterScope())
+        inbox.add("messages_queued", 2)
+        assert (inbox.registry, inbox.prefix) == (registry, "cab-a.mbox.inbox")
+        assert registry.counters() == {"cab-a.mbox.inbox.messages_queued": 2}
+        assert runtime.snapshot() == {}  # a scope snapshots its own counters only
+
+    def test_counters_selects_exact_mount_points(self):
+        registry = MetricsRegistry()
+        for prefix in ("cab-a", "cab-a.hw", "cab-a.cpu", "net"):
+            registry.mount(prefix, CounterScope()).add("n")
+        assert registry.counters("cab-a", "net") == {"cab-a.n": 1, "net.n": 1}
+        with pytest.raises(KeyError):
+            registry.counters("cab-z")
+        assert list(registry.counters()) == ["cab-a.cpu.n", "cab-a.hw.n", "cab-a.n", "net.n"]
+
+    def test_mounting_two_bags_at_one_prefix_is_an_error(self):
+        registry = MetricsRegistry()
+        registry.mount("net", CounterScope())
+        with pytest.raises(ConfigurationError, match="'net'"):
+            registry.mount("net", CounterScope())
+        with pytest.raises(ConfigurationError):
+            registry.mount("", CounterScope())
 
     def test_histogram_buckets_and_overflow(self):
         hist = Histogram("lat", buckets=(10, 100))
@@ -185,32 +221,43 @@ class TestMetrics:
         assert snap["count"] == 4
         assert snap["sum"] == 1026
 
+    def test_histogram_rejects_bad_buckets(self):
+        for bad in ((), (100, 10), (1000, 1000)):
+            with pytest.raises(NectarError, match="strictly ascending"):
+                Histogram("lat", buckets=bad)
+        # Equal bounds would render two le="1000" lines in the exposition.
+        assert Histogram("lat", buckets=[10, 1000]).bounds == (10, 1000)
+
     def test_scopes_share_one_registry(self):
         registry = MetricsRegistry()
-        cab = registry.scope("cab-a")
-        cab.counter("frames").inc(2)
-        cab.scope("hw").counter("crc_errors").inc()
+        cab = registry.mount("cab-a", CounterScope())
+        cab.add("frames", 2)
+        cab.mount("hw", CounterScope()).add("crc_errors")
         assert registry.names() == ["cab-a.frames", "cab-a.hw.crc_errors"]
         assert registry.series_count() == 2
 
     def test_kind_collision_is_an_error(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.gauge("x")
         with pytest.raises(NectarError):
-            registry.gauge("x")
+            registry.histogram("x")
+        registry.mount("cab-a", CounterScope()).add("level")
+        registry.gauge("cab-a.level")
+        with pytest.raises(NectarError, match="cab-a.level"):
+            registry.snapshot()
 
     def test_render_json_is_byte_stable_and_sorted(self):
         registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
+        registry.mount("b", CounterScope()).add("n")
+        registry.mount("a", CounterScope()).add("n", 2)
         first = registry.render_json()
         assert first == registry.render_json()
         decoded = json.loads(first)
-        assert list(decoded["series"]) == ["a", "b"]
+        assert list(decoded["series"]) == ["a.n", "b.n"]
 
     def test_render_prometheus_format(self):
         registry = MetricsRegistry()
-        registry.scope("cab-a").counter("frames").inc(4)
+        registry.mount("cab-a", CounterScope()).add("frames", 4)
         hist = registry.histogram("rtt_ns", buckets=(100, 1000))
         hist.observe(50)
         hist.observe(5000)
@@ -254,7 +301,7 @@ class TestMetrics:
 
     def test_render_prometheus_is_byte_stable(self):
         registry = MetricsRegistry()
-        registry.counter("frames").inc(3)
+        registry.mount("rx", CounterScope()).add("frames", 3)
         registry.histogram("rtt", buckets=(10,)).observe(4)
         assert registry.render_prometheus() == registry.render_prometheus()
 
