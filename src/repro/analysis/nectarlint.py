@@ -510,12 +510,13 @@ class _Checker(ast.NodeVisitor):
                 self.sensitive
                 and isinstance(value, ast.Constant)
                 and value.value is not None
+                and type(value.value) is not int  # an int is a process sleep
             ):
                 self._emit(
                     node,
                     "NS103",
-                    f"yield of constant {value.value!r} to the kernel; "
-                    f"threads yield ops and processes yield events",
+                    f"yield of constant {value.value!r} to the kernel; threads "
+                    f"yield ops and processes yield events or an int delay",
                 )
         self.generic_visit(node)
 

@@ -139,9 +139,10 @@ NB201 = _register(
 NS103 = _register(
     "NS103",
     "yield-non-event",
-    "yield of a plain constant to the simulation kernel",
-    "processes yield Events and threads yield ops (Compute/Block/...); a "
-    "constant yield is a SimulationError at run time — caught here instead",
+    "yield of a non-int constant to the simulation kernel",
+    "processes yield Events or an int delay in ns and threads yield ops "
+    "(Compute/Block/...); a float, string or bool constant is a "
+    "SimulationError at run time — caught here instead",
 )
 
 # ----------------------------------------------- whole-program (nectarflow)

@@ -111,7 +111,7 @@ class CAB:
                 )
             for chunk in frame.chunks():
                 yield fifo.wait_space(chunk.length)
-                yield self.sim.timeout(chunk.length * dma_ns)
+                yield chunk.length * dma_ns
                 fifo.push(chunk)
             if self.tracer is not None:
                 self.tracer.end("dma", "tx-frame", track=f"{self.name}.dma-tx")
@@ -216,7 +216,7 @@ class CAB:
                     f"{self.name}: rx DMA frame interleave (expected "
                     f"#{frame.seqno}, got #{chunk.frame.seqno})"
                 )
-            yield self.sim.timeout(chunk.length * dma_ns)
+            yield chunk.length * dma_ns
             region.write(addr + chunk.offset, frame.chunk_bytes(chunk))
             consumed += chunk.length
             if not header_posted and consumed >= header_bytes:

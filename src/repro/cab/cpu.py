@@ -15,7 +15,8 @@ executing two kinds of activity, exactly as the paper's runtime does
 Thread bodies *yield operation objects*:
 
 * ``Compute(ns)`` — consume CPU time; preemptible by interrupts (the engine
-  slices the computation when an interrupt arrives mid-burst).
+  sleeps the whole burst in one event and an interrupt arriving mid-burst
+  cuts the sleep short).
 * ``Block(token)`` — block until :meth:`CPU.wake` is called with the token;
   resumes with the value passed to ``wake``.
 * ``YieldCPU()`` — relinquish the processor (round-robin within priority).
@@ -33,7 +34,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.errors import CABError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, Interrupt, Simulator
 from repro.sim.primitives import Signal
 from repro.telemetry.metrics import CounterScope
 
@@ -159,6 +160,19 @@ class TCB:
         return f"<TCB {self.name} prio={self.priority} state={self.state}>"
 
 
+class _EventWait(WaitToken):
+    """A wait token that is its own event callback: firing wakes its thread."""
+
+    __slots__ = ("cpu",)
+
+    def __init__(self, cpu: "CPU", name: str):
+        super().__init__(name)
+        self.cpu = cpu
+
+    def __call__(self, event: Event) -> None:
+        self.cpu.wake(self, event.value)
+
+
 def wait_sim_event(cpu: "CPU", event: Event) -> Generator:
     """Thread-context helper: block the current thread on a raw sim event.
 
@@ -167,10 +181,14 @@ def wait_sim_event(cpu: "CPU", event: Event) -> Generator:
     """
     if event.fired:
         return event.value
-    token = WaitToken(name=f"sim-event:{event.name}")
-    event.callbacks.append(lambda ev: cpu.wake(token, ev.value))
+    token = _EventWait(cpu, event.name)
+    event.callbacks.append(token)
     value = yield Block(token)
     return value
+
+
+#: ``CPU._irq_arrival`` while an unmasked burst is in flight and uncut.
+_ARMED = object()
 
 
 class CPU:
@@ -213,7 +231,10 @@ class CPU:
         self._irq_arrival_name = f"{name}.irq_arrival"
         self._timer_name = f"{name}.timer"
         self._sched_track = f"{name}/sched"
-        self._irq_arrival: Optional[Event] = None
+        #: None outside an unmasked compute burst, ``_ARMED`` during one, and
+        #: the zero-delay arrival event once an interrupt has been posted
+        #: into it — bound to that burst, so a late arrival cuts nothing.
+        self._irq_arrival: Any = None
         self._last_ran: Optional[TCB] = None
         self.busy_ns = 0
         self._engine = sim.process(self._engine_loop(), name=f"{name}.engine")
@@ -258,14 +279,14 @@ class CPU:
         Modelled as a real (tiny) interrupt so that a sleeping high-priority
         thread preempts a computing low-priority one when its timer fires.
         """
-        timer = self.sim.event(self._timer_name)
+        timer = Event(self.sim, self._timer_name)
+        timer.callbacks.append(self._timer_expired)
+        timer.succeed((token, value), delay=delay_ns)
 
-        def deliver(_ev: Event) -> None:
-            if not token.cancelled and not token.fired:
-                self.post_interrupt(self._timer_handler(token, value), name="timer")
-
-        timer.callbacks.append(deliver)
-        timer.succeed(delay=delay_ns)
+    def _timer_expired(self, timer: Event) -> None:
+        token, value = timer.value
+        if not token.cancelled and not token.fired:
+            self.post_interrupt(self._timer_handler(token, value), name="timer")
 
     def _timer_handler(self, token: WaitToken, value: Any) -> Generator:
         yield Compute(500)  # timer handler body
@@ -280,10 +301,18 @@ class CPU:
         """
         self._pending_irqs.append((name, handler))
         self.stats.add("interrupts_posted")
-        # Kick the engine if it is idle or mid-compute.
-        if self._irq_arrival is not None and not self._irq_arrival.triggered:
-            self._irq_arrival.succeed()
+        # Kick the engine if it is mid-compute (the first interrupt posted
+        # into a burst cuts it) or idle.
+        if self._irq_arrival is _ARMED:
+            self._irq_arrival = arrival = Event(self.sim, self._irq_arrival_name)
+            arrival.callbacks.append(self._cut_burst)
+            arrival.succeed()
         self._work.fire()
+
+    def _cut_burst(self, arrival: Event) -> None:
+        """``arrival`` fired: end the burst it was posted into, if still on."""
+        if self._irq_arrival is arrival:
+            self._engine.interrupt()
 
     def interrupts_pending(self) -> int:
         """Number of queued, unserviced interrupts."""
@@ -353,7 +382,7 @@ class CPU:
         # Entry, handler body and exit are non-preemptible busy time.
         if self.interrupt_entry_ns > 0:
             self.busy_ns += self.interrupt_entry_ns
-            yield self.sim.timeout(self.interrupt_entry_ns)
+            yield self.interrupt_entry_ns
         if self.profiler is not None:
             self.profiler.account(
                 self.name, "irq-overhead", "entry", self.interrupt_entry_ns
@@ -368,7 +397,7 @@ class CPU:
             self._active_handler = None
         if self.interrupt_exit_ns > 0:
             self.busy_ns += self.interrupt_exit_ns
-            yield self.sim.timeout(self.interrupt_exit_ns)
+            yield self.interrupt_exit_ns
         if self.profiler is not None:
             self.profiler.account(
                 self.name, "irq-overhead", "exit", self.interrupt_exit_ns
@@ -388,7 +417,7 @@ class CPU:
             if isinstance(op, Compute):
                 if op.ns > 0:
                     self.busy_ns += op.ns
-                    yield self.sim.timeout(op.ns)
+                    yield op.ns
                 if self.profiler is not None:
                     self.profiler.account(self.name, "irq", name, op.ns)
             else:
@@ -411,7 +440,7 @@ class CPU:
                 )
             if switch_ns > 0:
                 self.busy_ns += switch_ns
-                yield self.sim.timeout(switch_ns)
+                yield switch_ns
             if self.tracer is not None:
                 self.tracer.end("kernel", "context-switch", track=self._sched_track)
             if self.profiler is not None:
@@ -510,7 +539,13 @@ class CPU:
 
         Returns True if the burst completed, False if the thread was
         preempted (in which case it has been re-queued with the remainder).
+
+        An unmasked burst is one sleep, cut short by :meth:`post_interrupt`.
+        Either way the engine goes on behind everything already queued for
+        the nanosecond it woke in: one zero-delay hop when the heap head
+        shares ``now``, none when nothing does.
         """
+        sim = self.sim
         while tcb.pending_compute_ns > 0:
             if self._pending_irqs and self._mask_depth == 0:
                 yield from self._service_one_irq()
@@ -518,28 +553,29 @@ class CPU:
                     self._make_ready(tcb)
                     return False
                 continue
-            start = self.sim.now
             remaining = tcb.pending_compute_ns
             if self._mask_depth > 0:
                 # Masked: interrupts cannot slice the burst.
                 self.busy_ns += remaining
-                yield self.sim.timeout(remaining)
+                yield remaining
                 if self.profiler is not None:
                     self.profiler.account(self.name, "thread", tcb.name, remaining)
                 tcb.pending_compute_ns = 0
                 break
-            self._irq_arrival = self.sim.event(self._irq_arrival_name)
-            winner_index, _event = yield self.sim.any_of(
-                [self.sim.timeout(remaining), self._irq_arrival]
-            )
+            start = sim.now
+            self._irq_arrival = _ARMED
+            try:
+                yield remaining
+            except Interrupt:
+                pass
             self._irq_arrival = None
-            elapsed = self.sim.now - start
+            if sim.peek_next_time() == sim.now:
+                yield 0
+            elapsed = sim.now - start
             self.busy_ns += elapsed
             if self.profiler is not None:
                 self.profiler.account(self.name, "thread", tcb.name, elapsed)
-            tcb.pending_compute_ns = max(0, remaining - elapsed)
-            if winner_index == 0:
-                tcb.pending_compute_ns = 0
+            tcb.pending_compute_ns = remaining - elapsed
         return True
 
     def _finish_thread(self, tcb: TCB, result: Any) -> None:

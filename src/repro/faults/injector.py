@@ -262,7 +262,7 @@ class Injector:
         spec = state.spec
         start, end = spec.window_ns if spec.window_ns is not None else (0, None)
         if start > system.sim.now:
-            yield system.sim.timeout(start - system.sim.now)
+            yield start - system.sim.now
         fifos = [
             fifo
             for node in system.nodes.values()
@@ -275,7 +275,7 @@ class Injector:
             self._fire(state, fifo.name)
         if end is None:
             return
-        yield system.sim.timeout(end - system.sim.now)
+        yield end - system.sim.now
         for fifo in fifos:
             fifo.squeeze_reserve -= spec.squeeze_bytes
             fifo.recheck_space()

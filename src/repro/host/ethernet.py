@@ -100,9 +100,8 @@ class EthernetNIC:
             dst, packet = yield self._tx.get()
             yield self.segment.wire.acquire()
             try:
-                yield self.sim.timeout(
-                    int(round((len(packet) + _ETH_OVERHEAD_BYTES) * wire_ns_per_byte))
-                )
+                wire_bytes = len(packet) + _ETH_OVERHEAD_BYTES
+                yield int(round(wire_bytes * wire_ns_per_byte))
             finally:
                 self.segment.wire.release()
             self.segment.nics[dst]._deliver(packet)

@@ -230,9 +230,7 @@ class _HubForwarder:
                         f"{self.hub.name}: route {remaining} reaches a CAB "
                         f"with hops left"
                     )
-                yield network.sim.timeout(
-                    costs.hub_hop_ns + costs.fiber_propagation_ns
-                )
+                yield costs.hub_hop_ns + costs.fiber_propagation_ns
                 yield from self._stream_to_cab(attachment.target, frame)
                 network.stats.add("frames_delivered")
                 network.stats.add("bytes_delivered", frame.size)
@@ -242,8 +240,8 @@ class _HubForwarder:
                         f"{self.hub.name}: route ends on the inter-hub link "
                         f"at port {port}"
                     )
-                yield network.sim.timeout(costs.hub_hop_ns)
-                yield network.sim.timeout(costs.fiber_tx_ns(frame.size))
+                yield costs.hub_hop_ns
+                yield costs.fiber_tx_ns(frame.size)
                 network.stats.add("frames_forwarded")
                 if is_branch:
                     network.stats.add("mcast_crossings")
@@ -259,9 +257,7 @@ class _HubForwarder:
         fiber_ns_per_byte = self.network.costs.fiber_ns_per_byte
         for chunk in frame.chunks():
             yield dest_fifo.wait_space(chunk.length)
-            yield self.network.sim.timeout(
-                int(round(chunk.length * fiber_ns_per_byte))
-            )
+            yield int(round(chunk.length * fiber_ns_per_byte))
             dest_fifo.push(chunk)
 
 
@@ -488,7 +484,7 @@ class NectarNetwork:
                 stall_ns = self.fault_hooks.link_delay_ns(node.name)
                 if stall_ns:
                     self.stats.add("frames_stalled")
-                    yield self.sim.timeout(stall_ns)
+                    yield stall_ns
 
             tracer = self.tracer
             track = f"link:{node.name}" if tracer is not None and tracer.sink is not None else None
@@ -513,7 +509,7 @@ class NectarNetwork:
             if circuit is not None:
                 plan: PathPlan = circuit.plan  # type: ignore[attr-defined]
                 # Circuit already holds the crossbar ports: no setup latency.
-                yield self.sim.timeout(plan.propagation_ns)
+                yield plan.propagation_ns
                 yield from self._stream_frame(node, fifo, chunk, plan)
                 self.stats.add("frames_delivered")
                 self.stats.add("bytes_delivered", frame.size)
@@ -525,7 +521,7 @@ class NectarNetwork:
                 plan = self.plan_path(node, frame.route)
                 for hub, port in plan.hops:
                     yield hub.acquire_output(port)
-                yield self.sim.timeout(plan.setup_ns + plan.propagation_ns)
+                yield plan.setup_ns + plan.propagation_ns
                 try:
                     yield from self._stream_frame(node, fifo, chunk, plan)
                 finally:
@@ -581,9 +577,7 @@ class NectarNetwork:
         try:
             yield hub.acquire_output(out_port)
             try:
-                yield self.sim.timeout(
-                    self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
-                )
+                yield self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
                 yield from self._consume_frame(fifo, first_chunk)
             finally:
                 hub.release_output(out_port)
@@ -620,9 +614,7 @@ class NectarNetwork:
                 + self._tx_floor_ns(frame.size)
             )
         try:
-            yield self.sim.timeout(
-                self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
-            )
+            yield self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
             yield from self._consume_frame(fifo, first_chunk)
             self.stats.add("mcast_frames")
             self._forwarder_for(hub.name).accept_tree(frame.route, frame)
@@ -709,10 +701,7 @@ class NectarNetwork:
     ) -> None:
         forwarder = self._forwarder_for(dst_hub_name)
         self.sim.call_at(
-            fire_ns,
-            lambda: forwarder.accept(remaining, frame),
-            key=key,
-            name=f"arrive:{dst_hub_name}",
+            fire_ns, lambda: forwarder.accept(remaining, frame), key=key
         )
 
     def _forwarder_for(self, hub_name: str) -> _HubForwarder:
@@ -759,7 +748,7 @@ class NectarNetwork:
         chunk = first_chunk
         while True:
             yield dest_fifo.wait_space(chunk.length)
-            yield self.sim.timeout(int(round(chunk.length * fiber_ns_per_byte)))
+            yield int(round(chunk.length * fiber_ns_per_byte))
             dest_fifo.push(chunk)
             if chunk.is_last:
                 return
@@ -771,7 +760,7 @@ class NectarNetwork:
         fiber_ns_per_byte = self.costs.fiber_ns_per_byte
         chunk = first_chunk
         while True:
-            yield self.sim.timeout(int(round(chunk.length * fiber_ns_per_byte)))
+            yield int(round(chunk.length * fiber_ns_per_byte))
             if chunk.is_last:
                 return
             yield fifo.wait_data()

@@ -50,7 +50,7 @@ class VMEBus:
         if self.tracer is not None:
             self.tracer.begin("vme", "pio", {"bytes": nbytes}, track=self.name)
         try:
-            yield self.sim.timeout(self.costs.vme_pio_ns(nbytes))
+            yield self.costs.vme_pio_ns(nbytes)
             self.stats.add("pio_bytes", nbytes)
             self.stats.add("pio_transfers")
         finally:
@@ -66,7 +66,7 @@ class VMEBus:
         if self.tracer is not None:
             self.tracer.begin("vme", "dma", {"bytes": nbytes}, track=self.name)
         try:
-            yield self.sim.timeout(self.costs.vme_dma_ns(nbytes))
+            yield self.costs.vme_dma_ns(nbytes)
             self.stats.add("dma_bytes", nbytes)
             self.stats.add("dma_transfers")
         finally:
@@ -77,7 +77,7 @@ class VMEBus:
     def transfer(self, nbytes: int) -> Generator:
         """PIO for small transfers, DMA above the threshold (plus setup)."""
         if nbytes >= self.costs.vme_dma_threshold_bytes:
-            yield self.sim.timeout(self.costs.vme_dma_setup_ns)
+            yield self.costs.vme_dma_setup_ns
             yield from self.dma(nbytes)
         else:
             yield from self.pio(nbytes)

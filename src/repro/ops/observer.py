@@ -167,7 +167,7 @@ class FlightRecorder:
             self._take_sample()
             if system.sim.now + self.cadence_ns > self.horizon_ns:
                 return
-            yield system.sim.timeout(self.cadence_ns)
+            yield self.cadence_ns
 
     def _take_sample(self) -> None:
         system = self._system

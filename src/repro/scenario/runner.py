@@ -219,7 +219,9 @@ def _run_engine(params: dict) -> dict:
     )
     wall_ns = wall_ns_since(start)
     events = result.system.sim.events_scheduled
-    sim_ns = max(1, result.system.now)
+    # The workload's own span, not system.now: run(until=...) leaves the
+    # clock at its horizon once the queue has drained.
+    sim_ns = max(1, result.system.sim.last_event_ns)
     return {
         "bench": "engine",
         "config": dict(sorted(params.items())),

@@ -7,7 +7,10 @@ The kernel is deliberately small and deterministic:
   exception) and a list of callbacks.
 * A :class:`Process` wraps a Python generator.  The generator *yields* events;
   when a yielded event fires, the generator is resumed with the event's value
-  (or the event's exception is thrown into it).  A process is itself an event
+  (or the event's exception is thrown into it).  Yielding a non-negative
+  ``int`` instead sleeps that many nanoseconds — the one way to wait for
+  time alone; :meth:`Simulator.timeout` is for a delay needed *as an event*
+  (an ``any_of`` member, a callback target).  A process is itself an event
   that fires when the generator terminates, so processes can be joined by
   yielding them.
 * :meth:`Process.interrupt` injects an :class:`Interrupt` exception at the
@@ -28,18 +31,23 @@ matter which process scheduled them first — the property the cluster
 layer's cross-shard frame exchange relies on.
 
 Heap entries
-    An ordinary (band 0) event is queued as ``(time, seq, event)``.  A keyed
-    (band 1) event is queued as ``(time, _KEYED, key, seq, event)`` where
-    ``_KEYED`` is a sentinel that compares greater than every sequence
-    number.  Tuple comparison of the two shapes therefore yields exactly the
-    ``(time, band, key, seq)`` order without band 0 paying for a band and an
-    empty key; sequence numbers are unique, so the event itself is never
-    compared.  The event is always ``entry[-1]``.
+    Three shapes share the queue.  An ordinary (band 0) event is
+    ``(time, seq, event)``.  A sleeping process is ``(time, seq, process,
+    None)``: no event object at all — it takes its sequence number where a
+    :class:`Timeout` would, so it fires in the same slot.  A keyed (band 1)
+    call is ``(time, _KEYED, key, seq, fn)`` where ``_KEYED`` is a sentinel
+    that compares greater than every sequence number.  Tuple comparison of
+    the shapes therefore yields exactly the ``(time, band, key, seq)`` order
+    without band 0 paying for a band and an empty key; sequence numbers are
+    unique, so nothing after them is ever compared.  ``entry[-1]`` tells the
+    shapes apart: ``None`` for a sleep, else ``entry[1] is _KEYED`` for a
+    call.
 
 Firing
     One loop (:meth:`Simulator._drain`) serves ``run``, ``run_until`` and
-    ``step``: pop, check time is monotonic, set ``now``, mark the event
-    fired and dispatch its callbacks in place.
+    ``step``: pop, check time is monotonic, set ``now``, then resume the
+    sleeper, call the keyed function, or mark the event fired and dispatch
+    its callbacks in place.
 
 Resumption
     A process waiting on an event appends *itself* to ``event.callbacks``
@@ -48,6 +56,9 @@ Resumption
     :meth:`Process.interrupt` defuses the pending wake-up by clearing
     ``_target`` (and unregistering), so the event's later firing cannot
     resume the process a second time, even if it re-yields the same event.
+    A sleeping process's ``_target`` is its own heap entry; an entry whose
+    process has since been interrupted or has died no longer matches and
+    pops as a no-op.
 """
 
 from __future__ import annotations
@@ -185,9 +196,10 @@ class Timeout(Event):
 class Process(Event):
     """A coroutine driven by the simulator.
 
-    The wrapped generator yields :class:`Event` objects.  The process itself
-    is an event that fires when the generator returns (its value is the
-    generator's return value) or raises (the process event fails).
+    The wrapped generator yields :class:`Event` objects, or a non-negative
+    ``int`` to sleep that many nanoseconds.  The process itself is an event
+    that fires when the generator returns (its value is the generator's
+    return value) or raises (the process event fails).
     """
 
     __slots__ = ("_gen", "_target")
@@ -199,7 +211,8 @@ class Process(Event):
         self._gen = gen
         # Kick off the generator at the current simulation time.
         start = Event(sim, "start")
-        self._target: Optional[Event] = start
+        #: The event waited on, or the heap entry of the current sleep.
+        self._target: Any = start
         start.callbacks.append(self)
         start.succeed()
 
@@ -220,8 +233,13 @@ class Process(Event):
         target, self._target = self._target, None
         # Unregister too, so a re-yield of the same event queues behind the
         # callbacks added since; mid-firing the list is already detached and
-        # the cleared _target alone defuses the wake-up.
-        if target is not None and self in target.callbacks:
+        # the cleared _target alone defuses the wake-up (as it does a sleep,
+        # whose heap entry stays queued and pops as a no-op).
+        if (
+            target is not None
+            and target.__class__ is not tuple
+            and self in target.callbacks
+        ):
             target.callbacks.remove(self)
         self._step(None, Interrupt(cause))
 
@@ -246,11 +264,20 @@ class Process(Event):
             self.fail(err)
             self.sim._failures.append(self)
             return
+        if target.__class__ is int and target >= 0:
+            # A sleep is its own heap entry, numbered where a Timeout would be.
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            self._target = entry = (sim.now + target, seq, self, None)
+            heappush(sim._queue, entry)
+            return
         if target.__class__ not in _EVENT_CLASSES and not isinstance(target, Event):
             self._gen.close()
-            self.fail(
-                SimulationError(f"process {self.name} yielded non-event {target!r}")
-            )
+            if target.__class__ is int:
+                problem = f"slept a negative delay {target}"
+            else:
+                problem = f"yielded non-event {target!r}"
+            self.fail(SimulationError(f"process {self.name} {problem}"))
             self.sim._failures.append(self)
             return
         if target._state == _FIRED:
@@ -316,6 +343,9 @@ class Simulator:
 
     def __init__(self):
         self.now: int = 0
+        #: Time of the last fired entry; ``now`` may lie beyond it once
+        #: ``run(until=...)`` has advanced the clock to its horizon.
+        self.last_event_ns: int = 0
         self._queue: list[tuple] = []
         self._seq = 0
         self._running = False
@@ -333,7 +363,8 @@ class Simulator:
         return Event(self, name)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` ns from now."""
+        """An event that fires ``delay`` ns from now: an ``any_of`` member,
+        a callback target.  A process that only waits yields the delay."""
         return Timeout(self, int(delay), value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -352,9 +383,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self.now + int(delay), seq, event))
 
-    def call_at(
-        self, at_ns: int, fn: Callable[[], None], key: tuple, name: str = "keyed"
-    ) -> Event:
+    def call_at(self, at_ns: int, fn: Callable[[], None], key: tuple) -> None:
         """Schedule ``fn`` at absolute time ``at_ns`` with a stable sort key.
 
         Keyed calls fire *after* every ordinary event of the same nanosecond
@@ -370,12 +399,8 @@ class Simulator:
             raise SimulationError(
                 f"call_at({at_ns}) is in the past (now={self.now})"
             )
-        event = Event(self, name=name)
-        event.callbacks.append(lambda _ev: fn())
-        event._state = _TRIGGERED
         self._seq = seq = self._seq + 1
-        heappush(self._queue, (at_ns, _KEYED, tuple(key), seq, event))
-        return event
+        heappush(self._queue, (at_ns, _KEYED, tuple(key), seq, fn))
 
     def peek_next_time(self) -> Optional[int]:
         """The timestamp of the earliest queued event (None when idle)."""
@@ -394,44 +419,58 @@ class Simulator:
         stop: Optional[Callable[[], bool]] = None,
         wanted: Optional[Event] = None,
     ) -> bool:
-        """The one firing loop.  Fires events in order until the queue
-        drains, the next event lies beyond ``until``, ``wanted`` has fired
+        """The one firing loop.  Fires heap entries in order until the queue
+        drains, the next entry lies beyond ``until``, ``wanted`` has fired
         or a process failure is unclaimed (checked only with ``wanted``), or
         ``stop()`` holds.  Returns True only when ``stop`` halted it.
         """
         queue = self._queue
         failures = self._failures
+        entry = None
+        stopped = False
         while queue:
             if until is not None and queue[0][0] > until:
                 break
             if wanted is not None and (wanted._state == _FIRED or failures):
                 break
             if stop is not None and stop():
-                return True
+                stopped = True
+                break
             entry = heappop(queue)
             when = entry[0]
             if when < self.now:  # pragma: no cover - guarded by _schedule
                 raise SimulationError("event queue corrupted: time went backwards")
             self.now = when
             event = entry[-1]
-            event._state = _FIRED
-            callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
-                for callback in callbacks:
-                    if callback.__class__ is not Process:
-                        callback(event)
-                    elif callback._target is event:
-                        callback._target = None
-                        callback._step(event.value, event._exc)
-        return False
+            if event is None:
+                # A sleep; stale when its process was interrupted or died.
+                process = entry[2]
+                if process._target is entry:
+                    process._target = None
+                    process._step(None, None)
+            elif entry[1] is _KEYED:
+                event()
+            else:
+                event._state = _FIRED
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    for callback in callbacks:
+                        if callback.__class__ is not Process:
+                            callback(event)
+                        elif callback._target is event:
+                            callback._target = None
+                            callback._step(event.value, event._exc)
+        if entry is not None:
+            self.last_event_ns = self.now
+        return stopped
 
     def step(self) -> bool:
-        """Fire the next event.  Returns False when the queue is empty."""
+        """Fire the next heap entry.  Returns False when the queue is empty."""
         if not self._queue:
             return False
-        head = self._queue[0][-1]
-        self._drain(stop=lambda: head._state == _FIRED)
+        first = iter((False,))
+        self._drain(stop=lambda: next(first, True))
         return True
 
     def run(

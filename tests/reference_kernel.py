@@ -1,7 +1,8 @@
 """Reference event kernel: the semantics of ``repro.sim.core`` frozen before
 its fast path was written.  Test-only and deliberately naive — every heap
 entry is the full ``(time, band, key, seq, event)`` 5-tuple, every wait
-allocates a wake token, every firing goes through ``step() -> _fire()`` —
+allocates a wake token, every firing goes through ``step() -> _fire()``, a
+bare-``int`` sleep is a ``Timeout`` and a keyed call an event with a lambda —
 so ``test_kernel_oracle`` can drive it and the real kernel with the same
 programs and demand the same fire order, clock, values and event count.
 """
@@ -129,9 +130,17 @@ class Process(Event):
             self.fail(exc)
             self.sim._failures.append(self)
             return
-        if not isinstance(target, Event):
+        problem = None
+        if type(target) is int:  # a bare delay is, naively, a Timeout
+            if target < 0:
+                problem = f"slept a negative delay {target}"
+            else:
+                target = Timeout(self.sim, target)
+        elif not isinstance(target, Event):
+            problem = f"yielded non-event {target!r}"
+        if problem is not None:
             self._gen.close()
-            self.fail(SimulationError(f"process {self.name} yielded non-event {target!r}"))
+            self.fail(SimulationError(f"process {self.name} {problem}"))
             self.sim._failures.append(self)
             return
         token = self._resumption = _Resumption(self)

@@ -18,7 +18,10 @@ from repro.sim import core as fast
 from tests import reference_kernel as ref
 
 DELAYS = (0, 0, 0, 1, 1, 2, 3, 5)
-OPS = ("sleep", "sleep", "wait", "wait", "any", "any", "spawn", "kick", "keyed", "boom")
+OPS = (
+    "sleep", "nap", "nap", "nap", "wait", "wait", "any", "any",
+    "spawn", "kick", "kick", "keyed", "boom",
+)
 
 
 def _exc(exc):
@@ -68,6 +71,8 @@ class Program:
         op = rng.choice(OPS)
         if op == "sleep":
             return op, sim.timeout(rng.choice(DELAYS), value=(tag, step)), None
+        if op == "nap":  # a bare delay: no event object in the fast kernel
+            return op, rng.choice(DELAYS), None
         if op == "wait":  # may already have fired: the relay path
             return op, rng.choice(self.shared), None
         if op == "any":
@@ -99,14 +104,16 @@ class Program:
             elif op == "boom":
                 if rng.random() < 0.3:
                     raise ValueError(f"boom{tag}")
+                if rng.random() < 0.2:
+                    target = -1 - step  # a negative delay fails the process
             while target is not None:
                 try:
                     got = yield target
                 except self.kernel.Interrupt as intr:
-                    self.note(tag, step, "interrupted", intr.cause)
+                    self.note(tag, step, op, "interrupted", intr.cause)
                     if rng.random() < 0.5:
-                        continue  # re-yield the same (maybe stale) event
-                    break
+                        continue  # re-yield the same (maybe stale) event or delay
+                    break  # a kicked nap leaves its heap entry behind
                 except (KeyError, ValueError, self.kernel.SimulationError) as exc:
                     self.note(tag, step, op, "raised", _exc(exc))
                     break
@@ -191,8 +198,17 @@ def test_random_programs_reach_every_named_case():
         program = Program(ref, seed)
         drive_steps(program)
         for entry in program.finish():
-            seen.update(word for word in entry if isinstance(word, str))
+            words = [word for word in entry if isinstance(word, str)]
+            seen.update(words)
+            if "nap" in words:
+                seen.add(" ".join(words))
+            if entry[0] == "end":
+                seen.update(
+                    "negative delay" for _kind, text in entry[-1] if "negative delay" in text
+                )
     assert {"interrupted", "kicks", "keyed", "raised", "got", "any", "wait"} <= seen
+    # Bare delays: completed, cut short (a stale heap entry), and negative.
+    assert {"nap got", "nap interrupted", "negative delay"} <= seen
 
 
 def _scripted(kernel):
@@ -233,6 +249,50 @@ def test_reyield_after_interrupt_keeps_callback_order():
     assert [entry[0] for entry in log] == [
         "interrupted", "bystander", "resumed", "after", "keyed",
     ]
+
+
+def _scripted_sleeps(kernel):
+    """Bare delays through step(): a zero delay, a sleep interrupted and
+    re-slept, and a process that dies with its stale entry still queued."""
+    sim = kernel.Simulator()
+    log = []
+
+    def napper():
+        yield 0
+        log.append(("hop", sim.now))
+        for attempt in range(2):
+            try:
+                yield 10
+                log.append(("woke", sim.now, attempt))
+            except kernel.Interrupt as intr:
+                log.append(("cut", sim.now, intr.cause))
+
+    def doomed():
+        yield 50  # killed at t=4; this entry outlives the process
+
+    def kicker():
+        yield 4
+        sleeper.interrupt("early")
+        victim.interrupt()
+        yield sim.timeout(6)  # ties with the stale entry of napper's first nap
+        log.append(("kicker", sim.now))
+
+    sleeper = sim.process(napper())
+    victim = sim.process(doomed())
+    sim.process(kicker())
+    while sim.step():
+        log.append(("now", sim.now, sim.pending_events, sim.peek_next_time()))
+    return log, sim.events_scheduled, victim.alive, sleeper.alive
+
+
+def test_sleep_entries_match_reference_timeouts_step_by_step():
+    assert _scripted_sleeps(fast) == _scripted_sleeps(ref)
+    log, events, *_alive = _scripted_sleeps(fast)
+    assert [entry for entry in log if entry[0] != "now"] == [
+        ("hop", 0), ("cut", 4, "early"), ("kicker", 10), ("woke", 14, 1),
+    ]
+    assert ("now", 50, 0, None) in log  # the dead process's entry still popped
+    assert events == 12
 
 
 def test_finished_any_of_is_freed_without_the_cycle_collector():

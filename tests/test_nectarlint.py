@@ -218,10 +218,23 @@ def test_ns103_flags_yield_of_plain_value():
     findings = lint(
         """
         def body():
-            yield 42
+            yield 4.2
+            yield "soon"
+            yield True
         """
     )
-    assert "NS103" in codes(findings)
+    assert codes(findings).count("NS103") == 3
+
+
+def test_ns103_allows_an_int_delay():
+    findings = lint(
+        """
+        def body():
+            yield 42
+            yield 0
+        """
+    )
+    assert "NS103" not in codes(findings)
 
 
 def test_ns103_allows_event_yields():

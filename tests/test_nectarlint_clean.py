@@ -6,6 +6,7 @@ subprocess check that the CLI entry point itself works and exits 0.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,20 @@ def test_src_repro_is_lint_clean():
     findings = nectarlint.lint_paths([str(SRC / "repro")])
     rendered = "\n".join(finding.render() for finding in findings)
     assert findings == [], f"nectarlint findings in shipped tree:\n{rendered}"
+
+
+def test_there_is_one_way_to_sleep():
+    """A process waits for time alone by yielding an int; ``sim.timeout()``
+    is for a delay needed as an event (an any_of member, a callback target),
+    so a timeout yielded on the spot is the old spelling creeping back."""
+    spelling = re.compile(r"\byield\s+[\w.]*\btimeout\(")
+    hits = [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if spelling.search(line)
+    ]
+    assert hits == [], "yield the delay itself:\n" + "\n".join(hits)
 
 
 def test_lint_cli_strict_exits_zero():

@@ -207,15 +207,159 @@ def test_process_exception_surfaces_from_run():
 
 
 def test_yielding_non_event_fails_process():
+    for junk in (None, 4.0, True, "7", (1,)):  # only a plain int is a delay
+        sim = Simulator()
+
+        def bad():
+            yield junk
+
+        proc = sim.process(bad())
+        with pytest.raises(SimulationError, match="non-event"):
+            sim.run()
+        assert not proc.ok
+
+
+def test_sleeping_a_negative_delay_fails_process():
     sim = Simulator()
+    cleaned = []
 
     def bad():
-        yield 42
+        try:
+            yield -1
+        finally:
+            cleaned.append(sim.now)
 
     proc = sim.process(bad())
-    with pytest.raises(SimulationError, match="non-event"):
+    with pytest.raises(SimulationError, match="negative delay -1"):
         sim.run()
     assert not proc.ok
+    assert cleaned == [0]
+
+
+def test_bare_int_sleeps_without_an_event():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        got = yield 30
+        log.append((sim.now, got))
+        yield 0
+        log.append((sim.now, "hop"))
+
+    proc = sim.process(sleeper())
+    assert sim.run() == 30
+    assert log == [(30, None), (30, "hop")]
+    assert proc.ok
+    # start + two sleeps + termination: a sleep costs exactly one entry.
+    assert sim.events_scheduled == 4
+
+
+def test_sleep_takes_the_slot_a_timeout_would():
+    def order(sleep):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            yield sim.timeout(5)
+            fired.append("first")
+
+        def second():
+            yield sleep(sim)
+            fired.append("second")
+
+        def third():
+            yield sim.timeout(5)
+            fired.append("third")
+
+        for body in (first, second, third):
+            sim.process(body())
+        sim.run()
+        return fired, sim.events_scheduled
+
+    assert order(lambda sim: 5) == order(lambda sim: sim.timeout(5))
+
+
+def test_interrupted_sleep_leaves_an_inert_entry():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 100
+        except Interrupt as intr:
+            log.append((sim.now, intr.cause))
+        yield 200
+        log.append((sim.now, "woke"))
+
+    def kicker():
+        yield 40
+        proc.interrupt("kick")
+
+    proc = sim.process(sleeper())
+    sim.process(kicker())
+    sim.run(until=150)
+    # The stale entry of the first sleep popped at t=100 and resumed nothing.
+    assert log == [(40, "kick")]
+    assert sim.last_event_ns == 100
+    sim.run()
+    assert log == [(40, "kick"), (240, "woke")]
+
+
+def test_dead_process_with_a_stale_sleep_entry():
+    sim = Simulator()
+
+    def sleeper():
+        yield 100
+
+    def killer():
+        yield 10
+        proc.interrupt()
+
+    proc = sim.process(sleeper())
+    sim.process(killer())
+    assert sim.run_until(proc) is None
+    assert sim.now == 10 and sim.pending_events == 2
+    assert sim.step() and sim.step() and not sim.step()
+    assert sim.now == 100 and not proc.alive
+
+
+def test_step_fires_one_entry_of_any_shape():
+    sim = Simulator()
+    fired = []
+    sim.call_at(3, lambda: fired.append("keyed"), key=())
+
+    def sleeper():
+        yield 3
+        fired.append("slept")
+
+    sim.process(sleeper())
+    sim.timeout(7)
+    seen = []
+    while sim.step():
+        seen.append((sim.now, list(fired)))
+    assert seen == [
+        (0, []),  # start
+        (3, ["slept"]),
+        (3, ["slept"]),  # the process's own termination event
+        (3, ["slept", "keyed"]),
+        (7, ["slept", "keyed"]),
+    ]
+
+
+def test_last_event_ns_is_not_the_run_horizon():
+    sim = Simulator()
+
+    def body():
+        yield 70
+
+    sim.process(body())
+    assert sim.run(until=1_000) == 1_000
+    assert sim.last_event_ns == 70
+    assert sim.run(until=2_000) == 2_000  # nothing fired: unchanged
+    assert sim.last_event_ns == 70
+    sim.timeout(0)
+    sim.run()
+    assert sim.now == sim.last_event_ns == 2_000
 
 
 def test_run_until_event():
