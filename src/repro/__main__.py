@@ -1,9 +1,9 @@
-"""Run the full evaluation: every table, figure, micro-cost, and ablation.
+"""``python -m repro``: dispatch to the subcommand named first.
 
-The usage block below is generated from the dispatch tables
-(:data:`_SUBCOMMANDS`, :data:`_EXPERIMENTS`) that actually route the
-arguments, so it cannot drift from the real command set;
-``tests/test_bench_cli.py`` pins the two together.
+The usage block below is generated from the dispatch table
+(:data:`_SUBCOMMANDS`) that actually routes the arguments, so it cannot
+drift from the real command set; ``tests/test_bench_cli.py`` pins the two
+together.
 
 ``lint`` runs nectarlint, the static determinism/sim-safety checker
 (see :mod:`repro.analysis.nectarlint`); with ``--static`` it also runs
@@ -58,27 +58,13 @@ _SUBCOMMANDS = {
     ),
 }
 
-#: Experiment dispatch: name -> module in :mod:`repro.bench` whose
-#: ``main()`` runs it (all follow the common ``DriverResult`` contract).
-_EXPERIMENTS = {
-    "table1": "repro.bench.table1",
-    "fig6": "repro.bench.fig6",
-    "fig7": "repro.bench.fig7",
-    "fig8": "repro.bench.fig8",
-    "micro": "repro.bench.microcosts",
-    "ablations": "repro.bench.ablations",
-}
-
 
 def build_usage() -> str:
-    """The usage block, generated from the dispatch tables."""
+    """The usage block, generated from the dispatch table."""
     lines = [
-        f"Usage:  python -m repro  [{'|'.join(_EXPERIMENTS)}|all]",
+        f"python -m repro  {usage}" for _module, usage in _SUBCOMMANDS.values()
     ]
-    for name in _SUBCOMMANDS:
-        _module, usage = _SUBCOMMANDS[name]
-        lines.append(f"        python -m repro  {usage}")
-    return "\n".join(lines)
+    return "Usage:  " + "\n        ".join(lines)
 
 
 __doc__ = __doc__.replace(
@@ -94,19 +80,14 @@ def main(argv: list[str]) -> int:
         module_name, _usage = _SUBCOMMANDS[argv[0]]
         module = importlib.import_module(module_name)
         return module.main(argv[1:])
-    targets = argv or ["all"]
-    names = list(_EXPERIMENTS) if targets == ["all"] else targets
-    for name in names:
-        if name not in _EXPERIMENTS:
-            print(f"unknown experiment {name!r}; choose from "
-                  f"{', '.join(_EXPERIMENTS)}, 'all', or a subcommand "
-                  f"({', '.join(_SUBCOMMANDS)})", file=sys.stderr)
-            return 2
-    for index, name in enumerate(names):
-        if index:
-            print("\n" + "=" * 72 + "\n")
-        importlib.import_module(_EXPERIMENTS[name]).main()
-    return 0
+    if argv:
+        print(
+            f"unknown subcommand {argv[0]!r}: a table or figure of the paper "
+            f"is a scenario (python -m repro bench {argv[0]})",
+            file=sys.stderr,
+        )
+    print(build_usage(), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.analysis.sanitizers import Sanitizer
-from repro.apps import latency as lat
+from repro.apps.traffic import measure_rtt
 from repro.sim.trace import TraceRecorder
 from repro.system import NectarSystem
 
@@ -54,8 +54,8 @@ def trace_signature(
     system, node_a, node_b = _build_rig()
     recorder = TraceRecorder()
     system.tracer.sink = recorder
-    latencies = lat.cab_datagram_rtt(
-        system, node_a, node_b, rounds=rounds, warmup=warmup
+    latencies = measure_rtt(
+        system, node_a, node_b, "datagram", rounds=rounds, warmup=warmup
     )
     system.tracer.sink = None
     events = tuple(
@@ -103,7 +103,7 @@ def run_sanitized_scenario(
     """Run the datagram RTT scenario with all sanitizers attached."""
     sanitizer = Sanitizer()
     system, node_a, node_b = _build_rig(sanitizer=sanitizer)
-    lat.cab_datagram_rtt(system, node_a, node_b, rounds=rounds, warmup=warmup)
+    measure_rtt(system, node_a, node_b, "datagram", rounds=rounds, warmup=warmup)
     sanitizer.check()
     return sanitizer
 
@@ -132,7 +132,9 @@ def main(argv: List[str]) -> int:
     if skip_races:
         sanitizer = Sanitizer(races=False)
         system, node_a, node_b = _build_rig(sanitizer=sanitizer)
-        lat.cab_datagram_rtt(system, node_a, node_b, rounds=rounds, warmup=_DEFAULT_WARMUP)
+        measure_rtt(
+            system, node_a, node_b, "datagram", rounds=rounds, warmup=_DEFAULT_WARMUP
+        )
         sanitizer.check()
     else:
         sanitizer = run_sanitized_scenario(rounds=rounds)

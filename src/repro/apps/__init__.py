@@ -1,58 +1,21 @@
-"""Measurement applications and CAB-resident application extensions.
+"""Traffic and CAB-resident application extensions.
 
-The latency/throughput harnesses regenerate Table 1 and Figures 6-8; the
-rest of the package implements the Sec. 5.3 applications and future work:
-parallel paradigms (:mod:`repro.apps.paradigms`), distributed transactions
-(:mod:`repro.apps.transactions`), network shared memory
+:mod:`repro.apps.traffic` is the one way a measurement drives a transport:
+an endpoint per transport, in CAB-thread or host-process flavour, and the
+four loops — ping-pong, echo, stream, drain — that Table 1, Figures 7-8,
+the ``observe`` and ``load`` workloads, the chaos campaign and the fleet
+mix all run over it, plus the request-response server loop every RPC
+service shares.  :mod:`repro.apps.throughput` keeps the three byte-stream
+measurements of Figure 8 that go through a socket API instead.
+
+The rest of the package implements the Sec. 5.3 applications and future
+work: parallel paradigms (:mod:`repro.apps.paradigms`), distributed
+transactions (:mod:`repro.apps.transactions`), network shared memory
 (:mod:`repro.apps.sharedmem`), presentation-layer offload
-(:mod:`repro.apps.marshaling`), and synthetic load generators
-(:mod:`repro.apps.workloads`).
+(:mod:`repro.apps.marshaling`) and the remote file service
+(:mod:`repro.apps.remotefs`).
 """
 
-from repro.apps.services import (
-    install_rmp_echo,
-    install_rmp_host_send,
-    install_udp_echo,
-    install_udp_host_send,
-)
-from repro.apps.latency import (
-    cab_datagram_rtt,
-    cab_reqresp_rtt,
-    cab_rmp_rtt,
-    cab_udp_rtt,
-    fig6_one_way_breakdown,
-    host_datagram_rtt,
-    host_reqresp_rtt,
-    host_rmp_rtt,
-    host_udp_rtt,
-)
-from repro.apps.throughput import (
-    cab_rmp_throughput,
-    cab_tcp_throughput,
-    ethernet_throughput,
-    host_rmp_throughput,
-    host_tcp_throughput,
-    netdev_throughput,
-)
+from repro.apps import traffic
 
-__all__ = [
-    "cab_datagram_rtt",
-    "cab_reqresp_rtt",
-    "cab_rmp_rtt",
-    "cab_rmp_throughput",
-    "cab_tcp_throughput",
-    "cab_udp_rtt",
-    "ethernet_throughput",
-    "fig6_one_way_breakdown",
-    "host_datagram_rtt",
-    "host_reqresp_rtt",
-    "host_rmp_rtt",
-    "host_rmp_throughput",
-    "host_tcp_throughput",
-    "host_udp_rtt",
-    "install_rmp_echo",
-    "install_rmp_host_send",
-    "install_udp_echo",
-    "install_udp_host_send",
-    "netdev_throughput",
-]
+__all__ = ["traffic"]

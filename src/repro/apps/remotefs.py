@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps.marshaling import marshal, unmarshal
+from repro.apps.traffic import rpc_service
 from repro.errors import NectarError, ProtocolError
-from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarNode
 
 __all__ = ["FileHandle", "RemoteFileClient", "RemoteFileServer"]
@@ -83,29 +83,19 @@ class RemoteFileServer:
         self._by_id: Dict[int, _Inode] = {}
         self._next_fileid = 1
         self._generation = 1
-        self._mailbox = node.runtime.mailbox("nfs-server")
-        node.rpc.serve(NFS_PORT, self._mailbox)
-        node.runtime.fork_system(self._server(), "nfs-server")
+        rpc_service(node, "nfs-server", NFS_PORT, self._handle)
         self.stats = node.runtime.stats
 
     # -- the service loop ----------------------------------------------------
 
-    def _server(self) -> Generator:
-        while True:
-            msg = yield from self._mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from self._mailbox.end_get(msg)
-            try:
-                request = unmarshal(body)
-                response = self._execute(request)
-            except (ProtocolError, IndexError, TypeError):
-                self.stats.add("nfs_malformed")
-                response = [ERR_BADOP]
-            yield from self.node.rpc.respond(header, marshal(response))
-            self.stats.add("nfs_requests")
+    def _handle(self, body: bytes, _header) -> bytes:
+        try:
+            response = self._execute(unmarshal(body))
+        except (ProtocolError, IndexError, TypeError):
+            self.stats.add("nfs_malformed")
+            response = [ERR_BADOP]
+        self.stats.add("nfs_requests")
+        return marshal(response)
 
     # -- operations ---------------------------------------------------------------
 

@@ -1,108 +1,21 @@
-"""CAB-resident helper services used by the host-level measurements.
+"""The RMP host-send service under the name ``perf/workloads.py`` imports.
 
-Host processes drive the Nectar transports through mailboxes: a *host-send
-service* is a CAB system thread that transmits whatever the host queues
-(this is exactly the protocol-engine usage of Sec. 5.2), and an *echo
-service* bounces messages back for round-trip measurements.
+Everything else that lived here is :mod:`repro.apps.traffic`; this alias
+goes when the ledger's hand-written stream generators move onto it.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Generator
-
+from repro.apps.traffic import host_send_service
 from repro.protocols.nectar.rmp import RMPChannel
 from repro.runtime.mailbox import Mailbox
 from repro.system import NectarNode
 
-__all__ = [
-    "install_rmp_echo",
-    "install_rmp_host_send",
-    "install_udp_echo",
-    "install_udp_host_send",
-]
-
-_UDP_SEND_FMT = ">HIH"  # src_port, dst_ip, dst_port
+__all__ = ["install_rmp_host_send"]
 
 
-def install_udp_host_send(node: NectarNode, name: str = "udp-host-send") -> Mailbox:
-    """A mailbox whose messages ([src_port][dst_ip][dst_port][payload]) a CAB
-    thread sends as UDP datagrams."""
-    mailbox = node.runtime.mailbox(name)
-    header_size = struct.calcsize(_UDP_SEND_FMT)
-
-    def sender() -> Generator:
-        while True:
-            msg = yield from mailbox.begin_get()
-            src_port, dst_ip, dst_port = struct.unpack(
-                _UDP_SEND_FMT, msg.read(0, header_size)
-            )
-            payload = msg.read(header_size)
-            yield from mailbox.end_get(msg)
-            yield from node.udp.send(src_port, dst_ip, dst_port, payload)
-
-    node.runtime.fork_system(sender(), name=f"{name}-thread")
-    return mailbox
-
-
-def install_udp_echo(node: NectarNode, port: int, reply_port: int) -> None:
-    """Echo every UDP datagram arriving on ``port`` back to its sender."""
-    inbox = node.runtime.mailbox(f"udp-echo-{port}")
-    node.udp.bind(port, inbox)
-
-    # The echo needs the sender's address: UDP strips headers before
-    # delivery, so this service binds at the UDP layer via a wrapper
-    # mailbox fed by a thread that remembers the reply address per message.
-    # For measurement purposes the peer is fixed and passed in.
-    def echo() -> Generator:
-        while True:
-            msg = yield from inbox.begin_get()
-            payload = msg.read()
-            yield from inbox.end_get(msg)
-            yield from node.udp.send(
-                port, node.system.registry.ip_of(_peer_node(node)), reply_port, payload
-            )
-
-    node.runtime.fork_system(echo(), name=f"udp-echo-{port}")
-
-
-def _peer_node(node: NectarNode) -> int:
-    """The other node in a two-node measurement rig."""
-    for other in node.system.nodes.values():
-        if other is not node:
-            return other.node_id
-    raise ValueError("echo service needs a two-node system")
-
-
-def install_rmp_host_send(
-    node: NectarNode, channel: RMPChannel, name: str = "rmp-host-send"
-) -> Mailbox:
-    """A mailbox whose messages a CAB thread sends reliably over ``channel``.
-
-    The host queues raw payloads; the service prepends transport header room
-    by sending the bytes through the normal RMP path.
-    """
-    mailbox = node.runtime.mailbox(name)
-
-    def sender() -> Generator:
-        while True:
-            msg = yield from mailbox.begin_get()
-            payload = msg.read()
-            yield from mailbox.end_get(msg)
-            yield from node.rmp.send(channel, payload)
-
-    node.runtime.fork_system(sender(), name=f"{name}-thread")
-    return mailbox
-
-
-def install_rmp_echo(node: NectarNode, channel: RMPChannel, inbox: Mailbox) -> None:
-    """Echo every message delivered to ``inbox`` back over ``channel``."""
-
-    def echo() -> Generator:
-        while True:
-            msg = yield from inbox.begin_get()
-            payload = msg.read()
-            yield from inbox.end_get(msg)
-            yield from node.rmp.send(channel, payload)
-
-    node.runtime.fork_system(echo(), name=f"rmp-echo-{channel.local_port}")
+def install_rmp_host_send(node: NectarNode, channel: RMPChannel) -> Mailbox:
+    """A mailbox whose messages a CAB thread sends reliably over ``channel``."""
+    return host_send_service(
+        node, "rmp-host-send", lambda _head, payload: node.rmp.send(channel, payload)
+    )

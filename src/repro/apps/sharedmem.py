@@ -31,8 +31,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Set
 
+from repro.apps.traffic import rpc_service
 from repro.errors import NectarError, ProtocolError
-from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarNode
 
 __all__ = ["PAGE_BYTES", "SharedMemory", "SharedPager"]
@@ -89,12 +89,8 @@ class SharedPager:
         self.pages: Dict[int, tuple[str, bytearray]] = {}
         #: Directory entries for pages whose home is this node.
         self.directory: Dict[int, _Directory] = {}
-        self._fetch_mailbox = node.runtime.mailbox("pager-fetch")
-        self._ctrl_mailbox = node.runtime.mailbox("pager-ctrl")
-        node.rpc.serve(FETCH_PORT, self._fetch_mailbox)
-        node.rpc.serve(CTRL_PORT, self._ctrl_mailbox)
-        node.runtime.fork_system(self._serve(self._fetch_mailbox, self._handle_fetch), "pager-fetch")
-        node.runtime.fork_system(self._serve(self._ctrl_mailbox, self._handle_ctrl), "pager-ctrl")
+        rpc_service(node, "pager-fetch", FETCH_PORT, self._handle_fetch)
+        rpc_service(node, "pager-ctrl", CTRL_PORT, self._handle_ctrl)
         self.stats = node.runtime.stats
 
     # ------------------------------------------------------------ local access
@@ -145,18 +141,7 @@ class SharedPager:
 
     # ---------------------------------------------------------- service loops
 
-    def _serve(self, mailbox, handler) -> Generator:
-        while True:
-            msg = yield from mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from mailbox.end_get(msg)
-            response = yield from handler(body)
-            yield from self.node.rpc.respond(header, response)
-
-    def _handle_fetch(self, body: bytes) -> Generator:
+    def _handle_fetch(self, body: bytes, _header) -> Generator:
         opcode, page, requester = _parse_request(body)
         data = yield from self._home_grant(page, opcode, requester)
         return data
@@ -206,7 +191,7 @@ class SharedPager:
         )
         return reply
 
-    def _handle_ctrl(self, body: bytes) -> Generator:
+    def _handle_ctrl(self, body: bytes, _header) -> Generator:
         opcode, page, _requester = _parse_request(body)
         response = yield from self._ctrl_action(opcode, page)
         return response

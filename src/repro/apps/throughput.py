@@ -1,12 +1,11 @@
-"""Throughput workloads: Figures 7 and 8.
+"""Figure 8's byte-stream measurements: host processes over a socket.
 
-Each harness streams ``count`` messages of ``message_size`` bytes and
-returns the achieved throughput in Mbit/s, measured across the whole
-transfer (first send to last delivery), after a short warmup.
+The message transports are measured by
+:func:`repro.apps.traffic.measure_throughput`; these three stream through
+an API that hands the receiver bytes, not deliveries, so each reads
+``warmup`` messages' worth, starts the clock, and reads the rest.
 
-* ``cab_*`` — sender and receiver are threads on the two CABs (Figure 7).
-* ``host_*`` — sender and receiver are host processes; every byte crosses
-  the VME bus on each side (Figure 8).
+* ``host_tcp_throughput`` — the socket emulation over on-CAB TCP.
 * ``netdev_throughput`` / ``ethernet_throughput`` — the Figure 8 baselines:
   the same Berkeley-style host stack over the CAB-as-network-device and
   over the on-board Ethernet.
@@ -16,146 +15,17 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.apps.services import install_rmp_host_send
 from repro.host.ethernet import EthernetNIC, EthernetSegment
 from repro.host.hoststack import HostStream
 from repro.host.machine import HostedNode
 from repro.host.netdev import NetdevNIC
 from repro.host.sockets import SocketLibrary
-from repro.system import NectarSystem, NectarNode
+from repro.system import NectarSystem
 from repro.units import seconds, throughput_mbps
 
-__all__ = [
-    "cab_rmp_throughput",
-    "cab_tcp_throughput",
-    "ethernet_throughput",
-    "host_rmp_throughput",
-    "host_tcp_throughput",
-    "netdev_throughput",
-]
+__all__ = ["ethernet_throughput", "host_tcp_throughput", "netdev_throughput"]
 
 _LIMIT = seconds(600)
-
-
-# ===================================================================== Figure 7
-
-
-def cab_rmp_throughput(
-    system: NectarSystem,
-    node_a: NectarNode,
-    node_b: NectarNode,
-    message_size: int,
-    count: int = 50,
-    warmup: int = 3,
-) -> float:
-    """RMP stream between CAB threads (stop-and-wait, hardware CRC only)."""
-    inbox = node_b.runtime.mailbox("tp-inbox")
-    chan = node_a.rmp.open(21, node_b.node_id, 22)
-    node_b.rmp.open(22, node_a.node_id, 21, deliver_mailbox=inbox)
-    done = system.sim.event()
-    payload = b"\xAB" * message_size
-    marks = {}
-
-    def sender() -> Generator:
-        for index in range(count + warmup):
-            yield from node_a.rmp.send(chan, payload, charge_copy=False)
-
-    def receiver() -> Generator:
-        for index in range(count + warmup):
-            msg = yield from inbox.begin_get()
-            yield from inbox.end_get(msg)
-            if index == warmup - 1:
-                marks["start"] = system.now
-        done.succeed(system.now)
-
-    node_a.runtime.fork_application(sender(), "tp-sender")
-    node_b.runtime.fork_application(receiver(), "tp-receiver")
-    end = system.run_until(done, limit=_LIMIT)
-    return throughput_mbps(message_size * count, end - marks["start"])
-
-
-def cab_tcp_throughput(
-    system: NectarSystem,
-    node_a: NectarNode,
-    node_b: NectarNode,
-    message_size: int,
-    count: int = 50,
-    warmup: int = 3,
-) -> float:
-    """TCP stream between CAB threads (checksums per the node's config)."""
-    inbox = node_b.runtime.mailbox("tp-inbox")
-    node_b.tcp.listen(7000, lambda conn: inbox)
-    done = system.sim.event()
-    payload = b"\xCD" * message_size
-    total = message_size * count
-    warm_bytes = message_size * warmup
-    marks = {}
-
-    def sender() -> Generator:
-        cli_inbox = node_a.runtime.mailbox("tp-cli-inbox")
-        conn = yield from node_a.tcp.connect(6000, node_b.ip_address, 7000, cli_inbox)
-        for _ in range(count + warmup):
-            yield from node_a.tcp.send_direct(conn, payload)
-
-    def receiver() -> Generator:
-        received = 0
-        while received < total + warm_bytes:
-            msg = yield from inbox.begin_get()
-            received += msg.size
-            yield from inbox.end_get(msg)
-            if received >= warm_bytes and "start" not in marks:
-                marks["start"] = system.now
-                marks["base"] = received
-        done.succeed((system.now, received))
-
-    node_a.runtime.fork_application(sender(), "tp-sender")
-    node_b.runtime.fork_application(receiver(), "tp-receiver")
-    end, received = system.run_until(done, limit=_LIMIT)
-    return throughput_mbps(received - marks["base"], end - marks["start"])
-
-
-# ===================================================================== Figure 8
-
-
-def host_rmp_throughput(
-    system: NectarSystem,
-    hosted_a: HostedNode,
-    hosted_b: HostedNode,
-    message_size: int,
-    count: int = 40,
-    warmup: int = 3,
-) -> float:
-    """RMP stream between host processes (each byte crosses both VME buses)."""
-    node_a, node_b = hosted_a.node, hosted_b.node
-    inbox = node_b.runtime.mailbox("tp-inbox")
-    chan = node_a.rmp.open(21, node_b.node_id, 22)
-    node_b.rmp.open(22, node_a.node_id, 21, deliver_mailbox=inbox)
-    send_mailbox = install_rmp_host_send(node_a, chan)
-    done = system.sim.event()
-    payload = b"\xAB" * message_size
-    marks = {}
-
-    def sender() -> Generator:
-        yield from hosted_a.driver.map_cab_memory()
-        for _ in range(count + warmup):
-            msg = yield from hosted_a.driver.begin_put(send_mailbox, message_size)
-            yield from hosted_a.driver.fill(msg, payload)
-            yield from hosted_a.driver.end_put(send_mailbox, msg)
-
-    def receiver() -> Generator:
-        yield from hosted_b.driver.map_cab_memory()
-        for index in range(count + warmup):
-            msg = yield from hosted_b.driver.begin_get(inbox, blocking=False)
-            yield from hosted_b.driver.read(msg)
-            yield from hosted_b.driver.end_get(inbox, msg)
-            if index == warmup - 1:
-                marks["start"] = system.now
-        done.succeed(system.now)
-
-    hosted_a.host.fork_process(sender(), "tp-sender")
-    hosted_b.host.fork_process(receiver(), "tp-receiver")
-    end = system.run_until(done, limit=_LIMIT)
-    return throughput_mbps(message_size * count, end - marks["start"])
 
 
 def host_tcp_throughput(

@@ -25,8 +25,8 @@ import struct
 from collections import deque
 from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.apps.traffic import rpc_service
 from repro.errors import NectarError, ProtocolError
-from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarNode
 
 __all__ = ["LockManager", "Participant", "TransactionCoordinator"]
@@ -75,33 +75,24 @@ class LockManager:
         self._held: Dict[bytes, Tuple[Optional[str], set]] = {}
         #: resource -> queue of (txn_id, mode, wake condition)
         self._waiters: Dict[bytes, Deque] = {}
-        self._mailbox = node.runtime.mailbox("lock-manager")
-        node.rpc.serve(LOCK_PORT, self._mailbox)
-        node.runtime.fork_system(self._server(), "lock-manager")
+        rpc_service(node, "lock-manager", LOCK_PORT, self._handle)
         self.stats = node.runtime.stats
 
-    def _server(self) -> Generator:
-        while True:
-            msg = yield from self._mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
+    def _handle(self, body: bytes, header) -> Optional[bytes]:
+        opcode, txn_id, name, _value = _decode(body)
+        if opcode in (_OP_ACQUIRE_READ, _OP_ACQUIRE_WRITE):
+            mode = "read" if opcode == _OP_ACQUIRE_READ else "write"
+            # Grants may have to wait: run each acquisition in its own
+            # thread (which responds) so the server keeps servicing releases.
+            self.runtime.fork_system(
+                self._grant_then_respond(header, txn_id, name, mode),
+                f"lock-grant-{txn_id}",
             )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from self._mailbox.end_get(msg)
-            opcode, txn_id, name, _value = _decode(body)
-            if opcode in (_OP_ACQUIRE_READ, _OP_ACQUIRE_WRITE):
-                mode = "read" if opcode == _OP_ACQUIRE_READ else "write"
-                # Grants may have to wait: run each acquisition in its own
-                # thread so the server loop keeps servicing releases.
-                self.runtime.fork_system(
-                    self._grant_then_respond(header, txn_id, name, mode),
-                    f"lock-grant-{txn_id}",
-                )
-            elif opcode == _OP_RELEASE:
-                self._release(txn_id, name)
-                yield from self.node.rpc.respond(header, _RELEASED)
-            else:
-                raise ProtocolError(f"bad lock opcode {opcode!r}")
+            return None
+        if opcode == _OP_RELEASE:
+            self._release(txn_id, name)
+            return _RELEASED
+        raise ProtocolError(f"bad lock opcode {opcode!r}")
 
     def _grant_then_respond(self, header, txn_id: int, name: bytes, mode: str) -> Generator:
         yield from self._acquire(txn_id, name, mode)
@@ -166,47 +157,36 @@ class Participant:
         self.prepared: set = set()
         #: Test hook: vote no for these transaction ids.
         self.refuse: set = set()
-        self._mailbox = node.runtime.mailbox("txn-participant")
-        node.rpc.serve(TXN_PORT, self._mailbox)
-        node.runtime.fork_system(self._server(), "txn-participant")
+        rpc_service(node, "txn-participant", TXN_PORT, self._handle)
         self.stats = node.runtime.stats
 
     def stage(self, txn_id: int, name: bytes, value: bytes) -> None:
         """Buffer an update for a transaction (applied only on COMMIT)."""
         self._pending.setdefault(txn_id, []).append((name, value))
 
-    def _server(self) -> Generator:
-        while True:
-            msg = yield from self._mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from self._mailbox.end_get(msg)
-            opcode, txn_id, name, value = _decode(body)
-            if opcode == _OP_PREPARE:
-                if name:  # update piggybacked on the prepare
-                    self.stage(txn_id, name, value)
-                if txn_id in self.refuse:
-                    self.stats.add("txn_votes_no")
-                    yield from self.node.rpc.respond(header, _VOTE_NO)
-                else:
-                    self.prepared.add(txn_id)
-                    self.stats.add("txn_votes_yes")
-                    yield from self.node.rpc.respond(header, _VOTE_YES)
-            elif opcode == _OP_COMMIT:
-                for update_name, update_value in self._pending.pop(txn_id, []):
-                    self.data[update_name] = update_value
-                self.prepared.discard(txn_id)
-                self.stats.add("txn_commits")
-                yield from self.node.rpc.respond(header, _ACK)
-            elif opcode == _OP_ABORT:
-                self._pending.pop(txn_id, None)
-                self.prepared.discard(txn_id)
-                self.stats.add("txn_aborts")
-                yield from self.node.rpc.respond(header, _ACK)
-            else:
-                raise ProtocolError(f"bad transaction opcode {opcode!r}")
+    def _handle(self, body: bytes, _header) -> bytes:
+        opcode, txn_id, name, value = _decode(body)
+        if opcode == _OP_PREPARE:
+            if name:  # update piggybacked on the prepare
+                self.stage(txn_id, name, value)
+            if txn_id in self.refuse:
+                self.stats.add("txn_votes_no")
+                return _VOTE_NO
+            self.prepared.add(txn_id)
+            self.stats.add("txn_votes_yes")
+            return _VOTE_YES
+        if opcode == _OP_COMMIT:
+            for update_name, update_value in self._pending.pop(txn_id, []):
+                self.data[update_name] = update_value
+            self.prepared.discard(txn_id)
+            self.stats.add("txn_commits")
+            return _ACK
+        if opcode == _OP_ABORT:
+            self._pending.pop(txn_id, None)
+            self.prepared.discard(txn_id)
+            self.stats.add("txn_aborts")
+            return _ACK
+        raise ProtocolError(f"bad transaction opcode {opcode!r}")
 
 
 class TransactionCoordinator:

@@ -1,12 +1,10 @@
 """Experiment drivers that regenerate every table and figure of the paper.
 
 Every driver module exposes the same result contract:
-
-* ``scenario(params) -> DriverResult`` — run with the given (partial)
-  parameter overrides; the scenario harness (:mod:`repro.scenario`)
-  consumes this uniformly, so tables and figures are ordinary scenarios.
-* ``main() -> DriverResult`` — run with defaults and print the rendered
-  report; ``python -m repro <name>`` calls this.
+``scenario(params) -> DriverResult`` runs it with the given (partial)
+parameter overrides.  The scenario harness (:mod:`repro.scenario`)
+consumes this uniformly, so tables and figures are ordinary scenarios and
+``python -m repro bench <name>`` is the one way to run them.
 
 ``DriverResult`` carries the resolved configuration, the deterministic
 rows (plain dicts, canonical-JSON-serializable), and the rendered text.

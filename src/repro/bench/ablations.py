@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Mapping, Optional
 
-from repro.apps.latency import cab_udp_rtt, host_udp_rtt
-from repro.apps.throughput import cab_tcp_throughput, host_rmp_throughput
+from repro.apps.traffic import measure_rtt, measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
 from repro.host.driver import MODE_RPC, MODE_SHARED
@@ -32,7 +31,6 @@ __all__ = [
     "upcall_vs_thread_server",
     "ip_input_mode_comparison",
     "mailbox_mode_comparison",
-    "main",
     "scenario",
     "vme_bandwidth_sweep",
 ]
@@ -125,7 +123,7 @@ def ip_input_mode_comparison(rounds: int = 30) -> Dict[str, float]:
     out: Dict[str, float] = {}
     for mode in ("interrupt", "thread"):
         system, node_a, node_b = two_nodes(ip_input_mode=mode)
-        recorder = cab_udp_rtt(system, node_a, node_b, rounds=rounds)
+        recorder = measure_rtt(system, node_a, node_b, "udp", rounds=rounds)
         out[f"{mode}_us"] = recorder.mean_us
     out["thread_penalty_us"] = out["thread_us"] - out["interrupt_us"]
     return out
@@ -139,8 +137,8 @@ def vme_bandwidth_sweep(
     for mbps in bandwidths_mbps:
         costs = CostModel(vme_dma_mbps=mbps)
         system, hosted_a, hosted_b = two_hosted_nodes(costs=costs)
-        throughput = host_rmp_throughput(
-            system, hosted_a, hosted_b, message_size, count=count
+        throughput = measure_throughput(
+            system, hosted_a, hosted_b, "rmp", message_size, count
         )
         rows.append((mbps, round(throughput, 2)))
     return rows
@@ -154,7 +152,9 @@ def checksum_sweep(
     for cost in ns_per_byte:
         costs = CostModel(cab_checksum_ns_per_byte=cost)
         system, node_a, node_b = two_nodes(costs=costs)
-        throughput = cab_tcp_throughput(system, node_a, node_b, message_size, count=count)
+        throughput = measure_throughput(
+            system, node_a, node_b, "tcp", message_size, count
+        )
         rows.append((cost, round(throughput, 2)))
     return rows
 
@@ -246,13 +246,3 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
         text=render(results),
     )
 
-
-def main() -> DriverResult:
-    """Run and print every ablation."""
-    result = scenario()
-    print(result.text)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from repro.apps.throughput import cab_rmp_throughput, cab_tcp_throughput
+from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.harness import format_table, two_nodes
 
-__all__ = ["Fig7Row", "main", "run", "scenario", "SIZES"]
+__all__ = ["Fig7Row", "run", "scenario", "SIZES"]
 
 SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
@@ -42,13 +42,13 @@ def run(sizes=SIZES, count: int = 40) -> list[Fig7Row]:
     rows = []
     for size in sizes:
         system, node_a, node_b = two_nodes()
-        rmp = cab_rmp_throughput(system, node_a, node_b, size, count=count)
+        rmp = measure_throughput(system, node_a, node_b, "rmp", size, count)
         rmp_util = system.utilization()[node_a.name]
         system, node_a, node_b = two_nodes()
-        tcp = cab_tcp_throughput(system, node_a, node_b, size, count=count)
+        tcp = measure_throughput(system, node_a, node_b, "tcp", size, count)
         tcp_util = system.utilization()[node_a.name]
         system, node_a, node_b = two_nodes(tcp_checksums=False)
-        tcp_nock = cab_tcp_throughput(system, node_a, node_b, size, count=count)
+        tcp_nock = measure_throughput(system, node_a, node_b, "tcp", size, count)
         rows.append(
             Fig7Row(
                 size=size,
@@ -120,13 +120,3 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
         text=render_full(rows),
     )
 
-
-def main() -> DriverResult:
-    """Run, print, and chart Figure 7."""
-    result = scenario()
-    print(result.text)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -15,14 +15,14 @@ from typing import Mapping, Optional
 
 from repro.apps.throughput import (
     ethernet_throughput,
-    host_rmp_throughput,
     host_tcp_throughput,
     netdev_throughput,
 )
+from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.harness import format_table, two_hosted_nodes
 
-__all__ = ["Fig8Row", "main", "run", "scenario", "SIZES"]
+__all__ = ["Fig8Row", "run", "scenario", "SIZES"]
 
 SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
@@ -44,7 +44,7 @@ def run(sizes=SIZES, count: int = 30) -> list[Fig8Row]:
     rows = []
     for size in sizes:
         system, hosted_a, hosted_b = two_hosted_nodes()
-        rmp = host_rmp_throughput(system, hosted_a, hosted_b, size, count=count)
+        rmp = measure_throughput(system, hosted_a, hosted_b, "rmp", size, count)
         system, hosted_a, hosted_b = two_hosted_nodes()
         tcp = host_tcp_throughput(system, hosted_a, hosted_b, size, count=count)
         rows.append(Fig8Row(size=size, rmp_mbps=round(rmp, 2), tcp_mbps=round(tcp, 2)))
@@ -114,13 +114,3 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
         extras={"baselines": baselines},
     )
 
-
-def main() -> DriverResult:
-    """Run, print, and chart Figure 8."""
-    result = scenario()
-    print(result.text)
-    return result
-
-
-if __name__ == "__main__":
-    main()

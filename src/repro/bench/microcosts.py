@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.apps.latency import host_reqresp_rtt
+from repro.apps.traffic import measure_rtt
 from repro.bench import DriverResult, resolve_params
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
 from repro.hw.fiber import Frame
@@ -20,7 +20,6 @@ from repro.units import ns_to_us
 __all__ = [
     "context_switch_us",
     "link_latency_ns",
-    "main",
     "rpc_claim_us",
     "run",
     "scenario",
@@ -77,7 +76,9 @@ def link_latency_ns() -> Dict[str, int]:
 def rpc_claim_us() -> float:
     """The Sec. 6 claim: RPC between host application tasks < 500 us."""
     system, hosted_a, hosted_b = two_hosted_nodes()
-    recorder = host_reqresp_rtt(system, hosted_a, hosted_b, message_size=32, rounds=20, warmup=3)
+    recorder = measure_rtt(
+        system, hosted_a, hosted_b, "request-response", rounds=20, warmup=3
+    )
     return recorder.mean_us
 
 
@@ -121,13 +122,3 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
         text=render(results),
     )
 
-
-def main() -> DriverResult:
-    """Run and print the micro-cost table."""
-    result = scenario()
-    print(result.text)
-    return result
-
-
-if __name__ == "__main__":
-    main()

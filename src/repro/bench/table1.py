@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from repro.apps import latency as lat
+from repro.apps.traffic import measure_rtt
 from repro.bench import DriverResult, resolve_params
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
 
-__all__ = ["Table1Row", "run", "scenario", "main"]
+__all__ = ["Table1Row", "run", "scenario"]
 
 #: The driver's parameter contract (see :func:`scenario`).
 DEFAULTS = {"message_size": 32, "rounds": 30, "warmup": 5}
@@ -35,31 +35,17 @@ class Table1Row:
     paper_cab_us: Optional[float]
 
 
-_HOST_HARNESSES = {
-    "datagram": lat.host_datagram_rtt,
-    "rmp": lat.host_rmp_rtt,
-    "request-response": lat.host_reqresp_rtt,
-    "udp": lat.host_udp_rtt,
-}
-_CAB_HARNESSES = {
-    "datagram": lat.cab_datagram_rtt,
-    "rmp": lat.cab_rmp_rtt,
-    "request-response": lat.cab_reqresp_rtt,
-    "udp": lat.cab_udp_rtt,
-}
-
-
 def run(message_size: int = 32, rounds: int = 30, warmup: int = 5) -> list[Table1Row]:
     """Measure every Table 1 cell; returns one row per protocol."""
     rows = []
     for protocol in ("datagram", "rmp", "request-response", "udp"):
         system, hosted_a, hosted_b = two_hosted_nodes()
-        host_rec = _HOST_HARNESSES[protocol](
-            system, hosted_a, hosted_b, message_size, rounds, warmup
+        host_rec = measure_rtt(
+            system, hosted_a, hosted_b, protocol, message_size, rounds, warmup
         )
         system, node_a, node_b = two_nodes()
-        cab_rec = _CAB_HARNESSES[protocol](
-            system, node_a, node_b, message_size, rounds, warmup
+        cab_rec = measure_rtt(
+            system, node_a, node_b, protocol, message_size, rounds, warmup
         )
         rows.append(
             Table1Row(
@@ -99,13 +85,3 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
         text=render(rows),
     )
 
-
-def main() -> DriverResult:
-    """Run and print Table 1."""
-    result = scenario()
-    print(result.text)
-    return result
-
-
-if __name__ == "__main__":
-    main()

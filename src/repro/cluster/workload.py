@@ -21,10 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.apps import traffic
 from repro.cluster.fleet import FleetSpec
 from repro.errors import ConfigurationError
 from repro.hub.groups import GROUP_BASE
-from repro.protocols.headers import NectarTransportHeader
 
 __all__ = ["Flow", "Workload", "WorkloadSpec"]
 
@@ -69,6 +69,10 @@ class Flow:
         """The deterministic body of one message of this flow."""
         fill = (self.index * 31 + message_index * 7 + 1) % 255 + 1
         return bytes([fill]) * self.size
+
+    def payloads(self):
+        """Every message body in order (a TCP flow is its one payload)."""
+        return map(self.payload, range(1 if self.kind == "tcp" else self.messages))
 
 
 @dataclass(frozen=True)
@@ -214,191 +218,114 @@ class Workload:
             installer = getattr(self, f"_install_{flow.kind}")
             installer(system, flow, src, dst)
 
-    def _record(self, system, flow: Flow, nbytes: int, messages: int) -> None:
-        self.flow_results[flow.name] = {
-            "kind": flow.kind,
-            "src": flow.src,
-            "dst": flow.dst,
-            "bytes": nbytes,
-            "messages": messages,
-            "completed_ns": system.sim.now,
-        }
+    def _completion(self, system, flow: Flow, member: Optional[str] = None):
+        """``(take, record)`` for one observing endpoint: ``take`` adds up
+        the bytes of each delivery, ``record`` is the final step that writes
+        the completion record at the simulated time it runs.  A group
+        member's record is keyed flow@member, so the shards' result sets
+        stay disjoint and union to the reference's."""
+        sizes = []
+
+        def record() -> None:
+            self.flow_results[f"{flow.name}@{member}" if member else flow.name] = {
+                "kind": flow.kind,
+                "src": flow.src,
+                "dst": member or flow.dst,
+                "bytes": sum(sizes),
+                # A TCP flow is one payload however many segments carry it.
+                "messages": 1 if flow.kind == "tcp" else flow.messages,
+                "completed_ns": system.sim.now,
+            }
+
+        return lambda delivery: sizes.append(delivery.size), record
 
     def _install_rmp(self, system, flow: Flow, src, dst) -> None:
-        src_id = system.registry.node_id(flow.src)
-        dst_id = system.registry.node_id(flow.dst)
+        node_id = system.registry.node_id
+        src_port, dst_port = _RMP_SRC_PORT + flow.index, _RMP_DST_PORT + flow.index
         if src is not None:
-            channel = src.rmp.open(
-                _RMP_SRC_PORT + flow.index, dst_id, _RMP_DST_PORT + flow.index
-            )
-
-            def sender():
-                for k in range(flow.messages):
-                    yield from src.rmp.send(channel, flow.payload(k))
-
-            src.runtime.fork_application(sender(), f"{flow.name}-send")
+            sender = traffic.RMP(src, None, src_port, (node_id(flow.dst), dst_port))
+            traffic.fork(src, f"{flow.name}-send", sender.stream(flow.payloads()))
         if dst is not None:
-            inbox = dst.runtime.mailbox(f"{flow.name}-inbox")
-            dst.rmp.open(
-                _RMP_DST_PORT + flow.index,
-                src_id,
-                _RMP_SRC_PORT + flow.index,
-                deliver_mailbox=inbox,
+            receiver = traffic.RMP(
+                dst, f"{flow.name}-inbox", dst_port, (node_id(flow.src), src_port)
             )
-
-            def receiver():
-                total = 0
-                for _ in range(flow.messages):
-                    msg = yield from inbox.begin_get()
-                    total += msg.size
-                    yield from inbox.end_get(msg)
-                self._record(system, flow, total, flow.messages)
-
-            dst.runtime.fork_application(receiver(), f"{flow.name}-recv")
-
-    def _record_member(
-        self, system, flow: Flow, member: str, nbytes: int, messages: int
-    ) -> None:
-        """One group member's completion record (keyed flow@member so the
-        shards' result sets stay disjoint and union to the reference's)."""
-        self.flow_results[f"{flow.name}@{member}"] = {
-            "kind": flow.kind,
-            "src": flow.src,
-            "dst": member,
-            "bytes": nbytes,
-            "messages": messages,
-            "completed_ns": system.sim.now,
-        }
+            take, record = self._completion(system, flow)
+            traffic.fork(
+                dst, f"{flow.name}-recv", receiver.drain(flow.messages, take=take), record
+            )
 
     def _install_mcast(self, system, flow: Flow, src, dst) -> None:
         port = _NMP_PORT + flow.index
-        member_ids = tuple(
-            system.registry.node_id(name) for name in flow.members
-        )
         if src is not None:
-            session = src.nmp.open_sender(flow.group_id, port, member_ids)
-
-            def sender():
-                for k in range(flow.messages):
-                    yield from src.nmp.send(session, flow.payload(k))
-                yield from src.nmp.flush(session)
-
-            src.runtime.fork_application(sender(), f"{flow.name}-send")
+            ids = tuple(system.registry.node_id(name) for name in flow.members)
+            sender = traffic.NMP(src, None, flow.group_id, port, members=ids)
+            traffic.fork(src, f"{flow.name}-send", sender.stream(flow.payloads()))
         for rank, member in enumerate(flow.members):
             node = system.nodes.get(member)
             if node is None:
                 continue
-            inbox = node.runtime.mailbox(f"{flow.name}-inbox-{member}")
-            membership = node.nmp.join(flow.group_id, port, rank, inbox)
-            assert membership.rank == rank
-
-            def receiver(member=member, inbox=inbox):
-                total = 0
-                for _ in range(flow.messages):
-                    msg = yield from inbox.begin_get()
-                    total += msg.size
-                    yield from inbox.end_get(msg)
-                self._record_member(system, flow, member, total, flow.messages)
-
-            node.runtime.fork_application(
-                receiver(), f"{flow.name}-recv-{member}"
+            receiver = traffic.NMP(
+                node, f"{flow.name}-inbox-{member}", flow.group_id, port, rank=rank
+            )
+            take, record = self._completion(system, flow, member)
+            traffic.fork(
+                node,
+                f"{flow.name}-recv-{member}",
+                receiver.drain(flow.messages, take=take),
+                record,
             )
 
     def _install_barrier(self, system, flow: Flow, src, dst) -> None:
         port = _COLL_PORT + flow.index
-        member_ids = tuple(
-            system.registry.node_id(name) for name in flow.members
-        )
+        ids = tuple(system.registry.node_id(name) for name in flow.members)
         for rank, member in enumerate(flow.members):
             node = system.nodes.get(member)
             if node is None:
                 continue
-            group = node.coll.create(flow.group_id, port, member_ids, rank)
-
-            def worker(member=member, node=node, group=group):
-                for _ in range(flow.messages):
-                    yield from node.coll.barrier(group)
-                self._record_member(system, flow, member, 0, flow.messages)
-
-            node.runtime.fork_application(
-                worker(), f"{flow.name}-bar-{member}"
-            )
+            group = node.coll.create(flow.group_id, port, ids, rank)
+            _take, record = self._completion(system, flow, member)
+            rounds = (node.coll.barrier(group) for _ in range(flow.messages))
+            traffic.fork(node, f"{flow.name}-bar-{member}", *rounds, record)
 
     def _install_rpc(self, system, flow: Flow, src, dst) -> None:
-        dst_id = system.registry.node_id(flow.dst)
+        port = _RPC_SERVICE_PORT + flow.index
         if dst is not None:
-            service = dst.runtime.mailbox(f"{flow.name}-service")
-            dst.rpc.serve(_RPC_SERVICE_PORT + flow.index, service)
-
-            def server():
-                while True:
-                    msg = yield from service.begin_get()
-                    header = NectarTransportHeader.unpack(
-                        msg.read(0, NectarTransportHeader.SIZE)
-                    )
-                    body = msg.read(NectarTransportHeader.SIZE)
-                    yield from service.end_get(msg)
-                    yield from dst.rpc.respond(header, body)
-
-            dst.runtime.fork_system(server(), f"{flow.name}-serve")
+            server = traffic.RequestResponse(dst, f"{flow.name}-service", port)
+            traffic.fork(dst, f"{flow.name}-serve", server.echo(), service=True)
         if src is not None:
-
-            def client():
-                total = 0
-                for k in range(flow.messages):
-                    reply = yield from src.rpc.request(
-                        _RPC_CLIENT_PORT + flow.index,
-                        dst_id,
-                        _RPC_SERVICE_PORT + flow.index,
-                        flow.payload(k),
-                    )
-                    total += len(reply)
-                self._record(system, flow, total, flow.messages)
-
-            src.runtime.fork_application(client(), f"{flow.name}-client")
+            peer = (system.registry.node_id(flow.dst), port)
+            client = traffic.RequestResponse(
+                src, None, _RPC_CLIENT_PORT + flow.index, peer
+            )
+            take, record = self._completion(system, flow)
+            traffic.fork(
+                src,
+                f"{flow.name}-client",
+                client.pingpong(flow.payloads(), take=take),
+                record,
+            )
 
     def _install_tcp(self, system, flow: Flow, src, dst) -> None:
         # The connection is left ESTABLISHED on purpose: with nothing
         # unacked the timer thread parks on its condition and the queue
         # drains, while an active close would tick through TIME_WAIT.
-        expected = flow.size
+        port = _TCP_SERVER_PORT + flow.index
         if dst is not None:
-            server_inbox = dst.runtime.mailbox(f"{flow.name}-srv")
-            dst.tcp.listen(
-                _TCP_SERVER_PORT + flow.index, lambda conn: server_inbox
+            server = traffic.TCP(dst, f"{flow.name}-srv", port)
+            take, record = self._completion(system, flow)
+            traffic.fork(
+                dst,
+                f"{flow.name}-collect",
+                server.drain(nbytes=flow.size, take=take),
+                record,
             )
-
-            def collector():
-                total = 0
-                while total < expected:
-                    msg = yield from server_inbox.begin_get()
-                    total += msg.size
-                    yield from server_inbox.end_get(msg)
-                self._record(system, flow, total, 1)
-
-            dst.runtime.fork_application(collector(), f"{flow.name}-collect")
         if src is not None:
-            dst_ip = self._node_ip(system, flow.dst)
-
-            def client():
-                inbox = src.runtime.mailbox(f"{flow.name}-cli")
-                conn = yield from src.tcp.connect(
-                    _TCP_CLIENT_PORT + flow.index,
-                    dst_ip,
-                    _TCP_SERVER_PORT + flow.index,
-                    inbox,
-                )
-                yield from src.tcp.send_direct(conn, flow.payload(0))
-
-            src.runtime.fork_application(client(), f"{flow.name}-client")
-
-    @staticmethod
-    def _node_ip(system, name: str) -> int:
-        """A CAB's IP address, derivable even when the CAB is a ghost."""
-        node = system.nodes.get(name)
-        if node is not None:
-            return node.ip_address
-        return system.registry.ip_of_name(name)
+            # The registry knows a CAB's address even where it is a ghost.
+            peer = (system.registry.ip_of_name(flow.dst), port)
+            client = traffic.TCP(
+                src, f"{flow.name}-cli", _TCP_CLIENT_PORT + flow.index, peer
+            )
+            traffic.fork(src, f"{flow.name}-client", client.stream(flow.payloads()))
 
     # -- results --------------------------------------------------------------
 

@@ -32,11 +32,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.apps import traffic
 from repro.errors import ProtocolError
 from repro.sim.core import SimulationError
 from repro.faults.scenarios import SCENARIOS, build
 from repro.hub.groups import GROUP_BASE
-from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarSystem
 from repro.telemetry.metrics import Histogram
 from repro.units import ms, seconds
@@ -87,6 +87,22 @@ class WorkloadOutcome:
         """Exactly-once, in-order, bit-exact — and nothing blew up."""
         return self.finished and self.error is None and self.received == self.expected
 
+    def collect(self, delivery) -> None:
+        """A traffic ``take``: copy one delivery into :attr:`received`."""
+        self.received.append(delivery.read())
+
+    def finish(self) -> None:
+        """A final traffic step: everything expected has arrived."""
+        self.finished = True
+
+    def failed(self, who: str):
+        """A traffic ``on_error`` recording ``who``'s ProtocolError verbatim."""
+
+        def record(exc: ProtocolError) -> None:
+            self.error = f"{who}: {exc}"
+
+        return record
+
     def digest(self) -> str:
         """SHA-256 over the delivered payloads (order-sensitive)."""
         h = hashlib.sha256()
@@ -98,91 +114,62 @@ class WorkloadOutcome:
 
 def _workload_rmp(a, b, outcome: WorkloadOutcome) -> None:
     """Fork the RMP stream workload onto the two nodes."""
-    inbox = b.runtime.mailbox("chaos-rmp-inbox")
-    chan = a.rmp.open(100, b.node_id, 200)
-    b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
-
-    def sender():
-        """Send every payload reliably; record a ProtocolError verbatim."""
-        try:
-            for payload in outcome.expected:
-                yield from a.rmp.send(chan, payload)
-        except ProtocolError as exc:
-            outcome.error = f"sender: {exc}"
-
-    def receiver():
-        """Collect the expected number of messages, then declare done."""
-        for _ in outcome.expected:
-            msg = yield from inbox.begin_get()
-            outcome.received.append(msg.read())
-            yield from inbox.end_get(msg)
-        outcome.finished = True
-
-    a.runtime.fork_application(sender(), "chaos-rmp-sender")
-    b.runtime.fork_application(receiver(), "chaos-rmp-receiver")
+    receiver = traffic.RMP(b, "chaos-rmp-inbox", 200, (a.node_id, 100))
+    sender = traffic.RMP(a, None, 100, (b.node_id, 200))
+    traffic.fork(
+        a,
+        "chaos-rmp-sender",
+        sender.stream(outcome.expected),
+        on_error=outcome.failed("sender"),
+    )
+    traffic.fork(
+        b,
+        "chaos-rmp-receiver",
+        receiver.drain(messages=len(outcome.expected), take=outcome.collect),
+        outcome.finish,
+    )
 
 
 def _workload_rpc(a, b, requests: List[bytes], outcome: WorkloadOutcome) -> None:
-    """Fork the request-response workload (client on ``a``, server on ``b``)."""
-    server_mailbox = b.runtime.mailbox("chaos-rpc-server")
-    b.rpc.serve(700, server_mailbox)
+    """Fork the request-response workload (client on ``a``, server on ``b``).
+
+    The echo-upper server replays duplicate requests from its cache.
+    """
+    traffic.rpc_service(
+        b, "chaos-rpc-server", 700, lambda body, _header: body.upper()
+    )
+    client = traffic.RequestResponse(
+        a, None, peer=(b.node_id, 700), timeout_ns=ms(2)
+    )
     outcome.expected = [request.upper() for request in requests]
-
-    def server():
-        """Echo-upper server: duplicate requests are replayed from cache."""
-        while True:
-            msg = yield from server_mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from server_mailbox.end_get(msg)
-            yield from b.rpc.respond(header, body.upper())
-
-    def client():
-        """Issue every request in order; record a ProtocolError verbatim."""
-        try:
-            port = a.rpc.allocate_client_port()
-            for request in requests:
-                reply = yield from a.rpc.request(
-                    port, b.node_id, 700, request, timeout_ns=ms(2)
-                )
-                outcome.received.append(reply)
-            outcome.finished = True
-        except ProtocolError as exc:
-            outcome.error = f"client: {exc}"
-
-    b.runtime.fork_system(server(), "chaos-rpc-server")
-    a.runtime.fork_application(client(), "chaos-rpc-client")
+    traffic.fork(
+        a,
+        "chaos-rpc-client",
+        client.pingpong(requests, take=outcome.collect),
+        outcome.finish,
+        on_error=outcome.failed("client"),
+    )
 
 
 def _workload_tcp(a, b, payload: bytes, outcome: WorkloadOutcome) -> None:
     """Fork the TCP stream workload (client on ``a`` pushes to ``b``)."""
     outcome.expected = [payload]
-    server_inbox = b.runtime.mailbox("chaos-tcp-inbox")
-    b.tcp.listen(7000, lambda conn: server_inbox)
-
-    def client():
-        """Connect and push the whole stream; record failures verbatim."""
-        try:
-            inbox = a.runtime.mailbox("chaos-tcp-cli")
-            conn = yield from a.tcp.connect(6000, b.ip_address, 7000, inbox)
-            yield from a.tcp.send_direct(conn, payload)
-        except ProtocolError as exc:
-            outcome.error = f"client: {exc}"
-
-    def collector():
-        """Reassemble the stream until every byte has arrived."""
-        received = bytearray()
-        while len(received) < len(payload):
-            msg = yield from server_inbox.begin_get()
-            received.extend(msg.read())
-            yield from server_inbox.end_get(msg)
-        outcome.received.append(bytes(received))
-        outcome.finished = True
-
-    a.runtime.fork_application(client(), "chaos-tcp-client")
-    b.runtime.fork_application(collector(), "chaos-tcp-collector")
+    server = traffic.TCP(b, "chaos-tcp-inbox", 7000)
+    client = traffic.TCP(a, "chaos-tcp-cli", 6000, (b.ip_address, 7000))
+    received = bytearray()
+    traffic.fork(
+        a,
+        "chaos-tcp-client",
+        client.stream([payload]),
+        on_error=outcome.failed("client"),
+    )
+    traffic.fork(
+        b,
+        "chaos-tcp-collector",
+        server.drain(nbytes=len(payload), take=lambda msg: received.extend(msg.read())),
+        lambda: outcome.received.append(bytes(received)),
+        outcome.finish,
+    )
 
 
 def _workload_nmp(system, sender, members, outcomes) -> None:
@@ -195,39 +182,31 @@ def _workload_nmp(system, sender, members, outcomes) -> None:
     group_id = GROUP_BASE + 1
     port = 0x4100
     system.network.groups.register(group_id, tuple(n.name for n in members))
-    session = sender.nmp.open_sender(
-        group_id, port, tuple(n.node_id for n in members)
+    source = traffic.NMP(
+        sender, None, group_id, port, members=tuple(n.node_id for n in members)
     )
     expected = outcomes[f"nmp-{members[0].name}"].expected
 
-    def producer():
-        """Multicast the whole stream, then flush the watermark."""
-        try:
-            for payload in expected:
-                yield from sender.nmp.send(session, payload)
-            yield from sender.nmp.flush(session)
-        except ProtocolError as exc:
-            for outcome in outcomes.values():
-                if outcome.error is None:
-                    outcome.error = f"sender: {exc}"
+    def sender_failed(exc: ProtocolError) -> None:
+        for outcome in outcomes.values():
+            if outcome.error is None:
+                outcome.error = f"sender: {exc}"
 
     for rank, node in enumerate(members):
         outcome = outcomes[f"nmp-{node.name}"]
-        inbox = node.runtime.mailbox(f"chaos-nmp-{node.name}")
-        membership = node.nmp.join(group_id, port, rank, inbox)
-        assert membership.rank == rank
-
-        def collector(inbox=inbox, outcome=outcome):
-            """Collect this member's copy of the stream in arrival order."""
-            for _ in outcome.expected:
-                msg = yield from inbox.begin_get()
-                outcome.received.append(msg.read())
-                yield from inbox.end_get(msg)
-            outcome.finished = True
-
-        node.runtime.fork_application(collector(), f"chaos-nmp-recv-{node.name}")
-
-    sender.runtime.fork_application(producer(), "chaos-nmp-sender")
+        member = traffic.NMP(node, f"chaos-nmp-{node.name}", group_id, port, rank=rank)
+        traffic.fork(
+            node,
+            f"chaos-nmp-recv-{node.name}",
+            member.drain(messages=len(outcome.expected), take=outcome.collect),
+            outcome.finish,
+        )
+    traffic.fork(
+        sender,
+        "chaos-nmp-sender",
+        source.stream(expected),
+        on_error=sender_failed,
+    )
 
 
 @dataclass

@@ -23,8 +23,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, Optional, Tuple
 
+from repro.apps.traffic import rpc_service
 from repro.errors import AddressError, NectarError, ProtocolError
-from repro.protocols.headers import NectarTransportHeader
 from repro.runtime.mailbox import Mailbox
 from repro.system import NectarNode
 
@@ -102,9 +102,7 @@ class NetMsgServer:
             system._mach_directory = {}
         self._directory: Dict[str, int] = system._mach_directory
         self._ports: Dict[str, MachPort] = {}
-        self._service_mailbox = node.runtime.mailbox("netmsg-server")
-        node.rpc.serve(NETMSG_PORT, self._service_mailbox)
-        node.runtime.fork_system(self._server(), "netmsg-server")
+        rpc_service(node, "netmsg-server", NETMSG_PORT, self._forward)
         self.stats = node.runtime.stats
 
     # -- port management ------------------------------------------------------
@@ -158,24 +156,15 @@ class NetMsgServer:
 
     # -- the forwarding server (runs on the CAB) ------------------------------------
 
-    def _server(self) -> Generator:
-        while True:
-            msg = yield from self._service_mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            payload = msg.read(NectarTransportHeader.SIZE)
-            yield from self._service_mailbox.end_get(msg)
-            try:
-                dst_name, _message = MachMessage.unpack(payload)
-            except ProtocolError:
-                self.stats.add("mach_malformed")
-                yield from self.node.rpc.respond(header, _FORWARD_NO_PORT)
-                continue
-            if dst_name not in self._ports:
-                self.stats.add("mach_no_port")
-                yield from self.node.rpc.respond(header, _FORWARD_NO_PORT)
-                continue
-            yield from self._deliver_local(dst_name, payload)
-            self.stats.add("mach_forwards")
-            yield from self.node.rpc.respond(header, _FORWARD_OK)
+    def _forward(self, payload: bytes, _header) -> Generator:
+        try:
+            dst_name, _message = MachMessage.unpack(payload)
+        except ProtocolError:
+            self.stats.add("mach_malformed")
+            return _FORWARD_NO_PORT
+        if dst_name not in self._ports:
+            self.stats.add("mach_no_port")
+            return _FORWARD_NO_PORT
+        yield from self._deliver_local(dst_name, payload)
+        self.stats.add("mach_forwards")
+        return _FORWARD_OK

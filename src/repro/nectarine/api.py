@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional, Union
 
+from repro.apps.traffic import Datagram, RequestResponse, copy, rpc_service, serve
 from repro.errors import AddressError
 from repro.nectarine.naming import MailboxAddress, NameService
 from repro.nectarine.tasks import TASK_SERVER_PORT, TaskRegistry
-from repro.protocols.headers import (
-    NECTAR_KIND_DATA,
-    NECTAR_PROTO_DATAGRAM,
-    NectarTransportHeader,
-)
-from repro.runtime.mailbox import Mailbox, Message
+from repro.runtime.mailbox import Mailbox
 
 __all__ = ["CabNectarine", "HostNectarine", "MailboxFactory", "Nectarine"]
 
@@ -42,37 +38,30 @@ class MailboxFactory:
     def __init__(self, node, names: NameService):
         self.node = node
         self.names = names
-        self._mailbox = node.runtime.mailbox("mailbox-factory")
-        node.rpc.serve(MAILBOX_FACTORY_PORT, self._mailbox)
-        node.runtime.fork_system(self._server(), "mailbox-factory")
+        rpc_service(node, "mailbox-factory", MAILBOX_FACTORY_PORT, self._create)
 
-    def _server(self) -> Generator:
-        while True:
-            msg = yield from self._mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from self._mailbox.end_get(msg)
-            name, _sep, publish_as = body.partition(b"\x00")
-            try:
-                mailbox = self.node.runtime.mailbox(name.decode())
-                port = self.names.allocate_port(self.node.node_id)
-                self.node.datagram.bind(port, mailbox)
-                address = MailboxAddress(self.node.node_id, port)
-                if publish_as:
-                    self.names.publish(publish_as.decode(), address)
-                reply = f"OK {address.node_id}:{address.port}".encode()
-            except Exception as exc:  # creation is best-effort for callers
-                reply = f"ERR {exc}".encode()
-            yield from self.node.rpc.respond(header, reply)
+    def _create(self, body: bytes, _header) -> bytes:
+        name, _sep, publish_as = body.partition(b"\x00")
+        try:
+            mailbox = self.node.runtime.mailbox(name.decode())
+            port = self.names.allocate_port(self.node.node_id)
+            self.node.datagram.bind(port, mailbox)
+            address = MailboxAddress(self.node.node_id, port)
+            if publish_as:
+                self.names.publish(publish_as.decode(), address)
+            return f"OK {address.node_id}:{address.port}".encode()
+        except Exception as exc:  # creation is best-effort for callers
+            return f"ERR {exc}".encode()
 
 
 class Nectarine:
-    """Shared plumbing for both flavours of the interface."""
+    """The operations both flavours share, written once over the traffic
+    endpoints, which read the flavour off :attr:`where`."""
 
     def __init__(self, node, names: NameService, tasks: Optional[TaskRegistry] = None):
         self.node = node
+        #: What endpoints are opened on: the node, or a host's HostedNode.
+        self.where = node
         self.names = names
         self.tasks = tasks
 
@@ -87,14 +76,11 @@ class Nectarine:
             return target
         return self.names.lookup(target)
 
-
-class CabNectarine(Nectarine):
-    """The interface as seen by tasks running *on* the CAB."""
-
-    # -- mailboxes ---------------------------------------------------------------
+    # -- mailboxes ------------------------------------------------------------
 
     def create_mailbox(self, name: str, publish_as: Optional[str] = None) -> tuple[Mailbox, MailboxAddress]:
-        """Create a mailbox reachable from the whole network via datagrams."""
+        """Create a mailbox on this node's CAB, reachable from the whole
+        network via datagrams."""
         mailbox = self.node.runtime.mailbox(name)
         port = self.names.allocate_port(self.node.node_id)
         self.node.datagram.bind(port, mailbox)
@@ -104,9 +90,37 @@ class CabNectarine(Nectarine):
         return mailbox, address
 
     def send(self, target: Union[str, MailboxAddress], data: bytes, src_port: int = 0) -> Generator:
-        """Unreliable datagram to a network-wide mailbox address."""
+        """Unreliable datagram to a network-wide mailbox address.  A host
+        builds the packet in the datagram send mailbox and the CAB send
+        thread transmits it."""
         address = self._resolve(target)
-        yield from self.node.datagram.send(src_port, address.node_id, address.port, data)
+        return Datagram(
+            self.where, None, src_port, (address.node_id, address.port)
+        ).send(data)
+
+    # -- RPC --------------------------------------------------------------------
+
+    def _request(self, node_id: int, port: int, data: bytes) -> Generator:
+        """One call from a fresh client port; from a host, the transport
+        work runs on the CAB."""
+        return RequestResponse(self.where, None, peer=(node_id, port)).exchange(data, copy)
+
+    def call(self, target: Union[str, MailboxAddress], data: bytes) -> Generator:
+        """Request-response call; returns the response bytes."""
+        address = self._resolve(target)
+        return self._request(address.node_id, address.port, data)
+
+    def create_remote_task(self, node_id: int, task: str, arg: bytes = b"") -> Generator:
+        """Start a named task on another node; returns its task server's reply."""
+        if self.tasks is None or task not in self.tasks:
+            raise AddressError(f"task {task!r} is not registered")
+        return self._request(
+            node_id, TASK_SERVER_PORT, TaskRegistry.encode_request(task, arg)
+        )
+
+
+class CabNectarine(Nectarine):
+    """The interface as seen by tasks running *on* the CAB."""
 
     def receive(self, mailbox: Mailbox) -> Generator:
         """Next message's bytes from a mailbox (blocking)."""
@@ -114,15 +128,6 @@ class CabNectarine(Nectarine):
         data = yield from self.node.runtime.read_message(msg)
         yield from mailbox.end_get(msg)
         return data
-
-    # -- RPC ------------------------------------------------------------------------
-
-    def call(self, target: Union[str, MailboxAddress], data: bytes) -> Generator:
-        """Request-response call; returns the response bytes."""
-        address = self._resolve(target)
-        port = self.node.rpc.allocate_client_port()
-        reply = yield from self.node.rpc.request(port, address.node_id, address.port, data)
-        return reply
 
     def serve(self, name: str, handler: Callable[[bytes], bytes], port: Optional[int] = None) -> MailboxAddress:
         """Publish an RPC service; ``handler(request_bytes) -> response``.
@@ -137,43 +142,18 @@ class CabNectarine(Nectarine):
         address = MailboxAddress(self.node.node_id, port)
         self.names.publish(name, address)
         self.node.runtime.fork_system(
-            self._service_loop(mailbox, handler), name=f"svc:{name}"
+            serve(self.node, mailbox, lambda body, _header: handler(body)),
+            name=f"svc:{name}",
         )
         return address
-
-    def _service_loop(self, mailbox: Mailbox, handler) -> Generator:
-        while True:
-            msg = yield from mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from mailbox.end_get(msg)
-            response = handler(body)
-            yield from self.node.rpc.respond(header, response)
-
-    # -- remote creation ---------------------------------------------------------------
-
-    def create_remote_task(self, node_id: int, task: str, arg: bytes = b"") -> Generator:
-        """Start a named task on another node; returns the server's reply."""
-        if self.tasks is None or task not in self.tasks:
-            raise AddressError(f"task {task!r} is not registered")
-        port = self.node.rpc.allocate_client_port()
-        reply = yield from self.node.rpc.request(
-            port, node_id, TASK_SERVER_PORT, TaskRegistry.encode_request(task, arg)
-        )
-        return reply
 
     def create_remote_mailbox(
         self, node_id: int, name: str, publish_as: str = ""
     ) -> Generator:
         """Create a mailbox on another node (its MailboxFactory must be
         installed); returns the new mailbox's network-wide address."""
-        port = self.node.rpc.allocate_client_port()
         request = name.encode() + b"\x00" + publish_as.encode()
-        reply = yield from self.node.rpc.request(
-            port, node_id, MAILBOX_FACTORY_PORT, request
-        )
+        reply = yield from self._request(node_id, MAILBOX_FACTORY_PORT, request)
         if not reply.startswith(b"OK "):
             raise AddressError(f"remote mailbox creation failed: {reply!r}")
         node_text, _colon, port_text = reply[3:].decode().partition(":")
@@ -189,42 +169,12 @@ class HostNectarine(Nectarine):
 
     def __init__(self, hosted, names: NameService, tasks: Optional[TaskRegistry] = None):
         super().__init__(hosted.node, names, tasks)
-        self.hosted = hosted
+        self.where = self.hosted = hosted
         self.driver = hosted.driver
 
     def init(self) -> Generator:
         """Program initialization: map CAB memory (paper Sec. 3.2)."""
         yield from self.driver.map_cab_memory()
-
-    # -- mailboxes ----------------------------------------------------------------
-
-    def create_mailbox(self, name: str, publish_as: Optional[str] = None) -> tuple[Mailbox, MailboxAddress]:
-        """Create a network-reachable mailbox on this node's CAB."""
-        mailbox = self.node.runtime.mailbox(name)
-        port = self.names.allocate_port(self.node.node_id)
-        self.node.datagram.bind(port, mailbox)
-        address = MailboxAddress(self.node.node_id, port)
-        if publish_as:
-            self.names.publish(publish_as, address)
-        return mailbox, address
-
-    def send(self, target: Union[str, MailboxAddress], data: bytes, src_port: int = 0) -> Generator:
-        """Datagram send from the host: build the packet in the datagram
-        send mailbox; the CAB send thread transmits it."""
-        address = self._resolve(target)
-        send_mailbox = self.node.datagram.send_mailbox
-        header = NectarTransportHeader(
-            protocol=NECTAR_PROTO_DATAGRAM,
-            kind=NECTAR_KIND_DATA,
-            src_port=src_port,
-            dst_node=address.node_id,
-            dst_port=address.port,
-        )
-        msg = yield from self.driver.begin_put(
-            send_mailbox, NectarTransportHeader.SIZE + len(data)
-        )
-        yield from self.driver.fill(msg, header.pack() + data)
-        yield from self.driver.end_put(send_mailbox, msg)
 
     def receive(self, mailbox: Mailbox, blocking: bool = False) -> Generator:
         """Next message's bytes from a mailbox (read over VME)."""
@@ -232,39 +182,3 @@ class HostNectarine(Nectarine):
         data = yield from self.driver.read(msg)
         yield from self.driver.end_get(mailbox, msg)
         return data
-
-    # -- RPC --------------------------------------------------------------------------
-
-    def call(self, target: Union[str, MailboxAddress], data: bytes) -> Generator:
-        """RPC from the host: the transport work runs on the CAB."""
-        address = self._resolve(target)
-        node = self.node
-
-        def on_cab() -> Generator:
-            port = node.rpc.allocate_client_port()
-            reply = yield from node.rpc.request(
-                port, address.node_id, address.port, data
-            )
-            return reply
-
-        reply = yield from self.driver.call_cab(on_cab)
-        return reply
-
-    # -- remote creation ------------------------------------------------------------------
-
-    def create_remote_task(self, node_id: int, task: str, arg: bytes = b"") -> Generator:
-        """Start a named task on another node via its task server."""
-        if self.tasks is None or task not in self.tasks:
-            raise AddressError(f"task {task!r} is not registered")
-        node = self.node
-        payload = TaskRegistry.encode_request(task, arg)
-
-        def on_cab() -> Generator:
-            port = node.rpc.allocate_client_port()
-            reply = yield from node.rpc.request(
-                port, node_id, TASK_SERVER_PORT, payload
-            )
-            return reply
-
-        reply = yield from self.driver.call_cab(on_cab)
-        return reply

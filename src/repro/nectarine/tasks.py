@@ -9,10 +9,10 @@ remote creation is one RPC carrying the task name and an argument blob.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator
+from typing import Callable, Dict
 
+from repro.apps.traffic import rpc_service
 from repro.errors import AddressError, ProtocolError
-from repro.protocols.headers import NectarTransportHeader
 
 __all__ = ["TASK_SERVER_PORT", "TaskRegistry"]
 
@@ -53,23 +53,13 @@ class TaskRegistry:
 
     def install(self, node) -> None:
         """Start this node's task server (idempotent per node)."""
-        runtime = node.runtime
-        mailbox = runtime.mailbox("task-server")
-        node.rpc.serve(TASK_SERVER_PORT, mailbox)
-        runtime.fork_system(self._server(node, mailbox), name="task-server")
 
-    def _server(self, node, mailbox) -> Generator:
-        while True:
-            msg = yield from mailbox.begin_get()
-            header = NectarTransportHeader.unpack(
-                msg.read(0, NectarTransportHeader.SIZE)
-            )
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from mailbox.end_get(msg)
+        def create(body: bytes, _header) -> bytes:
             name, arg = self.decode_request(body)
             factory = self._factories.get(name)
             if factory is None:
-                yield from node.rpc.respond(header, b"ERR unknown task")
-                continue
+                return b"ERR unknown task"
             tcb = node.runtime.fork_application(factory(node, arg), name=f"task:{name}")
-            yield from node.rpc.respond(header, b"OK " + tcb.name.encode())
+            return b"OK " + tcb.name.encode()
+
+        rpc_service(node, "task-server", TASK_SERVER_PORT, create)

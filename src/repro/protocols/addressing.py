@@ -35,7 +35,8 @@ def format_ip(value: int) -> str:
 
 
 class NodeRegistry:
-    """Name / node-id / IP bookkeeping for every CAB on a network."""
+    """Name / node-id / IP bookkeeping for every CAB on a network, and the
+    network-wide id source for what the nodes' protocols number."""
 
     def __init__(self, network: NectarNetwork):
         self.network = network
@@ -44,6 +45,13 @@ class NodeRegistry:
         self._ip_by_id: Dict[int, int] = {}
         self._id_by_ip: Dict[int, int] = {}
         self._next_id = 1
+        self._next_connection_id = 1
+
+    def allocate_connection_id(self) -> int:
+        """The next TCP connection id on this network (1, 2, ...)."""
+        conn_id = self._next_connection_id
+        self._next_connection_id += 1
+        return conn_id
 
     def register(self, name: str, ip: Optional[str] = None) -> int:
         """Assign a node id (and IP) to a CAB name.  Returns the node id."""

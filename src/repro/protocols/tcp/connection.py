@@ -102,8 +102,6 @@ class TCPConnection:
     methods live on :class:`~repro.protocols.tcp.tcp.TCPProtocol`.
     """
 
-    _next_id = 1
-
     def __init__(
         self,
         tcp,
@@ -113,8 +111,10 @@ class TCPConnection:
         receive_mailbox,
     ):
         self.tcp = tcp
-        self.conn_id = TCPConnection._next_id
-        TCPConnection._next_id += 1
+        #: Numbered by the system, not the process: the id seeds the ISS,
+        #: so a process-wide counter made the n-th system built in one
+        #: interpreter send other header bytes than the first.
+        self.conn_id = tcp.ip.registry.allocate_connection_id()
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port

@@ -16,10 +16,11 @@ over ``users`` is byte-stable run to run — the property the committed
 
 from __future__ import annotations
 
-from typing import Generator
+from itertools import repeat
 
+from repro.apps.traffic import Datagram, fork
+from repro.bench.harness import two_nodes
 from repro.model.stats import LatencyRecorder
-from repro.system import NectarSystem
 from repro.units import seconds
 
 __all__ = ["run_load"]
@@ -49,10 +50,7 @@ def run_load(
         raise ValueError("users must be >= 1")
     if messages <= warmup:
         raise ValueError("messages must exceed the warmup count")
-    system = NectarSystem()
-    hub = system.add_hub("hub0")
-    node_a = system.add_node("cab-a", hub, 0)
-    node_b = system.add_node("cab-b", hub, 1)
+    system, node_a, node_b = two_nodes()
     payload = b"\xA5" * payload_bytes
 
     recorder = LatencyRecorder("load")
@@ -60,37 +58,30 @@ def run_load(
     finished = [0]
     delivered = [0]
 
-    def client(user: int, inbox) -> Generator:
-        for index in range(messages):
-            start = system.now
-            yield from node_a.datagram.send(
-                _BASE_A + user, node_b.node_id, _BASE_B + user, payload
-            )
-            message = yield from inbox.begin_get()
-            delivered[0] += len(message.read())
-            yield from inbox.end_get(message)
-            if index >= warmup:
-                recorder.record(system.now - start)
+    def on_round(index: int, rtt_ns: int, nbytes: int) -> None:
+        delivered[0] += nbytes
+        if index >= warmup:
+            recorder.record(rtt_ns)
+
+    def on_finish() -> None:
         finished[0] += 1
         if finished[0] == users:
             done.succeed()
 
-    def echo(user: int, inbox) -> Generator:
-        for _index in range(messages):
-            message = yield from inbox.begin_get()
-            data = message.read()
-            yield from inbox.end_get(message)
-            yield from node_b.datagram.send(
-                _BASE_B + user, node_a.node_id, _BASE_A + user, data
-            )
-
     for user in range(users):
-        a_inbox = node_a.runtime.mailbox(f"load-a-{user}")
-        b_inbox = node_b.runtime.mailbox(f"load-b-{user}")
-        node_a.datagram.bind(_BASE_A + user, a_inbox)
-        node_b.datagram.bind(_BASE_B + user, b_inbox)
-        node_a.runtime.fork_application(client(user, a_inbox), f"load-cl-{user}")
-        node_b.runtime.fork_system(echo(user, b_inbox), f"load-echo-{user}")
+        port_a, port_b = _BASE_A + user, _BASE_B + user
+        client = Datagram(node_a, f"load-a-{user}", port_a, (node_b.node_id, port_b))
+        server = Datagram(node_b, f"load-b-{user}", port_b, (node_a.node_id, port_a))
+        fork(
+            node_a,
+            f"load-cl-{user}",
+            # Each client copies its reply out before counting it.
+            client.pingpong(
+                repeat(payload, messages), on_round, take=lambda msg: len(msg.read())
+            ),
+            on_finish,
+        )
+        fork(node_b, f"load-echo-{user}", server.echo(messages), service=True)
 
     system.run_until(done, limit=_LIMIT)
     sim_ns = max(1, system.now)

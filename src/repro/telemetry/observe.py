@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from itertools import repeat
+from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError
-from repro.protocols.headers import NectarTransportHeader
+from repro.apps import traffic
 from repro.system import NectarSystem
 from repro.telemetry.session import Telemetry
 from repro.units import seconds
@@ -91,107 +91,42 @@ def _workload_table1(system: NectarSystem, rounds: int) -> List[str]:
     a = system.nodes["cab-a"]
     b = system.nodes["cab-b"]
     payload = b"\xA5" * _PAYLOAD_BYTES
-
-    dg_a = a.runtime.mailbox("obs-dg-a")
-    dg_b = b.runtime.mailbox("obs-dg-b")
-    a.datagram.bind(11, dg_a)
-    b.datagram.bind(12, dg_b)
-
-    rmp_a = a.runtime.mailbox("obs-rmp-a")
-    rmp_b = b.runtime.mailbox("obs-rmp-b")
-    chan_ab = a.rmp.open(21, b.node_id, 22, deliver_mailbox=rmp_a)
-    chan_ba = b.rmp.open(22, a.node_id, 21, deliver_mailbox=rmp_b)
-
-    rpc_server = b.runtime.mailbox("obs-rpc-server")
-    b.rpc.serve(31, rpc_server)
-
-    udp_a = a.runtime.mailbox("obs-udp-a")
-    udp_b = b.runtime.mailbox("obs-udp-b")
-    a.udp.bind(41, udp_a)
-    b.udp.bind(42, udp_b)
-
-    tcp_inbox = b.runtime.mailbox("obs-tcp-srv")
-    b.tcp.listen(7000, lambda conn: tcp_inbox)
     tcp_bytes = _PAYLOAD_BYTES * 8
     tcp_received = bytearray()
-
-    rtts: Dict[str, List[int]] = {name: [] for name in ("datagram", "rmp", "reqresp", "udp")}
-
-    def dg_echo() -> Generator:
-        while True:
-            msg = yield from dg_b.begin_get()
-            data = msg.read()
-            yield from dg_b.end_get(msg)
-            yield from b.datagram.send(12, a.node_id, 11, data)
-
-    def rmp_echo() -> Generator:
-        while True:
-            msg = yield from rmp_b.begin_get()
-            data = msg.read()
-            yield from rmp_b.end_get(msg)
-            yield from b.rmp.send(chan_ba, data)
-
-    def rpc_serve() -> Generator:
-        while True:
-            msg = yield from rpc_server.begin_get()
-            header = NectarTransportHeader.unpack(msg.read(0, NectarTransportHeader.SIZE))
-            body = msg.read(NectarTransportHeader.SIZE)
-            yield from rpc_server.end_get(msg)
-            yield from b.rpc.respond(header, body)
-
-    def udp_echo() -> Generator:
-        while True:
-            msg = yield from udp_b.begin_get()
-            data = msg.read()
-            yield from udp_b.end_get(msg)
-            yield from b.udp.send(42, a.ip_address, 41, data)
-
-    def tcp_collect() -> Generator:
-        while len(tcp_received) < tcp_bytes:
-            msg = yield from tcp_inbox.begin_get()
-            tcp_received.extend(msg.read())
-            yield from tcp_inbox.end_get(msg)
-
-    def client() -> Generator:
-        for _ in range(rounds):
-            start = system.now
-            yield from a.datagram.send(11, b.node_id, 12, payload)
-            msg = yield from dg_a.begin_get()
-            yield from dg_a.end_get(msg)
-            rtts["datagram"].append(system.now - start)
-        for _ in range(rounds):
-            start = system.now
-            yield from a.rmp.send(chan_ab, payload)
-            msg = yield from rmp_a.begin_get()
-            yield from rmp_a.end_get(msg)
-            rtts["rmp"].append(system.now - start)
-        port = a.rpc.allocate_client_port()
-        for _ in range(rounds):
-            start = system.now
-            yield from a.rpc.request(port, b.node_id, 31, payload)
-            rtts["reqresp"].append(system.now - start)
-        for _ in range(rounds):
-            start = system.now
-            yield from a.udp.send(41, b.ip_address, 42, payload)
-            msg = yield from udp_a.begin_get()
-            yield from udp_a.end_get(msg)
-            rtts["udp"].append(system.now - start)
-        tcp_cli = a.runtime.mailbox("obs-tcp-cli")
-        conn = yield from a.tcp.connect(6000, b.ip_address, 7000, tcp_cli)
-        yield from a.tcp.send_direct(conn, bytes(range(256)) * (tcp_bytes // 256))
-
-    b.runtime.fork_system(dg_echo(), "obs-dg-echo")
-    b.runtime.fork_system(rmp_echo(), "obs-rmp-echo")
-    b.runtime.fork_system(rpc_serve(), "obs-rpc-server")
-    b.runtime.fork_system(udp_echo(), "obs-udp-echo")
-    b.runtime.fork_application(tcp_collect(), "obs-tcp-collector")
-    a.runtime.fork_application(client(), "obs-client")
+    rtts: Dict[str, List[int]] = {}
+    client_steps = []
+    for name, kind, a_inbox, b_inbox, service in (
+        ("datagram", "datagram", "obs-dg-a", "obs-dg-b", "obs-dg-echo"),
+        ("rmp", "rmp", "obs-rmp-a", "obs-rmp-b", "obs-rmp-echo"),
+        ("reqresp", "request-response", None, "obs-rpc-server", "obs-rpc-server"),
+        ("udp", "udp", "obs-udp-a", "obs-udp-b", "obs-udp-echo"),
+    ):
+        client, server = traffic.pair(kind, a, b, a_inbox, b_inbox)
+        samples = rtts[name] = []
+        client_steps.append(
+            client.pingpong(
+                repeat(payload, rounds),
+                lambda _index, rtt_ns, _taken, samples=samples: samples.append(rtt_ns),
+            )
+        )
+        traffic.fork(b, service, server.echo(), service=True)
+    tcp_client, tcp_server = traffic.pair("tcp", a, b, "obs-tcp-cli", "obs-tcp-srv")
+    client_steps.append(
+        tcp_client.stream([bytes(range(256)) * (tcp_bytes // 256)])
+    )
+    traffic.fork(
+        b,
+        "obs-tcp-collector",
+        tcp_server.drain(
+            nbytes=tcp_bytes, take=lambda msg: tcp_received.extend(msg.read())
+        ),
+    )
+    traffic.fork(a, "obs-client", *client_steps)
 
     system.run(until=OBSERVE_DEADLINE_NS)
 
     lines = []
-    for name in ("datagram", "rmp", "reqresp", "udp"):
-        samples = rtts[name]
+    for name, samples in rtts.items():
         mean = sum(samples) // len(samples) if samples else 0
         lines.append(f"  {name}: {len(samples)}/{rounds} round trips, mean rtt {mean} ns")
     lines.append(f"  tcp: delivered {len(tcp_received)}/{tcp_bytes} bytes")
@@ -202,9 +137,8 @@ def _workload_rmp_stream(system: NectarSystem, rounds: int) -> List[str]:
     """A reliable RMP message stream from cab-a to cab-b."""
     a = system.nodes["cab-a"]
     b = system.nodes["cab-b"]
-    inbox = b.runtime.mailbox("obs-rmp-inbox")
-    chan = a.rmp.open(100, b.node_id, 200)
-    b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
+    sender = traffic.RMP(a, None, 100, (b.node_id, 200))
+    receiver = traffic.RMP(b, "obs-rmp-inbox", 200, (a.node_id, 100))
     payloads = [
         bytes([index & 0xFF]) * (64 * (index % 4 + 1)) for index in range(rounds)
     ]
@@ -213,22 +147,19 @@ def _workload_rmp_stream(system: NectarSystem, rounds: int) -> List[str]:
     delivered: List[tuple] = []
     errors: List[str] = []
 
-    def sender() -> Generator:
-        try:
-            for payload in payloads:
-                yield from a.rmp.send(chan, payload)
-        except ProtocolError as exc:
-            errors.append(f"sender: {exc}")
+    def verify(msg) -> None:
+        view = msg.view()
+        delivered.append((len(view), view == payloads[len(delivered)]))
 
-    def receiver() -> Generator:
-        for expected in payloads:
-            msg = yield from inbox.begin_get()
-            view = msg.view()
-            delivered.append((len(view), view == expected))
-            yield from inbox.end_get(msg)
-
-    a.runtime.fork_application(sender(), "obs-rmp-sender")
-    b.runtime.fork_application(receiver(), "obs-rmp-receiver")
+    traffic.fork(
+        a,
+        "obs-rmp-sender",
+        sender.stream(payloads),
+        on_error=lambda exc: errors.append(f"sender: {exc}"),
+    )
+    traffic.fork(
+        b, "obs-rmp-receiver", receiver.drain(messages=len(payloads), take=verify)
+    )
     system.run(until=OBSERVE_DEADLINE_NS)
 
     delivered_bytes = sum(size for size, _ok in delivered)

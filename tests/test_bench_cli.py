@@ -17,29 +17,37 @@ class TestDispatch:
         assert usage in entry.__doc__
         for name in entry._SUBCOMMANDS:
             assert f"python -m repro  {name}" in usage
-        for name in entry._EXPERIMENTS:
-            assert name in usage
 
     def test_every_experiment_module_follows_the_driver_contract(self):
-        import importlib
+        from repro.bench import ablations, fig6, fig7, fig8, microcosts, table1
 
-        for name, module_name in entry._EXPERIMENTS.items():
-            module = importlib.import_module(module_name)
-            assert callable(module.scenario), name
-            assert callable(module.main), name
-            assert isinstance(module.DEFAULTS, dict), name
+        for module in (table1, fig6, fig7, fig8, microcosts, ablations):
+            assert callable(module.scenario), module.__name__
+            assert isinstance(module.DEFAULTS, dict), module.__name__
+            # `bench <name>` is the one way to run a driver.
+            assert not hasattr(module, "main"), module.__name__
 
     def test_unknown_experiment_exits_2(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
-        assert "unknown experiment" in result.stderr
+        assert "unknown subcommand" in result.stderr
         assert "bench" in result.stderr  # subcommand listing
+
+    @pytest.mark.parametrize("name", ["table1", "fig6", "fig7", "fig8", "micro", "ablations"])
+    def test_a_table_or_figure_is_a_scenario_not_a_subcommand(self, name, capsys):
+        assert not hasattr(entry, "_EXPERIMENTS")
+        assert entry.main([name]) == 2
+        assert f"python -m repro bench {name}" in capsys.readouterr().err
+
+    def test_no_arguments_prints_the_usage_and_exits_2(self, capsys):
+        assert entry.main([]) == 2
+        assert entry.build_usage() in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["scale", "mcast", "ops"])
     def test_deleted_clis_are_ordinary_unknown_subcommands(self, name, capsys):
         assert name not in entry._SUBCOMMANDS
         assert entry.main([name, "--check"]) == 2
-        assert f"unknown experiment {name!r}" in capsys.readouterr().err
+        assert f"unknown subcommand {name!r}" in capsys.readouterr().err
 
     def test_driver_result_contract(self):
         from repro.bench import DriverResult, resolve_params

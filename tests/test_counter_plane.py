@@ -18,7 +18,7 @@ from collections import deque
 
 import pytest
 
-from repro.apps.latency import host_rmp_rtt
+from repro.apps.traffic import measure_rtt
 from repro.bench.harness import two_hosted_nodes
 from repro.cluster.fleet import build_fleet_system, line_fleet
 from repro.cluster.workload import Workload, WorkloadSpec
@@ -112,7 +112,7 @@ def hosted_rig():
     nic_a = EthernetNIC(hosted_a.host, segment)
     EthernetNIC(hosted_b.host, segment)
     hosted_a.host.fork_process(nic_a.send(hosted_b.host.name, b"\x5A" * 64))
-    host_rmp_rtt(system, hosted_a, hosted_b, rounds=3, warmup=1)
+    measure_rtt(system, hosted_a, hosted_b, "rmp", rounds=3, warmup=1)
     return system, hosted_a, hosted_b, segment
 
 

@@ -36,6 +36,21 @@ def test_there_is_one_way_to_sleep():
     assert hits == [], "yield the delay itself:\n" + "\n".join(hits)
 
 
+def test_the_request_response_server_loop_exists_once():
+    """Taking a request apart (transport header, then body) is the first
+    half of the RPC server loop; outside the protocols themselves only
+    ``traffic.serve`` does it, and every service hands it a handler."""
+    allowed = ("src/repro/protocols/", "src/repro/apps/traffic.py")
+    hits = [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if not path.relative_to(REPO).as_posix().startswith(allowed)
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "NectarTransportHeader.unpack(" in line
+    ]
+    assert hits == [], "hand the loop a handler (traffic.serve):\n" + "\n".join(hits)
+
+
 def test_lint_cli_strict_exits_zero():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC / "repro"), "--strict"],

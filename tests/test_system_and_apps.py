@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.apps.latency import cab_datagram_rtt
-from repro.apps.throughput import cab_rmp_throughput
+from repro.apps.traffic import measure_rtt, measure_throughput
 from repro.errors import ConfigurationError
 from repro.model.costs import CostModel
 from repro.system import NectarSystem
@@ -55,7 +54,7 @@ class TestDeterminism:
         hub = system.add_hub("hub0")
         a = system.add_node("a", hub, 0)
         b = system.add_node("b", hub, 1)
-        recorder = cab_datagram_rtt(system, a, b, rounds=10, warmup=2)
+        recorder = measure_rtt(system, a, b, "datagram", rounds=10, warmup=2)
         return tuple(recorder.samples_ns), system.now
 
     def test_identical_runs_are_bit_identical(self):
@@ -76,7 +75,7 @@ class TestHarnesses:
         hub = system.add_hub("hub0")
         a = system.add_node("a", hub, 0)
         b = system.add_node("b", hub, 1)
-        recorder = cab_datagram_rtt(system, a, b, rounds=12, warmup=4)
+        recorder = measure_rtt(system, a, b, "datagram", rounds=12, warmup=4)
         assert recorder.count == 8
 
     def test_throughput_scales_with_size(self):
@@ -90,19 +89,22 @@ class TestHarnesses:
         hub = system.add_hub("hub0")
         a = system.add_node("a", hub, 0)
         b = system.add_node("b", hub, 1)
-        return cab_rmp_throughput(system, a, b, size, count=15)
+        return measure_throughput(system, a, b, "rmp", size, count=15)
 
 
 class TestMainEntry:
-    def test_unknown_experiment_rejected(self):
+    def test_unknown_experiment_rejected(self, capsys):
         from repro.__main__ import main
 
         assert main(["nonsense"]) == 2
+        # A table or figure is a scenario, not a subcommand of its own.
+        assert main(["micro"]) == 2
+        assert "python -m repro bench micro" in capsys.readouterr().err
 
     def test_micro_runs(self, capsys):
         from repro.__main__ import main
 
-        assert main(["micro"]) == 0
+        assert main(["bench", "micro"]) == 0
         out = capsys.readouterr().out
         assert "context switch" in out
 
@@ -133,13 +135,11 @@ class TestUtilizationAndConfig:
 
     def test_checksum_free_udp_is_faster(self):
         def rtt(udp_checksums):
-            from repro.apps.latency import cab_udp_rtt
-
             system = NectarSystem()
             hub = system.add_hub("hub0")
             a = system.add_node("a", hub, 0, udp_checksums=udp_checksums)
             b = system.add_node("b", hub, 1, udp_checksums=udp_checksums)
-            return cab_udp_rtt(system, a, b, message_size=1024, rounds=10, warmup=3).mean_ns
+            return measure_rtt(system, a, b, "udp", 1024, rounds=10, warmup=3).mean_ns
 
         assert rtt(False) < rtt(True)
 
@@ -149,7 +149,7 @@ class TestUtilizationAndConfig:
         a = system.add_node("a", hub, 0)
         b = system.add_node("b", hub, 1)
         assert system.utilization() == {"a": 0.0, "b": 0.0}
-        recorder = cab_datagram_rtt(system, a, b, rounds=10, warmup=2)
+        measure_rtt(system, a, b, "datagram", rounds=10, warmup=2)
         util = system.utilization()
         assert 0.0 < util["a"] <= 1.0
         assert 0.0 < util["b"] <= 1.0
