@@ -151,7 +151,6 @@ _GENERATOR_APIS = {
     "kick_readers",
     "fill_message",
     "read_message",
-    "checksum_message",
     "iwrite",
     "send_frame",
 }

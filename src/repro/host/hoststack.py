@@ -45,12 +45,14 @@ def _pack_segment(kind: int, seq: int, payload: bytes) -> bytes:
 def _unpack_segment(packet: bytes) -> tuple[int, int, bytes]:
     if len(packet) < _HDR_SIZE:
         raise ProtocolError(f"short host-stack segment: {len(packet)} bytes")
-    kind, seq, length, _checksum = struct.unpack(_HDR_FMT, packet[:_HDR_SIZE])
+    kind, seq, length, checksum = struct.unpack_from(_HDR_FMT, packet)
     payload = packet[_HDR_SIZE : _HDR_SIZE + length]
     if len(payload) != length:
         raise ProtocolError("truncated host-stack segment")
+    # The 11-byte header leaves the payload odd-aligned, so header and
+    # payload cannot be summed as separate pieces: one probe, summed once.
     probe = struct.pack(_HDR_FMT, kind, seq, length, 0) + payload
-    if internet_checksum(probe) != struct.unpack(_HDR_FMT, packet[:_HDR_SIZE])[3]:
+    if internet_checksum(probe) != checksum:
         raise ProtocolError("host-stack checksum mismatch")
     return kind, seq, payload
 

@@ -10,43 +10,29 @@ genuinely detected end-to-end.
 
 from __future__ import annotations
 
-__all__ = ["internet_checksum", "ones_complement_add", "verify_checksum"]
+from typing import Union
+
+__all__ = ["internet_checksum", "verify_checksum"]
+
+Buffer = Union[bytes, bytearray, memoryview]
 
 
-def ones_complement_add(a: int, b: int) -> int:
-    """16-bit one's-complement addition."""
-    total = a + b
-    return (total & 0xFFFF) + (total >> 16)
+def checksum_partial(data: Buffer, initial: int = 0) -> int:
+    """Raw (un-inverted) running sum, for multi-piece checksums.
 
-
-def internet_checksum(data: bytes, initial: int = 0) -> int:
-    """RFC 1071 checksum of ``data`` (16-bit one's-complement sum, inverted).
-
-    ``initial`` allows incremental computation over pseudo-header + payload.
+    The one word-sum in the tree, RFC 1071 §2(B): since 2**16 ≡ 1
+    (mod 0xFFFF), the one's-complement sum of the big-endian 16-bit words
+    is the whole buffer read as one integer, reduced mod 0xFFFF — a single
+    C-level pass over any byte buffer, no staging copy.  A sum that never
+    overflowed 16 bits is returned as is (0 stays 0); one that did folds
+    into 1..0xFFFF, never back to 0.
     """
-    total = initial
-    length = len(data)
-    # Sum 16-bit big-endian words.
-    for index in range(0, length - 1, 2):
-        total += (data[index] << 8) | data[index + 1]
-    if length % 2:
-        total += data[-1] << 8
-    # Fold carries.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
-def checksum_partial(data: bytes, initial: int = 0) -> int:
-    """Raw (un-inverted) running sum, for multi-piece checksums."""
-    total = initial
-    length = len(data)
-    for index in range(0, length - 1, 2):
-        total += (data[index] << 8) | data[index + 1]
-    if length % 2:
-        total += data[-1] << 8
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    total = int.from_bytes(data, "big")
+    if len(data) % 2:
+        total <<= 8  # odd tail: the last byte is the high half of its word
+    total += initial
+    if total > 0xFFFF:
+        return total % 0xFFFF or 0xFFFF
     return total
 
 
@@ -57,7 +43,15 @@ def finish_checksum(partial: int) -> int:
     return (~partial) & 0xFFFF
 
 
-def verify_checksum(data: bytes) -> bool:
+def internet_checksum(data: Buffer, initial: int = 0) -> int:
+    """RFC 1071 checksum of ``data`` (16-bit one's-complement sum, inverted).
+
+    ``initial`` allows incremental computation over pseudo-header + payload.
+    """
+    return finish_checksum(checksum_partial(data, initial))
+
+
+def verify_checksum(data: Buffer) -> bool:
     """True when ``data`` (with its checksum field in place) sums correctly.
 
     Per RFC 1071, summing a block that embeds a correct checksum yields

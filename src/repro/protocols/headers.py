@@ -10,7 +10,12 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
-from repro.protocols.checksum import checksum_partial, finish_checksum, internet_checksum
+from repro.protocols.checksum import (
+    Buffer,
+    checksum_partial,
+    finish_checksum,
+    internet_checksum,
+)
 
 __all__ = [
     "DatalinkHeader",
@@ -148,7 +153,7 @@ class IPv4Header:
             checksum=checksum,
         )
 
-    def header_checksum_ok(self, raw: bytes) -> bool:
+    def header_checksum_ok(self, raw: Buffer) -> bool:
         """Verify the header checksum over the raw 20 header bytes."""
         return internet_checksum(raw[: self.SIZE]) == 0
 
@@ -161,6 +166,16 @@ def pseudo_header_sum(src: int, dst: int, protocol: int, length: int) -> int:
     """Running sum of the TCP/UDP pseudo-header."""
     pseudo = struct.pack(">IIBBH", src, dst, 0, protocol, length)
     return checksum_partial(pseudo)
+
+
+def _segment_sum(protocol: int, src_ip: int, dst_ip: int, segment: Buffer) -> int:
+    """Inverted sum over pseudo-header + ``segment``, summed in place.
+
+    The value to transmit when the checksum field is zero; 0 when the
+    field already holds a valid checksum.
+    """
+    partial = pseudo_header_sum(src_ip, dst_ip, protocol, len(segment))
+    return finish_checksum(checksum_partial(segment, partial))
 
 
 # -------------------------------------------------------------------- UDP
@@ -193,11 +208,9 @@ class UDPHeader:
         return cls(src_port=src, dst_port=dst, length=length, checksum=checksum)
 
     @staticmethod
-    def compute_checksum(src_ip: int, dst_ip: int, segment: bytes) -> int:
-        partial = pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP, len(segment))
-        partial = checksum_partial(segment, partial)
-        value = finish_checksum(partial)
-        return value or 0xFFFF  # 0 means "no checksum" in UDP
+    def compute_checksum(src_ip: int, dst_ip: int, segment: Buffer) -> int:
+        # 0 means "no checksum" in UDP (RFC 768); 0xFFFF verifies the same.
+        return _segment_sum(IPPROTO_UDP, src_ip, dst_ip, segment) or 0xFFFF
 
 
 # -------------------------------------------------------------------- TCP
@@ -271,16 +284,14 @@ class TCPHeader:
         )
 
     @staticmethod
-    def compute_checksum(src_ip: int, dst_ip: int, segment: bytes) -> int:
-        partial = pseudo_header_sum(src_ip, dst_ip, IPPROTO_TCP, len(segment))
-        partial = checksum_partial(segment, partial)
-        return finish_checksum(partial)
+    def compute_checksum(src_ip: int, dst_ip: int, segment: Buffer) -> int:
+        # TCP has no "no checksum" value: every segment is verified, and a
+        # computed 0 goes out as 0xFFFF, its other one's-complement spelling.
+        return _segment_sum(IPPROTO_TCP, src_ip, dst_ip, segment) or 0xFFFF
 
     @staticmethod
-    def verify(src_ip: int, dst_ip: int, segment: bytes) -> bool:
-        partial = pseudo_header_sum(src_ip, dst_ip, IPPROTO_TCP, len(segment))
-        partial = checksum_partial(segment, partial)
-        return finish_checksum(partial) == 0
+    def verify(src_ip: int, dst_ip: int, segment: Buffer) -> bool:
+        return _segment_sum(IPPROTO_TCP, src_ip, dst_ip, segment) == 0
 
     def flag_names(self) -> str:
         """Human-readable flag list, e.g. 'SYN|ACK'."""
@@ -341,7 +352,7 @@ class ICMPHeader:
         )
 
     @staticmethod
-    def compute_checksum(message: bytes) -> int:
+    def compute_checksum(message: Buffer) -> int:
         return internet_checksum(message)
 
 

@@ -65,11 +65,11 @@ class ICMPProtocol:
         )
         body = bytearray(header.pack())
         body.extend(payload)
-        checksum = ICMPHeader.compute_checksum(bytes(body))
+        checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
         yield Compute(self.costs.cab_checksum_ns(len(body)))
         yield Compute(self.costs.cab_memcpy_ns(len(body)))
-        msg.write(IPv4Header.SIZE, bytes(body))
+        msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)
 
@@ -90,11 +90,11 @@ class ICMPProtocol:
         )
         body = bytearray(header.pack())
         body.extend(quote)
-        checksum = ICMPHeader.compute_checksum(bytes(body))
+        checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
         yield Compute(self.costs.cab_checksum_ns(len(body)))
         yield Compute(self.costs.cab_memcpy_ns(len(body)))
-        msg.write(IPv4Header.SIZE, bytes(body))
+        msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)
         self.stats.add("icmp_unreachable_out")
@@ -154,11 +154,11 @@ class ICMPProtocol:
         )
         body = bytearray(header.pack())
         body.extend(payload)
-        checksum = ICMPHeader.compute_checksum(bytes(body))
+        checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
         yield Compute(self.costs.cab_checksum_ns(len(body)))
         yield Compute(self.costs.cab_memcpy_ns(len(body)))
-        msg.write(IPv4Header.SIZE, bytes(body))
+        msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)
         self.stats.add("icmp_echo_replies_out")

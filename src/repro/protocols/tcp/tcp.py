@@ -319,7 +319,7 @@ class TCPProtocol:
         if self.checksums:
             yield Compute(self.costs.cab_checksum_ns(len(segment)))
             checksum = TCPHeader.compute_checksum(
-                self.ip.address, conn.remote_ip, bytes(segment)
+                self.ip.address, conn.remote_ip, segment
             )
             segment[16:18] = checksum.to_bytes(2, "big")
         # Record the segment for retransmission BEFORE trying to allocate a
@@ -342,7 +342,7 @@ class TCPProtocol:
             self._arm_retransmit(conn)
             return
         yield Compute(self.costs.cab_memcpy_ns(len(data)))
-        msg.write(IPv4Header.SIZE, bytes(segment))
+        msg.write(IPv4Header.SIZE, segment)
         template = IPv4Header(src=0, dst=conn.remote_ip, protocol=IPPROTO_TCP)
         self.stats.add("tcp_segments_out")
         yield from self.ip.output(template, msg, free_after=True)
@@ -381,7 +381,7 @@ class TCPProtocol:
                 self.stats.add("tcp_malformed")
                 yield from self.input_mailbox.end_get(msg)
                 continue
-            if self.checksums and tcp_header.checksum != 0:
+            if self.checksums:
                 yield Compute(self.costs.cab_checksum_ns(len(segment)))
                 if not TCPHeader.verify(ip_header.src, ip_header.dst, segment):
                     self.stats.add("tcp_bad_checksum")
@@ -744,12 +744,12 @@ class TCPProtocol:
         if self.checksums:
             yield Compute(self.costs.cab_checksum_ns(len(segment)))
             checksum = TCPHeader.compute_checksum(
-                self.ip.address, ip_header.src, bytes(segment)
+                self.ip.address, ip_header.src, segment
             )
             segment[16:18] = checksum.to_bytes(2, "big")
         msg = yield from self.input_mailbox.ibegin_put(IPv4Header.SIZE + len(segment))
         if msg is None:
             return
-        msg.write(IPv4Header.SIZE, bytes(segment))
+        msg.write(IPv4Header.SIZE, segment)
         template = IPv4Header(src=0, dst=ip_header.src, protocol=IPPROTO_TCP)
         yield from self.ip.output(template, msg, free_after=True)

@@ -134,19 +134,5 @@ class Runtime:
         yield Compute(self.costs.cab_memcpy_ns(size))
         return msg.read(offset, size)
 
-    def checksum_message(self, msg: Message, offset: int = 0, size: Optional[int] = None) -> Generator:
-        """Thread-context: software Internet checksum over message bytes.
-
-        This is the cost TCP pays and RMP avoids (Fig. 7).  Returns the
-        16-bit checksum value; the time charged is the per-byte software
-        checksum cost on the CAB CPU.
-        """
-        from repro.protocols.checksum import internet_checksum
-
-        if size is None:
-            size = msg.size - offset
-        yield Compute(self.costs.cab_checksum_ns(size))
-        return internet_checksum(msg.read(offset, size))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Runtime {self.name}>"

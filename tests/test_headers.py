@@ -1,10 +1,16 @@
 """Header codec tests, including hypothesis round-trip properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
-from repro.protocols.checksum import internet_checksum, verify_checksum
+from repro.protocols.checksum import (
+    checksum_partial,
+    internet_checksum,
+    verify_checksum,
+)
 from repro.protocols.headers import (
     DatalinkHeader,
     ICMPHeader,
@@ -41,6 +47,80 @@ class TestChecksum:
         # Word-aligned data: appending the checksum makes the block sum to 0.
         checksum = internet_checksum(data)
         assert internet_checksum(data + checksum.to_bytes(2, "big")) in (0, 0xFFFF)
+
+
+def _loop_checksum_partial(data: bytes, initial: int = 0) -> int:
+    """RFC 1071's word-at-a-time loop, frozen: the oracle.
+
+    It defines what ``checksum_partial`` must return for every input, the
+    0 / 0xFFFF representations included.
+    """
+    total = initial
+    length = len(data)
+    for index in range(0, length - 1, 2):
+        total += (data[index] << 8) | data[index + 1]
+    if length % 2:
+        total += data[-1] << 8
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def _loop_internet_checksum(data: bytes, initial: int = 0) -> int:
+    return (~_loop_checksum_partial(data, initial)) & 0xFFFF
+
+
+_INITIALS = st.sampled_from([0, 0xFFFF, 0x1FFFE]) | st.integers(0, (1 << 20) - 1)
+_WRAPS = st.sampled_from([bytes, bytearray, memoryview])
+
+
+def _buffer(length: int, seed: int, fill: str) -> bytes:
+    if fill == "zeros":
+        return bytes(length)
+    if fill == "ones":
+        return b"\xff" * length
+    rng = random.Random(seed)
+    if fill == "sparse":  # word sums that stay below 16 bits: the unfolded branch
+        data = bytearray(length)
+        for _ in range(min(length, 3)):
+            data[rng.randrange(length)] = rng.randrange(256)
+        return bytes(data)
+    return rng.randbytes(length)
+
+
+class TestChecksumAgainstByteLoop:
+    @given(
+        length=st.integers(0, 64) | st.integers(0, 9000),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.sampled_from(["random", "sparse", "zeros", "ones"]),
+        initial=_INITIALS,
+        wrap=_WRAPS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_value_for_every_buffer(self, length, seed, fill, initial, wrap):
+        data = _buffer(length, seed, fill)
+        assert checksum_partial(wrap(data), initial) == _loop_checksum_partial(
+            data, initial
+        )
+        assert internet_checksum(wrap(data), initial) == _loop_internet_checksum(
+            data, initial
+        )
+
+    @pytest.mark.parametrize("byte", [0x00, 0xFF])
+    @pytest.mark.parametrize("initial", [0, 0xFFFF, 0x1FFFE, 0xABCDE])
+    def test_zero_and_ffff_representations(self, byte, initial):
+        # An all-zero buffer must leave 0 as 0 (and 0xFFFF as 0xFFFF); an
+        # all-ones buffer folds to 0xFFFF, never to 0.
+        for length in (0, 1, 2, 3, 20, 8191, 8192, 9000):
+            data = bytes([byte]) * length
+            for wrap in (bytes, bytearray, memoryview):
+                assert checksum_partial(wrap(data), initial) == _loop_checksum_partial(
+                    data, initial
+                )
+        assert checksum_partial(b"") == 0
+        assert checksum_partial(bytes(40)) == 0
+        assert checksum_partial(bytes(40), 0xFFFF) == 0xFFFF
+        assert checksum_partial(b"\xff" * 40) == 0xFFFF
 
 
 class TestDatalinkHeader:
@@ -159,6 +239,39 @@ class TestTCPHeader:
         segment[16:18] = checksum.to_bytes(2, "big")
         segment[-1] ^= 1
         assert not TCPHeader.verify(0x0A000001, 0x0A000002, bytes(segment))
+
+    def test_computed_zero_is_sent_as_ffff(self):
+        # TCP has no "no checksum" value (RFC 768 grants that to UDP only):
+        # a sum that inverts to 0 goes out as 0xFFFF, and both verify.
+        src, dst = 0x0A000001, 0x0A000002
+        header = TCPHeader(src_port=80, dst_port=1024, seq=1, ack=2, flags=0x10, window=100)
+        segment = bytearray(header.pack() + b"\x00\x00")
+        # With the checksum field and the last word zero, the value that
+        # would be transmitted is exactly the word that completes the sum.
+        segment[-2:] = TCPHeader.compute_checksum(src, dst, segment).to_bytes(2, "big")
+        assert TCPHeader.verify(src, dst, segment)  # field 0: the sum is already whole
+        assert TCPHeader.compute_checksum(src, dst, segment) == 0xFFFF
+        segment[16:18] = b"\xff\xff"
+        assert TCPHeader.verify(src, dst, segment)
+
+    def test_views_are_summed_in_place(self):
+        # The codecs take a memoryview over live storage and read it at call
+        # time: a later mutation of the bytearray is seen through the same
+        # view, so no staging copy is being relied on.
+        src, dst = 0x0A000001, 0x0A000002
+        header = TCPHeader(src_port=80, dst_port=1024, seq=1, ack=2, flags=0x10, window=100)
+        storage = bytearray(header.pack() + bytes(range(200)))
+        view = memoryview(storage)
+        storage[16:18] = TCPHeader.compute_checksum(src, dst, view).to_bytes(2, "big")
+        assert TCPHeader.verify(src, dst, view)
+        assert TCPHeader.verify(src, dst, view.toreadonly())
+        storage[-1] ^= 1
+        assert not TCPHeader.verify(src, dst, view)
+        before = UDPHeader.compute_checksum(src, dst, view)
+        storage[40] ^= 0x55
+        after = UDPHeader.compute_checksum(src, dst, view)
+        assert after != before
+        assert after == UDPHeader.compute_checksum(src, dst, bytes(storage))
 
     def test_flag_names(self):
         header = TCPHeader(1, 2, 0, 0, flags=0x12, window=0)

@@ -3,6 +3,13 @@
 import pytest
 
 from repro.hub.network import CorruptionInjector, DropInjector
+from repro.protocols.headers import (
+    DL_TYPE_IP,
+    IPPROTO_TCP,
+    TCP_RST,
+    IPv4Header,
+    TCPHeader,
+)
 from repro.protocols.tcp.connection import TCPState
 from repro.system import NectarSystem
 from repro.units import ms, seconds
@@ -343,3 +350,61 @@ class TestTCPNoChecksumMode:
             "collector",
         )
         assert system.run_until(done, limit=seconds(30)) == payload
+
+
+class TestTCPChecksumZeroRule:
+    """TCP verifies every segment: a zero checksum field is not "unchecked"
+    (RFC 768 grants that to UDP only)."""
+
+    @staticmethod
+    def _inject(system, segment):
+        """Deliver one hand-built TCP segment from cab-a to cab-b's TCP input.
+
+        The segment carries RST so the (connectionless) receiver drops it
+        quietly after the checksum decision instead of answering.
+        """
+        a, b = system.nodes["cab-a"], system.nodes["cab-b"]
+        ip_header = IPv4Header(
+            src=a.ip_address,
+            dst=b.ip_address,
+            protocol=IPPROTO_TCP,
+            total_length=IPv4Header.SIZE + len(segment),
+        )
+        packet = ip_header.pack() + bytes(segment)
+
+        def sender():
+            yield from a.datalink.send_raw(b.node_id, DL_TYPE_IP, packet)
+
+        a.runtime.fork_application(sender(), "inject")
+        system.run(until=ms(10))
+        return b.runtime.stats
+
+    @staticmethod
+    def _segment(payload):
+        header = TCPHeader(
+            src_port=6000, dst_port=7000, seq=1, ack=0, flags=TCP_RST, window=0
+        )
+        return bytearray(header.pack() + payload)
+
+    @pytest.mark.parametrize("field", [0xFFFF, 0x0000])
+    def test_segment_whose_checksum_computes_to_zero_is_accepted(self, system, field):
+        a, b = system.nodes["cab-a"], system.nodes["cab-b"]
+        segment = self._segment(b"payload!\x00\x00")
+        # Choose the last word so the whole sum inverts to 0.
+        segment[-2:] = TCPHeader.compute_checksum(
+            a.ip_address, b.ip_address, segment
+        ).to_bytes(2, "big")
+        # What the sender now emits for it is 0xFFFF; 0 is the same number
+        # in one's complement, so the receiver needs no special case.
+        assert TCPHeader.compute_checksum(a.ip_address, b.ip_address, segment) == 0xFFFF
+        segment[16:18] = field.to_bytes(2, "big")
+        stats = self._inject(system, segment)
+        assert stats.value("tcp_segments_in") == 1
+        assert stats.value("tcp_bad_checksum") == 0
+
+    def test_zero_field_over_corrupt_payload_is_rejected(self, system):
+        segment = self._segment(b"no checksum was ever computed over this")
+        assert segment[16:18] == b"\x00\x00"
+        stats = self._inject(system, segment)
+        assert stats.value("tcp_bad_checksum") == 1
+        assert stats.value("tcp_segments_in") == 0
