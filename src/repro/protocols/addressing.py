@@ -61,7 +61,8 @@ class NodeRegistry:
         self._next_id += 1
         self._by_name[name] = node_id
         self._by_id[node_id] = name
-        ip_value = parse_ip(ip) if ip else parse_ip(f"10.0.0.{node_id}")
+        # Default: the node id in the low 24 bits of 10.0.0.0/8.
+        ip_value = parse_ip(ip) if ip else (10 << 24) | (node_id & 0xFFFFFF)
         if ip_value in self._id_by_ip:
             raise AddressError(f"IP {format_ip(ip_value)} already in use")
         self._ip_by_id[node_id] = ip_value

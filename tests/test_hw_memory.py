@@ -123,3 +123,133 @@ class TestProtectionDomain:
         mem.load_domain(domain)
         with pytest.raises(MemoryFault):
             mem.write(PAGE_SIZE - 2, b"abcd")
+
+
+# -- the region against a plain-bytearray model --------------------------------
+
+#: Sizes on both sides of the 1 KB protection page and the 4 KB host page.
+ORACLE_SIZES = (1, 1000, 1024, 4097, 1 << 20)
+_PERMS = (Perm.NONE, Perm.READ, Perm.WRITE, Perm.RW)
+
+
+def _scripts(size):
+    """(size, page -> perm table or None, default perm, op list) for one region size."""
+    addr = st.one_of(
+        st.integers(-1, size), st.integers(max(0, size - 40), size + 1)
+    )
+    length = st.one_of(st.integers(-1, 32), st.integers(0, min(size, 5000)))
+    byte = st.integers(0, 255)
+    op = st.one_of(
+        st.tuples(st.just("read"), addr, length),
+        st.tuples(st.just("write"), addr, st.binary(max_size=64)),
+        st.tuples(st.just("write_word"), addr, st.integers(0, 2**40)),
+        st.tuples(st.just("fill"), addr, length, byte),
+        st.tuples(st.just("view"), addr, length, byte),
+        st.tuples(st.just("read_view"), addr, length),
+    )
+    pages = st.integers(0, (size - 1) // PAGE_SIZE)
+    table = st.none() | st.dictionaries(pages, st.sampled_from(_PERMS), max_size=6)
+    return st.tuples(
+        st.just(size), table, st.sampled_from((Perm.RW, Perm.RW, Perm.NONE)),
+        st.lists(op, max_size=30),
+    )
+
+
+def _expected_fault(size, table, default, addr, length, write):
+    """The ``match=`` text of the MemoryFault the access must raise, or None."""
+    if length < 0:
+        return "negative access size"
+    if addr < 0 or addr + length > size:
+        return "outside region"
+    if table is None or length == 0:
+        return None
+    needed = Perm.WRITE if write else Perm.READ
+    touched = range(addr // PAGE_SIZE, (addr + length - 1) // PAGE_SIZE + 1)
+    if all(table.get(page, default) & needed for page in touched):
+        return None
+    return "denied by protection domain 'oracle'"
+
+
+class TestRegionAgainstBytearrayModel:
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    def test_fresh_region_reads_all_zeros(self, size):
+        mem = MemoryRegion("m", size)
+        data = mem.read(0, size)
+        assert type(data) is bytes and data == bytes(size)
+        assert mem.read_view(0, size) == bytes(size)
+
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    def test_views_alias_the_region_both_ways(self, size):
+        mem = MemoryRegion("m", size)
+        early, early_ro = mem.view(0, size), mem.read_view(0, size)
+        mem.write(size - 1, b"\x7f")  # a view taken before a write sees it
+        assert early[size - 1] == early_ro[size - 1] == 0x7F
+        early[0] = 0x11  # a write through a view is seen by read
+        assert mem.read(0, 1) == b"\x11" and early_ro[0] == 0x11
+        assert early_ro.readonly and not early.readonly
+        with pytest.raises(TypeError):
+            early_ro[0] = 1
+        with pytest.raises(TypeError):
+            early_ro[:] = bytes(size)
+
+    @given(script=st.sampled_from(ORACLE_SIZES).flatmap(_scripts))
+    @settings(max_examples=250, deadline=None)
+    def test_random_op_sequences_match_the_model(self, script):
+        from repro.buf.accounting import CopyMeter
+
+        size, table, default, ops = script
+        mem, model = MemoryRegion("m", size), bytearray(size)
+        meter = mem.copy_meter = CopyMeter()
+        copied_bytes = copied_calls = 0
+        if table is not None:
+            domain = ProtectionDomain("oracle", default=default)
+            for page, perm in table.items():
+                domain.set_page(page, perm)
+            mem.load_domain(domain)
+        held = []  # (view, addr, length): every view ever handed out
+
+        for kind, addr, *rest in ops:
+            if kind == "write":
+                length = len(rest[0])
+            elif kind == "write_word":
+                length = 4
+            else:
+                length = rest[0]
+            write = kind not in ("read", "read_view")
+            fault = _expected_fault(size, table, default, addr, length, write)
+            if fault is not None:
+                with pytest.raises(MemoryFault, match=fault):
+                    getattr(mem, kind)(addr, *rest[:1])
+            elif kind == "read":
+                data = mem.read(addr, length)
+                assert type(data) is bytes and data == model[addr : addr + length]
+            elif kind == "write":
+                mem.write(addr, rest[0])
+                model[addr : addr + length] = rest[0]
+            elif kind == "write_word":
+                mem.write_word(addr, rest[0])
+                model[addr : addr + 4] = (rest[0] & 0xFFFFFFFF).to_bytes(4, "big")
+            elif kind == "fill":
+                mem.fill(addr, length, rest[1])
+                model[addr : addr + length] = bytes([rest[1]]) * length
+            elif kind == "view":
+                view = mem.view(addr, length)
+                assert not view.readonly and len(view) == length
+                view[:] = bytes([rest[1]]) * length
+                model[addr : addr + length] = bytes([rest[1]]) * length
+                held.append((view, addr, length))
+            else:
+                view = mem.read_view(addr, length)
+                assert view.readonly and len(view) == length
+                held.append((view, addr, length))
+            # Only read/write/fill materialize or move bytes; a faulting
+            # access and the view accessors count nothing.
+            if fault is None and kind not in ("view", "read_view"):
+                copied_bytes += length
+                copied_calls += 1
+            assert (meter.memcpy_bytes, meter.memcpy_calls) == (copied_bytes, copied_calls)
+            for view, at, span in held:
+                assert view == model[at : at + span]
+
+        mem.load_domain(None)
+        assert mem.read(0, size) == model

@@ -35,6 +35,23 @@ class TestAddressing:
         assert format_ip(a.ip_address) == "10.0.0.1"
         assert format_ip(b.ip_address) == "10.0.0.2"
 
+    def test_auto_assignment_past_255_nodes(self):
+        registry = NectarSystem().registry
+        ids = [registry.register(f"n{index}") for index in range(65_536)]
+        assert ids[0] == 1 and ids[-1] == 65_536
+        expected = {1: "10.0.0.1", 255: "10.0.0.255", 256: "10.0.1.0", 65_536: "10.1.0.0"}
+        for node_id, dotted in expected.items():
+            assert format_ip(registry.ip_of(node_id)) == dotted
+            assert registry.node_for_ip(parse_ip(dotted)) == node_id
+
+    def test_auto_assignment_keeps_the_duplicate_ip_check(self):
+        from repro.errors import AddressError
+
+        registry = NectarSystem().registry
+        registry.register("squatter", ip="10.0.0.2")  # node id 1 on id 2's address
+        with pytest.raises(AddressError, match="10.0.0.2 already in use"):
+            registry.register("n2")
+
 
 class TestFragmentation:
     def _udp_roundtrip(self, system, a, b, payload):
