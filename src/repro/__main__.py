@@ -7,13 +7,11 @@ together.
 
 ``lint`` runs nectarlint, the static determinism/sim-safety checker
 (see :mod:`repro.analysis.nectarlint`); with ``--static`` it also runs
-the whole-program nectarflow passes — buffer ownership, lock order,
-protocol FSMs (see :mod:`repro.analysis.flow`); ``flow --graph`` dumps
-the call graph and lifted state machines those passes compute;
-``analyze`` runs the dynamic
-sanitizer + determinism harness (see :mod:`repro.analysis.driver`);
-``chaos`` runs a fault-injection campaign against the reliable transports
-(see :mod:`repro.faults.campaign`); ``observe`` runs a workload with the
+the whole-program nectarflow passes — buffer ownership and protocol
+FSMs (see :mod:`repro.analysis.flow`); ``flow --graph`` dumps the call
+graph and lifted state machines those passes compute; ``chaos`` runs a
+fault-injection campaign against the reliable transports (see
+:mod:`repro.faults.campaign`); ``observe`` runs a workload with the
 telemetry plane on and exports Perfetto traces, metrics, and cycle
 profiles (see :mod:`repro.telemetry.observe`); ``bench`` is the scenario
 harness (see :mod:`repro.scenario`) and the only way to run or gate a
@@ -37,11 +35,10 @@ import sys
 _SUBCOMMANDS = {
     "lint": (
         "repro.analysis.nectarlint",
-        "lint [paths...] [--strict] [--static]\n"
-        "                      [--format text|json|sarif] [--baseline FILE]",
+        "lint [paths...] [--strict] [--static] [--format text|json]\n"
+        "                      [--select CODES] [--ignore CODES] [--explain]",
     ),
     "flow": ("repro.analysis.flow.cli", "flow --graph [paths...]"),
-    "analyze": ("repro.analysis.driver", "analyze [--rounds N]"),
     "chaos": (
         "repro.faults.campaign",
         "chaos [--scenario NAME] [--seed N] [--smoke] [--list]",
@@ -81,11 +78,12 @@ def main(argv: list[str]) -> int:
         module = importlib.import_module(module_name)
         return module.main(argv[1:])
     if argv:
-        print(
-            f"unknown subcommand {argv[0]!r}: a table or figure of the paper "
-            f"is a scenario (python -m repro bench {argv[0]})",
-            file=sys.stderr,
-        )
+        from repro.scenario.model import list_scenarios
+
+        hint = ""
+        if argv[0] in list_scenarios():
+            hint = f": it is a scenario (python -m repro bench {argv[0]})"
+        print(f"unknown subcommand {argv[0]!r}{hint}", file=sys.stderr)
     print(build_usage(), file=sys.stderr)
     return 2
 

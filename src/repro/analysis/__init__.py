@@ -1,36 +1,24 @@
-"""Correctness tooling for the CAB runtime reproduction.
+"""Static correctness tooling for the CAB runtime reproduction.
 
-Two halves, mirroring the two invariants the paper's hardware provided and
-our simulator must enforce in software:
-
-* :mod:`repro.analysis.nectarlint` — an AST-based **static** linter that
+* :mod:`repro.analysis.nectarlint` — an AST-based per-file linter that
   flags determinism hazards (wall clocks, unseeded RNGs, set iteration,
-  float cost arithmetic) and simulated-concurrency hazards (discarded
+  float cost arithmetic), simulated-concurrency hazards (discarded
   thread-context generators, blocking calls from interrupt-handler context,
-  yields of non-event values).  ``python -m repro lint``.
-* :mod:`repro.analysis.sanitizers` — opt-in **dynamic** instrumentation
-  (heap leak/use-after-free accounting, lock-order deadlock detection, a
-  happens-before race detector for shared CAB data memory) threaded through
-  :class:`repro.system.NectarSystem`.  ``python -m repro analyze``.
+  yields of non-event values) and payload copies on the data path.
+  ``python -m repro lint``.
+* :mod:`repro.analysis.flow` — nectarflow, the whole-program passes
+  (buffer ownership, protocol state machines) behind ``lint --static``.
+
+Run-time checks are not here: the runtime itself raises on a
+use-after-free view (:class:`~repro.errors.BufError`), a bad heap free or
+a mutex relock (:class:`~repro.errors.NectarError`) in every run.
 """
 
 from repro.analysis.rules import Finding, Rule, all_rules, get_rule
-from repro.analysis.sanitizers import (
-    HeapSanitizer,
-    LockSanitizer,
-    RaceSanitizer,
-    Sanitizer,
-    SanitizerReport,
-)
 
 __all__ = [
     "Finding",
-    "HeapSanitizer",
-    "LockSanitizer",
-    "RaceSanitizer",
     "Rule",
-    "Sanitizer",
-    "SanitizerReport",
     "all_rules",
     "get_rule",
 ]

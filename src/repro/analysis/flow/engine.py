@@ -1,21 +1,18 @@
-"""The nectarflow driver: one project index, three passes, one report.
+"""The nectarflow driver: one project index, two passes, one report.
 
 ``analyze_paths`` is what ``python -m repro lint --static`` calls: parse
 the tree once into a :class:`~repro.analysis.flow.callgraph.Project`,
-run the ownership, lock-order, and FSM passes over the shared index, and
-apply the same per-file suppression pragmas the per-file linter honors
-(``# nectarlint: disable=NB210 -- why``).  Baseline filtering is the
-caller's job (:mod:`repro.analysis.flow.baseline`): the engine reports
-everything it can prove.
+run the ownership and FSM passes over the shared index, and apply the
+same per-file suppression pragmas the per-file linter honors
+(``# nectarlint: disable=NB210 -- why``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.analysis.flow.callgraph import Project
 from repro.analysis.flow.fsm import FsmPass, StateMachine
-from repro.analysis.flow.locks import LockPass
 from repro.analysis.flow.ownership import OwnershipPass
 from repro.analysis.rules import Finding, Suppressions, parse_suppressions
 
@@ -23,10 +20,9 @@ __all__ = ["analyze_paths", "analyze_project", "extract_machines"]
 
 
 def analyze_project(project: Project) -> List[Finding]:
-    """All three whole-program passes over an already-built project."""
+    """Both whole-program passes over an already-built project."""
     findings: List[Finding] = []
     findings.extend(OwnershipPass(project).run())
-    findings.extend(LockPass(project).run())
     findings.extend(FsmPass(project).run())
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

@@ -6,8 +6,7 @@ OWNED, RELEASED, or MOVED on some path) and reports, without executing
 anything:
 
 * **NB210** — a locally created owner reaches the function exit still
-  OWNED on some path: a static leak (the runtime heap sanitizer's
-  ``heap-leak``, proved over *all* paths);
+  OWNED on some path: a static leak, proved over *all* paths;
 * **NB211** — ``release()`` on a reference that may already be RELEASED:
   a static double free;
 * **NB212** — any other use of a reference that may be RELEASED: a

@@ -24,10 +24,9 @@ Scope notes
   ``# nectarlint: disable=NB201`` with a justifying note.
 
 Usage: ``python -m repro lint src/repro [--strict] [--static]
-[--format text|json|sarif] [--baseline FILE]``.  ``--static`` adds the
-whole-program nectarflow passes (:mod:`repro.analysis.flow`) filtered
-through the committed baseline; exit codes are 0 (clean), 1 (findings),
-2 (usage/internal error).
+[--format text|json] [--select CODES] [--ignore CODES]``.  ``--static``
+adds the whole-program nectarflow passes (:mod:`repro.analysis.flow`);
+exit codes are 0 (clean), 1 (findings), 2 (usage/internal error).
 """
 
 from __future__ import annotations
@@ -676,24 +675,13 @@ def render_rules() -> str:
 
 def _static_findings(
     paths: List[str],
-    baseline_path: Optional[str],
     select: Optional[set],
     ignore: Optional[set],
 ) -> List[Finding]:
-    """Run nectarflow and apply the baseline, then ``--select``/``--ignore``.
-
-    Baseline filtering happens *before* select/ignore, so selecting a
-    baselined code does not resurrect its grandfathered findings.
-    """
+    """Run nectarflow, then apply ``--select``/``--ignore``."""
     from repro.analysis.flow import analyze_paths
-    from repro.analysis.flow.baseline import Baseline, DEFAULT_BASELINE
 
     _project, findings, _tables = analyze_paths(paths)
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-    if baseline_path is not None:
-        baseline = Baseline.load_or_empty(baseline_path)
-        findings, _grandfathered = baseline.filter(findings)
     if select:
         findings = [f for f in findings if f.code in select]
     if ignore:
@@ -713,8 +701,6 @@ def main(argv: List[str]) -> int:
     fmt = "text"
     strict = False
     static = False
-    write_baseline = False
-    baseline_path: Optional[str] = None
     select: Optional[set] = None
     ignore: Optional[set] = None
     arguments = list(argv)
@@ -724,24 +710,12 @@ def main(argv: List[str]) -> int:
             strict = True
         elif arg == "--static":
             static = True
-        elif arg == "--write-baseline":
-            static = True
-            write_baseline = True
-        elif arg == "--baseline":
-            if not arguments:
-                print("--baseline requires a file path", file=sys.stderr)
-                return 2
-            baseline_path = arguments.pop(0)
-            static = True
         elif arg == "--explain":
             print(render_rules())
             return 0
         elif arg == "--format":
-            if not arguments or arguments[0] not in ("text", "json", "sarif"):
-                print(
-                    "--format requires 'text', 'json' or 'sarif'",
-                    file=sys.stderr,
-                )
+            if not arguments or arguments[0] not in ("text", "json"):
+                print("--format requires 'text' or 'json'", file=sys.stderr)
                 return 2
             fmt = arguments.pop(0)
         elif arg == "--select":
@@ -761,8 +735,8 @@ def main(argv: List[str]) -> int:
             paths.append(arg)
     if not paths:
         print("usage: python -m repro lint <paths> [--strict] [--static] "
-              "[--format text|json|sarif] [--select CODES] [--ignore CODES] "
-              "[--baseline FILE] [--write-baseline] [--explain]",
+              "[--format text|json] [--select CODES] [--ignore CODES] "
+              "[--explain]",
               file=sys.stderr)
         return 2
     missing = [path for path in paths if not os.path.exists(path)]
@@ -771,26 +745,11 @@ def main(argv: List[str]) -> int:
         for path in missing:
             print(f"no such file or directory: {path}", file=sys.stderr)
         return 2
-    if write_baseline:
-        from repro.analysis.flow import analyze_paths
-        from repro.analysis.flow.baseline import Baseline, DEFAULT_BASELINE
-
-        _project, static_raw, _tables = analyze_paths(paths)
-        target = baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(static_raw).write(target)
-        print(f"nectarflow: wrote {len(static_raw)} finding(s) to {target}")
-        return 0
     findings = lint_paths(paths, select=select, ignore=ignore, strict=strict)
     if static:
-        findings.extend(
-            _static_findings(paths, baseline_path, select, ignore)
-        )
+        findings.extend(_static_findings(paths, select, ignore))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    if fmt == "sarif":
-        from repro.analysis.sarif import render_sarif
-
-        rendered = render_sarif(findings)
-    elif fmt == "json":
+    if fmt == "json":
         rendered = render_json(findings)
     else:
         rendered = render_text(findings)

@@ -154,42 +154,24 @@ NB210 = _register(
     "neither release() nor a transfer to an ownership sink",
     "the buffer plane's refcount discipline (docs/buffers.md) requires every "
     "owning reference to end in release() or a hand-off (send_frame, "
-    "Handoff, RX DMA, drop injector); a skipped path is a leak the runtime "
-    "sanitizer only sees if that path executes — nectarflow proves it over "
-    "all paths",
+    "Handoff, RX DMA, drop injector); a skipped path is a leak a run only "
+    "shows if that path executes — nectarflow proves it over all paths",
 )
 NB211 = _register(
     "NB211",
     "buf-double-release",
     "release() reachable twice on one path for the same buffer reference",
     "the second release() throws BufError at run time (refcount underflow) "
-    "or, worse, frees storage another owner still views — the static "
-    "mirror of the sanitizer's heap-double-free verdict",
+    "or, worse, frees storage another owner still views — caught here "
+    "before any run reaches it",
 )
 NB212 = _register(
     "NB212",
     "buf-use-after-release",
     "a buffer view used on a path after its reference was released",
     "a released view's storage may already be freed; touching it raises "
-    "BufError in sanitized runs but silently reads recycled storage "
-    "semantics otherwise — the static mirror of heap-use-after-free",
-)
-NS110 = _register(
-    "NS110",
-    "static-lock-cycle",
-    "a cycle in the interprocedural acquires-while-holding mutex graph",
-    "two call paths acquiring the same mutexes in opposite orders can "
-    "deadlock under some interleaving, even one never observed; subsumes "
-    "the runtime LockSanitizer's lock-cycle check without needing the "
-    "paths to execute (paper Sec. 3.2)",
-)
-NS111 = _register(
-    "NS111",
-    "static-relock",
-    "a mutex acquired again on a path that already holds it",
-    "Mutex is not reentrant: ThreadOps.lock raises NectarError when the "
-    "owner relocks, so any path reaching a second lock() of a held mutex "
-    "is a guaranteed run-time failure",
+    "BufError at run time, but only on the paths a run executes — "
+    "nectarflow proves the use unreachable over all paths",
 )
 NP301 = _register(
     "NP301",

@@ -19,9 +19,8 @@ Ownership: a view handed across a layer boundary carries one reference.
 ``retain()`` adds a reference (e.g. exporting a payload into a cluster
 :class:`~repro.hub.network.Handoff` while the local frame is released);
 ``release()`` drops one, and the last release frees the storage.  Views
-used after the last release raise :class:`~repro.errors.BufError` *and*
-report through the heap sanitizer's use-after-free machinery when one is
-attached, so aliasing bugs are loud in sanitized runs.
+used after the last release raise :class:`~repro.errors.BufError`, so
+aliasing bugs are loud in every run.
 
 Host copies that do happen (``fill_from``, ``prepend``, ``tobytes``) are
 counted on the owning system's :class:`~repro.buf.accounting.CopyMeter`;
@@ -43,16 +42,14 @@ _WRAPPABLE = (bytearray, bytes, memoryview)
 class PacketBuffer:
     """Refcounted backing storage for one packet's bytes."""
 
-    __slots__ = ("storage", "refcount", "meter", "sanitizer", "label")
+    __slots__ = ("storage", "refcount", "meter", "label")
 
-    def __init__(self, storage, meter=None, sanitizer=None, label: str = "buf"):
+    def __init__(self, storage, meter=None, label: str = "buf"):
         self.storage = storage
         self.refcount = 1
         #: Optional repro.buf.accounting.CopyMeter; one attribute test when
-        #: detached (matching the sanitizer/tracer wiring convention).
+        #: detached (matching the tracer wiring convention).
         self.meter = meter
-        #: Optional repro.analysis.sanitizers.Sanitizer for UAF reporting.
-        self.sanitizer = sanitizer
         self.label = label
         if meter is not None:
             meter.on_buffer_alloc()
@@ -66,7 +63,6 @@ class PacketBuffer:
         headroom: int = 0,
         tailroom: int = 0,
         meter=None,
-        sanitizer=None,
         label: str = "buf",
     ) -> "BufView":
         """Fresh zeroed storage with reserved headroom; returns the payload view.
@@ -81,17 +77,15 @@ class PacketBuffer:
                 f"tailroom={tailroom})"
             )
         storage = bytearray(headroom + size + tailroom)
-        buffer = cls(storage, meter=meter, sanitizer=sanitizer, label=label)
+        buffer = cls(storage, meter=meter, label=label)
         return BufView(buffer, headroom, size)
 
     @classmethod
-    def wrap(
-        cls, data, meter=None, sanitizer=None, label: str = "buf"
-    ) -> "BufView":
+    def wrap(cls, data, meter=None, label: str = "buf") -> "BufView":
         """Adopt existing bytes-like storage without copying; view the whole."""
         if not isinstance(data, _WRAPPABLE):
             raise BufError(f"{label}: cannot wrap {type(data).__name__}")
-        buffer = cls(data, meter=meter, sanitizer=sanitizer, label=label)
+        buffer = cls(data, meter=meter, label=label)
         return BufView(buffer, 0, len(data))
 
     # -- ownership -----------------------------------------------------------
@@ -117,10 +111,8 @@ class PacketBuffer:
                 self.meter.on_buffer_free()
 
     def _live_storage(self, view_length: int):
-        """The storage, or a loud use-after-free (sanitizer report + raise)."""
+        """The storage, or a loud use-after-free (:class:`BufError`)."""
         if self.refcount <= 0 or self.storage is None:
-            if self.sanitizer is not None:
-                self.sanitizer.on_buffer_use_after_free(self.label, view_length)
             raise BufError(
                 f"{self.label}: view of {view_length} bytes used after the "
                 f"buffer was freed"

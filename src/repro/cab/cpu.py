@@ -212,9 +212,6 @@ class CPU:
         self.stats = CounterScope()
 
         self.current: Optional[TCB] = None
-        #: Optional repro.analysis.sanitizers.Sanitizer; one attribute test
-        #: on the hot path when detached.
-        self.sanitizer = None
         #: Optional repro.sim.trace.Tracer for kernel spans (interrupt
         #: service, context switches); one attribute test when detached.
         self.tracer = None
@@ -321,8 +318,8 @@ class CPU:
     @property
     def context_label(self) -> Optional[str]:
         """The logical execution context: an interrupt handler, the current
-        thread, or None (device/engine context).  Used by the sanitizers to
-        attribute memory accesses and synchronization edges."""
+        thread, or None (device/engine context).  Used to put trace spans
+        and per-context counters on the right track."""
         if self._active_handler is not None:
             return f"{self.name}/irq:{self._active_handler}"
         if self.current is not None:
@@ -508,8 +505,6 @@ class CPU:
                     # wake() beat us to it: consume the value, keep running.
                     tcb.resume_value = token.value
                 else:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_thread_block(self, tcb, token)
                     token.tcb = tcb
                     tcb.state = _BLOCKED
                     self.current = None

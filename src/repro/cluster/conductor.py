@@ -227,8 +227,27 @@ class _ProcessShard:
         """Bytes this side pushed into the worker's inbound ring."""
         return self.rx_ring.pushed_bytes
 
+    def _worker_died(self, exc: BaseException) -> RuntimeError:
+        """A pipe failure means the worker is gone: name it and its exit."""
+        # OS-process join, not a simulation thread: reap it for the exitcode.
+        self.process.join(timeout=10)  # nectarlint: disable=NS101
+        return RuntimeError(
+            f"shard {self.shard_id} worker exited "
+            f"(exitcode {self.process.exitcode}) mid-run: "
+            f"{type(exc).__name__} on its pipe"
+        )
+
+    def _send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError as exc:
+            raise self._worker_died(exc) from exc
+
     def _recv(self):
-        reply = self.conn.recv()
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._worker_died(exc) from exc
         if reply[0] != "ok":
             raise RuntimeError(f"shard worker failed: {reply[1]}")
         return reply[1:]
@@ -237,7 +256,7 @@ class _ProcessShard:
         return self._recv()[0]
 
     def begin_advance(self, until: Optional[int]) -> None:
-        self.conn.send(("advance", until))
+        self._send(("advance", until))
 
     def finish_advance(self):
         ringed, overflow, state = self._recv()
@@ -258,11 +277,11 @@ class _ProcessShard:
                 use_ring = False
                 self.seam_pickle_bytes += len(handoff.payload)
                 overflow.append(handoff)
-        self.conn.send(("inject", ringed, overflow))
+        self._send(("inject", ringed, overflow))
         return self._recv()[0]
 
     def results(self) -> dict:
-        self.conn.send(("results",))
+        self._send(("results",))
         return self._recv()[0]
 
     def stop(self) -> None:

@@ -2,7 +2,7 @@
 
 One :class:`Injector` instance serves a whole :class:`~repro.system.NectarSystem`.
 The instrumented layers call in through narrow hooks, each behind a single
-if-guard in the style of the PR 1 sanitizers:
+if-guard, so a system with no injector pays one attribute test per site:
 
 * ``on_link_frame(src, dest, frame)`` — fabric egress
   (:meth:`~repro.hub.network.NectarNetwork._link_tx_loop`): applies

@@ -76,9 +76,6 @@ class CABDriver:
 
         # Sync pools: one per side (paper Sec. 3.4).
         self.host_syncs = SyncPool(self.costs, name=f"{host.name}.host-syncs")
-        if self.runtime.sanitizer is not None:
-            self.host_syncs.sanitizer = self.runtime.sanitizer
-            self.host_syncs.context_provider = lambda: self.runtime.cpu.context_label
 
         # Per-mailbox host conditions for blocking reads, and access modes.
         self._mailbox_conditions: Dict[str, HostCondition] = {}

@@ -85,11 +85,6 @@ class MemoryRegion:
         #: page, which at 1 MB + 640 KB per CAB was most of a fleet's RSS).
         self._bytes = mmap.mmap(-1, size)
         self._domain: Optional[ProtectionDomain] = None
-        #: Optional repro.analysis.sanitizers.Sanitizer (race/UAF checks) and
-        #: the callable giving the current execution context label.  One
-        #: attribute test per access when detached.
-        self.sanitizer = None
-        self.context_provider = None
         #: Optional repro.buf.accounting.CopyMeter counting host-level byte
         #: copies (read/write/fill materialize or move bytes; the view
         #: accessors do not).  One attribute test per access when detached.
@@ -127,8 +122,6 @@ class MemoryRegion:
     def read(self, addr: int, size: int) -> bytes:
         """Bounds- and permission-checked read of ``size`` bytes."""
         self._check(addr, size, write=False)
-        if self.sanitizer is not None:
-            self.sanitizer.on_memory_access(self, addr, size, write=False)
         if self.copy_meter is not None:
             self.copy_meter.count(size)
         return self._bytes[addr : addr + size]
@@ -136,8 +129,6 @@ class MemoryRegion:
     def write(self, addr: int, data: bytes) -> None:
         """Bounds- and permission-checked write of ``data``."""
         self._check(addr, len(data), write=True)
-        if self.sanitizer is not None:
-            self.sanitizer.on_memory_access(self, addr, len(data), write=True)
         if self.copy_meter is not None:
             self.copy_meter.count(len(data))
         self._bytes[addr : addr + len(data)] = data
@@ -153,8 +144,6 @@ class MemoryRegion:
     def fill(self, addr: int, size: int, value: int = 0) -> None:
         """Set ``size`` bytes at ``addr`` to ``value``."""
         self._check(addr, size, write=True)
-        if self.sanitizer is not None:
-            self.sanitizer.on_memory_access(self, addr, size, write=True)
         if self.copy_meter is not None:
             self.copy_meter.count(size)
         self._bytes[addr : addr + size] = bytes([value & 0xFF]) * size
@@ -162,8 +151,6 @@ class MemoryRegion:
     def view(self, addr: int, size: int) -> memoryview:
         """A writable view (used by DMA engines; checked once here)."""
         self._check(addr, size, write=True)
-        if self.sanitizer is not None:
-            self.sanitizer.on_memory_access(self, addr, size, write=True)
         return memoryview(self._bytes)[addr : addr + size]
 
     def read_view(self, addr: int, size: int) -> memoryview:
@@ -174,6 +161,4 @@ class MemoryRegion:
         instead of materializing ``bytes``.
         """
         self._check(addr, size, write=False)
-        if self.sanitizer is not None:
-            self.sanitizer.on_memory_access(self, addr, size, write=False)
         return memoryview(self._bytes)[addr : addr + size].toreadonly()

@@ -115,7 +115,6 @@ class Datalink:
             len(packet_bytes),
             headroom=DatalinkHeader.SIZE,
             meter=self.cab.copy_meter,
-            sanitizer=self.runtime.sanitizer,
             label=f"{self.cab.name}.dl-frame",
         )
         view.fill_from(packet_bytes)

@@ -36,12 +36,6 @@ class BufferHeap:
         self.name = name
         self.base = base
         self.size = size
-        #: Optional repro.analysis.sanitizers.Sanitizer for leak/UAF
-        #: accounting; one attribute test per alloc/free when detached.
-        self.sanitizer = None
-        #: Name of the MemoryRegion this heap carves up (set by the wiring
-        #: in Runtime so sanitizers can attribute accesses to heap blocks).
-        self.region_name: Optional[str] = None
         #: Optional repro.sim.trace.Tracer sampling bytes-in-use as a counter
         #: track; one attribute test per alloc/free when detached.
         self.tracer = None
@@ -92,10 +86,6 @@ class BufferHeap:
                 else:
                     del self._free[index]
                 self._allocated[addr] = needed
-                if self.sanitizer is not None:
-                    self.sanitizer.on_heap_alloc(
-                        self, addr, needed, region_name=self.region_name
-                    )
                 if self.tracer is not None:
                     self.tracer.counter(
                         "heap", "bytes_in_use", self.allocated_bytes, track=self.name
@@ -117,12 +107,8 @@ class BufferHeap:
     def free(self, addr: int) -> None:
         """Return a block to the free list, coalescing neighbours."""
         if addr not in self._allocated:
-            if self.sanitizer is not None:
-                self.sanitizer.on_heap_bad_free(self, addr)
             raise NectarError(f"{self.name}: free of unallocated address {addr}")
         size = self._allocated.pop(addr)
-        if self.sanitizer is not None:
-            self.sanitizer.on_heap_free(self, addr, size)
         if self.tracer is not None:
             self.tracer.counter(
                 "heap", "bytes_in_use", self.allocated_bytes, track=self.name

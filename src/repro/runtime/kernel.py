@@ -31,15 +31,12 @@ CONTROL_RESERVE_BYTES = 64 * KB
 class Runtime:
     """The CAB runtime system."""
 
-    def __init__(self, cab: CAB, tracer: Optional[Tracer] = None, sanitizer=None):
+    def __init__(self, cab: CAB, tracer: Optional[Tracer] = None):
         self.cab = cab
         self.sim = cab.sim
         self.costs = cab.costs
         self.cpu = cab.cpu
         self.name = cab.name
-        #: Optional repro.analysis.sanitizers.Sanitizer threaded through the
-        #: whole runtime (heap, locks, mailboxes, memory accesses).
-        self.sanitizer = sanitizer
         #: Optional repro.faults.injector.Injector consulted (behind single
         #: if-guards) by the datalink receive path and mailbox queueing.
         self.fault_injector = None
@@ -49,8 +46,6 @@ class Runtime:
             size=DATA_MEMORY_BYTES - CONTROL_RESERVE_BYTES,
             name=f"{cab.name}.heap",
         )
-        if sanitizer is not None:
-            self._attach_sanitizer(sanitizer)
         self.heap_waiters: Deque[WaitToken] = deque()
         #: Plain callables poked when heap space frees (host-side waiters).
         self.heap_space_hooks: list = []
@@ -64,17 +59,6 @@ class Runtime:
         self.heap.tracer = self.tracer
         cab.fiber_in.fifo.tracer = self.tracer
         cab.fiber_out.fifo.tracer = self.tracer
-
-    def _attach_sanitizer(self, sanitizer) -> None:
-        """Wire the sanitizer into every instrumented layer of this CAB."""
-        sanitizer.bind_clock(lambda: self.sim.now)
-        self.heap.sanitizer = sanitizer
-        self.heap.region_name = self.cab.data_mem.name
-        sanitizer.register_heap(self.heap, self.cab.data_mem.name)
-        self.ops.sanitizer = sanitizer
-        self.cpu.sanitizer = sanitizer
-        self.cab.data_mem.sanitizer = sanitizer
-        self.cab.data_mem.context_provider = lambda: self.cpu.context_label
 
     # ------------------------------------------------------------- mailboxes
 

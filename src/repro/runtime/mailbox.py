@@ -160,11 +160,6 @@ class Mailbox:
             self.heap.try_alloc(cached_buffer_bytes) if cached_buffer_bytes > 0 else None
         )
         self._cached_in_use = False
-        # The cached buffer lives for the mailbox's whole life by design
-        # (paper Sec. 3.3) — tell the heap sanitizer it is not a leak.
-        sanitizer = runtime.sanitizer
-        if sanitizer is not None and self._cached_addr is not None:
-            sanitizer.mark_permanent(self.heap, self._cached_addr)
 
     # ------------------------------------------------------------------ writing
 
@@ -359,13 +354,6 @@ class Mailbox:
         ):
             self._cached_in_use = True
             self.stats.add("cached_allocs")
-            sanitizer = self.runtime.sanitizer
-            if sanitizer is not None:
-                # Recycled exclusive ownership: earlier accesses to the
-                # cached slot cannot race the new message's accesses.
-                sanitizer.on_cached_buffer(
-                    self.memory.name, self._cached_addr, self._cached_size
-                )
             return Message(self, self._cached_addr, self._cached_size, size, cached=True)
         addr = self.heap.try_alloc(size)
         if addr is None:
@@ -400,11 +388,6 @@ class Mailbox:
         msg.state = QUEUED
         self.queue.append(msg)
         self.stats.add("messages_queued")
-        sanitizer = self.runtime.sanitizer
-        if sanitizer is not None:
-            # Queueing publishes the message: a happens-before edge from the
-            # writer to whoever takes it.
-            sanitizer.on_release(self.cpu.context_label, msg, f"mbox:{self.name}")
         while self._get_waiters:
             token = self._get_waiters.popleft()
             if token.cancelled or token.fired:
@@ -418,9 +401,6 @@ class Mailbox:
         msg = self.queue.popleft()
         msg.state = READING
         self.stats.add("messages_taken")
-        sanitizer = self.runtime.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_acquire(self.cpu.context_label, msg, f"mbox:{self.name}")
         return msg
 
     def _release_storage_quiet(self, msg: Message) -> None:

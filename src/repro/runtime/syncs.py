@@ -66,11 +66,6 @@ class SyncPool:
         self.capacity = capacity
         self._free: list[Sync] = [Sync(self) for _ in range(capacity)]
         self.in_use = 0
-        #: Optional repro.analysis.sanitizers.Sanitizer plus a callable
-        #: giving the writer-side execution context (the reader side passes
-        #: its CPU explicitly to read()).
-        self.sanitizer = None
-        self.context_provider = None
 
     # -- allocation (cheap, chargeable by caller) --------------------------------
 
@@ -125,11 +120,6 @@ class SyncPool:
             raise SyncError(f"write to sync in state {sync.state}")
         sync.state = _WRITTEN
         sync.value = value
-        if self.sanitizer is not None and self.context_provider is not None:
-            # The write publishes the value: happens-before edge to read().
-            self.sanitizer.on_release(
-                self.context_provider(), sync, f"sync:{self.name}"
-            )
         if sync._reader_token is not None and sync._reader_cpu is not None:
             token, sync._reader_token = sync._reader_token, None
             sync._reader_cpu.wake(token, value)
@@ -142,8 +132,6 @@ class SyncPool:
         yield Compute(self.costs.rt_sync_op_ns)
         if sync.state == _WRITTEN:
             value = sync.value
-            if self.sanitizer is not None:
-                self.sanitizer.on_acquire(cpu.context_label, sync, f"sync:{self.name}")
             self._release(sync)
             return value
         if sync.state != _EMPTY:
@@ -152,8 +140,6 @@ class SyncPool:
         sync._reader_token = token
         sync._reader_cpu = cpu
         value = yield Block(token)
-        if self.sanitizer is not None:
-            self.sanitizer.on_acquire(cpu.context_label, sync, f"sync:{self.name}")
         self._release(sync)
         return value
 

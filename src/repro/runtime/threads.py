@@ -67,9 +67,6 @@ class ThreadOps:
     def __init__(self, cpu: CPU, costs: CostModel):
         self.cpu = cpu
         self.costs = costs
-        #: Optional repro.analysis.sanitizers.Sanitizer (lock-order graph,
-        #: happens-before edges); one attribute test when detached.
-        self.sanitizer = None
 
     # -- basic thread operations ------------------------------------------------
 
@@ -117,8 +114,6 @@ class ThreadOps:
             mutex.waiters.append(token)
             yield Block(token)
         mutex.owner = self.cpu.current
-        if self.sanitizer is not None:
-            self.sanitizer.on_lock(self.cpu, mutex)
 
     def unlock(self, mutex: Mutex) -> Generator:
         """Release a mutex owned by the calling thread."""
@@ -128,8 +123,6 @@ class ThreadOps:
                 f"{self.cpu.current.name if self.cpu.current else '<none>'}"
             )
         yield Compute(self.costs.rt_lock_ns)
-        if self.sanitizer is not None:
-            self.sanitizer.on_unlock(self.cpu, mutex)
         mutex.owner = None
         self._wake_one(mutex.waiters)
 

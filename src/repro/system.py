@@ -72,9 +72,7 @@ class NectarNode:
         self.cab.program_mem.copy_meter = system.copy_meter
         system.network.attach(self.cab, hub, port)
         self.node_id = system.registry.register(name)
-        self.runtime = Runtime(
-            self.cab, tracer=system.tracer, sanitizer=system.sanitizer
-        )
+        self.runtime = Runtime(self.cab, tracer=system.tracer)
         # Mounted before any protocol exists: mailboxes mount themselves
         # below the runtime's scope as they are created.
         system.metrics.mount(name, self.runtime.stats)
@@ -110,14 +108,9 @@ class NectarNode:
 class NectarSystem:
     """A whole simulated Nectar installation."""
 
-    def __init__(self, costs: Optional[CostModel] = None, sanitizer=None):
+    def __init__(self, costs: Optional[CostModel] = None):
         self.sim = Simulator()
         self.costs = costs if costs is not None else DEFAULT_COSTS.copy()
-        #: Optional repro.analysis.sanitizers.Sanitizer wired into every
-        #: node's runtime (heap accounting, lock-order graph, race checks).
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            sanitizer.bind_clock(lambda: self.sim.now)
         self.tracer = Tracer(lambda: self.sim.now)
         #: The one metrics store (repro.telemetry.metrics): every
         #: component's ``.stats`` is mounted here, telemetry on or off.

@@ -1,6 +1,7 @@
 """The ``python -m repro bench`` CLI: dispatch, overrides, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -38,6 +39,21 @@ class TestDispatch:
         assert not hasattr(entry, "_EXPERIMENTS")
         assert entry.main([name]) == 2
         assert f"python -m repro bench {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["foo", "analyze"])
+    def test_a_name_with_no_scenario_file_gets_no_bench_hint(self, name, capsys):
+        assert entry.main([name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"unknown subcommand {name!r}\n")
+        assert "python -m repro bench" not in err.splitlines()[0]
+
+    def test_the_lint_usage_row_lists_the_options_lint_accepts(self, capsys):
+        from repro.analysis import nectarlint
+
+        assert nectarlint.main([]) == 2
+        accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().err))
+        listed = set(re.findall(r"--[a-z-]+", entry._SUBCOMMANDS["lint"][1]))
+        assert listed == accepted
 
     def test_no_arguments_prints_the_usage_and_exits_2(self, capsys):
         assert entry.main([]) == 2

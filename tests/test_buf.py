@@ -1,15 +1,14 @@
 """The zero-copy buffer plane: windows, ownership, aliasing safety.
 
 Covers the :mod:`repro.buf` primitives (PacketBuffer/BufView/CopyMeter),
-the aliasing-safety properties the data path depends on (freed views trip
-the use-after-free sanitizer, prepend never silently copies), and the
+the aliasing-safety properties the data path depends on (a freed view
+raises ``BufError`` on every access, prepend never silently copies), and the
 system-level leak invariant: every buffer allocated on the data path is
 freed by the end of every chaos scenario.
 """
 
 import pytest
 
-from repro.analysis.sanitizers import Sanitizer
 from repro.buf import BufView, CopyMeter, PacketBuffer
 from repro.errors import BufError
 from repro.faults.scenarios import SCENARIOS, build
@@ -157,15 +156,11 @@ def test_over_release_and_retain_after_free_raise():
 # ----------------------------------------------------------- aliasing safety
 
 
-def test_freed_view_trips_the_use_after_free_sanitizer():
-    sanitizer = Sanitizer(locks=False, races=False)
-    view = PacketBuffer.alloc(32, sanitizer=sanitizer, label="stale-frame")
+def test_freed_view_raises_buf_error_on_every_access():
+    view = PacketBuffer.alloc(32, label="stale-frame")
     view.release()
-    with pytest.raises(BufError):
+    with pytest.raises(BufError, match="stale-frame: view of 32 bytes used after"):
         view.mv()
-    reports = sanitizer.reports_of("heap-use-after-free")
-    assert reports, "freed view access must report through the sanitizer"
-    assert "stale-frame" in reports[0].message
     # Every access path through the window is guarded the same way.
     with pytest.raises(BufError):
         view[0]

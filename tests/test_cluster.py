@@ -5,9 +5,13 @@ and the conductor's failure modes.  The headline parity guarantee has its
 own file (test_cluster_parity.py).
 """
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
-from repro.cluster.conductor import Conductor, run_reference
+from repro.cluster.conductor import Conductor, _ProcessShard, run_reference
 from repro.cluster.fleet import (
     FleetSpec,
     build_fleet_system,
@@ -249,3 +253,35 @@ class TestConductor:
         assert result.n_workers == 0
         assert result.incomplete == []
         assert len(result.retransmits) == len(SMALL_FLEET.cabs)
+
+    @pytest.mark.parametrize("kill", ["before-send", "after-send"])
+    def test_a_killed_worker_is_named_and_every_worker_is_reaped(
+        self, kill, monkeypatch
+    ):
+        """SIGKILL shard 1 after the second barrier: the run fails naming
+        the shard and its exit code (not a bare BrokenPipeError or
+        EOFError), and the conductor's cleanup leaves no worker behind."""
+        advance = _ProcessShard.begin_advance
+        grants = []
+
+        def begin_advance(shard, until):
+            if shard.shard_id == 1:
+                grants.append(until)
+            if shard.shard_id != 1 or len(grants) != 3:
+                return advance(shard, until)
+            if kill == "after-send":
+                advance(shard, until)
+            os.kill(shard.process.pid, signal.SIGKILL)
+            shard.process.join(timeout=10)
+            assert not shard.process.is_alive()
+            if kill == "before-send":
+                advance(shard, until)
+
+        monkeypatch.setattr(_ProcessShard, "begin_advance", begin_advance)
+        conductor = Conductor(
+            line_fleet(2, 4, 6), WorkloadSpec(seed=0), n_workers=2, mode="process"
+        )
+        with pytest.raises(RuntimeError, match=r"^shard 1 worker exited \(exitcode -9\)"):
+            conductor.run()
+        assert len(grants) == 3
+        assert multiprocessing.active_children() == []

@@ -3,8 +3,9 @@
 Runs the Table-1 CAB-to-CAB datagram latency scenario twice in-process on
 fresh simulators and asserts the two runs are bit-for-bit identical: same
 trace events at the same nanosecond timestamps, same latency samples, same
-final simulated clock.  Any hidden global state, wall-clock dependence, or
-iteration-order nondeterminism in the stack breaks this test.
+final simulated clock.  Attaching a trace sink must not change the run
+either.  Three builds in one interpreter are
+``tests/test_repeat_determinism.py``.
 
 The sharded cluster gets the same treatment: a 4-worker run executed twice
 must be byte-identical end to end — protocol results, conductor counters,
@@ -14,19 +15,33 @@ the merged Chrome trace).
 
 import json
 
-from repro.analysis.driver import determinism_check, trace_signature
+from repro.apps.traffic import measure_rtt
+from repro.bench.harness import two_nodes
 from repro.cluster.conductor import Conductor
 from repro.cluster.fleet import line_fleet
 from repro.cluster.workload import WorkloadSpec
+from repro.sim.trace import TraceRecorder
+
+
+def datagram_rtt_run(rounds, warmup=2, traced=True):
+    """One datagram RTT run: ``(trace records, samples, events, final now)``."""
+    system, node_a, node_b = two_nodes()
+    recorder = TraceRecorder()
+    if traced:
+        system.tracer.sink = recorder
+    latencies = measure_rtt(system, node_a, node_b, "datagram", rounds=rounds, warmup=warmup)
+    records = [(e.time_ns, e.component, e.label) for e in recorder.events]
+    return records, latencies.samples_ns, system.sim.events_scheduled, system.now
 
 
 def test_datagram_rtt_trace_is_reproducible():
-    first = trace_signature(rounds=8, warmup=2)
-    second = trace_signature(rounds=8, warmup=2)
-    events_a, samples_a, final_a = first
-    events_b, samples_b, final_b = second
+    first = datagram_rtt_run(rounds=8)
+    second = datagram_rtt_run(rounds=8)
+    events_a, samples_a, scheduled_a, final_a = first
+    events_b, samples_b, scheduled_b, final_b = second
     assert events_a == events_b
     assert samples_a == samples_b
+    assert scheduled_a == scheduled_b
     assert final_a == final_b
     # Sanity: the scenario actually did something observable.
     assert len(events_a) > 0
@@ -35,9 +50,16 @@ def test_datagram_rtt_trace_is_reproducible():
 
 
 def test_determinism_check_passes():
-    ok, message = determinism_check(rounds=6)
-    assert ok, message
-    assert message.startswith("determinism: OK")
+    """Tracing observes the run without steering it: the untraced run
+    schedules the same events and measures the same samples."""
+    records, samples, scheduled, final = datagram_rtt_run(rounds=6)
+    untraced, untraced_samples, untraced_scheduled, untraced_final = datagram_rtt_run(
+        rounds=6, traced=False
+    )
+    assert records and not untraced
+    assert untraced_samples == samples
+    assert untraced_scheduled == scheduled
+    assert untraced_final == final
 
 
 def _sharded_run_bytes() -> bytes:

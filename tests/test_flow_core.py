@@ -280,40 +280,3 @@ def test_run_forward_terminates_on_loops():
     exits = run_forward(cfg, {}, transfer, lambda a, b: {**a, **b})
     assert exits  # converged without hitting the safety bound
     assert len(calls) < 64 * len(cfg.blocks)
-
-
-# ----------------------------------------------------------------- baseline ----
-
-
-def test_fingerprint_is_line_free_and_path_normalized():
-    from repro.analysis.rules import Finding
-    from repro.analysis.flow.baseline import fingerprint
-
-    a = Finding(path="./src/repro/a.py", line=10, col=1, code="NB210", message="m")
-    b = Finding(path="src/repro/a.py", line=99, col=7, code="NB210", message="m")
-    assert fingerprint(a) == fingerprint(b) == "src/repro/a.py::NB210::m"
-
-
-def test_baseline_absorbs_at_most_the_recorded_count():
-    from repro.analysis.rules import Finding
-    from repro.analysis.flow.baseline import Baseline
-
-    finding = Finding(path="p.py", line=1, col=1, code="NB210", message="leak")
-    twin = Finding(path="p.py", line=50, col=1, code="NB210", message="leak")
-    baseline = Baseline.from_findings([finding])
-    new, old = baseline.filter([finding, twin])
-    assert len(old) == 1  # the recorded occurrence is grandfathered
-    assert len(new) == 1  # the second instance still fails the gate
-
-
-def test_baseline_round_trips_through_disk(tmp_path):
-    from repro.analysis.rules import Finding
-    from repro.analysis.flow.baseline import Baseline
-
-    finding = Finding(path="p.py", line=1, col=1, code="NS110", message="cycle")
-    target = str(tmp_path / "base.json")
-    Baseline.from_findings([finding, finding]).write(target)
-    loaded = Baseline.load(target)
-    assert len(loaded) == 2
-    new, old = loaded.filter([finding])
-    assert new == [] and len(old) == 1

@@ -1,10 +1,10 @@
 """NB21x ownership-pass tests: known-bad fixtures must be flagged, the
 idiomatic ownership-transfer shapes must stay clean.
 
-The headline fixture mirrors ``tests/test_sanitizers.py``'s heap-leak
-scenario: the same bug the dynamic heap sanitizer reports at run time
-(``heap-leak`` at the allocation site) is caught here statically as
-NB210, without executing anything.
+The headline fixture is the seeded leak of ``tests/test_leaks.py`` (a
+buffer taken and never given back): what the quiescence check there sees
+only after a run is caught here statically as NB210, at the allocation
+site, without executing anything.
 """
 
 import textwrap
@@ -26,7 +26,7 @@ def codes(findings):
 
 
 def test_straight_line_leak_is_nb210_like_the_dynamic_sanitizer():
-    # Static mirror of test_sanitizers.test_heap_leak_reports_allocation_site:
+    # Static mirror of test_leaks.test_a_begin_put_never_freed_is_a_leak:
     # alloc, use, never release.
     findings = findings_for(
         """
@@ -36,7 +36,7 @@ def test_straight_line_leak_is_nb210_like_the_dynamic_sanitizer():
         """
     )
     assert codes(findings) == ["NB210"]
-    assert findings[0].line == 3  # the allocation site, like heap-leak
+    assert findings[0].line == 3  # the allocation site
     assert "'buf'" in findings[0].message
 
 

@@ -35,7 +35,6 @@ def test_registry_has_all_documented_rules():
         "NB201",
         # whole-program (nectarflow) rules
         "NB210", "NB211", "NB212",
-        "NS110", "NS111",
         "NP301", "NP302", "NP303",
         # lint hygiene
         "NL001",

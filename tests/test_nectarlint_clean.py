@@ -175,64 +175,14 @@ def test_set_iteration_in_cluster_gets_the_sensitive_rules():
 # ------------------------------------------------- nectarflow static gate ----
 
 
-def test_static_gate_is_clean_even_without_the_baseline(monkeypatch):
-    """The committed baseline is empty: every historical finding was
-    either fixed (the TIME_WAIT 2MSL-restart gap in tcp.py) or suppressed
-    inline with a justification, so the tree must be clean against a
-    missing baseline — which implies clean against the committed one (the
-    CLI test below runs that form, from the repo root as CI does).  If this
-    fails, prefer fixing the new finding over re-baselining it."""
-    monkeypatch.chdir(REPO)
-    findings = nectarlint._static_findings(
-        ["src/repro"],
-        baseline_path="does-not-exist.json",
-        select=None,
-        ignore=None,
-    )
-    rendered = "\n".join(finding.render() for finding in findings)
-    assert findings == [], f"unbaselined nectarflow findings:\n{rendered}"
-
-
-def test_write_baseline_grandfathers_findings_end_to_end(tmp_path):
-    """The baseline workflow on a synthetic tree: a seeded leak fails the
-    gate, --write-baseline grandfathers it, a *new* leak still fails."""
-    pkg = tmp_path / "buf_fixture"
-    pkg.mkdir()
-    leak = "def leaky(heap):\n    buf = PacketBuffer.alloc(heap, 96)\n    buf.fill_from(b'x')\n"
-    (pkg / "stage.py").write_text(leak, encoding="utf-8")
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"}
-    base = [sys.executable, "-m", "repro", "lint"]
-    baseline = str(tmp_path / "baseline.json")
-
-    fails = subprocess.run(
-        base + ["--baseline", baseline, str(pkg)],
-        capture_output=True, text=True, env=env,
-    )
-    assert fails.returncode == 1 and "NB210" in fails.stdout
-
-    wrote = subprocess.run(
-        base + ["--write-baseline", "--baseline", baseline, str(pkg)],
-        capture_output=True, text=True, env=env,
-    )
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-
-    clean = subprocess.run(
-        base + ["--baseline", baseline, str(pkg)],
-        capture_output=True, text=True, env=env,
-    )
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-
-    (pkg / "fresh.py").write_text(leak.replace("leaky", "leaky_two"), encoding="utf-8")
-    regressed = subprocess.run(
-        base + ["--baseline", baseline, str(pkg)],
-        capture_output=True, text=True, env=env,
-    )
-    assert regressed.returncode == 1 and "leaky_two" in regressed.stdout
-
-
 def test_lint_cli_static_exits_zero():
+    """The one whole-program run in tier-1: per-file rules, nectarflow's
+    ownership and FSM passes, and NL001, from the repo root as CI runs it.
+    Every historical finding was fixed (NP30x found the TIME_WAIT
+    2MSL-restart gap in tcp.py) or carries a justified suppression; prefer
+    fixing a new finding over suppressing it."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--static", "src/repro"],
+        [sys.executable, "-m", "repro", "lint", "src/repro", "--static", "--strict"],
         capture_output=True,
         text=True,
         cwd=str(REPO),

@@ -22,6 +22,7 @@ from repro.cluster.conductor import run_reference
 from repro.cluster.fleet import line_fleet
 from repro.cluster.workload import WorkloadSpec
 from repro.faults.campaign import run_campaign
+from repro.sim.trace import TraceRecorder
 from repro.units import seconds
 
 ROUNDS = 6
@@ -82,6 +83,25 @@ def tcp_stream_once(seed, size, count):
 def test_message_endpoints_repeat(kind, rig):
     first, second, third = three_times(lambda: pingpong_once(kind, rig))
     assert first == second == third
+
+
+def test_datagram_rtt_trace_repeats():
+    """The Table-1 datagram RTT run, down to every ``(time, component,
+    label)`` trace record, latency sample and the final clock: any hidden
+    global state, host-clock read or iteration-order dependence shows."""
+
+    def once():
+        system, a, b = two_nodes()
+        recorder = TraceRecorder()
+        system.tracer.sink = recorder
+        latencies = traffic.measure_rtt(system, a, b, "datagram", rounds=8, warmup=2)
+        records = [(e.time_ns, e.component, e.label) for e in recorder.events]
+        return records, latencies.samples_ns, system.now
+
+    first, second, third = three_times(once)
+    assert first == second == third
+    records, samples, now = first
+    assert records and len(samples) == 8 - 2 and now > 0
 
 
 def test_tcp_between_cab_threads_repeats():
