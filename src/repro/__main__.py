@@ -9,21 +9,21 @@ together.
 (see :mod:`repro.analysis.nectarlint`); with ``--static`` it also runs
 the whole-program nectarflow passes — buffer ownership and protocol
 FSMs (see :mod:`repro.analysis.flow`); ``flow --graph`` dumps the call
-graph and lifted state machines those passes compute; ``chaos`` runs a
-fault-injection campaign against the reliable transports (see
-:mod:`repro.faults.campaign`); ``observe`` runs a workload with the
-telemetry plane on and exports Perfetto traces, metrics, and cycle
-profiles (see :mod:`repro.telemetry.observe`); ``bench`` is the scenario
-harness (see :mod:`repro.scenario`) and the only way to run or gate a
-scenario kind — the sharded fleet (``bench scale``, :mod:`repro.cluster`),
-the multicast/collective bench (``bench mcast``), the buffer plane
-(``bench buf``), the scored operations lab (``bench ops``,
-:mod:`repro.ops`), the engine and capacity workloads, and the paper's
-tables and figures: it runs any committed scenario file, takes
+graph and lifted state machines those passes compute; ``observe`` runs a
+workload with the telemetry plane on and exports Perfetto traces,
+metrics, and cycle profiles (see :mod:`repro.telemetry.observe`);
+``bench`` is the scenario harness (see :mod:`repro.scenario`) and the
+only way to run or gate a scenario kind — the sharded fleet (``bench
+scale``, :mod:`repro.cluster`), the multicast/collective bench (``bench
+mcast``), the buffer plane (``bench buf``), the scored operations lab
+(``bench ops``, :mod:`repro.ops`), the fault campaigns (``bench chaos``,
+:mod:`repro.faults.campaign`), the observe workloads' summaries and
+artifact digests (``bench observe``), the capacity workload, and the
+paper's tables and figures: it runs any committed scenario file, takes
 ``key=value`` parameter overrides, sweeps parameter grids into
 capacity-curve reports, and ``bench --check-all`` is the one regression
 gate over every committed baseline (``BENCH_*.json``,
-``OPS_baseline.txt``).
+``OPS_baseline.txt``, ``CHAOS_baseline.txt``).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ _SUBCOMMANDS = {
         "                      [--select CODES] [--ignore CODES] [--explain]",
     ),
     "flow": ("repro.analysis.flow.cli", "flow --graph [paths...]"),
-    "chaos": (
-        "repro.faults.campaign",
-        "chaos [--scenario NAME] [--seed N] [--smoke] [--list]",
-    ),
     "observe": (
         "repro.telemetry.observe",
         "observe [--workload NAME] [--trace FILE] [--metrics FILE]",

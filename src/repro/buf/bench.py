@@ -1,8 +1,7 @@
 """The ``buf`` scenario kind's benchmark, behind ``BENCH_buf.json``.
 
 Run and gated as ``python -m repro bench buf [--check | --write]``.
-Measures the buffer plane three ways, with the same deterministic/measured
-split as the scale bench (``repro.cluster.bench``):
+Measures the buffer plane three ways:
 
 * a **microbench** exercising the :class:`~repro.buf.PacketBuffer` /
   :class:`~repro.buf.BufView` op set (alloc, fill, prepend, strip, slice,
@@ -13,11 +12,10 @@ split as the scale bench (``repro.cluster.bench``):
   refactor, gated against both the committed baseline and the recorded
   pre-refactor measurement;
 * a small **scale** reference fleet (the unsharded fleet workload),
-  recording its copy counters and wall-clock.
+  recording its copy counters.
 
-``deterministic`` sections are byte-identical across runs and machines;
-``measured`` holds wall-clock only and is recorded, never gated.  Every
-run must free every buffer it allocated and hold rmp-stream under
+The ``deterministic`` section is byte-identical across runs and machines.
+Every run must free every buffer it allocated and hold rmp-stream under
 :data:`RMP_STREAM_CEILING_BYTES`; ``--check`` additionally requires the
 deterministic sections to match the committed ``BENCH_buf.json`` exactly.
 """
@@ -26,12 +24,11 @@ from __future__ import annotations
 
 from repro.buf.accounting import CopyMeter
 from repro.buf.packet import PacketBuffer
-from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = ["run_buf_bench"]
 
-#: Microbench shape: enough rounds to dominate interpreter noise in the
-#: measured section while the counters stay trivially auditable.
+#: Microbench shape: enough rounds to exercise every op many times while
+#: the counters stay trivially auditable.
 MICRO_ROUNDS = 256
 MICRO_PAYLOAD_BYTES = 1024
 MICRO_HEADROOM = 16
@@ -51,11 +48,10 @@ RMP_STREAM_CEILING_BYTES = int(
 
 
 def _run_microbench() -> dict:
-    """The fixed op sequence; returns its meter snapshot + wall-clock."""
+    """The fixed op sequence; returns its meter snapshot."""
     meter = CopyMeter()
     header = bytes(range(MICRO_HEADROOM))
     payload = bytes(index & 0xFF for index in range(MICRO_PAYLOAD_BYTES))
-    start = wall_clock_ns()
     for _round in range(MICRO_ROUNDS):
         view = PacketBuffer.alloc(
             MICRO_PAYLOAD_BYTES,
@@ -69,22 +65,18 @@ def _run_microbench() -> dict:
         window = stripped.slice(64, 256)  # zero-copy
         window.tobytes()  # the one boundary copy out
         framed.release()
-    wall_ns = wall_ns_since(start)
-    return {"counters": meter.snapshot(), "wall_ns": wall_ns}
+    return meter.snapshot()
 
 
 def _run_rmp_stream() -> dict:
-    """The headline workload; returns host counters + wall-clock."""
+    """The headline workload; returns its host counters."""
     from repro.telemetry.observe import run_observe
 
-    start = wall_clock_ns()
-    result = run_observe("rmp-stream")
-    wall_ns = wall_ns_since(start)
-    return {"counters": result.system.copy_meter.snapshot(), "wall_ns": wall_ns}
+    return run_observe("rmp-stream").system.copy_meter.snapshot()
 
 
 def _run_scale_reference() -> dict:
-    """An unsharded small-fleet scale run; counters + events + wall-clock."""
+    """An unsharded small-fleet scale run; counters + events + sim time."""
     from repro.cluster.fleet import build_fleet_system, line_fleet
     from repro.cluster.workload import Workload, WorkloadSpec
 
@@ -92,16 +84,14 @@ def _run_scale_reference() -> dict:
     spec = WorkloadSpec(
         seed=4, rmp_flows=2, rpc_flows=1, tcp_flows=1, tcp_bytes=1024
     )
-    start = wall_clock_ns()
     system = build_fleet_system(fleet)
     workload = Workload(spec, fleet)
     workload.install(system)
     system.run()
-    wall_ns = wall_ns_since(start)
     counters = dict(system.copy_meter.snapshot())
     counters["events"] = system.sim.events_scheduled
     counters["sim_ns"] = system.sim.now
-    return {"counters": counters, "wall_ns": wall_ns}
+    return counters
 
 
 def _reduction_pct(now: int, before: int) -> float:
@@ -111,11 +101,10 @@ def _reduction_pct(now: int, before: int) -> float:
 def run_buf_bench() -> dict:
     """Run all three legs and assemble the bench report."""
     micro = _run_microbench()
-    rmp = _run_rmp_stream()
+    rmp_counters = _run_rmp_stream()
     scale = _run_scale_reference()
-    rmp_counters = rmp["counters"]
     deterministic = {
-        "microbench": micro["counters"],
+        "microbench": micro,
         "rmp_stream": rmp_counters,
         "rmp_stream_pre_refactor": dict(RMP_STREAM_PRE_REFACTOR),
         "rmp_stream_reduction_pct": {
@@ -128,12 +117,7 @@ def run_buf_bench() -> dict:
                 RMP_STREAM_PRE_REFACTOR["memcpy_calls"],
             ),
         },
-        "scale": scale["counters"],
-    }
-    measured = {
-        "microbench": {"wall_ns": micro["wall_ns"]},
-        "rmp_stream": {"wall_ns": rmp["wall_ns"]},
-        "scale": {"wall_ns": scale["wall_ns"]},
+        "scale": scale,
     }
     return {
         "bench": "buf",
@@ -145,5 +129,4 @@ def run_buf_bench() -> dict:
             "scale": {"shape": "line", "hubs": 3, "cabs_per_hub": 2, "seed": 4},
         },
         "deterministic": deterministic,
-        "measured": measured,
     }

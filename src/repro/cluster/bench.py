@@ -3,16 +3,11 @@
 Run and gated as ``python -m repro bench scale [key=value ...]``.  One
 bench run executes the unsharded reference and a sharded run per
 requested worker count on the same fleet, workload, and seed, then reports
-two strictly separated sections:
-
-* ``deterministic`` — event counts, simulated time, the conductor's
-  synchronization counters (barriers, epochs, elided null messages,
-  fast-path windows, hand-offs, ring vs pickle transport bytes), and the
-  parity verdict.  Byte-identical across repeated invocations with the
-  same configuration (this is what the regression gate pins).
-* ``measured`` — wall-clock, events/sec, the speedup of each worker count
-  over the 1-worker sharded run, and the machine's CPU count.  Recorded,
-  never gated: the numbers move with the machine.
+event counts, simulated time, the conductor's synchronization counters
+(barriers, epochs, elided null messages, fast-path windows, hand-offs,
+ring vs pickle transport bytes), and the parity verdict.  The report is
+byte-identical across repeated invocations with the same configuration
+(this is what the regression gate pins).
 
 ``bench scale --check`` re-runs the committed configuration and fails,
 naming the key, when any deterministic value moves — a barrier count, a
@@ -24,26 +19,13 @@ sharded-only measurements; the parity verdict is then ``None``.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
-from repro.cluster.conductor import Conductor, FleetResult, run_reference
+from repro.cluster.conductor import Conductor, run_reference
 from repro.cluster.fleet import FleetSpec
 from repro.cluster.workload import WorkloadSpec
-from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = ["run_scale_bench"]
-
-
-def _timed(fn) -> FleetResult:
-    start = wall_clock_ns()
-    result = fn()
-    result.wall_ns = wall_ns_since(start)
-    return result
-
-
-def _events_per_sec(result: FleetResult) -> float:
-    return round(result.events * 1e9 / result.wall_ns, 1)
 
 
 def run_scale_bench(
@@ -55,12 +37,9 @@ def run_scale_bench(
 ) -> dict:
     """Run reference + sharded runs and assemble the bench report."""
     workers = workers or [1, 4]
-    reference = None if skip_reference else _timed(
-        lambda: run_reference(fleet, workload)
-    )
+    reference = None if skip_reference else run_reference(fleet, workload)
     runs = [
-        _timed(Conductor(fleet, workload, n_workers=n, mode=mode).run)
-        for n in workers
+        Conductor(fleet, workload, n_workers=n, mode=mode).run() for n in workers
     ]
     parity = None
     if reference is not None:
@@ -89,24 +68,6 @@ def run_scale_bench(
             for run in runs
         },
     }
-    base_wall = runs[0].wall_ns
-    measured = {
-        "cpus": os.cpu_count(),
-        "reference": None
-        if reference is None
-        else {
-            "wall_ns": reference.wall_ns,
-            "events_per_sec": _events_per_sec(reference),
-        },
-        "workers": {
-            str(run.n_workers): {
-                "wall_ns": run.wall_ns,
-                "events_per_sec": _events_per_sec(run),
-                "speedup_vs_1worker": round(base_wall / run.wall_ns, 3),
-            }
-            for run in runs
-        },
-    }
     return {
         "bench": "scale",
         "config": {
@@ -128,5 +89,4 @@ def run_scale_bench(
             },
         },
         "deterministic": deterministic,
-        "measured": measured,
     }

@@ -84,9 +84,7 @@ class FleetResult:
     conductor counters (``barriers`` through ``handoffs``) are meter
     readings that are deterministic for a given worker count and identical
     across inline/process modes; ``ring_bytes`` / ``pickle_bytes`` are
-    transport meters (process mode only — inline has no seam transport);
-    ``wall_ns`` is stamped by the bench harness and is the only
-    non-deterministic field.
+    transport meters (process mode only — inline has no seam transport).
     """
 
     n_workers: int
@@ -113,7 +111,6 @@ class FleetResult:
     ring_bytes: int = 0
     #: payload bytes that overflowed to pickled pipe transport
     pickle_bytes: int = 0
-    wall_ns: int = 0
     #: merged series snapshot: a sharded run's ``cluster.*`` counters, plus
     #: every shard's metrics store when telemetry is enabled
     metrics: Optional[dict] = None

@@ -22,7 +22,7 @@ legs, all pinned by the committed ``BENCH_mcast.json``:
 
 Sections follow the scale bench's contract: ``deterministic`` is
 byte-identical across repeated runs of the same configuration (the
-regression gate), ``measured`` (wall-clock) is recorded but never gated.
+regression gate).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.workload import Flow, Workload, WorkloadSpec
 from repro.protocols.nectar.collective import tree_depth
-from repro.wallclock import wall_clock_ns, wall_ns_since
 
 __all__ = ["run_mcast_bench"]
 
@@ -191,16 +190,6 @@ def run_mcast_bench(
     mode: str = "process",
 ) -> dict:
     """All three legs, assembled into the bench report."""
-    legs = {}
-    walls = {}
-    for name, runner in (
-        ("fanout", lambda: run_fanout_leg(messages=messages)),
-        ("barrier", lambda: run_barrier_leg(rounds=rounds)),
-        ("parity", lambda: run_parity_leg(seed, workers=workers, mode=mode)),
-    ):
-        start = wall_clock_ns()
-        legs[name] = runner()
-        walls[name] = wall_ns_since(start)
     return {
         "bench": "mcast",
         "config": {
@@ -212,6 +201,9 @@ def run_mcast_bench(
             "mode": mode,
             "workers": workers or [1, 4],
         },
-        "deterministic": legs,
-        "measured": {"wall_ns": walls},
+        "deterministic": {
+            "fanout": run_fanout_leg(messages=messages),
+            "barrier": run_barrier_leg(rounds=rounds),
+            "parity": run_parity_leg(seed, workers=workers, mode=mode),
+        },
     }

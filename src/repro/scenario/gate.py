@@ -11,8 +11,7 @@ every kind:
   fresh report dropped and per key it grew.  A text golden
   (``OPS_baseline.txt``) is the ``deterministic.report`` leaf of the same
   walk.  The match is exact: an improvement is re-baselined with
-  ``--write`` like any other deliberate change.  ``measured`` is recorded,
-  never compared.
+  ``--write`` like any other deliberate change.
 * **is it sound?** — :func:`invariant_verdicts` applies the kind's
   declared invariants (:mod:`repro.scenario.runner`) to the fresh report,
   every sweep point included.  These hold of any run, so a plain

@@ -9,8 +9,7 @@ Two renderings, both deterministic functions of the report dict:
   then every scalar deterministic series (events, sim-time, p50/p99
   latency, throughput, copy/crossing counters — whatever the kind
   emits).  Only deterministic values are rendered, so the text of a
-  double run is byte-identical; wall-clock numbers stay in the JSON
-  report's quarantined ``measured`` section.
+  double run is byte-identical.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def _single_report(scenario: Scenario, report: dict) -> str:
         # Table/figure drivers already render their own report.
         return deterministic["text"].rstrip("\n") + "\n"
     if isinstance(deterministic.get("report"), str):
-        # The ops lab's report golden is the report.
+        # The ops, chaos and observe report goldens are the report.
         return deterministic["report"].rstrip("\n") + "\n"
     if all(_is_scalar(value) for value in deterministic.values()):
         rows = [

@@ -10,8 +10,7 @@ same scenario twice yields the identical matrix — the property
 (:mod:`repro.scenario.runner`).  A scenario without a sweep returns the
 kind's native report unchanged; a sweep returns one assembled report whose ``deterministic``
 section is the list of per-point deterministic sections — the capacity
-curve — with wall-clock quarantined under ``measured`` as everywhere
-else in the tree.
+curve.
 """
 
 from __future__ import annotations
@@ -60,12 +59,6 @@ def run_scenario(scenario: Scenario) -> dict:
         "deterministic": {
             "points": [
                 dict({"point": point}, **run["deterministic"])
-                for point, run in runs
-            ]
-        },
-        "measured": {
-            "points": [
-                dict({"point": point}, **run["measured"])
                 for point, run in runs
             ]
         },

@@ -40,6 +40,11 @@ class TestDispatch:
         assert entry.main([name]) == 2
         assert f"python -m repro bench {name}" in capsys.readouterr().err
 
+    def test_the_chaos_campaign_is_a_scenario_not_a_subcommand(self, capsys):
+        assert "chaos" not in entry._SUBCOMMANDS
+        assert entry.main(["chaos", "--smoke"]) == 2
+        assert "python -m repro bench chaos" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["foo", "analyze"])
     def test_a_name_with_no_scenario_file_gets_no_bench_hint(self, name, capsys):
         assert entry.main([name]) == 2
@@ -90,7 +95,7 @@ class TestBenchCli:
     def test_list_shows_committed_scenarios(self, capsys):
         assert bench_cli.main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("scale", "buf", "mcast", "ops", "engine", "load"):
+        for name in ("scale", "buf", "mcast", "ops", "chaos", "observe", "load"):
             assert name in out
 
     def test_check_and_write_are_mutually_exclusive(self, capsys):
@@ -114,7 +119,8 @@ class TestBenchCli:
             "BENCH_buf.json",
             "BENCH_mcast.json",
             "OPS_baseline.txt",
-            "BENCH_engine.json",
+            "CHAOS_baseline.txt",
+            "BENCH_observe.json",
             "BENCH_load.json",
             "BENCH_table1.json",
             "BENCH_fig6.json",
@@ -124,7 +130,7 @@ class TestBenchCli:
             "BENCH_ablations.json",
         ):
             assert f"OK: {baseline}" in result.stdout
-        assert "bench --check-all: OK (12 gates)" in result.stdout
+        assert "bench --check-all: OK (13 gates)" in result.stdout
 
 
 class TestOverrides:
@@ -177,6 +183,7 @@ class TestInvariantExit:
             ("buf", ("scale", "buffers_freed"), 0, "deterministic.scale.buffers_allocated"),
             ("buf", ("rmp_stream", "memcpy_bytes"), 30000, "must be <= 22368"),
             ("ops", ("passed",), False, "ops lab verdict is FAIL"),
+            ("chaos", ("passed",), False, "chaos campaign verdict is FAIL"),
         ],
     )
     def test_broken_invariant_exits_1(

@@ -27,8 +27,8 @@ class TestBenchReport:
             sort_keys=True,
         )
         assert stable(first) == stable(second)
-        # Wall-clock lives only in the quarantined section.
-        assert "wall_ns" not in json.dumps(first["deterministic"])
+        # No host clock reaches the report at all.
+        assert set(first) == {"bench", "config", "deterministic"}
         assert render_json(first).endswith("\n")
 
     def test_fanout_leg_beats_unicast_and_leaks_nothing(self):

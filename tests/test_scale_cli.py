@@ -36,16 +36,13 @@ class TestBenchReport:
             sort_keys=True,
         )
         assert stable(first) == stable(second)
-        # Wall-clock lives only in the quarantined section.
-        assert "wall_ns" not in json.dumps(first["deterministic"])
+        # No host clock reaches the report at all.
+        assert set(first) == {"bench", "config", "deterministic"}
 
-    def test_report_records_parity_and_speedup(self):
+    def test_report_records_parity_per_worker_count(self):
         report = run_scale_bench(FLEET, LOAD, workers=[1, 2], mode="inline")
         assert report["deterministic"]["parity"] is True
-        workers = report["measured"]["workers"]
-        assert workers["1"]["speedup_vs_1worker"] == 1.0
-        assert workers["2"]["events_per_sec"] > 0
-        assert report["measured"]["cpus"] >= 1
+        assert set(report["deterministic"]["workers"]) == {"1", "2"}
 
     def test_worker_sections_carry_epoch_and_ring_fields(self):
         report = run_scale_bench(FLEET, LOAD, workers=[2], mode="inline")
@@ -63,7 +60,6 @@ class TestBenchReport:
         )
         assert report["deterministic"]["parity"] is None
         assert report["deterministic"]["reference"] is None
-        assert report["measured"]["reference"] is None
         assert report["deterministic"]["workers"]["2"]["events"] > 0
         # Still renders to stable bytes with the nulls in place.
         assert render_json(report) == render_json(report)
@@ -95,7 +91,6 @@ class TestScaleCLI:
         report = json.loads(target.read_text())
         assert report["bench"] == "scale"
         assert report["deterministic"]["parity"] is True
-        assert report["measured"]["workers"]["2"]["speedup_vs_1worker"] > 0
         assert target.read_text() == render_json(report)
         assert f"wrote {target}" in capsys.readouterr().out
 

@@ -42,12 +42,10 @@ class TestDeterminism:
         second = render_text(scenario, run_scenario(scenario))
         assert first == second
 
-    def test_wall_clock_is_quarantined_under_measured(self):
+    def test_a_report_carries_no_host_clock(self):
         report = run_scenario(load())
-        assert "wall_ns" not in json.dumps(report["deterministic"])
-        assert all(
-            point["wall_ns"] > 0 for point in report["measured"]["points"]
-        )
+        assert set(report) == {"bench", "scenario", "config", "deterministic"}
+        assert "wall_ns" not in json.dumps(report)
 
 
 class TestReports:
@@ -185,7 +183,7 @@ class TestGate:
         scenario = load_text(
             '[scenario]\nname = "s"\nkind = "scale"\nbaseline = "S.json"\n', "s.toml"
         )
-        broken = {"config": {}, "deterministic": {"parity": False}, "measured": {}}
+        broken = {"config": {}, "deterministic": {"parity": False}}
         monkeypatch.setattr(gate_mod, "run_scenario", lambda scenario: broken)
         result = gate_mod.write_baseline(scenario)
         assert not result.ok and not (tmp_path / "S.json").exists()
@@ -198,7 +196,7 @@ class TestCommittedScenarios:
         from repro.scenario.model import list_scenarios, load_scenario
 
         names = list_scenarios()
-        assert {"scale", "buf", "mcast", "ops", "engine", "load"} <= set(names)
+        assert {"scale", "buf", "mcast", "ops", "chaos", "observe", "load"} <= set(names)
         for name in names:
             scenario = load_scenario(name)
             assert scenario.kind in KINDS
@@ -234,20 +232,21 @@ class TestCommittedScenarios:
             "buf": "BENCH_buf.json",
             "mcast": "BENCH_mcast.json",
             "ops": "OPS_baseline.txt",
+            "chaos": "CHAOS_baseline.txt",
+            "observe": "BENCH_observe.json",
         }
         for name, baseline in expected.items():
             assert load_scenario(name).baseline == baseline
 
-    def test_engine_baseline_carries_events_per_sec_series(self):
+    def test_observe_baseline_pins_every_workloads_events_and_summary(self):
         from repro.scenario.model import repo_root
+        from repro.telemetry.observe import WORKLOADS
 
-        committed = json.loads((repo_root() / "BENCH_engine.json").read_text())
-        workloads = [
-            point["point"]["workload"]
-            for point in committed["deterministic"]["points"]
-        ]
-        assert workloads == ["table1", "rmp-stream"]
-        for point in committed["measured"]["points"]:
-            assert point["events_per_sec"] > 0
-        for point in committed["deterministic"]["points"]:
-            assert point["events"] > 0 and point["events_per_sim_ms"] > 0
+        committed = json.loads((repo_root() / "BENCH_observe.json").read_text())
+        deterministic = committed["deterministic"]
+        assert sorted(deterministic["events"]) == sorted(WORKLOADS)
+        assert all(events > 0 for events in deterministic["events"].values())
+        summaries = deterministic["report"].split("\n\n")
+        assert [text.split()[2] for text in summaries] == sorted(WORKLOADS)
+        for text in summaries:
+            assert "metrics_json sha256: " in text and "trace_json sha256: " in text
