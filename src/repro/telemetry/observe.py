@@ -199,7 +199,7 @@ def run_observe(workload: str, seed: int = 7, rounds: Optional[int] = None) -> O
     recorder = telemetry.recorder
     lines = [
         f"observe workload: {workload} (seed {seed}, rounds {rounds})",
-        f"simulated time: {system.now} ns",
+        f"simulated time: {system.sim.last_event_ns} ns",
     ]
     lines.extend(workload_lines)
     lines.append(f"trace events: {len(recorder.events)}")
