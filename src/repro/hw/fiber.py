@@ -20,8 +20,7 @@ terminates the frame's journey calls :meth:`Frame.release`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.buf.packet import BufView, PacketBuffer
@@ -37,8 +36,6 @@ __all__ = ["CHUNK_BYTES", "FiberIn", "FiberOut", "Frame"]
 #: that the event count stays low.
 CHUNK_BYTES = 512
 
-_frame_seq = itertools.count(1)
-
 
 @dataclass
 class Frame:
@@ -48,7 +45,9 @@ class Frame:
     payload: BufView
     src: str = "?"
     crc: int = 0
-    seqno: int = field(default_factory=lambda: next(_frame_seq))
+    #: Unique per network (:attr:`NodeRegistry.frame_seqnos`); 0 for a
+    #: frame built outside one.
+    seqno: int = 0
     created_ns: int = 0
     #: Invoked (in event context) when the sender's DMA has fully drained the
     #: frame from CAB memory — the send buffer may be reused from then on.

@@ -7,6 +7,7 @@ between protocol addressing and the HUB source routes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional
 
 from repro.errors import AddressError
@@ -46,6 +47,9 @@ class NodeRegistry:
         self._id_by_ip: Dict[int, int] = {}
         self._next_id = 1
         self._next_connection_id = 1
+        #: Link-frame sequence numbers (1, 2, ...); a bare counter because
+        #: the datalink draws one per frame sent.
+        self.frame_seqnos = itertools.count(1)
 
     def allocate_connection_id(self) -> int:
         """The next TCP connection id on this network (1, 2, ...)."""

@@ -154,6 +154,7 @@ class Datalink:
                 route=self.registry.route_to(self.cab.name, dst_node),
                 payload=self._build_frame_payload(header, msg.view()),
                 src=self.cab.name,
+                seqno=next(self.registry.frame_seqnos),
             )
             if track is not None:
                 # Async span spanning the frame's life on the wire; the
@@ -192,6 +193,7 @@ class Datalink:
             route=self.registry.route_to(self.cab.name, dst_node),
             payload=self._build_frame_payload(header, packet),
             src=self.cab.name,
+            seqno=next(self.registry.frame_seqnos),
         )
         tracer = self.runtime.tracer
         if tracer.sink is not None:

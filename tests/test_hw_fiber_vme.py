@@ -45,9 +45,28 @@ class TestFrame:
             Frame(route=(), payload=bytearray())
 
     def test_unique_sequence_numbers(self):
-        a = Frame(route=(), payload=bytearray(b"a"))
-        b = Frame(route=(), payload=bytearray(b"b"))
-        assert a.seqno != b.seqno
+        """The datalink numbers frames from its network's counter, so the
+        numbers are unique per system and every system starts at 1."""
+        from repro.sim.trace import TraceRecorder
+        from repro.system import NectarSystem
+
+        for _build in range(2):
+            system = NectarSystem()
+            hub = system.add_hub("hub0")
+            a = system.add_node("cab-a", hub, 0)
+            b = system.add_node("cab-b", hub, 1)
+            recorder = TraceRecorder()
+            system.tracer.sink = recorder
+
+            def sender():
+                for _ in range(3):
+                    yield from a.datalink.send_raw(b.node_id, 0x77, b"x")
+
+            a.runtime.fork_application(sender(), "s")
+            system.run()
+            begins = [e.span_id for e in recorder.events if e.phase == "b"]
+            assert begins == [1, 2, 3]
+        assert Frame(route=(), payload=bytearray(b"a")).seqno == 0
 
 
 class TestFiberEndpoints:
