@@ -8,12 +8,9 @@ mix all run over it, plus the request-response server loop every RPC
 service shares.  :mod:`repro.apps.throughput` keeps the three byte-stream
 measurements of Figure 8 that go through a socket API instead.
 
-The rest of the package implements the Sec. 5.3 applications and future
-work: parallel paradigms (:mod:`repro.apps.paradigms`), distributed
-transactions (:mod:`repro.apps.transactions`), network shared memory
-(:mod:`repro.apps.sharedmem`), presentation-layer offload
-(:mod:`repro.apps.marshaling`) and the remote file service
-(:mod:`repro.apps.remotefs`).
+The rest of the package implements two Sec. 5.3 applications:
+distributed transactions (:mod:`repro.apps.transactions`) and network
+shared memory (:mod:`repro.apps.sharedmem`).
 """
 
 from repro.apps import traffic

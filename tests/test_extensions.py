@@ -1,172 +1,12 @@
-"""Tests for the Sec. 5.3 extensions: paradigms, marshaling, shared memory."""
+"""Tests for the Sec. 5.3 network shared memory extension."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.marshaling import compare_marshal_placement, marshal, unmarshal
-from repro.apps.paradigms import TaskQueue, divide_and_conquer
 from repro.apps.sharedmem import PAGE_BYTES, SharedMemory
-from repro.errors import NectarError, ProtocolError
-from repro.nectarine.api import CabNectarine
-from repro.nectarine.naming import NameService
+from repro.errors import NectarError
 from repro.system import NectarSystem
 from repro.units import seconds
-
-
-# ------------------------------------------------------------------ marshaling
-
-
-class TestMarshaling:
-    def test_roundtrip_mixed(self):
-        values = [42, b"bytes!", True, False, [1, b"xy", [2, 3]], -7]
-        assert unmarshal(marshal(values)) == values
-
-    def test_empty(self):
-        assert unmarshal(marshal([])) == []
-
-    def test_padding_alignment(self):
-        blob = marshal([b"abc"])  # 3 bytes padded to 4
-        assert len(blob) % 4 == 1  # 4 count + 1 tag + 4 len + 4 padded
-        assert unmarshal(blob) == [b"abc"]
-
-    def test_truncation_detected(self):
-        blob = marshal([12345, b"data"])
-        with pytest.raises(ProtocolError):
-            unmarshal(blob[:-3])
-
-    def test_trailing_garbage_detected(self):
-        with pytest.raises(ProtocolError):
-            unmarshal(marshal([1]) + b"\x00")
-
-    def test_unknown_tag_detected(self):
-        blob = bytearray(marshal([1]))
-        blob[4] = 0x7F
-        with pytest.raises(ProtocolError, match="tag"):
-            unmarshal(bytes(blob))
-
-    def test_unmarshalable_type_rejected(self):
-        with pytest.raises(ProtocolError):
-            marshal([3.14])  # type: ignore[list-item]
-
-    @given(
-        st.lists(
-            st.recursive(
-                st.one_of(
-                    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-                    st.binary(max_size=40),
-                    st.booleans(),
-                ),
-                lambda children: st.lists(children, max_size=4),
-                max_leaves=10,
-            ),
-            max_size=6,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_roundtrip_property(self, values):
-        assert unmarshal(marshal(values)) == values
-
-    def test_placement_comparison_runs(self):
-        values = [1, b"argument data" * 50, True]
-        results = compare_marshal_placement(values, rounds=5)
-        assert results["host_us"] > 0
-        assert results["cab_us"] > 0
-
-
-# ------------------------------------------------------------------ paradigms
-
-
-def _worker_rig(n_workers):
-    system = NectarSystem()
-    hub = system.add_hub("hub0")
-    coordinator = system.add_node("cab-coord", hub, 0)
-    names = NameService()
-    services = []
-    for index in range(n_workers):
-        node = system.add_node(f"cab-w{index}", hub, index + 1)
-        app = CabNectarine(node, names)
-        app.serve(f"double@{index}", lambda req: str(int(req) * 2).encode())
-        services.append(f"double@{index}")
-    return system, coordinator, names, services
-
-
-class TestTaskQueue:
-    def test_results_in_input_order(self):
-        system, coordinator, names, services = _worker_rig(3)
-        app = CabNectarine(coordinator, names)
-        queue = TaskQueue(app, services)
-        items = [str(i).encode() for i in range(12)]
-        done = system.sim.event()
-
-        def body():
-            results = yield from queue.run(items)
-            done.succeed(results)
-
-        coordinator.runtime.fork_application(body(), "coord")
-        results = system.run_until(done, limit=seconds(10))
-        assert results == [str(i * 2).encode() for i in range(12)]
-        assert queue.completed == 12
-
-    def test_single_worker(self):
-        system, coordinator, names, services = _worker_rig(1)
-        app = CabNectarine(coordinator, names)
-        queue = TaskQueue(app, services[:1])
-        done = system.sim.event()
-
-        def body():
-            results = yield from queue.run([b"5", b"6"])
-            done.succeed(results)
-
-        coordinator.runtime.fork_application(body(), "coord")
-        assert system.run_until(done, limit=seconds(10)) == [b"10", b"12"]
-
-    def test_empty_worker_list_rejected(self):
-        system, coordinator, names, _services = _worker_rig(1)
-        app = CabNectarine(coordinator, names)
-        with pytest.raises(NectarError):
-            TaskQueue(app, [])
-
-
-class TestDivideAndConquer:
-    def test_parallel_speedup_vs_serial(self):
-        """N parts across N workers finish faster than N serial calls."""
-        system, coordinator, names, services = _worker_rig(4)
-        app = CabNectarine(coordinator, names)
-        done = system.sim.event()
-        parts = [b"10", b"20", b"30", b"40"]
-
-        def body():
-            start = system.now
-            combined = yield from divide_and_conquer(
-                app, services, parts, combine=lambda replies: b",".join(replies)
-            )
-            parallel_ns = system.now - start
-            start = system.now
-            serial = []
-            for service, part in zip(services, parts):
-                reply = yield from app.call(service, part)
-                serial.append(reply)
-            serial_ns = system.now - start
-            done.succeed((combined, parallel_ns, serial_ns))
-
-        coordinator.runtime.fork_application(body(), "coord")
-        combined, parallel_ns, serial_ns = system.run_until(done, limit=seconds(10))
-        assert combined == b"20,40,60,80"
-        assert parallel_ns < serial_ns
-
-    def test_mismatched_parts_rejected(self):
-        system, coordinator, names, services = _worker_rig(2)
-        app = CabNectarine(coordinator, names)
-        done = system.sim.event()
-
-        def body():
-            try:
-                yield from divide_and_conquer(app, services, [b"1"], lambda r: b"")
-            except NectarError as exc:
-                done.succeed(str(exc))
-
-        coordinator.runtime.fork_application(body(), "coord")
-        assert "workers" in system.run_until(done, limit=seconds(10))
 
 
 # --------------------------------------------------------------- shared memory
