@@ -51,6 +51,23 @@ def test_the_request_response_server_loop_exists_once():
     assert hits == [], "hand the loop a handler (traffic.serve):\n" + "\n".join(hits)
 
 
+def test_nothing_under_src_repro_reads_the_host_clock():
+    """Every report is simulated quantities only: ND001 has no suppression
+    left and no ``time.perf_counter``/``time.time``/``time.monotonic`` call
+    exists.  How long the simulator takes is ``perf/``'s job, from outside."""
+    read = re.compile(
+        r"nectarlint:\s*disable=[\w,]*ND001"
+        r"|\btime\.(perf_counter|time|monotonic)(_ns)?\("
+    )
+    hits = [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if read.search(line)
+    ]
+    assert hits == [], "host-clock read under src/repro:\n" + "\n".join(hits)
+
+
 def test_lint_cli_strict_exits_zero():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC / "repro"), "--strict"],

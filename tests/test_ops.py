@@ -151,6 +151,56 @@ class TestObserverInvariance:
         assert lab.baseline_signature(incident) == observed
 
 
+class TestDetectorAudit:
+    """Why the detectors stay (docs/observability.md, "The detector
+    audit"): for these incidents a diff of the faulted run's counters
+    against the clean run's does not point at the faulty site, and the
+    journal-fed detectors and localizer do (top-1 HIT in OPS_baseline.txt)."""
+
+    @staticmethod
+    def moved_counters(name):
+        """Counter series (minus ``fault.*``) that the plan moves, old -> new."""
+        incident = build(name, SEED)
+
+        def counters(plan):
+            system = build_fleet_system(incident.fleet)
+            if plan is not None:
+                system.attach_fault_plan(plan)
+            Workload(incident.workload, incident.fleet).install(system)
+            system.run(until=incident.horizon_ns)
+            return system.metrics.counters()
+
+        clean, faulted = counters(None), counters(incident.plan)
+        return {
+            series: (clean.get(series, 0), faulted.get(series, 0))
+            for series in sorted(set(clean) | set(faulted))
+            if not series.startswith("fault.")
+            and clean.get(series, 0) != faulted.get(series, 0)
+        }
+
+    def test_a_squeezed_fifo_moves_no_counter(self, results):
+        assert self.moved_counters("fifo-cascade") == {}
+        assert results["fifo-cascade"].candidates[0] == "cab-00-01.fiber-in"
+
+    def test_a_straggler_moves_its_own_counters_least(self, results):
+        moved = self.moved_counters("slow-cab")
+        switches = {
+            series.split(".")[0]: new - old
+            for series, (old, new) in moved.items()
+            if series.endswith(".cpu.context_switches")
+        }
+        assert set(moved) == {"net.frames_stalled"} | {
+            f"{cab}.cpu.context_switches" for cab in switches
+        }
+        # The only other mover carries no site at all.
+        assert moved["net.frames_stalled"][0] == 0
+        # The victim's own counter moves least of all the CABs'.
+        (victim,) = build("slow-cab", SEED).truth.sites
+        assert min(switches, key=lambda cab: abs(switches[cab])) == victim
+        assert len(switches) > 1
+        assert results["slow-cab"].candidates[0] == victim
+
+
 # ----------------------------------------------------------------- journal
 
 
