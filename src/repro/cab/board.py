@@ -29,7 +29,7 @@ from repro.errors import CABError
 from repro.hw.fiber import FiberIn, FiberOut, Frame
 from repro.hw.memory import MemoryRegion
 from repro.model.costs import CostModel
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.primitives import Store
 from repro.telemetry.metrics import CounterScope
 from repro.units import KB, MB
@@ -65,6 +65,7 @@ class CAB:
             dispatch_ns=costs.cab_dispatch_ns,
             interrupt_entry_ns=costs.cab_interrupt_entry_ns,
             interrupt_exit_ns=costs.cab_interrupt_exit_ns,
+            timer_handler_ns=costs.cab_timer_handler_ns,
         )
         self.program_mem = MemoryRegion(f"{name}.pmem", PROGRAM_MEMORY_BYTES)
         self.data_mem = MemoryRegion(f"{name}.dmem", DATA_MEMORY_BYTES)
@@ -78,6 +79,12 @@ class CAB:
         self.rx_dispatch: Optional[Callable[[Frame], Generator]] = None
 
         self._tx_queue: Store = Store(sim, name=f"{name}.txq")
+        # Per-frame names, built once.
+        self._rx_done_name = f"{name}.rx-done"
+        self._rx_dma_name = f"{name}.rx-dma"
+        self._rx_sink_name = f"{name}.rx-sink"
+        self._tx_track = f"{name}.dma-tx"
+        self._rx_track = f"{name}.dma-rx"
         self._rx_done = None
         self._rx_started = False
         sim.process(self._tx_dma_loop(), name=f"{name}.tx-dma")
@@ -105,16 +112,16 @@ class CAB:
         dma_ns = self.costs.cab_dma_ns_per_byte
         while True:
             frame: Frame = yield self._tx_queue.get()
-            if self.tracer is not None:
-                self.tracer.begin(
-                    "dma", "tx-frame", {"bytes": frame.size}, track=f"{self.name}.dma-tx"
-                )
+            tracer = self.tracer
+            if tracer is not None and tracer.sink is not None:
+                tracer.begin("dma", "tx-frame", {"bytes": frame.size}, track=self._tx_track)
             for chunk in frame.chunks():
                 yield fifo.wait_space(chunk.length)
                 yield chunk.length * dma_ns
                 fifo.push(chunk)
-            if self.tracer is not None:
-                self.tracer.end("dma", "tx-frame", track=f"{self.name}.dma-tx")
+            tracer = self.tracer
+            if tracer is not None and tracer.sink is not None:
+                tracer.end("dma", "tx-frame", track=self._tx_track)
             if self.profiler is not None:
                 self.profiler.account(
                     f"{self.name}.dma", "dma", "tx", frame.size * dma_ns
@@ -125,7 +132,7 @@ class CAB:
                 )
 
     def _tx_done_irq(self, frame: Frame) -> Generator:
-        yield Compute(1_000)  # handler body: acknowledge the DMA channel
+        yield Compute(self.costs.cab_tx_complete_ns)
         callback = frame.on_dma_done
         if callback is not None:
             frame.on_dma_done = None
@@ -139,7 +146,7 @@ class CAB:
         while True:
             yield fifo.wait_data()
             frame: Frame = fifo.peek().frame
-            done = self.sim.event(name=f"{self.name}.rx-done")
+            done = Event(self.sim, self._rx_done_name)
             self._rx_done = done
             self._rx_started = False
             self.cpu.post_interrupt(self._sop_irq(frame), name="start-of-packet")
@@ -180,7 +187,7 @@ class CAB:
         self._rx_started = True
         self.sim.process(
             self._rx_dma(frame, region, addr, header_bytes, on_header, on_complete),
-            name=f"{self.name}.rx-dma",
+            name=self._rx_dma_name,
         )
 
     def discard_rx(self, frame: Frame) -> None:
@@ -189,7 +196,7 @@ class CAB:
             raise CABError(f"{self.name}: receive DMA already active")
         self._rx_started = True
         self.stats.add("frames_discarded")
-        self.sim.process(self._rx_sink(frame), name=f"{self.name}.rx-sink")
+        self.sim.process(self._rx_sink(frame), name=self._rx_sink_name)
 
     def _rx_dma(
         self,
@@ -204,10 +211,9 @@ class CAB:
         dma_ns = self.costs.cab_dma_ns_per_byte
         consumed = 0
         header_posted = header_bytes <= 0
-        if self.tracer is not None:
-            self.tracer.begin(
-                "dma", "rx-frame", {"bytes": frame.size}, track=f"{self.name}.dma-rx"
-            )
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.begin("dma", "rx-frame", {"bytes": frame.size}, track=self._rx_track)
         while True:
             yield fifo.wait_data()
             chunk = fifo.pop()
@@ -225,8 +231,9 @@ class CAB:
                     self.cpu.post_interrupt(on_header(frame), name="start-of-data")
             if chunk.is_last:
                 break
-        if self.tracer is not None:
-            self.tracer.end("dma", "rx-frame", track=f"{self.name}.dma-rx")
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.end("dma", "rx-frame", track=self._rx_track)
         if self.profiler is not None:
             self.profiler.account(f"{self.name}.dma", "dma", "rx", consumed * dma_ns)
         crc_ok = frame.crc_ok()

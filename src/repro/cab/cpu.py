@@ -35,7 +35,6 @@ from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.errors import CABError
 from repro.sim.core import Event, Interrupt, Simulator
-from repro.sim.primitives import Signal
 from repro.telemetry.metrics import CounterScope
 
 __all__ = [
@@ -202,6 +201,7 @@ class CPU:
         dispatch_ns: int = 3_000,
         interrupt_entry_ns: int = 4_000,
         interrupt_exit_ns: int = 2_000,
+        timer_handler_ns: int = 500,
     ):
         self.sim = sim
         self.name = name
@@ -209,6 +209,7 @@ class CPU:
         self.dispatch_ns = dispatch_ns
         self.interrupt_entry_ns = interrupt_entry_ns
         self.interrupt_exit_ns = interrupt_exit_ns
+        self.timer_handler_ns = timer_handler_ns
         self.stats = CounterScope()
 
         self.current: Optional[TCB] = None
@@ -223,8 +224,11 @@ class CPU:
         self._seq = 0
         self._pending_irqs: Deque[tuple[str, Callable[[], Optional[Generator]]]] = deque()
         self._mask_depth = 0
-        self._work = Signal(sim, name=f"{name}.work")
+        #: The event the engine idles on (no thread ready, no interrupt
+        #: pending); fired by the next _make_ready or post_interrupt.
+        self._idle: Optional[Event] = None
         # Per-event names, built once.
+        self._idle_name = f"{name}.idle"
         self._irq_arrival_name = f"{name}.irq_arrival"
         self._timer_name = f"{name}.timer"
         self._sched_track = f"{name}/sched"
@@ -286,7 +290,7 @@ class CPU:
             self.post_interrupt(self._timer_handler(token, value), name="timer")
 
     def _timer_handler(self, token: WaitToken, value: Any) -> Generator:
-        yield Compute(500)  # timer handler body
+        yield Compute(self.timer_handler_ns)
         if not token.cancelled and not token.fired:
             self.wake(token, value)
 
@@ -304,7 +308,7 @@ class CPU:
             self._irq_arrival = arrival = Event(self.sim, self._irq_arrival_name)
             arrival.callbacks.append(self._cut_burst)
             arrival.succeed()
-        self._work.fire()
+        self._wake_idle()
 
     def _cut_burst(self, arrival: Event) -> None:
         """``arrival`` fired: end the burst it was posted into, if still on."""
@@ -336,141 +340,163 @@ class CPU:
         tcb.state = _READY
         self._seq += 1
         heapq.heappush(self._ready, (-tcb.priority, self._seq, tcb))
-        self._work.fire()
+        self._wake_idle()
 
-    def _pop_ready(self) -> Optional[TCB]:
-        while self._ready:
-            _neg, _seq, tcb = heapq.heappop(self._ready)
-            if tcb.state == _READY:
-                return tcb
-        return None
-
-    def _top_ready_priority(self) -> Optional[int]:
-        while self._ready and self._ready[0][2].state != _READY:
-            heapq.heappop(self._ready)
-        if self._ready:
-            return self._ready[0][2].priority
-        return None
-
-    def _should_preempt(self, tcb: TCB) -> bool:
-        top = self._top_ready_priority()
-        return top is not None and top > tcb.priority
+    def _wake_idle(self) -> None:
+        """Fire the event the engine idles on, if it is idle."""
+        idle = self._idle
+        if idle is not None:
+            self._idle = None
+            idle.succeed()
 
     # ----------------------------------------------------------------- engine
 
     def _engine_loop(self) -> Generator:
-        while True:
-            if self._pending_irqs and self._mask_depth == 0:
-                yield from self._service_one_irq()
-                continue
-            tcb = self._pop_ready()
-            if tcb is None:
-                yield self._work.wait()
-                continue
-            yield from self._run_thread(tcb)
+        """The engine process: one flat loop, one case per pass, in order.
 
-    def _service_one_irq(self) -> Generator:
-        name, handler = self._pending_irqs.popleft()
-        self.stats.add("interrupts_serviced")
-        tracer = self.tracer
-        if tracer is not None:
-            track = f"{self.name}/irq:{name}"
-            tracer.begin("kernel", f"irq:{name}", track=track)
-        # Entry, handler body and exit are non-preemptible busy time.
-        if self.interrupt_entry_ns > 0:
-            self.busy_ns += self.interrupt_entry_ns
-            yield self.interrupt_entry_ns
-        if self.profiler is not None:
-            self.profiler.account(
-                self.name, "irq-overhead", "entry", self.interrupt_entry_ns
-            )
-        self._active_handler = name
-        try:
-            if hasattr(handler, "send"):
-                yield from self._run_handler(name, handler)
-            else:
-                handler()
-        finally:
-            self._active_handler = None
-        if self.interrupt_exit_ns > 0:
-            self.busy_ns += self.interrupt_exit_ns
-            yield self.interrupt_exit_ns
-        if self.profiler is not None:
-            self.profiler.account(
-                self.name, "irq-overhead", "exit", self.interrupt_exit_ns
-            )
-        if tracer is not None:
-            tracer.end("kernel", f"irq:{name}", track=track)
-
-    def _run_handler(self, name: str, gen: Generator) -> Generator:
-        """Run an interrupt handler generator to completion, masked."""
-        value: Any = None
+        1. A pending interrupt, when unmasked, is serviced (entry, the
+           handler's ``Compute`` bursts, exit); a thread held across it is
+           preempted if a higher-priority one is now ready.
+        2. With no thread held, the best ready one is taken (the engine
+           idles on an event when there is none), charging a context switch
+           unless it ran last.
+        3. A pending burst is charged: masked in one sleep, unmasked in one
+           sleep cut short by :meth:`post_interrupt`.  Either way the
+           engine goes on behind everything already queued for the
+           nanosecond it woke in: one zero-delay hop when the heap head
+           shares ``now``, none when nothing does.
+        4. The held thread yields to a higher-priority ready one.
+        5. The thread is stepped and the operation it yields dispatched.
+        """
+        sim = self.sim
+        queue = sim._queue  # read in line: sim.peek_next_time() without the call
+        pending_irqs = self._pending_irqs
+        ready = self._ready
+        stats = self.stats
+        tcb: Optional[TCB] = None  # the thread holding the processor
         while True:
-            try:
-                op = gen.send(value)
-            except StopIteration:
-                return
-            value = None
-            if isinstance(op, Compute):
-                if op.ns > 0:
-                    self.busy_ns += op.ns
-                    yield op.ns
+            if pending_irqs and self._mask_depth == 0:
+                name, handler = pending_irqs.popleft()
+                stats.add("interrupts_serviced")
+                # Span labels are built only while a trace sink listens.
+                tracer = self.tracer
+                if tracer is not None and tracer.sink is not None:
+                    tracer.begin("kernel", f"irq:{name}", track=f"{self.name}/irq:{name}")
+                # Entry, handler body and exit are non-preemptible busy time.
+                if self.interrupt_entry_ns > 0:
+                    self.busy_ns += self.interrupt_entry_ns
+                    yield self.interrupt_entry_ns
                 if self.profiler is not None:
-                    self.profiler.account(self.name, "irq", name, op.ns)
-            else:
-                gen.close()
-                raise CABError(
-                    f"{self.name}: interrupt handler {name!r} attempted a "
-                    f"blocking operation ({type(op).__name__}); handlers may "
-                    f"only Compute"
-                )
-
-    def _run_thread(self, tcb: TCB) -> Generator:
-        if self._last_ran is not tcb:
-            switch_ns = self.dispatch_ns + self.context_switch_ns
-            if self.tracer is not None:
-                self.tracer.begin(
-                    "kernel",
-                    "context-switch",
-                    {"to": tcb.name},
-                    track=self._sched_track,
-                )
-            if switch_ns > 0:
-                self.busy_ns += switch_ns
-                yield switch_ns
-            if self.tracer is not None:
-                self.tracer.end("kernel", "context-switch", track=self._sched_track)
-            if self.profiler is not None:
-                self.profiler.account(self.name, "sched", "context-switch", switch_ns)
-            self.stats.add("context_switches")
-            self._last_ran = tcb
-        # Bookkeeping label: the dispatcher leaves _RUNNING by assigning the
-        # next state directly (blocked/ready/done), never by testing it.
-        tcb.state = _RUNNING  # nectarlint: disable=NP302
-        self.current = tcb
-
-        while True:
-            # Finish an interrupted compute burst before stepping the thread.
-            if tcb.pending_compute_ns > 0:
-                finished = yield from self._compute(tcb)
-                if not finished:
-                    self.current = None
-                    return  # preempted; tcb was re-queued by _compute
-
-            if self._pending_irqs and self._mask_depth == 0:
-                yield from self._service_one_irq()
-                if self._should_preempt(tcb):
-                    self._make_ready(tcb)
-                    self.current = None
-                    return
+                    self.profiler.account(
+                        self.name, "irq-overhead", "entry", self.interrupt_entry_ns
+                    )
+                self._active_handler = name
+                try:
+                    if hasattr(handler, "send"):
+                        for op in handler:
+                            if not isinstance(op, Compute):
+                                handler.close()
+                                raise CABError(
+                                    f"{self.name}: interrupt handler {name!r} "
+                                    f"attempted a blocking operation "
+                                    f"({type(op).__name__}); handlers may only Compute"
+                                )
+                            if op.ns > 0:
+                                self.busy_ns += op.ns
+                                yield op.ns
+                            if self.profiler is not None:
+                                self.profiler.account(self.name, "irq", name, op.ns)
+                    else:
+                        handler()
+                finally:
+                    self._active_handler = None
+                if self.interrupt_exit_ns > 0:
+                    self.busy_ns += self.interrupt_exit_ns
+                    yield self.interrupt_exit_ns
+                if self.profiler is not None:
+                    self.profiler.account(
+                        self.name, "irq-overhead", "exit", self.interrupt_exit_ns
+                    )
+                if tracer is not None and tracer.sink is not None:
+                    tracer.end("kernel", f"irq:{name}", track=f"{self.name}/irq:{name}")
+                if tcb is not None:
+                    while ready and ready[0][2].state != _READY:
+                        heapq.heappop(ready)
+                    if ready and ready[0][2].priority > tcb.priority:
+                        self._make_ready(tcb)
+                        self.current = tcb = None
                 continue
 
-            if self._should_preempt(tcb):
-                self._make_ready(tcb)
-                self.current = None
-                return
+            if tcb is None:
+                while ready:
+                    tcb = heapq.heappop(ready)[2]
+                    if tcb.state == _READY:
+                        break
+                    tcb = None
+                if tcb is None:
+                    self._idle = idle = Event(sim, self._idle_name)
+                    yield idle
+                    continue
+                if self._last_ran is not tcb:
+                    switch_ns = self.dispatch_ns + self.context_switch_ns
+                    tracer = self.tracer
+                    if tracer is not None and tracer.sink is not None:
+                        tracer.begin(
+                            "kernel",
+                            "context-switch",
+                            {"to": tcb.name},
+                            track=self._sched_track,
+                        )
+                    if switch_ns > 0:
+                        self.busy_ns += switch_ns
+                        yield switch_ns
+                    tracer = self.tracer
+                    if tracer is not None and tracer.sink is not None:
+                        tracer.end("kernel", "context-switch", track=self._sched_track)
+                    if self.profiler is not None:
+                        self.profiler.account(self.name, "sched", "context-switch", switch_ns)
+                    stats.add("context_switches")
+                    self._last_ran = tcb
+                # Bookkeeping label: the dispatcher leaves _RUNNING by
+                # assigning the next state directly (blocked/ready/done),
+                # never by testing it.
+                tcb.state = _RUNNING  # nectarlint: disable=NP302
+                self.current = tcb
+                continue  # an interrupt posted during the switch goes first
 
-            # Step the thread generator.
+            remaining = tcb.pending_compute_ns
+            if remaining > 0:
+                if self._mask_depth > 0:
+                    # Masked: interrupts cannot slice the burst.
+                    self.busy_ns += remaining
+                    yield remaining
+                    if self.profiler is not None:
+                        self.profiler.account(self.name, "thread", tcb.name, remaining)
+                    tcb.pending_compute_ns = 0
+                    continue
+                start = sim.now
+                self._irq_arrival = _ARMED
+                try:
+                    yield remaining
+                except Interrupt:
+                    pass
+                self._irq_arrival = None
+                if queue and queue[0][0] == sim.now:
+                    yield 0
+                elapsed = sim.now - start
+                self.busy_ns += elapsed
+                if self.profiler is not None:
+                    self.profiler.account(self.name, "thread", tcb.name, elapsed)
+                tcb.pending_compute_ns = remaining - elapsed
+                continue
+
+            while ready and ready[0][2].state != _READY:
+                heapq.heappop(ready)
+            if ready and ready[0][2].priority > tcb.priority:
+                self._make_ready(tcb)
+                self.current = tcb = None
+                continue
+
             try:
                 if tcb.resume_exc is not None:
                     exc, tcb.resume_exc = tcb.resume_exc, None
@@ -480,14 +506,14 @@ class CPU:
                     op = tcb.gen.send(value)
             except StopIteration as stop:
                 self._finish_thread(tcb, stop.value)
-                self.current = None
-                return
+                self.current = tcb = None
+                continue
             except BaseException:
                 tcb.state = _DONE
                 self.current = None
                 raise
 
-            if isinstance(op, Compute):
+            if op.__class__ is Compute or isinstance(op, Compute):
                 tcb.pending_compute_ns = op.ns
             elif isinstance(op, Block):
                 if self._mask_depth > 0:
@@ -507,12 +533,10 @@ class CPU:
                 else:
                     token.tcb = tcb
                     tcb.state = _BLOCKED
-                    self.current = None
-                    return
+                    self.current = tcb = None
             elif isinstance(op, YieldCPU):
                 self._make_ready(tcb)
-                self.current = None
-                return
+                self.current = tcb = None
             elif isinstance(op, SetMask):
                 if op.masked:
                     self._mask_depth += 1
@@ -528,50 +552,6 @@ class CPU:
                     f"{self.name}: thread {tcb.name} yielded unknown op "
                     f"{op!r}"
                 )
-
-    def _compute(self, tcb: TCB) -> Generator:
-        """Charge tcb.pending_compute_ns, slicing on interrupt arrival.
-
-        Returns True if the burst completed, False if the thread was
-        preempted (in which case it has been re-queued with the remainder).
-
-        An unmasked burst is one sleep, cut short by :meth:`post_interrupt`.
-        Either way the engine goes on behind everything already queued for
-        the nanosecond it woke in: one zero-delay hop when the heap head
-        shares ``now``, none when nothing does.
-        """
-        sim = self.sim
-        while tcb.pending_compute_ns > 0:
-            if self._pending_irqs and self._mask_depth == 0:
-                yield from self._service_one_irq()
-                if self._should_preempt(tcb):
-                    self._make_ready(tcb)
-                    return False
-                continue
-            remaining = tcb.pending_compute_ns
-            if self._mask_depth > 0:
-                # Masked: interrupts cannot slice the burst.
-                self.busy_ns += remaining
-                yield remaining
-                if self.profiler is not None:
-                    self.profiler.account(self.name, "thread", tcb.name, remaining)
-                tcb.pending_compute_ns = 0
-                break
-            start = sim.now
-            self._irq_arrival = _ARMED
-            try:
-                yield remaining
-            except Interrupt:
-                pass
-            self._irq_arrival = None
-            if sim.peek_next_time() == sim.now:
-                yield 0
-            elapsed = sim.now - start
-            self.busy_ns += elapsed
-            if self.profiler is not None:
-                self.profiler.account(self.name, "thread", tcb.name, elapsed)
-            tcb.pending_compute_ns = remaining - elapsed
-        return True
 
     def _finish_thread(self, tcb: TCB, result: Any) -> None:
         tcb.state = _DONE

@@ -37,6 +37,7 @@ class Host:
             dispatch_ns=costs.host_context_switch_ns // 8,
             interrupt_entry_ns=costs.host_interrupt_ns // 2,
             interrupt_exit_ns=costs.host_interrupt_ns // 2,
+            timer_handler_ns=costs.host_timer_handler_ns,
         )
         self.stats = CounterScope()
 

@@ -108,13 +108,8 @@ class Frame:
         offset = 0
         while offset < total:
             length = min(CHUNK_BYTES, total - offset)
-            yield Chunk(
-                frame=self,
-                offset=offset,
-                length=length,
-                is_first=(offset == 0),
-                is_last=(offset + length >= total),
-            )
+            # frame, offset, length, is_first, is_last
+            yield Chunk(self, offset, length, offset == 0, offset + length >= total)
             offset += length
 
     def chunk_bytes(self, chunk: Chunk) -> memoryview:

@@ -15,8 +15,7 @@ ride on the frame object.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque
+from typing import Any, Deque, NamedTuple
 
 from repro.errors import CABError
 from repro.sim.core import Event, Simulator
@@ -24,21 +23,28 @@ from repro.sim.core import Event, Simulator
 __all__ = ["ByteFIFO", "Chunk"]
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous piece of a frame moving through a FIFO or link."""
-
+class _ChunkFields(NamedTuple):
     frame: Any
     offset: int
     length: int
     is_first: bool
     is_last: bool
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise CABError(f"chunk length must be positive, got {self.length}")
-        if self.offset < 0:
-            raise CABError(f"chunk offset must be non-negative, got {self.offset}")
+
+class Chunk(_ChunkFields):
+    """A contiguous piece of a frame moving through a FIFO or link.
+
+    Immutable: a tuple whose fields are read-only properties.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, frame: Any, offset: int, length: int, is_first: bool, is_last: bool):
+        if length <= 0:
+            raise CABError(f"chunk length must be positive, got {length}")
+        if offset < 0:
+            raise CABError(f"chunk offset must be non-negative, got {offset}")
+        return tuple.__new__(cls, (frame, offset, length, is_first, is_last))
 
 
 class ByteFIFO:
@@ -64,6 +70,9 @@ class ByteFIFO:
         #: Optional repro.sim.trace.Tracer sampling the fill level as a
         #: counter track; one attribute test per push/pop when detached.
         self.tracer = None
+        # Per-event names, built once.
+        self._space_name = f"space:{name}"
+        self._data_name = f"data:{name}"
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -94,7 +103,7 @@ class ByteFIFO:
                 f"{self.name}: chunk of {nbytes} bytes exceeds capacity "
                 f"{self.capacity}"
             )
-        event = self.sim.event(name=f"space:{self.name}")
+        event = Event(self.sim, self._space_name)
         if not self._space_waiters and self.grantable >= nbytes:
             event.succeed()
         else:
@@ -111,8 +120,9 @@ class ByteFIFO:
         self._chunks.append(chunk)
         self.level += chunk.length
         self.total_in += chunk.length
-        if self.tracer is not None:
-            self.tracer.counter("fifo", "level", self.level, track=self.name)
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.counter("fifo", "level", self.level, track=self.name)
         while self._data_waiters:
             self._data_waiters.popleft().succeed()
 
@@ -120,7 +130,7 @@ class ByteFIFO:
 
     def wait_data(self) -> Event:
         """Event that fires when at least one chunk is buffered."""
-        event = self.sim.event(name=f"data:{self.name}")
+        event = Event(self.sim, self._data_name)
         if self._chunks:
             event.succeed()
         else:
@@ -134,8 +144,9 @@ class ByteFIFO:
         chunk = self._chunks.popleft()
         self.level -= chunk.length
         self.total_out += chunk.length
-        if self.tracer is not None:
-            self.tracer.counter("fifo", "level", self.level, track=self.name)
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.counter("fifo", "level", self.level, track=self.name)
         self._grant_space()
         return chunk
 
@@ -151,8 +162,9 @@ class ByteFIFO:
         self._chunks.clear()
         self.level = 0
         self.total_out += sum(chunk.length for chunk in chunks)
-        if self.tracer is not None:
-            self.tracer.counter("fifo", "level", self.level, track=self.name)
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.counter("fifo", "level", self.level, track=self.name)
         self._grant_space()
         return chunks
 

@@ -53,6 +53,9 @@ class CostModel:
     #: Scheduler dispatch decision when picking the next runnable thread
     #: (excluding the register-window switch itself). [derived]
     cab_dispatch_ns: int = us(3)
+    #: Timer interrupt handler body (wake the thread whose timer expired).
+    #: [era]
+    cab_timer_handler_ns: int = 500
     #: CPU-performed copy within CAB memory (35 ns static RAM, word loop).
     #: [paper Sec. 2.2 gives the SRAM speed; loop overhead derived]
     cab_memcpy_ns_per_byte: int = 50
@@ -67,6 +70,8 @@ class CostModel:
     cab_dma_ns_per_byte: int = 25
     #: CPU cost to program one DMA transfer descriptor. [era]
     cab_dma_setup_ns: int = us(3)
+    #: TX-complete interrupt handler body (acknowledge the DMA channel). [era]
+    cab_tx_complete_ns: int = us(1)
     #: Input/output FIFO capacity in bytes. [era: board FIFOs of the period]
     cab_fifo_bytes: int = 8192
     #: Size of the datalink header prefix that triggers the start-of-data
@@ -163,6 +168,8 @@ class CostModel:
     host_syscall_ns: int = us(25)
     #: Host interrupt service overhead (trap + driver prologue). [era]
     host_interrupt_ns: int = us(30)
+    #: Timer interrupt handler body on the host CPU. [era]
+    host_timer_handler_ns: int = 500
     #: Host memory copy. [era]
     host_memcpy_ns_per_byte: int = 40
     #: Host software checksum. [era]

@@ -14,16 +14,14 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.primitives import Gate, Resource, Signal, Store
+from repro.sim.primitives import Resource, Store
 from repro.sim.trace import TraceRecorder, Tracer
 
 __all__ = [
     "Event",
-    "Gate",
     "Interrupt",
     "Process",
     "Resource",
-    "Signal",
     "SimulationError",
     "Simulator",
     "Store",

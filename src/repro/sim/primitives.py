@@ -13,82 +13,7 @@ from typing import Any, Deque, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator
 
-__all__ = ["Gate", "Resource", "Signal", "Store"]
-
-
-class Signal:
-    """A broadcast pulse: every waiter currently blocked is released.
-
-    Unlike an :class:`~repro.sim.core.Event`, a signal can fire repeatedly;
-    each :meth:`wait` call returns a fresh one-shot event.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "signal"):
-        self.sim = sim
-        self.name = name
-        self._waiters: list[Event] = []
-        self._wait_name = f"wait:{name}"
-        self.fire_count = 0
-
-    def wait(self) -> Event:
-        """Return an event that fires at the next :meth:`fire`."""
-        event = Event(self.sim, self._wait_name)
-        self._waiters.append(event)
-        return event
-
-    def fire(self, value: Any = None) -> int:
-        """Release all current waiters.  Returns how many were released."""
-        self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed(value)
-        return len(waiters)
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-
-class Gate:
-    """A level-triggered condition: open or closed.
-
-    Waiting on an open gate completes immediately (after a zero-delay hop);
-    waiting on a closed gate blocks until the gate opens.  Used for FIFO
-    full/empty conditions and link flow control.
-    """
-
-    def __init__(self, sim: Simulator, is_open: bool = False, name: str = "gate"):
-        self.sim = sim
-        self.name = name
-        self._open = is_open
-        self._waiters: list[Event] = []
-        self._wait_name = f"wait:{name}"
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        """Open the gate, releasing every current waiter."""
-        if self._open:
-            return
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
-
-    def close(self) -> None:
-        """Close the gate; subsequent waits block."""
-        self._open = False
-
-    def wait_open(self) -> Event:
-        """Event that fires when the gate is (or becomes) open."""
-        event = Event(self.sim, self._wait_name)
-        if self._open:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
+__all__ = ["Resource", "Store"]
 
 
 class Store:

@@ -125,6 +125,15 @@ class TestByteFIFO:
             Chunk(frame="f", offset=0, length=0, is_first=True, is_last=True)
         with pytest.raises(CABError):
             Chunk(frame="f", offset=-1, length=4, is_first=True, is_last=True)
+        with pytest.raises(CABError):
+            Chunk("f", 0, -3, True, True)
+        piece = Chunk("f", 0, 4, True, False)
+        for field, value in (("length", 0), ("offset", 2), ("is_last", True)):
+            with pytest.raises(AttributeError):
+                setattr(piece, field, value)
+        with pytest.raises(AttributeError):
+            piece.extra = 1
+        assert piece == Chunk(frame="f", offset=0, length=4, is_first=True, is_last=False)
 
     @given(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,8 @@
 """Tests for the cost model, statistics helpers, units, and tracing."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +70,23 @@ class TestCostModel:
         assert faster.vme_dma_mbps == 120.0
         assert costs.vme_dma_mbps == 30.0  # original untouched
         assert faster.fiber_mbps == costs.fiber_mbps
+
+    def test_no_compute_literal_outside_the_cost_model(self):
+        """Every non-zero ``Compute`` under src/repro charges a named
+        constant, so scaling the cost model scales every CPU charge."""
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) != "Compute":
+                    continue
+                args = node.args + [keyword.value for keyword in node.keywords]
+                if any(isinstance(arg, ast.Constant) and arg.value != 0 for arg in args):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestStats:

@@ -2,77 +2,7 @@
 
 import pytest
 
-from repro.sim import Gate, Resource, Signal, SimulationError, Simulator, Store
-
-
-class TestSignal:
-    def test_releases_all_waiters(self):
-        sim = Simulator()
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(tag):
-            yield signal.wait()
-            woken.append((tag, sim.now))
-
-        def firer():
-            yield sim.timeout(100)
-            signal.fire()
-
-        for tag in range(3):
-            sim.process(waiter(tag))
-        sim.process(firer())
-        sim.run()
-        assert woken == [(0, 100), (1, 100), (2, 100)]
-
-    def test_wait_after_fire_blocks_until_next_fire(self):
-        sim = Simulator()
-        signal = Signal(sim)
-        signal.fire()
-
-        def late_waiter():
-            yield signal.wait()
-            return sim.now
-
-        def firer():
-            yield sim.timeout(50)
-            signal.fire()
-
-        sim.process(firer())
-        assert sim.run_process(late_waiter()) == 50
-
-
-class TestGate:
-    def test_open_gate_passes_immediately(self):
-        sim = Simulator()
-        gate = Gate(sim, is_open=True)
-
-        def body():
-            yield gate.wait_open()
-            return sim.now
-
-        assert sim.run_process(body()) == 0
-
-    def test_closed_gate_blocks_until_open(self):
-        sim = Simulator()
-        gate = Gate(sim)
-
-        def opener():
-            yield sim.timeout(30)
-            gate.open()
-
-        def body():
-            yield gate.wait_open()
-            return sim.now
-
-        sim.process(opener())
-        assert sim.run_process(body()) == 30
-
-    def test_reclose(self):
-        sim = Simulator()
-        gate = Gate(sim, is_open=True)
-        gate.close()
-        assert not gate.is_open
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 class TestStore:
