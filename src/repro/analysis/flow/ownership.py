@@ -86,7 +86,7 @@ class OwnershipPass:
     # -- driving --------------------------------------------------------------
 
     def run(self) -> List[Finding]:
-        """Compute summaries to fixpoint, then report per function."""
+        """Solve summaries to fixpoint, then report per function."""
         qnames = sorted(self.project.functions)
         # Round-robin summary computation: consumes/returns-owned facts
         # propagate at most one call level per round; three rounds cover

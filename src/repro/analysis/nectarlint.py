@@ -178,8 +178,8 @@ _I_PREFIXED_BODIES = {
     "enqueue",
 }
 
-#: Ops that may legally be yielded in handler context (Compute only; the
-#: engine raises on everything else — NS102 catches it statically).
+#: Ops a handler may not yield (it may yield only an int of compute ns;
+#: the engine raises on everything else — NS102 catches it statically).
 _FORBIDDEN_HANDLER_OPS = {"Block", "YieldCPU", "SetMask"}
 
 #: Method names whose results are payload bytes/views: feeding one into
@@ -502,7 +502,7 @@ class _Checker(ast.NodeVisitor):
                         node,
                         "NS102",
                         f"handler-context function {self._current_name()!r} "
-                        f"yields {callee}; handlers may only Compute",
+                        f"yields {callee}; handlers may only compute",
                     )
             if (
                 self.sensitive
@@ -513,8 +513,8 @@ class _Checker(ast.NodeVisitor):
                 self._emit(
                     node,
                     "NS103",
-                    f"yield of constant {value.value!r} to the kernel; threads "
-                    f"yield ops and processes yield events or an int delay",
+                    f"yield of constant {value.value!r} to the kernel; a "
+                    f"process or thread yields an int delay, an event or an op",
                 )
         self.generic_visit(node)
 

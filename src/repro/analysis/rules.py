@@ -122,7 +122,8 @@ NS102 = _register(
     "blocking-in-handler",
     "blocking thread-context operation inside i-prefixed / *_handler "
     "interrupt-context code",
-    "interrupt handlers run masked and may only Compute (paper Sec. 3.1); "
+    "interrupt handlers run masked and may only yield their compute "
+    "nanoseconds as an int (paper Sec. 3.1); "
     "blocking corrupts the engine — use the i-prefixed non-blocking variants",
 )
 NB201 = _register(
@@ -140,9 +141,10 @@ NS103 = _register(
     "NS103",
     "yield-non-event",
     "yield of a non-int constant to the simulation kernel",
-    "processes yield Events or an int delay in ns and threads yield ops "
-    "(Compute/Block/...); a float, string or bool constant is a "
-    "SimulationError at run time — caught here instead",
+    "processes yield Events or an int delay in ns; threads yield an int "
+    "of compute ns or an op (Block/YieldCPU/SetMask); a float, string or "
+    "bool constant is a SimulationError or CABError at run time — caught "
+    "here instead",
 )
 
 # ----------------------------------------------- whole-program (nectarflow)

@@ -2,7 +2,6 @@
 
 from repro.cab.cpu import (
     CPU,
-    Compute,
     Block,
     SetMask,
     WaitToken,
@@ -16,7 +15,6 @@ __all__ = [
     "CAB",
     "CPU",
     "Block",
-    "Compute",
     "PRIORITY_APPLICATION",
     "PRIORITY_SYSTEM",
     "SetMask",

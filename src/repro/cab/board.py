@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.cab.cpu import CPU, Compute, PRIORITY_SYSTEM
+from repro.cab.cpu import CPU, PRIORITY_SYSTEM
 from repro.errors import CABError
 from repro.hw.fiber import FiberIn, FiberOut, Frame
 from repro.hw.memory import MemoryRegion
@@ -102,7 +102,7 @@ class CAB:
         """
         frame.created_ns = frame.created_ns or self.sim.now
         frame.seal()
-        yield Compute(self.costs.cab_dma_setup_ns)
+        yield self.costs.cab_dma_setup_ns
         self._tx_queue.put(frame)
         self.stats.add("frames_sent")
         self.stats.add("bytes_sent", frame.size)
@@ -132,7 +132,7 @@ class CAB:
                 )
 
     def _tx_done_irq(self, frame: Frame) -> Generator:
-        yield Compute(self.costs.cab_tx_complete_ns)
+        yield self.costs.cab_tx_complete_ns
         callback = frame.on_dma_done
         if callback is not None:
             frame.on_dma_done = None

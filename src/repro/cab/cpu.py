@@ -12,16 +12,21 @@ executing two kinds of activity, exactly as the paper's runtime does
   completion with further interrupts masked (the paper's CAB does not use
   nested interrupts), and may only perform non-blocking operations.
 
-Thread bodies *yield operation objects*:
+Thread bodies yield what they do next:
 
-* ``Compute(ns)`` — consume CPU time; preemptible by interrupts (the engine
-  sleeps the whole burst in one event and an interrupt arriving mid-burst
-  cuts the sleep short).
+* a non-negative ``int`` — consume that many nanoseconds of CPU time;
+  preemptible by interrupts (the engine sleeps the whole burst in one heap
+  entry and an interrupt arriving mid-burst cuts the sleep short).  It is
+  the same spelling a simulation process uses to sleep, and the value
+  always comes from the cost model.
 * ``Block(token)`` — block until :meth:`CPU.wake` is called with the token;
   resumes with the value passed to ``wake``.
 * ``YieldCPU()`` — relinquish the processor (round-robin within priority).
 * ``SetMask(True/False)`` — mask/unmask interrupts (critical sections shared
   with interrupt handlers; see the sync implementation, paper Sec. 3.4).
+
+Interrupt handlers may yield only a non-negative ``int``: they compute with
+interrupts masked and never block.
 
 Higher-level synchronization (mutexes, condition variables, mailboxes) is
 built from these in :mod:`repro.runtime`.
@@ -40,7 +45,6 @@ from repro.telemetry.metrics import CounterScope
 __all__ = [
     "CPU",
     "Block",
-    "Compute",
     "PRIORITY_APPLICATION",
     "PRIORITY_SYSTEM",
     "SetMask",
@@ -66,17 +70,6 @@ class _Op:
     """Base class for operations a thread may yield to the engine."""
 
     __slots__ = ()
-
-
-class Compute(_Op):
-    """Consume ``ns`` of CPU time (interruptible)."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int):
-        if ns < 0:
-            raise CABError(f"negative compute time {ns}")
-        self.ns = int(ns)
 
 
 class Block(_Op):
@@ -290,7 +283,7 @@ class CPU:
             self.post_interrupt(self._timer_handler(token, value), name="timer")
 
     def _timer_handler(self, token: WaitToken, value: Any) -> Generator:
-        yield Compute(self.timer_handler_ns)
+        yield self.timer_handler_ns
         if not token.cancelled and not token.fired:
             self.wake(token, value)
 
@@ -298,7 +291,8 @@ class CPU:
         """Queue an interrupt.
 
         ``handler`` is a generator (run with interrupts masked; may yield
-        only ``Compute``) or a plain callable (invoked with no arguments).
+        only a non-negative ``int`` of compute nanoseconds) or a plain
+        callable (invoked with no arguments).
         """
         self._pending_irqs.append((name, handler))
         self.stats.add("interrupts_posted")
@@ -355,7 +349,7 @@ class CPU:
         """The engine process: one flat loop, one case per pass, in order.
 
         1. A pending interrupt, when unmasked, is serviced (entry, the
-           handler's ``Compute`` bursts, exit); a thread held across it is
+           handler's compute bursts, exit); a thread held across it is
            preempted if a higher-priority one is now ready.
         2. With no thread held, the best ready one is taken (the engine
            idles on an event when there is none), charging a context switch
@@ -366,7 +360,8 @@ class CPU:
            nanosecond it woke in: one zero-delay hop when the heap head
            shares ``now``, none when nothing does.
         4. The held thread yields to a higher-priority ready one.
-        5. The thread is stepped and the operation it yields dispatched.
+        5. The thread is stepped and what it yields dispatched: an ``int``
+           (tested first) is its next burst.
         """
         sim = self.sim
         queue = sim._queue  # read in line: sim.peek_next_time() without the call
@@ -394,18 +389,22 @@ class CPU:
                 try:
                     if hasattr(handler, "send"):
                         for op in handler:
-                            if not isinstance(op, Compute):
+                            if op.__class__ is not int:
                                 handler.close()
                                 raise CABError(
                                     f"{self.name}: interrupt handler {name!r} "
                                     f"attempted a blocking operation "
-                                    f"({type(op).__name__}); handlers may only Compute"
+                                    f"({type(op).__name__}); handlers may only "
+                                    f"compute"
                                 )
-                            if op.ns > 0:
-                                self.busy_ns += op.ns
-                                yield op.ns
+                            if op < 0:
+                                handler.close()
+                                raise CABError(f"negative compute time {op}")
+                            if op > 0:
+                                self.busy_ns += op
+                                yield op
                             if self.profiler is not None:
-                                self.profiler.account(self.name, "irq", name, op.ns)
+                                self.profiler.account(self.name, "irq", name, op)
                     else:
                         handler()
                 finally:
@@ -513,8 +512,10 @@ class CPU:
                 self.current = None
                 raise
 
-            if op.__class__ is Compute or isinstance(op, Compute):
-                tcb.pending_compute_ns = op.ns
+            if op.__class__ is int:
+                if op < 0:
+                    raise CABError(f"negative compute time {op}")
+                tcb.pending_compute_ns = op
             elif isinstance(op, Block):
                 if self._mask_depth > 0:
                     raise CABError(

@@ -14,7 +14,7 @@ forces those paths to actually execute:
 * :mod:`repro.faults.scenarios` — canned campaigns (``lossy-link``,
   ``bursty-corruption``, ``flapping-cab``, ``overloaded-fifo``).
 * :mod:`repro.faults.campaign` — the chaos harness behind
-  ``python -m repro chaos``: runs all three reliable transports under a
+  ``python -m repro bench chaos``: runs all three reliable transports under a
   plan and checks exactly-once in-order bit-exact delivery plus
   run-to-run determinism.
 

@@ -116,7 +116,7 @@ class Injector:
         system.metrics.mount("fault", self.stats)
         system.network.fault_hooks = self
         for node in system.nodes.values():
-            node.runtime.fault_injector = self
+            node.runtime.faults = self
         for state in self._states:
             if state.spec.kind == SQUEEZE:
                 system.sim.process(

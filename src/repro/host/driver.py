@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.cab.cpu import Block, Compute, WaitToken, wait_sim_event
+from repro.cab.cpu import Block, WaitToken, wait_sim_event
 from repro.errors import HeapExhausted, MailboxError, NectarError
 from repro.host.machine import Host
 from repro.hw.vme import VMEBus
@@ -92,7 +92,7 @@ class CABDriver:
 
     def map_cab_memory(self) -> Generator:
         """mmap CAB memory into the process (one system call, done once)."""
-        yield Compute(self.costs.host_syscall_ns)
+        yield self.costs.host_syscall_ns
         self._mapped = True
 
     def _require_mapped(self) -> None:
@@ -116,25 +116,25 @@ class CABDriver:
         yield from wait_sim_event(self.host.cpu, grant)
         try:
             if nbytes >= self.costs.vme_dma_threshold_bytes:
-                yield Compute(self.costs.vme_dma_setup_ns)
+                yield self.costs.vme_dma_setup_ns
                 done = self.sim.timeout(self.costs.vme_dma_ns(nbytes))
                 yield from wait_sim_event(self.host.cpu, done)
                 self.vme.stats.add("dma_bytes", nbytes)
             else:
-                yield Compute(self.costs.vme_pio_ns(nbytes))
+                yield self.costs.vme_pio_ns(nbytes)
                 self.vme.stats.add("pio_bytes", nbytes)
         finally:
             self.vme.bus.release()
 
     def _vme_words(self, words: int) -> Generator:
         """Descriptor accesses: short programmed I/O, bus contention ignored."""
-        yield Compute(words * self.costs.vme_word_ns)
+        yield words * self.costs.vme_word_ns
 
     # ===================================================== doorbell (host->CAB)
 
     def ring_cab(self, opcode: str, param: Any) -> Generator:
         """Host-context: push a CAB signal queue entry and interrupt the CAB."""
-        yield Compute(self.costs.rt_signal_queue_ns)
+        yield self.costs.rt_signal_queue_ns
         yield from self._vme_words(2)
         if not self.doorbell.queue.push(opcode, param):
             raise NectarError("CAB signal queue overflow")
@@ -147,13 +147,13 @@ class CABDriver:
         yield from mailbox.kick_readers()
 
     def _cab_heap_wake(self, _param) -> Generator:
-        yield Compute(self.runtime.costs.rt_signal_ns)
+        yield self.runtime.costs.rt_signal_ns
         self.runtime.wake_heap_waiters()
 
     def _cab_rpc_call(self, param) -> Generator:
         """Fork a CAB system thread to run the request; result via sync."""
         thunk, sync = param
-        yield Compute(self.runtime.costs.rt_signal_queue_ns)
+        yield self.runtime.costs.rt_signal_queue_ns
 
         def runner():
             result = yield from thunk()
@@ -207,7 +207,7 @@ class CABDriver:
 
     def _host_interrupt_handler(self) -> Generator:
         """Host interrupt context: drain the host signal queue, wake sleepers."""
-        yield Compute(self.costs.host_interrupt_ns)
+        yield self.costs.host_interrupt_ns
         while True:
             entry = self.host_signal_queue.pop()
             if entry is None:
@@ -235,18 +235,18 @@ class CABDriver:
         self._require_mapped()
         if snapshot is None:
             snapshot = hc.poll_value
-        yield Compute(self.costs.host_syscall_ns)
+        yield self.costs.host_syscall_ns
         if hc.poll_value != snapshot:
             return  # signalled while entering the kernel
         token = WaitToken(name=f"sleep:{hc.name}")
         self._sleepers.setdefault(hc, []).append(token)
         yield Block(token)
-        yield Compute(self.costs.host_syscall_ns)
+        yield self.costs.host_syscall_ns
 
     def signal_from_host(self, hc: HostCondition) -> Generator:
         """Host-context signal: one VME word write."""
         self._require_mapped()
-        yield Compute(self.costs.host_mailbox_op_ns)
+        yield self.costs.host_mailbox_op_ns
         yield from self._vme_words(1)
         hc.fire()
 
@@ -254,14 +254,14 @@ class CABDriver:
 
     def sync_alloc(self) -> Generator:
         """Allocate a sync from the host-side pool."""
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         return self.host_syncs.alloc_nocost()
 
     def sync_read(self, sync: Sync) -> Generator:
         """Host read: polls the sync word over the VME mapping."""
         self._require_mapped()
         value = yield from sync.pool.read(sync, self.host.cpu)
-        yield Compute(self.costs.host_poll_interval_ns)
+        yield self.costs.host_poll_interval_ns
         return value
 
     def sync_write(self, sync: Sync, value: Any) -> Generator:
@@ -272,7 +272,7 @@ class CABDriver:
 
     def sync_cancel(self, sync: Sync) -> Generator:
         """Host-side Cancel: frees now if written, else marks cancelled."""
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         if sync.written:
             sync.pool._release(sync)
         else:
@@ -329,7 +329,7 @@ class CABDriver:
                 yield from self.wait_poll(self.heap_condition)
                 msg = yield from self._mailbox_rpc("begin_put", mailbox, size)
             return msg
-        yield Compute(self.costs.host_mailbox_op_ns)
+        yield self.costs.host_mailbox_op_ns
         yield from self._vme_words(_OP_VME_WORDS)
         while True:
             msg = mailbox._try_alloc_message(size)
@@ -349,7 +349,7 @@ class CABDriver:
         if self._mode(mailbox) == MODE_RPC:
             yield from self._mailbox_rpc("end_put", mailbox, msg)
             return
-        yield Compute(self.costs.host_mailbox_op_ns)
+        yield self.costs.host_mailbox_op_ns
         yield from self._vme_words(_OP_VME_WORDS)
         mailbox.host_queue_message(msg)
         yield from self.ring_cab(OP_MAILBOX_KICK, mailbox)
@@ -374,7 +374,7 @@ class CABDriver:
                     yield from self.wait_blocking(hc, snapshot)
                 else:
                     yield from self.wait_poll(hc, snapshot)
-        yield Compute(self.costs.host_mailbox_op_ns)
+        yield self.costs.host_mailbox_op_ns
         yield from self._vme_words(_OP_VME_WORDS)
         while True:
             snapshot = hc.poll_value
@@ -399,7 +399,7 @@ class CABDriver:
         if self._mode(mailbox) == MODE_RPC:
             yield from self._mailbox_rpc("end_get", mailbox, msg)
             return
-        yield Compute(self.costs.host_mailbox_op_ns)
+        yield self.costs.host_mailbox_op_ns
         yield from self._vme_words(_OP_VME_WORDS)
         if mailbox.host_release_storage(msg):
             yield from self.ring_cab(OP_HEAP_WAKE, None)

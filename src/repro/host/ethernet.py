@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator
 
-from repro.cab.cpu import Block, Compute, WaitToken, wait_sim_event
+from repro.cab.cpu import Block, WaitToken, wait_sim_event
 from repro.errors import ConfigurationError
 from repro.host.machine import Host
 from repro.model.costs import CostModel
@@ -80,7 +80,7 @@ class EthernetNIC:
             )
         if dst not in self.segment.nics:
             raise ConfigurationError(f"no host {dst!r} on segment {self.segment.name}")
-        yield Compute(self.costs.ethernet_per_packet_ns)
+        yield self.costs.ethernet_per_packet_ns
         self._tx.put((dst, bytes(packet)))
         self.segment.stats.add("packets_sent")
 
@@ -113,7 +113,7 @@ class EthernetNIC:
         self.host.cpu.post_interrupt(self._rx_interrupt(), name="ether-rx")
 
     def _rx_interrupt(self) -> Generator:
-        yield Compute(self.costs.host_interrupt_ns)
+        yield self.costs.host_interrupt_ns
         while self._rx_waiters:
             token = self._rx_waiters.popleft()
             if token.cancelled or token.fired:

@@ -16,7 +16,7 @@ import struct
 from collections import deque
 from typing import Deque, Generator, Optional
 
-from repro.cab.cpu import Block, Compute, WaitToken
+from repro.cab.cpu import Block, WaitToken
 from repro.errors import ProtocolError
 from repro.host.machine import Host
 from repro.model.costs import CostModel
@@ -114,10 +114,10 @@ class HostStream:
 
     def _send_data(self, seq: int, payload: bytes) -> Generator:
         # Socket write + mbuf chain + header build: the BSD per-packet tax.
-        yield Compute(self.costs.host_stack_send_ns)
+        yield self.costs.host_stack_send_ns
         # User-to-kernel copy and software checksum, per byte.
-        yield Compute(self.costs.host_memcpy_ns(len(payload)))
-        yield Compute(self.costs.host_checksum_ns(len(payload) + _HDR_SIZE))
+        yield self.costs.host_memcpy_ns(len(payload))
+        yield self.costs.host_checksum_ns(len(payload) + _HDR_SIZE)
         packet = _pack_segment(_KIND_DATA, seq, payload)
         self._segments[seq] = payload
         self._last_send_ns = self.host.sim.now
@@ -146,9 +146,9 @@ class HostStream:
     def _rx_loop(self) -> Generator:
         while True:
             packet = yield from self.nic.recv()
-            yield Compute(self.costs.host_stack_recv_ns)
+            yield self.costs.host_stack_recv_ns
             try:
-                yield Compute(self.costs.host_checksum_ns(len(packet)))
+                yield self.costs.host_checksum_ns(len(packet))
                 kind, seq, payload = _unpack_segment(packet)
             except ProtocolError:
                 continue
@@ -170,7 +170,7 @@ class HostStream:
     def _process_data(self, seq: int, payload: bytes) -> Generator:
         if seq == self.rcv_nxt:
             # Kernel-to-user copy.
-            yield Compute(self.costs.host_memcpy_ns(len(payload)))
+            yield self.costs.host_memcpy_ns(len(payload))
             self.rcv_nxt += 1
             self.bytes_received += len(payload)
             self._delivered.append(payload)
@@ -180,7 +180,7 @@ class HostStream:
                     self.host.cpu.wake(token)
                     break
         # Go-back-N: always (re)acknowledge the next expected segment.
-        yield Compute(self.costs.host_stack_send_ns // 2)
+        yield self.costs.host_stack_send_ns // 2
         ack = _pack_segment(_KIND_ACK, self.rcv_nxt, b"")
         yield from self.nic.send(self.peer, ack)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 from typing import Generator
 
-from repro.cab.cpu import Compute
 from repro.errors import ConfigurationError
 from repro.host.machine import HostedNode
 from repro.protocols.datalink import ProtocolBinding
@@ -69,7 +68,7 @@ class NetdevNIC:
                 f"packet of {len(packet)} bytes exceeds netdev MTU {self.mtu}"
             )
         dst_node = self.node.system.registry.node_id(dst)
-        yield Compute(self.costs.netdev_handshake_ns)
+        yield self.costs.netdev_handshake_ns
         msg = yield from self.driver.begin_put(self.out_pool, 4 + len(packet))
         yield from self.driver.fill(msg, struct.pack(_DST_FMT, dst_node) + packet)
         yield from self.driver.end_put(self.out_pool, msg)
@@ -80,7 +79,7 @@ class NetdevNIC:
         msg = yield from self.driver.begin_get(self.in_pool, blocking=True)
         data = yield from self.driver.read(msg)
         yield from self.driver.end_get(self.in_pool, msg)
-        yield Compute(self.costs.netdev_handshake_ns)
+        yield self.costs.netdev_handshake_ns
         self.stats.add("netdev_in")
         return data
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 from typing import Generator, Optional
 
-from repro.cab.cpu import Compute
 from repro.errors import NectarError
 from repro.host.machine import HostedNode
 from repro.protocols.tcp.connection import TCPConnection
@@ -81,7 +80,7 @@ class NectarSocket:
         library = self.library
 
         def on_cab() -> Generator:
-            yield Compute(node.runtime.costs.rt_lock_ns)
+            yield node.runtime.costs.rt_lock_ns
             listener = node.tcp.listen(
                 port, lambda conn: node.runtime.mailbox(library._fresh_mailbox_name())
             )

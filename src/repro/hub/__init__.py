@@ -2,13 +2,11 @@
 
 from repro.hub.crossbar import Hub, PortKind
 from repro.hub.controller import Circuit, HubController
-from repro.hub.network import DropInjector, CorruptionInjector, NectarNetwork
+from repro.hub.network import NectarNetwork
 from repro.hub.routing import Topology
 
 __all__ = [
     "Circuit",
-    "CorruptionInjector",
-    "DropInjector",
     "Hub",
     "HubController",
     "NectarNetwork",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.cab.cpu import CPU, Compute, wait_sim_event
+from repro.cab.cpu import CPU, wait_sim_event
 from repro.errors import HubError
 from repro.hub.network import NectarNetwork, NetworkNode, PathPlan
 from repro.units import us
@@ -59,12 +59,12 @@ class HubController:
         if not route:
             raise HubError("cannot open a circuit with an empty route")
         plan = self.network.plan_path(self.node, route)
-        yield Compute(COMMAND_NS * len(plan.hops))
+        yield COMMAND_NS * len(plan.hops)
         for hub, port in plan.hops:
             grant = hub.acquire_output(port)
             yield from wait_sim_event(self.cpu, grant)
             hub.pin_circuit(port)
-        yield Compute(0)  # command round-trip boundary
+        yield 0  # command round-trip boundary
         yield from self._settle(plan.setup_ns)
         circuit = Circuit(self.node.name, route, plan)
         self.network.stats.add("circuits_opened")
@@ -74,7 +74,7 @@ class HubController:
         """Release a circuit's crossbar ports."""
         if not circuit.open:
             raise HubError(f"circuit {circuit!r} already closed")
-        yield Compute(COMMAND_NS * len(circuit.plan.hops))
+        yield COMMAND_NS * len(circuit.plan.hops)
         for hub, port in reversed(circuit.plan.hops):
             hub.unpin_circuit(port)
             hub.release_output(port)
@@ -84,4 +84,4 @@ class HubController:
     def _settle(self, setup_ns: int) -> Generator:
         """Connection-establishment latency, charged to the issuing thread."""
         if setup_ns > 0:
-            yield Compute(setup_ns)
+            yield setup_ns

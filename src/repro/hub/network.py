@@ -22,14 +22,16 @@ under a shard-independent key ``(src hub, out port, per-port seq)`` so the
 interleave at equal nanoseconds is identical whether the neighbour HUB runs
 in this process or in another one.
 
-Fault injectors can corrupt frame bytes on the wire (detected by the
-receiving CAB's hardware CRC check) or drop frames outright, which is what
-makes the transport protocols' retransmission machinery genuinely necessary.
+The fault seam (:attr:`NectarNetwork.fault_hooks`, a
+:class:`repro.faults.injector.Injector` installed by
+``NectarSystem.attach_fault_plan``) can corrupt frame bytes on the wire
+(detected by the receiving CAB's hardware CRC check), drop frames outright
+or stall a link, which is what makes the transport protocols'
+retransmission machinery genuinely necessary.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, Generator, Optional, Protocol, Set, Union
@@ -45,8 +47,6 @@ from repro.sim.core import Simulator
 from repro.telemetry.metrics import CounterScope
 
 __all__ = [
-    "CorruptionInjector",
-    "DropInjector",
     "Handoff",
     "NectarNetwork",
     "NetworkNode",
@@ -261,56 +261,6 @@ class _HubForwarder:
             dest_fifo.push(chunk)
 
 
-class CorruptionInjector:
-    """Flips one byte of every frame matched by a deterministic schedule."""
-
-    def __init__(self, every_nth: int = 0, probability: float = 0.0, seed: int = 1):
-        if every_nth < 0:
-            raise ConfigurationError(f"every_nth must be >= 0, got {every_nth}")
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(f"probability must be in [0,1], got {probability}")
-        self.every_nth = every_nth
-        self.probability = probability
-        self._rng = random.Random(seed)
-        self._count = 0
-        self.corrupted = 0
-
-    def __call__(self, frame: Frame) -> None:
-        self._count += 1
-        hit = False
-        if self.every_nth and self._count % self.every_nth == 0:
-            hit = True
-        elif self.probability and self._rng.random() < self.probability:
-            hit = True
-        if hit:
-            index = self._rng.randrange(len(frame.payload))
-            frame.payload[index] ^= 0xFF
-            self.corrupted += 1
-
-
-class DropInjector:
-    """Silently discards every Nth frame (or with a probability)."""
-
-    def __init__(self, every_nth: int = 0, probability: float = 0.0, seed: int = 2):
-        if every_nth < 0:
-            raise ConfigurationError(f"every_nth must be >= 0, got {every_nth}")
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(f"probability must be in [0,1], got {probability}")
-        self.every_nth = every_nth
-        self.probability = probability
-        self._rng = random.Random(seed)
-        self._count = 0
-        self.dropped = 0
-
-    def __call__(self, frame: Frame) -> None:
-        self._count += 1
-        if (self.every_nth and self._count % self.every_nth == 0) or (
-            self.probability and self._rng.random() < self.probability
-        ):
-            frame.drop = True
-            self.dropped += 1
-
-
 class NectarNetwork:
     """The fabric connecting CABs through one or more HUBs."""
 
@@ -322,11 +272,11 @@ class NectarNetwork:
         self.groups = GroupTable(self.topology)
         self.nodes: Dict[str, NetworkNode] = {}
         self.stats = CounterScope()
-        #: Called once per frame at egress; may corrupt bytes or set drop.
-        self.fault_injector: Optional[Callable[[Frame], None]] = None
-        #: Richer seam for :class:`repro.faults.injector.Injector`: gets the
-        #: source *and* destination CAB names per frame (drop/corrupt/crash)
-        #: plus a per-frame stall delay.  Installed by NectarSystem.
+        #: The per-frame fault seam, e.g. a
+        #: :class:`repro.faults.injector.Injector`: ``on_link_frame(src,
+        #: dest, frame)`` may corrupt bytes or set drop at egress,
+        #: ``link_delay_ns(src)`` stalls the link, ``on_fanout_branch`` sees
+        #: each multicast replica.  Installed by NectarSystem.
         self.fault_hooks = None
         #: Optional repro.sim.trace.Tracer for per-link transfer spans
         #: (wired by NectarSystem); one attribute test per frame when off.
@@ -476,8 +426,6 @@ class NectarNetwork:
                     f"link {node.name}: FIFO out of frame sync (got offset "
                     f"{chunk.offset} of frame #{frame.seqno})"
                 )
-            if self.fault_injector is not None:
-                self.fault_injector(frame)
             if self.fault_hooks is not None:
                 dest = self._frame_dest(node, frame)
                 self.fault_hooks.on_link_frame(node.name, dest, frame)

@@ -73,7 +73,7 @@ class Frame:
         return len(self.payload)
 
     def seal(self) -> None:
-        """Compute the egress CRC over the (current) payload bytes."""
+        """Calculate the egress CRC over the (current) payload bytes."""
         self.crc = crc32(self.payload.mv())
 
     def crc_ok(self) -> bool:

@@ -3,8 +3,9 @@
 The CAB has an input FIFO and an output FIFO between the optical fibers and
 its memory (paper Sec. 2.2).  The DMA controller "waits for data to arrive if
 the input FIFO is empty, or for data to drain if the output FIFO is full" —
-that low-level flow control is modelled by the blocking ``wait_space`` /
-``wait_data`` events here.
+that low-level flow control is modelled by ``wait_space`` / ``wait_data``
+here.  Each returns what a sim process yields: ``0`` (a zero sleep) when the
+space or data is already there, else an event that fires once it is.
 
 Frames move through the FIFO as :class:`Chunk` records (a frame reference,
 an offset and a length) rather than individual bytes; the FIFO does exact
@@ -15,7 +16,7 @@ ride on the frame object.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, NamedTuple
+from typing import Any, Deque, NamedTuple, Union
 
 from repro.errors import CABError
 from repro.sim.core import Event, Simulator
@@ -92,8 +93,9 @@ class ByteFIFO:
 
     # -- producer side -----------------------------------------------------
 
-    def wait_space(self, nbytes: int) -> Event:
-        """Event that fires when ``nbytes`` of space is available.
+    def wait_space(self, nbytes: int) -> Union[int, Event]:
+        """``0`` if ``nbytes`` of space is free now, else an event that
+        fires when it is.
 
         Space waiters are served strictly in order, so a large chunk cannot
         be starved by a stream of small ones.
@@ -103,11 +105,10 @@ class ByteFIFO:
                 f"{self.name}: chunk of {nbytes} bytes exceeds capacity "
                 f"{self.capacity}"
             )
-        event = Event(self.sim, self._space_name)
         if not self._space_waiters and self.grantable >= nbytes:
-            event.succeed()
-        else:
-            self._space_waiters.append((nbytes, event))
+            return 0
+        event = Event(self.sim, self._space_name)
+        self._space_waiters.append((nbytes, event))
         return event
 
     def push(self, chunk: Chunk) -> None:
@@ -128,13 +129,13 @@ class ByteFIFO:
 
     # -- consumer side -----------------------------------------------------
 
-    def wait_data(self) -> Event:
-        """Event that fires when at least one chunk is buffered."""
-        event = Event(self.sim, self._data_name)
+    def wait_data(self) -> Union[int, Event]:
+        """``0`` if a chunk is buffered now, else an event that fires when
+        one is."""
         if self._chunks:
-            event.succeed()
-        else:
-            self._data_waiters.append(event)
+            return 0
+        event = Event(self.sim, self._data_name)
+        self._data_waiters.append(event)
         return event
 
     def pop(self) -> Chunk:

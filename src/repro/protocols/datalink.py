@@ -28,7 +28,6 @@ from typing import Callable, Dict, Generator, Optional
 
 from repro.buf.packet import PacketBuffer
 from repro.cab.board import CAB
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.hub.network import NectarNetwork
 from repro.hw.fiber import Frame
@@ -143,7 +142,7 @@ class Datalink:
                 track=track,
             )
         try:
-            yield Compute(self.costs.dl_send_ns)
+            yield self.costs.dl_send_ns
             header = DatalinkHeader(
                 dl_type=dl_type,
                 length=msg.size,
@@ -181,8 +180,8 @@ class Datalink:
 
         Models building the packet in a scratch buffer: charges the memcpy.
         """
-        yield Compute(self.costs.dl_send_ns)
-        yield Compute(self.costs.cab_memcpy_ns(len(packet)))
+        yield self.costs.dl_send_ns
+        yield self.costs.cab_memcpy_ns(len(packet))
         header = DatalinkHeader(
             dl_type=dl_type,
             length=len(packet),
@@ -204,9 +203,9 @@ class Datalink:
 
     def _sop_handler(self, frame: Frame) -> Generator:
         """Start-of-packet interrupt handler."""
-        yield Compute(self.costs.dl_sop_handler_ns)
-        injector = self.runtime.fault_injector
-        if injector is not None and injector.datalink_rx_drop(self.cab.name, frame):
+        yield self.costs.dl_sop_handler_ns
+        faults = self.runtime.faults
+        if faults is not None and faults.datalink_rx_drop(self.cab.name, frame):
             # Injected software drop: a good frame is discarded before
             # dispatch (interrupt/buffer pressure); transports recover.
             self.stats.add("dl_fault_drops")
@@ -249,7 +248,7 @@ class Datalink:
 
     def _make_completion(self, binding: ProtocolBinding, msg: Message, header: DatalinkHeader):
         def complete(_frame: Frame, crc_ok: bool) -> Generator:
-            yield Compute(self.costs.dl_eop_handler_ns)
+            yield self.costs.dl_eop_handler_ns
             tracer = self.runtime.tracer
             if tracer.sink is not None:
                 # Close the sender-side async span; frames dropped en route

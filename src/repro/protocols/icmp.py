@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     ICMP_CODE_PORT_UNREACHABLE,
@@ -67,8 +66,8 @@ class ICMPProtocol:
         body.extend(payload)
         checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
-        yield Compute(self.costs.cab_checksum_ns(len(body)))
-        yield Compute(self.costs.cab_memcpy_ns(len(body)))
+        yield self.costs.cab_checksum_ns(len(body))
+        yield self.costs.cab_memcpy_ns(len(body))
         msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)
@@ -92,8 +91,8 @@ class ICMPProtocol:
         body.extend(quote)
         checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
-        yield Compute(self.costs.cab_checksum_ns(len(body)))
-        yield Compute(self.costs.cab_memcpy_ns(len(body)))
+        yield self.costs.cab_checksum_ns(len(body))
+        yield self.costs.cab_memcpy_ns(len(body))
         msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)
@@ -105,7 +104,7 @@ class ICMPProtocol:
         msg = yield from mailbox.ibegin_get()
         if msg is None:
             return
-        yield Compute(self.costs.icmp_input_ns)
+        yield self.costs.icmp_input_ns
         if msg.size < IPv4Header.SIZE + ICMPHeader.SIZE:
             self.stats.add("icmp_malformed")
             yield from mailbox.iend_get(msg)
@@ -156,8 +155,8 @@ class ICMPProtocol:
         body.extend(payload)
         checksum = ICMPHeader.compute_checksum(body)
         body[2:4] = checksum.to_bytes(2, "big")
-        yield Compute(self.costs.cab_checksum_ns(len(body)))
-        yield Compute(self.costs.cab_memcpy_ns(len(body)))
+        yield self.costs.cab_checksum_ns(len(body))
+        yield self.costs.cab_memcpy_ns(len(body))
         msg.write(IPv4Header.SIZE, body)
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_ICMP)
         yield from self.ip.output(template, msg, free_after=True)

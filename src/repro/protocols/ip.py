@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.addressing import NodeRegistry
 from repro.protocols.datalink import Datalink, ProtocolBinding
@@ -121,7 +120,7 @@ class IPProtocol:
         """
         if msg.size < IPv4Header.SIZE:
             raise ProtocolError(f"message of {msg.size} bytes has no IP header room")
-        yield Compute(self.costs.ip_output_ns)
+        yield self.costs.ip_output_ns
         if template.src == 0:
             template.src = self.address
         template.identification = self._next_ident
@@ -159,7 +158,7 @@ class IPProtocol:
             last = offset + piece >= payload_size
             frag = yield from self.input_mailbox.begin_put(IPv4Header.SIZE + piece)
             data = msg.view(IPv4Header.SIZE + offset, piece)
-            yield Compute(self.costs.cab_memcpy_ns(piece))
+            yield self.costs.cab_memcpy_ns(piece)
             frag.write(IPv4Header.SIZE, data)
             header = IPv4Header(
                 src=template.src,
@@ -184,7 +183,7 @@ class IPProtocol:
     def _start_of_data(self, msg: Message, dl_header: DatalinkHeader) -> Generator:
         """Start-of-data upcall: sanity-check the IP header while the body
         is still streaming in (paper Sec. 4.1)."""
-        yield Compute(self.costs.ip_input_ns)
+        yield self.costs.ip_input_ns
         if msg.size < DatalinkHeader.SIZE + IPv4Header.SIZE:
             self.stats.add("ip_bad_header")
             return
@@ -255,7 +254,7 @@ class IPProtocol:
     # ------------------------------------------------------------- reassembly
 
     def _handle_fragment(self, msg: Message, header: IPv4Header) -> Generator:
-        yield Compute(self.costs.ip_reassembly_ns)
+        yield self.costs.ip_reassembly_ns
         self.stats.add("ip_fragments_in")
         key = (header.src, header.identification)
         entry = self._reassembly.get(key)
@@ -281,7 +280,7 @@ class IPProtocol:
             for _offset, frag, _header in entry.fragments:
                 yield from self.input_mailbox.iabort_put(frag)
             return
-        yield Compute(self.costs.cab_memcpy_ns(entry.total_payload))
+        yield self.costs.cab_memcpy_ns(entry.total_payload)
         for offset, frag, _frag_header in entry.fragments:
             frag_payload = frag.view(IPv4Header.SIZE)
             whole.write(IPv4Header.SIZE + offset, frag_payload)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Tuple
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_ARRIVE,
@@ -137,7 +136,7 @@ class CollectiveEngine:
     def barrier(self, group: CollectiveGroup) -> Generator:
         """Thread-context: enter the barrier, return when released."""
         ops = self.runtime.ops
-        yield Compute(self.costs.nectar_coll_ns)
+        yield self.costs.nectar_coll_ns
         yield from ops.lock(group.mutex)
         epoch = group.local_epoch + 1
         group.local_epoch = epoch
@@ -196,7 +195,7 @@ class CollectiveEngine:
         """Thread-context, root only: send one payload down the tree."""
         if not group.is_root:
             raise ProtocolError("only the root may broadcast")
-        yield Compute(self.costs.nectar_coll_ns)
+        yield self.costs.nectar_coll_ns
         seq = group.bcast_seq
         group.bcast_seq += 1
         for child in group.children:
@@ -212,7 +211,7 @@ class CollectiveEngine:
         """Thread-context: block for the next broadcast payload (bytes)."""
         msg = yield from group.bcast_mailbox.begin_get()
         data = msg.read()
-        yield Compute(self.costs.cab_memcpy_ns(msg.size))
+        yield self.costs.cab_memcpy_ns(msg.size)
         yield from group.bcast_mailbox.end_get(msg)
         return data
 
@@ -224,7 +223,7 @@ class CollectiveEngine:
             self.stats.add("coll_no_group")
             yield from self.transport.input_mailbox.iabort_put(msg)
             return
-        yield Compute(self.costs.nectar_coll_ns)
+        yield self.costs.nectar_coll_ns
         kind = header.kind
         epoch = header.seq
         if kind == NECTAR_KIND_ARRIVE:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Union
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_DATA,
@@ -73,14 +72,14 @@ class DatagramProtocol:
         ``data`` is either raw bytes (copied into a fresh packet) or a
         Message already laid out as ``[28-byte header room][payload]``.
         """
-        yield Compute(self.costs.nectar_datagram_ns)
+        yield self.costs.nectar_datagram_ns
         if isinstance(data, Message):
             msg = data
         else:
             msg = yield from self.send_mailbox.begin_put(
                 NectarTransportHeader.SIZE + len(data)
             )
-            yield Compute(self.costs.cab_memcpy_ns(len(data)))
+            yield self.costs.cab_memcpy_ns(len(data))
             msg.write(NectarTransportHeader.SIZE, data)
         header = NectarTransportHeader(
             protocol=NECTAR_PROTO_DATAGRAM,
@@ -102,7 +101,7 @@ class DatagramProtocol:
         """
         while True:
             msg = yield from self.send_mailbox.begin_get()
-            yield Compute(self.costs.nectar_datagram_ns)
+            yield self.costs.nectar_datagram_ns
             header = NectarTransportHeader.unpack(
                 msg.view(0, NectarTransportHeader.SIZE)
             )
@@ -118,7 +117,7 @@ class DatagramProtocol:
             self.stats.add("datagram_no_port")
             yield from self.transport.input_mailbox.iabort_put(msg)
             return
-        yield Compute(self.costs.nectar_datagram_ns)
+        yield self.costs.nectar_datagram_ns
         msg.trim_front(NectarTransportHeader.SIZE)
         self.stats.add("datagram_in")
         self.runtime.tracer.emit("datagram", "cab_deliver")

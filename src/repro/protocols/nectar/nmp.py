@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_DATA,
@@ -197,7 +196,7 @@ class NMPProtocol:
         ops = self.runtime.ops
         yield from ops.lock(session.mutex)
         try:
-            yield Compute(self.costs.nectar_nmp_ns)
+            yield self.costs.nectar_nmp_ns
             seq = session.send_seq
             session.send_seq += 1
             session.window[seq] = data
@@ -214,7 +213,7 @@ class NMPProtocol:
             packet = yield from self.transport.input_mailbox.begin_put(
                 NectarTransportHeader.SIZE + len(data)
             )
-            yield Compute(self.costs.cab_memcpy_ns(len(data)))
+            yield self.costs.cab_memcpy_ns(len(data))
             packet.write(NectarTransportHeader.SIZE, data)
             yield from self.transport.send_message(header, packet)
             self.stats.add("nmp_data_out")
@@ -328,7 +327,7 @@ class NMPProtocol:
         ):
             count += 1
             seq += 1
-        yield Compute(self.costs.nectar_nmp_ns)
+        yield self.costs.nectar_nmp_ns
         header = NectarTransportHeader(
             protocol=NECTAR_PROTO_NMP,
             kind=NECTAR_KIND_NACK,
@@ -353,7 +352,7 @@ class NMPProtocol:
             self.stats.add("nmp_no_port")
             yield from self.transport.input_mailbox.iabort_put(msg)
             return
-        yield Compute(self.costs.nectar_nmp_ns)
+        yield self.costs.nectar_nmp_ns
         session.sender_node = header.src_node
         if kind == NECTAR_KIND_SYNC:
             yield from self.transport.input_mailbox.iabort_put(msg)
@@ -443,7 +442,7 @@ class NMPProtocol:
         if session is None:
             self.stats.add("nmp_no_port")
             return
-        yield Compute(self.costs.nectar_nmp_ns)
+        yield self.costs.nectar_nmp_ns
         if header.kind == NECTAR_KIND_SYNC_ACK:
             self.stats.add("nmp_sync_acks_in")
             if header.seq >= session.watermark >= 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_REQUEST,
@@ -73,7 +72,7 @@ class RequestResponseProtocol:
         self, request_header: NectarTransportHeader, data: bytes
     ) -> Generator:
         """Thread-context: answer a request (the header names the client)."""
-        yield Compute(self.costs.nectar_reqresp_ns)
+        yield self.costs.nectar_reqresp_ns
         port = request_header.dst_port
         cache = self._response_cache.get(port)
         if cache is not None:
@@ -89,7 +88,7 @@ class RequestResponseProtocol:
         msg = yield from self.transport.input_mailbox.begin_put(
             NectarTransportHeader.SIZE + len(data)
         )
-        yield Compute(self.costs.cab_memcpy_ns(len(data)))
+        yield self.costs.cab_memcpy_ns(len(data))
         msg.write(NectarTransportHeader.SIZE, data)
         header = NectarTransportHeader(
             protocol=NECTAR_PROTO_REQRESP,
@@ -120,7 +119,7 @@ class RequestResponseProtocol:
     ) -> Generator:
         """Thread-context: send a request, block for the response bytes."""
         ops = self.runtime.ops
-        yield Compute(self.costs.nectar_reqresp_ns)
+        yield self.costs.nectar_reqresp_ns
         seq = self._next_seq
         self._next_seq += 1
         call = _PendingCall(self.runtime, seq)
@@ -134,7 +133,7 @@ class RequestResponseProtocol:
                 msg = yield from self.transport.input_mailbox.begin_put(
                     NectarTransportHeader.SIZE + len(data)
                 )
-                yield Compute(self.costs.cab_memcpy_ns(len(data)))
+                yield self.costs.cab_memcpy_ns(len(data))
                 msg.write(NectarTransportHeader.SIZE, data)
                 header = NectarTransportHeader(
                     protocol=NECTAR_PROTO_REQRESP,
@@ -167,7 +166,7 @@ class RequestResponseProtocol:
     # -- receive demux (interrupt context) ----------------------------------------
 
     def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        yield Compute(self.costs.nectar_reqresp_ns)
+        yield self.costs.nectar_reqresp_ns
         if header.kind == NECTAR_KIND_REQUEST:
             yield from self._input_request(msg, header)
         elif header.kind == NECTAR_KIND_RESPONSE:
@@ -203,7 +202,7 @@ class RequestResponseProtocol:
         )
         if msg is None:
             return
-        yield Compute(self.costs.cab_memcpy_ns(len(data)))
+        yield self.costs.cab_memcpy_ns(len(data))
         msg.write(NectarTransportHeader.SIZE, data)
         header = NectarTransportHeader(
             protocol=NECTAR_PROTO_REQRESP,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Union
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_ACK,
@@ -134,7 +133,7 @@ class RMPProtocol:
     ) -> Generator:
         ops = self.runtime.ops
         yield from ops.lock(channel.send_mutex)
-        yield Compute(self.costs.nectar_rmp_ns)
+        yield self.costs.nectar_rmp_ns
         if isinstance(data, Message):
             msg = data
             payload = None
@@ -184,7 +183,7 @@ class RMPProtocol:
             NectarTransportHeader.SIZE + len(payload)
         )
         if charge_copy:
-            yield Compute(self.costs.cab_memcpy_ns(len(payload)))
+            yield self.costs.cab_memcpy_ns(len(payload))
         packet.write(NectarTransportHeader.SIZE, payload)
         return packet
 
@@ -208,7 +207,7 @@ class RMPProtocol:
             self.stats.add("rmp_no_port")
             yield from self.transport.input_mailbox.iabort_put(msg)
             return
-        yield Compute(self.costs.nectar_rmp_ns)
+        yield self.costs.nectar_rmp_ns
         if header.kind == NECTAR_KIND_ACK:
             yield from self.transport.input_mailbox.iabort_put(msg)
             if channel.acked_seq is None or header.seq > channel.acked_seq:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.datalink import Datalink, ProtocolBinding
 from repro.protocols.headers import DL_TYPE_NECTAR, DatalinkHeader, NectarTransportHeader

@@ -25,7 +25,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, Optional
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     IPPROTO_TCP,
@@ -185,7 +184,7 @@ class TCPProtocol:
             request = yield from self.send_request_mailbox.begin_put(
                 struct.calcsize(_SEND_REQUEST_FMT) + len(data)
             )
-            yield Compute(self.costs.cab_memcpy_ns(len(data)))
+            yield self.costs.cab_memcpy_ns(len(data))
             request.write(0, struct.pack(_SEND_REQUEST_FMT, conn.conn_id, len(data)))
             request.write(struct.calcsize(_SEND_REQUEST_FMT), data)
             yield from self.send_request_mailbox.end_put(request)
@@ -305,7 +304,7 @@ class TCPProtocol:
         track: bool = True,
     ) -> Generator:
         """Build and transmit one segment (lock held)."""
-        yield Compute(self.costs.tcp_output_ns)
+        yield self.costs.tcp_output_ns
         header = TCPHeader(
             src_port=conn.local_port,
             dst_port=conn.remote_port,
@@ -317,7 +316,7 @@ class TCPProtocol:
         segment = bytearray(header.pack())
         segment.extend(data)
         if self.checksums:
-            yield Compute(self.costs.cab_checksum_ns(len(segment)))
+            yield self.costs.cab_checksum_ns(len(segment))
             checksum = TCPHeader.compute_checksum(
                 self.ip.address, conn.remote_ip, segment
             )
@@ -341,7 +340,7 @@ class TCPProtocol:
             self.stats.add("tcp_out_no_buffer")
             self._arm_retransmit(conn)
             return
-        yield Compute(self.costs.cab_memcpy_ns(len(data)))
+        yield self.costs.cab_memcpy_ns(len(data))
         msg.write(IPv4Header.SIZE, segment)
         template = IPv4Header(src=0, dst=conn.remote_ip, protocol=IPPROTO_TCP)
         self.stats.add("tcp_segments_out")
@@ -368,7 +367,7 @@ class TCPProtocol:
         ops = self.runtime.ops
         while True:
             msg = yield from self.input_mailbox.begin_get()
-            yield Compute(self.costs.tcp_input_ns)
+            yield self.costs.tcp_input_ns
             if msg.size < IPv4Header.SIZE + TCPHeader.SIZE:
                 self.stats.add("tcp_malformed")
                 yield from self.input_mailbox.end_get(msg)
@@ -382,7 +381,7 @@ class TCPProtocol:
                 yield from self.input_mailbox.end_get(msg)
                 continue
             if self.checksums:
-                yield Compute(self.costs.cab_checksum_ns(len(segment)))
+                yield self.costs.cab_checksum_ns(len(segment))
                 if not TCPHeader.verify(ip_header.src, ip_header.dst, segment):
                     self.stats.add("tcp_bad_checksum")
                     yield from self.input_mailbox.end_get(msg)
@@ -553,7 +552,7 @@ class TCPProtocol:
                 # Out of order: stash a copy, dup-ACK.
                 self.stats.add("tcp_out_of_order")
                 data = msg.read(IPv4Header.SIZE + TCPHeader.SIZE, payload_len)
-                yield Compute(self.costs.cab_memcpy_ns(payload_len))
+                yield self.costs.cab_memcpy_ns(payload_len)
                 conn.stash_out_of_order(seq, data)
                 yield from self.input_mailbox.end_get(msg)
             else:
@@ -601,7 +600,7 @@ class TCPProtocol:
             conn.rcv_nxt = (conn.rcv_nxt - len(drained)) % (1 << 32)
             conn.stash_out_of_order(conn.rcv_nxt, drained)
             return
-        yield Compute(self.costs.cab_memcpy_ns(len(drained)))
+        yield self.costs.cab_memcpy_ns(len(drained))
         copy.write(0, drained)
         yield from self.input_mailbox.ienqueue(copy, conn.receive_mailbox)
         self.stats.add("tcp_bytes_in", len(drained))
@@ -742,7 +741,7 @@ class TCPProtocol:
         )
         segment = bytearray(rst.pack())
         if self.checksums:
-            yield Compute(self.costs.cab_checksum_ns(len(segment)))
+            yield self.costs.cab_checksum_ns(len(segment))
             checksum = TCPHeader.compute_checksum(
                 self.ip.address, ip_header.src, segment
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.cab.cpu import Compute
 from repro.errors import ProtocolError
 from repro.protocols.headers import IPPROTO_UDP, IPv4Header, UDPHeader
 from repro.protocols.ip import IPProtocol
@@ -65,7 +64,7 @@ class UDPProtocol:
         """Thread-context: send one datagram built from ``data``."""
         headers = IPv4Header.SIZE + UDPHeader.SIZE
         msg = yield from self.input_mailbox.begin_put(headers + len(data))
-        yield Compute(self.costs.cab_memcpy_ns(len(data)))
+        yield self.costs.cab_memcpy_ns(len(data))
         msg.write(headers, data)
         yield from self.send_message(src_port, dst_ip, dst_port, msg)
 
@@ -77,7 +76,7 @@ class UDPProtocol:
         ``msg`` must be laid out as ``[IP room][UDP room][payload]``; the
         payload must already be in place.
         """
-        yield Compute(self.costs.udp_output_ns)
+        yield self.costs.udp_output_ns
         udp_length = msg.size - IPv4Header.SIZE
         header = UDPHeader(
             src_port=src_port, dst_port=dst_port, length=udp_length, checksum=0
@@ -85,7 +84,7 @@ class UDPProtocol:
         msg.write(IPv4Header.SIZE, header.pack())
         if self.checksums:
             segment = msg.view(IPv4Header.SIZE)
-            yield Compute(self.costs.cab_checksum_ns(len(segment)))
+            yield self.costs.cab_checksum_ns(len(segment))
             checksum = UDPHeader.compute_checksum(self.ip.address, dst_ip, segment)
             msg.write(IPv4Header.SIZE + 6, checksum.to_bytes(2, "big"))
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_UDP)
@@ -100,7 +99,7 @@ class UDPProtocol:
             yield from self._input(msg)
 
     def _input(self, msg: Message) -> Generator:
-        yield Compute(self.costs.udp_input_ns)
+        yield self.costs.udp_input_ns
         if msg.size < IPv4Header.SIZE + UDPHeader.SIZE:
             self.stats.add("udp_malformed")
             yield from self.input_mailbox.end_get(msg)
@@ -120,7 +119,7 @@ class UDPProtocol:
             return
         if self.checksums and udp_header.checksum != 0:
             segment = msg.view(IPv4Header.SIZE)
-            yield Compute(self.costs.cab_checksum_ns(len(segment)))
+            yield self.costs.cab_checksum_ns(len(segment))
             partial = UDPHeader.compute_checksum(ip_header.src, ip_header.dst, segment)
             # Summing a segment with a valid embedded checksum yields 0
             # (0xFFFF before inversion).

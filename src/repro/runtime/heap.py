@@ -37,7 +37,7 @@ class BufferHeap:
         self.base = base
         self.size = size
         #: Optional repro.sim.trace.Tracer sampling bytes-in-use as a counter
-        #: track; one attribute test per alloc/free when detached.
+        #: track, summed only while a trace sink listens.
         self.tracer = None
         # Address-ordered list of (addr, size) free blocks.
         self._free: list[tuple[int, int]] = [(base, size)]
@@ -86,8 +86,9 @@ class BufferHeap:
                 else:
                     del self._free[index]
                 self._allocated[addr] = needed
-                if self.tracer is not None:
-                    self.tracer.counter(
+                tracer = self.tracer
+                if tracer is not None and tracer.sink is not None:
+                    tracer.counter(
                         "heap", "bytes_in_use", self.allocated_bytes, track=self.name
                     )
                 return addr
@@ -109,10 +110,9 @@ class BufferHeap:
         if addr not in self._allocated:
             raise NectarError(f"{self.name}: free of unallocated address {addr}")
         size = self._allocated.pop(addr)
-        if self.tracer is not None:
-            self.tracer.counter(
-                "heap", "bytes_in_use", self.allocated_bytes, track=self.name
-            )
+        tracer = self.tracer
+        if tracer is not None and tracer.sink is not None:
+            tracer.counter("heap", "bytes_in_use", self.allocated_bytes, track=self.name)
         # Insert in address order.
         lo, hi = 0, len(self._free)
         while lo < hi:

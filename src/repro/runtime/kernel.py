@@ -12,7 +12,7 @@ from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from repro.cab.board import CAB, DATA_MEMORY_BYTES
-from repro.cab.cpu import Compute, PRIORITY_APPLICATION, PRIORITY_SYSTEM, TCB, WaitToken
+from repro.cab.cpu import PRIORITY_APPLICATION, PRIORITY_SYSTEM, TCB, WaitToken
 from repro.errors import ConfigurationError
 from repro.runtime.heap import BufferHeap
 from repro.runtime.mailbox import Mailbox, Message
@@ -39,7 +39,7 @@ class Runtime:
         self.name = cab.name
         #: Optional repro.faults.injector.Injector consulted (behind single
         #: if-guards) by the datalink receive path and mailbox queueing.
-        self.fault_injector = None
+        self.faults = None
         self.ops = ThreadOps(cab.cpu, cab.costs)
         self.heap = BufferHeap(
             base=CONTROL_RESERVE_BYTES,
@@ -108,14 +108,14 @@ class Runtime:
 
     def fill_message(self, msg: Message, data: bytes, offset: int = 0) -> Generator:
         """Thread-context: copy ``data`` into a message (CPU memcpy cost)."""
-        yield Compute(self.costs.cab_memcpy_ns(len(data)))
+        yield self.costs.cab_memcpy_ns(len(data))
         msg.write(offset, data)
 
     def read_message(self, msg: Message, offset: int = 0, size: Optional[int] = None) -> Generator:
         """Thread-context: copy data out of a message (CPU memcpy cost)."""
         if size is None:
             size = msg.size - offset
-        yield Compute(self.costs.cab_memcpy_ns(size))
+        yield self.costs.cab_memcpy_ns(size)
         return msg.read(offset, size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

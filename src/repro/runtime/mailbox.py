@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Generator, Optional
 
-from repro.cab.cpu import Block, Compute, WaitToken
+from repro.cab.cpu import Block, WaitToken
 from repro.errors import MailboxError
 from repro.telemetry.metrics import CounterScope
 
@@ -175,11 +175,11 @@ class Mailbox:
                 track=track,
             )
         try:
-            yield Compute(self.costs.rt_begin_put_ns)
+            yield self.costs.rt_begin_put_ns
             while True:
                 msg = self._try_alloc_message(size)
                 if msg is not None:
-                    yield Compute(self._alloc_cost(msg))
+                    yield self._alloc_cost(msg)
                     return msg
                 token = WaitToken(name=f"heap:{self.name}")
                 self.runtime.heap_waiters.append(token)
@@ -190,10 +190,10 @@ class Mailbox:
 
     def ibegin_put(self, size: int) -> Generator:
         """Interrupt-context: allocate or return None (never blocks)."""
-        yield Compute(self.costs.rt_begin_put_ns)
+        yield self.costs.rt_begin_put_ns
         msg = self._try_alloc_message(size)
         if msg is not None:
-            yield Compute(self._alloc_cost(msg))
+            yield self._alloc_cost(msg)
         return msg
 
     def end_put(self, msg: Message) -> Generator:
@@ -203,10 +203,10 @@ class Mailbox:
         if track is not None:
             tracer.begin("mailbox", "end_put", {"mailbox": self.name}, track=track)
         try:
-            yield Compute(self.costs.rt_end_put_ns)
+            yield self.costs.rt_end_put_ns
             self._queue_message(msg)
             if self.reader_upcall is not None:
-                yield Compute(self.costs.rt_upcall_ns)
+                yield self.costs.rt_upcall_ns
                 yield from self.reader_upcall(self)
         finally:
             if track is not None:
@@ -221,7 +221,7 @@ class Mailbox:
         failure, protocol-internal release)."""
         if msg.state not in (WRITING, READING):
             raise MailboxError(f"abort_put of message in state {msg.state}")
-        yield Compute(self._free_cost(msg))
+        yield self._free_cost(msg)
         self._release_storage(msg)
 
     iabort_put = abort_put
@@ -235,7 +235,7 @@ class Mailbox:
         if track is not None:
             tracer.begin("mailbox", "begin_get", {"mailbox": self.name}, track=track)
         try:
-            yield Compute(self.costs.rt_begin_get_ns)
+            yield self.costs.rt_begin_get_ns
             while not self.queue:
                 token = WaitToken(name=f"get:{self.name}")
                 self._get_waiters.append(token)
@@ -247,7 +247,7 @@ class Mailbox:
 
     def ibegin_get(self) -> Generator:
         """Interrupt-context: next message or None (never blocks)."""
-        yield Compute(self.costs.rt_begin_get_ns)
+        yield self.costs.rt_begin_get_ns
         if not self.queue:
             return None
         return self._take_message()
@@ -256,8 +256,8 @@ class Mailbox:
         """Release a message's storage."""
         if msg.state is not READING:
             raise MailboxError(f"end_get of message in state {msg.state}")
-        yield Compute(self.costs.rt_end_get_ns)
-        yield Compute(self._free_cost(msg))
+        yield self.costs.rt_end_get_ns
+        yield self._free_cost(msg)
         self._release_storage(msg)
 
     iend_get = end_get
@@ -274,11 +274,11 @@ class Mailbox:
             raise MailboxError(f"enqueue of message in state {msg.state}")
         if dest.runtime is not self.runtime:
             raise MailboxError("enqueue across CABs is impossible (shared heap only)")
-        yield Compute(self.costs.rt_enqueue_ns)
+        yield self.costs.rt_enqueue_ns
         msg.mailbox = dest
         dest._queue_message(msg)
         if dest.reader_upcall is not None:
-            yield Compute(self.costs.rt_upcall_ns)
+            yield self.costs.rt_upcall_ns
             yield from dest.reader_upcall(dest)
 
     ienqueue = enqueue
@@ -307,7 +307,7 @@ class Mailbox:
 
         The doorbell handler runs this after a host process queued messages.
         """
-        yield Compute(self.costs.rt_signal_ns)
+        yield self.costs.rt_signal_ns
         while self._get_waiters and self.queue:
             token = self._get_waiters.popleft()
             if token.cancelled or token.fired:
@@ -315,7 +315,7 @@ class Mailbox:
             self.cpu.wake(token)
             break
         if self.reader_upcall is not None and self.queue:
-            yield Compute(self.costs.rt_upcall_ns)
+            yield self.costs.rt_upcall_ns
             yield from self.reader_upcall(self)
 
     def host_take_message(self) -> Optional[Message]:
@@ -375,8 +375,8 @@ class Mailbox:
     def _queue_message(self, msg: Message) -> None:
         if msg.state not in (WRITING, READING):
             raise MailboxError(f"queueing message in state {msg.state}")
-        injector = self.runtime.fault_injector
-        if injector is not None and injector.mailbox_lose(
+        faults = self.runtime.faults
+        if faults is not None and faults.mailbox_lose(
             self.runtime.name, self.name, msg
         ):
             # Injected host-CAB interface loss: the message vanishes while

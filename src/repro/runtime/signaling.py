@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Optional
 
-from repro.cab.cpu import Block, Compute, CPU, WaitToken
+from repro.cab.cpu import Block, CPU, WaitToken
 from repro.errors import NectarError
 from repro.model.costs import CostModel
 from repro.telemetry.metrics import CounterScope
@@ -61,7 +61,7 @@ class HostCondition:
 
     def signal(self, costs: CostModel) -> Generator:
         """Thread-context signal (one shared-memory word write)."""
-        yield Compute(costs.rt_signal_ns)
+        yield costs.rt_signal_ns
         self.fire()
 
     # -- waiting by polling ------------------------------------------------------
@@ -76,12 +76,12 @@ class HostCondition:
         """
         if snapshot is None:
             snapshot = self.poll_value
-        yield Compute(costs.host_poll_interval_ns)
+        yield costs.host_poll_interval_ns
         while self.poll_value == snapshot:
             token = WaitToken(name=f"poll:{self.name}")
             self._pollers.append((cpu, token))
             yield Block(token)
-            yield Compute(costs.host_poll_interval_ns)
+            yield costs.host_poll_interval_ns
         return self.poll_value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -162,7 +162,7 @@ class CabDoorbell:
             if entry is None:
                 return
             opcode, param = entry
-            yield Compute(self.costs.rt_signal_queue_ns)
+            yield self.costs.rt_signal_queue_ns
             handler = self._handlers.get(opcode)
             if handler is None:
                 raise NectarError(f"no doorbell handler for opcode {opcode!r}")
@@ -172,7 +172,7 @@ class CabDoorbell:
 
     def _handle_wake(self, param) -> Generator:
         """Wake a CAB condition variable from the host."""
-        yield Compute(self.costs.rt_signal_ns)
+        yield self.costs.rt_signal_ns
         self.runtime.ops.signal_nocost(param)
 
     def _handle_sync_write(self, param) -> Generator:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.cab.cpu import Block, Compute, CPU, SetMask, WaitToken
+from repro.cab.cpu import Block, CPU, SetMask, WaitToken
 from repro.errors import SyncError
 from repro.model.costs import CostModel
 
@@ -71,7 +71,7 @@ class SyncPool:
 
     def alloc(self) -> Generator:
         """Thread-context: allocate a sync cell."""
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         return self.alloc_nocost()
 
     def alloc_nocost(self) -> Sync:
@@ -102,13 +102,13 @@ class SyncPool:
         with interrupt handlers, protected by masking interrupts.
         """
         yield SetMask(True)
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         self._write_body(sync, value)
         yield SetMask(False)
 
     def iwrite(self, sync: Sync, value: Any) -> Generator:
         """Interrupt-context write (already masked)."""
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         self._write_body(sync, value)
 
     def _write_body(self, sync: Sync, value: Any) -> None:
@@ -129,7 +129,7 @@ class SyncPool:
 
         Only one reader exists, so reading needs no locking (paper Sec. 3.4).
         """
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         if sync.state == _WRITTEN:
             value = sync.value
             self._release(sync)
@@ -146,7 +146,7 @@ class SyncPool:
     def cancel(self, sync: Sync) -> Generator:
         """Thread-context cancel: reader is no longer interested."""
         yield SetMask(True)
-        yield Compute(self.costs.rt_sync_op_ns)
+        yield self.costs.rt_sync_op_ns
         if sync.state == _WRITTEN:
             self._release(sync)
         elif sync.state == _EMPTY:

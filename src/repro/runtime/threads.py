@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional
 
-from repro.cab.cpu import CPU, Block, Compute, TCB, WaitToken
+from repro.cab.cpu import CPU, Block, TCB, WaitToken
 from repro.errors import NectarError
 from repro.model.costs import CostModel
 
@@ -72,12 +72,12 @@ class ThreadOps:
 
     def fork(self, gen: Generator, name: str = "thread", priority: int = 1) -> Generator:
         """Thread-context fork: charge the fork cost, return the new TCB."""
-        yield Compute(self.costs.rt_fork_ns)
+        yield self.costs.rt_fork_ns
         return self.cpu.add_thread(gen, priority=priority, name=name)
 
     def join(self, tcb: TCB) -> Generator:
         """Block until ``tcb`` terminates; returns its result."""
-        yield Compute(self.costs.rt_lock_ns)
+        yield self.costs.rt_lock_ns
         if not tcb.alive:
             return tcb.result
         token = WaitToken(name=f"join:{tcb.name}")
@@ -103,7 +103,7 @@ class ThreadOps:
 
     def lock(self, mutex: Mutex) -> Generator:
         """Acquire a mutex, blocking while another thread owns it."""
-        yield Compute(self.costs.rt_lock_ns)
+        yield self.costs.rt_lock_ns
         while mutex.owner is not None:
             if mutex.owner is self.cpu.current:
                 raise NectarError(
@@ -122,7 +122,7 @@ class ThreadOps:
                 f"unlock of {mutex.name} by non-owner "
                 f"{self.cpu.current.name if self.cpu.current else '<none>'}"
             )
-        yield Compute(self.costs.rt_lock_ns)
+        yield self.costs.rt_lock_ns
         mutex.owner = None
         self._wake_one(mutex.waiters)
 
@@ -130,7 +130,7 @@ class ThreadOps:
 
     def wait(self, cond: Condition, mutex: Mutex) -> Generator:
         """Release ``mutex``, block on ``cond``, reacquire ``mutex``."""
-        yield Compute(self.costs.rt_wait_ns)
+        yield self.costs.rt_wait_ns
         token = WaitToken(name=f"wait:{cond.name}")
         cond.waiters.append(token)
         yield from self.unlock(mutex)
@@ -142,7 +142,7 @@ class ThreadOps:
 
         Returns True if signalled, False if the timeout fired first.
         """
-        yield Compute(self.costs.rt_wait_ns)
+        yield self.costs.rt_wait_ns
         token = WaitToken(name=f"timed-wait:{cond.name}")
         cond.waiters.append(token)
         self.cpu.wake_after(token, timeout_ns, value=WAIT_TIMEOUT)
@@ -154,12 +154,12 @@ class ThreadOps:
 
     def signal(self, cond: Condition) -> Generator:
         """Thread-context signal: wake one waiter."""
-        yield Compute(self.costs.rt_signal_ns)
+        yield self.costs.rt_signal_ns
         self._wake_one(cond.waiters, value=WAIT_SIGNALED)
 
     def broadcast(self, cond: Condition) -> Generator:
         """Wake every waiter of a condition variable."""
-        yield Compute(self.costs.rt_signal_ns)
+        yield self.costs.rt_signal_ns
         while self._wake_one(cond.waiters, value=WAIT_SIGNALED):
             pass
 
@@ -169,7 +169,7 @@ class ThreadOps:
         (Signalling never blocks anyway; this alias documents intent at call
         sites inside interrupt handlers.)
         """
-        yield Compute(self.costs.rt_signal_ns)
+        yield self.costs.rt_signal_ns
         self._wake_one(cond.waiters, value=WAIT_SIGNALED)
 
     def signal_nocost(self, cond: Condition) -> bool:

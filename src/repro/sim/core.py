@@ -10,9 +10,9 @@ The kernel is deliberately small and deterministic:
   (or the event's exception is thrown into it).  Yielding a non-negative
   ``int`` instead sleeps that many nanoseconds — the one way to wait for
   time alone; :meth:`Simulator.timeout` is for a delay needed *as an event*
-  (an ``any_of`` member, a callback target).  A process is itself an event
-  that fires when the generator terminates, so processes can be joined by
-  yielding them.
+  (a callback target, a value handed to a thread).  A process starts on a
+  zero sleep of its own, and is itself an event that fires when the
+  generator terminates, so processes can be joined by yielding them.
 * :meth:`Process.interrupt` injects an :class:`Interrupt` exception at the
   process's current yield point.  This is how preemption and device
   cancellation are modelled throughout the library.
@@ -34,7 +34,9 @@ Heap entries
     Three shapes share the queue.  An ordinary (band 0) event is
     ``(time, seq, event)``.  A sleeping process is ``(time, seq, process,
     None)``: no event object at all — it takes its sequence number where a
-    :class:`Timeout` would, so it fires in the same slot.  A keyed (band 1)
+    :class:`Timeout` would, so it fires in the same slot.  A new process is
+    such an entry with delay zero, numbered at spawn, so it starts behind
+    everything already queued for the current nanosecond.  A keyed (band 1)
     call is ``(time, _KEYED, key, seq, fn)`` where ``_KEYED`` is a sentinel
     that compares greater than every sequence number.  Tuple comparison of
     the shapes therefore yields exactly the ``(time, band, key, seq)`` order
@@ -64,7 +66,7 @@ Resumption
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Event",
@@ -209,12 +211,11 @@ class Process(Event):
             raise SimulationError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        # Kick off the generator at the current simulation time.
-        start = Event(sim, "start")
+        # Kick off the generator at the current simulation time: a zero sleep.
+        sim._seq = seq = sim._seq + 1
         #: The event waited on, or the heap entry of the current sleep.
-        self._target: Any = start
-        start.callbacks.append(self)
-        start.succeed()
+        self._target: Any = (sim.now, seq, self, None)
+        heappush(sim._queue, self._target)
 
     @property
     def alive(self) -> bool:
@@ -293,49 +294,8 @@ class Process(Event):
         target.callbacks.append(self)
 
 
-class AnyOf(Event):
-    """Fires when the first of several events fires.
-
-    Value is ``(index, event)`` for the winning event.  If the winner failed,
-    this event fails with the same exception.  Losing events are left alone
-    (their other callbacks still run when they fire).
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        events = list(events)
-        if not events:
-            raise SimulationError("any_of() requires at least one event")
-        self.sim = sim
-        self.callbacks = []
-        self.value = None
-        self._exc = None
-        self._state = _PENDING
-        self.name = "any_of"
-        self._events: Optional[list[Event]] = events
-        for event in events:
-            if event._state == _FIRED:
-                self(event)
-                break
-            event.callbacks.append(self)
-
-    def __call__(self, event: Event) -> None:
-        """Member ``event`` fired: the first such call wins."""
-        events = self._events
-        if events is None:
-            return
-        # Drop the members: a finished AnyOf is part of no reference cycle
-        # (cluster workers run with the cycle collector off).
-        self._events = None
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed((events.index(event), event))
-
-
 #: Exact classes accepted from a yield without the isinstance() fallback.
-_EVENT_CLASSES = frozenset((Event, Timeout, Process, AnyOf))
+_EVENT_CLASSES = frozenset((Event, Timeout, Process))
 
 
 class Simulator:
@@ -363,17 +323,13 @@ class Simulator:
         return Event(self, name)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` ns from now: an ``any_of`` member,
-        a callback target.  A process that only waits yields the delay."""
+        """An event that fires ``delay`` ns from now, for a callback target
+        or a thread's wait.  A process that only waits yields the delay."""
         return Timeout(self, int(delay), value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn a generator as a simulation process."""
         return Process(self, gen, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
 

@@ -168,7 +168,7 @@ class NectarSystem:
         )
         self.nodes[name] = node
         if self.faults is not None:
-            node.runtime.fault_injector = self.faults
+            node.runtime.faults = self.faults
         if self.telemetry is not None:
             self.telemetry.attach_node(node)
         return node

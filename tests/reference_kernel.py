@@ -155,29 +155,6 @@ class Process(Event):
             target.callbacks.append(token)
 
 
-class AnyOf(Event):
-    def __init__(self, sim, events):
-        super().__init__(sim, "any_of")
-        self._done = False
-        events = list(events)
-        if not events:
-            raise SimulationError("any_of() requires at least one event")
-        for index, event in enumerate(events):
-            if event.fired:
-                self._win(index, event)
-                break
-            event.callbacks.append(lambda ev, index=index: self._win(index, ev))
-
-    def _win(self, index, event):
-        if self._done:
-            return
-        self._done = True
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed((index, event))
-
-
 class Simulator:
     def __init__(self):
         self.now = 0
@@ -203,9 +180,6 @@ class Simulator:
 
     def process(self, gen, name=""):
         return Process(self, gen, name)
-
-    def any_of(self, events):
-        return AnyOf(self, events)
 
     def _schedule(self, delay, event, band=0, key=()):
         if delay < 0:

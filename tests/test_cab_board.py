@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cab.board import CAB, DATA_MEMORY_BYTES, PROGRAM_MEMORY_BYTES
-from repro.cab.cpu import Compute
+from repro.faults import CORRUPT, FaultPlan, FaultSpec
 from repro.hw.fiber import Frame
 from repro.model.costs import CostModel
 from repro.system import NectarSystem
@@ -72,10 +72,7 @@ def test_tx_complete_interrupt_fires_on_dma_done():
 def test_corrupted_frame_counted_and_discarded():
     system, a, b = two_node_rig()
 
-    def corrupt(frame):
-        frame.payload[len(frame.payload) // 2] ^= 0x01
-
-    system.network.fault_injector = corrupt
+    system.attach_fault_plan(FaultPlan(1, [FaultSpec(CORRUPT)]))  # every frame
 
     def sender():
         yield from a.datagram.send(1, b.node_id, 99, b"to be corrupted")
@@ -141,7 +138,7 @@ def test_backpressure_when_receiver_never_drains():
         from repro.cab.cpu import SetMask
 
         yield SetMask(True)
-        yield Compute(5_000_000)  # 5 ms with interrupts masked
+        yield 5_000_000  # 5 ms with interrupts masked
         yield SetMask(False)
         stamps["unmasked"] = system.now
 

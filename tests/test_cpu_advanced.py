@@ -5,7 +5,6 @@ import pytest
 from repro.cab.cpu import (
     CPU,
     Block,
-    Compute,
     PRIORITY_APPLICATION,
     PRIORITY_SYSTEM,
     SetMask,
@@ -35,12 +34,12 @@ def test_interrupts_do_not_nest():
     def first_handler():
         order.append(("first-start", sim.now))
         cpu.post_interrupt(second_handler(), name="second")
-        yield Compute(10_000)
+        yield 10_000
         order.append(("first-end", sim.now))
 
     def second_handler():
         order.append(("second-start", sim.now))
-        yield Compute(1_000)
+        yield 1_000
 
     cpu.post_interrupt(first_handler(), name="first")
     sim.run()
@@ -58,11 +57,11 @@ def test_interrupt_storm_starves_application_threads():
     finished = {}
 
     def app():
-        yield Compute(50_000)
+        yield 50_000
         finished["app"] = sim.now
 
     def handler():
-        yield Compute(9_000)
+        yield 9_000
 
     def device():
         for _ in range(20):
@@ -81,11 +80,11 @@ def test_utilization_accounting_with_idle_gaps():
     cpu = make_cpu(sim, context_switch_ns=0)
 
     def worker():
-        yield Compute(10_000)
+        yield 10_000
         token = WaitToken()
         cpu.wake_after(token, 100_000)  # idle for ~100 us
         yield Block(token)
-        yield Compute(10_000)
+        yield 10_000
 
     cpu.add_thread(worker())
     sim.run()
@@ -101,7 +100,7 @@ def test_equal_priority_threads_do_not_preempt_each_other():
 
     def thread(tag):
         order.append((tag, "start"))
-        yield Compute(10_000)
+        yield 10_000
         order.append((tag, "end"))
 
     cpu.add_thread(thread("a"), priority=PRIORITY_SYSTEM)
@@ -117,14 +116,14 @@ def test_mask_survives_across_computes():
 
     def handler():
         served.append(sim.now)
-        yield Compute(0)
+        yield 0
 
     def thread():
         yield SetMask(True)
-        yield Compute(5_000)
-        yield Compute(5_000)  # still masked between computes
+        yield 5_000
+        yield 5_000  # still masked between computes
         yield SetMask(False)
-        yield Compute(1_000)
+        yield 1_000
 
     cpu.add_thread(thread())
 
@@ -144,15 +143,15 @@ def test_nested_masking_depth():
 
     def handler():
         served.append(sim.now)
-        yield Compute(0)
+        yield 0
 
     def thread():
         yield SetMask(True)
         yield SetMask(True)
         yield SetMask(False)  # still masked: depth 1
-        yield Compute(10_000)
+        yield 10_000
         yield SetMask(False)  # now unmasked
-        yield Compute(1_000)
+        yield 1_000
 
     cpu.add_thread(thread())
 
@@ -185,7 +184,7 @@ def test_many_threads_round_robin_fairness():
 
         for _ in range(10):
             counts[tag] += 1
-            yield Compute(100)
+            yield 100
             yield YieldCPU()
 
     for tag in range(5):

@@ -6,7 +6,6 @@ from repro.errors import CABError
 from repro.cab.cpu import (
     CPU,
     Block,
-    Compute,
     PRIORITY_APPLICATION,
     PRIORITY_SYSTEM,
     SetMask,
@@ -34,7 +33,7 @@ def test_single_thread_compute_charges_time():
     done = []
 
     def body():
-        yield Compute(10_000)
+        yield 10_000
         done.append(sim.now)
 
     cpu.add_thread(body(), name="t")
@@ -49,7 +48,7 @@ def test_threads_serialize_on_one_cpu():
     finish = {}
 
     def body(tag):
-        yield Compute(10_000)
+        yield 10_000
         finish[tag] = sim.now
 
     cpu.add_thread(body("a"))
@@ -65,7 +64,7 @@ def test_priority_order():
     order = []
 
     def body(tag):
-        yield Compute(1_000)
+        yield 1_000
         order.append(tag)
 
     cpu.add_thread(body("app"), priority=PRIORITY_APPLICATION)
@@ -85,7 +84,7 @@ def test_block_and_wake():
         result.append((value, sim.now))
 
     def waker():
-        yield Compute(5_000)
+        yield 5_000
         cpu.wake(token, "hello")
 
     cpu.add_thread(sleeper(), name="sleeper")
@@ -136,17 +135,17 @@ def test_preemption_by_higher_priority_on_wake():
 
     def app():
         timeline.append(("app-start", sim.now))
-        yield Compute(100_000)
+        yield 100_000
         timeline.append(("app-end", sim.now))
 
     def system():
         yield Block(token)
         timeline.append(("sys-run", sim.now))
-        yield Compute(10_000)
+        yield 10_000
         timeline.append(("sys-end", sim.now))
 
     def irq():
-        yield Compute(1_000)
+        yield 1_000
         cpu.wake(token)
 
     def device():
@@ -175,11 +174,11 @@ def test_interrupt_slices_compute_but_time_is_conserved():
     end = []
 
     def body():
-        yield Compute(50_000)
+        yield 50_000
         end.append(sim.now)
 
     def handler():
-        yield Compute(3_000)
+        yield 3_000
 
     def device():
         yield sim.timeout(10_000)
@@ -200,14 +199,14 @@ def test_masked_thread_defers_interrupts():
     served = []
 
     def handler():
-        yield Compute(0)
+        yield 0
         served.append(sim.now)
 
     def body():
         yield SetMask(True)
-        yield Compute(40_000)
+        yield 40_000
         yield SetMask(False)
-        yield Compute(0)
+        yield 0
 
     def device():
         yield sim.timeout(10_000)
@@ -258,6 +257,32 @@ def test_handler_blocking_is_error():
         sim.run()
 
 
+@pytest.mark.parametrize("context", ["thread", "handler"])
+@pytest.mark.parametrize(
+    "op, error",
+    [
+        (-1, "negative compute time -1"),
+        (2.5, "unknown op|blocking"),
+        (True, "unknown op|blocking"),
+    ],
+)
+def test_only_a_non_negative_int_is_compute_time(context, op, error):
+    """A float is not truncated and a bool is not a burst: both fail loudly,
+    as does a negative int, in a thread and in a handler alike."""
+    sim = Simulator()
+    cpu = make_cpu(sim)
+
+    def body():
+        yield op
+
+    if context == "thread":
+        cpu.add_thread(body())
+    else:
+        cpu.post_interrupt(body(), name="bad")
+    with pytest.raises(CABError, match=error):
+        sim.run()
+
+
 def test_plain_callable_interrupt():
     sim = Simulator()
     cpu = make_cpu(sim, interrupt_entry_ns=500, interrupt_exit_ns=500)
@@ -276,7 +301,7 @@ def test_yield_cpu_round_robin():
         order.append((tag, 1))
         yield YieldCPU()
         order.append((tag, 2))
-        yield Compute(0)
+        yield 0
 
     cpu.add_thread(body("a"))
     cpu.add_thread(body("b"))
@@ -306,7 +331,7 @@ def test_thread_exception_propagates():
     cpu = make_cpu(sim)
 
     def body():
-        yield Compute(100)
+        yield 100
         raise ValueError("thread crashed")
 
     cpu.add_thread(body())
@@ -320,7 +345,7 @@ def test_join_tokens_fire_on_finish():
     results = []
 
     def child():
-        yield Compute(1_000)
+        yield 1_000
         return "child-result"
 
     def parent():
@@ -360,8 +385,8 @@ def test_context_switch_counted_once_per_switch():
     cpu = make_cpu(sim, context_switch_ns=20_000)
 
     def body():
-        yield Compute(1_000)
-        yield Compute(1_000)  # same thread: no extra switch
+        yield 1_000
+        yield 1_000  # same thread: no extra switch
 
     cpu.add_thread(body())
     sim.run()
@@ -374,7 +399,7 @@ def test_busy_accounting():
     cpu = make_cpu(sim, context_switch_ns=0)
 
     def body():
-        yield Compute(7_000)
+        yield 7_000
 
     cpu.add_thread(body())
     sim.run()

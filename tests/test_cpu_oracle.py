@@ -3,10 +3,11 @@
 ``NestedCPU`` carries the engine as it was before it became one flat
 generator — ``_engine_loop`` delegating to ``_run_thread``, ``_compute``,
 ``_service_one_irq`` and ``_run_handler``, and idling on a broadcast
-``_Signal`` — frozen here verbatim as the reference.  Seeded random thread /
-interrupt / mask programs run on it and on the shipped :class:`CPU`, two
-processors to a simulator and every delay from a small set so same-nanosecond
-ties are the common case.  Everything a program can observe — who ran what at
+``_Signal`` — frozen here as the reference, verbatim but for how it
+recognises a compute op (an ``int`` now, where it was a ``Compute``).
+Seeded random thread / interrupt / mask programs run on it and on the
+shipped :class:`CPU`, two processors to a simulator and every delay from a
+small set so same-nanosecond ties are the common case.  Everything a program can observe — who ran what at
 which ``now``, ``busy_ns``, every counter, every profiler charge and trace
 span — must be identical, and so must the number of heap entries.
 """
@@ -28,7 +29,6 @@ from repro.cab.cpu import (
     PRIORITY_SYSTEM,
     TCB,
     Block,
-    Compute,
     SetMask,
     WaitToken,
     YieldCPU,
@@ -63,7 +63,8 @@ class _Signal:
 
 
 class NestedCPU(CPU):
-    """The nested engine, verbatim but for the frozen ``_Signal``."""
+    """The nested engine, verbatim but for the frozen ``_Signal`` and the
+    compute op being an ``int``."""
 
     def __init__(self, sim, **kwargs):
         super().__init__(sim, **kwargs)
@@ -159,18 +160,18 @@ class NestedCPU(CPU):
             except StopIteration:
                 return
             value = None
-            if isinstance(op, Compute):
-                if op.ns > 0:
-                    self.busy_ns += op.ns
-                    yield op.ns
+            if op.__class__ is int:
+                if op > 0:
+                    self.busy_ns += op
+                    yield op
                 if self.profiler is not None:
-                    self.profiler.account(self.name, "irq", name, op.ns)
+                    self.profiler.account(self.name, "irq", name, op)
             else:
                 gen.close()
                 raise CABError(
                     f"{self.name}: interrupt handler {name!r} attempted a "
                     f"blocking operation ({type(op).__name__}); handlers may "
-                    f"only Compute"
+                    f"only compute"
                 )
 
     def _run_thread(self, tcb: TCB) -> Generator:
@@ -235,8 +236,8 @@ class NestedCPU(CPU):
                 self.current = None
                 raise
 
-            if isinstance(op, Compute):
-                tcb.pending_compute_ns = op.ns
+            if op.__class__ is int:
+                tcb.pending_compute_ns = op
             elif isinstance(op, Block):
                 if self._mask_depth > 0:
                     raise CABError(
@@ -430,7 +431,7 @@ class Rig:
 
         def handler():
             self.note(label, "irq-in", cpu.interrupts_pending())
-            yield Compute(burst)
+            yield burst
             self.wake_slot(cpu, slot, label)
             self.note(label, "irq-out")
 
@@ -453,12 +454,12 @@ class Rig:
             self.note(name, step, kind)
             got = None
             if kind == "compute":
-                yield Compute(op[1])
+                yield op[1]
             elif kind == "masked":
                 yield SetMask(True)
-                yield Compute(op[1])
+                yield op[1]
                 self.poke(name, op[2])  # held back until the unmask
-                yield Compute(op[3])
+                yield op[3]
                 yield SetMask(False)
             elif kind == "sleep":
                 token = WaitToken(name)

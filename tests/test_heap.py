@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import HeapExhausted, NectarError
 from repro.runtime.heap import BufferHeap
+from repro.sim.trace import TraceEvent, Tracer
 
 
 def test_alloc_returns_distinct_blocks():
@@ -83,6 +84,46 @@ def test_accounting():
     heap.free(addr)
     assert heap.free_bytes == 1024
     heap.check_invariants()
+
+
+class CountingHeap(BufferHeap):
+    """Counts every read of the live-block sum."""
+
+    reads = 0
+
+    @property
+    def allocated_bytes(self):
+        self.reads += 1
+        return BufferHeap.allocated_bytes.fget(self)
+
+
+def churn(heap):
+    a = heap.alloc(100)
+    b = heap.alloc(8)
+    heap.free(a)
+    heap.free(b)
+
+
+def test_sinkless_tracer_never_sums_live_blocks():
+    """A NectarSystem always wires a Tracer; without a sink, alloc/free
+    must not pay for a sample nobody receives."""
+    heap = CountingHeap(base=0, size=1024)
+    heap.tracer = Tracer(lambda: 0)
+    churn(heap)
+    assert heap.reads == 0
+
+
+def test_attached_sink_samples_bytes_in_use_after_every_alloc_and_free():
+    heap = CountingHeap(base=0, size=1024, name="h")
+    heap.tracer = Tracer(lambda: 7)
+    samples = []
+    heap.tracer.sink = samples.append
+    churn(heap)
+    assert samples == [
+        TraceEvent(7, "heap", "bytes_in_use", value, phase="C", track="h")
+        for value in (104, 112, 8, 0)
+    ]
+    assert heap.reads == 4
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CABError
 from repro.hw.fifo import ByteFIFO, Chunk
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 def chunk(nbytes, frame="f", offset=0, first=True, last=True):
@@ -91,6 +91,19 @@ class TestByteFIFO:
         sim.process(consumer())
         sim.run()
         assert order == ["big", "small"]
+
+    def test_satisfied_waits_are_a_zero_sleep(self):
+        """No event is built when space or data is already there: the
+        process sleeps zero, in the slot the fired event would have taken."""
+        sim = Simulator()
+        fifo = ByteFIFO(sim, 64)
+        assert fifo.wait_space(64) == 0
+        fifo.push(chunk(64))
+        assert fifo.wait_data() == 0
+        assert sim.events_scheduled == 0
+        assert isinstance(fifo.wait_space(1), Event)  # full: must block
+        fifo.pop()
+        assert isinstance(fifo.wait_data(), Event)  # empty: must block
 
     def test_wait_data_blocks_until_push(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hub.network import CorruptionInjector, DropInjector
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.headers import (
     DL_TYPE_IP,
     IPPROTO_TCP,
@@ -222,19 +222,25 @@ class TestTCPTeardown:
         done = system.sim.event()
         holder = {"conn": None, "dropped": 0}
 
-        def drop_final_ack(frame):
-            # The first frame transmitted once the active closer sits in
-            # TIME_WAIT is its ACK of the peer's FIN: drop exactly that.
-            conn = holder["conn"]
-            if (
-                conn is not None
-                and conn.state is TCPState.TIME_WAIT
-                and not holder["dropped"]
-            ):
-                frame.drop = True
-                holder["dropped"] += 1
+        class DropFinalAck:
+            """Fault hook: the first frame transmitted once the active
+            closer sits in TIME_WAIT is its ACK of the peer's FIN; drop
+            exactly that."""
 
-        system.network.fault_injector = drop_final_ack
+            def on_link_frame(self, src, dest, frame):
+                conn = holder["conn"]
+                if (
+                    conn is not None
+                    and conn.state is TCPState.TIME_WAIT
+                    and not holder["dropped"]
+                ):
+                    frame.drop = True
+                    holder["dropped"] += 1
+
+            def link_delay_ns(self, src):
+                return 0
+
+        system.network.fault_hooks = DropFinalAck()
 
         server_inbox = b.runtime.mailbox("srv-inbox")
         listener = b.tcp.listen(7000, lambda conn: server_inbox)
@@ -284,9 +290,11 @@ class TestTCPRecovery:
         def client():
             inbox = a.runtime.mailbox("cli-inbox")
             conn = yield from a.tcp.connect(6000, b.ip_address, 7000, inbox)
-            # Arm the injector only after the handshake so SYNs get through
+            # Arm the plan only after the handshake so SYNs get through
             # quickly; data and ACK frames then suffer 20% loss.
-            system.network.fault_injector = DropInjector(probability=0.2, seed=42)
+            system.attach_fault_plan(
+                FaultPlan(42, [FaultSpec(DROP, probability=0.2)])
+            )
             yield from a.tcp.send_direct(conn, payload)
 
         a.runtime.fork_application(client(), "client")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hub.network import CorruptionInjector, DropInjector
+from repro.faults import CORRUPT, DROP, FaultPlan, FaultSpec
 from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarSystem
 from repro.units import ms, seconds
@@ -113,8 +113,7 @@ class TestRMP:
     def test_recovers_from_corruption(self, system):
         """A corrupted frame is dropped by the CRC check; RMP retransmits."""
         a, b = system.nodes["cab-a"], system.nodes["cab-b"]
-        injector = CorruptionInjector(every_nth=3)
-        system.network.fault_injector = injector
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(CORRUPT, every_nth=3)]))
         inbox = b.runtime.mailbox("rmp-inbox")
         a_chan = a.rmp.open(100, b.node_id, 200)
         b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
@@ -136,7 +135,7 @@ class TestRMP:
         a.runtime.fork_application(sender(), "sender")
         b.runtime.fork_application(receiver(), "receiver")
         assert finish(system, done, limit=seconds(30)) == list(range(count))
-        assert injector.corrupted > 0
+        assert system.faults.stats.value("fault_corrupt") > 0
         total_crc_drops = (
             a.cab.stats.value("crc_errors") + b.cab.stats.value("crc_errors")
         )
@@ -145,8 +144,7 @@ class TestRMP:
 
     def test_recovers_from_drops(self, system):
         a, b = system.nodes["cab-a"], system.nodes["cab-b"]
-        injector = DropInjector(every_nth=4)
-        system.network.fault_injector = injector
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP, every_nth=4)]))
         inbox = b.runtime.mailbox("rmp-inbox")
         a_chan = a.rmp.open(100, b.node_id, 200)
         b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
@@ -168,7 +166,7 @@ class TestRMP:
         a.runtime.fork_application(sender(), "sender")
         b.runtime.fork_application(receiver(), "receiver")
         assert finish(system, done, limit=seconds(30)) == list(range(count))
-        assert injector.dropped > 0
+        assert system.faults.stats.value("fault_drop") > 0
 
 
 class TestRequestResponse:
@@ -201,19 +199,7 @@ class TestRequestResponse:
         a, b = system.nodes["cab-a"], system.nodes["cab-b"]
         # Drop the first two frames (the request, then the replayed
         # response): the client must retry until a full exchange survives.
-        class DropFirstTwo:
-            def __init__(self):
-                self.count = 0
-                self.dropped = 0
-
-            def __call__(self, frame):
-                self.count += 1
-                if self.count <= 2:
-                    frame.drop = True
-                    self.dropped += 1
-
-        injector = DropFirstTwo()
-        system.network.fault_injector = injector
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP, max_fires=2)]))
         server_mailbox = b.runtime.mailbox("rpc-server")
         b.rpc.serve(700, server_mailbox)
         done = system.sim.event()
@@ -238,6 +224,7 @@ class TestRequestResponse:
         a.runtime.fork_application(client(), "client")
         assert finish(system, done, limit=seconds(30)) == b"pong"
         assert a.runtime.stats.value("rpc_retries") > 0
+        assert system.faults.stats.value("fault_drop") == 2
 
 
 class TestUDP:
@@ -265,8 +252,8 @@ class TestUDP:
     def test_corrupted_udp_dropped_by_crc(self, system):
         """Corruption on the wire is caught by the CAB CRC (below UDP)."""
         a, b = system.nodes["cab-a"], system.nodes["cab-b"]
-        injector = CorruptionInjector(every_nth=1)  # corrupt everything
-        system.network.fault_injector = injector
+        # A spec with no schedule fires on every frame: corrupt everything.
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(CORRUPT)]))
         inbox = b.runtime.mailbox("udp-user")
         b.udp.bind(5353, inbox)
         done = system.sim.event()

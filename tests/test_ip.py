@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.addressing import format_ip, parse_ip
 from repro.protocols.headers import IPv4Header
 from repro.system import NectarSystem
@@ -121,17 +122,8 @@ class TestFragmentation:
     def test_lost_fragment_times_out_and_frees_buffers(self, rig):
         system, a, b = rig
 
-        class DropSecondDataFrame:
-            def __init__(self):
-                self.count = 0
-
-            def __call__(self, frame):
-                # Frames: fragment 1, fragment 2, ... drop only the second.
-                self.count += 1
-                if self.count == 2:
-                    frame.drop = True
-
-        system.network.fault_injector = DropSecondDataFrame()
+        # Frames: fragment 1, fragment 2, ... drop only the second.
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP, nth=2)]))
         inbox = b.runtime.mailbox("inbox")
         b.udp.bind(99, inbox)
 

@@ -8,9 +8,7 @@ how an event is queued and dispatched, never which events exist or when
 they fire.
 """
 
-import gc
 import random
-import weakref
 
 import pytest
 
@@ -19,7 +17,7 @@ from tests import reference_kernel as ref
 
 DELAYS = (0, 0, 0, 1, 1, 2, 3, 5)
 OPS = (
-    "sleep", "nap", "nap", "nap", "wait", "wait", "any", "any",
+    "sleep", "nap", "nap", "nap", "wait", "wait", "crowd", "crowd",
     "spawn", "kick", "kick", "keyed", "boom",
 )
 
@@ -50,9 +48,7 @@ class Program:
         self.log.append((self.sim.now,) + what)
 
     def spawn(self, tag, depth):
-        me = []
-        proc = self.sim.process(self.worker(tag, depth, me), name=f"worker{tag}")
-        me.append(proc)
+        proc = self.sim.process(self.worker(tag, depth), name=f"worker{tag}")
         self.procs.append(proc)
         return proc
 
@@ -66,35 +62,46 @@ class Program:
             event.succeed(100 + index, delay=rng.choice((0, 0, 2)))
 
     def pick_target(self, tag, step):
-        """The event a worker waits on next: the named cases of ISSUE 13."""
+        """The event a worker waits on next: the named cases of the kernel."""
         rng, sim = self.rng, self.sim
         op = rng.choice(OPS)
         if op == "sleep":
-            return op, sim.timeout(rng.choice(DELAYS), value=(tag, step)), None
+            return op, sim.timeout(rng.choice(DELAYS), value=(tag, step))
         if op == "nap":  # a bare delay: no event object in the fast kernel
-            return op, rng.choice(DELAYS), None
+            return op, rng.choice(DELAYS)
         if op == "wait":  # may already have fired: the relay path
-            return op, rng.choice(self.shared), None
-        if op == "any":
-            members = [sim.timeout(rng.choice(DELAYS)), rng.choice(self.shared)]
-            if rng.random() < 0.4:  # duplicated member
-                members.append(members[rng.randrange(2)])
-            fired = [event for event in self.shared if event.fired]
-            if fired and rng.random() < 0.4:  # already-fired member
-                members.insert(rng.randrange(len(members) + 1), rng.choice(fired))
-            return op, sim.any_of(members), members
-        return op, None, None
+            return op, rng.choice(self.shared)
+        return op, None
 
-    def worker(self, tag, depth, me):
+    def crowd(self, tag, step, depth):
+        """Spawn behind a zero-delay event and a zero timeout of this
+        nanosecond, sometimes killing the newborn before its first step;
+        the caller then naps zero, so the start lies among same-ns sleeps."""
         rng, sim = self.rng, self.sim
+        zero = sim.event("zero")
+        zero.callbacks.append(lambda _ev: self.note(tag, step, "zero fired"))
+        zero.succeed()
+        sim.timeout(0).callbacks.append(lambda _ev: self.note(tag, step, "timeout fired"))
+        child = self.spawn(tag + (step,), depth + 1)
+        if rng.random() < 0.4:
+            self.note(tag, step, "smothers", child.name)
+            child.interrupt((tag, step))
+        return 0
+
+    def worker(self, tag, depth):
+        rng, sim = self.rng, self.sim
+        self.note(tag, "starts")
         for step in range(rng.randint(2, 6)):
-            op, target, members = self.pick_target(tag, step)
+            op, target = self.pick_target(tag, step)
             if op == "spawn" and depth < 2:  # nested processes and joins
                 child = self.spawn(tag + (step,), depth + 1)
                 target = child if rng.random() < 0.7 else None
+            elif op == "crowd" and depth < 2:
+                target = self.crowd(tag, step, depth)
             elif op == "kick":  # interrupt someone, waiting or not yet started
                 victim = rng.choice(self.procs)
-                if victim.alive and victim is not me[0]:
+                # Not me, nor a kicker up the stack whose kick stepped me.
+                if victim.alive and not victim._gen.gi_running:
                     self.note(tag, step, "kicks", victim.name)
                     victim.interrupt((tag, step))
             elif op == "keyed":  # band 1, colliding with band-0 events
@@ -117,8 +124,6 @@ class Program:
                 except (KeyError, ValueError, self.kernel.SimulationError) as exc:
                     self.note(tag, step, op, "raised", _exc(exc))
                     break
-                if members is not None:  # (index, event) -> kernel-neutral
-                    got = (got[0], members.index(got[1]), got[1].value)
                 self.note(tag, step, op, "got", got)
                 break
         return tag
@@ -206,7 +211,9 @@ def test_random_programs_reach_every_named_case():
                 seen.update(
                     "negative delay" for _kind, text in entry[-1] if "negative delay" in text
                 )
-    assert {"interrupted", "kicks", "keyed", "raised", "got", "any", "wait"} <= seen
+    assert {"interrupted", "kicks", "keyed", "raised", "got", "wait"} <= seen
+    # Births among same-ns entries, and processes killed before their start.
+    assert {"crowd", "zero fired", "timeout fired", "smothers"} <= seen
     # Bare delays: completed, cut short (a stale heap entry), and negative.
     assert {"nap got", "nap interrupted", "negative delay"} <= seen
 
@@ -293,25 +300,6 @@ def test_sleep_entries_match_reference_timeouts_step_by_step():
     ]
     assert ("now", 50, 0, None) in log  # the dead process's entry still popped
     assert events == 12
-
-
-def test_finished_any_of_is_freed_without_the_cycle_collector():
-    class Watched(fast.AnyOf):
-        __slots__ = ("__weakref__",)
-
-    sim = fast.Simulator()
-    gc.collect()
-    gc.disable()
-    try:
-        loser = sim.event("loser")
-        any_of = Watched(sim, [sim.timeout(1), loser])
-        probe = weakref.ref(any_of)
-        sim.run_until(any_of)
-        assert any_of.value[0] == 0
-        del any_of, loser
-        assert probe() is None, "a finished AnyOf is held alive by a reference cycle"
-    finally:
-        gc.enable()
 
 
 def test_run_until_raises_a_failure_before_firing_the_next_event():

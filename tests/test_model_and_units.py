@@ -22,6 +22,20 @@ from repro.units import (
 )
 
 
+def literal_yields(source, filename="<source>"):
+    """Line numbers of every ``yield`` of a non-zero int literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Yield):
+            continue
+        value = node.value
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+            value = value.operand
+        if isinstance(value, ast.Constant) and type(value.value) is int and value.value:
+            lines.append(node.lineno)
+    return lines
+
+
 class TestUnits:
     def test_time_conversions(self):
         assert us(1) == 1_000
@@ -71,22 +85,28 @@ class TestCostModel:
         assert costs.vme_dma_mbps == 30.0  # original untouched
         assert faster.fiber_mbps == costs.fiber_mbps
 
-    def test_no_compute_literal_outside_the_cost_model(self):
-        """Every non-zero ``Compute`` under src/repro charges a named
-        constant, so scaling the cost model scales every CPU charge."""
+    def test_no_delay_literal_outside_the_cost_model(self):
+        """Nothing under src/repro yields a non-zero int literal: a process
+        sleep and a thread compute are both a bare int yield, and each must
+        charge a named cost, so scaling the cost model scales every delay."""
         root = Path(__file__).resolve().parents[1] / "src" / "repro"
-        offenders = []
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if getattr(func, "id", getattr(func, "attr", None)) != "Compute":
-                    continue
-                args = node.args + [keyword.value for keyword in node.keywords]
-                if any(isinstance(arg, ast.Constant) and arg.value != 0 for arg in args):
-                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        offenders = [
+            f"{path.relative_to(root)}:{line}"
+            for path in sorted(root.rglob("*.py"))
+            for line in literal_yields(path.read_text(), str(path))
+        ]
         assert offenders == []
+
+    def test_delay_literal_guard_catches_a_planted_literal(self):
+        source = (
+            "def body(costs):\n"
+            "    yield 500\n"
+            "    yield 0\n"
+            "    yield -3\n"
+            "    yield True\n"
+            "    yield costs.rt_lock_ns\n"
+        )
+        assert literal_yields(source) == [2, 4]
 
 
 class TestStats:

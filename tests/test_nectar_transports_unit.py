@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.headers import (
     NECTAR_KIND_ACK,
     NECTAR_KIND_DATA,
@@ -57,16 +58,20 @@ class TestRMPEdges:
         system, a, b = rig
 
         class DropFirstAck:
-            def __init__(self):
-                self.dropped = 0
+            """Fault hook: drops the first ACK-sized frame at link egress."""
 
-            def __call__(self, frame):
+            dropped = 0
+
+            def on_link_frame(self, src, dest, frame):
                 # ACK frames are small (datalink header + 28-byte header).
                 if frame.size < 60 and self.dropped == 0:
                     frame.drop = True
                     self.dropped += 1
 
-        system.network.fault_injector = DropFirstAck()
+            def link_delay_ns(self, src):
+                return 0
+
+        system.network.fault_hooks = DropFirstAck()
         inbox = b.runtime.mailbox("inbox")
         chan = a.rmp.open(100, b.node_id, 200)
         b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
@@ -86,7 +91,7 @@ class TestRMPEdges:
 
     def test_sender_gives_up_eventually(self, rig):
         system, a, b = rig
-        system.network.fault_injector = lambda frame: setattr(frame, "drop", True)
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP)]))  # every frame
         chan = a.rmp.open(100, b.node_id, 200)
         b.rmp.open(200, a.node_id, 100, deliver_mailbox=b.runtime.mailbox("inbox"))
         done = system.sim.event()
@@ -157,17 +162,8 @@ class TestRPCEdges:
         """A replayed request must not re-run the server handler."""
         system, a, b = rig
 
-        class DropFirstResponse:
-            def __init__(self):
-                self.seen = 0
-
-            def __call__(self, frame):
-                # Frame order: request(1), response(2) -> drop the response.
-                self.seen += 1
-                if self.seen == 2:
-                    frame.drop = True
-
-        system.network.fault_injector = DropFirstResponse()
+        # Frame order: request(1), response(2) -> drop the response.
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP, nth=2)]))
         server_mailbox = b.runtime.mailbox("rpc-server")
         b.rpc.serve(700, server_mailbox)
         done = system.sim.event()

@@ -239,10 +239,10 @@ def test_ns103_allows_an_int_delay():
 def test_ns103_allows_event_yields():
     findings = lint(
         """
-        from repro.cab.cpu import Block, Compute
+        from repro.cab.cpu import Block
 
         def body(token):
-            yield Compute(100)
+            yield 100
             value = yield Block(token)
             return value
         """

@@ -23,9 +23,10 @@ def test_src_repro_is_lint_clean():
 
 
 def test_there_is_one_way_to_sleep():
-    """A process waits for time alone by yielding an int; ``sim.timeout()``
-    is for a delay needed as an event (an any_of member, a callback target),
-    so a timeout yielded on the spot is the old spelling creeping back."""
+    """A process or thread waits for time alone by yielding an int;
+    ``sim.timeout()`` is for a delay needed as an event (a callback target,
+    a thread's wait), so a timeout yielded on the spot is the old spelling
+    creeping back."""
     spelling = re.compile(r"\byield\s+[\w.]*\btimeout\(")
     hits = [
         f"{path.relative_to(REPO)}:{number}: {line.strip()}"

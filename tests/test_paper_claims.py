@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cab.cpu import Compute
 from repro.system import NectarSystem
 from repro.units import ms, seconds, us
 
@@ -63,7 +62,7 @@ class TestPreemptivePriority:
             # exactly the "stuck in infinite loops" case the paper worries
             # about.  Preemption keeps the echo (a system thread) healthy.
             while True:
-                yield Compute(ms(5))
+                yield ms(5)
 
         b2.runtime.fork_application(cpu_hog(), "hog")
         busy_rtt = _datagram_rtt(busy_system, a2, b2)
@@ -103,7 +102,7 @@ class TestPreemptivePriority:
             from repro.cab.cpu import YieldCPU
 
             while True:
-                yield Compute(ms(2))
+                yield ms(2)
                 yield YieldCPU()  # round-robin with its priority peers
 
         a.runtime.fork_application(client(), "client")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hub.network import CorruptionInjector, DropInjector
+from repro.faults import CORRUPT, DROP, FaultPlan, FaultSpec
 from repro.system import NectarSystem
 from repro.units import seconds
 
@@ -14,6 +14,13 @@ def rig(mtu=9000):
     a = system.add_node("cab-a", hub, 0, mtu=mtu)
     b = system.add_node("cab-b", hub, 1, mtu=mtu)
     return system, a, b
+
+
+def lossy(system, kind, pct, seed):
+    """Attach a plan firing ``kind`` on each frame with ``pct``% odds (a
+    spec with no schedule would fire on every frame, so 0% has none)."""
+    specs = [FaultSpec(kind, probability=pct / 100.0)] if pct else []
+    system.attach_fault_plan(FaultPlan(seed, specs))
 
 
 class TestTCPUnderLoss:
@@ -35,9 +42,7 @@ class TestTCPUnderLoss:
             inbox = a.runtime.mailbox("cli")
             conn = yield from a.tcp.connect(6000, b.ip_address, 7000, inbox)
             # Losses start after the handshake so connect() stays quick.
-            system.network.fault_injector = DropInjector(
-                probability=drop_pct / 100.0, seed=seed
-            )
+            lossy(system, DROP, drop_pct, seed)
             yield from a.tcp.send_direct(conn, payload)
 
         def collector():
@@ -62,9 +67,7 @@ class TestRMPUnderCorruption:
     @settings(max_examples=15, deadline=None)
     def test_messages_delivered_exactly_once_in_order(self, seed, corrupt_pct, count):
         system, a, b = rig()
-        system.network.fault_injector = CorruptionInjector(
-            probability=corrupt_pct / 100.0, seed=seed
-        )
+        lossy(system, CORRUPT, corrupt_pct, seed)
         inbox = b.runtime.mailbox("inbox")
         chan = a.rmp.open(100, b.node_id, 200)
         b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
@@ -99,7 +102,7 @@ class TestFragmentationUnderLoss:
     def test_udp_reassembly_all_or_nothing(self, size, seed):
         """A fragmented datagram either arrives whole or not at all."""
         system, a, b = rig(mtu=2048)
-        system.network.fault_injector = DropInjector(probability=0.15, seed=seed)
+        lossy(system, DROP, 15, seed)
         inbox = b.runtime.mailbox("inbox")
         b.udp.bind(99, inbox)
         payload = bytes((i + seed) % 256 for i in range(size))

@@ -393,20 +393,22 @@ def test_run_with_until_bound():
     assert sim.run(until=105) == 105
 
 
-def test_any_of_first_wins():
+def test_a_process_starts_on_its_own_zero_sleep():
+    """No start event: the first step is a sleep entry numbered where one
+    would be, so it runs behind what this nanosecond already holds."""
     sim = Simulator()
+    log = []
+    sim.timeout(0).callbacks.append(lambda _ev: log.append("timeout"))
 
     def body():
-        index, event = yield sim.any_of([sim.timeout(100, "slow"), sim.timeout(10, "fast")])
-        return (index, event.value, sim.now)
+        log.append("started")
+        yield 0
 
-    assert sim.run_process(body()) == (1, "fast", 10)
-
-
-def test_any_of_empty_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.any_of([])
+    proc = sim.process(body())
+    assert proc._target == (0, 2, proc, None)
+    assert sorted(sim._queue)[1] is proc._target  # no event object queued
+    sim.run()
+    assert log == ["timeout", "started"]
 
 
 def test_deadlock_detected_by_run_process():
@@ -475,7 +477,7 @@ def test_peek_next_time():
         yield sim.timeout(700)
 
     sim.process(body())
-    assert sim.peek_next_time() == 0  # the process's start event
+    assert sim.peek_next_time() == 0  # the process's start entry
     sim.run()
     assert sim.peek_next_time() is None
     assert sim.now == 700

@@ -7,7 +7,7 @@ heaps must be clean (no leaked message buffers) and every invariant intact.
 
 import pytest
 
-from repro.hub.network import CorruptionInjector
+from repro.faults import CORRUPT, FaultPlan, FaultSpec
 from repro.protocols.headers import NectarTransportHeader
 from repro.system import NectarSystem
 from repro.units import ms, seconds
@@ -19,7 +19,7 @@ def test_mixed_traffic_soak_leaves_no_leaks():
     a = system.add_node("cab-a", hub, 0)
     b = system.add_node("cab-b", hub, 1)
     c = system.add_node("cab-c", hub, 2)
-    system.network.fault_injector = CorruptionInjector(probability=0.02, seed=13)
+    system.attach_fault_plan(FaultPlan(13, [FaultSpec(CORRUPT, probability=0.02)]))
 
     finished = []
     total_tasks = 5
@@ -140,4 +140,4 @@ def test_mixed_traffic_soak_leaves_no_leaks():
         leak = node.runtime.heap.allocated_bytes - queued - cached
         assert leak == 0, f"{node.name}: {leak} bytes leaked"
     # At least some corruption really happened (the soak was adversarial).
-    assert system.network.fault_injector.corrupted > 0
+    assert system.faults.stats.value("fault_corrupt") > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hub.network import DropInjector
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.tcp.connection import TCPConnection
 from repro.system import NectarSystem
 from repro.units import ms, seconds
@@ -96,7 +96,7 @@ class TestEndToEnd:
 
     def test_losses_shrink_cwnd_but_transfer_completes(self):
         system, a, b = rig()
-        system.network.fault_injector = DropInjector(probability=0.1, seed=3)
+        system.attach_fault_plan(FaultPlan(3, [FaultSpec(DROP, probability=0.1)]))
         payload = b"l" * 30_000
         conn = self._transfer(system, a, b, payload)
         assert a.runtime.stats.value("tcp_retransmits") > 0

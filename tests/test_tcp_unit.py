@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.tcp.connection import (
     SEQ_MOD,
     TCPState,
@@ -57,10 +58,7 @@ class TestConnectionEdges:
         """SYNs into a black hole: retransmission limit ends the attempt."""
         system, a, b = rig
 
-        def drop_everything(frame):
-            frame.drop = True
-
-        system.network.fault_injector = drop_everything
+        system.attach_fault_plan(FaultPlan(1, [FaultSpec(DROP)]))  # every frame
         done = system.sim.event()
 
         def client():

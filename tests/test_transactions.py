@@ -7,6 +7,7 @@ from repro.apps.transactions import (
     Participant,
     TransactionCoordinator,
 )
+from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.system import NectarSystem
 from repro.units import ms, seconds
 
@@ -91,9 +92,7 @@ class TestTwoPhaseCommit:
     def test_commit_survives_lost_frames(self):
         """RPC retransmission carries 2PC through a lossy fabric."""
         system, cnode, coordinator, nodes, participants = rig()
-        from repro.hub.network import DropInjector
-
-        system.network.fault_injector = DropInjector(probability=0.25, seed=7)
+        system.attach_fault_plan(FaultPlan(7, [FaultSpec(DROP, probability=0.25)]))
         done = system.sim.event()
 
         def body():
@@ -107,6 +106,7 @@ class TestTwoPhaseCommit:
         system.run(until=system.now + ms(5))
         assert participants[0].data == {b"x": b"1"}
         assert participants[1].data == {b"y": b"2"}
+        assert system.faults.stats.value("fault_drop") > 0
 
 
 class TestLockManager:
