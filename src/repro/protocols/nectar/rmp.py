@@ -193,7 +193,8 @@ class RMPProtocol:
         yield from ops.lock(mutex)
         while channel.acked_seq is None or channel.acked_seq < seq:
             signalled = yield from ops.timed_wait(channel.ack_cond, mutex, RMP_RTO_NS)
-            if not signalled:
+            # The ACK may have landed in the same instant as the timer.
+            if not signalled and (channel.acked_seq is None or channel.acked_seq < seq):
                 yield from ops.unlock(mutex)
                 return False
         yield from ops.unlock(mutex)

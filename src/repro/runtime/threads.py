@@ -129,10 +129,15 @@ class ThreadOps:
     # -- condition variables -----------------------------------------------------
 
     def wait(self, cond: Condition, mutex: Mutex) -> Generator:
-        """Release ``mutex``, block on ``cond``, reacquire ``mutex``."""
-        yield self.costs.rt_wait_ns
+        """Release ``mutex``, block on ``cond``, reacquire ``mutex``.
+
+        The token is queued before the wait's compute burst: an interrupt
+        handler that makes the predicate true and signals during that burst
+        finds the token, instead of signalling an empty queue (a lost wakeup).
+        """
         token = WaitToken(name=f"wait:{cond.name}")
         cond.waiters.append(token)
+        yield self.costs.rt_wait_ns
         yield from self.unlock(mutex)
         yield Block(token)
         yield from self.lock(mutex)
@@ -140,11 +145,15 @@ class ThreadOps:
     def timed_wait(self, cond: Condition, mutex: Mutex, timeout_ns: int) -> Generator:
         """Like :meth:`wait` with a timeout.
 
-        Returns True if signalled, False if the timeout fired first.
+        Returns True if signalled, False if the timeout fired first.  The
+        token is queued before the compute burst, as in :meth:`wait`; the
+        timeout counts from the end of the burst.  A signal and the timer
+        can still land in the same instant, so a caller re-tests its
+        predicate after a timeout.
         """
-        yield self.costs.rt_wait_ns
         token = WaitToken(name=f"timed-wait:{cond.name}")
         cond.waiters.append(token)
+        yield self.costs.rt_wait_ns
         self.cpu.wake_after(token, timeout_ns, value=WAIT_TIMEOUT)
         yield from self.unlock(mutex)
         why = yield Block(token)

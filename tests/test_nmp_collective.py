@@ -11,6 +11,9 @@ in-order broadcast delivery.
 
 import pytest
 
+from repro.cluster.conductor import run_reference
+from repro.cluster.fleet import line_fleet
+from repro.cluster.workload import WorkloadSpec
 from repro.errors import ProtocolError
 from repro.faults.plan import DROP, FaultPlan, FaultSpec
 from repro.hub.groups import GROUP_BASE
@@ -272,6 +275,31 @@ class TestBarrier:
             node.runtime.fork_application(worker(), f"bar-{node.name}")
         system.run(until=seconds(1))
         assert sorted(done) == ["cab-0", "cab-1"]
+
+    @pytest.mark.parametrize("seed", [8, 11])
+    def test_barrier_completes_under_the_fleet_mix(self, seed):
+        """A 5-member barrier among the 64-CAB fleet's seeded flow mix.
+
+        On these seeds a release landed while the root computed its
+        condition wait, before its token was queued: the signal found an
+        empty queue and five members never left the barrier.
+        """
+        mix = WorkloadSpec(
+            seed=seed,
+            rmp_flows=32,
+            rpc_flows=24,
+            tcp_flows=8,
+            rmp_messages=25,
+            rpc_calls=20,
+            tcp_bytes=8192,
+            mcast_flows=2,
+            mcast_messages=20,
+            barrier_flows=1,
+        )
+        result = run_reference(line_fleet(4, 16, 18), mix)
+        barrier = [name for name in result.flows if name.startswith("barrier-")]
+        assert len(barrier) == 5
+        assert result.incomplete == []
 
 
 class TestBroadcast:

@@ -212,6 +212,45 @@ def test_late_signal_after_timeout_not_lost_for_others(rt):
     assert ("late", True) in outcome
 
 
+@pytest.mark.parametrize("timed", [False, True], ids=["wait", "timed_wait"])
+def test_signal_inside_the_wait_burst_is_not_lost(rt, timed):
+    """An interrupt posted while the waiter computes its ``rt_wait_ns`` sets
+    the predicate and signals with ``signal_nocost``: the waiter must wake
+    signalled, not sleep on to its timeout (or forever)."""
+    cond = rt.condition()
+    mutex = rt.mutex()
+    ready = []
+    outcome = []
+
+    def handler():
+        ready.append(rt.sim.now)
+        rt.ops.signal_nocost(cond)
+
+    def post_mid_burst():
+        yield rt.costs.rt_wait_ns // 2
+        rt.cab.cpu.post_interrupt(handler, name="ready")
+
+    def waiter():
+        yield from rt.ops.lock(mutex)
+        started = rt.sim.now
+        rt.sim.process(post_mid_burst(), name="poster")
+        if timed:
+            signalled = yield from rt.ops.timed_wait(cond, mutex, 1_000_000)
+        else:
+            yield from rt.ops.wait(cond, mutex)
+            signalled = True
+        outcome.append((signalled, bool(ready), rt.sim.now - started))
+        yield from rt.ops.unlock(mutex)
+
+    rt.fork_application(waiter(), "w")
+    run(rt)
+    assert ready and ready[0] > 0
+    assert len(outcome) == 1
+    signalled, saw_ready, waited_ns = outcome[0]
+    assert signalled and saw_ready
+    assert waited_ns < 1_000_000
+
+
 def test_sleep_duration(rt):
     stamps = []
 
