@@ -81,8 +81,8 @@ def _flavour(where) -> tuple:
 
 class _Held:
     """Bytes already in hand — a host's VME read, an RPC reply — behind the
-    ``size`` and ``read()`` of a held message, so one ``take`` serves both
-    (there is nothing left to ``view()`` in place)."""
+    ``size``, ``read()`` and ``view()`` of a held message, so one ``take``
+    serves both."""
 
     __slots__ = ("data", "size")
 
@@ -92,6 +92,9 @@ class _Held:
 
     def read(self) -> bytes:
         return self.data
+
+    def view(self) -> memoryview:
+        return memoryview(self.data)
 
 
 def size(delivery) -> int:

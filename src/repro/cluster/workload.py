@@ -11,12 +11,15 @@ traffic on the wire.
 Protocol-level results (the parity currency of docs/scaling.md) are
 recorded at each flow's observing endpoint — the RMP receiver, the RPC
 client, the TCP server — as delivered bytes, message counts, and the
-simulated completion time.  Retransmission counters are per-node sums,
-reported for whichever nodes are local.
+simulated completion time.  Beside them each endpoint keeps a SHA-256 of
+the bytes it was delivered, in delivery order: what the chaos verdict
+compares with the flow's own payloads.  Retransmission counters are
+per-node sums, reported for whichever nodes are local.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -38,6 +41,10 @@ _TCP_CLIENT_PORT = 6000
 _TCP_SERVER_PORT = 7000
 _NMP_PORT = 0x5000
 _COLL_PORT = 0x5800
+
+#: Payload bytes count up modulo a prime, so no two pieces of a stream
+#: cut at a power-of-two size (a TCP segment, a message) read the same.
+_RAMP = bytes(range(251))
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,12 @@ class Flow:
         return f"{self.kind}-{self.index:02d}"
 
     def payload(self, message_index: int) -> bytes:
-        """The deterministic body of one message of this flow."""
-        fill = (self.index * 31 + message_index * 7 + 1) % 255 + 1
-        return bytes([fill]) * self.size
+        """The deterministic body of one message of this flow: bytes that
+        count up from a per-message start, so a byte delivered twice, out
+        of order or in the wrong place changes the stream."""
+        start = (self.index * 31 + message_index * 7 + 1) % len(_RAMP)
+        cycles = (start + self.size) // len(_RAMP) + 1
+        return (_RAMP * cycles)[start : start + self.size]
 
     def payloads(self):
         """Every message body in order (a TCP flow is its one payload)."""
@@ -196,6 +206,9 @@ class Workload:
         self.flows = spec.flows(fleet)
         #: flow name -> {kind, src, dst, bytes, messages, completed_ns}
         self.flow_results: Dict[str, dict] = {}
+        #: flow name -> SHA-256 hex of the delivered bytes, in order
+        #: (kept apart so the protocol digest of a sharded run is unchanged)
+        self.digests: Dict[str, str] = {}
 
     # -- installation ---------------------------------------------------------
 
@@ -220,14 +233,21 @@ class Workload:
 
     def _completion(self, system, flow: Flow, member: Optional[str] = None):
         """``(take, record)`` for one observing endpoint: ``take`` adds up
-        the bytes of each delivery, ``record`` is the final step that writes
-        the completion record at the simulated time it runs.  A group
-        member's record is keyed flow@member, so the shards' result sets
-        stay disjoint and union to the reference's."""
+        the bytes of each delivery and hashes them in place, ``record`` is
+        the final step that writes the completion record and digest at the
+        simulated time it runs.  A group member's record is keyed
+        flow@member, so the shards' result sets stay disjoint and union to
+        the reference's."""
+        key = f"{flow.name}@{member}" if member else flow.name
         sizes = []
+        digest = hashlib.sha256()
+
+        def take(delivery) -> None:
+            sizes.append(delivery.size)
+            digest.update(delivery.view())
 
         def record() -> None:
-            self.flow_results[f"{flow.name}@{member}" if member else flow.name] = {
+            self.flow_results[key] = {
                 "kind": flow.kind,
                 "src": flow.src,
                 "dst": member or flow.dst,
@@ -236,8 +256,9 @@ class Workload:
                 "messages": 1 if flow.kind == "tcp" else flow.messages,
                 "completed_ns": system.sim.now,
             }
+            self.digests[key] = digest.hexdigest()
 
-        return lambda delivery: sizes.append(delivery.size), record
+        return take, record
 
     def _install_rmp(self, system, flow: Flow, src, dst) -> None:
         node_id = system.registry.node_id
@@ -353,21 +374,17 @@ class Workload:
 
     def incomplete(self, system) -> tuple:
         """Names of locally-observed flow records that never completed."""
-        local = []
-        for flow in self.flows:
-            if flow.members:
-                local.extend(
-                    f"{flow.name}@{member}"
-                    for member in flow.members
-                    if member in system.nodes
-                )
-            elif self._observer(flow) in system.nodes:
-                local.append(flow.name)
         return tuple(
-            name for name in local if name not in self.flow_results
+            name
+            for flow in self.flows
+            for name, observer in self.records(flow)
+            if observer in system.nodes and name not in self.flow_results
         )
 
     @staticmethod
-    def _observer(flow: Flow) -> str:
-        """The CAB that records a one-to-one flow's completion."""
-        return flow.src if flow.kind == "rpc" else flow.dst
+    def records(flow: Flow) -> tuple:
+        """``(record name, observing CAB)`` of each record ``flow`` writes:
+        one per group member, else one at the RPC client or the receiver."""
+        if flow.members:
+            return tuple((f"{flow.name}@{member}", member) for member in flow.members)
+        return ((flow.name, flow.src if flow.kind == "rpc" else flow.dst),)

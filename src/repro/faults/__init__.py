@@ -11,14 +11,18 @@ forces those paths to actually execute:
 * :mod:`repro.faults.injector` — the :class:`Injector` that evaluates a
   plan at the instrumented hook points (fiber/link egress, datalink
   receive, FIFO back-pressure, mailbox queueing, whole-CAB crash windows).
-* :mod:`repro.faults.scenarios` — canned campaigns (``lossy-link``,
-  ``bursty-corruption``, ``flapping-cab``, ``overloaded-fifo``).
-* :mod:`repro.faults.campaign` — the chaos harness behind
-  ``python -m repro bench chaos``: runs all three reliable transports under a
-  plan and checks exactly-once in-order bit-exact delivery plus
-  run-to-run determinism.
+* :mod:`repro.faults.catalogue` — the one catalogue of fault cases (a
+  fleet, explicit flows, a seeded plan, a horizon): five chaos cases
+  (``lossy-link``, ``bursty-corruption``, ``cab-blackout``,
+  ``overloaded-fifo``, ``multicast-storm``) and the six ops incidents,
+  which add ground truth; and :func:`~repro.faults.catalogue.run_case`,
+  the one runner every consumer uses.
+* :mod:`repro.faults.campaign` — the chaos verdict behind
+  ``python -m repro bench chaos``: every flow of a case delivered exactly
+  once, in order, bit-exact, and two runs identical.  The ops lab
+  (:mod:`repro.ops.lab`) is the other verdict over the same catalogue.
 
-Everything is driven by explicit seeds; a fixed (scenario, seed) pair
+Everything is driven by explicit seeds; a fixed (case, seed) pair
 reproduces the same faults at the same simulated nanoseconds every run.
 """
 

@@ -1,9 +1,10 @@
 """Run incidents end to end and score detect / localize / mitigate.
 
-For each incident the lab:
+An incident is a :class:`~repro.faults.catalogue.Case` with ground truth.
+For each one the lab:
 
-1. builds a fresh fleet, attaches the flight recorder *and then* the
-   fault plan, installs the pinned workload, and runs to the horizon;
+1. runs it through :func:`~repro.faults.catalogue.run_case` with a flight
+   recorder attached (the recorder before the fault plan);
 2. re-runs the whole thing and checks the journal bytes and the behavior
    signature are identical (determinism is an invariant, not a hope);
 3. feeds the journal — and only the journal — to the baseline detectors
@@ -29,14 +30,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster.conductor import Conductor
-from repro.cluster.fleet import build_fleet_system
-from repro.cluster.workload import Workload
+from repro.faults.catalogue import (
+    Case,
+    CaseRun,
+    behavior_signature,
+    incidents,
+    run_case,
+)
 from repro.faults.plan import FaultPlan
+from repro.model.costs import DEFAULT_COSTS
 from repro.ops.detect import Alert, localize, run_detectors
-from repro.ops.incidents import INCIDENTS, Incident, build
 from repro.ops.observer import FlightRecorder, Journal
 from repro.units import seconds
 
@@ -44,7 +50,6 @@ __all__ = [
     "IncidentResult",
     "LabReport",
     "baseline_signature",
-    "behavior_signature",
     "run_incident",
     "run_lab",
 ]
@@ -70,24 +75,7 @@ SCORE_MITIGATED = 15
 # ------------------------------------------------------------------ running
 
 
-def behavior_signature(system, workload, injector=None) -> Tuple:
-    """Everything the simulation *did*, independent of observation.
-
-    Deliberately excludes the event sequence counter: the observer's
-    timer events consume sequence numbers without reordering anyone
-    else's, so ``sim.events_scheduled`` differs between observed and
-    unobserved runs of identical behavior.
-    """
-    counters = tuple(system.metrics.counters().items())
-    fired = tuple(injector.fired) if injector is not None else ()
-    flows = tuple(
-        (name, tuple(sorted(record.items())))
-        for name, record in sorted(workload.flow_results.items())
-    )
-    return (system.sim.now, counters, fired, flows)
-
-
-def _meta(incident: Incident, seed: int) -> dict:
+def _meta(incident: Case) -> dict:
     links = sorted(
         f"{low}<->{high}"
         for low, high in (
@@ -97,44 +85,27 @@ def _meta(incident: Incident, seed: int) -> dict:
     )
     return {
         "incident": incident.name,
-        "seed": seed,
+        "seed": incident.plan.seed,
         "summary": incident.summary,
         "topology": {
             "cabs": {name: hub for name, hub, _port in incident.fleet.cabs},
             "links": links,
-            # Filled in from the built hardware before the recorder runs.
-            "fifo_capacity": 0,
+            # Every fleet is built with the default cost model.
+            "fifo_capacity": DEFAULT_COSTS.cab_fifo_bytes,
         },
     }
 
 
-def _observed_run(incident: Incident, seed: int):
-    """One fully-observed run: journal + behavior + protocol artefacts."""
-    system = build_fleet_system(incident.fleet)
-    meta = _meta(incident, seed)
-    first_cab = incident.fleet.cab_names()[0]
-    meta["topology"]["fifo_capacity"] = system.nodes[
-        first_cab
-    ].cab.fiber_in.fifo.capacity
-    recorder = FlightRecorder(meta, incident.cadence_ns, incident.horizon_ns)
-    system.attach_observer(recorder)
-    injector = system.attach_fault_plan(incident.plan)
-    workload = Workload(incident.workload, incident.fleet)
-    workload.install(system)
-    system.run(until=incident.horizon_ns)
-    journal = recorder.journal()
-    signature = behavior_signature(system, workload, injector)
-    return journal, signature, workload, system, injector
+def _observed_run(incident: Case) -> Tuple[Journal, CaseRun]:
+    """One fully-observed run: its journal and what the run left behind."""
+    recorder = FlightRecorder(_meta(incident), incident.cadence_ns, incident.horizon_ns)
+    run = run_case(incident, recorder=recorder)
+    return recorder.journal(), run
 
 
-def baseline_signature(incident: Incident) -> Tuple:
+def baseline_signature(incident: Case) -> Tuple:
     """The same run with *no observer attached* (the invariance baseline)."""
-    system = build_fleet_system(incident.fleet)
-    injector = system.attach_fault_plan(incident.plan)
-    workload = Workload(incident.workload, incident.fleet)
-    workload.install(system)
-    system.run(until=incident.horizon_ns)
-    return behavior_signature(system, workload, injector)
+    return behavior_signature(run_case(incident))
 
 
 # --------------------------------------------------------------- mitigation
@@ -158,16 +129,16 @@ def _clip_plan(plan: FaultPlan, clip_ns: int) -> FaultPlan:
     return FaultPlan(seed=plan.seed, specs=tuple(specs))
 
 
-def _mitigate(incident: Incident, clip_ns: int) -> Tuple[bool, str]:
+def _mitigate(incident: Case, clip_ns: int) -> Tuple[bool, str]:
     """Re-run with the clipped plan; verify full recovery."""
     plan = _clip_plan(incident.plan, clip_ns)
-    system = build_fleet_system(incident.fleet)
-    injector = system.attach_fault_plan(plan)
-    workload = Workload(incident.workload, incident.fleet)
-    workload.install(system)
-    system.run(until=incident.horizon_ns + MITIGATION_GRACE_NS)
-    incomplete = workload.incomplete(system)
-    late_fires = sum(1 for time_ns, _kind, _site in injector.fired if time_ns >= clip_ns)
+    run = run_case(
+        incident, plan=plan, until_ns=incident.horizon_ns + MITIGATION_GRACE_NS
+    )
+    incomplete = run.workload.incomplete(run.system)
+    late_fires = sum(
+        1 for time_ns, _kind, _site in run.injector.fired if time_ns >= clip_ns
+    )
     ok = not incomplete and late_fires == 0
     note = (
         f"clipped fault windows at {clip_ns} ns: "
@@ -182,11 +153,14 @@ def _mitigate(incident: Incident, clip_ns: int) -> Tuple[bool, str]:
 
 
 def _verify_truth(
-    incident: Incident, journal: Journal, workload: Workload, injector
+    incident: Case, journal: Journal, run: CaseRun
 ) -> Tuple[bool, List[str]]:
     """Check the answer key against what actually happened."""
     notes: List[str] = []
     truth = incident.truth
+    injector = run.injector
+    if run.error is not None:
+        notes.append(f"run error: {run.error}")
     if not injector.fired:
         notes.append("plan never fired")
     else:
@@ -205,7 +179,7 @@ def _verify_truth(
         if site not in known_sites:
             notes.append(f"truth site {site!r} is not in the journal vocabulary")
     for flow_name in truth.blast_radius:
-        record = workload.flow_results.get(flow_name)
+        record = run.workload.flow_results.get(flow_name)
         if record is not None and record["completed_ns"] <= truth.onset_ns:
             notes.append(
                 f"blast-radius flow {flow_name} completed at "
@@ -214,13 +188,13 @@ def _verify_truth(
     return (not notes), notes
 
 
-def _shard_parity(incident: Incident, workload: Workload, system) -> bool:
+def _shard_parity(incident: Case, run: CaseRun) -> bool:
     """Does a 2-worker sharded run reproduce the observed protocol digest?"""
-    results = workload.results(system)
+    results = run.workload.results(run.system)
     reference = {
         "flows": results["flows"],
         "retransmits": results["retransmits"],
-        "incomplete": sorted(workload.incomplete(system)),
+        "incomplete": sorted(run.workload.incomplete(run.system)),
     }
     sharded = Conductor(
         incident.fleet,
@@ -243,8 +217,7 @@ def _shard_parity(incident: Incident, workload: Workload, system) -> bool:
 class IncidentResult:
     """Everything one scored incident run produced."""
 
-    incident: Incident
-    seed: int
+    incident: Case
     journal: Journal
     alerts: List[Alert]
     candidates: List[str]
@@ -274,10 +247,10 @@ class IncidentResult:
         """The incident's scorecard block of the lab report (byte-stable)."""
         incident = self.incident
         lines = [
-            f"incident: {incident.name} (seed {self.seed})",
+            f"incident: {incident.name} (seed {incident.plan.seed})",
             f"  summary: {incident.summary}",
             f"  fleet: {incident.fleet.describe()}, "
-            f"{len(incident.workload.explicit_flows)} flows, "
+            f"{len(incident.flows)} flows, "
             f"horizon={incident.horizon_ns} ns, cadence={incident.cadence_ns} ns",
             "  fault specs:",
         ]
@@ -364,7 +337,7 @@ class LabReport:
 
 
 def _score(
-    incident: Incident,
+    incident: Case,
     detected: bool,
     time_to_detect_ns: Optional[int],
     candidates: List[str],
@@ -389,14 +362,13 @@ def _score(
 # ------------------------------------------------------------ entry points
 
 
-def run_incident(name: str, seed: int = 7) -> IncidentResult:
+def run_incident(incident: Case) -> IncidentResult:
     """Run one incident end to end: observe, double-run, score, mitigate."""
-    incident = build(name, seed)
-    journal, signature, workload, system, injector = _observed_run(incident, seed)
-    second_journal, second_signature, _, _, _ = _observed_run(incident, seed)
+    journal, run = _observed_run(incident)
+    second_journal, second_run = _observed_run(incident)
     deterministic = (
         journal.render() == second_journal.render()
-        and signature == second_signature
+        and behavior_signature(run) == behavior_signature(second_run)
     )
 
     alerts = run_detectors(journal)
@@ -405,20 +377,17 @@ def run_incident(name: str, seed: int = 7) -> IncidentResult:
     detected = bool(alerts) and alerts[0].time_ns >= onset
     time_to_detect = alerts[0].time_ns - onset if detected else None
 
-    truth_ok, truth_notes = _verify_truth(incident, journal, workload, injector)
+    truth_ok, truth_notes = _verify_truth(incident, journal, run)
 
     if alerts:
         mitigation_ok, mitigation_note = _mitigate(incident, alerts[0].time_ns)
     else:
         mitigation_ok, mitigation_note = False, "no alert to mitigate from"
 
-    shard_parity = (
-        _shard_parity(incident, workload, system) if incident.shard_check else None
-    )
+    shard_parity = _shard_parity(incident, run) if incident.shard_check else None
 
     return IncidentResult(
         incident=incident,
-        seed=seed,
         journal=journal,
         alerts=alerts,
         candidates=candidates,
@@ -430,13 +399,14 @@ def run_incident(name: str, seed: int = 7) -> IncidentResult:
         mitigation_ok=mitigation_ok,
         mitigation_note=mitigation_note,
         shard_parity=shard_parity,
-        incomplete=workload.incomplete(system),
-        fires_text=injector.describe_fires(),
+        incomplete=run.workload.incomplete(run.system),
+        fires_text=run.injector.describe_fires(),
         score=_score(incident, detected, time_to_detect, candidates, mitigation_ok),
     )
 
 
 def run_lab(seed: int = 7) -> LabReport:
-    """Run and score every registered incident."""
-    results = [run_incident(name, seed) for name in sorted(INCIDENTS)]
+    """Run and score every incident (every catalogue case with ground truth)."""
+    cases = incidents(seed)
+    results = [run_incident(cases[name]) for name in sorted(cases)]
     return LabReport(seed=seed, results=results)

@@ -169,32 +169,31 @@ def _summarize_mcast(report: dict) -> str:
 # ---------------------------------------------- ops, chaos and observe kinds
 
 
-def _unknown(
-    what: str, name: str, seed: int, summaries: Dict[str, str]
-) -> ConfigurationError:
-    """The error for an unknown catalogue entry; it lists the catalogue."""
-    catalogue = "\n".join(
-        f"  {known:18s} {summaries[known]}" for known in sorted(summaries)
-    )
-    return ConfigurationError(
-        f"unknown {what} {name!r}; the catalogue (seed={seed}):\n{catalogue}"
-    )
+def _known(cases: dict, what: str, name: str, seed: int) -> dict:
+    """``cases`` (one verdict's share of the fault catalogue), once
+    ``name`` is empty or one of them.
+
+    An unknown ``name`` raises a :class:`ConfigurationError` that lists
+    the verdict's own cases with their summaries.
+    """
+    if name and name not in cases:
+        listing = "\n".join(
+            f"  {known:18s} {cases[known].summary}" for known in sorted(cases)
+        )
+        raise ConfigurationError(
+            f"unknown {what} {name!r}; the catalogue (seed={seed}):\n{listing}"
+        )
+    return cases
 
 
 def _run_ops(params: dict) -> dict:
     """The whole lab, or — with ``incident`` — one incident and its journal."""
+    from repro.faults.catalogue import incidents
     from repro.ops import lab
-    from repro.ops.incidents import INCIDENTS
 
     seed, name = params["seed"], params["incident"]
-    if name and name not in INCIDENTS:
-        raise _unknown(
-            "incident",
-            name,
-            seed,
-            {known: build(seed).summary for known, build in INCIDENTS.items()},
-        )
-    result = lab.run_incident(name, seed) if name else lab.run_lab(seed)
+    cases = _known(incidents(seed), "incident", name, seed)
+    result = lab.run_incident(cases[name]) if name else lab.run_lab(seed)
     deterministic = {
         "passed": result.passed,
         "report": result.render() + "\n",
@@ -218,22 +217,12 @@ def _summarize_ops(report: dict) -> str:
 def _run_chaos(params: dict) -> dict:
     """Every chaos campaign, or — with ``scenario`` — one; reports joined."""
     from repro.faults.campaign import run_campaign
-    from repro.faults.scenarios import SCENARIOS
+    from repro.faults.catalogue import chaos_cases
 
     seed, name = params["seed"], params["scenario"]
-    if name and name not in SCENARIOS:
-        raise _unknown(
-            "scenario",
-            name,
-            seed,
-            {
-                known: (build.__doc__ or "").strip().splitlines()[0]
-                for known, build in SCENARIOS.items()
-            },
-        )
+    cases = _known(chaos_cases(seed), "scenario", name, seed)
     reports = [
-        run_campaign(scenario, seed)
-        for scenario in ([name] if name else sorted(SCENARIOS))
+        run_campaign(cases[known]) for known in ([name] if name else sorted(cases))
     ]
     return {
         "bench": "chaos",

@@ -80,9 +80,9 @@ def _build_rig(seed: int, chaos: bool) -> NectarSystem:
     system.add_node("cab-a", hub, 0)
     system.add_node("cab-b", hub, 1)
     if chaos:
-        from repro.faults.scenarios import build
+        from repro.faults.catalogue import build
 
-        system.attach_fault_plan(build("lossy-link", seed))
+        system.attach_fault_plan(build("lossy-link", seed).plan)
     return system
 
 

@@ -4,6 +4,7 @@ The simulation itself is deterministic; derandomizing hypothesis makes the
 *suite* deterministic too, so a green run is bit-for-bit repeatable.
 """
 
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -16,6 +17,21 @@ settings.load_profile("deterministic")
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CLI_ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+
+
+def shrunk_case(name, seed):
+    """The named fault case with every flow cut to at most 4 messages of
+    at most 1 KB: the same faults over a quick load."""
+    from repro.faults.catalogue import build
+
+    case = build(name, seed)
+    flows = tuple(
+        dataclasses.replace(
+            flow, messages=min(flow.messages, 4), size=min(flow.size, 1024)
+        )
+        for flow in case.flows
+    )
+    return dataclasses.replace(case, flows=flows)
 
 
 def run_cli(*args, timeout=600):

@@ -11,10 +11,9 @@ import pytest
 
 from repro.buf import BufView, CopyMeter, PacketBuffer
 from repro.errors import BufError
-from repro.faults.scenarios import SCENARIOS, build
+from repro.faults.catalogue import chaos_cases, run_case
 from repro.hw.fiber import Frame
-from repro.system import NectarSystem
-from repro.units import seconds
+from tests.conftest import shrunk_case
 
 
 # ------------------------------------------------------------- window algebra
@@ -187,43 +186,13 @@ def test_released_frame_payload_is_inaccessible():
 # ------------------------------------------------------- system-level leaks
 
 
-def _run_chaos_rig(scenario: str, seed: int = 7) -> NectarSystem:
-    """A two-CAB rig under the named fault plan, run to message delivery."""
-    system = NectarSystem()
-    hub = system.add_hub("hub0")
-    a = system.add_node("cab-a", hub, 0)
-    b = system.add_node("cab-b", hub, 1)
-    system.attach_fault_plan(build(scenario, seed))
-
-    inbox = b.runtime.mailbox("leak-rmp-inbox")
-    chan = a.rmp.open(100, b.node_id, 200)
-    b.rmp.open(200, a.node_id, 100, deliver_mailbox=inbox)
-    payloads = [bytes([index & 0xFF]) * (64 * (index % 3 + 1)) for index in range(6)]
-    delivered = []
-
-    def sender():
-        for payload in payloads:
-            yield from a.rmp.send(chan, payload)
-
-    def receiver():
-        for _ in payloads:
-            msg = yield from inbox.begin_get()
-            delivered.append(len(msg.view()))
-            yield from inbox.end_get(msg)
-
-    a.runtime.fork_application(sender(), "leak-rmp-sender")
-    b.runtime.fork_application(receiver(), "leak-rmp-receiver")
-    system.run(until=seconds(30))
-    assert len(delivered) == len(payloads), f"{scenario}: stream incomplete"
-    return system
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(chaos_cases(7)))
 def test_no_buffer_leaks_after_chaos_scenario(scenario):
     """Every frame buffer allocated under faults is released: drops, CRC
     rejections, retransmissions, and deliveries all terminate ownership."""
-    system = _run_chaos_rig(scenario)
-    meter = system.copy_meter
+    run = run_case(shrunk_case(scenario, 7))
+    assert not run.workload.incomplete(run.system), f"{scenario}: flows incomplete"
+    meter = run.system.copy_meter
     assert meter.buffers_allocated > 0
     assert meter.live_buffers == 0, (
         f"{scenario}: {meter.live_buffers} of {meter.buffers_allocated} "

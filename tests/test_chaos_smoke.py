@@ -10,10 +10,11 @@ compares every campaign's report with ``CHAOS_baseline.txt``.
 import pathlib
 
 from repro.analysis import nectarlint
-from repro.faults.scenarios import SCENARIOS
+from repro.faults.catalogue import chaos_cases
 from repro.scenario import cli as bench_cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+CHAOS = chaos_cases(7)
 
 
 def run_chaos(capsys, *overrides):
@@ -44,21 +45,20 @@ def test_chaos_list_names_every_scenario(capsys):
     code, _out, err = run_chaos(capsys, "scenario=nope")
     assert code == 2
     names = [line.split()[0] for line in err.splitlines()[1:]]
-    assert names == sorted(SCENARIOS)
+    assert names == sorted(CHAOS)
 
 
 def test_chaos_list_shows_descriptions_and_default_seed(capsys):
     """The catalogue is not a bare name dump: each line carries the
-    scenario's one-line docstring summary, and the header names the seed
-    the campaigns run at by default."""
+    case's one-line summary, and the header names the seed the campaigns
+    run at by default."""
     code, _out, err = run_chaos(capsys, "scenario=nope")
     assert code == 2
     header, *lines = err.splitlines()
     assert "seed=7" in header
     for line in lines:
         name = line.split()[0]
-        summary = (SCENARIOS[name].__doc__ or "").strip().splitlines()[0]
-        assert line.endswith(summary)
+        assert line.endswith(CHAOS[name].summary)
 
 
 def test_chaos_rejects_unknown_scenario(capsys):

@@ -23,7 +23,7 @@ from repro.bench.harness import two_hosted_nodes
 from repro.cluster.fleet import build_fleet_system, line_fleet
 from repro.cluster.workload import Workload, WorkloadSpec
 from repro.errors import ConfigurationError
-from repro.faults.scenarios import build as build_fault_plan
+from repro.faults.catalogue import build as build_case
 from repro.host.ethernet import EthernetNIC, EthernetSegment
 from repro.system import NectarSystem
 from repro.telemetry import observe
@@ -107,7 +107,7 @@ def table1_result():
 def hosted_rig():
     """Hosts, VME, doorbells, an Ethernet segment and a fault plan."""
     system, hosted_a, hosted_b = two_hosted_nodes()
-    system.attach_fault_plan(build_fault_plan("lossy-link", 7))
+    system.attach_fault_plan(build_case("lossy-link", 7).plan)
     segment = EthernetSegment(system.sim, system.costs)
     nic_a = EthernetNIC(hosted_a.host, segment)
     EthernetNIC(hosted_b.host, segment)

@@ -22,7 +22,7 @@ from repro.faults.plan import (
     FaultSpec,
     site_matches,
 )
-from repro.faults.scenarios import SCENARIOS, build
+from repro.faults.catalogue import build, catalogue
 from repro.system import NectarSystem
 from repro.units import seconds, us
 
@@ -289,9 +289,8 @@ class TestDeterminism:
         assert first[1], "the plan should actually have fired faults"
 
     def test_scenario_library_builds_for_any_seed(self):
-        for name in sorted(SCENARIOS):
-            plan = build(name, 99)
-            assert plan.seed == 99
-            assert plan.specs
-        with pytest.raises(ConfigurationError, match="unknown chaos scenario"):
+        for case in catalogue(99).values():
+            assert case.plan.seed == 99
+            assert case.plan.specs
+        with pytest.raises(ConfigurationError, match="unknown fault case"):
             build("meteor-strike", 1)

@@ -13,8 +13,8 @@ import pytest
 
 from repro.apps.traffic import measure_rtt
 from repro.bench.harness import two_nodes
-from repro.faults import campaign
-from repro.system import NectarSystem
+from repro.faults.campaign import run_campaign
+from tests.conftest import shrunk_case
 
 TABLE1_KINDS = ["datagram", "rmp", "request-response", "udp"]
 
@@ -53,20 +53,10 @@ def test_table1_transports_leave_only_cached_buffers(kind):
         assert system.nodes[name].runtime.heap.allocation_count == blocks
 
 
-def test_chaos_lossy_link_leaves_only_cached_buffers(monkeypatch):
-    built = []
-
-    class Recorded(NectarSystem):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(campaign, "NectarSystem", Recorded)
-    report = campaign.run_campaign("lossy-link", 7, smoke=True)
+def test_chaos_lossy_link_leaves_only_cached_buffers():
+    report = run_campaign(shrunk_case("lossy-link", 7))
     assert report.passed
-    assert built
-    for system in built:
-        assert heap_leaks(system) == []
+    assert heap_leaks(report.run.system) == []
 
 
 @pytest.mark.parametrize("size", [512, 64], ids=["heap-block", "cached-slot"])

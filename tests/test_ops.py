@@ -20,9 +20,9 @@ from repro.errors import ConfigurationError, RouteError
 from repro.faults.plan import DROP, STALL, FaultPlan, FaultSpec
 from repro.hub.crossbar import Hub
 from repro.hub.routing import Topology
-from repro.ops import INCIDENTS, Journal, run_incident
+from repro.faults.catalogue import behavior_signature, build, incidents, run_case
+from repro.ops import Journal, run_incident
 from repro.ops import detect, lab, observer
-from repro.ops.incidents import build
 from repro.sim.core import Simulator
 from repro.sim.trace import TraceEvent
 from repro.units import ms, us
@@ -42,7 +42,7 @@ EXPECTED_INCIDENTS = [
 @pytest.fixture(scope="module")
 def results():
     """One scored run of every incident, shared by the end-to-end tests."""
-    return {name: run_incident(name, SEED) for name in sorted(INCIDENTS)}
+    return {name: run_incident(build(name, SEED)) for name in EXPECTED_INCIDENTS}
 
 
 # ---------------------------------------------------------------- registry
@@ -50,7 +50,8 @@ def results():
 
 class TestRegistry:
     def test_six_incidents_registered(self):
-        assert sorted(INCIDENTS) == EXPECTED_INCIDENTS
+        """The incidents are the catalogue's cases with ground truth."""
+        assert sorted(incidents(SEED)) == EXPECTED_INCIDENTS
 
     def test_unknown_incident_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
@@ -62,13 +63,13 @@ class TestRegistry:
         assert incident.name == name
         assert incident.summary
         assert incident.plan.specs
-        assert incident.workload.explicit_flows
+        assert incident.flows
         assert incident.truth.sites and incident.truth.blast_radius
         assert 0 < incident.truth.onset_ns < incident.horizon_ns
         assert incident.cadence_ns < incident.horizon_ns
         flow_names = {
             f"{flow.kind}-{flow.index:02d}"
-            for flow in incident.workload.explicit_flows
+            for flow in incident.flows
         }
         assert set(incident.truth.blast_radius) <= flow_names
 
@@ -147,8 +148,8 @@ class TestObserverInvariance:
     def test_observer_does_not_perturb_the_simulation(self, name):
         """The acceptance invariant: observer on/off is bit-identical."""
         incident = build(name, SEED)
-        _journal, observed, _wl, _sys, _inj = lab._observed_run(incident, SEED)
-        assert lab.baseline_signature(incident) == observed
+        _journal, observed = lab._observed_run(incident)
+        assert lab.baseline_signature(incident) == behavior_signature(observed)
 
 
 class TestDetectorAudit:
@@ -163,14 +164,10 @@ class TestDetectorAudit:
         incident = build(name, SEED)
 
         def counters(plan):
-            system = build_fleet_system(incident.fleet)
-            if plan is not None:
-                system.attach_fault_plan(plan)
-            Workload(incident.workload, incident.fleet).install(system)
-            system.run(until=incident.horizon_ns)
-            return system.metrics.counters()
+            return run_case(incident, plan=plan).system.metrics.counters()
 
-        clean, faulted = counters(None), counters(incident.plan)
+        clean = counters(FaultPlan(seed=SEED, specs=()))
+        faulted = counters(incident.plan)
         return {
             series: (clean.get(series, 0), faulted.get(series, 0))
             for series in sorted(set(clean) | set(faulted))

@@ -21,9 +21,10 @@ from repro.bench.harness import two_hosted_nodes, two_nodes
 from repro.cluster.conductor import run_reference
 from repro.cluster.fleet import line_fleet
 from repro.cluster.workload import WorkloadSpec
-from repro.faults.campaign import run_campaign
+from repro.faults.catalogue import behavior_signature, run_case
 from repro.sim.trace import TraceRecorder
 from repro.units import seconds
+from tests.conftest import shrunk_case
 
 ROUNDS = 6
 
@@ -156,6 +157,6 @@ def test_default_fleet_mix_repeats():
 
 def test_chaos_lossy_link_repeats():
     first, second, third = three_times(
-        lambda: run_campaign("lossy-link", 7, smoke=True).run.signature()
+        lambda: behavior_signature(run_case(shrunk_case("lossy-link", 7)))
     )
     assert first == second == third

@@ -1,7 +1,9 @@
 """Each chaos campaign and observe workload, run alone, reproduces its own
 leaf of the committed baseline.
 
-``bench --check-all`` compares the joined reports of all five campaigns
+The chaos cases are read from the fault catalogue, so a new case gets its
+own golden check without editing this file.  ``bench --check-all``
+compares the joined reports of all the campaigns
 (``CHAOS_baseline.txt``) and all three observe workloads
 (``BENCH_observe.json``).  These cases run the same kinds one scenario at
 a time — the ``scenario=`` / ``workload=`` path — and compare each report
@@ -17,7 +19,7 @@ import re
 
 import pytest
 
-from repro.faults.scenarios import SCENARIOS
+from repro.faults.catalogue import chaos_cases
 from repro.scenario.runner import KINDS
 from repro.telemetry.observe import WORKLOADS
 
@@ -40,7 +42,7 @@ def committed(kind: str) -> dict:
     return blocks(report["report"], "observe workload: ")
 
 
-CASES = [("chaos", "scenario", name) for name in sorted(SCENARIOS)] + [
+CASES = [("chaos", "scenario", name) for name in sorted(chaos_cases(SEED))] + [
     ("observe", "workload", name) for name in sorted(WORKLOADS)
 ]
 
