@@ -128,7 +128,7 @@ _GENERATOR_APIS = {
     "lock",
     "unlock",
     "wait",
-    "timed_wait",
+    "wait_until",
     "signal",
     "broadcast",
     "isignal",
@@ -158,7 +158,7 @@ _GENERATOR_APIS = {
 _BLOCKING_APIS = {
     "lock",
     "wait",
-    "timed_wait",
+    "wait_until",
     "sleep",
     "join",
     "begin_put",

@@ -42,7 +42,6 @@ from repro.protocols.headers import (
     NECTAR_PROTO_DATAGRAM,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.reqresp import RPC_RTO_NS
 from repro.runtime.mailbox import Mailbox
 from repro.system import NectarNode, NectarSystem
 from repro.units import seconds, throughput_mbps
@@ -410,9 +409,9 @@ class RequestResponse(Endpoint):
     With an ``inbox`` it is a server on ``port``, and :meth:`echo` (or
     :func:`serve` on the inbox, for another handler) answers the requests.
     With a ``peer`` (node id, port) it is a client: :meth:`exchange` is one
-    call, retried every ``timeout_ns``, from ``port`` or a client port
-    allocated at the first call.  A host client offloads the call to its
-    CAB; a host server is described at :func:`serve`.
+    call, retried on the transport's round-trip timer, from ``port`` or a
+    client port allocated at the first call.  A host client offloads the
+    call to its CAB; a host server is described at :func:`serve`.
     """
 
     def __init__(
@@ -421,10 +420,9 @@ class RequestResponse(Endpoint):
         inbox: Optional[str],
         port: Optional[int] = None,
         peer: Optional[Peer] = None,
-        timeout_ns: int = RPC_RTO_NS,
     ):
         super().__init__(where, inbox)
-        self.port, self.peer, self.timeout_ns = port, peer, timeout_ns
+        self.port, self.peer = port, peer
         if self.inbox is not None:
             self.node.rpc.serve(port, self.inbox)
 
@@ -435,7 +433,7 @@ class RequestResponse(Endpoint):
             self.port = rpc.allocate_client_port()
 
         def call() -> Generator:
-            return rpc.request(self.port, *self.peer, payload, self.timeout_ns)
+            return rpc.request(self.port, *self.peer, payload)
 
         if self.hosted is None:
             reply = yield from call()

@@ -58,6 +58,11 @@ __all__ = [
 PRIORITY_SYSTEM = 10
 PRIORITY_APPLICATION = 1
 
+#: A deadline is armed one slice at a time: a wait that beats its deadline
+#: (the usual case) leaves at most one slice-long entry in the event heap,
+#: however long its timeout (2 ms).
+DEADLINE_SLICE_NS = 2_000_000
+
 # Thread states.
 _READY = "ready"
 _RUNNING = "running"
@@ -281,6 +286,29 @@ class CPU:
         token, value = timer.value
         if not token.cancelled and not token.fired:
             self.post_interrupt(self._timer_handler(token, value), name="timer")
+
+    def wake_at(self, token: WaitToken, deadline_ns: int) -> None:
+        """A timer interrupt that wakes ``token`` at ``deadline_ns``, unless
+        something wakes it first.
+
+        The timer is armed in :data:`DEADLINE_SLICE_NS` slices, each re-armed
+        by a plain callback (no interrupt, no simulated cycle), so a
+        retransmission timeout of seconds leaves no seconds-deep backlog of
+        dead entries behind the waits that beat it.
+        """
+        slice_ns = min(max(0, deadline_ns - self.sim.now), DEADLINE_SLICE_NS)
+        timer = Event(self.sim, self._timer_name)
+        timer.callbacks.append(self._deadline_slice)
+        timer.succeed((token, deadline_ns), delay=slice_ns)
+
+    def _deadline_slice(self, timer: Event) -> None:
+        token, deadline_ns = timer.value
+        if token.cancelled or token.fired:
+            return
+        if self.sim.now < deadline_ns:
+            self.wake_at(token, deadline_ns)
+        else:
+            self.post_interrupt(self._timer_handler(token, None), name="timer")
 
     def _timer_handler(self, token: WaitToken, value: Any) -> Generator:
         yield self.timer_handler_ns

@@ -5,9 +5,11 @@ bench run executes the unsharded reference and a sharded run per
 requested worker count on the same fleet, workload, and seed, then reports
 event counts, simulated time, the conductor's synchronization counters
 (barriers, epochs, elided null messages, fast-path windows, hand-offs,
-ring vs pickle transport bytes), and the parity verdict.  The report is
-byte-identical across repeated invocations with the same configuration
-(this is what the regression gate pins).
+ring vs pickle transport bytes), the parity verdict, and the run's
+recoveries (retransmissions, retries, NACKs and repairs, which a fault-free
+fleet must not make).  The report is byte-identical across repeated
+invocations with the same configuration (this is what the regression gate
+pins).
 
 ``bench scale --check`` re-runs the committed configuration and fails,
 naming the key, when any deterministic value moves — a barrier count, a
@@ -50,6 +52,7 @@ def run_scale_bench(
 
     deterministic = {
         "parity": parity,
+        "recoveries": (reference or runs[0]).recoveries,
         "reference": None
         if reference is None
         else {"events": reference.events, "sim_ns": reference.sim_ns},

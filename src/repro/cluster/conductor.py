@@ -91,7 +91,8 @@ class FleetResult:
     mode: str
     #: flow name -> {kind, src, dst, bytes, messages, completed_ns}
     flows: Dict[str, dict] = field(default_factory=dict)
-    #: node name -> {rmp_retransmits, rpc_retries, tcp_retransmits}
+    #: node name -> {rmp_retransmits, rpc_retries, tcp_retransmits,
+    #: nmp_nacks, nmp_repairs}
     retransmits: Dict[str, dict] = field(default_factory=dict)
     #: locally-observed flows that never finished (should be empty)
     incomplete: List[str] = field(default_factory=list)
@@ -116,6 +117,12 @@ class FleetResult:
     metrics: Optional[dict] = None
     #: merged Chrome-trace events, when telemetry is enabled
     trace: Optional[list] = None
+
+    @property
+    def recoveries(self) -> int:
+        """Every retransmission, retry, NACK and repair of the run: zero
+        without a fault plan, because no timer fires on a lossless fabric."""
+        return sum(sum(rec.values()) for rec in self.retransmits.values())
 
     def protocol_digest(self) -> dict:
         """The parity currency: everything that must match bit-for-bit."""

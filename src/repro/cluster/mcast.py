@@ -169,6 +169,7 @@ def run_parity_leg(
             "sim_ns": reference.sim_ns,
             "flows": len(reference.flows),
             "incomplete": reference.incomplete,
+            "recoveries": reference.recoveries,
         },
         "workers": {
             str(run.n_workers): {

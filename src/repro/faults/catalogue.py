@@ -343,17 +343,24 @@ def flapping_cab(seed: int) -> Case:
 
 def lossy_fiber(seed: int) -> Case:
     """The inter-HUB fiber corrupts and eats cross-traffic in one window."""
-    # Every flow crosses the damaged fiber, each CAB sending exactly one,
-    # so the per-flow 2 ms retransmission pauses a loss causes never
-    # starve the window of occurrences.  Corruption dominates on purpose:
-    # a damaged fiber mostly mangles frames — CRC-rejected at the
-    # *receiving* CAB, which plants error counters on both HUBs' CABs,
-    # the triangulation signal the link-inference localizer needs.
+    # Every flow crosses the damaged fiber, each CAB sending one to both
+    # CABs across it: a loss pauses its flow for a whole RTO (50 ms, past
+    # the horizon), so the window's occurrences come from many flows'
+    # first losses, and every CAB keeps receiving from a flow it has not
+    # lost yet (a CAB gone quiet would read as a crash).  Corruption
+    # dominates on purpose: a damaged fiber mostly mangles frames —
+    # CRC-rejected at the *receiving* CAB, which plants error counters on
+    # both HUBs' CABs, the triangulation signal the link-inference
+    # localizer needs.
     flows = _flows(
         ("rmp", "cab-00-00", "cab-01-00", 70, 256),
         ("rmp", "cab-01-01", "cab-00-01", 70, 256),
         ("rmp", "cab-00-01", "cab-01-01", 70, 256),
         ("rmp", "cab-01-00", "cab-00-00", 70, 256),
+        ("rmp", "cab-00-00", "cab-01-01", 70, 256),
+        ("rmp", "cab-01-01", "cab-00-00", 70, 256),
+        ("rmp", "cab-00-01", "cab-01-00", 70, 256),
+        ("rmp", "cab-01-00", "cab-00-01", 70, 256),
     )
     window = (ms(1), ms(8))
     pairs = (
@@ -467,6 +474,9 @@ def rmp_fanout_loss(seed: int) -> Case:
         # A second, faster feed into the victim so the every-3rd drop
         # schedule reaches its first firing within a cadence of onset.
         ("rmp", "cab-00-03", "cab-00-02", 40, 256),
+        # Keeps cab-00-03 receiving once its feed into the victim waits
+        # out an RTO, so the silence rule does not indict it.
+        ("rmp", "cab-00-04", "cab-00-03", 80, 256),
     )
     plan = FaultPlan(
         seed=seed,

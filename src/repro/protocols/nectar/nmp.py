@@ -3,24 +3,29 @@
 The Nectar Message-multicast Protocol sends sequenced DATA frames to a
 *group address* (see :mod:`repro.hub.groups`): the sender emits one frame
 and the HUB crossbars replicate it along the group's fan-out tree.  Loss
-recovery is receiver-driven in the NORM style (RFC 5740's shape):
+recovery is receiver-driven in the NORM style (RFC 5740's shape), and
+every timer in it is a :class:`~repro.protocols.rto.RetransmitTimer`, the
+one TCP, RMP and request-response use:
 
 * Each receiver delivers in order from ``next_seq`` and parks out-of-order
   arrivals in a bounded reorder window.  A sequence gap arms a *NACK timer*
-  whose delay is ``NMP_NACK_BASE_NS + rank * NMP_NACK_STRIDE_NS`` — the
-  deterministic analogue of NORM's randomized suppression backoff.  The
-  lowest-ranked gapped member NACKs first; the sender's *repair* goes to
-  the whole group, so higher-ranked members see the gap close before their
-  timers fire and count a suppressed NACK instead of sending one.
+  of ``rank`` times the member's RTO — the deterministic analogue of
+  NORM's GRTT-scaled suppression backoff.  The lowest-ranked gapped member
+  NACKs first; the sender's *repair* goes to the whole group, so
+  higher-ranked members see the gap close before their timers fire and
+  count a suppressed NACK instead of sending one.  A member re-NACKs a gap
+  still open one RTO after its NACK, backing off each time; a gap closed
+  by the first NACK's repair is the member's round-trip sample.
 * The sender keeps the last :data:`NMP_REPAIR_WINDOW` payloads (the
   half-open repair window ``(send_seq - window, send_seq]``) and answers
-  NACKs with multicast REPAIR frames, rate-limited per sequence by a
-  holdoff so a synchronized NACK burst triggers one repair, not N.
+  NACKs with multicast REPAIR frames.
 * Tail loss cannot arm a gap timer, so :meth:`NMPProtocol.flush` closes a
   stream NORM-watermark style: the sender multicasts SYNC carrying the
-  highest sequence and retransmits it on timeout until every member has
+  highest sequence and retransmits it on its timer until every member has
   unicast a SYNC_ACK at or above the watermark (receivers learn the
   watermark, NACK their missing tail, and ACK once delivery reaches it).
+  A round every member answers first time is the group round trip (GRTT)
+  sample.
 
 State on both sides is bounded: the sender holds one repair window and a
 per-member sync set, the receiver one reorder window; everything else is
@@ -44,9 +49,9 @@ from repro.protocols.headers import (
     NectarTransportHeader,
 )
 from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
-from repro.units import ms, us
 
 __all__ = ["NMPProtocol", "NMPReceiver", "NMPSender"]
 
@@ -54,21 +59,6 @@ __all__ = ["NMPProtocol", "NMPReceiver", "NMPSender"]
 NMP_REPAIR_WINDOW = 64
 #: Receiver reorder window: out-of-order frames parked awaiting repair.
 NMP_RECV_WINDOW = 64
-#: Base NACK-timer delay once a gap is detected.
-NMP_NACK_BASE_NS = us(150)
-#: Extra delay per member rank: the deterministic suppression stagger.
-#: Must exceed one NACK+repair round trip (~350us under load on the
-#: reference fabric) plus the spread in gap-detection times across
-#: members, so the first NACKer's repair reaches the rest of the group
-#: before their timers fire.
-NMP_NACK_STRIDE_NS = us(500)
-#: Re-NACK a still-open gap after this long.
-NMP_NACK_RTO_NS = ms(1)
-#: Sender ignores further NACKs for a sequence this soon after repairing
-#: it (must stay below NMP_NACK_RTO_NS or lost repairs become permanent).
-NMP_REPAIR_HOLDOFF_NS = us(300)
-#: SYNC (watermark) retransmission timeout during flush.
-NMP_SYNC_RTO_NS = ms(2)
 #: Give up flushing after this many SYNC rounds.
 NMP_MAX_TRIES = 10
 
@@ -87,14 +77,14 @@ class NMPSender:
         self.send_seq = 0
         #: The half-open repair window: seq -> payload bytes.
         self.window: Dict[int, bytes] = {}
-        #: Last repair emission per sequence (NACK-burst holdoff).
-        self.repair_at: Dict[int, int] = {}
         #: Flush state: watermark awaiting SYNC_ACKs from ``synced``.
         self.watermark = -1
         self.synced: set = set()
         self.mutex = nmp.runtime.mutex(f"nmp{port}-send")
         self.sync_mutex = nmp.runtime.mutex(f"nmp{port}-syncwait")
         self.sync_cond = nmp.runtime.condition(f"nmp{port}-sync")
+        #: SYNC round trips: the group RTT.
+        self.rtt = RetransmitTimer()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -134,6 +124,8 @@ class NMPReceiver:
         self.open = True
         self.mutex = nmp.runtime.mutex(f"nmp{port}-recv")
         self.cond = nmp.runtime.condition(f"nmp{port}-gap")
+        #: NACK-to-repair round trips: the NACK and suppression timers.
+        self.rtt = RetransmitTimer()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -201,7 +193,6 @@ class NMPProtocol:
             session.send_seq += 1
             session.window[seq] = data
             session.window.pop(seq - NMP_REPAIR_WINDOW, None)
-            session.repair_at.pop(seq - NMP_REPAIR_WINDOW, None)
             header = NectarTransportHeader(
                 protocol=NECTAR_PROTO_NMP,
                 kind=NECTAR_KIND_DATA,
@@ -252,22 +243,17 @@ class NMPProtocol:
                 )
                 yield from self.transport.send_control(header)
                 self.stats.add("nmp_syncs_out")
-                deadline = self.runtime.sim.now + NMP_SYNC_RTO_NS
-                while len(session.synced) < len(session.members):
-                    remaining = deadline - self.runtime.sim.now
-                    if remaining <= 0:
-                        break
-                    yield from ops.timed_wait(
-                        session.sync_cond, session.sync_mutex, remaining
-                    )
+                yield from session.rtt.wait(
+                    ops,
+                    session.sync_cond,
+                    session.sync_mutex,
+                    lambda: len(session.synced) >= len(session.members),
+                    tries == 1,
+                )
         finally:
             yield from ops.unlock(session.sync_mutex)
 
     # -- the receiver's gap/NACK timer thread --------------------------------------
-
-    def nack_delay_ns(self, rank: int) -> int:
-        """This member's deterministic NACK suppression delay."""
-        return NMP_NACK_BASE_NS + rank * NMP_NACK_STRIDE_NS
 
     def _gap(self, session: NMPReceiver) -> bool:
         return session.open and session.next_seq <= session.highest
@@ -280,38 +266,32 @@ class NMPProtocol:
         """
         ops = self.runtime.ops
         sim = self.runtime.sim
+        rtt = session.rtt
         yield from ops.lock(session.mutex)
         while session.open:
             if not self._gap(session):
                 yield from ops.wait(session.cond, session.mutex)
                 continue
             first = session.next_seq
-            deadline = sim.now + self.nack_delay_ns(session.rank)
-            while session.open and session.next_seq == first:
-                remaining = deadline - sim.now
-                if remaining <= 0:
-                    break
-                yield from ops.timed_wait(
-                    session.cond, session.mutex, remaining
-                )
-            if not session.open:
-                break
-            if session.next_seq > first:
-                # A repair (or the reordered original) closed the head
-                # gap before our timer fired: the NACK is suppressed —
-                # someone lower-ranked spoke for us.
-                self.stats.add("nmp_nacks_suppressed")
+
+            def moved(first=first) -> bool:
+                return not session.open or session.next_seq > first
+
+            # Suppression: rank r waits r RTOs, time enough for a lower
+            # rank's NACK and its multicast repair to close the gap.
+            stagger_ns = session.rank * rtt.rto_ns
+            suppressed = yield from ops.wait_until(
+                session.cond, session.mutex, moved, sim.now + stagger_ns
+            )
+            if suppressed:
+                if session.open:
+                    self.stats.add("nmp_nacks_suppressed")
                 continue
-            yield from self._send_nack(session)
-            # Holdoff: give the repair a round trip before re-NACKing.
-            deadline = sim.now + NMP_NACK_RTO_NS
-            while session.open and session.next_seq == first:
-                remaining = deadline - sim.now
-                if remaining <= 0:
-                    break
-                yield from ops.timed_wait(
-                    session.cond, session.mutex, remaining
-                )
+            tries = 0
+            while not moved():
+                tries += 1
+                yield from self._send_nack(session)
+                yield from rtt.wait(ops, session.cond, session.mutex, moved, tries == 1)
         yield from ops.unlock(session.mutex)
 
     def _send_nack(self, session: NMPReceiver) -> Generator:
@@ -453,7 +433,6 @@ class NMPProtocol:
         self.stats.add("nmp_nacks_in")
         start = header.seq
         count = max(1, header.flags)
-        now = self.runtime.sim.now
         for seq in range(start, min(start + count, session.send_seq)):
             payload = session.window.get(seq)
             if payload is None:
@@ -461,13 +440,6 @@ class NMPProtocol:
                 # member.  Bounded state has a price; count it honestly.
                 self.stats.add("nmp_repair_misses")
                 continue
-            last = session.repair_at.get(seq)
-            if last is not None and now - last < NMP_REPAIR_HOLDOFF_NS:
-                # A synchronized NACK burst for the same loss: one repair
-                # is already in flight, skip the duplicates.
-                self.stats.add("nmp_repairs_skipped")
-                continue
-            session.repair_at[seq] = now
             repair = NectarTransportHeader(
                 protocol=NECTAR_PROTO_NMP,
                 kind=NECTAR_KIND_REPAIR,

@@ -1,8 +1,10 @@
 """The Nectar request-response protocol: the transport for client-server RPC.
 
-A client sends a REQUEST and blocks for the matching RESPONSE (retrying on
-timeout); a server binds a port to a mailbox, services requests from it, and
-answers with :meth:`RequestResponseProtocol.respond`.  Servers keep a small
+A client sends a REQUEST and blocks for the matching RESPONSE, retrying on
+the timeout of a :class:`~repro.protocols.rto.RetransmitTimer` kept per
+server it calls (a call answered on its first try is a round-trip sample);
+a server binds a port to a mailbox, services requests from it, and answers
+with :meth:`RequestResponseProtocol.respond`.  Servers keep a small
 cache of recent responses so a duplicated request (after a lost response) is
 answered without re-executing the handler — the at-most-once behaviour an
 RPC layer wants from its transport.
@@ -21,13 +23,12 @@ from repro.protocols.headers import (
     NectarTransportHeader,
 )
 from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
-from repro.units import ms
 
 __all__ = ["RequestResponseProtocol"]
 
-RPC_RTO_NS = ms(5)
 RPC_MAX_TRIES = 5
 #: Responses remembered per server port for duplicate suppression.
 RESPONSE_CACHE_SIZE = 64
@@ -56,6 +57,8 @@ class RequestResponseProtocol:
         self._pending: Dict[Tuple[int, int], _PendingCall] = {}  # (client_port, seq)
         self._server_ports: Dict[int, Mailbox] = {}
         self._response_cache: Dict[int, OrderedDict] = {}
+        #: (server node, server port) -> the round-trip timer of its calls
+        self._timers: Dict[Tuple[int, int], RetransmitTimer] = {}
         transport.register(NECTAR_PROTO_REQRESP, self._input)
 
     # -- server side ---------------------------------------------------------
@@ -115,7 +118,6 @@ class RequestResponseProtocol:
         dst_node: int,
         dst_port: int,
         data: bytes,
-        timeout_ns: int = RPC_RTO_NS,
     ) -> Generator:
         """Thread-context: send a request, block for the response bytes."""
         ops = self.runtime.ops
@@ -124,6 +126,9 @@ class RequestResponseProtocol:
         self._next_seq += 1
         call = _PendingCall(self.runtime, seq)
         self._pending[(client_port, seq)] = call
+        timer = self._timers.get((dst_node, dst_port))
+        if timer is None:
+            timer = self._timers[(dst_node, dst_port)] = RetransmitTimer()
         tries = 0
         try:
             while tries < RPC_MAX_TRIES:
@@ -146,16 +151,16 @@ class RequestResponseProtocol:
                 self.stats.add("rpc_requests_out")
                 yield from self.transport.send_message(header, msg)
                 yield from ops.lock(call.mutex)
-                while call.response is None:
-                    signalled = yield from ops.timed_wait(
-                        call.cond, call.mutex, timeout_ns
-                    )
-                    if not signalled:
-                        break
-                response = call.response
+                answered = yield from timer.wait(
+                    ops,
+                    call.cond,
+                    call.mutex,
+                    lambda: call.response is not None,
+                    tries == 1,
+                )
                 yield from ops.unlock(call.mutex)
-                if response is not None:
-                    return response
+                if answered:
+                    return call.response
             raise ProtocolError(
                 f"RPC request to node {dst_node} port {dst_port} timed out "
                 f"after {RPC_MAX_TRIES} tries"

@@ -1,10 +1,12 @@
 """RMP: the Nectar reliable message protocol (a simple stop-and-wait).
 
 One message is outstanding per channel at a time; the receiver acknowledges
-each message, and the sender retransmits on timeout.  RMP does no software
-checksum — it relies on the CRC implemented by the CAB hardware (corrupted
-frames never reach the protocol: the datalink drops them and the sender's
-timeout recovers).  That is exactly why RMP reaches ~90 Mbit/s CAB-to-CAB in
+each message, and the sender retransmits on timeout.  The timeout is the
+channel's :class:`~repro.protocols.rto.RetransmitTimer`: every message
+ACKed on its first try is a round-trip sample, and every timeout backs off.
+RMP does no software checksum — it relies on the CRC implemented by the
+CAB hardware (corrupted frames never reach the protocol: the datalink drops
+them and the sender's timeout recovers).  That is exactly why RMP reaches ~90 Mbit/s CAB-to-CAB in
 Figure 7 while TCP pays a per-byte software checksum cost.
 
 ACK processing happens at interrupt time (it only wakes the waiting sender);
@@ -24,15 +26,12 @@ from repro.protocols.headers import (
     NectarTransportHeader,
 )
 from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
-from repro.units import ms
 
 __all__ = ["RMPChannel", "RMPProtocol"]
 
-#: Retransmission timeout.  The network RTT is tens to hundreds of
-#: microseconds, so a couple of milliseconds is generously safe.
-RMP_RTO_NS = ms(2)
 #: Give up after this many transmissions of one message.
 RMP_MAX_TRIES = 10
 
@@ -51,6 +50,7 @@ class RMPChannel:
         self.send_mutex = rmp.runtime.mutex(f"rmp{local_port}-send")
         self.ack_mutex = rmp.runtime.mutex(f"rmp{local_port}-ackwait")
         self.ack_cond = rmp.runtime.condition(f"rmp{local_port}-ack")
+        self.rtt = RetransmitTimer()
         # Receiver state.
         self.recv_seq = 0
         self.deliver_mailbox: Optional[Mailbox] = None
@@ -169,7 +169,15 @@ class RMPProtocol:
                 tracer = self.runtime.tracer
                 if tracer.sink is not None:
                     tracer.emit("rmp", "retransmit", {"seq": seq, "try": tries})
-            acked = yield from self._await_ack(channel, seq)
+            yield from ops.lock(channel.ack_mutex)
+            acked = yield from channel.rtt.wait(
+                ops,
+                channel.ack_cond,
+                channel.ack_mutex,
+                lambda: channel.acked_seq is not None and channel.acked_seq >= seq,
+                tries == 1,
+            )
+            yield from ops.unlock(channel.ack_mutex)
         yield from ops.unlock(channel.send_mutex)
         if not acked:
             raise ProtocolError(
@@ -186,19 +194,6 @@ class RMPProtocol:
             yield self.costs.cab_memcpy_ns(len(payload))
         packet.write(NectarTransportHeader.SIZE, payload)
         return packet
-
-    def _await_ack(self, channel: RMPChannel, seq: int) -> Generator:
-        ops = self.runtime.ops
-        mutex = channel.ack_mutex
-        yield from ops.lock(mutex)
-        while channel.acked_seq is None or channel.acked_seq < seq:
-            signalled = yield from ops.timed_wait(channel.ack_cond, mutex, RMP_RTO_NS)
-            # The ACK may have landed in the same instant as the timer.
-            if not signalled and (channel.acked_seq is None or channel.acked_seq < seq):
-                yield from ops.unlock(mutex)
-                return False
-        yield from ops.unlock(mutex)
-        return True
 
     # -- receiving (interrupt context) -----------------------------------------------
 

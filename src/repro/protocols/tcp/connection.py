@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.protocols.rto import RetransmitTimer
 from repro.units import ms
 
 __all__ = [
@@ -81,10 +82,6 @@ class UnackedSegment:
 DEFAULT_RCV_WND = 32 * 1024
 #: Send buffer limit: senders block above this much unsent+unacked data.
 DEFAULT_SND_BUF = 64 * 1024
-#: Initial retransmission timeout and its bounds.
-INITIAL_RTO_NS = ms(50)
-MIN_RTO_NS = ms(10)
-MAX_RTO_NS = ms(2_000)
 #: Give up after this many retransmissions of one segment.
 MAX_RETRANSMITS = 8
 #: Give up after this many consecutive unanswered zero-window probes.  Any
@@ -138,10 +135,8 @@ class TCPConnection:
         self.out_of_order: list[tuple[int, bytes]] = []
         self.fin_received = False
 
-        # RTT estimation (RFC 793 style smoothed RTT + Jacobson variance).
-        self.srtt_ns: Optional[int] = None
-        self.rttvar_ns: int = 0
-        self.rto_ns = INITIAL_RTO_NS
+        # RTT estimation and the retransmission deadline it sets.
+        self.rtt = RetransmitTimer()
         self.rto_deadline_ns: Optional[int] = None
         # Consecutive zero-window probes sent without hearing any ACK back.
         self.window_probes = 0
@@ -205,24 +200,6 @@ class TCPConnection:
         """Receive window: capacity minus what the user has not consumed."""
         queued = sum(m.size for m in self.receive_mailbox.queue)
         return max(0, min(0xFFFF, self.rcv_wnd - queued))
-
-    # -- RTT / RTO ------------------------------------------------------------
-
-    def record_rtt(self, sample_ns: int) -> None:
-        """Jacobson/Karels RTO update."""
-        if self.srtt_ns is None:
-            self.srtt_ns = sample_ns
-            self.rttvar_ns = sample_ns // 2
-        else:
-            delta = sample_ns - self.srtt_ns
-            self.srtt_ns += delta // 8
-            self.rttvar_ns += (abs(delta) - self.rttvar_ns) // 4
-        rto = self.srtt_ns + 4 * self.rttvar_ns
-        self.rto_ns = max(MIN_RTO_NS, min(MAX_RTO_NS, rto))
-
-    def backoff_rto(self) -> None:
-        """Exponential RTO backoff (capped)."""
-        self.rto_ns = min(MAX_RTO_NS, self.rto_ns * 2)
 
     # -- out-of-order reassembly --------------------------------------------------
 

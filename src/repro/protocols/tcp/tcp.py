@@ -351,13 +351,13 @@ class TCPProtocol:
 
     def _arm_retransmit(self, conn: TCPConnection) -> None:
         if conn.unacked and conn.rto_deadline_ns is None:
-            conn.rto_deadline_ns = self.runtime.sim.now + conn.rto_ns
+            conn.rto_deadline_ns = self.runtime.sim.now + conn.rtt.rto_ns
         self.runtime.ops.signal_nocost(self._timer_work)
 
     def _note_zero_window(self, conn: TCPConnection) -> None:
         if conn.snd_wnd == 0 and conn.conn_id not in self._zero_window_probes:
             self._zero_window_probes[conn.conn_id] = (
-                self.runtime.sim.now + conn.rto_ns
+                self.runtime.sim.now + conn.rtt.rto_ns
             )
             self.runtime.ops.signal_nocost(self._timer_work)
 
@@ -488,13 +488,13 @@ class TCPProtocol:
             end = seq_add(segment.seq, span)
             if seq_le(end, ack):
                 if segment.rtt_eligible:
-                    conn.record_rtt(now - segment.sent_ns)
+                    conn.rtt.sample(now - segment.sent_ns)
             else:
                 remaining.append(segment)
         conn.unacked = remaining
         conn.snd_una = ack
         conn.rto_deadline_ns = (
-            None if not conn.unacked else now + conn.rto_ns
+            None if not conn.unacked else now + conn.rtt.rto_ns
         )
         yield from self.runtime.ops.broadcast(conn.send_space_cond)
 
@@ -651,8 +651,8 @@ class TCPProtocol:
         segment.retransmits += 1
         segment.rtt_eligible = False  # Karn's rule
         conn.congestion_timeout(self.mss)
-        conn.backoff_rto()
-        conn.rto_deadline_ns = self.runtime.sim.now + conn.rto_ns
+        conn.rtt.backoff()
+        conn.rto_deadline_ns = self.runtime.sim.now + conn.rtt.rto_ns
         self.stats.add("tcp_retransmits")
         tracer = self.runtime.tracer
         if tracer.sink is not None:
@@ -684,7 +684,7 @@ class TCPProtocol:
             self._abort(conn, "zero-window probe limit reached")
             return
         self._zero_window_probes[conn.conn_id] = (
-            self.runtime.sim.now + conn.rto_ns
+            self.runtime.sim.now + conn.rtt.rto_ns
         )
         self.stats.add("tcp_window_probes")
         if conn.send_buffer:

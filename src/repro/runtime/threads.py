@@ -14,17 +14,13 @@ this split between handler and thread context).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Callable, Deque, Generator, Optional
 
 from repro.cab.cpu import CPU, Block, TCB, WaitToken
 from repro.errors import NectarError
 from repro.model.costs import CostModel
 
 __all__ = ["Condition", "Mutex", "ThreadOps"]
-
-#: Sentinel values distinguishing why a timed wait returned.
-WAIT_SIGNALED = "signaled"
-WAIT_TIMEOUT = "timeout"
 
 
 class Mutex:
@@ -142,34 +138,45 @@ class ThreadOps:
         yield Block(token)
         yield from self.lock(mutex)
 
-    def timed_wait(self, cond: Condition, mutex: Mutex, timeout_ns: int) -> Generator:
-        """Like :meth:`wait` with a timeout.
+    def wait_until(
+        self,
+        cond: Condition,
+        mutex: Mutex,
+        done: Callable[[], bool],
+        deadline_ns: int,
+    ) -> Generator:
+        """The one timed wait: block on ``cond`` until ``done()`` holds or
+        the clock reaches ``deadline_ns``; returns ``done()``.
 
-        Returns True if signalled, False if the timeout fired first.  The
-        token is queued before the compute burst, as in :meth:`wait`; the
-        timeout counts from the end of the burst.  A signal and the timer
-        can still land in the same instant, so a caller re-tests its
-        predicate after a timeout.
+        The caller holds ``mutex``, as for :meth:`wait`, and each wake
+        re-tests the predicate, so a signal that lands in the same instant
+        as the deadline still counts and a wake that leaves it false waits
+        out the same deadline instead of starting a fresh one.  Each token
+        is queued before its compute burst, as in :meth:`wait`.
         """
-        token = WaitToken(name=f"timed-wait:{cond.name}")
-        cond.waiters.append(token)
-        yield self.costs.rt_wait_ns
-        self.cpu.wake_after(token, timeout_ns, value=WAIT_TIMEOUT)
-        yield from self.unlock(mutex)
-        why = yield Block(token)
-        token.cancelled = True  # a later signal must skip this token
-        yield from self.lock(mutex)
-        return why != WAIT_TIMEOUT
+        sim = self.cpu.sim
+        while not done():
+            if sim.now >= deadline_ns:
+                return False
+            token = WaitToken(name=f"wait-until:{cond.name}")
+            cond.waiters.append(token)
+            yield self.costs.rt_wait_ns
+            self.cpu.wake_at(token, deadline_ns)
+            yield from self.unlock(mutex)
+            yield Block(token)
+            token.cancelled = True  # a later signal must skip this token
+            yield from self.lock(mutex)
+        return True
 
     def signal(self, cond: Condition) -> Generator:
         """Thread-context signal: wake one waiter."""
         yield self.costs.rt_signal_ns
-        self._wake_one(cond.waiters, value=WAIT_SIGNALED)
+        self._wake_one(cond.waiters)
 
     def broadcast(self, cond: Condition) -> Generator:
         """Wake every waiter of a condition variable."""
         yield self.costs.rt_signal_ns
-        while self._wake_one(cond.waiters, value=WAIT_SIGNALED):
+        while self._wake_one(cond.waiters):
             pass
 
     def isignal(self, cond: Condition) -> Generator:
@@ -179,19 +186,19 @@ class ThreadOps:
         sites inside interrupt handlers.)
         """
         yield self.costs.rt_signal_ns
-        self._wake_one(cond.waiters, value=WAIT_SIGNALED)
+        self._wake_one(cond.waiters)
 
     def signal_nocost(self, cond: Condition) -> bool:
         """Plain-call signal for device callbacks (no CPU context at all)."""
-        return self._wake_one(cond.waiters, value=WAIT_SIGNALED)
+        return self._wake_one(cond.waiters)
 
     # -- internal ---------------------------------------------------------------
 
-    def _wake_one(self, waiters: Deque[WaitToken], value: Any = None) -> bool:
+    def _wake_one(self, waiters: Deque[WaitToken]) -> bool:
         while waiters:
             token = waiters.popleft()
             if token.cancelled or token.fired:
                 continue
-            self.cpu.wake(token, value)
+            self.cpu.wake(token)
             return True
         return False

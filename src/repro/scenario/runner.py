@@ -63,6 +63,9 @@ class Invariant(NamedTuple):
 
 _OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le}
 
+#: A fleet run without a fault plan loses nothing, so no timer may fire.
+_NO_RECOVERY = "a retransmission, retry, NACK or repair without a fault plan"
+
 
 @dataclass(frozen=True)
 class Kind:
@@ -349,6 +352,7 @@ KINDS: Dict[str, Kind] = {
                     "parity", "!=", False,
                     "sharded runs diverged from the reference",
                 ),
+                Invariant("recoveries", "==", 0, _NO_RECOVERY),
             ),
         ),
         Kind(
@@ -388,6 +392,7 @@ KINDS: Dict[str, Kind] = {
                     "parity.verdict", "==", True,
                     "sharded runs diverged from the reference",
                 ),
+                Invariant("parity.reference.recoveries", "==", 0, _NO_RECOVERY),
             ),
         ),
         Kind(

@@ -215,8 +215,8 @@ class TestInvariantExit:
         report = {
             "deterministic": {
                 "points": [
-                    {"point": {"seed": 0}, "parity": True},
-                    {"point": {"seed": 1}, "parity": False},
+                    {"point": {"seed": 0}, "parity": True, "recoveries": 0},
+                    {"point": {"seed": 1}, "parity": False, "recoveries": 0},
                 ]
             }
         }

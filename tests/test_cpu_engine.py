@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CABError
 from repro.cab.cpu import (
     CPU,
+    DEADLINE_SLICE_NS,
     Block,
     PRIORITY_APPLICATION,
     PRIORITY_SYSTEM,
@@ -324,6 +325,47 @@ def test_wake_after_timer():
     sim.run()
     assert out[0][0] == "timer"
     assert out[0][1] >= 25_000
+
+
+def test_wake_at_fires_at_a_deadline_many_slices_away():
+    sim = Simulator()
+    cpu = make_cpu(sim, context_switch_ns=0, interrupt_entry_ns=0, interrupt_exit_ns=0)
+    token = WaitToken()
+    out = []
+
+    def body():
+        yield Block(token)
+        out.append(sim.now)
+
+    cpu.add_thread(body())
+    deadline = 3 * DEADLINE_SLICE_NS + 12_345
+    cpu.wake_at(token, deadline)
+    sim.run()
+    assert deadline <= out[0] < deadline + 10_000
+
+
+def test_wake_at_beaten_leaves_one_slice_behind():
+    """A token woken long before its deadline leaves one slice-long heap
+    entry, not one that lasts until the deadline."""
+    sim = Simulator()
+    cpu = make_cpu(sim, context_switch_ns=0, interrupt_entry_ns=0, interrupt_exit_ns=0)
+    token = WaitToken()
+    out = []
+
+    def body():
+        yield Block(token)
+        out.append(sim.now)
+
+    def waker():
+        yield 50_000
+        cpu.wake(token, "early")
+
+    cpu.add_thread(body())
+    cpu.wake_at(token, 100 * DEADLINE_SLICE_NS)
+    sim.process(waker())
+    sim.run()
+    assert out == [50_000]
+    assert sim.now == DEADLINE_SLICE_NS
 
 
 def test_thread_exception_propagates():

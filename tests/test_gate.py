@@ -168,7 +168,9 @@ class TestInvariants:
         declared = {(name, invariant.path) for name, invariant in self.CASES}
         assert declared == {
             ("scale", "parity"),
+            ("scale", "recoveries"),
             ("mcast", "parity.verdict"),
+            ("mcast", "parity.reference.recoveries"),
             ("ops", "passed"),
             ("chaos", "passed"),
             ("buf", "rmp_stream.memcpy_bytes"),
@@ -191,10 +193,11 @@ class TestInvariants:
         leaf = deterministic
         for parent in parents:
             leaf = leaf[parent]
-        if isinstance(invariant.bound, Ref) or invariant.op == "<=":
-            leaf[key] = leaf[key] + 10**6
+        if isinstance(invariant.bound, bool):
+            # "!= False" breaks at False, "== True" at anything else.
+            leaf[key] = invariant.bound if invariant.op == "!=" else not invariant.bound
         else:
-            leaf[key] = False
+            leaf[key] = leaf[key] + 10**6
         (verdict,) = violations(kind, deterministic, "deterministic")
         assert verdict.startswith(f"deterministic.{invariant.path}: ")
         assert invariant.why in verdict

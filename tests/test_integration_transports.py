@@ -215,9 +215,7 @@ class TestRequestResponse:
 
         def client():
             port = a.rpc.allocate_client_port()
-            reply = yield from a.rpc.request(
-                port, b.node_id, 700, b"ping", timeout_ns=ms(5)
-            )
+            reply = yield from a.rpc.request(port, b.node_id, 700, b"ping")
             done.succeed(reply)
 
         b.runtime.fork_system(server(), "server")

@@ -181,7 +181,7 @@ class TestRPCEdges:
 
         def client():
             port = a.rpc.allocate_client_port()
-            reply = yield from a.rpc.request(port, b.node_id, 700, b"work", timeout_ns=ms(5))
+            reply = yield from a.rpc.request(port, b.node_id, 700, b"work")
             done.succeed(reply)
 
         b.runtime.fork_system(server(), "srv")
@@ -198,7 +198,7 @@ class TestRPCEdges:
         def client():
             port = a.rpc.allocate_client_port()
             try:
-                yield from a.rpc.request(port, b.node_id, 12345, b"?", timeout_ns=ms(2))
+                yield from a.rpc.request(port, b.node_id, 12345, b"?")
             except ProtocolError as exc:
                 done.succeed(str(exc))
 

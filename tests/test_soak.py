@@ -91,7 +91,7 @@ def test_mixed_traffic_soak_leaves_no_leaks():
         port = c.rpc.allocate_client_port()
         for index in range(15):
             reply = yield from c.rpc.request(
-                port, a.node_id, 900, bytes([index]) * 128, timeout_ns=ms(10)
+                port, a.node_id, 900, bytes([index]) * 128
             )
             assert reply == bytes([index]) * 128
         finished.append("rpc")

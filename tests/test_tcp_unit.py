@@ -87,8 +87,8 @@ class TestConnectionEdges:
             for _ in range(10):
                 yield from a.tcp.send_direct(conn, b"y" * 512)
                 yield from a.runtime.ops.sleep(ms(1))
-            state["srtt"] = conn.srtt_ns
-            state["rto"] = conn.rto_ns
+            state["srtt"] = conn.rtt.srtt_ns
+            state["rto"] = conn.rtt.rto_ns
             done.succeed()
 
         a.runtime.fork_application(client(), "c")

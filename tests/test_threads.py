@@ -150,8 +150,8 @@ def test_timed_wait_timeout(rt):
 
     def waiter():
         yield from rt.ops.lock(mutex)
-        signalled = yield from rt.ops.timed_wait(cond, mutex, 30_000)
-        outcome.append((signalled, rt.sim.now))
+        done = yield from rt.ops.wait_until(cond, mutex, lambda: False, 30_000)
+        outcome.append((done, rt.sim.now))
         yield from rt.ops.unlock(mutex)
 
     rt.fork_application(waiter(), "w")
@@ -163,45 +163,77 @@ def test_timed_wait_timeout(rt):
 def test_timed_wait_signalled(rt):
     cond = rt.condition()
     mutex = rt.mutex()
+    ready = []
     outcome = []
 
     def waiter():
         yield from rt.ops.lock(mutex)
-        signalled = yield from rt.ops.timed_wait(cond, mutex, 1_000_000)
-        outcome.append(signalled)
+        done = yield from rt.ops.wait_until(cond, mutex, lambda: bool(ready), 1_000_000)
+        outcome.append((done, rt.sim.now))
         yield from rt.ops.unlock(mutex)
 
     def signaller():
         yield from rt.ops.sleep(10_000)
+        ready.append(True)
         yield from rt.ops.signal(cond)
 
     rt.fork_application(waiter(), "w")
     rt.fork_application(signaller(), "s")
     run(rt)
-    assert outcome == [True]
+    assert outcome[0][0] is True
+    assert outcome[0][1] < 1_000_000
 
 
-def test_late_signal_after_timeout_not_lost_for_others(rt):
-    """A signal arriving after a timed_wait expired must wake a later waiter."""
+def test_wait_until_keeps_its_deadline_across_false_wakes(rt):
+    """A signal that leaves the predicate false re-parks the waiter until
+    the same deadline; it does not start a fresh timeout."""
     cond = rt.condition()
     mutex = rt.mutex()
     outcome = []
 
+    def waiter():
+        yield from rt.ops.lock(mutex)
+        done = yield from rt.ops.wait_until(cond, mutex, lambda: False, 100_000)
+        outcome.append((done, rt.sim.now))
+        yield from rt.ops.unlock(mutex)
+
+    def signaller():
+        yield from rt.ops.sleep(60_000)
+        yield from rt.ops.signal(cond)
+
+    rt.fork_application(waiter(), "w")
+    rt.fork_application(signaller(), "s")
+    run(rt)
+    done, woke_ns = outcome[0]
+    assert done is False
+    assert 100_000 <= woke_ns < 160_000
+
+
+def test_late_signal_after_timeout_not_lost_for_others(rt):
+    """A signal arriving after a timed wait expired must wake a later waiter."""
+    cond = rt.condition()
+    mutex = rt.mutex()
+    ready = []
+    outcome = []
+
     def early_waiter():
         yield from rt.ops.lock(mutex)
-        signalled = yield from rt.ops.timed_wait(cond, mutex, 5_000)
-        outcome.append(("early", signalled))
+        done = yield from rt.ops.wait_until(cond, mutex, lambda: bool(ready), 5_000)
+        outcome.append(("early", done))
         yield from rt.ops.unlock(mutex)
 
     def late_waiter():
         yield from rt.ops.sleep(50_000)
         yield from rt.ops.lock(mutex)
-        signalled = yield from rt.ops.timed_wait(cond, mutex, 1_000_000)
-        outcome.append(("late", signalled))
+        done = yield from rt.ops.wait_until(
+            cond, mutex, lambda: bool(ready), 1_000_000
+        )
+        outcome.append(("late", done))
         yield from rt.ops.unlock(mutex)
 
     def signaller():
         yield from rt.ops.sleep(200_000)
+        ready.append(True)
         yield from rt.ops.signal(cond)
 
     rt.fork_application(early_waiter(), "e")
@@ -235,7 +267,9 @@ def test_signal_inside_the_wait_burst_is_not_lost(rt, timed):
         started = rt.sim.now
         rt.sim.process(post_mid_burst(), name="poster")
         if timed:
-            signalled = yield from rt.ops.timed_wait(cond, mutex, 1_000_000)
+            signalled = yield from rt.ops.wait_until(
+                cond, mutex, lambda: bool(ready), started + 1_000_000
+            )
         else:
             yield from rt.ops.wait(cond, mutex)
             signalled = True
