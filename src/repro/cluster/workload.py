@@ -29,7 +29,7 @@ from repro.cluster.fleet import FleetSpec
 from repro.errors import ConfigurationError
 from repro.hub.groups import GROUP_BASE
 
-__all__ = ["Flow", "Workload", "WorkloadSpec"]
+__all__ = ["Flow", "Workload", "WorkloadSpec", "recovery_counters"]
 
 # Disjoint port ranges, indexed by global flow number, so one CAB can
 # terminate many flows without a collision.
@@ -190,6 +190,17 @@ class WorkloadSpec:
                 )
             )
         return tuple(flows)
+
+
+def recovery_counters(stats) -> dict:
+    """One node's retransmissions, retries, NACKs and repairs, by name."""
+    return {
+        "rmp_retransmits": stats.value("rmp_retransmits"),
+        "rpc_retries": stats.value("rpc_retries"),
+        "tcp_retransmits": stats.value("tcp_retransmits"),
+        "nmp_nacks": stats.value("nmp_nacks_out"),
+        "nmp_repairs": stats.value("nmp_repairs_out"),
+    }
 
 
 class Workload:
@@ -357,16 +368,10 @@ class Workload:
         finished; ``retransmits`` covers the local nodes.  Shards' results
         are disjoint and union to the single-process reference's.
         """
-        retransmits = {}
-        for name in sorted(system.nodes):
-            stats = system.nodes[name].runtime.stats
-            retransmits[name] = {
-                "rmp_retransmits": stats.value("rmp_retransmits"),
-                "rpc_retries": stats.value("rpc_retries"),
-                "tcp_retransmits": stats.value("tcp_retransmits"),
-                "nmp_nacks": stats.value("nmp_nacks_out"),
-                "nmp_repairs": stats.value("nmp_repairs_out"),
-            }
+        retransmits = {
+            name: recovery_counters(system.nodes[name].runtime.stats)
+            for name in sorted(system.nodes)
+        }
         return {
             "flows": dict(sorted(self.flow_results.items())),
             "retransmits": retransmits,
