@@ -353,6 +353,14 @@ class CPU:
         return None
 
     @property
+    def span_track(self) -> str:
+        """The trace track for a span opened now: :attr:`context_label`, or
+        ``<cpu>/ext`` outside any context.  Callers capture it at span begin
+        and reuse it at span end, so a span stays on one track."""
+        label = self.context_label
+        return label if label is not None else f"{self.name}/ext"
+
+    @property
     def utilization_window_ns(self) -> int:
         return self.sim.now
 

@@ -96,11 +96,6 @@ class Datalink:
 
     # ------------------------------------------------------------------ send
 
-    def _span_track(self) -> str:
-        """Trace track for the current execution context (thread or irq)."""
-        label = self.runtime.cpu.context_label
-        return label if label is not None else f"{self.runtime.cpu.name}/ext"
-
     def _build_frame_payload(self, header: DatalinkHeader, packet_bytes):
         """One counted copy of the packet into a headroom-reserving buffer.
 
@@ -133,7 +128,7 @@ class Datalink:
         not touch the message again).
         """
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.runtime.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin(
                 "datalink",

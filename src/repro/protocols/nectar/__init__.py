@@ -12,9 +12,13 @@ Two protocols added on top of the paper's three prove its thesis that the
 CAB runtime makes transports cheap to add: NMP (NACK-oriented reliable
 multicast over HUB crossbar fan-out) and the CAB-resident collective
 engine (barrier/broadcast trees run at interrupt time on the NIC).
+
+Each plugs into the CAB one way: it registers a receive cost, a counter
+scope and one :class:`PacketKind` per packet kind with the shared
+:class:`NectarTransportLayer`, whose receive table does the rest.
 """
 
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.protocols.nectar.collective import CollectiveEngine, CollectiveGroup
 from repro.protocols.nectar.datagram import DatagramProtocol
 from repro.protocols.nectar.nmp import NMPProtocol, NMPReceiver, NMPSender
@@ -29,6 +33,7 @@ __all__ = [
     "NMPReceiver",
     "NMPSender",
     "NectarTransportLayer",
+    "PacketKind",
     "RMPChannel",
     "RMPProtocol",
     "RequestResponseProtocol",

@@ -30,7 +30,7 @@ fault-free fabric (use NMP when links are lossy).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
@@ -40,7 +40,7 @@ from repro.protocols.headers import (
     NECTAR_PROTO_COLL,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Message
 
@@ -113,7 +113,16 @@ class CollectiveEngine:
         #: Keyed by group port: collective packets arrive unicast, so the
         #: port is the demux key (one group per port per CAB).
         self._groups: Dict[int, CollectiveGroup] = {}
-        transport.register(NECTAR_PROTO_COLL, self._input)
+
+        def group(header: NectarTransportHeader) -> Optional[CollectiveGroup]:
+            return self._groups.get(header.dst_port)
+
+        kinds = {
+            NECTAR_KIND_ARRIVE: PacketKind(group, "coll_no_group", self._recv_arrive, True),
+            NECTAR_KIND_RELEASE: PacketKind(group, "coll_no_group", self._recv_release, True),
+            NECTAR_KIND_BCAST: PacketKind(group, "coll_no_group", self._recv_bcast),
+        }
+        transport.register(NECTAR_PROTO_COLL, self.costs.nectar_coll_ns, "coll", kinds)
 
     def create(
         self, group_id: int, port: int, member_ids: Tuple[int, ...], rank: int
@@ -217,38 +226,29 @@ class CollectiveEngine:
 
     # -- receiving (interrupt context) ----------------------------------------------
 
-    def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        group = self._groups.get(header.dst_port)
-        if group is None:
-            self.stats.add("coll_no_group")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        yield self.costs.nectar_coll_ns
-        kind = header.kind
+    def _recv_arrive(
+        self, group: CollectiveGroup, _msg: None, header: NectarTransportHeader
+    ) -> Generator:
         epoch = header.seq
-        if kind == NECTAR_KIND_ARRIVE:
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            self.stats.add("coll_arrivals_in")
-            group.arrivals[epoch] = group.arrivals.get(epoch, 0) + 1
-            yield from self._try_complete(group, epoch)
-            return
-        if kind == NECTAR_KIND_RELEASE:
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            self.stats.add("coll_releases_in")
-            if epoch > group.release_epoch:
-                yield from self._release(group, epoch)
-            return
-        if kind == NECTAR_KIND_BCAST:
-            self.stats.add("coll_bcast_in")
-            payload = msg.read(NectarTransportHeader.SIZE)
-            for child in group.children:
-                fwd = self._header(group, NECTAR_KIND_BCAST, epoch, child)
-                yield from self.transport.send_raw_message(fwd, payload)
-                self.stats.add("coll_bcast_out")
-            msg.trim_front(NectarTransportHeader.SIZE)
-            yield from self.transport.input_mailbox.ienqueue(
-                msg, group.bcast_mailbox
-            )
-            return
-        self.stats.add("coll_malformed")
-        yield from self.transport.input_mailbox.iabort_put(msg)
+        self.stats.add("coll_arrivals_in")
+        group.arrivals[epoch] = group.arrivals.get(epoch, 0) + 1
+        yield from self._try_complete(group, epoch)
+
+    def _recv_release(
+        self, group: CollectiveGroup, _msg: None, header: NectarTransportHeader
+    ) -> Generator:
+        self.stats.add("coll_releases_in")
+        if header.seq > group.release_epoch:
+            yield from self._release(group, header.seq)
+
+    def _recv_bcast(
+        self, group: CollectiveGroup, msg: Message, header: NectarTransportHeader
+    ) -> Generator:
+        self.stats.add("coll_bcast_in")
+        payload = msg.read(NectarTransportHeader.SIZE)
+        for child in group.children:
+            fwd = self._header(group, NECTAR_KIND_BCAST, header.seq, child)
+            yield from self.transport.send_raw_message(fwd, payload)
+            self.stats.add("coll_bcast_out")
+        msg.trim_front(NectarTransportHeader.SIZE)
+        yield from self.transport.input_mailbox.ienqueue(msg, group.bcast_mailbox)

@@ -21,7 +21,7 @@ from repro.protocols.headers import (
     NECTAR_PROTO_DATAGRAM,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
 
@@ -40,8 +40,12 @@ class DatagramProtocol:
         #: Host-facing send mailbox: messages are complete packets
         #: ([28-byte header][payload]) built by the Nectarine library.
         self.send_mailbox = self.runtime.mailbox("datagram-send")
-        self.send_pending = self.runtime.condition("datagram-send-pending")
-        transport.register(NECTAR_PROTO_DATAGRAM, self._input)
+
+        def port(header: NectarTransportHeader) -> Optional[Mailbox]:
+            return self._ports.get(header.dst_port)
+
+        kinds = {NECTAR_KIND_DATA: PacketKind(port, "datagram_no_port", self._recv_data)}
+        transport.register(NECTAR_PROTO_DATAGRAM, self.costs.nectar_datagram_ns, "datagram", kinds)
         self.runtime.fork_system(self._send_thread(), name="datagram-send")
 
     # -- binding -------------------------------------------------------------
@@ -111,13 +115,9 @@ class DatagramProtocol:
 
     # -- receiving (interrupt context) --------------------------------------------
 
-    def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        mailbox = self._ports.get(header.dst_port)
-        if mailbox is None:
-            self.stats.add("datagram_no_port")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        yield self.costs.nectar_datagram_ns
+    def _recv_data(
+        self, mailbox: Mailbox, msg: Message, header: NectarTransportHeader
+    ) -> Generator:
         msg.trim_front(NectarTransportHeader.SIZE)
         self.stats.add("datagram_in")
         self.runtime.tracer.emit("datagram", "cab_deliver")

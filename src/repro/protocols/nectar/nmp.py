@@ -48,7 +48,7 @@ from repro.protocols.headers import (
     NECTAR_PROTO_NMP,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
@@ -61,6 +61,21 @@ NMP_REPAIR_WINDOW = 64
 NMP_RECV_WINDOW = 64
 #: Give up flushing after this many SYNC rounds.
 NMP_MAX_TRIES = 10
+
+
+def _header(
+    session: NMPSender | NMPReceiver, kind: int, seq: int, dst_node: int, flags: int = 0
+) -> NectarTransportHeader:
+    """An NMP header from ``session``: both ends of a stream use the group port."""
+    return NectarTransportHeader(
+        protocol=NECTAR_PROTO_NMP,
+        kind=kind,
+        seq=seq,
+        flags=flags,
+        src_port=session.port,
+        dst_node=dst_node,
+        dst_port=session.port,
+    )
 
 
 class NMPSender:
@@ -144,7 +159,21 @@ class NMPProtocol:
         self.stats = self.runtime.stats
         self._senders: Dict[int, NMPSender] = {}
         self._receivers: Dict[Tuple[int, int], NMPReceiver] = {}
-        transport.register(NECTAR_PROTO_NMP, self._input)
+
+        def receiver(header: NectarTransportHeader) -> Optional[NMPReceiver]:
+            return self._receivers.get((header.dst_node, header.dst_port))
+
+        def sender(header: NectarTransportHeader) -> Optional[NMPSender]:
+            return self._senders.get(header.dst_port)
+
+        kinds = {
+            NECTAR_KIND_DATA: PacketKind(receiver, "nmp_no_port", self._recv_data),
+            NECTAR_KIND_REPAIR: PacketKind(receiver, "nmp_no_port", self._recv_data),
+            NECTAR_KIND_SYNC: PacketKind(receiver, "nmp_no_port", self._recv_sync, True),
+            NECTAR_KIND_NACK: PacketKind(sender, "nmp_no_port", self._recv_nack, True),
+            NECTAR_KIND_SYNC_ACK: PacketKind(sender, "nmp_no_port", self._recv_sync_ack, True),
+        }
+        transport.register(NECTAR_PROTO_NMP, self.costs.nectar_nmp_ns, "nmp", kinds)
 
     # -- session management ------------------------------------------------------
 
@@ -193,14 +222,7 @@ class NMPProtocol:
             session.send_seq += 1
             session.window[seq] = data
             session.window.pop(seq - NMP_REPAIR_WINDOW, None)
-            header = NectarTransportHeader(
-                protocol=NECTAR_PROTO_NMP,
-                kind=NECTAR_KIND_DATA,
-                seq=seq,
-                src_port=session.port,
-                dst_node=session.group_id,
-                dst_port=session.port,
-            )
+            header = _header(session, NECTAR_KIND_DATA, seq, session.group_id)
             packet = yield from self.transport.input_mailbox.begin_put(
                 NectarTransportHeader.SIZE + len(data)
             )
@@ -233,14 +255,7 @@ class NMPProtocol:
                         f"watermark {watermark} after {NMP_MAX_TRIES} SYNCs"
                     )
                 tries += 1
-                header = NectarTransportHeader(
-                    protocol=NECTAR_PROTO_NMP,
-                    kind=NECTAR_KIND_SYNC,
-                    seq=watermark,
-                    src_port=session.port,
-                    dst_node=session.group_id,
-                    dst_port=session.port,
-                )
+                header = _header(session, NECTAR_KIND_SYNC, watermark, session.group_id)
                 yield from self.transport.send_control(header)
                 self.stats.add("nmp_syncs_out")
                 yield from session.rtt.wait(
@@ -255,9 +270,6 @@ class NMPProtocol:
 
     # -- the receiver's gap/NACK timer thread --------------------------------------
 
-    def _gap(self, session: NMPReceiver) -> bool:
-        return session.open and session.next_seq <= session.highest
-
     def _repair_loop(self, session: NMPReceiver) -> Generator:
         """System thread: arm NACK timers for gaps, suppress on repair.
 
@@ -269,7 +281,7 @@ class NMPProtocol:
         rtt = session.rtt
         yield from ops.lock(session.mutex)
         while session.open:
-            if not self._gap(session):
+            if session.next_seq > session.highest:
                 yield from ops.wait(session.cond, session.mutex)
                 continue
             first = session.next_seq
@@ -308,53 +320,22 @@ class NMPProtocol:
             count += 1
             seq += 1
         yield self.costs.nectar_nmp_ns
-        header = NectarTransportHeader(
-            protocol=NECTAR_PROTO_NMP,
-            kind=NECTAR_KIND_NACK,
-            seq=start,
-            flags=count,
-            src_port=session.port,
-            dst_node=session.sender_node,
-            dst_port=session.port,
-        )
+        header = _header(session, NECTAR_KIND_NACK, start, session.sender_node, flags=count)
         yield from self.transport.send_control(header)
         self.stats.add("nmp_nacks_out")
 
     # -- receiving (interrupt context) ---------------------------------------------
 
-    def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        kind = header.kind
-        if kind in (NECTAR_KIND_NACK, NECTAR_KIND_SYNC_ACK):
-            yield from self._sender_input(msg, header)
-            return
-        session = self._receivers.get((header.dst_node, header.dst_port))
-        if session is None:
-            self.stats.add("nmp_no_port")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        yield self.costs.nectar_nmp_ns
-        session.sender_node = header.src_node
-        if kind == NECTAR_KIND_SYNC:
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            yield from self._recv_sync(session, header.seq)
-            return
-        if kind not in (NECTAR_KIND_DATA, NECTAR_KIND_REPAIR):
-            self.stats.add("nmp_malformed")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        yield from self._recv_data(session, msg, header)
-
     def _recv_data(
         self, session: NMPReceiver, msg: Message, header: NectarTransportHeader
     ) -> Generator:
+        session.sender_node = header.src_node
         seq = header.seq
         if seq < session.next_seq or seq in session.pending:
-            self.stats.add("nmp_duplicates")
-            yield from self.transport.input_mailbox.iabort_put(msg)
+            yield from self.transport.drop(msg, "nmp_duplicates")
             return
         if seq >= session.next_seq + NMP_RECV_WINDOW:
-            self.stats.add("nmp_out_of_window")
-            yield from self.transport.input_mailbox.iabort_put(msg)
+            yield from self.transport.drop(msg, "nmp_out_of_window")
             return
         self.stats.add(
             "nmp_repairs_in" if header.kind == NECTAR_KIND_REPAIR else "nmp_data_in"
@@ -384,7 +365,11 @@ class NMPProtocol:
         ):
             yield from self._send_sync_ack(session, session.watermark)
 
-    def _recv_sync(self, session: NMPReceiver, watermark: int) -> Generator:
+    def _recv_sync(
+        self, session: NMPReceiver, _msg: None, header: NectarTransportHeader
+    ) -> Generator:
+        session.sender_node = header.src_node
+        watermark = header.seq
         self.stats.add("nmp_syncs_in")
         session.watermark = max(session.watermark, watermark)
         session.highest = max(session.highest, watermark)
@@ -401,35 +386,25 @@ class NMPProtocol:
         if session.sender_node is None:
             return
         session.acked_watermark = max(session.acked_watermark, watermark)
-        header = NectarTransportHeader(
-            protocol=NECTAR_PROTO_NMP,
-            kind=NECTAR_KIND_SYNC_ACK,
-            seq=watermark,
-            src_port=session.port,
-            dst_node=session.sender_node,
-            dst_port=session.port,
-        )
+        header = _header(session, NECTAR_KIND_SYNC_ACK, watermark, session.sender_node)
         yield from self.transport.send_control(header)
         self.stats.add("nmp_sync_acks_out")
 
     # -- sender-side control input (interrupt context) -------------------------------
 
-    def _sender_input(
-        self, msg: Message, header: NectarTransportHeader
+    def _recv_sync_ack(
+        self, session: NMPSender, _msg: None, header: NectarTransportHeader
     ) -> Generator:
-        yield from self.transport.input_mailbox.iabort_put(msg)
-        session = self._senders.get(header.dst_port)
-        if session is None:
-            self.stats.add("nmp_no_port")
-            return
-        yield self.costs.nectar_nmp_ns
-        if header.kind == NECTAR_KIND_SYNC_ACK:
-            self.stats.add("nmp_sync_acks_in")
-            if header.seq >= session.watermark >= 0:
-                session.synced.add(header.src_node)
-                if len(session.synced) >= len(session.members):
-                    self.runtime.ops.signal_nocost(session.sync_cond)
-            return
+        self.stats.add("nmp_sync_acks_in")
+        if header.seq >= session.watermark >= 0:
+            session.synced.add(header.src_node)
+            if len(session.synced) >= len(session.members):
+                self.runtime.ops.signal_nocost(session.sync_cond)
+        yield from ()
+
+    def _recv_nack(
+        self, session: NMPSender, _msg: None, header: NectarTransportHeader
+    ) -> Generator:
         self.stats.add("nmp_nacks_in")
         start = header.seq
         count = max(1, header.flags)
@@ -440,13 +415,6 @@ class NMPProtocol:
                 # member.  Bounded state has a price; count it honestly.
                 self.stats.add("nmp_repair_misses")
                 continue
-            repair = NectarTransportHeader(
-                protocol=NECTAR_PROTO_NMP,
-                kind=NECTAR_KIND_REPAIR,
-                seq=seq,
-                src_port=session.port,
-                dst_node=session.group_id,
-                dst_port=session.port,
-            )
+            repair = _header(session, NECTAR_KIND_REPAIR, seq, session.group_id)
             yield from self.transport.send_raw_message(repair, payload)
             self.stats.add("nmp_repairs_out")

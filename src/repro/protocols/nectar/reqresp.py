@@ -22,7 +22,7 @@ from repro.protocols.headers import (
     NECTAR_PROTO_REQRESP,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
@@ -59,7 +59,18 @@ class RequestResponseProtocol:
         self._response_cache: Dict[int, OrderedDict] = {}
         #: (server node, server port) -> the round-trip timer of its calls
         self._timers: Dict[Tuple[int, int], RetransmitTimer] = {}
-        transport.register(NECTAR_PROTO_REQRESP, self._input)
+
+        def server(header: NectarTransportHeader) -> Optional[Mailbox]:
+            return self._server_ports.get(header.dst_port)
+
+        def call(header: NectarTransportHeader) -> Optional[_PendingCall]:
+            return self._pending.get((header.dst_port, header.seq))
+
+        kinds = {
+            NECTAR_KIND_REQUEST: PacketKind(server, "rpc_no_port", self._recv_request),
+            NECTAR_KIND_RESPONSE: PacketKind(call, "rpc_orphan_responses", self._recv_response),
+        }
+        transport.register(NECTAR_PROTO_REQRESP, self.costs.nectar_reqresp_ns, "rpc", kinds)
 
     # -- server side ---------------------------------------------------------
 
@@ -168,31 +179,17 @@ class RequestResponseProtocol:
         finally:
             del self._pending[(client_port, seq)]
 
-    # -- receive demux (interrupt context) ----------------------------------------
+    # -- receiving (interrupt context) --------------------------------------------
 
-    def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        yield self.costs.nectar_reqresp_ns
-        if header.kind == NECTAR_KIND_REQUEST:
-            yield from self._input_request(msg, header)
-        elif header.kind == NECTAR_KIND_RESPONSE:
-            yield from self._input_response(msg, header)
-        else:
-            self.stats.add("rpc_malformed")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-
-    def _input_request(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        mailbox = self._server_ports.get(header.dst_port)
-        if mailbox is None:
-            self.stats.add("rpc_no_port")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
+    def _recv_request(
+        self, mailbox: Mailbox, msg: Message, header: NectarTransportHeader
+    ) -> Generator:
         cache = self._response_cache[header.dst_port]
         key = (header.src_node, header.src_port, header.seq)
         if key in cache:
             # Duplicate request: replay the cached response (still at
             # interrupt time) instead of re-running the server.
-            self.stats.add("rpc_duplicate_requests")
-            yield from self.transport.input_mailbox.iabort_put(msg)
+            yield from self.transport.drop(msg, "rpc_duplicate_requests")
             yield from self._replay_response(header, cache[key])
             return
         self.stats.add("rpc_requests_in")
@@ -219,14 +216,11 @@ class RequestResponseProtocol:
         )
         yield from self.transport.send_message(header, msg)
 
-    def _input_response(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        call = self._pending.get((header.dst_port, header.seq))
-        if call is None:
-            self.stats.add("rpc_orphan_responses")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
+    def _recv_response(
+        self, call: _PendingCall, msg: Message, header: NectarTransportHeader
+    ) -> Generator:
         data = msg.read(NectarTransportHeader.SIZE)
-        yield from self.transport.input_mailbox.iabort_put(msg)
+        yield from self.transport.drop(msg)
         call.response = data
         self.stats.add("rpc_responses_in")
         self.runtime.ops.signal_nocost(call.cond)

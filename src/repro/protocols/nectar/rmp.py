@@ -25,7 +25,7 @@ from repro.protocols.headers import (
     NECTAR_PROTO_RMP,
     NectarTransportHeader,
 )
-from repro.protocols.nectar.transport import NectarTransportLayer
+from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.protocols.rto import RetransmitTimer
 from repro.runtime.kernel import Runtime
 from repro.runtime.mailbox import Mailbox, Message
@@ -71,7 +71,15 @@ class RMPProtocol:
         self.costs = self.runtime.costs
         self._channels: Dict[int, RMPChannel] = {}
         self.stats = self.runtime.stats
-        transport.register(NECTAR_PROTO_RMP, self._input)
+
+        def channel(header: NectarTransportHeader) -> Optional[RMPChannel]:
+            return self._channels.get(header.dst_port)
+
+        kinds = {
+            NECTAR_KIND_ACK: PacketKind(channel, "rmp_no_port", self._recv_ack, True),
+            NECTAR_KIND_DATA: PacketKind(channel, "rmp_no_port", self._recv_data),
+        }
+        transport.register(NECTAR_PROTO_RMP, self.costs.nectar_rmp_ns, "rmp", kinds)
 
     # -- channel management ------------------------------------------------------
 
@@ -114,10 +122,8 @@ class RMPProtocol:
         paper's measurements did).
         """
         tracer = self.runtime.tracer
-        track = None
-        if tracer.sink is not None:
-            label = self.runtime.cpu.context_label
-            track = label if label is not None else f"{self.runtime.cpu.name}/ext"
+        track = self.runtime.cpu.span_track if tracer.sink is not None else None
+        if track is not None:
             tracer.begin("rmp", "send", {"port": channel.local_port}, track=track)
         try:
             yield from self._send_locked(channel, data, charge_copy)
@@ -197,25 +203,19 @@ class RMPProtocol:
 
     # -- receiving (interrupt context) -----------------------------------------------
 
-    def _input(self, msg: Message, header: NectarTransportHeader) -> Generator:
-        channel = self._channels.get(header.dst_port)
-        if channel is None:
-            self.stats.add("rmp_no_port")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        yield self.costs.nectar_rmp_ns
-        if header.kind == NECTAR_KIND_ACK:
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            if channel.acked_seq is None or header.seq > channel.acked_seq:
-                channel.acked_seq = header.seq
-            self.runtime.ops.signal_nocost(channel.ack_cond)
-            self.stats.add("rmp_acks_in")
-            return
-        if header.kind != NECTAR_KIND_DATA:
-            self.stats.add("rmp_malformed")
-            yield from self.transport.input_mailbox.iabort_put(msg)
-            return
-        # Data: ACK everything up to the highest in-order sequence.
+    def _recv_ack(
+        self, channel: RMPChannel, _msg: None, header: NectarTransportHeader
+    ) -> Generator:
+        if channel.acked_seq is None or header.seq > channel.acked_seq:
+            channel.acked_seq = header.seq
+        self.runtime.ops.signal_nocost(channel.ack_cond)
+        self.stats.add("rmp_acks_in")
+        yield from ()
+
+    def _recv_data(
+        self, channel: RMPChannel, msg: Message, header: NectarTransportHeader
+    ) -> Generator:
+        # ACK everything up to the highest in-order sequence.
         if header.seq == channel.recv_seq:
             channel.recv_seq += 1
             msg.trim_front(NectarTransportHeader.SIZE)
@@ -225,11 +225,10 @@ class RMPProtocol:
                     msg, channel.deliver_mailbox
                 )
             else:
-                yield from self.transport.input_mailbox.iabort_put(msg)
+                yield from self.transport.drop(msg)
         elif header.seq < channel.recv_seq:
             # Duplicate (our ACK was lost): drop, re-ACK below.
-            self.stats.add("rmp_duplicates")
-            yield from self.transport.input_mailbox.iabort_put(msg)
+            yield from self.transport.drop(msg, "rmp_duplicates")
         else:
             # Future sequence: a restarted peer or skipped-ahead sender.
             # Stop-and-wait never produces this in normal operation; drop
@@ -237,8 +236,7 @@ class RMPProtocol:
             # is no previous sequence to re-ACK (the header cannot even
             # encode one), and the sender's bounded retry gives up with a
             # ProtocolError rather than retransmitting forever.
-            self.stats.add("rmp_out_of_window")
-            yield from self.transport.input_mailbox.iabort_put(msg)
+            yield from self.transport.drop(msg, "rmp_out_of_window")
             if channel.recv_seq == 0:
                 return
         ack = NectarTransportHeader(

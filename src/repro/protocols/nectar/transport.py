@@ -1,25 +1,41 @@
-"""The shared demux layer for the Nectar-specific transports.
+"""The shared receive table of the Nectar-specific transports.
 
-One datalink binding (type ``NC``) feeds all three Nectar transports; the
-28-byte transport header is parsed at interrupt time and the packet is
-handed to the registered sub-protocol, still without copying.
+One datalink binding (type ``NC``) feeds every Nectar transport.  A
+sub-protocol plugs in with one :meth:`NectarTransportLayer.register` call:
+its per-packet receive cost, its counter scope, and a :class:`PacketKind`
+per packet kind.  Every frame then takes the same interrupt-time path,
+without a copy: parse the 28-byte header, find the protocol, the kind and
+the session, charge the cost, free a control frame's buffer, and call the
+kind's handler.  An unknown kind counts ``<scope>_malformed`` and a failed
+lookup the kind's own counter; the layer frees the buffer of both, so a
+handler frees only what it decides to discard (:meth:`~NectarTransportLayer.drop`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator
+from typing import Any, Callable, Dict, Generator, NamedTuple, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocols.datalink import Datalink, ProtocolBinding
 from repro.protocols.headers import DL_TYPE_NECTAR, DatalinkHeader, NectarTransportHeader
 from repro.runtime.kernel import Runtime
-from repro.runtime.mailbox import Mailbox, Message
+from repro.runtime.mailbox import Message
 
-__all__ = ["NectarTransportLayer"]
+__all__ = ["NectarTransportLayer", "PacketKind"]
 
-#: Sub-protocol packet handler: (message, transport header) -> generator run
-#: at interrupt time.  Must queue or free the message.
-PacketHandler = Callable[[Message, NectarTransportHeader], Generator]
+
+class PacketKind(NamedTuple):
+    """How the transport layer receives one packet kind of a sub-protocol."""
+
+    #: Header -> the session the packet belongs to, or None.
+    lookup: Callable[[NectarTransportHeader], Optional[Any]]
+    #: Counter bumped (and the packet freed) when ``lookup`` finds nothing.
+    no_session: str
+    #: ``(session, msg, header)`` -> interrupt-time generator that queues or
+    #: drops ``msg`` (``None`` for a control frame, whose buffer is freed).
+    handler: Callable[[Any, Optional[Message], NectarTransportHeader], Generator]
+    #: A header-only frame (ACK, SYNC, NACK, ARRIVE, ...).
+    control: bool = False
 
 
 class NectarTransportLayer:
@@ -27,11 +43,11 @@ class NectarTransportLayer:
 
     def __init__(self, runtime: Runtime, datalink: Datalink):
         self.runtime = runtime
-        self.costs = runtime.costs
         self.datalink = datalink
         self.node_id = datalink.node_id
         self.input_mailbox = runtime.mailbox("nectar-input")
-        self._handlers: Dict[int, PacketHandler] = {}
+        #: protocol -> (receive cost, malformed counter, kind -> PacketKind)
+        self._table: Dict[int, Tuple[int, str, Dict[int, PacketKind]]] = {}
         self.stats = runtime.stats
         datalink.register(
             DL_TYPE_NECTAR,
@@ -42,11 +58,21 @@ class NectarTransportLayer:
             ),
         )
 
-    def register(self, protocol: int, handler: PacketHandler) -> None:
-        """Bind a sub-protocol's packet handler."""
-        if protocol in self._handlers:
+    def register(
+        self, protocol: int, cost_ns: int, scope: str, kinds: Dict[int, PacketKind]
+    ) -> None:
+        """Bind a sub-protocol: the cost charged per received packet, the
+        counter scope of its ``<scope>_malformed`` drops, and its kinds."""
+        if protocol in self._table:
             raise ProtocolError(f"Nectar sub-protocol {protocol} already registered")
-        self._handlers[protocol] = handler
+        self._table[protocol] = (cost_ns, f"{scope}_malformed", kinds)
+
+    def drop(self, msg: Message, counter: Optional[str] = None) -> Generator:
+        """Interrupt-context: free a received packet that is not passed on,
+        counting why under ``counter`` (if the reason has one)."""
+        if counter is not None:
+            self.stats.add(counter)
+        yield from self.input_mailbox.iabort_put(msg)
 
     # -- send helpers shared by the sub-protocols ---------------------------------
 
@@ -89,21 +115,27 @@ class NectarTransportLayer:
     # -- receive demux (interrupt context) -------------------------------------------
 
     def _demux(self, msg: Message, dl_header: DatalinkHeader) -> Generator:
-        if msg.size < NectarTransportHeader.SIZE:
-            self.stats.add("nectar_malformed")
-            yield from self.input_mailbox.iabort_put(msg)
-            return
         try:
-            header = NectarTransportHeader.unpack(
-                msg.view(0, NectarTransportHeader.SIZE)
-            )
+            header = NectarTransportHeader.unpack(msg.view())
         except ProtocolError:
-            self.stats.add("nectar_malformed")
-            yield from self.input_mailbox.iabort_put(msg)
+            yield from self.drop(msg, "nectar_malformed")
             return
-        handler = self._handlers.get(header.protocol)
-        if handler is None:
-            self.stats.add("nectar_unknown_protocol")
-            yield from self.input_mailbox.iabort_put(msg)
+        entry = self._table.get(header.protocol)
+        if entry is None:
+            yield from self.drop(msg, "nectar_unknown_protocol")
             return
-        yield from handler(msg, header)
+        cost_ns, malformed, kinds = entry
+        kind = kinds.get(header.kind)
+        if kind is None:
+            yield from self.drop(msg, malformed)
+            return
+        lookup, no_session, handler, control = kind
+        session = lookup(header)
+        if session is None:
+            yield from self.drop(msg, no_session)
+            return
+        yield cost_ns
+        if control:
+            yield from self.input_mailbox.iabort_put(msg)
+            msg = None
+        yield from handler(session, msg, header)

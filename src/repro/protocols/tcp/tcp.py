@@ -171,7 +171,7 @@ class TCPProtocol:
         """
         ops = self.runtime.ops
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.runtime.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin("tcp", "send", {"bytes": len(data)}, track=track)
         try:
@@ -197,7 +197,7 @@ class TCPProtocol:
         directly, without involving the send thread (paper Sec. 4.2)."""
         ops = self.runtime.ops
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.runtime.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin("tcp", "send", {"bytes": len(data)}, track=track)
         try:
@@ -212,11 +212,6 @@ class TCPProtocol:
         finally:
             if track is not None:
                 tracer.end("tcp", "send", track=track)
-
-    def _span_track(self) -> str:
-        """Trace track for the current execution context (thread or irq)."""
-        label = self.runtime.cpu.context_label
-        return label if label is not None else f"{self.runtime.cpu.name}/ext"
 
     def close(self, conn: TCPConnection) -> Generator:
         """Begin an orderly close; returns once the FIN is queued."""

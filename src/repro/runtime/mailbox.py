@@ -166,7 +166,7 @@ class Mailbox:
     def begin_put(self, size: int) -> Generator:
         """Thread-context: allocate a data area; blocks until space exists."""
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin(
                 "mailbox",
@@ -199,7 +199,7 @@ class Mailbox:
     def end_put(self, msg: Message) -> Generator:
         """Make a written message available to readers; fire the upcall."""
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin("mailbox", "end_put", {"mailbox": self.name}, track=track)
         try:
@@ -231,7 +231,7 @@ class Mailbox:
     def begin_get(self) -> Generator:
         """Thread-context: return the next message; blocks while empty."""
         tracer = self.runtime.tracer
-        track = self._span_track() if tracer.sink is not None else None
+        track = self.cpu.span_track if tracer.sink is not None else None
         if track is not None:
             tracer.begin("mailbox", "begin_get", {"mailbox": self.name}, track=track)
         try:
@@ -334,15 +334,6 @@ class Mailbox:
         return bool(self.runtime.heap_waiters)
 
     # ------------------------------------------------------------------ internal
-
-    def _span_track(self) -> str:
-        """The trace track for a span opened in the current context.
-
-        Captured once at span begin and reused at span end, so a span stays
-        on one track even if the CPU's notion of context shifts meanwhile.
-        """
-        label = self.cpu.context_label
-        return label if label is not None else f"{self.cpu.name}/ext"
 
     def _try_alloc_message(self, size: int) -> Optional[Message]:
         if size <= 0:

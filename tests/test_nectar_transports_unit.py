@@ -6,11 +6,26 @@ from repro.errors import ProtocolError
 from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.headers import (
     NECTAR_KIND_ACK,
+    NECTAR_KIND_ARRIVE,
+    NECTAR_KIND_BCAST,
     NECTAR_KIND_DATA,
+    NECTAR_KIND_NACK,
+    NECTAR_KIND_RELEASE,
+    NECTAR_KIND_REPAIR,
+    NECTAR_KIND_REQUEST,
+    NECTAR_KIND_RESPONSE,
+    NECTAR_KIND_SYNC,
+    NECTAR_KIND_SYNC_ACK,
+    NECTAR_PROTO_COLL,
+    NECTAR_PROTO_DATAGRAM,
+    NECTAR_PROTO_NMP,
+    NECTAR_PROTO_REQRESP,
     NECTAR_PROTO_RMP,
     NectarTransportHeader,
     DL_TYPE_NECTAR,
 )
+from repro.protocols.nectar import PacketKind
+from repro.runtime.mailbox import CACHED_BUFFER_BYTES
 from repro.system import NectarSystem
 from repro.units import ms, seconds
 
@@ -48,8 +63,60 @@ class TestDemux:
 
     def test_double_registration_rejected(self, rig):
         _system, a, _b = rig
+        kind = PacketKind(lambda header: None, "rmp_no_port", lambda *args: iter(()))
         with pytest.raises(ProtocolError, match="already registered"):
-            a.nectar.register(NECTAR_PROTO_RMP, lambda msg, header: iter(()))
+            a.nectar.register(NECTAR_PROTO_RMP, 0, "rmp", {NECTAR_KIND_DATA: kind})
+
+    #: A kind no sub-protocol registers.
+    UNKNOWN_KIND = 0xFF
+
+    @pytest.mark.parametrize(
+        "protocol, kind, counter",
+        [
+            (NECTAR_PROTO_DATAGRAM, NECTAR_KIND_DATA, "datagram_no_port"),
+            (NECTAR_PROTO_DATAGRAM, NECTAR_KIND_ACK, "datagram_malformed"),
+            (NECTAR_PROTO_RMP, NECTAR_KIND_DATA, "rmp_no_port"),
+            (NECTAR_PROTO_RMP, NECTAR_KIND_ACK, "rmp_no_port"),
+            (NECTAR_PROTO_RMP, UNKNOWN_KIND, "rmp_malformed"),
+            (NECTAR_PROTO_REQRESP, NECTAR_KIND_REQUEST, "rpc_no_port"),
+            (NECTAR_PROTO_REQRESP, NECTAR_KIND_RESPONSE, "rpc_orphan_responses"),
+            (NECTAR_PROTO_REQRESP, UNKNOWN_KIND, "rpc_malformed"),
+            (NECTAR_PROTO_NMP, NECTAR_KIND_DATA, "nmp_no_port"),
+            (NECTAR_PROTO_NMP, NECTAR_KIND_REPAIR, "nmp_no_port"),
+            (NECTAR_PROTO_NMP, NECTAR_KIND_SYNC, "nmp_no_port"),
+            (NECTAR_PROTO_NMP, NECTAR_KIND_NACK, "nmp_no_port"),
+            (NECTAR_PROTO_NMP, NECTAR_KIND_SYNC_ACK, "nmp_no_port"),
+            (NECTAR_PROTO_NMP, UNKNOWN_KIND, "nmp_malformed"),
+            (NECTAR_PROTO_COLL, NECTAR_KIND_ARRIVE, "coll_no_group"),
+            (NECTAR_PROTO_COLL, NECTAR_KIND_RELEASE, "coll_no_group"),
+            (NECTAR_PROTO_COLL, NECTAR_KIND_BCAST, "coll_no_group"),
+            (NECTAR_PROTO_COLL, UNKNOWN_KIND, "coll_malformed"),
+        ],
+    )
+    def test_drop_counts_once_frees_and_stays_silent(self, rig, protocol, kind, counter):
+        """A frame with no session or an unknown kind is counted once under
+        its protocol's name, its buffer is freed, and nothing answers it."""
+        system, a, b = rig
+        system.run(until=ms(1))
+        header = NectarTransportHeader(
+            protocol=protocol, kind=kind, seq=3, src_port=7, dst_node=b.node_id, dst_port=9
+        )
+        counted = b.runtime.stats.value(counter)
+        allocated = b.runtime.heap.allocation_count
+        sent = b.cab.stats.value("frames_sent")
+
+        # Past the input mailbox's cached buffer, so the frame takes a heap block.
+        payload = bytes(CACHED_BUFFER_BYTES)
+
+        def sender():
+            yield from a.datalink.send_raw(b.node_id, DL_TYPE_NECTAR, header.pack() + payload)
+
+        a.runtime.fork_application(sender(), "s")
+        system.run(until=ms(10))
+        assert b.cab.stats.value("frames_received") == 1
+        assert b.runtime.stats.value(counter) == counted + 1
+        assert b.runtime.heap.allocation_count == allocated
+        assert b.cab.stats.value("frames_sent") == sent
 
 
 class TestRMPEdges:

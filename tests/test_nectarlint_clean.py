@@ -52,6 +52,21 @@ def test_the_request_response_server_loop_exists_once():
     assert hits == [], "hand the loop a handler (traffic.serve):\n" + "\n".join(hits)
 
 
+def test_the_nectar_transports_have_one_receive_path():
+    """Session lookup, cost, unknown-kind and no-session drops and the
+    control-frame release happen once, in ``transport.py``'s receive table;
+    a sub-protocol registers handlers and frees through ``transport.drop``."""
+    receive_path = re.compile(r"input_mailbox\.iabort_put\(|\bdef _input\(")
+    hits = [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro" / "protocols" / "nectar").glob("*.py"))
+        if path.name != "transport.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if receive_path.search(line)
+    ]
+    assert hits == [], "register a PacketKind instead:\n" + "\n".join(hits)
+
+
 def test_nothing_under_src_repro_reads_the_host_clock():
     """Every report is simulated quantities only: ND001 has no suppression
     left and no ``time.perf_counter``/``time.time``/``time.monotonic`` call
