@@ -41,8 +41,6 @@ class CostModel:
     hub_hop_ns: int = 500
 
     # ------------------------------------------------------------------ CAB CPU
-    #: CAB CPU clock. [paper Sec. 2.2: 16.5 MHz SPARC]
-    cab_cpu_mhz: float = 16.5
     #: Thread context switch (SPARC register-window save/restore).
     #: [paper Sec. 3.1: "20 usec is typical"]
     cab_context_switch_ns: int = us(20)
@@ -74,10 +72,6 @@ class CostModel:
     cab_tx_complete_ns: int = us(1)
     #: Input/output FIFO capacity in bytes. [era: board FIFOs of the period]
     cab_fifo_bytes: int = 8192
-    #: Size of the datalink header prefix that triggers the start-of-data
-    #: upcall once it has been DMA'd into memory (route + datalink header).
-    #: [paper Sec. 4.1 mechanism; size derived from our header layout]
-    cab_header_burst_bytes: int = 64
 
     # --------------------------------------------------------------------- VME
     #: One programmed-I/O access (32-bit word) across the VME bus, host side.
@@ -160,8 +154,6 @@ class CostModel:
     nectar_coll_ns: int = us(6)
 
     # ----------------------------------------------------------------- host CPU
-    #: Host CPU clock (Sun-4 class). [era]
-    host_cpu_mhz: float = 25.0
     #: Host process context switch (UNIX). [era]
     host_context_switch_ns: int = us(80)
     #: System call entry/exit. [era]
@@ -199,10 +191,6 @@ class CostModel:
     ethernet_mtu: int = 1500
 
     # -------------------------------------------------------------- derived API
-
-    @property
-    def cab_cycle_ns(self) -> float:
-        return 1_000.0 / self.cab_cpu_mhz
 
     @property
     def fiber_ns_per_byte(self) -> float:

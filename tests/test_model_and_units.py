@@ -68,7 +68,6 @@ class TestCostModel:
         assert costs.cab_context_switch_ns == us(20)
         assert costs.vme_word_ns == 1000
         assert costs.vme_dma_mbps == 30.0
-        assert costs.cab_cpu_mhz == 16.5
 
     def test_derived_quantities(self):
         costs = CostModel()
