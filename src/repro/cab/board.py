@@ -48,12 +48,6 @@ class CAB:
         self.costs = costs
         self.name = name
         self.stats = CounterScope()
-        #: Optional repro.sim.trace.Tracer for DMA spans (wired by Runtime);
-        #: one attribute test per frame when detached.
-        self.tracer = None
-        #: Optional repro.telemetry.profiler.CycleProfiler for DMA engine
-        #: time; one attribute test per frame when detached.
-        self.profiler = None
         #: Optional repro.buf.accounting.CopyMeter (wired by NectarSystem):
         #: counts host-level byte copies on this node's data path.
         self.copy_meter = None
@@ -110,20 +104,19 @@ class CAB:
     def _tx_dma_loop(self) -> Generator:
         fifo = self.fiber_out.fifo
         dma_ns = self.costs.cab_dma_ns_per_byte
+        tracer = self.sim.tracer
         while True:
             frame: Frame = yield self._tx_queue.get()
-            tracer = self.tracer
-            if tracer is not None and tracer.sink is not None:
+            if tracer.sink is not None:
                 tracer.begin("dma", "tx-frame", {"bytes": frame.size}, track=self._tx_track)
             for chunk in frame.chunks():
                 yield fifo.wait_space(chunk.length)
                 yield chunk.length * dma_ns
                 fifo.push(chunk)
-            tracer = self.tracer
-            if tracer is not None and tracer.sink is not None:
+            if tracer.sink is not None:
                 tracer.end("dma", "tx-frame", track=self._tx_track)
-            if self.profiler is not None:
-                self.profiler.account(
+            if tracer.profiler is not None:
+                tracer.profiler.account(
                     f"{self.name}.dma", "dma", "tx", frame.size * dma_ns
                 )
             if frame.on_dma_done is not None:
@@ -211,8 +204,8 @@ class CAB:
         dma_ns = self.costs.cab_dma_ns_per_byte
         consumed = 0
         header_posted = header_bytes <= 0
-        tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        tracer = self.sim.tracer
+        if tracer.sink is not None:
             tracer.begin("dma", "rx-frame", {"bytes": frame.size}, track=self._rx_track)
         while True:
             yield fifo.wait_data()
@@ -231,11 +224,10 @@ class CAB:
                     self.cpu.post_interrupt(on_header(frame), name="start-of-data")
             if chunk.is_last:
                 break
-        tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        if tracer.sink is not None:
             tracer.end("dma", "rx-frame", track=self._rx_track)
-        if self.profiler is not None:
-            self.profiler.account(f"{self.name}.dma", "dma", "rx", consumed * dma_ns)
+        if tracer.profiler is not None:
+            tracer.profiler.account(f"{self.name}.dma", "dma", "rx", consumed * dma_ns)
         crc_ok = frame.crc_ok()
         if not crc_ok:
             self.stats.add("crc_errors")

@@ -211,12 +211,6 @@ class CPU:
         self.stats = CounterScope()
 
         self.current: Optional[TCB] = None
-        #: Optional repro.sim.trace.Tracer for kernel spans (interrupt
-        #: service, context switches); one attribute test when detached.
-        self.tracer = None
-        #: Optional repro.telemetry.profiler.CycleProfiler attributing every
-        #: busy nanosecond; one attribute test when detached.
-        self.profiler = None
         self._active_handler: Optional[str] = None
         self._ready: list[tuple[int, int, TCB]] = []  # (-priority, seq, tcb)
         self._seq = 0
@@ -401,6 +395,8 @@ class CPU:
         """
         sim = self.sim
         queue = sim._queue  # read in line: sim.peek_next_time() without the call
+        # Kernel spans go to the sink, every busy nanosecond to the profiler.
+        tracer = sim.tracer
         pending_irqs = self._pending_irqs
         ready = self._ready
         stats = self.stats
@@ -410,15 +406,14 @@ class CPU:
                 name, handler = pending_irqs.popleft()
                 stats.add("interrupts_serviced")
                 # Span labels are built only while a trace sink listens.
-                tracer = self.tracer
-                if tracer is not None and tracer.sink is not None:
+                if tracer.sink is not None:
                     tracer.begin("kernel", f"irq:{name}", track=f"{self.name}/irq:{name}")
                 # Entry, handler body and exit are non-preemptible busy time.
                 if self.interrupt_entry_ns > 0:
                     self.busy_ns += self.interrupt_entry_ns
                     yield self.interrupt_entry_ns
-                if self.profiler is not None:
-                    self.profiler.account(
+                if tracer.profiler is not None:
+                    tracer.profiler.account(
                         self.name, "irq-overhead", "entry", self.interrupt_entry_ns
                     )
                 self._active_handler = name
@@ -439,8 +434,8 @@ class CPU:
                             if op > 0:
                                 self.busy_ns += op
                                 yield op
-                            if self.profiler is not None:
-                                self.profiler.account(self.name, "irq", name, op)
+                            if tracer.profiler is not None:
+                                tracer.profiler.account(self.name, "irq", name, op)
                     else:
                         handler()
                 finally:
@@ -448,11 +443,11 @@ class CPU:
                 if self.interrupt_exit_ns > 0:
                     self.busy_ns += self.interrupt_exit_ns
                     yield self.interrupt_exit_ns
-                if self.profiler is not None:
-                    self.profiler.account(
+                if tracer.profiler is not None:
+                    tracer.profiler.account(
                         self.name, "irq-overhead", "exit", self.interrupt_exit_ns
                     )
-                if tracer is not None and tracer.sink is not None:
+                if tracer.sink is not None:
                     tracer.end("kernel", f"irq:{name}", track=f"{self.name}/irq:{name}")
                 if tcb is not None:
                     while ready and ready[0][2].state != _READY:
@@ -474,8 +469,7 @@ class CPU:
                     continue
                 if self._last_ran is not tcb:
                     switch_ns = self.dispatch_ns + self.context_switch_ns
-                    tracer = self.tracer
-                    if tracer is not None and tracer.sink is not None:
+                    if tracer.sink is not None:
                         tracer.begin(
                             "kernel",
                             "context-switch",
@@ -485,11 +479,10 @@ class CPU:
                     if switch_ns > 0:
                         self.busy_ns += switch_ns
                         yield switch_ns
-                    tracer = self.tracer
-                    if tracer is not None and tracer.sink is not None:
+                    if tracer.sink is not None:
                         tracer.end("kernel", "context-switch", track=self._sched_track)
-                    if self.profiler is not None:
-                        self.profiler.account(self.name, "sched", "context-switch", switch_ns)
+                    if tracer.profiler is not None:
+                        tracer.profiler.account(self.name, "sched", "context-switch", switch_ns)
                     stats.add("context_switches")
                     self._last_ran = tcb
                 # Bookkeeping label: the dispatcher leaves _RUNNING by
@@ -505,8 +498,8 @@ class CPU:
                     # Masked: interrupts cannot slice the burst.
                     self.busy_ns += remaining
                     yield remaining
-                    if self.profiler is not None:
-                        self.profiler.account(self.name, "thread", tcb.name, remaining)
+                    if tracer.profiler is not None:
+                        tracer.profiler.account(self.name, "thread", tcb.name, remaining)
                     tcb.pending_compute_ns = 0
                     continue
                 start = sim.now
@@ -520,8 +513,8 @@ class CPU:
                     yield 0
                 elapsed = sim.now - start
                 self.busy_ns += elapsed
-                if self.profiler is not None:
-                    self.profiler.account(self.name, "thread", tcb.name, elapsed)
+                if tracer.profiler is not None:
+                    tracer.profiler.account(self.name, "thread", tcb.name, elapsed)
                 tcb.pending_compute_ns = remaining - elapsed
                 continue
 

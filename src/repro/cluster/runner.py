@@ -40,19 +40,11 @@ from typing import Iterable, List, Optional, Tuple
 from repro.buf.ring import HandoffRing
 from repro.cluster.fleet import FleetSpec, build_shard_system
 from repro.cluster.partition import Partition
-from repro.cluster.workload import Workload, WorkloadSpec
+from repro.cluster.workload import Workload, WorkloadSpec, recovery_counters
 from repro.hub.network import Handoff
+from repro.telemetry.metrics import CounterScope
 
 __all__ = ["ShardRunner", "worker_main"]
-
-_ZERO_RETRANSMITS = {
-    "rmp_retransmits": 0,
-    "rpc_retries": 0,
-    "tcp_retransmits": 0,
-    "nmp_nacks": 0,
-    "nmp_repairs": 0,
-}
-
 
 class ShardRunner:
     """Build and drive one shard's simulation."""
@@ -65,7 +57,6 @@ class ShardRunner:
         workload_spec: WorkloadSpec,
         costs=None,
         telemetry: bool = False,
-        elide_idle: bool = True,
         fault_plan=None,
     ):
         self.shard_id = shard_id
@@ -77,7 +68,7 @@ class ShardRunner:
         # idle-CAB elision is off whenever one is attached: every CAB must
         # exist for the shard's injector to see the same sites the
         # single-process reference does.
-        if elide_idle and not telemetry and fault_plan is None:
+        if not telemetry and fault_plan is None:
             endpoints = {flow.src for flow in self.workload.flows} | {
                 flow.dst for flow in self.workload.flows
             }
@@ -163,7 +154,8 @@ class ShardRunner:
         """Protocol-level results plus this shard's meter readings."""
         results = self.workload.results(self.system)
         for name in self._elided_cabs:
-            results["retransmits"][name] = dict(_ZERO_RETRANSMITS)
+            # An elided CAB never ran: every recovery counter of an empty scope.
+            results["retransmits"][name] = recovery_counters(CounterScope())
         results["retransmits"] = dict(sorted(results["retransmits"].items()))
         results["events"] = self.system.sim.events_scheduled
         results["sim_ns"] = self.system.sim.now

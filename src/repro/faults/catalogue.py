@@ -138,7 +138,7 @@ def run_case(
     to ``until_ns`` (default: the case's horizon)."""
     system = build_fleet_system(case.fleet)
     if recorder is not None:
-        system.attach_observer(recorder)
+        recorder.attach(system)
     injector = system.attach_fault_plan(case.plan if plan is None else plan)
     workload = Workload(case.workload, case.fleet)
     workload.install(system)

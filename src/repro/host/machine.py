@@ -62,7 +62,6 @@ class HostedNode:
         self.host.stats.mount("cpu", self.host.cpu.stats)
         self.vme = VMEBus(system.sim, system.costs, name=f"vme-{node.name}")
         node.runtime.stats.mount("vme", self.vme.stats)
-        self.vme.tracer = system.tracer
         self.driver = CABDriver(self.host, node, self.vme)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

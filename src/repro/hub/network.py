@@ -278,9 +278,8 @@ class NectarNetwork:
         #: ``link_delay_ns(src)`` stalls the link, ``on_fanout_branch`` sees
         #: each multicast replica.  Installed by NectarSystem.
         self.fault_hooks = None
-        #: Optional repro.sim.trace.Tracer for per-link transfer spans
-        #: (wired by NectarSystem); one attribute test per frame when off.
-        self.tracer = None
+        #: The simulation's tracer, for per-link transfer spans.
+        self.tracer = sim.tracer
         self._route_cache: Dict[tuple[str, str], tuple[int, ...]] = {}
         #: Hubs whose forwarding runs in this process.  None means all of
         #: them (the single-process reference); a cluster shard runner
@@ -435,7 +434,7 @@ class NectarNetwork:
                     yield stall_ns
 
             tracer = self.tracer
-            track = f"link:{node.name}" if tracer is not None and tracer.sink is not None else None
+            track = f"link:{node.name}" if tracer.sink is not None else None
             if track is not None:
                 tracer.begin(
                     "hub",

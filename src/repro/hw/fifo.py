@@ -68,9 +68,9 @@ class ByteFIFO:
         self._data_waiters: Deque[Event] = deque()
         self.total_in = 0
         self.total_out = 0
-        #: Optional repro.sim.trace.Tracer sampling the fill level as a
-        #: counter track; one attribute test per push/pop when detached.
-        self.tracer = None
+        #: The simulation's tracer: the fill level is sampled as a counter
+        #: track while a sink listens.
+        self.tracer = sim.tracer
         # Per-event names, built once.
         self._space_name = f"space:{name}"
         self._data_name = f"data:{name}"
@@ -122,7 +122,7 @@ class ByteFIFO:
         self.level += chunk.length
         self.total_in += chunk.length
         tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        if tracer.sink is not None:
             tracer.counter("fifo", "level", self.level, track=self.name)
         while self._data_waiters:
             self._data_waiters.popleft().succeed()
@@ -146,7 +146,7 @@ class ByteFIFO:
         self.level -= chunk.length
         self.total_out += chunk.length
         tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        if tracer.sink is not None:
             tracer.counter("fifo", "level", self.level, track=self.name)
         self._grant_space()
         return chunk
@@ -164,7 +164,7 @@ class ByteFIFO:
         self.level = 0
         self.total_out += sum(chunk.length for chunk in chunks)
         tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        if tracer.sink is not None:
             tracer.counter("fifo", "level", self.level, track=self.name)
         self._grant_space()
         return chunks

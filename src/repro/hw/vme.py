@@ -29,9 +29,8 @@ class VMEBus:
         self.name = name
         self._bus = Resource(sim, slots=1, name=f"{name}.bus")
         self.stats = CounterScope()
-        #: Optional repro.sim.trace.Tracer for bus-occupancy spans (wired by
-        #: HostedNode); one attribute test per transfer when detached.
-        self.tracer = None
+        #: The simulation's tracer, for bus-occupancy spans.
+        self.tracer = sim.tracer
 
     # -- transfers -----------------------------------------------------------
 
@@ -42,36 +41,29 @@ class VMEBus:
         (or wrapped in a CPU compute by callers that model the CPU being
         busy — PIO *does* occupy the issuing CPU).
         """
-        if nbytes < 0:
-            raise ValueError(f"negative PIO size {nbytes}")
-        yield self._bus.acquire()
-        # The span opens only once the bus is held, so concurrent transfer
-        # attempts serialize and the spans on this track nest correctly.
-        if self.tracer is not None:
-            self.tracer.begin("vme", "pio", {"bytes": nbytes}, track=self.name)
-        try:
-            yield self.costs.vme_pio_ns(nbytes)
-            self.stats.add("pio_bytes", nbytes)
-            self.stats.add("pio_transfers")
-        finally:
-            if self.tracer is not None:
-                self.tracer.end("vme", "pio", track=self.name)
-            self._bus.release()
+        yield from self._hold("pio", nbytes, self.costs.vme_pio_ns)
 
     def dma(self, nbytes: int) -> Generator:
         """Block transfer of ``nbytes`` at the VME DMA rate."""
+        yield from self._hold("dma", nbytes, self.costs.vme_dma_ns)
+
+    def _hold(self, kind: str, nbytes: int, cost_ns: Callable[[int], int]) -> Generator:
+        """Hold the bus for one ``kind`` transfer of ``nbytes``."""
         if nbytes < 0:
-            raise ValueError(f"negative DMA size {nbytes}")
+            raise ValueError(f"negative {kind.upper()} size {nbytes}")
         yield self._bus.acquire()
-        if self.tracer is not None:
-            self.tracer.begin("vme", "dma", {"bytes": nbytes}, track=self.name)
+        # The span opens only once the bus is held, so concurrent transfer
+        # attempts serialize and the spans on this track nest correctly.
+        tracer = self.tracer
+        if tracer.sink is not None:
+            tracer.begin("vme", kind, {"bytes": nbytes}, track=self.name)
         try:
-            yield self.costs.vme_dma_ns(nbytes)
-            self.stats.add("dma_bytes", nbytes)
-            self.stats.add("dma_transfers")
+            yield cost_ns(nbytes)
+            self.stats.add(f"{kind}_bytes", nbytes)
+            self.stats.add(f"{kind}_transfers")
         finally:
-            if self.tracer is not None:
-                self.tracer.end("vme", "dma", track=self.name)
+            if tracer.sink is not None:
+                tracer.end("vme", kind, track=self.name)
             self._bus.release()
 
     def transfer(self, nbytes: int) -> Generator:

@@ -36,6 +36,7 @@ import json
 from typing import Dict, Generator, List, Optional
 
 from repro.sim.trace import TraceRecorder
+from repro.telemetry.perfetto import pair_spans
 from repro.units import us
 
 __all__ = ["FlightRecorder", "Journal"]
@@ -213,36 +214,25 @@ class FlightRecorder:
 
 
 def _slow_spans(trace_events, slow_ns: int = SLOW_SPAN_NS, cap: int = MAX_EVENTS):
-    """Match synchronous B/E span pairs; keep those at least ``slow_ns`` long.
+    """The synchronous spans at least ``slow_ns`` long, at most ``cap`` of
+    them, plus how many more were dropped.
 
-    Spans nest like a call stack per track (that is the tracer's
-    contract), so a per-track stack recovers the pairs in one pass.
-    Unbalanced ends and spans still open at harvest are ignored — the
-    event log is a best-effort operator view, not an invariant.
+    Pairing is :func:`~repro.telemetry.perfetto.pair_spans`'s: unbalanced
+    ends and spans still open at harvest are ignored — the event log is a
+    best-effort operator view, not an invariant.
     """
-    stacks: Dict[str, list] = {}
     slow: List[dict] = []
     dropped = 0
-    for event in trace_events:
-        if event.phase not in ("B", "E"):
-            continue
-        track = event.track if event.track is not None else event.component
-        stack = stacks.setdefault(track, [])
-        if event.phase == "B":
-            stack.append(event)
-            continue
-        if not stack:
-            continue
-        begin = stack.pop()
-        duration = event.time_ns - begin.time_ns
-        if duration < slow_ns:
+    for begin, end_ns, track in pair_spans(trace_events):
+        duration = end_ns - begin.time_ns
+        if track is None or duration < slow_ns:
             continue
         if len(slow) >= cap:
             dropped += 1
             continue
         slow.append(
             {
-                "time_ns": event.time_ns,
+                "time_ns": end_ns,
                 "component": begin.component,
                 "label": begin.label,
                 "track": track,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import HeapExhausted, NectarError
+from repro.sim.trace import Tracer
 
 __all__ = ["BufferHeap"]
 
@@ -28,7 +29,7 @@ def _align_up(value: int) -> int:
 class BufferHeap:
     """First-fit allocator with address-ordered free list and coalescing."""
 
-    def __init__(self, base: int, size: int, name: str = "heap"):
+    def __init__(self, base: int, size: int, tracer: Tracer, name: str = "heap"):
         if size <= 0:
             raise NectarError(f"heap size must be positive, got {size}")
         if base < 0:
@@ -36,9 +37,9 @@ class BufferHeap:
         self.name = name
         self.base = base
         self.size = size
-        #: Optional repro.sim.trace.Tracer sampling bytes-in-use as a counter
-        #: track, summed only while a trace sink listens.
-        self.tracer = None
+        #: Samples bytes-in-use as a counter track, summed only while a
+        #: trace sink listens.
+        self.tracer = tracer
         # Address-ordered list of (addr, size) free blocks.
         self._free: list[tuple[int, int]] = [(base, size)]
         self._allocated: Dict[int, int] = {}
@@ -87,7 +88,7 @@ class BufferHeap:
                     del self._free[index]
                 self._allocated[addr] = needed
                 tracer = self.tracer
-                if tracer is not None and tracer.sink is not None:
+                if tracer.sink is not None:
                     tracer.counter(
                         "heap", "bytes_in_use", self.allocated_bytes, track=self.name
                     )
@@ -111,7 +112,7 @@ class BufferHeap:
             raise NectarError(f"{self.name}: free of unallocated address {addr}")
         size = self._allocated.pop(addr)
         tracer = self.tracer
-        if tracer is not None and tracer.sink is not None:
+        if tracer.sink is not None:
             tracer.counter("heap", "bytes_in_use", self.allocated_bytes, track=self.name)
         # Insert in address order.
         lo, hi = 0, len(self._free)

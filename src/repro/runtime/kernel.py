@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.runtime.heap import BufferHeap
 from repro.runtime.mailbox import Mailbox, Message
 from repro.runtime.threads import Condition, Mutex, ThreadOps
-from repro.sim.trace import Tracer
 from repro.telemetry.metrics import CounterScope
 from repro.units import KB
 
@@ -31,7 +30,7 @@ CONTROL_RESERVE_BYTES = 64 * KB
 class Runtime:
     """The CAB runtime system."""
 
-    def __init__(self, cab: CAB, tracer: Optional[Tracer] = None):
+    def __init__(self, cab: CAB):
         self.cab = cab
         self.sim = cab.sim
         self.costs = cab.costs
@@ -44,21 +43,16 @@ class Runtime:
         self.heap = BufferHeap(
             base=CONTROL_RESERVE_BYTES,
             size=DATA_MEMORY_BYTES - CONTROL_RESERVE_BYTES,
+            tracer=cab.sim.tracer,
             name=f"{cab.name}.heap",
         )
         self.heap_waiters: Deque[WaitToken] = deque()
         #: Plain callables poked when heap space frees (host-side waiters).
         self.heap_space_hooks: list = []
         self.mailboxes: Dict[str, Mailbox] = {}
-        self.tracer = tracer if tracer is not None else Tracer(lambda: cab.sim.now)
+        #: The simulation's tracer, for the protocols' spans.
+        self.tracer = cab.sim.tracer
         self.stats = CounterScope()
-        # Hand the (possibly sink-less) tracer to every instrumented layer of
-        # this CAB: attaching one sink then observes the whole board.
-        self.cpu.tracer = self.tracer
-        cab.tracer = self.tracer
-        self.heap.tracer = self.tracer
-        cab.fiber_in.fifo.tracer = self.tracer
-        cab.fiber_out.fifo.tracer = self.tracer
 
     # ------------------------------------------------------------- mailboxes
 

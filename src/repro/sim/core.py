@@ -68,6 +68,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
+from repro.sim.trace import Tracer
+
 __all__ = [
     "Event",
     "Interrupt",
@@ -310,6 +312,9 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._failures: list[Process] = []
+        #: The one tracer of this simulation: every instrumented component
+        #: built on it emits here, and observers attach by setting its hooks.
+        self.tracer = Tracer(lambda: self.now)
 
     def _claim_failure(self, process: Process) -> None:
         """Mark a failed process as handled (its exception was observed)."""

@@ -23,6 +23,11 @@ Emission costs **zero simulated time**: tracing never creates simulation
 events, never charges CPU cycles, and therefore never perturbs event order
 (the observer effect is exactly zero unless a cost is modelled explicitly).
 When no sink is attached every hook is one attribute check.
+
+Each :class:`~repro.sim.core.Simulator` owns one tracer (``sim.tracer``),
+and every instrumented component takes it when built, so an observer
+attaches to a whole simulation by setting a hook, never component by
+component.
 """
 
 from __future__ import annotations
@@ -52,16 +57,20 @@ class TraceEvent:
 
 
 class Tracer:
-    """A pluggable sink for trace events.
+    """The two observer hooks of one simulation: a trace sink and a profiler.
 
-    By default tracing is off (``sink is None``) and every hook costs one
-    attribute check.  Attach a :class:`TraceRecorder` (or any callable) to
-    capture records.
+    By default both are off (``None``) and every instrumentation site costs
+    one attribute check.  Attach a :class:`TraceRecorder` (or any callable)
+    as ``sink`` to capture records, and a
+    :class:`~repro.telemetry.profiler.CycleProfiler` as ``profiler`` to
+    have the CPU and DMA engines charge their busy time to it.
     """
 
     def __init__(self, clock: Callable[[], int]):
         self._clock = clock
         self.sink: Optional[Callable[[TraceEvent], None]] = None
+        #: Anything with ``account(cpu, category, name, ns)``.
+        self.profiler: Any = None
 
     @property
     def enabled(self) -> bool:

@@ -39,7 +39,6 @@ from repro.protocols.tcp.tcp import TCPProtocol
 from repro.protocols.udp import UDPProtocol
 from repro.runtime.kernel import Runtime
 from repro.sim.core import Simulator
-from repro.sim.trace import Tracer
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["NectarNode", "NectarSystem"]
@@ -72,7 +71,7 @@ class NectarNode:
         self.cab.program_mem.copy_meter = system.copy_meter
         system.network.attach(self.cab, hub, port)
         self.node_id = system.registry.register(name)
-        self.runtime = Runtime(self.cab, tracer=system.tracer)
+        self.runtime = Runtime(self.cab)
         # Mounted before any protocol exists: mailboxes mount themselves
         # below the runtime's scope as they are created.
         system.metrics.mount(name, self.runtime.stats)
@@ -111,7 +110,7 @@ class NectarSystem:
     def __init__(self, costs: Optional[CostModel] = None):
         self.sim = Simulator()
         self.costs = costs if costs is not None else DEFAULT_COSTS.copy()
-        self.tracer = Tracer(lambda: self.sim.now)
+        self.tracer = self.sim.tracer
         #: The one metrics store (repro.telemetry.metrics): every
         #: component's ``.stats`` is mounted here, telemetry on or off.
         self.metrics = MetricsRegistry()
@@ -121,7 +120,6 @@ class NectarSystem:
         self.copy_meter = self.metrics.mount("host", CopyMeter())
         self.network = NectarNetwork(self.sim, self.costs)
         self.metrics.mount("net", self.network.stats)
-        self.network.tracer = self.tracer
         self.registry = NodeRegistry(self.network)
         self.nodes: Dict[str, NectarNode] = {}
         self.hubs: Dict[str, Hub] = {}
@@ -169,8 +167,6 @@ class NectarSystem:
         self.nodes[name] = node
         if self.faults is not None:
             node.runtime.faults = self.faults
-        if self.telemetry is not None:
-            self.telemetry.attach_node(node)
         return node
 
     def add_remote_node(self, name: str, hub: Hub, port: int) -> int:
@@ -203,23 +199,13 @@ class NectarSystem:
         self.faults = injector
         return injector
 
-    def attach_observer(self, observer):
-        """Attach an ops-lab observer (see :mod:`repro.ops.observer`).
-
-        The observer becomes the shared tracer's sink and gets its
-        sampling process scheduled; it only ever *reads* state, so the
-        simulated behavior with an observer attached is bit-identical to
-        the behavior without one.  Returns the observer.
-        """
-        observer.attach(self)
-        return observer
-
     def enable_telemetry(self):
         """Attach a :class:`~repro.telemetry.session.Telemetry` session.
 
-        Installs a trace recorder as the shared tracer's sink and a cycle
-        profiler on every node's CPU, and returns the session.  Idempotent:
-        a second call returns the existing session.
+        Installs a trace recorder as the tracer's sink and a cycle profiler
+        as its profiler, so every node (added before or after) is observed,
+        and returns the session.  Idempotent: a second call returns the
+        existing session.
         """
         from repro.telemetry.session import Telemetry
 

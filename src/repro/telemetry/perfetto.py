@@ -26,11 +26,11 @@ a process-global counter and are normalized away here).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.trace import TraceEvent
 
-__all__ = ["export_chrome_trace", "match_spans"]
+__all__ = ["export_chrome_trace", "match_spans", "pair_spans"]
 
 
 def _json_safe(value: Any) -> Any:
@@ -165,18 +165,20 @@ def export_chrome_trace(events: Iterable[TraceEvent]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def match_spans(events: Iterable[TraceEvent]) -> List[Tuple[str, str, int]]:
-    """Pair up span begin/end events into ``(component, label, duration_ns)``.
+def pair_spans(
+    events: Iterable[TraceEvent],
+) -> Iterator[Tuple[TraceEvent, int, Optional[str]]]:
+    """Pair span begin/end events, yielding ``(begin, end_ns, track)``.
 
     Synchronous ``B``/``E`` pairs are matched per track with stack
-    discipline; async ``b``/``e`` pairs are matched by (component, label,
-    span_id).  Unbalanced events (spans still open at the end of the run)
-    are ignored.  Output order follows the order spans *closed*, which is
-    deterministic for a deterministic run.
+    discipline (``track`` is the track, else the component); async
+    ``b``/``e`` pairs are matched by (component, label, span_id) and yield
+    ``track=None``.  Unbalanced events (spans still open at the end of the
+    run, ends with nothing open) are ignored.  Pairs come out in the order
+    the spans *closed*, which is deterministic for a deterministic run.
     """
     stacks: Dict[str, List[TraceEvent]] = {}
     open_async: Dict[Tuple[str, str, Any], TraceEvent] = {}
-    durations: List[Tuple[str, str, int]] = []
 
     for event in events:
         if event.phase == "B":
@@ -186,16 +188,19 @@ def match_spans(events: Iterable[TraceEvent]) -> List[Tuple[str, str, int]]:
             track = event.track if event.track is not None else event.component
             stack = stacks.get(track)
             if stack:
-                begin = stack.pop()
-                durations.append(
-                    (begin.component, begin.label, event.time_ns - begin.time_ns)
-                )
+                yield stack.pop(), event.time_ns, track
         elif event.phase == "b":
             open_async.setdefault((event.component, event.label, event.span_id), event)
         elif event.phase == "e":
             begin = open_async.pop((event.component, event.label, event.span_id), None)
             if begin is not None:
-                durations.append(
-                    (begin.component, begin.label, event.time_ns - begin.time_ns)
-                )
-    return durations
+                yield begin, event.time_ns, None
+
+
+def match_spans(events: Iterable[TraceEvent]) -> List[Tuple[str, str, int]]:
+    """Every closed span as ``(component, label, duration_ns)``, in
+    :func:`pair_spans` order."""
+    return [
+        (begin.component, begin.label, end_ns - begin.time_ns)
+        for begin, end_ns, _track in pair_spans(events)
+    ]

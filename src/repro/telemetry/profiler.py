@@ -7,13 +7,14 @@ Every simulated nanosecond a :class:`~repro.cab.cpu.CPU` charges to its
 * ``category`` — where in the kernel they went: ``thread`` (protocol handler
   code), ``irq`` (interrupt handler bodies), ``sched`` (dispatch + context
   switch), ``irq-overhead`` (interrupt entry/exit microcode), ``dma``
-  (device engines wired to the same profiler);
+  (the CAB's DMA engines);
 * ``name`` — the specific thread, handler, or engine.
 
 Attribution happens at the existing charge sites inside the CPU engine, so
 the profile is exact by construction: the per-CPU totals equal ``busy_ns``
-to the nanosecond.  Like the tracer, the profiler records zero simulated
-time and is a single attribute check when disabled.
+to the nanosecond.  It hangs on the simulation's tracer
+(``sim.tracer.profiler``), records zero simulated time, and is a single
+attribute check when detached.
 
 :meth:`CycleProfiler.folded` emits classic folded-stack lines
 (``track;category;name value``) that flamegraph.pl / speedscope / inferno

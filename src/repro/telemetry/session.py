@@ -1,7 +1,7 @@
 """One-stop telemetry session: recorder + cycle profiler over the store.
 
 A :class:`Telemetry` object bundles the trace recorder and the cycle
-profiler, wires them into a :class:`~repro.system.NectarSystem`
+profiler, hooks them onto a :class:`~repro.system.NectarSystem`'s tracer
 (``system.enable_telemetry()`` is the usual entry point), and reports
 through the system's own metrics store: ``telemetry.metrics is
 system.metrics``.  Counters are already there — every component's
@@ -25,7 +25,7 @@ from repro.telemetry.perfetto import export_chrome_trace, match_spans
 from repro.telemetry.profiler import CycleProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.system import NectarNode, NectarSystem
+    from repro.system import NectarSystem
 
 __all__ = ["Telemetry"]
 
@@ -34,7 +34,7 @@ class Telemetry:
     """Recorder and profiler for one system, reporting into its metrics store."""
 
     def __init__(self, system: "NectarSystem"):
-        """Attach to ``system``: trace sink plus per-node profilers."""
+        """Attach to ``system``: its tracer's sink and profiler hooks."""
         self.recorder = TraceRecorder()
         self.profiler = CycleProfiler()
         self.system = system
@@ -42,15 +42,7 @@ class Telemetry:
         self._cycles = self.metrics.mount("cycles", CounterScope())
         self._collected = False
         system.tracer.sink = self.recorder
-        for node in system.nodes.values():
-            self.attach_node(node)
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach_node(self, node: "NectarNode") -> None:
-        """Wire the cycle profiler into one node (also used for late nodes)."""
-        node.cab.cpu.profiler = self.profiler
-        node.cab.profiler = self.profiler
+        system.tracer.profiler = self.profiler
 
     # -- collect -----------------------------------------------------------
 

@@ -109,13 +109,31 @@ class TestEmissionBounds:
     def test_drained_shard_reports_no_bound(self):
         fleet = line_fleet(2, 2, hub_ports=8)
         partition = Partitioner.partition(fleet, 2)
-        # Zero flows: the shard still boots its stacks, then goes quiet.
+        # Zero flows: telemetry keeps every CAB (no idle elision), so the
+        # shard still boots its stacks, then goes quiet.
         spec = WorkloadSpec(
             seed=5, rmp_flows=0, rpc_flows=0, tcp_flows=0, tcp_bytes=0
         )
-        runner = ShardRunner(fleet, partition, 0, spec, elide_idle=False)
+        runner = ShardRunner(fleet, partition, 0, spec, telemetry=True)
+        assert runner.system.nodes
         runner.advance(None)
         assert runner.sync_state() == (None, None)
+
+    def test_an_elided_cab_reports_the_recovery_keys_of_a_live_one(self):
+        fleet = line_fleet(2, 3, hub_ports=8)
+        partition = Partitioner.partition(fleet, 2)
+        spec = WorkloadSpec(
+            seed=5, rmp_flows=1, rpc_flows=0, tcp_flows=0, tcp_bytes=0
+        )
+        runner = ShardRunner(fleet, partition, 0, spec)
+        runner.advance(None)
+        retransmits = runner.results()["retransmits"]
+        elided, live = runner._elided_cabs, list(runner.system.nodes)
+        assert elided and live
+        live_keys = set(retransmits[live[0]])
+        for name in elided:
+            assert set(retransmits[name]) == live_keys
+            assert set(retransmits[name].values()) == {0}
 
     def test_intents_lower_the_bound_while_a_tx_is_in_flight(self):
         runner = self.rig()

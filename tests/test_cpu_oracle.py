@@ -36,7 +36,6 @@ from repro.cab.cpu import (
 )
 from repro.errors import CABError
 from repro.sim.core import Event, Interrupt, Simulator
-from repro.sim.trace import Tracer
 
 DELAYS = (0, 1, 1, 2, 2, 3, 5, 8)
 SLOTS = 3
@@ -69,6 +68,16 @@ class NestedCPU(CPU):
     def __init__(self, sim, **kwargs):
         super().__init__(sim, **kwargs)
         self._work = _Signal(sim, name=f"{self.name}.work")
+
+    # The frozen engine reads the two hooks it was once wired with per CPU;
+    # both now hang on the simulation's one tracer.
+    @property
+    def tracer(self):
+        return self.sim.tracer
+
+    @property
+    def profiler(self):
+        return self.sim.tracer.profiler
 
     def post_interrupt(self, handler: Any, name: str = "irq") -> None:
         self._pending_irqs.append((name, handler))
@@ -341,6 +350,8 @@ class Rig:
         rng = self.rng = random.Random(seed)
         sim = self.sim = Simulator()
         self.log = []
+        sim.tracer.profiler = Profile(self.log, sim)
+        sim.tracer.sink = self.log.append
         self.cpus = [
             cpu_class(
                 sim,
@@ -354,9 +365,6 @@ class Rig:
         ]
         self.slots = {cpu: [[] for _ in range(SLOTS)] for cpu in self.cpus}
         for cpu in self.cpus:
-            cpu.profiler = Profile(self.log, sim)
-            cpu.tracer = Tracer(lambda: sim.now)
-            cpu.tracer.sink = self.log.append
             for thread in range(3):
                 name = f"{cpu.name}.t{thread}"
                 priority = rng.choice(

@@ -8,8 +8,13 @@ from repro.runtime.heap import BufferHeap
 from repro.sim.trace import TraceEvent, Tracer
 
 
+def quiet():
+    """A tracer with no sink, as every simulation's starts out."""
+    return Tracer(lambda: 0)
+
+
 def test_alloc_returns_distinct_blocks():
-    heap = BufferHeap(base=0, size=1024)
+    heap = BufferHeap(base=0, size=1024, tracer=quiet())
     a = heap.alloc(100)
     b = heap.alloc(100)
     assert a != b
@@ -17,33 +22,33 @@ def test_alloc_returns_distinct_blocks():
 
 
 def test_alloc_alignment():
-    heap = BufferHeap(base=0, size=1024)
+    heap = BufferHeap(base=0, size=1024, tracer=quiet())
     addrs = [heap.alloc(13) for _ in range(5)]
     assert all(addr % 8 == 0 for addr in addrs)
 
 
 def test_exhaustion_raises():
-    heap = BufferHeap(base=0, size=256)
+    heap = BufferHeap(base=0, size=256, tracer=quiet())
     heap.alloc(200)
     with pytest.raises(HeapExhausted):
         heap.alloc(200)
 
 
 def test_try_alloc_returns_none_when_full():
-    heap = BufferHeap(base=0, size=64)
+    heap = BufferHeap(base=0, size=64, tracer=quiet())
     assert heap.try_alloc(64) is not None
     assert heap.try_alloc(1) is None
 
 
 def test_free_then_realloc_reuses_space():
-    heap = BufferHeap(base=0, size=256)
+    heap = BufferHeap(base=0, size=256, tracer=quiet())
     addr = heap.alloc(256)
     heap.free(addr)
     assert heap.alloc(256) == addr
 
 
 def test_coalescing_allows_large_alloc_after_frees():
-    heap = BufferHeap(base=0, size=304)
+    heap = BufferHeap(base=0, size=304, tracer=quiet())
     a = heap.alloc(100)  # rounds to 104
     b = heap.alloc(100)  # rounds to 104
     c = heap.alloc(96)
@@ -55,7 +60,7 @@ def test_coalescing_allows_large_alloc_after_frees():
 
 
 def test_double_free_rejected():
-    heap = BufferHeap(base=0, size=128)
+    heap = BufferHeap(base=0, size=128, tracer=quiet())
     addr = heap.alloc(64)
     heap.free(addr)
     with pytest.raises(NectarError):
@@ -63,19 +68,19 @@ def test_double_free_rejected():
 
 
 def test_free_of_unallocated_rejected():
-    heap = BufferHeap(base=0, size=128)
+    heap = BufferHeap(base=0, size=128, tracer=quiet())
     with pytest.raises(NectarError):
         heap.free(24)
 
 
 def test_nonpositive_alloc_rejected():
-    heap = BufferHeap(base=0, size=128)
+    heap = BufferHeap(base=0, size=128, tracer=quiet())
     with pytest.raises(NectarError):
         heap.alloc(0)
 
 
 def test_accounting():
-    heap = BufferHeap(base=4096, size=1024)
+    heap = BufferHeap(base=4096, size=1024, tracer=quiet())
     assert heap.free_bytes == 1024
     addr = heap.alloc(100)
     assert heap.allocated_bytes == 104  # aligned up
@@ -105,19 +110,18 @@ def churn(heap):
 
 
 def test_sinkless_tracer_never_sums_live_blocks():
-    """A NectarSystem always wires a Tracer; without a sink, alloc/free
+    """Every simulation's heap has a Tracer; without a sink, alloc/free
     must not pay for a sample nobody receives."""
-    heap = CountingHeap(base=0, size=1024)
-    heap.tracer = Tracer(lambda: 0)
+    heap = CountingHeap(base=0, size=1024, tracer=quiet())
     churn(heap)
     assert heap.reads == 0
 
 
 def test_attached_sink_samples_bytes_in_use_after_every_alloc_and_free():
-    heap = CountingHeap(base=0, size=1024, name="h")
-    heap.tracer = Tracer(lambda: 7)
+    tracer = Tracer(lambda: 7)
     samples = []
-    heap.tracer.sink = samples.append
+    tracer.sink = samples.append
+    heap = CountingHeap(base=0, size=1024, tracer=tracer, name="h")
     churn(heap)
     assert samples == [
         TraceEvent(7, "heap", "bytes_in_use", value, phase="C", track="h")
@@ -138,7 +142,7 @@ def test_attached_sink_samples_bytes_in_use_after_every_alloc_and_free():
 )
 def test_heap_invariants_under_random_workload(ops):
     """No overlap, no leaks, full coalescing — under arbitrary op sequences."""
-    heap = BufferHeap(base=512, size=4096)
+    heap = BufferHeap(base=512, size=4096, tracer=quiet())
     live: list[int] = []
     for op, arg in ops:
         if op == "alloc":

@@ -5,6 +5,7 @@ Runs in-process (no subprocess) so it is fast and portable, plus one
 subprocess check that the CLI entry point itself works and exits 0.
 """
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -65,6 +66,68 @@ def test_the_nectar_transports_have_one_receive_path():
         if receive_path.search(line)
     ]
     assert hits == [], "register a PacketKind instead:\n" + "\n".join(hits)
+
+
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _names_tracer(node):
+    return (isinstance(node, ast.Name) and node.id == "tracer") or (
+        isinstance(node, ast.Attribute) and node.attr == "tracer"
+    )
+
+
+def detached_tracer_sites(source, filename="<source>"):
+    """Line numbers of every ``None`` stored in a ``tracer`` or ``profiler``
+    attribute, and of every ``tracer is None`` / ``tracer is not None``."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_none(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(target, ast.Attribute) and target.attr in ("tracer", "profiler")
+                for target in targets
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) and _names_tracer(node.left):
+            if isinstance(node.ops[0], (ast.Is, ast.IsNot)) and _is_none(
+                node.comparators[0]
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_component_takes_the_simulations_tracer():
+    """The Simulator owns the one Tracer and every instrumented component
+    takes it when built, so a tracer is never missing: the only guards are
+    ``tracer.sink is not None`` and ``tracer.profiler is not None``.  The
+    Tracer itself (``sim/trace.py``) is where those two hooks start off."""
+    hits = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != SRC / "repro" / "sim" / "trace.py"
+        for line in detached_tracer_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert hits == [], "take sim.tracer when built:\n" + "\n".join(hits)
+
+
+def test_detached_tracer_guard_catches_planted_sites():
+    source = (
+        "class Board:\n"
+        "    def __init__(self, sim):\n"
+        "        self.tracer = None\n"
+        "        self.profiler: object = None\n"
+        "        self.sink = None\n"
+        "    def hot(self, tracer):\n"
+        "        if tracer is not None and tracer.sink is not None:\n"
+        "            pass\n"
+        "        if self.tracer is None:\n"
+        "            pass\n"
+        "        if tracer.sink is not None and tracer.profiler is not None:\n"
+        "            pass\n"
+    )
+    assert detached_tracer_sites(source) == [3, 4, 7, 9]
 
 
 def test_nothing_under_src_repro_reads_the_host_clock():

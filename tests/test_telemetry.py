@@ -4,8 +4,15 @@ import json
 
 import pytest
 
+from repro.apps import traffic
+from repro.cab.cpu import CPU, PRIORITY_APPLICATION
 from repro.errors import ConfigurationError, NectarError
+from repro.hw.fifo import ByteFIFO, Chunk
+from repro.hw.vme import VMEBus
+from repro.model.costs import CostModel
+from repro.sim import Simulator
 from repro.sim.trace import TraceEvent, TraceRecorder, Tracer
+from repro.system import NectarSystem
 from repro.telemetry import (
     CounterScope,
     CycleProfiler,
@@ -13,7 +20,7 @@ from repro.telemetry import (
     MetricsRegistry,
     export_chrome_trace,
 )
-from repro.telemetry.perfetto import match_spans
+from repro.telemetry.perfetto import match_spans, pair_spans
 
 
 def make_tracer(recorder):
@@ -347,3 +354,63 @@ class TestCycleProfiler:
         profiler.account("b", "x", "y", 1)
         profiler.account("a", "x", "y", 2)
         assert list(profiler.snapshot()) == ["a;x;y", "b;x;y"]
+
+
+# ------------------------------------------------------------- the one seam
+
+
+class TestOneTracerPerSimulation:
+    def test_components_on_a_bare_simulator_emit_once_a_sink_is_set(self):
+        sim = Simulator()
+        cpu = CPU(sim, name="cpu")
+        fifo = ByteFIFO(sim, 64, name="fifo")
+        vme = VMEBus(sim, CostModel(), name="vme")
+        recorder = TraceRecorder()
+        sim.tracer.sink = recorder
+        sim.tracer.profiler = profiler = CycleProfiler()
+
+        def work():
+            yield 100
+
+        def bus():
+            yield from vme.pio(8)
+
+        cpu.add_thread(work(), PRIORITY_APPLICATION, "work")
+        sim.process(bus())
+        fifo.push(Chunk(frame="f", offset=0, length=16, is_first=True, is_last=True))
+        fifo.pop()
+        sim.run()
+        tracks = {(event.component, event.track) for event in recorder.events}
+        assert ("kernel", "cpu/sched") in tracks
+        assert ("fifo", "fifo") in tracks
+        assert ("vme", "vme") in tracks
+        assert profiler.total_ns("cpu") == cpu.busy_ns > 0
+
+    def test_a_node_added_after_enable_telemetry_is_traced_and_profiled(self):
+        system = NectarSystem()
+        hub = system.add_hub("hub0")
+        early = system.add_node("cab-a", hub, 0)
+        telemetry = system.enable_telemetry()
+        late = system.add_node("cab-late", hub, 1)
+        client, server = traffic.pair("datagram", early, late, "in-a", "in-late")
+        traffic.fork(late, "echo", server.echo(), service=True)
+        traffic.fork(early, "client", client.pingpong([b"x" * 64] * 3))
+        system.run()
+        tracks = {event.track for event in telemetry.recorder.events}
+        assert "cab-late.dma-rx" in tracks and "link:cab-late" in tracks
+        assert late.cab.cpu.busy_ns > 0
+        for node in system.nodes.values():
+            cpu = node.cab.cpu
+            assert telemetry.profiler.total_ns(cpu.name) == cpu.busy_ns
+
+    def test_pair_spans_tells_sync_tracks_from_async_spans(self):
+        events = [
+            TraceEvent(0, "dl", "frame", phase="b", span_id=1),
+            TraceEvent(5, "k", "outer", phase="B", track="t"),
+            TraceEvent(9, "k", "outer", phase="E", track="t"),
+            TraceEvent(12, "dl", "frame", phase="e", span_id=1),
+        ]
+        assert [(begin.label, end_ns, track) for begin, end_ns, track in pair_spans(events)] == [
+            ("outer", 9, "t"),
+            ("frame", 12, None),
+        ]
