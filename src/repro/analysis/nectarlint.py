@@ -14,6 +14,9 @@ Scope notes
   ``model`` or ``telemetry`` — where ordering and integer time are
   load-bearing (telemetry export must be byte-stable).  Bench and app
   drivers may freely iterate sets for reporting.
+* ND006 (class- and module-level state a run changes) applies everywhere:
+  the paper drivers' cells (:mod:`repro.bench.cells`) run any package in
+  any process, so no run may leave state behind for the next.
 * NS101/NS102 (generator misuse) apply everywhere: the thread-context API
   is the same in apps as in the runtime.
 * NB201 (payload materialization) applies only inside *data-path* packages
@@ -187,6 +190,25 @@ _FORBIDDEN_HANDLER_OPS = {"Block", "YieldCPU", "SetMask"}
 _PAYLOAD_PRODUCERS = {"read", "view", "mv", "chunk_bytes", "tobytes"}
 
 
+#: Calls that build an iterator or counter: bound at class or module
+#: level, every next() advances state that outlives one system (ND006).
+_COUNTER_CALLS = {"itertools.count", "count", "itertools.cycle", "cycle", "iter"}
+
+#: Calls and literals that build a mutable container.
+_CONTAINER_CALLS = {
+    "list", "dict", "set", "bytearray", "deque", "collections.deque",
+    "defaultdict", "collections.defaultdict", "OrderedDict",
+    "collections.OrderedDict", "Counter", "collections.Counter",
+}
+
+#: Methods that mutate a container in place.
+_MUTATORS = {
+    "append", "appendleft", "extend", "extendleft", "insert", "add",
+    "update", "setdefault", "pop", "popleft", "popitem", "remove",
+    "discard", "clear",
+}
+
+
 def _dotted_name(node: ast.AST) -> Optional[str]:
     """'a.b.c' for a Name/Attribute chain, else None."""
     parts: List[str] = []
@@ -262,6 +284,142 @@ def _touches_payload(node: ast.AST) -> bool:
     return False
 
 
+def _is_mutable_value(node: ast.AST) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and _dotted_name(node.func) in _CONTAINER_CALLS
+
+
+def _bound_names(body: List[ast.stmt]) -> dict:
+    """name -> value node for every plain ``name = value`` in a body."""
+    names = {}
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                names[target.id] = stmt.value
+    return names
+
+
+def _function_locals(func) -> set:
+    """Names a function binds itself (parameters, assignments, loops)."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    declared_global = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not func:
+            names.add(node.name)
+    return names - declared_global
+
+
+def _shared_state(tree: ast.Module) -> List[tuple]:
+    """ND006: ``(node, message)`` for each piece of class- or module-level
+    state a run could change.
+
+    Flags a counter or iterator bound at class or module level; inside a
+    function, a ``global`` rebinding, an in-place change to an object bound
+    at module level, an attribute write to a class (``Name.attr =``,
+    ``cls.attr =``, ``type(self).attr =``), and an in-place change to a
+    class-level container through ``self`` that no ``self.attr =`` shadows.
+    """
+    found: List[tuple] = []
+    module_names = _bound_names(tree.body)
+    classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for alias in stmt.names
+    }
+
+    for scope in [tree, *classes.values()]:
+        where = "module" if scope is tree else f"class {scope.name}"
+        for name, value in _bound_names(scope.body).items():
+            if isinstance(value, ast.Call) and _dotted_name(value.func) in _COUNTER_CALLS:
+                found.append((value, f"{where}-level counter {name!r} is process-wide "
+                              f"state; own it per instance or per system"))
+
+    def is_class(base: ast.AST, local: set) -> bool:
+        if isinstance(base, ast.Call):
+            return _dotted_name(base.func) == "type"
+        if not isinstance(base, ast.Name) or base.id in local - {"cls"}:
+            return False
+        return (
+            base.id in classes
+            or base.id == "cls"
+            or (base.id in imported and base.id[:1].isupper())
+        )
+
+    def check_function(func, shared: set) -> None:
+        local = _function_locals(func)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.append((node, f"{func.name!r} rebinds module-level "
+                              f"{', '.join(node.names)} ('global')"))
+                continue
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+                node.ctx, (ast.Store, ast.Del)
+            ):
+                base, attribute = node.value, isinstance(node, ast.Attribute)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+            ):
+                base, attribute = node.func.value, False
+            else:
+                continue
+            if attribute and is_class(base, local):
+                found.append((node, f"{func.name!r} writes class attribute "
+                              f"{ast.unparse(node)!r}"))
+            elif (
+                isinstance(base, ast.Name)
+                and base.id in module_names
+                and base.id not in local
+                and (attribute or _is_mutable_value(module_names[base.id]))
+            ):
+                found.append((node, f"{func.name!r} changes module-level {base.id!r}"))
+            elif (
+                not attribute
+                and isinstance(base, ast.Attribute)
+                and base.attr in shared
+                and _dotted_name(base.value) == "self"
+            ):
+                found.append((node, f"{func.name!r} changes class-level container "
+                              f"{base.attr!r}, shared by every instance"))
+
+    def shared_containers(cls: ast.ClassDef) -> set:
+        names = {n for n, v in _bound_names(cls.body).items() if _is_mutable_value(v)}
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and _dotted_name(node.value) == "self"
+            ):
+                names.discard(node.attr)
+        return names
+
+    def walk(body: List[ast.stmt], shared: set) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check_function(stmt, shared)
+            elif isinstance(stmt, ast.ClassDef):
+                walk(stmt.body, shared_containers(stmt))
+
+    walk(tree.body, set())
+    return found
+
+
 def _is_handler_context(name: str) -> bool:
     """Whether a function name marks interrupt-handler context."""
     if name.endswith(_HANDLER_SUFFIXES):
@@ -322,6 +480,11 @@ class _Checker(ast.NodeVisitor):
         return self._func_stack[-1][0] if self._func_stack else "<module>"
 
     # --------------------------------------------------------------- visitors
+
+    def visit_Module(self, node: ast.Module) -> None:
+        for where, message in _shared_state(node):
+            self._emit(where, "ND006", message)
+        self.generic_visit(node)
 
     def _visit_funcdef(self, node) -> None:
         returns_float = False

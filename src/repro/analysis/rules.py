@@ -54,7 +54,7 @@ def _register(code: str, name: str, summary: str, rationale: str) -> Rule:
     if code in _REGISTRY:
         raise ValueError(f"duplicate rule code {code}")
     rule = Rule(code, name, summary, rationale)
-    _REGISTRY[code] = rule
+    _REGISTRY[code] = rule  # nectarlint: disable=ND006 -- filled at import, read-only after
     return rule
 
 
@@ -104,6 +104,17 @@ ND005 = _register(
     "unwrapped float arithmetic feeding an integer-nanosecond value",
     "costs are integer ns (model/costs.py); float accumulation drifts across "
     "platforms — wrap in int(round(...)) or use integer math",
+)
+
+ND006 = _register(
+    "ND006",
+    "shared-state",
+    "class- or module-level state a run changes (a counter, a 'global', a "
+    "mutated module-level object, a class attribute write)",
+    "a result may depend only on its own system: the paper drivers' cells "
+    "run in any process and any order (repro.bench.cells), and a "
+    "process-wide counter put interpreter-history-dependent ids on the wire "
+    "(hw/fiber.py's _frame_seq, TransactionCoordinator._txn_counter)",
 )
 
 # ---------------------------------------------------------------- sim-safety

@@ -192,14 +192,15 @@ class Participant:
 class TransactionCoordinator:
     """Two-phase commit plus distributed locking, driven from one CAB."""
 
-    _txn_counter = itertools.count(1)
-
     def __init__(self, node: NectarNode, participants: Sequence[NectarNode]):
         if not participants:
             raise NectarError("a transaction needs at least one participant")
         self.node = node
         self.participants = list(participants)
         self.stats = node.runtime.stats
+        #: This coordinator's transaction ids (1, 2, ...): the ids on the
+        #: wire depend only on what this coordinator has run.
+        self._txn_ids = itertools.count(1)
 
     def _call(self, target: NectarNode, port: int, payload: bytes) -> Generator:
         client_port = self.node.rpc.allocate_client_port()
@@ -230,7 +231,7 @@ class TransactionCoordinator:
 
         Returns ("committed", txn_id) or ("aborted", txn_id).
         """
-        txn_id = next(TransactionCoordinator._txn_counter)
+        txn_id = next(self._txn_ids)
         by_name = {node.name: node for node in self.participants}
 
         # Phase 1: PREPARE (updates piggybacked).

@@ -20,76 +20,66 @@ from typing import Dict, Generator, List, Mapping, Optional
 
 from repro.apps.traffic import measure_rtt, measure_throughput
 from repro.bench import DriverResult, resolve_params
+from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
 from repro.host.driver import MODE_RPC, MODE_SHARED
-from repro.host.machine import HostedNode
 from repro.model.costs import CostModel
 from repro.units import seconds
 
-__all__ = [
-    "checksum_sweep",
-    "upcall_vs_thread_server",
-    "ip_input_mode_comparison",
-    "mailbox_mode_comparison",
-    "scenario",
-    "vme_bandwidth_sweep",
-]
+__all__ = ["ablation_cell", "run", "scenario"]
 
 
-def upcall_vs_thread_server(rounds: int = 50) -> Dict[str, float]:
-    """Sec. 3.3: a mailbox server as a reader upcall vs a separate thread.
+def upcall_cell(shape: str, rounds: int = 50) -> float:
+    """Sec. 3.3: per-request time (us) of a mailbox server on one CAB.
 
     "If a pair of threads uses a mailbox in a client-server style, the body
     of the server thread can instead be attached to the mailbox as a reader
     upcall; this effectively converts a cross-thread procedure call into a
-    local one."  Measures the per-request time of both shapes on one CAB.
+    local one."  ``shape`` is ``"thread"`` (a separate server thread) or
+    ``"upcall"`` (the server body as the reader upcall).
     """
-    results: Dict[str, float] = {}
-    for shape in ("thread", "upcall"):
-        system, node_a, _node_b = two_nodes()
-        rt = node_a.runtime
-        request_box = rt.mailbox(f"abl-req-{shape}")
-        reply_box = rt.mailbox(f"abl-rep-{shape}")
-        done = system.sim.event()
+    system, node_a, _node_b = two_nodes()
+    rt = node_a.runtime
+    request_box = rt.mailbox(f"abl-req-{shape}")
+    reply_box = rt.mailbox(f"abl-rep-{shape}")
+    done = system.sim.event()
 
-        def serve_one(mb) -> Generator:
-            msg = yield from mb.ibegin_get()
-            if msg is None:
-                return
-            yield from mb.iend_get(msg)
-            out = yield from reply_box.ibegin_put(16)
-            if out is not None:
-                yield from reply_box.iend_put(out)
+    def serve_one(mb) -> Generator:
+        msg = yield from mb.ibegin_get()
+        if msg is None:
+            return
+        yield from mb.iend_get(msg)
+        out = yield from reply_box.ibegin_put(16)
+        if out is not None:
+            yield from reply_box.iend_put(out)
 
-        if shape == "upcall":
-            request_box.reader_upcall = serve_one
-        else:
+    if shape == "upcall":
+        request_box.reader_upcall = serve_one
+    else:
 
-            def server() -> Generator:
-                while True:
-                    msg = yield from request_box.begin_get()
-                    yield from request_box.end_get(msg)
-                    out = yield from reply_box.begin_put(16)
-                    yield from reply_box.end_put(out)
+        def server() -> Generator:
+            while True:
+                msg = yield from request_box.begin_get()
+                yield from request_box.end_get(msg)
+                out = yield from reply_box.begin_put(16)
+                yield from reply_box.end_put(out)
 
-            rt.fork_system(server(), "abl-server")
+        rt.fork_system(server(), "abl-server")
 
-        def client() -> Generator:
-            start = system.now
-            for _ in range(rounds):
-                msg = yield from request_box.begin_put(16)
-                yield from request_box.end_put(msg)
-                reply = yield from reply_box.begin_get()
-                yield from reply_box.end_get(reply)
-            done.succeed((system.now - start) / rounds / 1000.0)
+    def client() -> Generator:
+        start = system.now
+        for _ in range(rounds):
+            msg = yield from request_box.begin_put(16)
+            yield from request_box.end_put(msg)
+            reply = yield from reply_box.begin_get()
+            yield from reply_box.end_get(reply)
+        done.succeed((system.now - start) / rounds / 1000.0)
 
-        rt.fork_application(client(), "abl-client")
-        results[f"{shape}_us"] = system.run_until(done, limit=seconds(30))
-    results["upcall_advantage_us"] = results["thread_us"] - results["upcall_us"]
-    return results
+    rt.fork_application(client(), "abl-client")
+    return system.run_until(done, limit=seconds(30))
 
 
-def mailbox_mode_comparison(rounds: int = 40) -> Dict[str, float]:
+def mailbox_cell(rounds: int = 40) -> Dict[str, float]:
     """Host put+get loop under both mailbox implementations (us per cycle)."""
     system, hosted_a, _hosted_b = two_hosted_nodes()
     shared = hosted_a.node.runtime.mailbox("abl-shared")
@@ -114,50 +104,45 @@ def mailbox_mode_comparison(rounds: int = 40) -> Dict[str, float]:
 
     hosted_a.host.fork_process(bench(), "abl-mailbox")
     system.run_until(done, limit=seconds(30))
-    results["speedup"] = results["rpc_us"] / results["shared_us"]
     return results
 
 
-def ip_input_mode_comparison(rounds: int = 30) -> Dict[str, float]:
-    """UDP RTT with IP input at interrupt time vs in a thread (us)."""
-    out: Dict[str, float] = {}
-    for mode in ("interrupt", "thread"):
-        system, node_a, node_b = two_nodes(ip_input_mode=mode)
-        recorder = measure_rtt(system, node_a, node_b, "udp", rounds=rounds)
-        out[f"{mode}_us"] = recorder.mean_us
-    out["thread_penalty_us"] = out["thread_us"] - out["interrupt_us"]
-    return out
+def ip_input_cell(mode: str, rounds: int = 30) -> float:
+    """UDP RTT (us) with IP input at interrupt time or in a thread."""
+    system, node_a, node_b = two_nodes(ip_input_mode=mode)
+    return measure_rtt(system, node_a, node_b, "udp", rounds=rounds).mean_us
 
 
-def vme_bandwidth_sweep(
-    bandwidths_mbps=(10.0, 30.0, 60.0, 120.0), message_size: int = 8192, count: int = 25
-) -> List[tuple[float, float]]:
-    """Host-to-host RMP throughput as the bus gets faster."""
-    rows = []
-    for mbps in bandwidths_mbps:
-        costs = CostModel(vme_dma_mbps=mbps)
-        system, hosted_a, hosted_b = two_hosted_nodes(costs=costs)
-        throughput = measure_throughput(
-            system, hosted_a, hosted_b, "rmp", message_size, count
-        )
-        rows.append((mbps, round(throughput, 2)))
-    return rows
+def vme_cell(mbps: float, message_size: int = 8192, count: int = 25) -> float:
+    """Host-to-host RMP throughput (Mbit/s) over a bus of ``mbps``."""
+    system, hosted_a, hosted_b = two_hosted_nodes(costs=CostModel(vme_dma_mbps=mbps))
+    return measure_throughput(system, hosted_a, hosted_b, "rmp", message_size, count)
 
 
-def checksum_sweep(
-    ns_per_byte=(0, 75, 150, 300), message_size: int = 8192, count: int = 25
-) -> List[tuple[int, float]]:
-    """CAB-to-CAB TCP throughput as the software checksum cost varies."""
-    rows = []
-    for cost in ns_per_byte:
-        costs = CostModel(cab_checksum_ns_per_byte=cost)
-        system, node_a, node_b = two_nodes(costs=costs)
-        throughput = measure_throughput(
-            system, node_a, node_b, "tcp", message_size, count
-        )
-        rows.append((cost, round(throughput, 2)))
-    return rows
+def checksum_cell(ns_per_byte: int, message_size: int = 8192, count: int = 25) -> float:
+    """CAB-to-CAB TCP throughput (Mbit/s) at a software checksum cost."""
+    costs = CostModel(cab_checksum_ns_per_byte=ns_per_byte)
+    system, node_a, node_b = two_nodes(costs=costs)
+    return measure_throughput(system, node_a, node_b, "tcp", message_size, count)
 
+
+_CELLS = {
+    "upcall": upcall_cell,
+    "mailbox": mailbox_cell,
+    "ip_input": ip_input_cell,
+    "vme": vme_cell,
+    "checksum": checksum_cell,
+}
+
+
+def ablation_cell(ablation: str, *args):
+    """One measurement of one ablation: ``_CELLS[ablation](*args)``."""
+    return _CELLS[ablation](*args)
+
+
+#: The swept bus bandwidths (Mbit/s) and software checksum costs (ns/byte).
+VME_MBPS = (10.0, 30.0, 60.0, 120.0)
+CHECKSUM_NS_PER_BYTE = (0, 75, 150, 300)
 
 #: The driver's parameter contract (see :func:`scenario`).
 DEFAULTS: Dict[str, object] = {}
@@ -165,12 +150,25 @@ DEFAULTS: Dict[str, object] = {}
 
 def run() -> Dict[str, object]:
     """Run every ablation; returns a name -> measurements dict."""
+    cells = (
+        [("upcall", "thread"), ("upcall", "upcall"), ("mailbox",)]
+        + [("ip_input", "interrupt"), ("ip_input", "thread")]
+        + [("vme", mbps) for mbps in VME_MBPS]
+        + [("checksum", cost) for cost in CHECKSUM_NS_PER_BYTE]
+    )
+    value = dict(zip(cells, run_cells(ablation_cell, cells)))
+    upcall = {"thread_us": value["upcall", "thread"], "upcall_us": value["upcall", "upcall"]}
+    upcall["upcall_advantage_us"] = upcall["thread_us"] - upcall["upcall_us"]
+    mailbox = value[("mailbox",)]
+    mailbox["speedup"] = mailbox["rpc_us"] / mailbox["shared_us"]
+    modes = {"interrupt_us": value["ip_input", "interrupt"], "thread_us": value["ip_input", "thread"]}
+    modes["thread_penalty_us"] = modes["thread_us"] - modes["interrupt_us"]
     return {
-        "upcall": upcall_vs_thread_server(),
-        "mailbox": mailbox_mode_comparison(),
-        "ip_input": ip_input_mode_comparison(),
-        "vme": vme_bandwidth_sweep(),
-        "checksum": checksum_sweep(),
+        "upcall": upcall,
+        "mailbox": mailbox,
+        "ip_input": modes,
+        "vme": [(mbps, round(value["vme", mbps], 2)) for mbps in VME_MBPS],
+        "checksum": [(cost, round(value["checksum", cost], 2)) for cost in CHECKSUM_NS_PER_BYTE],
     }
 
 

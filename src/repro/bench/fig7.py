@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 
 from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
+from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_nodes
 
 __all__ = ["Fig7Row", "run", "scenario", "SIZES"]
@@ -37,18 +38,27 @@ class Fig7Row:
     rmp_cpu_util: float = 0.0
 
 
+#: The three curves: name -> (transport, software TCP checksums).
+CURVES = {"rmp": ("rmp", True), "tcp": ("tcp", True), "tcp-nochecksum": ("tcp", False)}
+
+
+def throughput_cell(curve: str, size: int, count: int) -> tuple[float, float]:
+    """One Fig. 7 point: (Mbit/s, sender-CAB CPU busy fraction)."""
+    transport, checksums = CURVES[curve]
+    system, node_a, node_b = two_nodes(tcp_checksums=checksums)
+    mbps = measure_throughput(system, node_a, node_b, transport, size, count)
+    return mbps, system.utilization()[node_a.name]
+
+
 def run(sizes=SIZES, count: int = 40) -> list[Fig7Row]:
     """Sweep message sizes for all three Fig. 7 curves."""
+    points = run_cells(
+        throughput_cell, [(curve, size, count) for size in sizes for curve in CURVES]
+    )
     rows = []
-    for size in sizes:
-        system, node_a, node_b = two_nodes()
-        rmp = measure_throughput(system, node_a, node_b, "rmp", size, count)
-        rmp_util = system.utilization()[node_a.name]
-        system, node_a, node_b = two_nodes()
-        tcp = measure_throughput(system, node_a, node_b, "tcp", size, count)
-        tcp_util = system.utilization()[node_a.name]
-        system, node_a, node_b = two_nodes(tcp_checksums=False)
-        tcp_nock = measure_throughput(system, node_a, node_b, "tcp", size, count)
+    for size, (rmp, rmp_util), (tcp, tcp_util), (tcp_nock, _util) in zip(
+        sizes, points[0::3], points[1::3], points[2::3]
+    ):
         rows.append(
             Fig7Row(
                 size=size,

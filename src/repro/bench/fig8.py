@@ -20,6 +20,7 @@ from repro.apps.throughput import (
 )
 from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
+from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_hosted_nodes
 
 __all__ = ["Fig8Row", "run", "scenario", "SIZES"]
@@ -39,25 +40,54 @@ class Fig8Row:
     tcp_mbps: float
 
 
+def _rmp_throughput(system, hosted_a, hosted_b, message_size: int, count: int) -> float:
+    return measure_throughput(system, hosted_a, hosted_b, "rmp", message_size, count)
+
+
+#: What a Fig. 8 cell streams between two fresh hosts: the two curves and
+#: the two reference lines.
+MEASURES = {
+    "rmp": _rmp_throughput,
+    "tcp": host_tcp_throughput,
+    "netdev": netdev_throughput,
+    "ethernet": ethernet_throughput,
+}
+
+
+def throughput_cell(kind: str, size: int, count: int) -> float:
+    """One Fig. 8 point (Mbit/s) on a fresh two-host rig."""
+    system, hosted_a, hosted_b = two_hosted_nodes()
+    return MEASURES[kind](system, hosted_a, hosted_b, size, count)
+
+
+def _sweep_cells(sizes, count: int) -> list[tuple]:
+    return [(kind, size, count) for size in sizes for kind in ("rmp", "tcp")]
+
+
+def _baseline_cells(message_size: int = 8192, count: int = 20) -> list[tuple]:
+    return [("netdev", message_size, count), ("ethernet", message_size, count)]
+
+
+def _rows(sizes, mbps: list) -> list[Fig8Row]:
+    return [
+        Fig8Row(size=size, rmp_mbps=round(rmp, 2), tcp_mbps=round(tcp, 2))
+        for size, rmp, tcp in zip(sizes, mbps[0::2], mbps[1::2])
+    ]
+
+
+def _baselines(mbps: list) -> dict:
+    netdev, ethernet = mbps
+    return {"netdev_mbps": round(netdev, 2), "ethernet_mbps": round(ethernet, 2)}
+
+
 def run(sizes=SIZES, count: int = 30) -> list[Fig8Row]:
     """Sweep message sizes for the Fig. 8 host-to-host curves."""
-    rows = []
-    for size in sizes:
-        system, hosted_a, hosted_b = two_hosted_nodes()
-        rmp = measure_throughput(system, hosted_a, hosted_b, "rmp", size, count)
-        system, hosted_a, hosted_b = two_hosted_nodes()
-        tcp = host_tcp_throughput(system, hosted_a, hosted_b, size, count=count)
-        rows.append(Fig8Row(size=size, rmp_mbps=round(rmp, 2), tcp_mbps=round(tcp, 2)))
-    return rows
+    return _rows(sizes, run_cells(throughput_cell, _sweep_cells(sizes, count)))
 
 
 def run_baselines(message_size: int = 8192, count: int = 20) -> dict:
     """The two reference lines: netdev mode and Ethernet."""
-    system, hosted_a, hosted_b = two_hosted_nodes()
-    netdev = netdev_throughput(system, hosted_a, hosted_b, message_size, count=count)
-    system, hosted_a, hosted_b = two_hosted_nodes()
-    ethernet = ethernet_throughput(system, hosted_a, hosted_b, message_size, count=count)
-    return {"netdev_mbps": round(netdev, 2), "ethernet_mbps": round(ethernet, 2)}
+    return _baselines(run_cells(throughput_cell, _baseline_cells(message_size, count)))
 
 
 def render(rows: list[Fig8Row], baselines: dict) -> str:
@@ -104,8 +134,13 @@ def render_full(rows: list[Fig8Row], baselines: dict) -> str:
 def scenario(params: Optional[Mapping] = None) -> DriverResult:
     """Run the Fig. 8 sweep under the common driver contract."""
     config = resolve_params(DEFAULTS, params)
-    rows = run(tuple(config["sizes"]), config["count"])
-    baselines = run_baselines()
+    sizes = tuple(config["sizes"])
+    # The netdev reference line is the longest cell: list it first so it
+    # does not run alone at the end of the map.
+    base = _baseline_cells()
+    mbps = run_cells(throughput_cell, base + _sweep_cells(sizes, config["count"]))
+    baselines = _baselines(mbps[: len(base)])
+    rows = _rows(sizes, mbps[len(base) :])
     return DriverResult(
         name="fig8",
         config=config,

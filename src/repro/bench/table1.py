@@ -14,6 +14,7 @@ from typing import Mapping, Optional
 
 from repro.apps.traffic import measure_rtt
 from repro.bench import DriverResult, resolve_params
+from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
 
 __all__ = ["Table1Row", "run", "scenario"]
@@ -35,28 +36,35 @@ class Table1Row:
     paper_cab_us: Optional[float]
 
 
+PROTOCOLS = ("datagram", "rmp", "request-response", "udp")
+
+
+def rtt_cell(protocol: str, hosted: bool, message_size: int, rounds: int, warmup: int) -> float:
+    """One Table 1 cell: mean RTT (us) host-to-host or CAB-to-CAB."""
+    system, a, b = two_hosted_nodes() if hosted else two_nodes()
+    return measure_rtt(system, a, b, protocol, message_size, rounds, warmup).mean_us
+
+
 def run(message_size: int = 32, rounds: int = 30, warmup: int = 5) -> list[Table1Row]:
     """Measure every Table 1 cell; returns one row per protocol."""
-    rows = []
-    for protocol in ("datagram", "rmp", "request-response", "udp"):
-        system, hosted_a, hosted_b = two_hosted_nodes()
-        host_rec = measure_rtt(
-            system, hosted_a, hosted_b, protocol, message_size, rounds, warmup
+    rtts = run_cells(
+        rtt_cell,
+        [
+            (protocol, hosted, message_size, rounds, warmup)
+            for protocol in PROTOCOLS
+            for hosted in (True, False)
+        ],
+    )
+    return [
+        Table1Row(
+            protocol=protocol,
+            host_rtt_us=round(host_us, 1),
+            cab_rtt_us=round(cab_us, 1),
+            paper_host_us=PAPER_HOST_RTT[protocol],
+            paper_cab_us=PAPER_CAB_RTT[protocol],
         )
-        system, node_a, node_b = two_nodes()
-        cab_rec = measure_rtt(
-            system, node_a, node_b, protocol, message_size, rounds, warmup
-        )
-        rows.append(
-            Table1Row(
-                protocol=protocol,
-                host_rtt_us=round(host_rec.mean_us, 1),
-                cab_rtt_us=round(cab_rec.mean_us, 1),
-                paper_host_us=PAPER_HOST_RTT[protocol],
-                paper_cab_us=PAPER_CAB_RTT[protocol],
-            )
-        )
-    return rows
+        for protocol, host_us, cab_us in zip(PROTOCOLS, rtts[0::2], rtts[1::2])
+    ]
 
 
 def render(rows: list[Table1Row]) -> str:

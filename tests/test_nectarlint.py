@@ -30,7 +30,7 @@ def codes(findings):
 def test_registry_has_all_documented_rules():
     registered = {rule.code for rule in all_rules()}
     assert registered == {
-        "ND001", "ND002", "ND003", "ND004", "ND005",
+        "ND001", "ND002", "ND003", "ND004", "ND005", "ND006",
         "NS101", "NS102", "NS103",
         "NB201",
         # whole-program (nectarflow) rules
@@ -167,6 +167,117 @@ def test_nd005_allows_integer_ns_and_float_returns():
         """
     )
     assert "ND005" not in codes(findings)
+
+
+def test_nd006_flags_the_class_level_transaction_counter():
+    """The true positive: the coordinator numbered transactions from a
+    class-level counter, so the n-th coordinator in one interpreter put
+    other ids on the wire than the first."""
+    findings = lint(
+        """
+        import itertools
+
+        class TransactionCoordinator:
+            _txn_counter = itertools.count(1)
+
+            def run_transaction(self):
+                return next(TransactionCoordinator._txn_counter)
+        """,
+        path="src/repro/apps/transactions.py",
+    )
+    assert [(f.code, f.line) for f in findings] == [("ND006", 5)]
+
+
+def test_nd006_flags_the_module_level_frame_counter():
+    findings = lint(
+        """
+        import itertools
+        from dataclasses import dataclass, field
+
+        _frame_seq = itertools.count(1)
+
+        @dataclass
+        class Frame:
+            seqno: int = field(default_factory=lambda: next(_frame_seq))
+        """
+    )
+    assert [(f.code, f.line) for f in findings] == [("ND006", 5)]
+
+
+def test_nd006_flags_writes_to_shared_state_from_functions():
+    findings = lint(
+        """
+        from repro.protocols.tcp import TCPConnection
+
+        _CACHE = {}
+        _SEEN = set()
+        DEFAULTS = object()
+        _count = 0
+
+        class Pool:
+            free = []
+            next_id = 1
+
+            def take(self):
+                self.free.append(1)
+
+            @classmethod
+            def allocate(cls):
+                cls.next_id += 1
+
+            def bump(self):
+                type(self).next_id = 2
+                Pool.next_id = 3
+
+        def remember(key, value):
+            _CACHE[key] = value
+            _SEEN.add(key)
+            DEFAULTS.flag = True
+
+        def tick():
+            global _count
+            _count += 1
+
+        def reset():
+            TCPConnection._next_id = 1
+        """,
+        path=PLAIN_PATH,
+    )
+    assert [f.line for f in findings if f.code == "ND006"] == [
+        14, 18, 21, 22, 25, 26, 27, 30, 34,
+    ]
+
+
+def test_nd006_allows_instance_state_and_read_only_tables():
+    findings = lint(
+        """
+        import itertools
+
+        _KINDS = {"rmp": 1, "tcp": 2}
+        SIZES = (16, 32)
+
+        class Coordinator:
+            LIMITS = {"retries": 5}
+            pending = []
+
+            def __init__(self):
+                self.ids = itertools.count(1)
+                self.pending = []
+                self.table = dict(_KINDS)
+
+            def next_id(self, kind):
+                self.pending.append(kind)
+                self.table[kind] = next(self.ids)
+                return Coordinator.LIMITS["retries"] + _KINDS[kind]
+
+        def local_shadow():
+            _KINDS = {}
+            _KINDS["x"] = 1
+            return _KINDS
+        """,
+        path=PLAIN_PATH,
+    )
+    assert "ND006" not in codes(findings)
 
 
 # -------------------------------------------------------------- sim safety ----

@@ -11,7 +11,7 @@ timers retransmit thousands of times and give up on some seeds.
 
 import pytest
 
-from repro.bench import ablations, fig6, fig7, fig8, harness, microcosts, table1
+from repro.bench import ablations, cells, fig6, fig7, fig8, harness, microcosts, table1
 from repro.cluster.conductor import Conductor, run_reference
 from repro.cluster.fleet import line_fleet
 from repro.cluster.workload import WorkloadSpec, recovery_counters
@@ -142,7 +142,8 @@ def test_fault_free_fleet_mix_never_recovers(seed, sharded):
 )
 def test_paper_drivers_never_recover(driver, monkeypatch):
     """Every system a paper table or figure builds ends with every recovery
-    counter of every node at zero."""
+    counter of every node at zero.  The drivers' cells run in this process,
+    so the record sees every system they build."""
     built = []
 
     class Recorded(NectarSystem):
@@ -151,6 +152,7 @@ def test_paper_drivers_never_recover(driver, monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(harness, "NectarSystem", Recorded)
+    monkeypatch.setattr(cells, "runs_inline", lambda count: True)
     driver.scenario()
     assert built
     moved = {

@@ -49,13 +49,10 @@ class TestTwoPhaseCommit:
     def test_one_no_vote_aborts_everywhere(self):
         """Atomicity: if any participant refuses, nobody applies anything."""
         system, cnode, coordinator, nodes, participants = rig()
-        participants[1].refuse.add(1)  # first transaction id is 1... use hook below
+        participants[1].refuse.add(1)  # a coordinator's first transaction id
         done = system.sim.event()
 
         def body():
-            # Make the second participant refuse whatever id we get by
-            # refusing all small ids.
-            participants[1].refuse.update(range(1, 100))
             outcome, _txn = yield from coordinator.run_transaction(
                 {
                     "cab-p0": (b"k", b"v"),
@@ -70,6 +67,27 @@ class TestTwoPhaseCommit:
         assert participants[0].data == {}
         assert participants[1].data == {}
         assert participants[0].prepared == set()
+
+    def test_every_coordinator_numbers_from_one(self):
+        """Transaction ids belong to the coordinator, not the interpreter:
+        the n-th coordinator built in one process puts the same ids on the
+        wire as the first."""
+        ids = []
+        for _build in range(2):
+            system, cnode, coordinator, nodes, participants = rig(1)
+            done = system.sim.event()
+
+            def body():
+                for value in (b"1", b"2"):
+                    _outcome, txn = yield from coordinator.run_transaction(
+                        {"cab-p0": (b"k", value)}
+                    )
+                    ids.append(txn)
+                done.succeed()
+
+            cnode.runtime.fork_application(body(), "coord")
+            system.run_until(done, limit=seconds(30))
+        assert ids == [1, 2, 1, 2]
 
     def test_sequential_transactions_isolated(self):
         system, cnode, coordinator, nodes, participants = rig(1)
