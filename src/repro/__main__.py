@@ -7,9 +7,9 @@ together.
 
 ``lint`` runs nectarlint, the static determinism/sim-safety checker
 (see :mod:`repro.analysis.nectarlint`); with ``--static`` it also runs
-the whole-program nectarflow passes — buffer ownership and protocol
-FSMs (see :mod:`repro.analysis.flow`); ``flow --graph`` dumps the call
-graph and lifted state machines those passes compute; ``observe`` runs a
+the whole-program nectarflow pass over protocol FSMs (see
+:mod:`repro.analysis.flow`); ``flow --graph`` dumps the call graph and
+lifted state machines that pass computes; ``observe`` runs a
 workload with the telemetry plane on and exports Perfetto traces,
 metrics, and cycle profiles (see :mod:`repro.telemetry.observe`);
 ``bench`` is the scenario harness (see :mod:`repro.scenario`) and the

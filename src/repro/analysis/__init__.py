@@ -6,12 +6,13 @@
   thread-context generators, blocking calls from interrupt-handler context,
   yields of non-event values) and payload copies on the data path.
   ``python -m repro lint``.
-* :mod:`repro.analysis.flow` — nectarflow, the whole-program passes
-  (buffer ownership, protocol state machines) behind ``lint --static``.
+* :mod:`repro.analysis.flow` — nectarflow, the whole-program protocol
+  state-machine pass behind ``lint --static``.
 
 Run-time checks are not here: the runtime itself raises on a
-use-after-free view (:class:`~repro.errors.BufError`), a bad heap free or
-a mutex relock (:class:`~repro.errors.NectarError`) in every run.
+use-after-free view or a double release (:class:`~repro.errors.BufError`),
+a bad heap free or a mutex relock (:class:`~repro.errors.NectarError`) in
+every run, and buffer ownership is checked only there.
 """
 
 from repro.analysis.rules import Finding, Rule, all_rules, get_rule

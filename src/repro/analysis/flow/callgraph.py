@@ -1,18 +1,18 @@
 """The shared project index: every function, class, and call edge.
 
 :class:`Project` parses every ``.py`` file under the analyzed roots once
-and builds the whole-program tables the three nectarflow passes share:
+and builds the whole-program tables the NP30x FSM pass and the
+``flow --graph`` explainer read:
 
 * ``functions`` — qualified name (``module.Class.method``) to
   :class:`FunctionInfo` (AST node, path, class context);
-* ``calls(qname)`` — resolved callee qnames for every call site in a
+* ``callees(qname)`` — resolved callee qnames for every call site in a
   function, with Python's dynamism handled by *name resolution*: a bare
   ``f(...)`` binds to the module's own ``f`` first, ``self.m(...)`` to a
   method ``m`` of the enclosing class first, and ``obj.m(...)`` to every
   known function named ``m`` (the conservative over-approximation an
   untyped call graph needs);
-* ``transitive_callees(qname)`` — the closure used by the lock pass to
-  see acquisitions behind call boundaries.
+* ``transitive_callees(qname)`` — the closure of those edges.
 
 Everything is deterministic: files are walked sorted, functions indexed
 in source order, and all result lists are sorted.

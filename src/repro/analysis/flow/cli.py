@@ -1,6 +1,6 @@
 """``python -m repro flow`` — the nectarflow explainer.
 
-``--graph`` dumps what the whole-program passes computed: the resolved
+``--graph`` dumps what the whole-program pass computed: the resolved
 call graph (who can call whom, after name resolution) and every lifted
 protocol state machine with its members, entry/test coverage marks, and
 guarded transition edges.  This is the human-readable side of the same

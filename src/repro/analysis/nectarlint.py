@@ -28,8 +28,9 @@ Scope notes
 
 Usage: ``python -m repro lint src/repro [--strict] [--static]
 [--format text|json] [--select CODES] [--ignore CODES]``.  ``--static``
-adds the whole-program nectarflow passes (:mod:`repro.analysis.flow`);
-exit codes are 0 (clean), 1 (findings), 2 (usage/internal error).
+adds the whole-program nectarflow pass (:mod:`repro.analysis.flow`);
+exit codes are 0 (clean), 1 (findings), 2 (usage/internal error, which
+includes a ``--select``/``--ignore`` code the run cannot report).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.analysis.rules import (
     Finding,
     all_rules,
     filter_findings,
+    get_rule,
     parse_suppressions,
 )
 
@@ -752,25 +754,27 @@ def lint_source(
     kept = filter_findings(
         checker.findings, suppressions, select=select, ignore=ignore
     )
-    if strict and suppressions.unjustified:
-        if (not select or "NL001" in select) and (
-            not ignore or "NL001" not in ignore
-        ):
-            for lineno in suppressions.unjustified:
-                kept.append(
-                    Finding(
-                        path=path,
-                        line=lineno,
-                        col=1,
-                        code="NL001",
-                        message=(
-                            "suppression pragma without a justifying note "
-                            "(add trailing text or an explanatory comment "
-                            "just above)"
-                        ),
-                    )
+    if (
+        strict
+        and (not select or "NL001" in select)
+        and (not ignore or "NL001" not in ignore)
+    ):
+        for lineno in suppressions.unjustified:
+            kept.append(
+                Finding(
+                    path, lineno, 1, "NL001",
+                    "suppression pragma without a justifying note (add "
+                    "trailing text or an explanatory comment just above)",
                 )
-            kept.sort(key=lambda f: (f.line, f.col, f.code))
+            )
+        for lineno, code in suppressions.unknown:
+            kept.append(
+                Finding(
+                    path, lineno, 1, "NL001",
+                    f"suppression pragma names {code}, which is no rule code",
+                )
+            )
+        kept.sort(key=lambda f: (f.line, f.col, f.code))
     return kept
 
 
@@ -844,12 +848,26 @@ def _static_findings(
     """Run nectarflow, then apply ``--select``/``--ignore``."""
     from repro.analysis.flow import analyze_paths
 
-    _project, findings, _tables = analyze_paths(paths)
+    findings = analyze_paths(paths)
     if select:
         findings = [f for f in findings if f.code in select]
     if ignore:
         findings = [f for f in findings if f.code not in ignore]
     return findings
+
+
+def _unmatchable(code: str, static: bool, strict: bool) -> Optional[str]:
+    """Why a ``--select``/``--ignore`` code can match no finding of this
+    run (unregistered, or reported only under a flag not given), else None."""
+    if code == "E999":  # the unparseable-file finding, reported on any run
+        return None
+    try:
+        rule = get_rule(code)
+    except KeyError:
+        return "no such rule code (--explain lists them)"
+    if rule.flag and not {"--static": static, "--strict": strict}[rule.flag]:
+        return f"reported only under {rule.flag}"
+    return None
 
 
 def main(argv: List[str]) -> int:
@@ -908,6 +926,13 @@ def main(argv: List[str]) -> int:
         for path in missing:
             print(f"no such file or directory: {path}", file=sys.stderr)
         return 2
+    # Nor may a filter naming a code this run cannot report.
+    for option, codes in (("--select", select), ("--ignore", ignore)):
+        for code in sorted(codes or ()):
+            problem = _unmatchable(code, static=static, strict=strict)
+            if problem:
+                print(f"{option} {code}: {problem}", file=sys.stderr)
+                return 2
     findings = lint_paths(paths, select=select, ignore=ignore, strict=strict)
     if static:
         findings.extend(_static_findings(paths, select, ignore))

@@ -5,7 +5,7 @@ for simulated-concurrency/sim-safety hazards, ``NB2xx`` for buffer-plane
 hazards, ``NP3xx`` for protocol state-machine hazards, ``NL0xx`` for lint
 hygiene), a one-line summary, and the paper section whose invariant it
 protects.  The per-file AST checks live
-in :mod:`repro.analysis.nectarlint` and the whole-program passes
+in :mod:`repro.analysis.nectarlint` and the whole-program pass
 in :mod:`repro.analysis.flow`; this module is pure bookkeeping so the
 rule table can be rendered (``--explain``, docs/analysis.md), filtered
 (``--select`` / ``--ignore``), and documented without importing the
@@ -16,14 +16,18 @@ finding (or ``disable=all``) silences it; ``# nectarlint: disable-file=XXX``
 anywhere in a file silences a code for the whole file.  Suppressions must
 carry a justifying note — either trailing text on the pragma line
 (``disable=ND004 -- why``) or an explanatory comment on one of the three
-preceding lines; ``--strict`` reports unjustified suppressions as NL001.
+preceding lines.  Pragmas are read from comment tokens only, so a
+docstring that quotes one silences nothing.  ``--strict`` reports, as
+NL001, a pragma with no note and a pragma naming an unregistered code.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Finding",
@@ -45,15 +49,19 @@ class Rule:
     summary: str
     #: The paper section / repo promise this rule protects.
     rationale: str
+    #: The lint option a run needs to report this code ("" for every run).
+    flag: str = ""
 
 
 _REGISTRY: Dict[str, Rule] = {}
 
 
-def _register(code: str, name: str, summary: str, rationale: str) -> Rule:
+def _register(
+    code: str, name: str, summary: str, rationale: str, flag: str = ""
+) -> Rule:
     if code in _REGISTRY:
         raise ValueError(f"duplicate rule code {code}")
-    rule = Rule(code, name, summary, rationale)
+    rule = Rule(code, name, summary, rationale, flag)
     _REGISTRY[code] = rule  # nectarlint: disable=ND006 -- filled at import, read-only after
     return rule
 
@@ -160,32 +168,6 @@ NS103 = _register(
 
 # ----------------------------------------------- whole-program (nectarflow)
 
-NB210 = _register(
-    "NB210",
-    "buf-leak",
-    "a PacketBuffer/BufView owner can leave the function on some path with "
-    "neither release() nor a transfer to an ownership sink",
-    "the buffer plane's refcount discipline (docs/buffers.md) requires every "
-    "owning reference to end in release() or a hand-off (send_frame, "
-    "Handoff, RX DMA, drop injector); a skipped path is a leak a run only "
-    "shows if that path executes — nectarflow proves it over all paths",
-)
-NB211 = _register(
-    "NB211",
-    "buf-double-release",
-    "release() reachable twice on one path for the same buffer reference",
-    "the second release() throws BufError at run time (refcount underflow) "
-    "or, worse, frees storage another owner still views — caught here "
-    "before any run reaches it",
-)
-NB212 = _register(
-    "NB212",
-    "buf-use-after-release",
-    "a buffer view used on a path after its reference was released",
-    "a released view's storage may already be freed; touching it raises "
-    "BufError at run time, but only on the paths a run executes — "
-    "nectarflow proves the use unreachable over all paths",
-)
 NP301 = _register(
     "NP301",
     "fsm-unreachable-state",
@@ -193,6 +175,7 @@ NP301 = _register(
     "an unreachable state is dead protocol surface: either the transition "
     "code that should reach it is missing (a protocol bug) or the state is "
     "vestigial and belongs out of the machine (paper Sec. 4 state machines)",
+    flag="--static",
 )
 NP302 = _register(
     "NP302",
@@ -202,6 +185,7 @@ NP302 = _register(
     "a connection parked in a state with no outgoing transition is stuck "
     "forever — the FSM analogue of a leak; every non-terminal state needs "
     "an exit (event, timeout, or error transition)",
+    flag="--static",
 )
 NP303 = _register(
     "NP303",
@@ -211,6 +195,7 @@ NP303 = _register(
     "a state left only when the peer speaks hangs forever if the packet is "
     "lost; the paper's transports pair every wait with a retransmission "
     "timeout (Sec. 4) — so must every extracted FSM",
+    flag="--static",
 )
 
 # ------------------------------------------------------------- lint hygiene
@@ -218,10 +203,13 @@ NP303 = _register(
 NL001 = _register(
     "NL001",
     "unjustified-suppression",
-    "a nectarlint suppression pragma with no justifying note",
+    "a nectarlint suppression pragma with no justifying note, or naming an "
+    "unregistered code",
     "shipped suppressions must say why the finding is a false positive or "
-    "a sanctioned boundary; an unexplained pragma hides bugs from review "
+    "a sanctioned boundary; an unexplained pragma hides bugs from review, "
+    "and one naming a retired or mistyped code suppresses nothing "
     "(reported under --strict only)",
+    flag="--strict",
 )
 
 
@@ -283,6 +271,8 @@ class Suppressions:
     whole_file: set = field(default_factory=set)
     #: pragma lines with no justification note (for NL001 under --strict).
     unjustified: List[int] = field(default_factory=list)
+    #: (line, code) for every unregistered code a pragma names (NL001 too).
+    unknown: List[Tuple[int, str]] = field(default_factory=list)
 
     def active(self, line: int, code: str) -> bool:
         """Whether ``code`` is suppressed at ``line``."""
@@ -298,41 +288,57 @@ def _parse_codes(blob: str) -> set:
     return {part.strip().upper() for part in blob.split(",") if part.strip()}
 
 
-def _has_note(trailing: str, lines: List[str], lineno: int) -> bool:
+def _comments(source: str) -> Dict[int, str]:
+    """Line number -> the comment token on that line.
+
+    Tokenizing (rather than scanning lines) keeps a pragma quoted in a
+    docstring or any other string from counting as one.  The source must
+    parse: callers report an unparseable file as E999 before asking.
+    """
+    return {
+        token.start[0]: token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+
+
+def _has_note(trailing: str, comments: Dict[int, str], lineno: int) -> bool:
     """Whether a pragma at ``lineno`` carries a justification.
 
     Either trailing text after the code list on the pragma line itself
-    (``disable=ND004 -- why``), or a ``#`` comment on one of the
+    (``disable=ND004 -- why``), or a comment on one of the
     ``_NOTE_LOOKBACK_LINES`` preceding lines (the repo's established idiom
     is an explanatory comment immediately above the boundary site).
     """
     if trailing.strip():
         return True
-    start = max(0, lineno - 1 - _NOTE_LOOKBACK_LINES)
-    for text in lines[start : lineno - 1]:
-        if "#" in text and "nectarlint:" not in text:
-            return True
-    return False
+    return any(
+        line in comments and "nectarlint:" not in comments[line]
+        for line in range(lineno - _NOTE_LOOKBACK_LINES, lineno)
+    )
 
 
 def parse_suppressions(source: str) -> Suppressions:
-    """Scan source text for nectarlint suppression comments."""
+    """Scan a module's comments for nectarlint suppression pragmas."""
     table = Suppressions()
-    lines = source.splitlines()
-    for lineno, text in enumerate(lines, start=1):
+    if "nectarlint:" not in source:
+        return table
+    comments = _comments(source)
+    for lineno, text in sorted(comments.items()):
         match = _DISABLE_FILE_RE.search(text)
         if match:
-            table.whole_file |= _parse_codes(match.group(1))
-            if not _has_note(match.group(2), lines, lineno):
-                table.unjustified.append(lineno)
-            continue
-        match = _DISABLE_RE.search(text)
-        if match:
-            table.by_line.setdefault(lineno, set()).update(
-                _parse_codes(match.group(1))
-            )
-            if not _has_note(match.group(2), lines, lineno):
-                table.unjustified.append(lineno)
+            codes = _parse_codes(match.group(1))
+            table.whole_file |= codes
+        else:
+            match = _DISABLE_RE.search(text)
+            if not match:
+                continue
+            codes = _parse_codes(match.group(1))
+            table.by_line.setdefault(lineno, set()).update(codes)
+        if not _has_note(match.group(2), comments, lineno):
+            table.unjustified.append(lineno)
+        for code in sorted(codes - set(_REGISTRY) - {"ALL"}):
+            table.unknown.append((lineno, code))
     return table
 
 

@@ -152,6 +152,33 @@ def test_over_release_and_retain_after_free_raise():
         view.retain()
 
 
+def test_double_release_through_an_alias_raises():
+    view = PacketBuffer.alloc(8)
+    alias = view.slice(2, 4)
+    view.release()
+    with pytest.raises(BufError, match="double free"):
+        alias.release()
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda view: view.slice(4, 8),
+        lambda view: view.strip(4),
+        lambda view: view.prepend(b"hd"),
+    ],
+    ids=["slice", "strip", "prepend"],
+)
+def test_window_derived_before_the_last_release_raises_after_it(derive):
+    view = PacketBuffer.alloc(16, headroom=2, label="derived")
+    window = derive(view)
+    view.release()
+    with pytest.raises(BufError, match="derived: view of .* used after"):
+        window.mv()
+    with pytest.raises(BufError):
+        window.tobytes()
+
+
 # ----------------------------------------------------------- aliasing safety
 
 

@@ -1,22 +1,12 @@
-"""Unit tests for the nectarflow core: call graph, CFG, dataflow engine."""
+"""Unit tests for the nectarflow core: the call-graph project index."""
 
 import ast
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 from repro.analysis.flow.callgraph import Project, dotted_name
-from repro.analysis.flow.cfg import build_cfg
-from repro.analysis.flow.dataflow import run_forward
-
-
-def _func(source, name=None):
-    tree = ast.parse(textwrap.dedent(source))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and (name is None or node.name == name):
-            return node
-    raise AssertionError("no function found")
-
-
-# --------------------------------------------------------------- call graph ----
 
 
 def test_dotted_name():
@@ -107,176 +97,20 @@ def test_render_graph_is_deterministic():
     assert "  -> repro.mod.b" in one
 
 
-# ---------------------------------------------------------------------- CFG ----
+def test_flow_graph_cli_dumps_call_graph_and_state_machines():
+    """``python -m repro flow --graph`` end to end over the shipped tree."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
 
-
-def test_if_else_produces_join_block():
-    cfg = build_cfg(
-        _func(
-            """
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    a = 2
-                return a
-            """
+    def flow(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "flow", *args],
+            capture_output=True, text=True, cwd=str(repo), env=env,
         )
-    )
-    # Entry must reach the exit via both arms.
-    succs = cfg.blocks[cfg.entry.index].succs
-    assert len(succs) == 2
 
-
-def test_return_edges_to_exit_and_raise_to_error_exit():
-    cfg = build_cfg(
-        _func(
-            """
-            def f(x):
-                if x:
-                    raise ValueError("no")
-                return 1
-            """
-        )
-    )
-    raising = [
-        b
-        for b in cfg.blocks
-        if any(isinstance(s, ast.Raise) for s in b.stmts)
-    ]
-    returning = [
-        b
-        for b in cfg.blocks
-        if any(isinstance(s, ast.Return) for s in b.stmts)
-    ]
-    assert raising and cfg.error_exit.index in raising[0].succs
-    assert cfg.exit.index not in raising[0].succs
-    assert returning and cfg.exit.index in returning[0].succs
-
-
-def test_while_loop_has_back_edge_and_exit_edge():
-    cfg = build_cfg(
-        _func(
-            """
-            def f(n):
-                while n:
-                    n -= 1
-                return n
-            """
-        )
-    )
-    # Some block must loop back to an earlier block (the loop head).
-    assert any(s <= b.index for b in cfg.blocks for s in b.succs if b.stmts)
-
-
-def test_infinite_loop_without_break_has_no_exit_fallthrough():
-    cfg = build_cfg(
-        _func(
-            """
-            def f():
-                while True:
-                    pass
-            """
-        )
-    )
-    # The exit block is unreachable: nothing falls through a while True.
-    reachable = set()
-    stack = [cfg.entry.index]
-    while stack:
-        index = stack.pop()
-        if index in reachable:
-            continue
-        reachable.add(index)
-        stack.extend(cfg.blocks[index].succs)
-    assert cfg.exit.index not in reachable
-
-
-def test_try_finally_carries_pre_try_state_edge():
-    cfg = build_cfg(
-        _func(
-            """
-            def f():
-                before = 1
-                try:
-                    mid = 2
-                finally:
-                    after = 3
-                return after
-            """
-        )
-    )
-    # The block holding 'before' must branch both into the try body and
-    # around it (the "body never ran" exception path) into finally.
-    head = next(
-        b
-        for b in cfg.blocks
-        if any(
-            isinstance(s, ast.Assign)
-            and isinstance(s.targets[0], ast.Name)
-            and s.targets[0].id == "before"
-            for s in b.stmts
-        )
-    )
-    assert len(head.succs) == 2
-
-
-# ----------------------------------------------------------------- dataflow ----
-
-
-def test_run_forward_reaches_fixpoint_on_branchy_gen_kill():
-    cfg = build_cfg(
-        _func(
-            """
-            def f(x):
-                v = 1
-                if x:
-                    v = 2
-                return v
-            """
-        )
-    )
-
-    def transfer(index, entry):
-        state = dict(entry)
-        for stmt in cfg.blocks[index].stmts:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign) and isinstance(
-                    node.targets[0], ast.Name
-                ):
-                    name = node.targets[0].id
-                    state[name] = state.get(name, frozenset()) | {
-                        node.value.value
-                    }
-        return state
-
-    def join(a, b):
-        merged = dict(a)
-        for key, values in b.items():
-            merged[key] = merged.get(key, frozenset()) | values
-        return merged
-
-    exits = run_forward(cfg, {}, transfer, join)
-    assert exits[cfg.exit.index]["v"] == {1, 2}
-
-
-def test_run_forward_terminates_on_loops():
-    cfg = build_cfg(
-        _func(
-            """
-            def f(n):
-                total = 0
-                while n:
-                    total = 1
-                return total
-            """
-        )
-    )
-    calls = []
-
-    def transfer(index, entry):
-        calls.append(index)
-        return dict(entry)
-
-    exits = run_forward(cfg, {}, transfer, lambda a, b: {**a, **b})
-    assert exits  # converged without hitting the safety bound
-    assert len(calls) < 64 * len(cfg.blocks)
+    result = flow("--graph", "src/repro")
+    assert result.returncode == 0, result.stderr
+    assert "# call graph (resolved; conservative name resolution)" in result.stdout
+    assert "# state machines (lifted from transition code)" in result.stdout
+    assert "  SYN_SENT -> ESTABLISHED  (" in result.stdout
+    assert flow("src/repro").returncode == 2

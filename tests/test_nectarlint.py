@@ -34,7 +34,6 @@ def test_registry_has_all_documented_rules():
         "NS101", "NS102", "NS103",
         "NB201",
         # whole-program (nectarflow) rules
-        "NB210", "NB211", "NB212",
         "NP301", "NP302", "NP303",
         # lint hygiene
         "NL001",
@@ -567,6 +566,25 @@ def test_cli_select_and_ignore_affect_exit(tmp_path):
     assert nectarlint.main([str(bad), "--select", "ND004"]) == 0
 
 
+def test_cli_filter_that_can_match_nothing_is_a_usage_error(tmp_path, capsys):
+    """A filter naming an unregistered code, or a code only a flag this
+    run lacks can report, would print "clean" whatever the tree holds."""
+    bad = tmp_path / "sim" / "bad.py"
+    bad.parent.mkdir()
+    bad.write_text("import time\n\ndef t():\n    return time.time()\n")
+    for argv, code in (
+        (["--select", "NB999"], "NB999"),
+        (["--ignore", "XX1"], "XX1"),
+        (["--select", "NS111"], "NS111"),  # a retired rule
+        (["--select", "ND001,NP301"], "NP301"),  # needs --static
+        (["--select", "NL001"], "NL001"),  # needs --strict
+    ):
+        assert nectarlint.main([str(bad)] + argv) == 2, argv
+        assert code in capsys.readouterr().err, argv
+    assert nectarlint.main([str(bad), "--select", "NL001", "--strict"]) == 0
+    assert nectarlint.main([str(bad), "--select", "E999"]) == 0
+
+
 # ------------------------------------------------- suppression edge cases ----
 
 
@@ -637,6 +655,39 @@ def test_unjustified_suppression_reported_under_strict():
     strict = nectarlint.lint_source(source, path=SIM_PATH, strict=True)
     assert codes(strict) == ["NL001"]
     assert strict[0].line == 4
+
+
+def test_pragma_quoted_in_a_string_suppresses_nothing():
+    """Only a comment is a pragma: a docstring that quotes one documents
+    it and must not switch the rule off for the file."""
+    quoted = (
+        '"""Waive a rule with `# nectarlint: disable-file=ND001 -- example`."""\n'
+        "import time\n"
+        "\n"
+        "def stamp():\n"
+        "    return time.time()\n"
+        "\n"
+        "NOTE = 'x = 1  # nectarlint: disable=ND001'\n"
+    )
+    assert codes(nectarlint.lint_source(quoted, path=SIM_PATH)) == ["ND001"]
+    table = parse_suppressions(quoted)
+    assert table.whole_file == set() and table.by_line == {}
+
+
+def test_pragma_naming_an_unregistered_code_is_nl001_under_strict():
+    source = (
+        "import time\n"
+        "\n"
+        "def stamp():\n"
+        "    return time.time()  # nectarlint: disable=ND001,ND0O4 -- typo\n"
+        "\n"
+        "# a leftover pragma for a retired rule\n"
+        "x = 1  # nectarlint: disable=NS110\n"
+    )
+    assert codes(nectarlint.lint_source(source, path=SIM_PATH)) == []
+    strict = nectarlint.lint_source(source, path=SIM_PATH, strict=True)
+    assert [(f.code, f.line) for f in strict] == [("NL001", 4), ("NL001", 7)]
+    assert "ND0O4" in strict[0].message and "NS110" in strict[1].message
 
 
 def test_justification_via_preceding_comment_lines():

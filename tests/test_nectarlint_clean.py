@@ -273,7 +273,7 @@ def test_set_iteration_in_cluster_gets_the_sensitive_rules():
 
 def test_lint_cli_static_exits_zero():
     """The one whole-program run in tier-1: per-file rules, nectarflow's
-    ownership and FSM passes, and NL001, from the repo root as CI runs it.
+    FSM pass, and NL001, from the repo root as CI runs it.
     Every historical finding was fixed (NP30x found the TIME_WAIT
     2MSL-restart gap in tcp.py) or carries a justified suppression; prefer
     fixing a new finding over suppressing it."""
