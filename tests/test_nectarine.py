@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.traffic import rpc_service
 from repro.host.machine import HostedNode
 from repro.nectarine.api import CabNectarine, HostNectarine
 from repro.nectarine.naming import MailboxAddress, NameService
@@ -63,6 +64,54 @@ def test_rpc_service(rig):
 
     a.runtime.fork_application(client(), "client")
     assert system.run_until(done, limit=seconds(1)) == b"10"
+
+
+def _waiting_handler(node):
+    """A handler that must wait: it returns a generator that serve runs."""
+
+    def handler(body, _header):
+        def reply():
+            yield from node.runtime.ops.sleep(1_000)
+            return body[::-1]
+
+        return reply()
+
+    return handler
+
+
+def _forking_handler(node):
+    """A handler that returns None and responds from a thread it forked."""
+
+    def handler(body, header):
+        def respond():
+            yield from node.runtime.ops.sleep(1_000)
+            yield from node.rpc.respond(header, body[::-1])
+
+        node.runtime.fork_system(respond(), "responder")
+        return None
+
+    return handler
+
+
+@pytest.mark.parametrize(
+    "make_handler", [_waiting_handler, _forking_handler], ids=["generator", "none"]
+)
+def test_rpc_service_handler_that_waits(rig, make_handler):
+    system, a, b, _names, _tasks = rig
+    rpc_service(b, "reverser", 0x5200, make_handler(b))
+    done = system.sim.event()
+    replies = []
+
+    def client():
+        for request in (b"abc", b"wxyz"):
+            reply = yield from a.rpc.request(
+                a.rpc.allocate_client_port(), b.node_id, 0x5200, request
+            )
+            replies.append(reply)
+        done.succeed(replies)
+
+    a.runtime.fork_application(client(), "client")
+    assert system.run_until(done, limit=seconds(1)) == [b"cba", b"zyxw"]
 
 
 def test_remote_task_creation(rig):
