@@ -11,8 +11,7 @@ and builds the whole-program tables the NP30x FSM pass and the
   ``f(...)`` binds to the module's own ``f`` first, ``self.m(...)`` to a
   method ``m`` of the enclosing class first, and ``obj.m(...)`` to every
   known function named ``m`` (the conservative over-approximation an
-  untyped call graph needs);
-* ``transitive_callees(qname)`` — the closure of those edges.
+  untyped call graph needs).
 
 Everything is deterministic: files are walked sorted, functions indexed
 in source order, and all result lists are sorted.
@@ -125,7 +124,6 @@ class Project:
         self.methods: Dict[Tuple[str, str], List[str]] = {}
         #: class name -> [(module, path, node)].
         self.classes: Dict[str, List[Tuple[str, str, ast.ClassDef]]] = {}
-        self._closure_cache: Dict[str, frozenset] = {}
 
     # -- loading ------------------------------------------------------------
 
@@ -201,24 +199,6 @@ class Project:
         """Resolved callee qnames of one function ([] if unknown)."""
         info = self.functions.get(qname)
         return info.callees if info is not None else []
-
-    def transitive_callees(self, qname: str) -> frozenset:
-        """Every function reachable from ``qname`` (excluding itself unless
-        recursive), memoized."""
-        cached = self._closure_cache.get(qname)
-        if cached is not None:
-            return cached
-        seen: set = set()
-        stack = list(self.callees(qname))
-        while stack:
-            callee = stack.pop()
-            if callee in seen:
-                continue
-            seen.add(callee)
-            stack.extend(self.callees(callee))
-        result = frozenset(seen)
-        self._closure_cache[qname] = result
-        return result
 
     def source_for(self, path: str) -> str:
         """The source text of one indexed module ("" if not indexed)."""

@@ -7,10 +7,6 @@ the ``observe`` and ``load`` workloads, the chaos campaign and the fleet
 mix all run over it, plus the request-response server loop every RPC
 service shares.  :mod:`repro.apps.throughput` keeps the three byte-stream
 measurements of Figure 8 that go through a socket API instead.
-
-The rest of the package implements two Sec. 5.3 applications:
-distributed transactions (:mod:`repro.apps.transactions`) and network
-shared memory (:mod:`repro.apps.sharedmem`).
 """
 
 from repro.apps import traffic

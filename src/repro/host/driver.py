@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.cab.cpu import Block, WaitToken, wait_sim_event
+from repro.cab.cpu import Block, WaitToken
 from repro.errors import HeapExhausted, MailboxError, NectarError
 from repro.host.machine import Host
 from repro.hw.vme import VMEBus
@@ -105,29 +105,16 @@ class CABDriver:
     # ======================================================= VME data movement
 
     def vme_copy(self, nbytes: int) -> Generator:
-        """Host-context transfer of ``nbytes`` across the VME bus.
-
-        Programmed I/O (the CPU is busy, ~1 us/word) below the DMA threshold,
-        block transfer above it (the CPU sleeps while the bus DMA runs).
-        """
-        if nbytes <= 0:
-            return
-        grant = self.vme.bus.acquire()
-        yield from wait_sim_event(self.host.cpu, grant)
-        try:
-            if nbytes >= self.costs.vme_dma_threshold_bytes:
-                yield self.costs.vme_dma_setup_ns
-                done = self.sim.timeout(self.costs.vme_dma_ns(nbytes))
-                yield from wait_sim_event(self.host.cpu, done)
-                self.vme.stats.add("dma_bytes", nbytes)
-            else:
-                yield self.costs.vme_pio_ns(nbytes)
-                self.vme.stats.add("pio_bytes", nbytes)
-        finally:
-            self.vme.bus.release()
+        """Host-context transfer of ``nbytes`` across the VME bus."""
+        return self.vme.copy(self.host.cpu, nbytes)
 
     def _vme_words(self, words: int) -> Generator:
-        """Descriptor accesses: short programmed I/O, bus contention ignored."""
+        """Descriptor accesses: short programmed I/O charged to the host CPU.
+
+        These words do not wait for or hold the bus, so a descriptor access
+        never queues behind a bulk transfer (contention is not modelled
+        here; the data itself always crosses by :meth:`vme_copy`).
+        """
         yield words * self.costs.vme_word_ns
 
     # ===================================================== doorbell (host->CAB)

@@ -2,16 +2,17 @@
 
 The VME bus is the host/CAB performance bottleneck in the paper (Sec. 6.3):
 programmed I/O costs ~1 us per 32-bit access, and block (DMA) transfers run
-at ~30 Mbit/s.  The bus is a single shared resource — programmed I/O from the
-host, DMA transfers, and cross-bus interrupts all contend for it — so the
-Figure 8 flattening emerges from contention rather than from a hard-coded
-ceiling.
+at ~30 Mbit/s.  The bus is a single shared resource: every data transfer
+holds it through :meth:`VMEBus.copy`, so concurrent transfers serialize and
+the Figure 8 flattening emerges from contention rather than from a
+hard-coded ceiling.  Cross-bus interrupts pay only their latency.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator
 
+from repro.cab.cpu import CPU, wait_sim_event
 from repro.model.costs import CostModel
 from repro.sim.core import Simulator
 from repro.sim.primitives import Resource
@@ -34,45 +35,37 @@ class VMEBus:
 
     # -- transfers -----------------------------------------------------------
 
-    def pio(self, nbytes: int) -> Generator:
-        """Programmed-I/O transfer of ``nbytes`` (word-at-a-time).
+    def copy(self, cpu: CPU, nbytes: int) -> Generator:
+        """Thread-context transfer of ``nbytes`` across the bus by ``cpu``.
 
-        A generator to be driven with ``yield from`` by a simulation process
-        (or wrapped in a CPU compute by callers that model the CPU being
-        busy — PIO *does* occupy the issuing CPU).
+        The one way anything holds the bus.  Programmed I/O below the DMA
+        threshold keeps the CPU busy (~1 us per word); a block transfer at
+        or above it pays the DMA setup and then sleeps the CPU while the
+        bus DMA runs.
         """
-        yield from self._hold("pio", nbytes, self.costs.vme_pio_ns)
-
-    def dma(self, nbytes: int) -> Generator:
-        """Block transfer of ``nbytes`` at the VME DMA rate."""
-        yield from self._hold("dma", nbytes, self.costs.vme_dma_ns)
-
-    def _hold(self, kind: str, nbytes: int, cost_ns: Callable[[int], int]) -> Generator:
-        """Hold the bus for one ``kind`` transfer of ``nbytes``."""
         if nbytes < 0:
-            raise ValueError(f"negative {kind.upper()} size {nbytes}")
-        yield self._bus.acquire()
+            raise ValueError(f"negative VME transfer size {nbytes}")
+        if nbytes == 0:
+            return
+        yield from wait_sim_event(cpu, self._bus.acquire())
+        kind = "dma" if nbytes >= self.costs.vme_dma_threshold_bytes else "pio"
         # The span opens only once the bus is held, so concurrent transfer
         # attempts serialize and the spans on this track nest correctly.
         tracer = self.tracer
         if tracer.sink is not None:
             tracer.begin("vme", kind, {"bytes": nbytes}, track=self.name)
         try:
-            yield cost_ns(nbytes)
+            if kind == "dma":
+                yield self.costs.vme_dma_setup_ns
+                done = self.sim.timeout(self.costs.vme_dma_ns(nbytes))
+                yield from wait_sim_event(cpu, done)
+            else:
+                yield self.costs.vme_pio_ns(nbytes)
             self.stats.add(f"{kind}_bytes", nbytes)
-            self.stats.add(f"{kind}_transfers")
         finally:
             if tracer.sink is not None:
                 tracer.end("vme", kind, track=self.name)
             self._bus.release()
-
-    def transfer(self, nbytes: int) -> Generator:
-        """PIO for small transfers, DMA above the threshold (plus setup)."""
-        if nbytes >= self.costs.vme_dma_threshold_bytes:
-            yield self.costs.vme_dma_setup_ns
-            yield from self.dma(nbytes)
-        else:
-            yield from self.pio(nbytes)
 
     # -- interrupts ------------------------------------------------------------
 
@@ -86,12 +79,3 @@ class VMEBus:
         event.callbacks.append(lambda _ev: deliver())
         event.succeed(delay=self.costs.vme_interrupt_ns)
         self.stats.add("interrupts")
-
-    @property
-    def busy(self) -> bool:
-        return self._bus.in_use > 0
-
-    @property
-    def bus(self) -> Resource:
-        """The underlying arbitration resource (for CPU-context callers)."""
-        return self._bus

@@ -141,11 +141,6 @@ class TCPConnection:
         # Consecutive zero-window probes sent without hearing any ACK back.
         self.window_probes = 0
 
-        # Congestion control (Tahoe-style, 1988-era; enabled per protocol).
-        # cwnd/ssthresh are in bytes; inactive unless tcp.congestion_control.
-        self.cwnd = 0  # set by the protocol once the MSS is known
-        self.ssthresh = DEFAULT_RCV_WND
-
         # Synchronization (created by the protocol, which owns the runtime).
         ops = tcp.runtime
         self.established_cond = ops.condition(f"tcp{self.conn_id}-established")
@@ -164,33 +159,8 @@ class TCPConnection:
         return (self.snd_nxt - self.snd_una) % SEQ_MOD
 
     @property
-    def effective_window(self) -> int:
-        """Peer window, clipped by cwnd when congestion control is on."""
-        if self.cwnd:
-            return min(self.snd_wnd, self.cwnd)
-        return self.snd_wnd
-
-    @property
     def send_window_avail(self) -> int:
-        return max(0, self.effective_window - self.bytes_in_flight)
-
-    # -- congestion control (Tahoe) ----------------------------------------------
-
-    def congestion_ack(self, acked_bytes: int, mss: int) -> None:
-        """Grow cwnd on new data acked: slow start, then linear avoidance."""
-        if not self.cwnd:
-            return
-        if self.cwnd < self.ssthresh:
-            self.cwnd += min(acked_bytes, mss)  # slow start: ~double per RTT
-        else:
-            self.cwnd += max(1, mss * mss // self.cwnd)  # congestion avoidance
-
-    def congestion_timeout(self, mss: int) -> None:
-        """On retransmission timeout: halve the threshold, restart from 1 MSS."""
-        if not self.cwnd:
-            return
-        self.ssthresh = max(2 * mss, self.effective_window // 2)
-        self.cwnd = mss
+        return max(0, self.snd_wnd - self.bytes_in_flight)
 
     @property
     def send_buffer_full(self) -> bool:

@@ -84,17 +84,12 @@ class TCPProtocol:
         ip: IPProtocol,
         checksums: bool = True,
         mss: int = DEFAULT_MSS,
-        congestion_control: bool = False,
     ):
         self.runtime = runtime
         self.costs = runtime.costs
         self.ip = ip
         self.checksums = checksums
         self.mss = mss
-        #: Tahoe-style slow start / congestion avoidance.  Off by default:
-        #: the paper's 1990 implementation predates its deployment on
-        #: Nectar, and the evaluation workloads run on an uncongested LAN.
-        self.congestion_control = congestion_control
         self.input_mailbox = runtime.mailbox("tcp-input")
         self.send_request_mailbox = runtime.mailbox("tcp-send-request")
         ip.register_transport(IPPROTO_TCP, self.input_mailbox)
@@ -125,8 +120,6 @@ class TCPProtocol:
         ops = self.runtime.ops
         yield from ops.lock(self.lock)
         conn = TCPConnection(self, local_port, remote_ip, remote_port, receive_mailbox)
-        if self.congestion_control:
-            conn.cwnd = self.mss
         key = conn.four_tuple
         if key in self.connections:
             yield from ops.unlock(self.lock)
@@ -449,8 +442,6 @@ class TCPProtocol:
             receive_mailbox=None,
         )
         conn.receive_mailbox = listener.mailbox_factory(conn)
-        if self.congestion_control:
-            conn.cwnd = self.mss
         conn.state = TCPState.SYN_RCVD
         conn.irs = header.seq
         conn.rcv_nxt = seq_add(header.seq, 1)
@@ -475,8 +466,6 @@ class TCPProtocol:
             # Acking the future: ignore (stale/corrupt).
             return
         now = self.runtime.sim.now
-        acked_bytes = (ack - conn.snd_una) % (1 << 32)
-        conn.congestion_ack(acked_bytes, self.mss)
         remaining = []
         for segment in conn.unacked:
             span = segment.length + (1 if segment.flags & (TCP_SYN | TCP_FIN) else 0)
@@ -645,7 +634,6 @@ class TCPProtocol:
             return
         segment.retransmits += 1
         segment.rtt_eligible = False  # Karn's rule
-        conn.congestion_timeout(self.mss)
         conn.rtt.backoff()
         conn.rto_deadline_ns = self.runtime.sim.now + conn.rtt.rto_ns
         self.stats.add("tcp_retransmits")

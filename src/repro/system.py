@@ -57,7 +57,6 @@ class NectarNode:
         udp_checksums: bool = True,
         mtu: int = 9000,
         ip_input_mode: str = "interrupt",
-        tcp_congestion_control: bool = False,
     ):
         self.system = system
         self.name = name
@@ -83,11 +82,7 @@ class NectarNode:
         self.udp = UDPProtocol(self.runtime, self.ip, checksums=udp_checksums)
         self.udp.icmp = self.icmp
         self.tcp = TCPProtocol(
-            self.runtime,
-            self.ip,
-            checksums=tcp_checksums,
-            mss=mtu - 40,
-            congestion_control=tcp_congestion_control,
+            self.runtime, self.ip, checksums=tcp_checksums, mss=mtu - 40
         )
         self.nectar = NectarTransportLayer(self.runtime, self.datalink)
         self.datagram = DatagramProtocol(self.nectar)
@@ -148,7 +143,6 @@ class NectarSystem:
         udp_checksums: bool = True,
         mtu: int = 9000,
         ip_input_mode: str = "interrupt",
-        tcp_congestion_control: bool = False,
     ) -> NectarNode:
         """Create a CAB with a full protocol stack on a HUB port."""
         if name in self.nodes:
@@ -162,7 +156,6 @@ class NectarSystem:
             udp_checksums=udp_checksums,
             mtu=mtu,
             ip_input_mode=ip_input_mode,
-            tcp_congestion_control=tcp_congestion_control,
         )
         self.nodes[name] = node
         if self.faults is not None:

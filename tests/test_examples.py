@@ -44,14 +44,3 @@ def test_multi_hub_ping():
     assert "source route cab-west -> cab-east: output ports (15, 15, 1)" in out
     assert "circuit opened" in out
 
-
-def test_shared_memory():
-    out = run_example("shared_memory.py")
-    assert "all 4 nodes see config-v2" in out
-
-
-def test_bank_transactions():
-    out = run_example("bank_transactions.py")
-    assert "transfer #1: committed" in out
-    assert "transfer #2: aborted" in out
-    assert "atomicity held" in out

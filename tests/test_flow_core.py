@@ -71,16 +71,6 @@ def test_unqualified_method_call_fans_out_to_all_candidates():
     ]
 
 
-def test_transitive_callees_closes_over_chains():
-    project = Project.from_source(
-        "def a():\n    b()\n\ndef b():\n    c()\n\ndef c():\n    pass\n",
-        "src/repro/mod.py",
-    )
-    closure = project.transitive_callees("repro.mod.a")
-    assert "repro.mod.b" in closure
-    assert "repro.mod.c" in closure
-
-
 def test_syntax_errors_are_skipped_not_fatal():
     project = Project()
     project.add_source("def broken(:\n", "src/repro/bad.py")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cab.cpu import CPU, PRIORITY_APPLICATION
 from repro.errors import CABError
 from repro.hw.fiber import CHUNK_BYTES, FiberIn, FiberOut, Frame
 from repro.hw.vme import VMEBus
@@ -78,72 +79,75 @@ class TestFiberEndpoints:
         assert incoming.fifo.capacity == 8192
 
 
+def _vme_rig(cpus=1):
+    """A bus plus ``cpus`` host CPUs that cost nothing to switch or dispatch."""
+    sim = Simulator()
+    costs = CostModel()
+    hosts = [
+        CPU(sim, name=f"host{i}", context_switch_ns=0, dispatch_ns=0) for i in range(cpus)
+    ]
+    return sim, costs, VMEBus(sim, costs), hosts
+
+
+def _copy_from_thread(sim, vme, cpu, *sizes):
+    """Run ``vme.copy`` from a thread on ``cpu``; a list filled with the
+    simulated time at which each copy finishes."""
+    finished = []
+
+    def body():
+        for nbytes in sizes:
+            yield from vme.copy(cpu, nbytes)
+            finished.append(sim.now)
+
+    cpu.add_thread(body(), PRIORITY_APPLICATION, "copier")
+    return finished
+
+
 class TestVMEBus:
     def test_pio_time_per_word(self):
-        sim = Simulator()
-        costs = CostModel()
-        vme = VMEBus(sim, costs)
-
-        def body():
-            yield from vme.pio(8)  # two words
-            return sim.now
-
-        assert sim.run_process(body()) == 2 * costs.vme_word_ns
+        sim, costs, vme, (cpu,) = _vme_rig()
+        finished = _copy_from_thread(sim, vme, cpu, 8)  # two words
+        sim.run()
+        assert finished == [2 * costs.vme_word_ns]
+        # Programmed I/O keeps the issuing CPU busy throughout.
+        assert cpu.busy_ns == 2 * costs.vme_word_ns
+        assert vme.stats.value("pio_bytes") == 8
 
     def test_pio_rounds_up_to_words(self):
-        sim = Simulator()
-        costs = CostModel()
-        vme = VMEBus(sim, costs)
-
-        def body():
-            yield from vme.pio(5)  # still two words
-            return sim.now
-
-        assert sim.run_process(body()) == 2 * costs.vme_word_ns
+        sim, costs, vme, (cpu,) = _vme_rig()
+        finished = _copy_from_thread(sim, vme, cpu, 5)  # still two words
+        sim.run()
+        assert finished == [2 * costs.vme_word_ns]
 
     def test_dma_rate(self):
-        sim = Simulator()
-        costs = CostModel()
-        vme = VMEBus(sim, costs)
-
-        def body():
-            yield from vme.dma(3000)
-            return sim.now
-
-        elapsed = sim.run_process(body())
-        assert elapsed == costs.vme_dma_ns(3000)
+        sim, costs, vme, (cpu,) = _vme_rig()
+        finished = _copy_from_thread(sim, vme, cpu, 3000)
+        sim.run()
+        assert finished == [costs.vme_dma_setup_ns + costs.vme_dma_ns(3000)]
         # 30 Mbit/s -> 3000 bytes take 800 us.
-        assert abs(elapsed - 800_000) < 1_000
+        assert abs(costs.vme_dma_ns(3000) - 800_000) < 1_000
+        # The CPU pays the setup and sleeps through the block transfer.
+        assert cpu.busy_ns == costs.vme_dma_setup_ns
+        assert vme.stats.value("dma_bytes") == 3000
 
     def test_bus_is_exclusive(self):
-        sim = Simulator()
-        costs = CostModel()
-        vme = VMEBus(sim, costs)
-        finish = {}
-
-        def user(tag):
-            yield from vme.dma(3000)
-            finish[tag] = sim.now
-
-        sim.process(user("a"))
-        sim.process(user("b"))
+        sim, _costs, vme, (cpu_a, cpu_b) = _vme_rig(cpus=2)
+        finish_a = _copy_from_thread(sim, vme, cpu_a, 3000)
+        finish_b = _copy_from_thread(sim, vme, cpu_b, 3000)
         sim.run()
         # Serialized: second finishes a full transfer after the first.
-        assert finish["b"] == 2 * finish["a"]
+        assert finish_b == [2 * finish_a[0]]
 
     def test_transfer_picks_pio_vs_dma(self):
-        sim = Simulator()
-        costs = CostModel()
-        vme = VMEBus(sim, costs)
-
-        def body():
-            yield from vme.transfer(64)  # below threshold: PIO
-            yield from vme.transfer(4096)  # above: DMA
-            return None
-
-        sim.run_process(body())
-        assert vme.stats.value("pio_transfers") == 1
-        assert vme.stats.value("dma_transfers") == 1
+        sim, costs, vme, (cpu,) = _vme_rig()
+        threshold = costs.vme_dma_threshold_bytes
+        finished = _copy_from_thread(sim, vme, cpu, threshold - 1, threshold)
+        sim.run()
+        assert vme.stats.value("pio_bytes") == threshold - 1
+        assert vme.stats.value("dma_bytes") == threshold
+        pio_ns = costs.vme_pio_ns(threshold - 1)
+        dma_ns = costs.vme_dma_setup_ns + costs.vme_dma_ns(threshold)
+        assert finished == [pio_ns, pio_ns + dma_ns]
 
     def test_interrupt_delivery_latency(self):
         sim = Simulator()
@@ -155,9 +159,10 @@ class TestVMEBus:
         assert hits == [costs.vme_interrupt_ns]
 
     def test_negative_sizes_rejected(self):
-        sim = Simulator()
-        vme = VMEBus(sim, CostModel())
+        _sim, _costs, vme, (cpu,) = _vme_rig()
         with pytest.raises(ValueError):
-            list(vme.pio(-1))
-        with pytest.raises(ValueError):
-            list(vme.dma(-1))
+            list(vme.copy(cpu, -1))
+
+    def test_empty_copy_takes_no_bus_time(self):
+        _sim, _costs, vme, (cpu,) = _vme_rig()
+        assert list(vme.copy(cpu, 0)) == []

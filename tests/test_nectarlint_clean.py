@@ -130,6 +130,39 @@ def test_detached_tracer_guard_catches_planted_sites():
     assert detached_tracer_sites(source) == [3, 4, 7, 9]
 
 
+def vme_bus_sites(source, filename="<source>"):
+    """Line numbers of every ``.bus`` / ``._bus`` attribute access: the VME
+    arbitration resource, reached from outside ``VMEBus.copy``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr in ("bus", "_bus")
+    )
+
+
+def test_one_vme_bus_holding_path():
+    """Every VME transfer holds the bus through ``VMEBus.copy``, the one
+    place with the ``vme`` span and the byte counters; nothing outside
+    ``hw/vme.py`` acquires the bus by hand."""
+    hits = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != SRC / "repro" / "hw" / "vme.py"
+        for line in vme_bus_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert hits == [], "move data with VMEBus.copy:\n" + "\n".join(hits)
+
+
+def test_vme_bus_guard_catches_planted_sites():
+    source = (
+        "def vme_copy(self, nbytes):\n"
+        "    grant = self.vme.bus.acquire()\n"
+        "    self.vme._bus.release()\n"
+        "    return self.vme.copy(self.cpu, nbytes)\n"
+    )
+    assert vme_bus_sites(source) == [2, 3]
+
+
 def test_nothing_under_src_repro_reads_the_host_clock():
     """Every report is simulated quantities only: ND001 has no suppression
     left and no ``time.perf_counter``/``time.time``/``time.monotonic`` call

@@ -373,10 +373,10 @@ class TestOneTracerPerSimulation:
             yield 100
 
         def bus():
-            yield from vme.pio(8)
+            yield from vme.copy(cpu, 8)
 
         cpu.add_thread(work(), PRIORITY_APPLICATION, "work")
-        sim.process(bus())
+        cpu.add_thread(bus(), PRIORITY_APPLICATION, "bus")
         fifo.push(Chunk(frame="f", offset=0, length=16, is_first=True, is_last=True))
         fifo.pop()
         sim.run()
