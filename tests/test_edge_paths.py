@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.host.machine import HostedNode
+from repro.protocols.headers import IPPROTO_UDP, IPv4Header, UDPHeader
 from repro.protocols.tcp.connection import TCPState
 from repro.system import NectarSystem
 from repro.units import ms, seconds, us
@@ -86,6 +87,30 @@ class TestCorruptionPastCRC:
         system.run(until=ms(10))
         assert b.runtime.stats.value("udp_bad_checksum") == 1
         assert len(inbox) == 0
+
+    def test_zero_udp_checksum_field_means_none(self):
+        """RFC 768: a transmitter that computed no checksum sends a zero
+        field, and the receiver delivers the datagram unverified."""
+        system, a, b = rig()
+        inbox = b.runtime.mailbox("inbox")
+        b.udp.bind(99, inbox)
+        data = b"sent without a checksum"
+
+        def sender():
+            headers = IPv4Header.SIZE + UDPHeader.SIZE
+            msg = yield from a.udp.input_mailbox.begin_put(headers + len(data))
+            udp = UDPHeader(
+                src_port=1, dst_port=99, length=UDPHeader.SIZE + len(data), checksum=0
+            )
+            msg.write(IPv4Header.SIZE, udp.pack() + data)
+            template = IPv4Header(src=0, dst=b.ip_address, protocol=IPPROTO_UDP)
+            yield from a.ip.output(template, msg, free_after=True)
+
+        a.runtime.fork_application(sender(), "s")
+        system.run(until=ms(10))
+        assert b.runtime.stats.value("udp_in") == 1
+        assert b.runtime.stats.value("udp_bad_checksum") == 0
+        assert [m.read() for m in inbox.queue] == [data]
 
 
 class TestSimultaneousClose:

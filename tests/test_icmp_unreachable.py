@@ -4,11 +4,15 @@ import pytest
 
 from repro.protocols.headers import (
     ICMP_CODE_PORT_UNREACHABLE,
+    ICMP_ECHO_REQUEST,
+    ICMPHeader,
+    IPPROTO_ICMP,
     IPv4Header,
     UDPHeader,
 )
 from repro.system import NectarSystem
 from repro.units import ms, seconds
+from tests.test_leaks import heap_leaks
 
 
 def rig():
@@ -72,3 +76,62 @@ def test_unreachable_storm_does_not_loop():
     assert b.runtime.stats.value("icmp_unreachable_out") == 3
     assert a.runtime.stats.value("icmp_unreachable_in") == 3
     assert a.runtime.stats.value("icmp_unreachable_out") == 0
+
+
+def _ip(body: bytes, version: int = 4) -> bytes:
+    """A 20-byte IP header for an ICMP packet carrying ``body``."""
+    raw = bytearray(
+        IPv4Header(
+            src=0x0A000001, dst=0x0A000002, protocol=IPPROTO_ICMP,
+            total_length=IPv4Header.SIZE + len(body),
+        ).pack()
+    )
+    raw[0] = (version << 4) | 5
+    return bytes(raw)
+
+
+def _icmp(icmp_type: int, checksum_ok: bool = True) -> bytes:
+    body = bytearray(ICMPHeader(icmp_type=icmp_type, identifier=7, sequence=1).pack())
+    body.extend(b"payload!")
+    checksum = ICMPHeader.compute_checksum(body)
+    if not checksum_ok:
+        checksum ^= 0x5A5A
+    body[2:4] = checksum.to_bytes(2, "big")
+    return bytes(body)
+
+
+@pytest.mark.parametrize(
+    "packet, counter",
+    [
+        (_ip(b"") + b"\x08\x00\x00", "icmp_malformed"),
+        (_ip(_icmp(ICMP_ECHO_REQUEST), version=6) + _icmp(ICMP_ECHO_REQUEST), "icmp_malformed"),
+        (_ip(_icmp(ICMP_ECHO_REQUEST)) + _icmp(ICMP_ECHO_REQUEST, checksum_ok=False),
+         "icmp_bad_checksum"),
+        (_ip(_icmp(42)) + _icmp(42), "icmp_unknown_type"),
+    ],
+    ids=["short", "bad-ip-header", "bad-checksum", "unknown-type"],
+)
+def test_rejected_input_counts_once_frees_and_stays_silent(packet, counter):
+    """ICMP checks what reaches its mailbox: a rejected packet is counted
+    once, freed, and never answered.  IP already drops a header it cannot
+    parse, so the packet is put straight into ICMP's input mailbox, the
+    whole receive interface between IP and ICMP."""
+    system, _a, b = rig()
+    system.run()
+    stats = b.runtime.stats
+    sent = b.cab.stats.value("frames_sent")
+
+    def writer():
+        box = b.icmp.input_mailbox
+        msg = yield from box.begin_put(len(packet))
+        msg.write(0, packet)
+        yield from box.end_put(msg)
+
+    b.runtime.fork_application(writer(), "w")
+    system.run()
+    assert stats.value(counter) == 1
+    rejections = ["icmp_malformed", "icmp_bad_checksum", "icmp_unknown_type"]
+    assert sum(stats.value(name) for name in rejections) == 1
+    assert stats.value("icmp_echo_requests_in") == 0
+    assert b.cab.stats.value("frames_sent") == sent
+    assert heap_leaks(system) == []
