@@ -6,14 +6,11 @@ support for multi-hop connections."
 
 This example wires three HUBs in a line, attaches CABs at each end and in
 the middle, prints the computed source routes, and then ICMP-pings across
-the mesh, showing the extra per-hop latency.  Finally it opens an explicit
-*circuit* along the two-hop route and shows that circuit-switched frames
-skip the per-packet connection setup.
+the mesh, showing the extra per-hop latency.
 
 Run:  python examples/multi_hub_ping.py
 """
 
-from repro.hub.controller import HubController
 from repro.system import NectarSystem
 from repro.units import ns_to_us, seconds
 
@@ -58,22 +55,6 @@ def main() -> None:
     print(f"\nICMP RTT across 1 HUB:  {ns_to_us(one_hop):7.1f} us")
     print(f"ICMP RTT across 3 HUBs: {ns_to_us(two_hop):7.1f} us")
     print(f"multi-hop penalty:      {ns_to_us(two_hop - one_hop):7.1f} us")
-
-    # Circuit switching: pin the crossbar ports along the route once, then
-    # send frames with no per-packet connection setup.
-    done = system.sim.event()
-
-    def circuit_demo():
-        controller = HubController(system.network, west.cab, west.cab.cpu)
-        route = system.network.route_for("cab-west", "cab-east")
-        circuit = yield from controller.open_circuit(route)
-        print(f"\ncircuit opened along {circuit.route}; crossbar ports pinned")
-        yield from controller.close_circuit(circuit)
-        print("circuit closed; ports released")
-        done.succeed()
-
-    west.runtime.fork_application(circuit_demo(), "circuit-demo")
-    system.run_until(done, limit=seconds(1))
 
 
 if __name__ == "__main__":

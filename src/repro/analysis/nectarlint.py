@@ -136,9 +136,7 @@ _GENERATOR_APIS = {
     "wait_until",
     "signal",
     "broadcast",
-    "isignal",
     "sleep",
-    "yield_cpu",
     "join",
     "begin_put",
     "ibegin_put",

@@ -3,8 +3,8 @@
 Mirrors the block diagram of paper Sec. 2.2:
 
 * a general-purpose RISC CPU (16.5 MHz SPARC) — :class:`repro.cab.cpu.CPU`;
-* program memory (128 KB PROM + 512 KB RAM) and data memory (1 MB), with
-  1 KB-page protection domains;
+* program memory (128 KB PROM + 512 KB RAM) and data memory (1 MB),
+  bounds-checked (the 1 KB-page protection hardware is not modelled);
 * input/output FIFOs buffering the fibers;
 * a DMA controller managing simultaneous fiber<->memory transfers with
   low-level flow control, leaving the CPU free for protocol work;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.cab.cpu import CPU, PRIORITY_SYSTEM
+from repro.cab.cpu import CPU
 from repro.errors import CABError
 from repro.hw.fiber import FiberIn, FiberOut, Frame
 from repro.hw.memory import MemoryRegion
@@ -255,12 +255,6 @@ class CAB:
         self._rx_started = False
         if done is not None:
             done.succeed()
-
-    # ----------------------------------------------------------------- misc
-
-    def fork_system_thread(self, gen: Generator, name: str):
-        """Spawn a system-priority thread (protocol threads)."""
-        return self.cpu.add_thread(gen, priority=PRIORITY_SYSTEM, name=name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CAB {self.name}>"

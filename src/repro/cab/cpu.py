@@ -354,10 +354,6 @@ class CPU:
         label = self.context_label
         return label if label is not None else f"{self.name}/ext"
 
-    @property
-    def utilization_window_ns(self) -> int:
-        return self.sim.now
-
     # ------------------------------------------------------------- scheduling
 
     def _make_ready(self, tcb: TCB) -> None:

@@ -27,7 +27,7 @@ class ConfigurationError(NectarError):
 
 
 class MemoryFault(NectarError):
-    """Access outside a memory region or denied by the protection domain."""
+    """An access outside a memory region."""
 
 
 class HeapExhausted(NectarError):

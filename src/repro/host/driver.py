@@ -257,14 +257,6 @@ class CABDriver:
         from repro.runtime.signaling import OP_SYNC_WRITE
         yield from self.ring_cab(OP_SYNC_WRITE, (sync, value))
 
-    def sync_cancel(self, sync: Sync) -> Generator:
-        """Host-side Cancel: frees now if written, else marks cancelled."""
-        yield self.costs.rt_sync_op_ns
-        if sync.written:
-            sync.pool._release(sync)
-        else:
-            sync.state = "cancelled"
-
     # ===================================================== host-to-CAB RPC (Sec 3.2)
 
     def call_cab(self, thunk: Callable[[], Generator]) -> Generator:

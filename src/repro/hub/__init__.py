@@ -1,14 +1,11 @@
 """The Nectar network fabric: HUB crossbars, routing, the network builder."""
 
 from repro.hub.crossbar import Hub, PortKind
-from repro.hub.controller import Circuit, HubController
 from repro.hub.network import NectarNetwork
 from repro.hub.routing import Topology
 
 __all__ = [
-    "Circuit",
     "Hub",
-    "HubController",
     "NectarNetwork",
     "PortKind",
     "Topology",

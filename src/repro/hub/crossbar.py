@@ -61,12 +61,10 @@ class Hub:
         self.ports = ports
         self.setup_ns = setup_ns
         self._attachments: list[Optional[PortAttachment]] = [None] * ports
-        # Output-port arbitration: one frame (or one circuit) at a time.
+        # Output-port arbitration: one frame at a time.
         self._out_arbiters = [
             Resource(sim, slots=1, name=f"{name}.out{p}") for p in range(ports)
         ]
-        #: Output ports currently pinned by an open circuit.
-        self._circuit_holds: set[int] = set()
         self.stats = CounterScope()
         self._grant_counters = [f"out{p}_grants" for p in range(ports)]
 
@@ -91,15 +89,6 @@ class Hub:
             raise HubError(f"{self.name}: port {port} is not attached")
         return attachment
 
-    def is_attached(self, port: int) -> bool:
-        """Whether anything is wired to the port."""
-        self._check_port(port)
-        return self._attachments[port] is not None
-
-    def attached_ports(self) -> list[int]:
-        """All ports with something wired to them."""
-        return [p for p in range(self.ports) if self._attachments[p] is not None]
-
     # -- switching --------------------------------------------------------------
 
     def acquire_output(self, port: int):
@@ -109,32 +98,9 @@ class Hub:
         return self._out_arbiters[port].acquire()
 
     def release_output(self, port: int) -> None:
-        """Release an output port held by a packet or circuit."""
+        """Release an output port held by a packet."""
         self._check_port(port)
         self._out_arbiters[port].release()
-
-    def output_busy(self, port: int) -> bool:
-        """Whether the output port is currently granted."""
-        self._check_port(port)
-        return self._out_arbiters[port].in_use > 0
-
-    # -- circuit bookkeeping (used by the controller) ---------------------------
-
-    def pin_circuit(self, port: int) -> None:
-        """Mark an output port as held by an open circuit."""
-        self._check_port(port)
-        if port in self._circuit_holds:
-            raise HubError(f"{self.name}: port {port} already pinned by a circuit")
-        self._circuit_holds.add(port)
-
-    def unpin_circuit(self, port: int) -> None:
-        """Clear a circuit hold on an output port."""
-        self._check_port(port)
-        self._circuit_holds.discard(port)
-
-    def circuit_pinned(self, port: int) -> bool:
-        """Whether a circuit currently pins the port."""
-        return port in self._circuit_holds
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Hub {self.name} {self.ports}x{self.ports}>"

@@ -452,15 +452,7 @@ class NectarNetwork:
                     tracer.end("hub", "transfer", track=track)
                 continue
 
-            circuit = frame.circuit
-            if circuit is not None:
-                plan: PathPlan = circuit.plan  # type: ignore[attr-defined]
-                # Circuit already holds the crossbar ports: no setup latency.
-                yield plan.propagation_ns
-                yield from self._stream_frame(node, fifo, chunk, plan)
-                self.stats.add("frames_delivered")
-                self.stats.add("bytes_delivered", frame.size)
-            elif is_fanout_tree(frame.route):
+            if is_fanout_tree(frame.route):
                 yield from self._tx_multicast(node, fifo, chunk, frame)
             elif self._crosses_hubs(node, frame):
                 yield from self._tx_to_neighbor_hub(node, fifo, chunk, frame)
@@ -486,9 +478,6 @@ class NectarNetwork:
         port attachments, so it also names ghost CABs on remote shards —
         a fault plan must see cut-crossing frames exactly like local ones.
         """
-        circuit = frame.circuit
-        if circuit is not None:
-            return circuit.plan.dest.name  # type: ignore[attr-defined]
         if is_fanout_tree(frame.route):
             # A multicast frame has many destinations; directed per-member
             # faults match at the fan-out branches instead (see

@@ -1,17 +1,14 @@
 """Hardware building blocks: memory, FIFOs, CRC, DMA, fibers, the VME bus."""
 
-from repro.hw.crc import CRC32, crc32
+from repro.hw.crc import crc32
 from repro.hw.fifo import ByteFIFO, Chunk
-from repro.hw.memory import MemoryRegion, PAGE_SIZE, ProtectionDomain
+from repro.hw.memory import MemoryRegion
 from repro.hw.vme import VMEBus
 
 __all__ = [
     "ByteFIFO",
-    "CRC32",
     "Chunk",
     "MemoryRegion",
-    "PAGE_SIZE",
-    "ProtectionDomain",
     "VMEBus",
     "crc32",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 
-__all__ = ["CRC32", "crc32"]
+__all__ = ["crc32"]
 
 
 def crc32(data, crc: int = 0) -> int:
@@ -26,29 +26,3 @@ def crc32(data, crc: int = 0) -> int:
     Matches the standard (zlib-compatible) CRC-32.
     """
     return zlib.crc32(data, crc)
-
-
-class CRC32:
-    """Incremental CRC engine, mirroring the CAB's streaming hardware."""
-
-    def __init__(self):
-        self._crc = 0
-        self._bytes = 0
-
-    def update(self, data) -> None:
-        """Fold more bytes into the running CRC."""
-        self._crc = crc32(data, self._crc)
-        self._bytes += len(data)
-
-    @property
-    def value(self) -> int:
-        return self._crc
-
-    @property
-    def bytes_processed(self) -> int:
-        return self._bytes
-
-    def reset(self) -> None:
-        """Restart the engine for a new frame."""
-        self._crc = 0
-        self._bytes = 0

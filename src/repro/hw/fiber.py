@@ -54,8 +54,6 @@ class Frame:
     on_dma_done: Optional[Callable[["Frame"], None]] = None
     #: Set by a fault injector: the network eats the frame (never delivered).
     drop: bool = False
-    #: An open circuit to send over (skips per-frame connection setup).
-    circuit: Optional[object] = None
 
     def __post_init__(self):
         if not isinstance(self.payload, BufView):

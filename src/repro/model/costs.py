@@ -149,7 +149,7 @@ class CostModel:
     nectar_rmp_ns: int = us(10)
     nectar_reqresp_ns: int = us(12)
     #: NMP multicast per-message processing (DATA/NACK/repair FSM steps)
-    #: and collective FSM steps (arrive/release/broadcast hops). [derived]
+    #: and collective FSM steps (arrive/release hops). [derived]
     nectar_nmp_ns: int = us(10)
     nectar_coll_ns: int = us(6)
 

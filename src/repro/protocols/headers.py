@@ -373,10 +373,9 @@ NECTAR_KIND_NACK = 4
 NECTAR_KIND_REPAIR = 5
 NECTAR_KIND_SYNC = 6
 NECTAR_KIND_SYNC_ACK = 7
-# CAB-resident collectives (repro.protocols.nectar.collective)
+# The CAB-resident barrier (repro.protocols.nectar.collective)
 NECTAR_KIND_ARRIVE = 8
 NECTAR_KIND_RELEASE = 9
-NECTAR_KIND_BCAST = 10
 
 _NT_FMT = ">BBHIIIIII"
 

@@ -11,7 +11,7 @@ by the CAB hardware, which is why RMP outruns TCP in Figure 7.
 Two protocols added on top of the paper's three prove its thesis that the
 CAB runtime makes transports cheap to add: NMP (NACK-oriented reliable
 multicast over HUB crossbar fan-out) and the CAB-resident collective
-engine (barrier/broadcast trees run at interrupt time on the NIC).
+engine (a barrier tree run at interrupt time on the NIC).
 
 Each plugs into the CAB one way: it registers a receive cost, a counter
 scope and one :class:`PacketKind` per packet kind with the shared

@@ -1,10 +1,10 @@
-"""CAB-resident collectives: barrier and broadcast run by the NIC.
+"""The CAB-resident collective: a barrier run by the NIC.
 
 In the style of NIC-based collective protocols (Quadrics/Myrinet), the
 collective state machine lives on the CAB, not the host: ARRIVE and
 RELEASE packets are consumed and forwarded *at interrupt time* by the
 CAB's protocol engine, and the host thread only sees barrier enter/exit
-(a condition wait) or a broadcast payload appearing in a mailbox.
+(a condition wait).
 
 The fan-in/fan-out tree is derived from the group's member order: member
 ``rank`` has parent ``(rank - 1) // 2`` and children ``2*rank + 1`` /
@@ -22,10 +22,8 @@ Barrier protocol, per epoch ``e``:
   blocked host thread.  Epoch bookkeeping is bounded: at most two epochs
   can be live per group (no member can enter ``e+1`` before RELEASE(e)).
 
-Broadcast rides the same tree: the root sends the payload to its
-children; each member forwards to its children at interrupt time, then
-delivers into the group's broadcast mailbox.  Collectives assume a
-fault-free fabric (use NMP when links are lossy).
+The barrier assumes a fault-free fabric.  One-to-many data goes over NMP
+(:mod:`repro.protocols.nectar.nmp`), which also survives lossy links.
 """
 
 from __future__ import annotations
@@ -35,14 +33,12 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.errors import ProtocolError
 from repro.protocols.headers import (
     NECTAR_KIND_ARRIVE,
-    NECTAR_KIND_BCAST,
     NECTAR_KIND_RELEASE,
     NECTAR_PROTO_COLL,
     NectarTransportHeader,
 )
 from repro.protocols.nectar.transport import NectarTransportLayer, PacketKind
 from repro.runtime.kernel import Runtime
-from repro.runtime.mailbox import Message
 
 __all__ = ["CollectiveEngine", "CollectiveGroup", "tree_depth"]
 
@@ -87,9 +83,6 @@ class CollectiveGroup:
         self.release_epoch = 0
         self.mutex = engine.runtime.mutex(f"coll{port}-barrier")
         self.cond = engine.runtime.condition(f"coll{port}-release")
-        #: Broadcast delivery: payloads land here in root-send order.
-        self.bcast_mailbox = engine.runtime.mailbox(f"coll{port}-bcast")
-        self.bcast_seq = 0
 
     @property
     def is_root(self) -> bool:
@@ -120,7 +113,6 @@ class CollectiveEngine:
         kinds = {
             NECTAR_KIND_ARRIVE: PacketKind(group, "coll_no_group", self._recv_arrive, True),
             NECTAR_KIND_RELEASE: PacketKind(group, "coll_no_group", self._recv_release, True),
-            NECTAR_KIND_BCAST: PacketKind(group, "coll_no_group", self._recv_bcast),
         }
         transport.register(NECTAR_PROTO_COLL, self.costs.nectar_coll_ns, "coll", kinds)
 
@@ -198,32 +190,6 @@ class CollectiveEngine:
             dst_port=group.port,
         )
 
-    # -- broadcast ------------------------------------------------------------------
-
-    def broadcast(self, group: CollectiveGroup, payload: bytes) -> Generator:
-        """Thread-context, root only: send one payload down the tree."""
-        if not group.is_root:
-            raise ProtocolError("only the root may broadcast")
-        yield self.costs.nectar_coll_ns
-        seq = group.bcast_seq
-        group.bcast_seq += 1
-        for child in group.children:
-            header = self._header(group, NECTAR_KIND_BCAST, seq, child)
-            yield from self.transport.send_raw_message(header, payload)
-            self.stats.add("coll_bcast_out")
-        # The root's own copy: one local mailbox delivery.
-        msg = yield from group.bcast_mailbox.begin_put(len(payload))
-        yield from self.runtime.fill_message(msg, payload)
-        yield from group.bcast_mailbox.end_put(msg)
-
-    def receive_broadcast(self, group: CollectiveGroup) -> Generator:
-        """Thread-context: block for the next broadcast payload (bytes)."""
-        msg = yield from group.bcast_mailbox.begin_get()
-        data = msg.read()
-        yield self.costs.cab_memcpy_ns(msg.size)
-        yield from group.bcast_mailbox.end_get(msg)
-        return data
-
     # -- receiving (interrupt context) ----------------------------------------------
 
     def _recv_arrive(
@@ -240,15 +206,3 @@ class CollectiveEngine:
         self.stats.add("coll_releases_in")
         if header.seq > group.release_epoch:
             yield from self._release(group, header.seq)
-
-    def _recv_bcast(
-        self, group: CollectiveGroup, msg: Message, header: NectarTransportHeader
-    ) -> Generator:
-        self.stats.add("coll_bcast_in")
-        payload = msg.read(NectarTransportHeader.SIZE)
-        for child in group.children:
-            fwd = self._header(group, NECTAR_KIND_BCAST, header.seq, child)
-            yield from self.transport.send_raw_message(fwd, payload)
-            self.stats.add("coll_bcast_out")
-        msg.trim_front(NectarTransportHeader.SIZE)
-        yield from self.transport.input_mailbox.ienqueue(msg, group.bcast_mailbox)

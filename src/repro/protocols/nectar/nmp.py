@@ -136,7 +136,6 @@ class NMPReceiver:
         self.acked_watermark = -1
         #: Learned from the first frame; NACK/SYNC_ACK destination.
         self.sender_node: Optional[int] = None
-        self.open = True
         self.mutex = nmp.runtime.mutex(f"nmp{port}-recv")
         self.cond = nmp.runtime.condition(f"nmp{port}-gap")
         #: NACK-to-repair round trips: the NACK and suppression timers.
@@ -202,12 +201,6 @@ class NMPProtocol:
             self._repair_loop(session), name=f"nmp-gap:{port}"
         )
         return session
-
-    def leave(self, session: NMPReceiver) -> None:
-        """Tear down a receiver membership (frees any parked messages)."""
-        session.open = False
-        self._receivers.pop((session.group_id, session.port), None)
-        self.runtime.ops.signal_nocost(session.cond)
 
     # -- sending (thread context) ------------------------------------------------
 
@@ -280,14 +273,14 @@ class NMPProtocol:
         sim = self.runtime.sim
         rtt = session.rtt
         yield from ops.lock(session.mutex)
-        while session.open:
+        while True:
             if session.next_seq > session.highest:
                 yield from ops.wait(session.cond, session.mutex)
                 continue
             first = session.next_seq
 
             def moved(first=first) -> bool:
-                return not session.open or session.next_seq > first
+                return session.next_seq > first
 
             # Suppression: rank r waits r RTOs, time enough for a lower
             # rank's NACK and its multicast repair to close the gap.
@@ -296,15 +289,13 @@ class NMPProtocol:
                 session.cond, session.mutex, moved, sim.now + stagger_ns
             )
             if suppressed:
-                if session.open:
-                    self.stats.add("nmp_nacks_suppressed")
+                self.stats.add("nmp_nacks_suppressed")
                 continue
             tries = 0
             while not moved():
                 tries += 1
                 yield from self._send_nack(session)
                 yield from rtt.wait(ops, session.cond, session.mutex, moved, tries == 1)
-        yield from ops.unlock(session.mutex)
 
     def _send_nack(self, session: NMPReceiver) -> Generator:
         if session.sender_node is None:

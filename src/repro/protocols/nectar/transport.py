@@ -101,10 +101,10 @@ class NectarTransportLayer:
     ) -> Generator:
         """Thread- or interrupt-context: transmit a header plus raw payload.
 
-        The repair path: NMP repair retransmissions and collective
-        broadcast forwards fire from interrupt handlers, where a mailbox
-        allocation could block — so the payload rides as already-held raw
-        bytes through :meth:`Datalink.send_raw` (one counted copy).
+        The repair path: NMP repair retransmissions fire from interrupt
+        handlers, where a mailbox allocation could block — so the payload
+        rides as already-held raw bytes through :meth:`Datalink.send_raw`
+        (one counted copy).
         """
         header.src_node = self.node_id
         header.length = len(payload)

@@ -22,11 +22,10 @@ __all__ = ["UDPProtocol"]
 class UDPProtocol:
     """The UDP layer of one CAB."""
 
-    def __init__(self, runtime: Runtime, ip: IPProtocol, checksums: bool = True):
+    def __init__(self, runtime: Runtime, ip: IPProtocol):
         self.runtime = runtime
         self.costs = runtime.costs
         self.ip = ip
-        self.checksums = checksums
         #: Set by the stack builder so unbound ports answer with ICMP
         #: destination unreachable (RFC 1122 behaviour).
         self.icmp = None
@@ -82,11 +81,10 @@ class UDPProtocol:
             src_port=src_port, dst_port=dst_port, length=udp_length, checksum=0
         )
         msg.write(IPv4Header.SIZE, header.pack())
-        if self.checksums:
-            segment = msg.view(IPv4Header.SIZE)
-            yield self.costs.cab_checksum_ns(len(segment))
-            checksum = UDPHeader.compute_checksum(self.ip.address, dst_ip, segment)
-            msg.write(IPv4Header.SIZE + 6, checksum.to_bytes(2, "big"))
+        segment = msg.view(IPv4Header.SIZE)
+        yield self.costs.cab_checksum_ns(len(segment))
+        checksum = UDPHeader.compute_checksum(self.ip.address, dst_ip, segment)
+        msg.write(IPv4Header.SIZE + 6, checksum.to_bytes(2, "big"))
         template = IPv4Header(src=0, dst=dst_ip, protocol=IPPROTO_UDP)
         self.stats.add("udp_out")
         yield from self.ip.output(template, msg, free_after=True)
@@ -117,7 +115,8 @@ class UDPProtocol:
             self.stats.add("udp_bad_length")
             yield from self.input_mailbox.end_get(msg)
             return
-        if self.checksums and udp_header.checksum != 0:
+        # RFC 768: a zero checksum field means the sender computed none.
+        if udp_header.checksum != 0:
             segment = msg.view(IPv4Header.SIZE)
             yield self.costs.cab_checksum_ns(len(segment))
             partial = UDPHeader.compute_checksum(ip_header.src, ip_header.dst, segment)

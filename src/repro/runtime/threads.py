@@ -31,10 +31,6 @@ class Mutex:
         self.owner: Optional[TCB] = None
         self.waiters: Deque[WaitToken] = deque()
 
-    @property
-    def locked(self) -> bool:
-        return self.owner is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         owner = self.owner.name if self.owner else None
         return f"<Mutex {self.name} owner={owner} waiters={len(self.waiters)}>"
@@ -88,12 +84,6 @@ class ThreadOps:
         token = WaitToken(name="sleep")
         self.cpu.wake_after(token, ns)
         yield Block(token)
-
-    def yield_cpu(self) -> Generator:
-        """Voluntarily relinquish the processor (round-robin)."""
-        from repro.cab.cpu import YieldCPU
-
-        yield YieldCPU()
 
     # -- mutexes --------------------------------------------------------------
 
@@ -178,15 +168,6 @@ class ThreadOps:
         yield self.costs.rt_signal_ns
         while self._wake_one(cond.waiters):
             pass
-
-    def isignal(self, cond: Condition) -> Generator:
-        """Interrupt-context signal: identical cost, never blocks.
-
-        (Signalling never blocks anyway; this alias documents intent at call
-        sites inside interrupt handlers.)
-        """
-        yield self.costs.rt_signal_ns
-        self._wake_one(cond.waiters)
 
     def signal_nocost(self, cond: Condition) -> bool:
         """Plain-call signal for device callbacks (no CPU context at all)."""

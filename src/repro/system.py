@@ -54,7 +54,6 @@ class NectarNode:
         hub: Hub,
         port: int,
         tcp_checksums: bool = True,
-        udp_checksums: bool = True,
         mtu: int = 9000,
         ip_input_mode: str = "interrupt",
     ):
@@ -79,7 +78,7 @@ class NectarNode:
             self.runtime, self.datalink, system.registry, input_mode=ip_input_mode
         )
         self.icmp = ICMPProtocol(self.runtime, self.ip)
-        self.udp = UDPProtocol(self.runtime, self.ip, checksums=udp_checksums)
+        self.udp = UDPProtocol(self.runtime, self.ip)
         self.udp.icmp = self.icmp
         self.tcp = TCPProtocol(
             self.runtime, self.ip, checksums=tcp_checksums, mss=mtu - 40
@@ -140,7 +139,6 @@ class NectarSystem:
         hub: Hub,
         port: int,
         tcp_checksums: bool = True,
-        udp_checksums: bool = True,
         mtu: int = 9000,
         ip_input_mode: str = "interrupt",
     ) -> NectarNode:
@@ -153,7 +151,6 @@ class NectarSystem:
             hub,
             port,
             tcp_checksums=tcp_checksums,
-            udp_checksums=udp_checksums,
             mtu=mtu,
             ip_input_mode=ip_input_mode,
         )

@@ -42,5 +42,5 @@ def test_tcp_file_transfer():
 def test_multi_hub_ping():
     out = run_example("multi_hub_ping.py")
     assert "source route cab-west -> cab-east: output ports (15, 15, 1)" in out
-    assert "circuit opened" in out
+    assert "multi-hop penalty:" in out
 

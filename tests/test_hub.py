@@ -1,14 +1,13 @@
-"""Tests for the HUB crossbar, routing, circuits, and fabric behaviour."""
+"""Tests for the HUB crossbar, routing, and fabric behaviour."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HubError, RouteError
-from repro.hub.controller import HubController
 from repro.hub.crossbar import Hub, PortAttachment, PortKind
 from repro.hub.routing import Topology
 from repro.system import NectarSystem
-from repro.units import seconds, us
+from repro.units import seconds
 
 
 class TestCrossbar:
@@ -53,17 +52,6 @@ class TestCrossbar:
         sim.process(user("b", 100))
         sim.run()
         assert order == [("a", 0), ("b", 100)]
-
-    def test_circuit_pinning(self):
-        from repro.sim import Simulator
-
-        hub = Hub(Simulator(), "h")
-        hub.pin_circuit(2)
-        assert hub.circuit_pinned(2)
-        with pytest.raises(HubError):
-            hub.pin_circuit(2)
-        hub.unpin_circuit(2)
-        assert not hub.circuit_pinned(2)
 
     def test_tiny_hub_rejected(self):
         from repro.sim import Simulator
@@ -216,40 +204,3 @@ class TestFabricEndToEnd:
         # wire time must have elapsed.
         wire_ns = int(12 * (4096 + 44) * 80)
         assert end >= wire_ns
-
-    def test_circuit_excludes_other_traffic(self):
-        system = NectarSystem()
-        hub = system.add_hub("hub0")
-        a = system.add_node("a", hub, 0)
-        b = system.add_node("b", hub, 1)
-        c = system.add_node("c", hub, 2)
-        inbox = b.runtime.mailbox("inbox")
-        b.datagram.bind(5, inbox)
-        done = system.sim.event()
-        stamps = {}
-
-        def circuit_holder():
-            controller = HubController(system.network, a.cab, a.cab.cpu)
-            route = system.network.route_for("a", "b")
-            circuit = yield from controller.open_circuit(route)
-            stamps["opened"] = system.now
-            yield from a.runtime.ops.sleep(us(500))
-            yield from controller.close_circuit(circuit)
-            stamps["closed"] = system.now
-
-        def competitor():
-            yield from c.runtime.ops.sleep(us(50))  # circuit is open by now
-            yield from c.datagram.send(1, b.node_id, 5, b"blocked until close")
-
-        def receiver():
-            msg = yield from inbox.begin_get()
-            yield from inbox.end_get(msg)
-            done.succeed(system.now)
-
-        a.runtime.fork_application(circuit_holder(), "holder")
-        c.runtime.fork_application(competitor(), "competitor")
-        b.runtime.fork_application(receiver(), "receiver")
-        arrival = system.run_until(done, limit=seconds(5))
-        # The competitor's frame could not cross b's input port until the
-        # circuit released it.
-        assert arrival >= stamps["closed"]

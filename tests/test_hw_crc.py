@@ -4,7 +4,7 @@ import zlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.crc import CRC32, crc32
+from repro.hw.crc import crc32
 
 
 def test_empty_is_zero():
@@ -34,15 +34,3 @@ def test_single_bit_flip_detected(data, bit):
     corrupted = bytearray(data)
     corrupted[0] ^= 1 << bit
     assert crc32(bytes(corrupted)) != crc32(data)
-
-
-def test_streaming_engine():
-    engine = CRC32()
-    engine.update(b"one ")
-    engine.update(b"two ")
-    engine.update(b"three")
-    assert engine.value == crc32(b"one two three")
-    assert engine.bytes_processed == 13
-    engine.reset()
-    assert engine.value == 0
-    assert engine.bytes_processed == 0

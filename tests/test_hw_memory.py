@@ -1,10 +1,10 @@
-"""Tests for memory regions and 1 KB-page protection domains."""
+"""Tests for bounds-checked memory regions."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryFault
-from repro.hw.memory import MemoryRegion, PAGE_SIZE, Perm, ProtectionDomain
+from repro.hw.memory import MemoryRegion
 
 
 class TestMemoryRegion:
@@ -69,71 +69,14 @@ class TestMemoryRegion:
             assert mem.read(addr, len(data)) == data
 
 
-class TestProtectionDomain:
-    def test_default_allows_everything(self):
-        domain = ProtectionDomain("open")
-        assert domain.allows(0, 10_000, write=True)
-
-    def test_read_only_page(self):
-        domain = ProtectionDomain("ro", default=Perm.RW)
-        domain.set_page(1, Perm.READ)
-        assert domain.allows(PAGE_SIZE, 10, write=False)
-        assert not domain.allows(PAGE_SIZE, 10, write=True)
-
-    def test_no_access_page(self):
-        domain = ProtectionDomain("locked")
-        domain.set_page(0, Perm.NONE)
-        assert not domain.allows(0, 1, write=False)
-
-    def test_range_spanning_pages(self):
-        domain = ProtectionDomain("d", default=Perm.NONE)
-        domain.set_range(0, PAGE_SIZE * 2, Perm.RW)
-        assert domain.allows(0, PAGE_SIZE * 2, write=True)
-        # One byte past the granted range falls in a NONE page.
-        assert not domain.allows(PAGE_SIZE * 2 - 1, 2, write=True)
-
-    def test_region_enforces_domain(self):
-        mem = MemoryRegion("m", PAGE_SIZE * 4)
-        domain = ProtectionDomain("app", default=Perm.NONE)
-        domain.set_range(PAGE_SIZE, PAGE_SIZE, Perm.RW)
-        mem.load_domain(domain)
-        mem.write(PAGE_SIZE + 10, b"ok")
-        with pytest.raises(MemoryFault, match="denied"):
-            mem.write(0, b"nope")
-        with pytest.raises(MemoryFault, match="denied"):
-            mem.read(PAGE_SIZE * 2, 4)
-
-    def test_domain_switch_is_single_register_reload(self):
-        """Paper Sec. 2.2: changing domains = reloading one register."""
-        mem = MemoryRegion("m", PAGE_SIZE * 2)
-        locked = ProtectionDomain("locked", default=Perm.NONE)
-        open_domain = ProtectionDomain("open", default=Perm.RW)
-        mem.load_domain(locked)
-        with pytest.raises(MemoryFault):
-            mem.read(0, 1)
-        mem.load_domain(open_domain)
-        assert mem.read(0, 1) == b"\x00"
-        mem.load_domain(None)  # protection off
-        assert mem.read(0, 1) == b"\x00"
-
-    def test_write_spanning_into_readonly_page_denied(self):
-        mem = MemoryRegion("m", PAGE_SIZE * 2)
-        domain = ProtectionDomain("d", default=Perm.RW)
-        domain.set_page(1, Perm.READ)
-        mem.load_domain(domain)
-        with pytest.raises(MemoryFault):
-            mem.write(PAGE_SIZE - 2, b"abcd")
-
-
 # -- the region against a plain-bytearray model --------------------------------
 
-#: Sizes on both sides of the 1 KB protection page and the 4 KB host page.
+#: Sizes on both sides of 1 KB and of the 4 KB host page.
 ORACLE_SIZES = (1, 1000, 1024, 4097, 1 << 20)
-_PERMS = (Perm.NONE, Perm.READ, Perm.WRITE, Perm.RW)
 
 
 def _scripts(size):
-    """(size, page -> perm table or None, default perm, op list) for one region size."""
+    """(size, op list) for one region size."""
     addr = st.one_of(
         st.integers(-1, size), st.integers(max(0, size - 40), size + 1)
     )
@@ -147,27 +90,16 @@ def _scripts(size):
         st.tuples(st.just("view"), addr, length, byte),
         st.tuples(st.just("read_view"), addr, length),
     )
-    pages = st.integers(0, (size - 1) // PAGE_SIZE)
-    table = st.none() | st.dictionaries(pages, st.sampled_from(_PERMS), max_size=6)
-    return st.tuples(
-        st.just(size), table, st.sampled_from((Perm.RW, Perm.RW, Perm.NONE)),
-        st.lists(op, max_size=30),
-    )
+    return st.tuples(st.just(size), st.lists(op, max_size=30))
 
 
-def _expected_fault(size, table, default, addr, length, write):
+def _expected_fault(size, addr, length):
     """The ``match=`` text of the MemoryFault the access must raise, or None."""
     if length < 0:
         return "negative access size"
     if addr < 0 or addr + length > size:
         return "outside region"
-    if table is None or length == 0:
-        return None
-    needed = Perm.WRITE if write else Perm.READ
-    touched = range(addr // PAGE_SIZE, (addr + length - 1) // PAGE_SIZE + 1)
-    if all(table.get(page, default) & needed for page in touched):
-        return None
-    return "denied by protection domain 'oracle'"
+    return None
 
 
 class TestRegionAgainstBytearrayModel:
@@ -197,15 +129,10 @@ class TestRegionAgainstBytearrayModel:
     def test_random_op_sequences_match_the_model(self, script):
         from repro.buf.accounting import CopyMeter
 
-        size, table, default, ops = script
+        size, ops = script
         mem, model = MemoryRegion("m", size), bytearray(size)
         meter = mem.copy_meter = CopyMeter()
         copied_bytes = copied_calls = 0
-        if table is not None:
-            domain = ProtectionDomain("oracle", default=default)
-            for page, perm in table.items():
-                domain.set_page(page, perm)
-            mem.load_domain(domain)
         held = []  # (view, addr, length): every view ever handed out
 
         for kind, addr, *rest in ops:
@@ -215,8 +142,7 @@ class TestRegionAgainstBytearrayModel:
                 length = 4
             else:
                 length = rest[0]
-            write = kind not in ("read", "read_view")
-            fault = _expected_fault(size, table, default, addr, length, write)
+            fault = _expected_fault(size, addr, length)
             if fault is not None:
                 with pytest.raises(MemoryFault, match=fault):
                     getattr(mem, kind)(addr, *rest[:1])
@@ -251,5 +177,4 @@ class TestRegionAgainstBytearrayModel:
             for view, at, span in held:
                 assert view == model[at : at + span]
 
-        mem.load_domain(None)
         assert mem.read(0, size) == model

@@ -7,7 +7,6 @@ from repro.faults import DROP, FaultPlan, FaultSpec
 from repro.protocols.headers import (
     NECTAR_KIND_ACK,
     NECTAR_KIND_ARRIVE,
-    NECTAR_KIND_BCAST,
     NECTAR_KIND_DATA,
     NECTAR_KIND_NACK,
     NECTAR_KIND_RELEASE,
@@ -89,7 +88,6 @@ class TestDemux:
             (NECTAR_PROTO_NMP, UNKNOWN_KIND, "nmp_malformed"),
             (NECTAR_PROTO_COLL, NECTAR_KIND_ARRIVE, "coll_no_group"),
             (NECTAR_PROTO_COLL, NECTAR_KIND_RELEASE, "coll_no_group"),
-            (NECTAR_PROTO_COLL, NECTAR_KIND_BCAST, "coll_no_group"),
             (NECTAR_PROTO_COLL, UNKNOWN_KIND, "coll_malformed"),
         ],
     )

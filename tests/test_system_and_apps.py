@@ -6,7 +6,6 @@ from repro.apps.traffic import measure_rtt, measure_throughput
 from repro.errors import ConfigurationError
 from repro.model.costs import CostModel
 from repro.system import NectarSystem
-from repro.units import seconds
 
 
 class TestSystemBuilder:
@@ -110,39 +109,6 @@ class TestMainEntry:
 
 
 class TestUtilizationAndConfig:
-    def test_udp_checksums_can_be_disabled(self):
-        system = NectarSystem()
-        hub = system.add_hub("hub0")
-        a = system.add_node("a", hub, 0, udp_checksums=False)
-        b = system.add_node("b", hub, 1, udp_checksums=False)
-        inbox = b.runtime.mailbox("inbox")
-        b.udp.bind(99, inbox)
-        done = system.sim.event()
-
-        def sender():
-            yield from a.udp.send(1, b.ip_address, 99, b"no checksum udp")
-
-        def receiver():
-            msg = yield from inbox.begin_get()
-            done.succeed(msg.read())
-            yield from inbox.end_get(msg)
-
-        a.runtime.fork_application(sender(), "s")
-        b.runtime.fork_application(receiver(), "r")
-        from repro.units import seconds
-
-        assert system.run_until(done, limit=seconds(1)) == b"no checksum udp"
-
-    def test_checksum_free_udp_is_faster(self):
-        def rtt(udp_checksums):
-            system = NectarSystem()
-            hub = system.add_hub("hub0")
-            a = system.add_node("a", hub, 0, udp_checksums=udp_checksums)
-            b = system.add_node("b", hub, 1, udp_checksums=udp_checksums)
-            return measure_rtt(system, a, b, "udp", 1024, rounds=10, warmup=3).mean_ns
-
-        assert rtt(False) < rtt(True)
-
     def test_utilization_report(self):
         system = NectarSystem()
         hub = system.add_hub("hub0")
