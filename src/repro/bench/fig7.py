@@ -17,6 +17,7 @@ from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_nodes
+from repro.errors import ConfigurationError
 
 __all__ = ["Fig7Row", "run", "scenario", "SIZES"]
 
@@ -122,6 +123,11 @@ def render_full(rows: list[Fig7Row]) -> str:
 def scenario(params: Optional[Mapping] = None) -> DriverResult:
     """Run the Fig. 7 sweep under the common driver contract."""
     config = resolve_params(DEFAULTS, params)
+    if config["count"] < 1 or min(config["sizes"], default=1) < 1:
+        raise ConfigurationError(
+            f"count={config['count']} and every size in "
+            f"sizes={config['sizes']} must be >= 1"
+        )
     rows = run(tuple(config["sizes"]), config["count"])
     return DriverResult(
         name="fig7",

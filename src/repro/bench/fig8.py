@@ -22,6 +22,7 @@ from repro.apps.traffic import measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_hosted_nodes
+from repro.errors import ConfigurationError
 
 __all__ = ["Fig8Row", "run", "scenario", "SIZES"]
 
@@ -134,6 +135,11 @@ def render_full(rows: list[Fig8Row], baselines: dict) -> str:
 def scenario(params: Optional[Mapping] = None) -> DriverResult:
     """Run the Fig. 8 sweep under the common driver contract."""
     config = resolve_params(DEFAULTS, params)
+    if config["count"] < 1 or min(config["sizes"], default=1) < 1:
+        raise ConfigurationError(
+            f"count={config['count']} and every size in "
+            f"sizes={config['sizes']} must be >= 1"
+        )
     sizes = tuple(config["sizes"])
     # The netdev reference line is the longest cell: list it first so it
     # does not run alone at the end of the map.

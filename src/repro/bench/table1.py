@@ -16,6 +16,7 @@ from repro.apps.traffic import measure_rtt
 from repro.bench import DriverResult, resolve_params
 from repro.bench.cells import run_cells
 from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
+from repro.errors import ConfigurationError
 
 __all__ = ["Table1Row", "run", "scenario"]
 
@@ -85,6 +86,10 @@ def render(rows: list[Table1Row]) -> str:
 def scenario(params: Optional[Mapping] = None) -> DriverResult:
     """Run Table 1 under the common driver contract."""
     config = resolve_params(DEFAULTS, params)
+    if config["rounds"] <= config["warmup"]:
+        raise ConfigurationError(
+            f"rounds={config['rounds']} must exceed warmup={config['warmup']}"
+        )
     rows = run(config["message_size"], config["rounds"], config["warmup"])
     return DriverResult(
         name="table1",

@@ -15,7 +15,6 @@ discrete-event simulation (PDES) layer:
 * :mod:`repro.cluster.conductor` — bounded-window barrier synchronization
   with deterministic cross-shard frame exchange; inline and multi-process
   execution modes.
-* :mod:`repro.cluster.merge` — per-shard telemetry (metrics / trace) merge.
 * :mod:`repro.cluster.bench` — the ``scale`` scenario kind
   (``python -m repro bench scale``) behind ``BENCH_scale.json``;
   :mod:`repro.cluster.mcast` — the ``mcast`` kind behind

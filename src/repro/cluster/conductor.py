@@ -61,7 +61,6 @@ from typing import Dict, List, Optional
 
 from repro.buf.ring import HandoffRing
 from repro.cluster.fleet import FleetSpec, build_fleet_system
-from repro.cluster.merge import merge_metrics, merge_traces, shard_telemetry
 from repro.cluster.partition import Partition, Partitioner
 from repro.cluster.runner import ShardRunner, worker_main
 from repro.cluster.workload import Workload, WorkloadSpec
@@ -112,11 +111,6 @@ class FleetResult:
     ring_bytes: int = 0
     #: payload bytes that overflowed to pickled pipe transport
     pickle_bytes: int = 0
-    #: merged series snapshot: a sharded run's ``cluster.*`` counters, plus
-    #: every shard's metrics store when telemetry is enabled
-    metrics: Optional[dict] = None
-    #: merged Chrome-trace events, when telemetry is enabled
-    trace: Optional[list] = None
 
     @property
     def recoveries(self) -> int:
@@ -141,16 +135,9 @@ class FleetResult:
 class _InlineShard:
     """A shard executed in-process (debuggable, zero IPC, no seam transport)."""
 
-    def __init__(
-        self, fleet, partition, shard_id, workload_spec, telemetry, fault_plan=None
-    ):
+    def __init__(self, fleet, partition, shard_id, workload_spec, fault_plan=None):
         self.runner = ShardRunner(
-            fleet,
-            partition,
-            shard_id,
-            workload_spec,
-            telemetry=telemetry,
-            fault_plan=fault_plan,
+            fleet, partition, shard_id, workload_spec, fault_plan=fault_plan
         )
         self._pending = None
         self.seam_ring_bytes = 0
@@ -188,7 +175,6 @@ class _ProcessShard:
         partition,
         shard_id,
         workload_spec,
-        telemetry,
         fault_plan=None,
     ):
         self.shard_id = shard_id
@@ -216,7 +202,6 @@ class _ProcessShard:
                 partition,
                 shard_id,
                 workload_spec,
-                telemetry,
                 (tx_storage, tx_head, tx_tail, rx_storage, rx_head, rx_tail),
                 fault_plan,
             ),
@@ -323,7 +308,6 @@ class Conductor:
         mode: str = "inline",
         strategy: str = "contiguous",
         limit_ns: Optional[int] = None,
-        telemetry: bool = False,
         fault_plan=None,
     ):
         if mode not in ("inline", "process"):
@@ -334,7 +318,6 @@ class Conductor:
         self.workload_spec = workload_spec
         self.mode = mode
         self.partition = Partitioner.partition(fleet, n_workers, strategy)
-        self.telemetry = telemetry
         #: Shared fault plan: every shard attaches the same plan, so each
         #: injector fires against the sites that are physically local to it.
         self.fault_plan = fault_plan
@@ -363,7 +346,6 @@ class Conductor:
                     self.partition,
                     i,
                     self.workload_spec,
-                    self.telemetry,
                     self.fault_plan,
                 )
                 for i in range(n)
@@ -375,7 +357,6 @@ class Conductor:
                     self.partition,
                     i,
                     self.workload_spec,
-                    self.telemetry,
                     self.fault_plan,
                 )
                 for i in range(n)
@@ -487,23 +468,6 @@ class Conductor:
         for shard in shards:
             result.ring_bytes += shard.seam_ring_bytes
             result.pickle_bytes += shard.seam_pickle_bytes
-        # Shards ship their stores only under telemetry; the conductor's own
-        # counters are part of the merged snapshot either way.
-        harvests = [shard.get("telemetry", {}) for shard in shard_results]
-        metrics = merge_metrics([h.get("metrics", {}) for h in harvests])
-        for name, value in (
-            ("cluster.barriers", result.barriers),
-            ("cluster.epochs", result.epochs),
-            ("cluster.fastpath", result.fastpath),
-            ("cluster.handoffs", result.handoffs),
-            ("cluster.null_elided", result.null_elided),
-            ("cluster.pickle_bytes", result.pickle_bytes),
-            ("cluster.ring_bytes", result.ring_bytes),
-        ):
-            metrics[name] = {"type": "counter", "value": value}
-        result.metrics = dict(sorted(metrics.items()))
-        if self.telemetry:
-            result.trace = merge_traces([h.get("trace", []) for h in harvests])
         result.flows = dict(sorted(result.flows.items()))
         result.retransmits = dict(sorted(result.retransmits.items()))
         result.incomplete.sort()
@@ -511,15 +475,10 @@ class Conductor:
 
 
 def run_reference(
-    fleet: FleetSpec,
-    workload_spec: WorkloadSpec,
-    telemetry: bool = False,
-    fault_plan=None,
+    fleet: FleetSpec, workload_spec: WorkloadSpec, fault_plan=None
 ) -> FleetResult:
     """The unsharded baseline: one Simulator runs the whole fleet."""
     system = build_fleet_system(fleet)
-    if telemetry:
-        system.enable_telemetry()
     if fault_plan is not None:
         system.attach_fault_plan(fault_plan)
     workload = Workload(workload_spec, fleet)
@@ -532,8 +491,4 @@ def run_reference(
     merged.incomplete = sorted(workload.incomplete(system))
     merged.events = system.sim.events_scheduled
     merged.sim_ns = system.sim.now
-    if telemetry:
-        harvest = shard_telemetry(system)
-        merged.metrics = merge_metrics([harvest["metrics"]])
-        merged.trace = merge_traces([harvest["trace"]])
     return merged

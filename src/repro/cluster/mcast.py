@@ -37,6 +37,7 @@ from repro.cluster.fleet import (
     line_fleet,
 )
 from repro.cluster.workload import Flow, Workload, WorkloadSpec
+from repro.errors import ConfigurationError
 from repro.protocols.nectar.collective import tree_depth
 
 __all__ = ["run_mcast_bench"]
@@ -191,6 +192,8 @@ def run_mcast_bench(
     mode: str = "process",
 ) -> dict:
     """All three legs, assembled into the bench report."""
+    if messages < 1:
+        raise ConfigurationError(f"messages must be >= 1, got {messages}")
     return {
         "bench": "mcast",
         "config": {

@@ -23,8 +23,8 @@ ghosts (their stacks would boot and then idle forever; their retransmit
 counters are synthesized as zero, which is exactly what the reference
 reports for them), and worker processes disable the cyclic garbage
 collector (the simulation's object graph is acyclic-by-design reference
-counting work; the collector only adds pauses).  Both are off when
-telemetry is enabled so the observability plane sees every CAB.
+counting work; the collector only adds pauses).  Elision is off under a
+fault plan, whose sites may name any CAB.
 
 The same class also serves as the body of a worker process
 (:func:`worker_main`), speaking a command protocol over a pipe while bulk
@@ -56,7 +56,6 @@ class ShardRunner:
         shard_id: int,
         workload_spec: WorkloadSpec,
         costs=None,
-        telemetry: bool = False,
         fault_plan=None,
     ):
         self.shard_id = shard_id
@@ -68,7 +67,7 @@ class ShardRunner:
         # idle-CAB elision is off whenever one is attached: every CAB must
         # exist for the shard's injector to see the same sites the
         # single-process reference does.
-        if not telemetry and fault_plan is None:
+        if fault_plan is None:
             endpoints = {flow.src for flow in self.workload.flows} | {
                 flow.dst for flow in self.workload.flows
             }
@@ -83,8 +82,6 @@ class ShardRunner:
         self.system = build_shard_system(
             fleet, self.hub_names, costs=costs, active_cabs=active_cabs
         )
-        if telemetry:
-            self.system.enable_telemetry()
         if fault_plan is not None:
             self.system.attach_fault_plan(fault_plan)
         self.workload.install(self.system)
@@ -160,10 +157,6 @@ class ShardRunner:
         results["events"] = self.system.sim.events_scheduled
         results["sim_ns"] = self.system.sim.now
         results["incomplete"] = list(self.workload.incomplete(self.system))
-        if self.system.telemetry is not None:
-            from repro.cluster.merge import shard_telemetry
-
-            results["telemetry"] = shard_telemetry(self.system)
         return results
 
 
@@ -173,7 +166,6 @@ def worker_main(
     partition: Partition,
     shard_id: int,
     workload_spec: WorkloadSpec,
-    telemetry: bool = False,
     rings=None,
     fault_plan=None,
 ) -> None:
@@ -201,18 +193,11 @@ def worker_main(
     """
     try:
         runner = ShardRunner(
-            fleet,
-            partition,
-            shard_id,
-            workload_spec,
-            telemetry=telemetry,
-            fault_plan=fault_plan,
+            fleet, partition, shard_id, workload_spec, fault_plan=fault_plan
         )
-        if not telemetry:
-            # The worker is a short-lived batch process with an
-            # acyclic-by-design object graph; cyclic collection only adds
-            # pauses to every window.
-            gc.disable()
+        # The worker is a short-lived batch process with an acyclic-by-design
+        # object graph; cyclic collection only adds pauses to every window.
+        gc.disable()
         tx_ring = rx_ring = None
         if rings is not None:
             tx_storage, tx_head, tx_tail, rx_storage, rx_head, rx_tail = rings

@@ -11,7 +11,7 @@ host plus its CAB, joined by a VME bus and the device driver.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.cab.cpu import CPU, PRIORITY_APPLICATION, TCB
 from repro.hw.vme import VMEBus
@@ -52,12 +52,12 @@ class Host:
 class HostedNode:
     """A host + CAB pair joined by a VME bus and the CAB device driver."""
 
-    def __init__(self, system: NectarSystem, node: NectarNode, host_name: Optional[str] = None):
+    def __init__(self, system: NectarSystem, node: NectarNode):
         from repro.host.driver import CABDriver  # avoid import cycle
 
         self.system = system
         self.node = node
-        self.host = Host(system.sim, system.costs, host_name or f"host-{node.name}")
+        self.host = Host(system.sim, system.costs, f"host-{node.name}")
         system.metrics.mount(self.host.name, self.host.stats)
         self.host.stats.mount("cpu", self.host.cpu.stats)
         self.vme = VMEBus(system.sim, system.costs, name=f"vme-{node.name}")

@@ -233,10 +233,6 @@ class CostModel:
         """CPU copy time for nbytes within host memory."""
         return nbytes * self.host_memcpy_ns_per_byte
 
-    def cab_dma_ns(self, nbytes: int) -> int:
-        """CAB DMA streaming time for nbytes (memory <-> FIFO)."""
-        return nbytes * self.cab_dma_ns_per_byte
-
     def copy(self, **overrides) -> "CostModel":
         """A modified copy, for ablation sweeps."""
         return dataclasses.replace(self, **overrides)

@@ -97,7 +97,7 @@ class IPv4Header:
 
     SIZE = struct.calcsize(_IP_FMT)
 
-    def pack(self, fill_checksum: bool = True) -> bytes:
+    def pack(self) -> bytes:
         """Encode to wire bytes, filling the header checksum."""
         version_ihl = (4 << 4) | 5
         flags_frag = (self.flags << 13) | (self.fragment_offset & 0x1FFF)
@@ -114,8 +114,6 @@ class IPv4Header:
             self.src,
             self.dst,
         )
-        if not fill_checksum:
-            return header
         checksum = internet_checksum(header)
         self.checksum = checksum
         return header[:10] + struct.pack(">H", checksum) + header[12:]

@@ -56,12 +56,6 @@ class DatagramProtocol:
             raise ProtocolError(f"datagram port {port} already bound")
         self._ports[port] = mailbox
 
-    def unbind(self, port: int) -> None:
-        """Stop delivering for ``port``."""
-        if port not in self._ports:
-            raise ProtocolError(f"datagram port {port} is not bound")
-        del self._ports[port]
-
     # -- sending --------------------------------------------------------------
 
     def send(

@@ -101,10 +101,6 @@ class RMPProtocol:
         self._channels[local_port] = channel
         return channel
 
-    def close(self, channel: RMPChannel) -> None:
-        """Close a channel endpoint (its port becomes free)."""
-        self._channels.pop(channel.local_port, None)
-
     # -- sending ---------------------------------------------------------------
 
     def send(

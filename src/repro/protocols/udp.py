@@ -45,12 +45,6 @@ class UDPProtocol:
             raise ProtocolError(f"UDP port {port} already bound")
         self._ports[port] = mailbox
 
-    def unbind(self, port: int) -> None:
-        """Stop delivering for ``port``."""
-        if port not in self._ports:
-            raise ProtocolError(f"UDP port {port} is not bound")
-        del self._ports[port]
-
     # -- sending ---------------------------------------------------------------
 
     def send(

@@ -29,11 +29,8 @@ from repro.telemetry.metrics import CounterScope
 __all__ = ["CabDoorbell", "HostCondition", "SignalQueue"]
 
 #: Well-known signal queue opcodes.
-OP_SIGNAL_HOST_CONDITION = "signal-host-condition"
 OP_WAKE_THREAD = "wake-thread"
 OP_SYNC_WRITE = "sync-write"
-OP_RPC = "rpc"
-OP_MAILBOX = "mailbox-op"
 
 
 class HostCondition:
@@ -58,11 +55,6 @@ class HostCondition:
                 cpu.wake(token, self.poll_value)
         for hook in list(self.signal_hooks):
             hook(self)
-
-    def signal(self, costs: CostModel) -> Generator:
-        """Thread-context signal (one shared-memory word write)."""
-        yield costs.rt_signal_ns
-        self.fire()
 
     # -- waiting by polling ------------------------------------------------------
 
@@ -128,11 +120,11 @@ class CabDoorbell:
     in interrupt context and must not block.
     """
 
-    def __init__(self, runtime, queue_capacity: int = 64):
+    def __init__(self, runtime):
         self.runtime = runtime
         self.cpu: CPU = runtime.cpu
         self.costs: CostModel = runtime.costs
-        self.queue = SignalQueue(f"{runtime.name}.cab-signal-queue", queue_capacity)
+        self.queue = SignalQueue(f"{runtime.name}.cab-signal-queue")
         self._handlers: Dict[str, Callable[[Any], Generator]] = {}
         self._register_builtins()
 

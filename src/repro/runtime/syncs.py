@@ -47,10 +47,6 @@ class Sync:
         self._reader_cpu: Optional[CPU] = None
         self._reader_token: Optional[WaitToken] = None
 
-    @property
-    def written(self) -> bool:
-        return self.state == _WRITTEN
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Sync {self.state} value={self.value!r}>"
 

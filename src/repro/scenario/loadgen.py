@@ -20,6 +20,7 @@ from itertools import repeat
 
 from repro.apps.traffic import Datagram, fork
 from repro.bench.harness import two_nodes
+from repro.errors import ConfigurationError
 from repro.model.stats import LatencyRecorder
 from repro.units import seconds
 
@@ -47,9 +48,9 @@ def run_load(
     delivered back to the clients), and the engine's event count.
     """
     if users < 1:
-        raise ValueError("users must be >= 1")
+        raise ConfigurationError(f"users must be >= 1, got {users}")
     if messages <= warmup:
-        raise ValueError("messages must exceed the warmup count")
+        raise ConfigurationError(f"messages={messages} must exceed warmup={warmup}")
     system, node_a, node_b = two_nodes()
     payload = b"\xA5" * payload_bytes
 

@@ -143,10 +143,6 @@ class Event:
         """True if the event fired successfully (no exception)."""
         return self._state == _FIRED and self._exc is None
 
-    @property
-    def exception(self) -> Optional[BaseException]:
-        return self._exc
-
     # -- triggering ---------------------------------------------------------
 
     def succeed(self, value: Any = None, delay: int = 0) -> "Event":

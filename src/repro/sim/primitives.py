@@ -118,10 +118,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        return self.slots - self._in_use
-
     def acquire(self) -> Event:
         """Event granting one slot (FIFO order)."""
         event = Event(self.sim, self._acquire_name)

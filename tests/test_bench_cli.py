@@ -168,8 +168,17 @@ class TestOverrides:
         assert "committed configuration" in capsys.readouterr().err
 
     def test_parameter_the_plane_refuses_exits_2(self, capsys):
-        assert bench_cli.main(["scale", "mode=threads", "hubs=2", "cabs_per_hub=1"]) == 2
-        assert "unknown conductor mode" in capsys.readouterr().err
+        for command, message in (
+            ("scale mode=threads hubs=2 cabs_per_hub=1", "unknown conductor mode"),
+            ("load messages=1", "messages=1 must exceed warmup=2"),
+            ("mcast messages=0 mode=inline", "messages must be >= 1"),
+            ("table1 rounds=0", "rounds=0 must exceed warmup=5"),
+            ("fig7 sizes=0", "sizes=[0] must be >= 1"),
+            ("fig7 count=0", "count=0"),
+            ("fig8 sizes=0", "sizes=[0] must be >= 1"),
+        ):
+            assert bench_cli.main(command.split()) == 2, command
+            assert message in capsys.readouterr().err, command
 
 
 class TestInvariantExit:

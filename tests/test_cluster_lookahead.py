@@ -21,6 +21,7 @@ from repro.cluster.fleet import FleetSpec, fat_tree_fleet, line_fleet, star_flee
 from repro.cluster.partition import Partitioner
 from repro.cluster.runner import ShardRunner
 from repro.cluster.workload import WorkloadSpec
+from repro.faults.plan import FaultPlan
 from repro.model.costs import DEFAULT_COSTS
 
 LINK_NS = DEFAULT_COSTS.fiber_propagation_ns
@@ -109,12 +110,14 @@ class TestEmissionBounds:
     def test_drained_shard_reports_no_bound(self):
         fleet = line_fleet(2, 2, hub_ports=8)
         partition = Partitioner.partition(fleet, 2)
-        # Zero flows: telemetry keeps every CAB (no idle elision), so the
-        # shard still boots its stacks, then goes quiet.
+        # Zero flows: a fault plan keeps every CAB (no idle elision), so
+        # the shard still boots its stacks, then goes quiet.
         spec = WorkloadSpec(
             seed=5, rmp_flows=0, rpc_flows=0, tcp_flows=0, tcp_bytes=0
         )
-        runner = ShardRunner(fleet, partition, 0, spec, telemetry=True)
+        runner = ShardRunner(
+            fleet, partition, 0, spec, fault_plan=FaultPlan(seed=0)
+        )
         assert runner.system.nodes
         runner.advance(None)
         assert runner.sync_state() == (None, None)

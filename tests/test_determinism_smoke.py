@@ -63,12 +63,12 @@ def test_determinism_check_passes():
 
 
 def _sharded_run_bytes() -> bytes:
-    """One telemetry-enabled 4-worker sharded run, fully serialized."""
+    """One 4-worker sharded run's results and conductor counters, serialized."""
     fleet = line_fleet(4, 4, hub_ports=8)
     workload = WorkloadSpec(
         seed=13, rmp_flows=3, rpc_flows=2, tcp_flows=1, tcp_bytes=2048
     )
-    result = Conductor(fleet, workload, n_workers=4, telemetry=True).run()
+    result = Conductor(fleet, workload, n_workers=4).run()
     return json.dumps(
         {
             "digest": result.protocol_digest(),
@@ -83,8 +83,6 @@ def _sharded_run_bytes() -> bytes:
                 "ring_bytes": result.ring_bytes,
                 "pickle_bytes": result.pickle_bytes,
             },
-            "metrics": result.metrics,
-            "trace": result.trace,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -95,20 +93,8 @@ def test_sharded_run_is_byte_identical_across_executions():
     first = _sharded_run_bytes()
     second = _sharded_run_bytes()
     assert first == second
-    # The serialized state really covers the new machinery: the merged
-    # metrics must carry the conductor's cluster.* counter series.
+    # The serialized state really covers the conductor: it drove barriers
+    # and exchanged frames across the cuts.
     payload = json.loads(first)
-    for name in (
-        "cluster.barriers",
-        "cluster.epochs",
-        "cluster.null_elided",
-        "cluster.fastpath",
-        "cluster.handoffs",
-        "cluster.ring_bytes",
-        "cluster.pickle_bytes",
-    ):
-        assert payload["metrics"][name]["type"] == "counter"
     assert payload["counters"]["barriers"] > 0
-    assert payload["metrics"]["cluster.barriers"]["value"] == (
-        payload["counters"]["barriers"]
-    )
+    assert payload["counters"]["handoffs"] > 0

@@ -275,3 +275,47 @@ def test_end_to_end_host_to_host_datagram(rig):
     ha.host.fork_process(sender(), "sender")
     hb.host.fork_process(receiver(), "receiver")
     assert system.run_until(done, limit=seconds(1)) == payload
+
+
+def test_host_end_get_wakes_a_cab_thread_blocked_on_heap_space(rig):
+    """A CAB thread fills the heap with queued messages and blocks in
+    begin_put; the host's end_get frees one, rings the heap-wake doorbell,
+    and the CAB's interrupt handler puts the thread back to work."""
+    system, ha, _hb = rig
+    runtime = ha.node.runtime
+    mbox = runtime.mailbox("cab-to-host", cached_buffer_bytes=0)
+    stamps = {}
+
+    def cab_writer():
+        # Two messages fill the largest free block; a third must wait.
+        half = runtime.heap.largest_free_block() // 2 // 64 * 64
+        stamps["live"] = runtime.heap.allocation_count
+        for _ in range(2):
+            msg = yield from mbox.begin_put(half)
+            yield from mbox.end_put(msg)
+        msg = yield from mbox.begin_put(half)
+        stamps["resumed"] = system.now
+        yield from mbox.end_put(msg)
+
+    def host_reader(count):
+        yield from ha.driver.map_cab_memory()
+        for _ in range(count):
+            msg = yield from ha.driver.begin_get(mbox)
+            yield from ha.driver.end_get(mbox, msg)
+        stamps.setdefault("end_get", system.now)
+
+    runtime.fork_application(cab_writer(), "writer")
+    system.run(until=ms(1))
+    assert "resumed" not in stamps and len(runtime.heap_waiters) == 1
+    ha.host.fork_process(host_reader(1), "reader")
+    system.run()
+    assert 0 < stamps["resumed"] - stamps["end_get"] < us(100)
+    assert not runtime.heap_waiters
+    assert system.metrics.counters("cab-a.sig") == {
+        "cab-a.sig.popped": 1,
+        "cab-a.sig.pushed": 1,
+    }
+    ha.host.fork_process(host_reader(2), "drain")
+    system.run()
+    assert not mbox.queue
+    assert runtime.heap.allocation_count == stamps["live"]
