@@ -59,10 +59,14 @@ def link_latency_ns() -> Dict[str, int]:
     arrival = {}
 
     def probe():
-        yield node_a.cab.fiber_out.fifo.wait_space(1)
+        wait = node_a.cab.fiber_out.fifo.wait_space(1)
+        if wait is not None:
+            yield wait
         for chunk in frame.chunks():
             node_a.cab.fiber_out.fifo.push(chunk)
-        yield node_b.cab.fiber_in.fifo.wait_data()
+        wait = node_b.cab.fiber_in.fifo.wait_data()
+        if wait is not None:
+            yield wait
         arrival["ns"] = system.sim.now - start
 
     system.sim.process(probe(), name="link-probe")

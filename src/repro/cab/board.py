@@ -27,6 +27,7 @@ from typing import Callable, Generator, Optional
 from repro.cab.cpu import CPU
 from repro.errors import CABError
 from repro.hw.fiber import FiberIn, FiberOut, Frame
+from repro.hw.fifo import Chunk
 from repro.hw.memory import MemoryRegion
 from repro.model.costs import CostModel
 from repro.sim.core import Event, Simulator
@@ -74,13 +75,12 @@ class CAB:
 
         self._tx_queue: Store = Store(sim, name=f"{name}.txq")
         # Per-frame names, built once.
-        self._rx_done_name = f"{name}.rx-done"
-        self._rx_dma_name = f"{name}.rx-dma"
-        self._rx_sink_name = f"{name}.rx-sink"
+        self._rx_programmed_name = f"{name}.rx-programmed"
         self._tx_track = f"{name}.dma-tx"
         self._rx_track = f"{name}.dma-rx"
-        self._rx_done = None
-        self._rx_started = False
+        #: Pending while a start-of-packet handler decides a frame's fate;
+        #: fires with the receive DMA's job, or None to discard the frame.
+        self._rx_programmed: Optional[Event] = None
         sim.process(self._tx_dma_loop(), name=f"{name}.tx-dma")
         sim.process(self._rx_loop(), name=f"{name}.rx-ctl")
 
@@ -103,14 +103,19 @@ class CAB:
 
     def _tx_dma_loop(self) -> Generator:
         fifo = self.fiber_out.fifo
+        queue = self._tx_queue
         dma_ns = self.costs.cab_dma_ns_per_byte
         tracer = self.sim.tracer
         while True:
-            frame: Frame = yield self._tx_queue.get()
+            queued, frame = queue.try_get()
+            if not queued:
+                frame = yield queue.get()
             if tracer.sink is not None:
                 tracer.begin("dma", "tx-frame", {"bytes": frame.size}, track=self._tx_track)
             for chunk in frame.chunks():
-                yield fifo.wait_space(chunk.length)
+                wait = fifo.wait_space(chunk.length)
+                if wait is not None:
+                    yield wait
                 yield chunk.length * dma_ns
                 fifo.push(chunk)
             if tracer.sink is not None:
@@ -134,18 +139,27 @@ class CAB:
     # -------------------------------------------------------------- receive
 
     def _rx_loop(self) -> Generator:
-        """Serialize frame receptions: one start-of-packet interrupt each."""
+        """Receive frames one at a time: a start-of-packet interrupt each,
+        then the receive DMA (or the discard sink) its handler programmed,
+        run in line here."""
         fifo = self.fiber_in.fifo
         while True:
-            yield fifo.wait_data()
+            wait = fifo.wait_data()
+            if wait is not None:
+                yield wait
             frame: Frame = fifo.peek().frame
-            done = Event(self.sim, self._rx_done_name)
-            self._rx_done = done
-            self._rx_started = False
-            self.cpu.post_interrupt(self._sop_irq(frame), name="start-of-packet")
-            yield done
+            programmed = Event(self.sim, self._rx_programmed_name)
+            self._rx_programmed = programmed
+            self.cpu.post_interrupt(
+                self._sop_irq(frame, programmed), name="start-of-packet"
+            )
+            job = yield programmed
+            if job is None:
+                yield from self._rx_sink(frame)
+            else:
+                yield from self._rx_dma(frame, *job)
 
-    def _sop_irq(self, frame: Frame) -> Generator:
+    def _sop_irq(self, frame: Frame, programmed: Event) -> Generator:
         self.stats.add("frames_received")
         dispatch = self.rx_dispatch
         if dispatch is None:
@@ -153,7 +167,7 @@ class CAB:
             return
             yield  # pragma: no cover - makes this a generator
         yield from dispatch(frame)
-        if not self._rx_started:
+        if not programmed.triggered:
             raise CABError(
                 f"{self.name}: rx dispatch finished without starting a "
                 f"receive DMA or discarding frame #{frame.seqno}"
@@ -173,23 +187,21 @@ class CAB:
         ``on_header`` is posted as an interrupt once ``header_bytes`` of the
         frame are in memory (the start-of-data upcall); ``on_complete`` is
         posted when the whole frame has landed, with the hardware CRC verdict.
-        Callable from interrupt or thread context (it only starts a process).
+        Callable from interrupt or thread context: it hands the job to the
+        ``rx-ctl`` process, which runs the transfer.
         """
-        if self._rx_started:
-            raise CABError(f"{self.name}: receive DMA already active")
-        self._rx_started = True
-        self.sim.process(
-            self._rx_dma(frame, region, addr, header_bytes, on_header, on_complete),
-            name=self._rx_dma_name,
-        )
+        self._program_rx((region, addr, header_bytes, on_header, on_complete))
 
     def discard_rx(self, frame: Frame) -> None:
         """Sink an unwanted frame (no buffer available, unknown type...)."""
-        if self._rx_started:
-            raise CABError(f"{self.name}: receive DMA already active")
-        self._rx_started = True
+        self._program_rx(None)
         self.stats.add("frames_discarded")
-        self.sim.process(self._rx_sink(frame), name=self._rx_sink_name)
+
+    def _program_rx(self, job: Optional[tuple]) -> None:
+        programmed, self._rx_programmed = self._rx_programmed, None
+        if programmed is None:
+            raise CABError(f"{self.name}: receive DMA already active")
+        programmed.succeed(job)
 
     def _rx_dma(
         self,
@@ -208,14 +220,16 @@ class CAB:
         if tracer.sink is not None:
             tracer.begin("dma", "rx-frame", {"bytes": frame.size}, track=self._rx_track)
         while True:
-            yield fifo.wait_data()
-            chunk = fifo.pop()
+            chunk = fifo.take(dma_ns)
+            if chunk.__class__ is Chunk:
+                yield chunk.length * dma_ns
+            else:
+                chunk = yield chunk
             if chunk.frame is not frame:
                 raise CABError(
                     f"{self.name}: rx DMA frame interleave (expected "
                     f"#{frame.seqno}, got #{chunk.frame.seqno})"
                 )
-            yield chunk.length * dma_ns
             region.write(addr + chunk.offset, frame.chunk_bytes(chunk))
             consumed += chunk.length
             if not header_posted and consumed >= header_bytes:
@@ -236,25 +250,18 @@ class CAB:
         # The frame has fully landed in CAB memory: this receive terminates
         # its journey, so drop the payload buffer's last reference.
         frame.release()
-        self._finish_rx()
 
     def _rx_sink(self, frame: Frame) -> Generator:
         fifo = self.fiber_in.fifo
         while True:
-            yield fifo.wait_data()
-            chunk = fifo.pop()
+            chunk = fifo.take(0)
+            if chunk.__class__ is not Chunk:
+                chunk = yield chunk
             if chunk.frame is not frame:
                 raise CABError(f"{self.name}: rx sink frame interleave")
             if chunk.is_last:
                 break
         frame.release()
-        self._finish_rx()
-
-    def _finish_rx(self) -> None:
-        done, self._rx_done = self._rx_done, None
-        self._rx_started = False
-        if done is not None:
-            done.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CAB {self.name}>"

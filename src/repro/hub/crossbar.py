@@ -13,7 +13,7 @@ import enum
 from typing import Optional
 
 from repro.errors import HubError
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.primitives import Resource
 from repro.telemetry.metrics import CounterScope
 
@@ -91,11 +91,19 @@ class Hub:
 
     # -- switching --------------------------------------------------------------
 
-    def acquire_output(self, port: int):
-        """Event granting exclusive use of an output port (packet switching)."""
+    def acquire_output(self, port: int) -> Optional[Event]:
+        """Take exclusive use of an output port (packet switching).
+
+        ``None`` when the port was free and is now held: the caller goes on
+        in place.  Otherwise an event to yield that fires when the port is
+        handed over.
+        """
         self._check_port(port)
         self.stats.add(self._grant_counters[port])
-        return self._out_arbiters[port].acquire()
+        arbiter = self._out_arbiters[port]
+        if arbiter.try_acquire():
+            return None
+        return arbiter.acquire()
 
     def release_output(self, port: int) -> None:
         """Release an output port held by a packet."""

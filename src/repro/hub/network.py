@@ -61,11 +61,11 @@ class NetworkNode(Protocol):
     fiber_out: FiberOut
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathPlan:
     """A resolved source route: the hops to arbitrate and the destination."""
 
-    hops: list[tuple[Hub, int]]
+    hops: tuple[tuple[Hub, int], ...]
     dest: NetworkNode
     setup_ns: int
     propagation_ns: int
@@ -222,7 +222,9 @@ class _HubForwarder:
         is_branch = len(remaining) == 2 and isinstance(remaining[1], tuple)
         onward = remaining[1] if is_branch else remaining[1:]
         terminal = not remaining[1] if is_branch else len(remaining) == 1
-        yield self.hub.acquire_output(port)
+        wait = self.hub.acquire_output(port)
+        if wait is not None:
+            yield wait
         try:
             if attachment.kind is PortKind.CAB:
                 if not terminal:
@@ -256,7 +258,9 @@ class _HubForwarder:
         dest_fifo = dest.fiber_in.fifo
         fiber_ns_per_byte = self.network.costs.fiber_ns_per_byte
         for chunk in frame.chunks():
-            yield dest_fifo.wait_space(chunk.length)
+            wait = dest_fifo.wait_space(chunk.length)
+            if wait is not None:
+                yield wait
             yield int(round(chunk.length * fiber_ns_per_byte))
             dest_fifo.push(chunk)
 
@@ -281,6 +285,8 @@ class NectarNetwork:
         #: The simulation's tracer, for per-link transfer spans.
         self.tracer = sim.tracer
         self._route_cache: Dict[tuple[str, str], tuple[int, ...]] = {}
+        #: Resolved plans per (source node, route); cleared with the routes.
+        self._plan_cache: Dict[tuple[str, tuple[int, ...]], PathPlan] = {}
         #: Hubs whose forwarding runs in this process.  None means all of
         #: them (the single-process reference); a cluster shard runner
         #: narrows it to the shard's own hubs and installs
@@ -368,6 +374,7 @@ class NectarNetwork:
         self.topology.place_cab(node.name, hub, port)
         self.nodes[node.name] = node
         self._route_cache.clear()
+        self._plan_cache.clear()
         self.sim.process(self._link_tx_loop(node), name=f"link:{node.name}")
 
     def link_hubs(self, hub_a: Hub, port_a: int, hub_b: Hub, port_b: int) -> None:
@@ -376,6 +383,7 @@ class NectarNetwork:
         hub_b.attach(port_b, PortAttachment(PortKind.HUB, hub_a, port_a))
         self.topology.link_hubs(hub_a, port_a, hub_b, port_b)
         self._route_cache.clear()
+        self._plan_cache.clear()
 
     # -- routing -----------------------------------------------------------------
 
@@ -387,10 +395,18 @@ class NectarNetwork:
         return self._route_cache[key]
 
     def plan_path(self, src: NetworkNode, route: tuple[int, ...]) -> PathPlan:
-        """Resolve a source route into hop resources and a destination node."""
+        """Resolve a source route into hop resources and a destination node
+        (cached)."""
+        key = (src.name, route)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = self._resolve_path(src, route)
+        return plan
+
+    def _resolve_path(self, src: NetworkNode, route: tuple[int, ...]) -> PathPlan:
         if not route:
             # Loopback: deliver to our own input FIFO.
-            return PathPlan(hops=[], dest=src, setup_ns=0, propagation_ns=self.costs.fiber_propagation_ns)
+            return PathPlan(hops=(), dest=src, setup_ns=0, propagation_ns=self.costs.fiber_propagation_ns)
         hub, _port = self.topology.hub_of(src.name)
         hops: list[tuple[Hub, int]] = []
         dest: Optional[NetworkNode] = None
@@ -408,7 +424,7 @@ class NectarNetwork:
         assert dest is not None
         setup = self.costs.hub_setup_ns + self.costs.hub_hop_ns * (len(hops) - 1)
         propagation = self.costs.fiber_propagation_ns * (len(hops) + 1)
-        return PathPlan(hops=hops, dest=dest, setup_ns=setup, propagation_ns=propagation)
+        return PathPlan(hops=tuple(hops), dest=dest, setup_ns=setup, propagation_ns=propagation)
 
     # -- the link process ---------------------------------------------------------
 
@@ -417,7 +433,9 @@ class NectarNetwork:
         fifo = node.fiber_out.fifo
         fiber_ns_per_byte = self.costs.fiber_ns_per_byte
         while True:
-            yield fifo.wait_data()
+            wait = fifo.wait_data()
+            if wait is not None:
+                yield wait
             chunk = fifo.pop()
             frame: Frame = chunk.frame
             if not chunk.is_first:
@@ -459,7 +477,9 @@ class NectarNetwork:
             else:
                 plan = self.plan_path(node, frame.route)
                 for hub, port in plan.hops:
-                    yield hub.acquire_output(port)
+                    wait = hub.acquire_output(port)
+                    if wait is not None:
+                        yield wait
                 yield plan.setup_ns + plan.propagation_ns
                 try:
                     yield from self._stream_frame(node, fifo, chunk, plan)
@@ -511,7 +531,9 @@ class NectarNetwork:
                 + self._tx_floor_ns(frame.size)
             )
         try:
-            yield hub.acquire_output(out_port)
+            wait = hub.acquire_output(out_port)
+            if wait is not None:
+                yield wait
             try:
                 yield self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
                 yield from self._consume_frame(fifo, first_chunk)
@@ -683,12 +705,16 @@ class NectarNetwork:
         fiber_ns_per_byte = self.costs.fiber_ns_per_byte
         chunk = first_chunk
         while True:
-            yield dest_fifo.wait_space(chunk.length)
+            wait = dest_fifo.wait_space(chunk.length)
+            if wait is not None:
+                yield wait
             yield int(round(chunk.length * fiber_ns_per_byte))
             dest_fifo.push(chunk)
             if chunk.is_last:
                 return
-            yield fifo.wait_data()
+            wait = fifo.wait_data()
+            if wait is not None:
+                yield wait
             chunk = fifo.pop()
 
     def _consume_frame(self, fifo, first_chunk) -> Generator:
@@ -699,5 +725,7 @@ class NectarNetwork:
             yield int(round(chunk.length * fiber_ns_per_byte))
             if chunk.is_last:
                 return
-            yield fifo.wait_data()
+            wait = fifo.wait_data()
+            if wait is not None:
+                yield wait
             chunk = fifo.pop()

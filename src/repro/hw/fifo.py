@@ -4,8 +4,11 @@ The CAB has an input FIFO and an output FIFO between the optical fibers and
 its memory (paper Sec. 2.2).  The DMA controller "waits for data to arrive if
 the input FIFO is empty, or for data to drain if the output FIFO is full" —
 that low-level flow control is modelled by ``wait_space`` / ``wait_data``
-here.  Each returns what a sim process yields: ``0`` (a zero sleep) when the
-space or data is already there, else an event that fires once it is.
+here.  Each returns ``None`` when the space or data is already there — the
+caller goes on in place, with no heap entry — else an event to yield that
+fires once it is.  The receive DMA moves each chunk with one call,
+:meth:`ByteFIFO.take`: one heap entry per chunk, whether the chunk was
+already buffered or lands later.
 
 Frames move through the FIFO as :class:`Chunk` records (a frame reference,
 an offset and a length) rather than individual bytes; the FIFO does exact
@@ -16,7 +19,7 @@ ride on the frame object.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, NamedTuple, Union
+from typing import Any, Deque, NamedTuple, Optional, Union
 
 from repro.errors import CABError
 from repro.sim.core import Event, Simulator
@@ -66,6 +69,9 @@ class ByteFIFO:
         self._chunks: Deque[Chunk] = deque()
         self._space_waiters: Deque[tuple[int, Event]] = deque()
         self._data_waiters: Deque[Event] = deque()
+        #: The parked :meth:`take`: its event and the ns per byte the taker
+        #: moves, or None.
+        self._taker: Optional[tuple[Event, int]] = None
         self.total_in = 0
         self.total_out = 0
         #: The simulation's tracer: the fill level is sampled as a counter
@@ -74,6 +80,7 @@ class ByteFIFO:
         # Per-event names, built once.
         self._space_name = f"space:{name}"
         self._data_name = f"data:{name}"
+        self._take_name = f"take:{name}"
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -93,8 +100,8 @@ class ByteFIFO:
 
     # -- producer side -----------------------------------------------------
 
-    def wait_space(self, nbytes: int) -> Union[int, Event]:
-        """``0`` if ``nbytes`` of space is free now, else an event that
+    def wait_space(self, nbytes: int) -> Optional[Event]:
+        """``None`` if ``nbytes`` of space is free now, else an event that
         fires when it is.
 
         Space waiters are served strictly in order, so a large chunk cannot
@@ -106,34 +113,47 @@ class ByteFIFO:
                 f"{self.capacity}"
             )
         if not self._space_waiters and self.grantable >= nbytes:
-            return 0
+            return None
         event = Event(self.sim, self._space_name)
         self._space_waiters.append((nbytes, event))
         return event
 
     def push(self, chunk: Chunk) -> None:
-        """Add a chunk.  Caller must have waited for space."""
-        if chunk.length > self.free:
+        """Add a chunk.  Caller must have waited for space.
+
+        A parked :meth:`take` gets the chunk popped for it here, at the
+        push, and wakes once it has moved it.
+        """
+        length = chunk.length
+        if length > self.free:
             raise CABError(
-                f"{self.name}: push of {chunk.length} bytes overflows "
+                f"{self.name}: push of {length} bytes overflows "
                 f"({self.level}/{self.capacity} used)"
             )
         self._chunks.append(chunk)
-        self.level += chunk.length
-        self.total_in += chunk.length
+        self.level += length
+        self.total_in += length
         tracer = self.tracer
         if tracer.sink is not None:
             tracer.counter("fifo", "level", self.level, track=self.name)
+        taker = self._taker
+        if taker is not None:
+            self._taker = None
+            event, ns_per_byte = taker
+            event.succeed(self.pop(), delay=length * ns_per_byte)
+            return
         while self._data_waiters:
             self._data_waiters.popleft().succeed()
 
     # -- consumer side -----------------------------------------------------
 
-    def wait_data(self) -> Union[int, Event]:
-        """``0`` if a chunk is buffered now, else an event that fires when
-        one is."""
+    def wait_data(self) -> Optional[Event]:
+        """``None`` if a chunk is buffered now, else an event that fires
+        when one is."""
         if self._chunks:
-            return 0
+            return None
+        if self._taker is not None:
+            raise CABError(f"{self.name}: wait_data beside a parked take")
         event = Event(self.sim, self._data_name)
         self._data_waiters.append(event)
         return event
@@ -148,26 +168,33 @@ class ByteFIFO:
         tracer = self.tracer
         if tracer.sink is not None:
             tracer.counter("fifo", "level", self.level, track=self.name)
-        self._grant_space()
+        if self._space_waiters:
+            self._grant_space()
         return chunk
+
+    def take(self, ns_per_byte: int) -> Union[Chunk, Event]:
+        """Move the next chunk out at ``ns_per_byte``, with one heap entry.
+
+        A buffered chunk is popped now and returned; the caller then sleeps
+        its ``length * ns_per_byte``.  On an empty FIFO the caller parks on
+        the returned event: the push that lands the next chunk pops it
+        there and fires the event ``length * ns_per_byte`` later, with the
+        chunk as its value.  One taker parks at a time, and never beside a
+        :meth:`wait_data` waiter.
+        """
+        if self._chunks:
+            return self.pop()
+        if self._taker is not None or self._data_waiters:
+            raise CABError(f"{self.name}: take beside another waiting consumer")
+        event = Event(self.sim, self._take_name)
+        self._taker = (event, ns_per_byte)
+        return event
 
     def peek(self) -> Chunk:
         """The oldest chunk without removing it (raises when empty)."""
         if not self._chunks:
             raise CABError(f"{self.name}: peek at empty FIFO")
         return self._chunks[0]
-
-    def drain(self) -> list[Chunk]:
-        """Remove everything (used when a corrupted frame is discarded)."""
-        chunks = list(self._chunks)
-        self._chunks.clear()
-        self.level = 0
-        self.total_out += sum(chunk.length for chunk in chunks)
-        tracer = self.tracer
-        if tracer.sink is not None:
-            tracer.counter("fifo", "level", self.level, track=self.name)
-        self._grant_space()
-        return chunks
 
     def recheck_space(self) -> None:
         """Re-run space granting (after a squeeze reserve is released)."""

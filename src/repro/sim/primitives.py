@@ -9,7 +9,7 @@ CPU-level synchronization (the CAB threads package) lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.core import Event, SimulationError, Simulator
 
@@ -17,49 +17,36 @@ __all__ = ["Resource", "Store"]
 
 
 class Store:
-    """An unbounded-or-bounded FIFO of items with blocking get/put.
+    """An unbounded FIFO of items.
 
-    ``get()`` and ``put()`` return events; processes yield them.  Items are
-    delivered in FIFO order, and getters are served in arrival order.
+    ``put()`` never blocks and builds no event.  ``get()`` returns an event
+    a process yields; ``try_get()`` takes an item in place when one is
+    there.  Items are delivered in FIFO order, and getters are served in
+    arrival order.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store"):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, sim: Simulator, name: str = "store"):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-        self._put_name = f"put:{name}"
         self._get_name = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once the item has been accepted."""
-        event = Event(self.sim, self._put_name)
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self._putters.append((event, item))
+    def put(self, item: Any) -> None:
+        """Add an item, handing it straight to the oldest waiting getter."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
-            self._accept(item)
-            event.succeed()
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put.  Returns False if the store is full."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._accept(item)
-        return True
+            self._items.append(item)
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
         event = Event(self.sim, self._get_name)
         if self._items:
-            event.succeed(self._take())
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event
@@ -67,7 +54,7 @@ class Store:
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get.  Returns (ok, item)."""
         if self._items:
-            return True, self._take()
+            return True, self._items.popleft()
         return False, None
 
     def peek(self) -> Any:
@@ -75,25 +62,6 @@ class Store:
         if not self._items:
             raise SimulationError(f"peek on empty store {self.name}")
         return self._items[0]
-
-    # -- internal -------------------------------------------------------------
-
-    def _accept(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def _take(self) -> Any:
-        item = self._items.popleft()
-        # Room freed: admit a blocked putter, if any.
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            event, pending = self._putters.popleft()
-            self._accept(pending)
-            event.succeed()
-        return item
 
 
 class Resource:
@@ -117,6 +85,13 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._in_use
+
+    def try_acquire(self) -> bool:
+        """Take a free slot in place; False (nothing queued) if none is."""
+        if self._in_use < self.slots:
+            self._in_use += 1
+            return True
+        return False
 
     def acquire(self) -> Event:
         """Event granting one slot (FIFO order)."""

@@ -184,3 +184,43 @@ def test_rx_serializes_frames():
     a.runtime.fork_application(sender(), "s")
     b.runtime.fork_application(receiver(), "r")
     assert system.run_until(done, limit=seconds(1)) == list(range(count))
+
+
+def test_receiving_frames_spawns_no_process(monkeypatch):
+    """The receive DMA and the discard sink run in line in ``rx-ctl``:
+    neither a delivered frame nor a discarded one costs a process."""
+    system, a, b = two_node_rig()
+    inbox = b.runtime.mailbox("inbox")
+    b.datagram.bind(5, inbox)
+    count = 6
+    spawned = []
+    real_process = system.sim.process
+
+    def counting_process(gen, name=""):
+        spawned.append(name)
+        return real_process(gen, name)
+
+    def sender():
+        for index in range(count):
+            yield from a.datagram.send(1, b.node_id, 5, bytes([index]) * 2000)
+            garbage = Frame(
+                route=system.network.route_for("a", "b"),
+                payload=bytearray(b"\x00" * 1500),
+                src="a",
+            )
+            yield from a.cab.send_frame(garbage)
+
+    def receiver():
+        for _ in range(count):
+            msg = yield from inbox.begin_get()
+            yield from inbox.end_get(msg)
+
+    a.runtime.fork_application(sender(), "s")
+    b.runtime.fork_application(receiver(), "r")
+    monkeypatch.setattr(system.sim, "process", counting_process)
+    system.run(until=seconds(1))
+    assert b.cab.stats.value("frames_received") == 2 * count
+    assert b.cab.stats.value("frames_discarded") == count
+    assert inbox.stats.value("messages_taken") == count
+    assert b.cab.fiber_in.fifo.is_empty
+    assert spawned == []

@@ -43,15 +43,18 @@ class TestCrossbar:
         order = []
 
         def user(tag, hold):
-            yield hub.acquire_output(5)
-            order.append((tag, sim.now))
-            yield sim.timeout(hold)
+            wait = hub.acquire_output(5)
+            if wait is not None:
+                yield wait
+            order.append((tag, sim.now, wait is None))
+            yield hold
             hub.release_output(5)
 
         sim.process(user("a", 100))
         sim.process(user("b", 100))
         sim.run()
-        assert order == [("a", 0), ("b", 100)]
+        # The free port is taken in place; the busy one is waited for.
+        assert order == [("a", 0, True), ("b", 100, False)]
 
     def test_tiny_hub_rejected(self):
         from repro.sim import Simulator
@@ -204,3 +207,24 @@ class TestFabricEndToEnd:
         # wire time must have elapsed.
         wire_ns = int(12 * (4096 + 44) * 80)
         assert end >= wire_ns
+
+
+def test_path_plans_are_cached_until_the_wiring_changes():
+    """A frame's plan is resolved once per (source CAB, route); attaching
+    a CAB or linking HUBs drops every cached plan with the routes."""
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    h1 = system.add_hub("h1")
+    a = system.add_node("a", h0, 1)
+    b = system.add_node("b", h0, 2)
+    network = system.network
+    route = network.route_for("a", "b")
+    plan = network.plan_path(a.cab, route)
+    assert network.plan_path(a.cab, route) is plan
+    assert plan.hops == ((h0, 2),) and plan.dest is b.cab
+    assert network.plan_path(b.cab, ()) is not network.plan_path(a.cab, ())
+    system.connect_hubs(h0, 15, h1, 0)
+    replanned = network.plan_path(a.cab, route)
+    assert replanned is not plan and replanned == plan
+    system.add_node("c", h1, 1)
+    assert network.plan_path(a.cab, route) is not replanned

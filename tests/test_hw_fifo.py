@@ -92,14 +92,14 @@ class TestByteFIFO:
         sim.run()
         assert order == ["big", "small"]
 
-    def test_satisfied_waits_are_a_zero_sleep(self):
-        """No event is built when space or data is already there: the
-        process sleeps zero, in the slot the fired event would have taken."""
+    def test_satisfied_waits_continue_in_place(self):
+        """No event and no heap entry when space or data is already there:
+        the wait returns None and the caller goes on in place."""
         sim = Simulator()
         fifo = ByteFIFO(sim, 64)
-        assert fifo.wait_space(64) == 0
+        assert fifo.wait_space(64) is None
         fifo.push(chunk(64))
-        assert fifo.wait_data() == 0
+        assert fifo.wait_data() is None
         assert sim.events_scheduled == 0
         assert isinstance(fifo.wait_space(1), Event)  # full: must block
         fifo.pop()
@@ -123,15 +123,61 @@ class TestByteFIFO:
         sim.run()
         assert seen == [77]
 
-    def test_drain_clears_and_grants_space(self):
+    def test_take_pops_a_buffered_chunk_now(self):
         sim = Simulator()
         fifo = ByteFIFO(sim, 64)
-        fifo.push(chunk(30))
-        fifo.push(chunk(30, first=False))
-        dropped = fifo.drain()
-        assert len(dropped) == 2
-        assert fifo.is_empty
-        assert fifo.free == 64
+        fifo.push(chunk(24))
+        taken = fifo.take(5)
+        assert taken == chunk(24)
+        assert fifo.level == 0 and fifo.total_out == 24
+        assert sim.events_scheduled == 0
+
+    def test_a_parked_take_wakes_length_times_ns_per_byte_after_the_push(self):
+        """One heap entry per chunk: the push pops the chunk for the parked
+        taker (the level falls at the push) and the taker wakes once the
+        chunk has moved, with the chunk as the event's value."""
+        sim = Simulator()
+        fifo = ByteFIFO(sim, 64)
+        pushed = chunk(40)
+        seen = {}
+
+        def taker():
+            got = fifo.take(3)
+            assert isinstance(got, Event)
+            seen["chunk"] = yield got
+            seen["at"] = sim.now
+
+        def pusher():
+            yield 100
+            before = sim.events_scheduled
+            fifo.push(pushed)
+            seen["level_after_push"] = fifo.level
+            seen["entries_for_push"] = sim.events_scheduled - before
+
+        sim.process(taker())
+        sim.process(pusher())
+        sim.run()
+        assert seen == {
+            "chunk": pushed,
+            "at": 100 + 40 * 3,
+            "level_after_push": 0,
+            "entries_for_push": 1,
+        }
+        assert fifo.total_in == fifo.total_out == 40
+
+    @pytest.mark.parametrize("first", ["take", "wait_data"])
+    def test_a_take_beside_another_waiting_consumer_raises(self, first):
+        sim = Simulator()
+        fifo = ByteFIFO(sim, 64)
+        if first == "take":
+            fifo.take(1)
+        else:
+            fifo.wait_data()
+        with pytest.raises(CABError, match="take"):
+            fifo.take(1)
+        if first == "take":
+            with pytest.raises(CABError, match="parked take"):
+                fifo.wait_data()
 
     def test_chunk_validation(self):
         with pytest.raises(CABError):

@@ -38,6 +38,55 @@ def test_there_is_one_way_to_sleep():
     assert hits == [], "yield the delay itself:\n" + "\n".join(hits)
 
 
+def _process_spawns_outside_constructors(root):
+    """``path:line`` (relative to ``root``) of every ``<...>sim.process(``
+    call under ``root`` that is not inside an ``__init__``."""
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, in_init):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    visit(child, getattr(child, "name", None) == "__init__")
+                    continue
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "process"
+                    and ast.unparse(child.func.value).split(".")[-1] == "sim"
+                    and not in_init
+                ):
+                    hits.append(f"{path.relative_to(root)}:{child.lineno}")
+                visit(child, in_init)
+
+        visit(tree, False)
+    return hits
+
+
+def test_the_cab_spawns_processes_only_when_built():
+    """The CAB's hardware runs as processes started by its constructors
+    (the TX DMA, ``rx-ctl``, the CPU engine); a process per frame is the
+    per-frame heap hop the in-line receive DMA removed."""
+    hits = _process_spawns_outside_constructors(SRC / "repro" / "cab")
+    assert hits == [], "src/repro/cab: spawn it in __init__ or run it in line:\n" + "\n".join(hits)
+
+
+def test_process_spawn_guard_catches_planted_sites(tmp_path):
+    (tmp_path / "board.py").write_text(
+        "class Board:\n"
+        "    def __init__(self, sim):\n"
+        "        sim.process(self.loop())\n"
+        "        self.sim = sim\n"
+        "    def start(self):\n"
+        "        self.sim.process(self.loop())\n"
+        "        helper = lambda: self.sim.process(self.loop())\n",
+        encoding="utf-8",
+    )
+    hits = _process_spawns_outside_constructors(tmp_path)
+    assert hits == ["board.py:6", "board.py:7"]
+
+
 def test_the_request_response_server_loop_exists_once():
     """Taking a request apart (transport header, then body) is the first
     half of the RPC server loop; outside the protocols themselves only

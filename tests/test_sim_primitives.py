@@ -12,8 +12,8 @@ class TestStore:
 
         def producer():
             for item in "abc":
-                yield store.put(item)
-                yield sim.timeout(1)
+                store.put(item)
+                yield 1
 
         def consumer():
             items = []
@@ -30,8 +30,8 @@ class TestStore:
         store = Store(sim)
 
         def producer():
-            yield sim.timeout(99)
-            yield store.put("x")
+            yield 99
+            store.put("x")
 
         def consumer():
             item = yield store.get()
@@ -40,37 +40,16 @@ class TestStore:
         sim.process(producer())
         assert sim.run_process(consumer()) == ("x", 99)
 
-    def test_capacity_blocks_put(self):
+    def test_put_builds_no_event_and_try_get_takes_in_place(self):
         sim = Simulator()
-        store = Store(sim, capacity=1)
-        progress = []
-
-        def producer():
-            yield store.put(1)
-            progress.append(("put1", sim.now))
-            yield store.put(2)
-            progress.append(("put2", sim.now))
-
-        def consumer():
-            yield sim.timeout(500)
-            item = yield store.get()
-            progress.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put1", 0) in progress
-        assert ("put2", 500) in progress
-
-    def test_try_put_and_try_get(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
-        ok, item = store.try_get()
-        assert ok and item == "a"
-        ok, item = store.try_get()
-        assert not ok
+        store = Store(sim)
+        assert store.put("a") is None
+        store.put("b")
+        assert sim.events_scheduled == 0
+        assert store.try_get() == (True, "a")
+        assert store.try_get() == (True, "b")
+        assert store.try_get() == (False, None)
+        assert sim.events_scheduled == 0
 
     def test_peek_empty_raises(self):
         sim = Simulator()
@@ -78,13 +57,18 @@ class TestStore:
         with pytest.raises(SimulationError):
             store.peek()
 
-    def test_bad_capacity(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
-
 
 class TestResource:
+    def test_try_acquire_takes_a_free_slot_in_place(self):
+        sim = Simulator()
+        res = Resource(sim)
+        assert res.try_acquire()
+        assert not res.try_acquire()
+        assert res.in_use == 1
+        assert sim.events_scheduled == 0
+        res.release()
+        assert res.in_use == 0
+
     def test_mutual_exclusion(self):
         sim = Simulator()
         res = Resource(sim)
