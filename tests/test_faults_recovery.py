@@ -14,6 +14,7 @@ from repro.faults.campaign import run_campaign
 from repro.faults.plan import CORRUPT, DROP, STALL, FaultPlan, FaultSpec
 from repro.hub.groups import GROUP_BASE
 from repro.protocols.tcp.connection import MAX_RETRANSMITS
+from repro.protocols.nectar.reqresp import RPC_MAX_TRIES
 from repro.protocols.nectar.rmp import RMP_MAX_TRIES
 from repro.system import NectarSystem
 from repro.units import seconds, us
@@ -277,6 +278,28 @@ class TestBoundedRetry:
         assert f"after {RMP_MAX_TRIES} tries" in message
         assert a.runtime.stats.value("rmp_data_out") == RMP_MAX_TRIES
         assert a.runtime.stats.value("rmp_retransmits") == RMP_MAX_TRIES - 1
+
+    def test_rpc_gives_up_after_exactly_max_tries(self):
+        """A silent server (nobody serves the port, so each request is
+        dropped on arrival): the client sends exactly ``RPC_MAX_TRIES``
+        requests, then raises."""
+        system, a, b = faulty_rig(FaultPlan(seed=1))
+        done = system.sim.event()
+
+        def client():
+            try:
+                yield from a.rpc.request(
+                    a.rpc.allocate_client_port(), b.node_id, 300, b"anyone?"
+                )
+            except ProtocolError as exc:
+                done.succeed(str(exc))
+
+        a.runtime.fork_application(client(), "client")
+        message = system.run_until(done, limit=seconds(30))
+        assert f"port 300 timed out after {RPC_MAX_TRIES} tries" in message
+        assert a.runtime.stats.value("rpc_requests_out") == RPC_MAX_TRIES
+        assert a.runtime.stats.value("rpc_retries") == RPC_MAX_TRIES - 1
+        assert b.runtime.stats.value("rpc_no_port") == RPC_MAX_TRIES
 
     def test_tcp_connect_gives_up_after_exactly_max_retransmits(self):
         system, a, b = faulty_rig(
