@@ -24,6 +24,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.analysis.nectarlint import iter_python_files
+
 __all__ = ["FunctionInfo", "Project"]
 
 
@@ -53,18 +55,6 @@ def _module_name(path: str) -> str:
             parts = parts[parts.index(anchor) + 1 :]
             break
     return ".".join(part for part in parts if part not in ("", ".", ".."))
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """'a.b.c' for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _Indexer(ast.NodeVisitor):
@@ -131,7 +121,7 @@ class Project:
     def load(cls, paths: Iterable[str]) -> "Project":
         """Parse every ``.py`` file under ``paths`` (deterministic order)."""
         project = cls()
-        for filename in _iter_python_files(paths):
+        for filename in iter_python_files(paths):
             with open(filename, "r", encoding="utf-8") as handle:
                 source = handle.read()
             project.add_source(source, filename)
@@ -216,16 +206,3 @@ class Project:
                 lines.append(f"  -> {callee}")
         return "\n".join(lines)
 
-
-def _iter_python_files(paths: Iterable[str]) -> List[str]:
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs.sort()
-                for name in sorted(names):
-                    if name.endswith(".py"):
-                        files.append(os.path.join(root, name))
-        elif path.endswith(".py"):
-            files.append(path)
-    return files

@@ -25,7 +25,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.flow.callgraph import FunctionInfo, Project, dotted_name
+from repro.analysis.flow.callgraph import FunctionInfo, Project
+from repro.analysis.nectarlint import dotted_name
 from repro.analysis.rules import Finding
 
 __all__ = ["FsmPass", "StateMachine"]

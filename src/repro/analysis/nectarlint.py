@@ -209,7 +209,7 @@ _MUTATORS = {
 }
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     """'a.b.c' for a Name/Attribute chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -226,10 +226,10 @@ def _is_set_expr(node: ast.AST, set_names: set) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        callee = _dotted_name(node.func)
+        callee = dotted_name(node.func)
         if callee in ("set", "frozenset"):
             return True
-    name = _dotted_name(node)
+    name = dotted_name(node)
     return name is not None and name in set_names
 
 
@@ -238,7 +238,7 @@ def _annotation_is_set(annotation: ast.AST) -> bool:
     base = annotation
     if isinstance(base, ast.Subscript):  # set[int], Set[int], ...
         base = base.value
-    dotted = _dotted_name(base)
+    dotted = dotted_name(base)
     if dotted is None:
         return False
     return dotted.rsplit(".", 1)[-1] in ("set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet")
@@ -248,7 +248,7 @@ def _has_unwrapped_float(node: ast.AST) -> bool:
     """True if ``node`` contains a true division or float constant that is
     not wrapped in int(...)/round(...)."""
     if isinstance(node, ast.Call):
-        callee = _dotted_name(node.func)
+        callee = dotted_name(node.func)
         if callee in ("int", "round", "math.floor", "math.ceil", "math.trunc"):
             return False
         return any(_has_unwrapped_float(arg) for arg in node.args)
@@ -287,7 +287,7 @@ def _touches_payload(node: ast.AST) -> bool:
 def _is_mutable_value(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
-    return isinstance(node, ast.Call) and _dotted_name(node.func) in _CONTAINER_CALLS
+    return isinstance(node, ast.Call) and dotted_name(node.func) in _CONTAINER_CALLS
 
 
 def _bound_names(body: List[ast.stmt]) -> dict:
@@ -345,13 +345,13 @@ def _shared_state(tree: ast.Module) -> List[tuple]:
     for scope in [tree, *classes.values()]:
         where = "module" if scope is tree else f"class {scope.name}"
         for name, value in _bound_names(scope.body).items():
-            if isinstance(value, ast.Call) and _dotted_name(value.func) in _COUNTER_CALLS:
+            if isinstance(value, ast.Call) and dotted_name(value.func) in _COUNTER_CALLS:
                 found.append((value, f"{where}-level counter {name!r} is process-wide "
                               f"state; own it per instance or per system"))
 
     def is_class(base: ast.AST, local: set) -> bool:
         if isinstance(base, ast.Call):
-            return _dotted_name(base.func) == "type"
+            return dotted_name(base.func) == "type"
         if not isinstance(base, ast.Name) or base.id in local - {"cls"}:
             return False
         return (
@@ -393,7 +393,7 @@ def _shared_state(tree: ast.Module) -> List[tuple]:
                 not attribute
                 and isinstance(base, ast.Attribute)
                 and base.attr in shared
-                and _dotted_name(base.value) == "self"
+                and dotted_name(base.value) == "self"
             ):
                 found.append((node, f"{func.name!r} changes class-level container "
                               f"{base.attr!r}, shared by every instance"))
@@ -404,7 +404,7 @@ def _shared_state(tree: ast.Module) -> List[tuple]:
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Store)
-                and _dotted_name(node.value) == "self"
+                and dotted_name(node.value) == "self"
             ):
                 names.discard(node.attr)
         return names
@@ -451,7 +451,7 @@ class _Checker(ast.NodeVisitor):
     def _collect_set_annotations(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.AnnAssign) and _annotation_is_set(node.annotation):
-                target = _dotted_name(node.target)
+                target = dotted_name(node.target)
                 if target is not None:
                     self.set_names.add(target)
                     self.set_names.add(target.rsplit(".", 1)[-1])
@@ -489,7 +489,7 @@ class _Checker(ast.NodeVisitor):
     def _visit_funcdef(self, node) -> None:
         returns_float = False
         if node.returns is not None:
-            returns_float = _dotted_name(node.returns) == "float"
+            returns_float = dotted_name(node.returns) == "float"
         self._func_stack.append((node.name, _is_handler_context(node.name), returns_float))
         self.generic_visit(node)
         self._func_stack.pop()
@@ -498,7 +498,7 @@ class _Checker(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_funcdef
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             tail = ".".join(dotted.split(".")[-2:])
             if tail in _WALL_CLOCKS:
@@ -603,11 +603,11 @@ class _Checker(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            self._check_ns_value(_dotted_name(target), node.value, node)
+            self._check_ns_value(dotted_name(target), node.value, node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target_name = _dotted_name(node.target)
+        target_name = dotted_name(node.target)
         if (
             self.sensitive
             and target_name is not None
@@ -624,7 +624,7 @@ class _Checker(ast.NodeVisitor):
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            self._check_ns_value(_dotted_name(node.target), node.value, node)
+            self._check_ns_value(dotted_name(node.target), node.value, node)
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -659,7 +659,7 @@ class _Checker(ast.NodeVisitor):
         value = node.value
         if value is not None:
             if self._in_handler() and isinstance(value, ast.Call):
-                callee = _dotted_name(value.func)
+                callee = dotted_name(value.func)
                 if callee is not None and callee.rsplit(".", 1)[-1] in _FORBIDDEN_HANDLER_OPS:
                     self._emit(
                         node,
@@ -776,7 +776,9 @@ def lint_source(
     return kept
 
 
-def _iter_python_files(paths: Iterable[str]) -> List[str]:
+def iter_python_files(paths: Iterable[str]) -> List[str]:
+    """Every ``.py`` file named by or under ``paths``, in walk order with
+    sorted names (the one file order of the linter and the call graph)."""
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -798,7 +800,7 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (deterministic order)."""
     findings: List[Finding] = []
-    for filename in _iter_python_files(paths):
+    for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
         findings.extend(

@@ -127,16 +127,7 @@ class Datalink:
         TX-complete interrupt once the DMA has drained it (the caller must
         not touch the message again).
         """
-        tracer = self.runtime.tracer
-        track = self.runtime.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin(
-                "datalink",
-                "send",
-                {"dst": dst_node, "bytes": msg.size},
-                track=track,
-            )
-        try:
+        with self.runtime.span("datalink", "send", {"dst": dst_node, "bytes": msg.size}):
             yield self.costs.dl_send_ns
             header = DatalinkHeader(
                 dl_type=dl_type,
@@ -150,7 +141,8 @@ class Datalink:
                 src=self.cab.name,
                 seqno=next(self.registry.frame_seqnos),
             )
-            if track is not None:
+            tracer = self.runtime.tracer
+            if tracer.sink is not None:
                 # Async span spanning the frame's life on the wire; the
                 # receiver's end-of-packet upcall (or nobody, for drops)
                 # closes it.
@@ -166,9 +158,6 @@ class Datalink:
 
                 frame.on_dma_done = release
             yield from self.cab.send_frame(frame)
-        finally:
-            if track is not None:
-                tracer.end("datalink", "send", track=track)
 
     def send_raw(self, dst_node: int, dl_type: int, packet: bytes) -> Generator:
         """Thread/interrupt-context: frame raw bytes (control packets, ACKs).

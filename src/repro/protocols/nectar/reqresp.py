@@ -140,42 +140,41 @@ class RequestResponseProtocol:
         timer = self._timers.get((dst_node, dst_port))
         if timer is None:
             timer = self._timers[(dst_node, dst_port)] = RetransmitTimer()
-        tries = 0
-        try:
-            while tries < RPC_MAX_TRIES:
-                tries += 1
-                if tries > 1:
-                    self.stats.add("rpc_retries")
-                msg = yield from self.transport.input_mailbox.begin_put(
-                    NectarTransportHeader.SIZE + len(data)
-                )
-                yield self.costs.cab_memcpy_ns(len(data))
-                msg.write(NectarTransportHeader.SIZE, data)
-                header = NectarTransportHeader(
-                    protocol=NECTAR_PROTO_REQRESP,
-                    kind=NECTAR_KIND_REQUEST,
-                    seq=seq,
-                    src_port=client_port,
-                    dst_node=dst_node,
-                    dst_port=dst_port,
-                )
-                self.stats.add("rpc_requests_out")
-                yield from self.transport.send_message(header, msg)
-                yield from ops.lock(call.mutex)
-                answered = yield from timer.wait(
-                    ops,
-                    call.cond,
-                    call.mutex,
-                    lambda: call.response is not None,
-                    tries == 1,
-                )
-                yield from ops.unlock(call.mutex)
-                if answered:
-                    return call.response
-            raise ProtocolError(
-                f"RPC request to node {dst_node} port {dst_port} timed out "
-                f"after {RPC_MAX_TRIES} tries"
+
+        def transmit(tries: int) -> Generator:
+            if tries > 1:
+                self.stats.add("rpc_retries")
+            msg = yield from self.transport.input_mailbox.begin_put(
+                NectarTransportHeader.SIZE + len(data)
             )
+            yield self.costs.cab_memcpy_ns(len(data))
+            msg.write(NectarTransportHeader.SIZE, data)
+            header = NectarTransportHeader(
+                protocol=NECTAR_PROTO_REQRESP,
+                kind=NECTAR_KIND_REQUEST,
+                seq=seq,
+                src_port=client_port,
+                dst_node=dst_node,
+                dst_port=dst_port,
+            )
+            self.stats.add("rpc_requests_out")
+            yield from self.transport.send_message(header, msg)
+
+        try:
+            answered = yield from timer.exchange(
+                ops,
+                call.cond,
+                call.mutex,
+                lambda: call.response is not None,
+                transmit,
+                RPC_MAX_TRIES,
+            )
+            if not answered:
+                raise ProtocolError(
+                    f"RPC request to node {dst_node} port {dst_port} timed out "
+                    f"after {RPC_MAX_TRIES} tries"
+                )
+            return call.response
         finally:
             del self._pending[(client_port, seq)]
 

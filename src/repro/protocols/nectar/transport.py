@@ -5,10 +5,11 @@ sub-protocol plugs in with one :meth:`NectarTransportLayer.register` call:
 its per-packet receive cost, its counter scope, and a :class:`PacketKind`
 per packet kind.  Every frame then takes the same interrupt-time path,
 without a copy: parse the 28-byte header, find the protocol, the kind and
-the session, charge the cost, free a control frame's buffer, and call the
-kind's handler.  An unknown kind counts ``<scope>_malformed`` and a failed
-lookup the kind's own counter; the layer frees the buffer of both, so a
-handler frees only what it decides to discard (:meth:`~NectarTransportLayer.drop`).
+the session, then, inside one ``(<scope>, "recv")`` span, charge the cost,
+free a control frame's buffer, and call the kind's handler.  An unknown
+kind counts ``<scope>_malformed`` and a failed lookup the kind's own
+counter; the layer frees the buffer of both, so a handler frees only what
+it decides to discard (:meth:`~NectarTransportLayer.drop`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class NectarTransportLayer:
         self.datalink = datalink
         self.node_id = datalink.node_id
         self.input_mailbox = runtime.mailbox("nectar-input")
-        #: protocol -> (receive cost, malformed counter, kind -> PacketKind)
+        #: protocol -> (receive cost, counter/span scope, kind -> PacketKind)
         self._table: Dict[int, Tuple[int, str, Dict[int, PacketKind]]] = {}
         self.stats = runtime.stats
         datalink.register(
@@ -62,10 +63,11 @@ class NectarTransportLayer:
         self, protocol: int, cost_ns: int, scope: str, kinds: Dict[int, PacketKind]
     ) -> None:
         """Bind a sub-protocol: the cost charged per received packet, the
-        counter scope of its ``<scope>_malformed`` drops, and its kinds."""
+        scope of its ``<scope>_malformed`` drops and ``(<scope>, "recv")``
+        spans, and its kinds."""
         if protocol in self._table:
             raise ProtocolError(f"Nectar sub-protocol {protocol} already registered")
-        self._table[protocol] = (cost_ns, f"{scope}_malformed", kinds)
+        self._table[protocol] = (cost_ns, scope, kinds)
 
     def drop(self, msg: Message, counter: Optional[str] = None) -> Generator:
         """Interrupt-context: free a received packet that is not passed on,
@@ -124,18 +126,19 @@ class NectarTransportLayer:
         if entry is None:
             yield from self.drop(msg, "nectar_unknown_protocol")
             return
-        cost_ns, malformed, kinds = entry
+        cost_ns, scope, kinds = entry
         kind = kinds.get(header.kind)
         if kind is None:
-            yield from self.drop(msg, malformed)
+            yield from self.drop(msg, f"{scope}_malformed")
             return
         lookup, no_session, handler, control = kind
         session = lookup(header)
         if session is None:
             yield from self.drop(msg, no_session)
             return
-        yield cost_ns
-        if control:
-            yield from self.input_mailbox.iabort_put(msg)
-            msg = None
-        yield from handler(session, msg, header)
+        with self.runtime.span(scope, "recv"):
+            yield cost_ns
+            if control:
+                yield from self.input_mailbox.iabort_put(msg)
+                msg = None
+            yield from handler(session, msg, header)

@@ -7,7 +7,9 @@ retransmitted (Karn's rule: an answer to a retransmission cannot say which
 copy it answers).  TCP keeps one per connection, RMP one per channel,
 request-response one per server it calls, NMP one per session (the
 sender's SYNC rounds are the group RTT, a member's NACK-to-repair round
-trips drive its NACK timers).
+trips drive its NACK timers).  RMP and request-response retry through
+:meth:`RetransmitTimer.exchange`; NMP, which holds its session mutex
+across the send, waits on :meth:`RetransmitTimer.wait` in loops of its own.
 
 The floor is RFC 6298's cure for spurious timeouts, scaled to this fabric:
 a fault-free 64-CAB fleet under bulk TCP queues small frames behind 32 KB
@@ -70,6 +72,30 @@ class RetransmitTimer:
         elif first_try:
             self.sample(sim.now - sent_ns)
         return answered
+
+    def exchange(
+        self,
+        ops,
+        cond,
+        mutex,
+        done: Callable[[], bool],
+        send: Callable[[int], Generator],
+        max_tries: int,
+    ) -> Generator:
+        """Thread-context: the bounded exchange of RMP and request-response.
+
+        Runs ``send(try_number)`` (1, 2, ...), then waits one RTO under
+        ``mutex`` for ``done()``, backing off and sending again until it is
+        answered or ``max_tries`` transmissions went unanswered.  Returns
+        whether it was answered; the caller raises its own error."""
+        for tries in range(1, max_tries + 1):
+            yield from send(tries)
+            yield from ops.lock(mutex)
+            answered = yield from self.wait(ops, cond, mutex, done, tries == 1)
+            yield from ops.unlock(mutex)
+            if answered:
+                return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RetransmitTimer srtt={self.srtt_ns} rto={self.rto_ns}>"

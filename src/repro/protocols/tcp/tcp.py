@@ -163,11 +163,7 @@ class TCPProtocol:
         the way back to the sender).
         """
         ops = self.runtime.ops
-        tracer = self.runtime.tracer
-        track = self.runtime.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin("tcp", "send", {"bytes": len(data)}, track=track)
-        try:
+        with self.runtime.span("tcp", "send", {"bytes": len(data)}):
             yield from ops.lock(self.lock)
             self._check_sendable(conn)
             while conn.send_buffer_full:
@@ -181,19 +177,12 @@ class TCPProtocol:
             request.write(0, struct.pack(_SEND_REQUEST_FMT, conn.conn_id, len(data)))
             request.write(struct.calcsize(_SEND_REQUEST_FMT), data)
             yield from self.send_request_mailbox.end_put(request)
-        finally:
-            if track is not None:
-                tracer.end("tcp", "send", track=track)
 
     def send_direct(self, conn: TCPConnection, data: bytes) -> Generator:
         """CAB-resident fast path: append to the send queue and run output
         directly, without involving the send thread (paper Sec. 4.2)."""
         ops = self.runtime.ops
-        tracer = self.runtime.tracer
-        track = self.runtime.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin("tcp", "send", {"bytes": len(data)}, track=track)
-        try:
+        with self.runtime.span("tcp", "send", {"bytes": len(data)}):
             yield from ops.lock(self.lock)
             self._check_sendable(conn)
             while conn.send_buffer_full:
@@ -202,9 +191,6 @@ class TCPProtocol:
             conn.send_buffer.extend(data)
             yield from self._output(conn)
             yield from ops.unlock(self.lock)
-        finally:
-            if track is not None:
-                tracer.end("tcp", "send", track=track)
 
     def close(self, conn: TCPConnection) -> Generator:
         """Begin an orderly close; returns once the FIN is queued."""

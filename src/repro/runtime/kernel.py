@@ -9,13 +9,14 @@ the host.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Optional
+from contextlib import nullcontext
+from typing import Any, ContextManager, Deque, Dict, Generator, Optional
 
 from repro.cab.board import CAB, DATA_MEMORY_BYTES
 from repro.cab.cpu import PRIORITY_APPLICATION, PRIORITY_SYSTEM, TCB, WaitToken
 from repro.errors import ConfigurationError
 from repro.runtime.heap import BufferHeap
-from repro.runtime.mailbox import Mailbox, Message
+from repro.runtime.mailbox import CACHED_BUFFER_BYTES, Mailbox, Message
 from repro.runtime.threads import Condition, Mutex, ThreadOps
 from repro.telemetry.metrics import CounterScope
 from repro.units import KB
@@ -25,6 +26,9 @@ __all__ = ["Runtime"]
 #: Low data memory reserved for control structures (host conditions, signal
 #: queues, sync pools) rather than the message heap.
 CONTROL_RESERVE_BYTES = 64 * KB
+
+#: What :meth:`Runtime.span` returns with no trace sink attached.
+_NO_SPAN = nullcontext()
 
 
 class Runtime:
@@ -50,13 +54,30 @@ class Runtime:
         #: Plain callables poked when heap space frees (host-side waiters).
         self.heap_space_hooks: list = []
         self.mailboxes: Dict[str, Mailbox] = {}
-        #: The simulation's tracer, for the protocols' spans.
+        #: The simulation's tracer (spans go through :meth:`span`).
         self.tracer = cab.sim.tracer
         self.stats = CounterScope()
 
+    # ----------------------------------------------------------------- spans
+
+    def span(self, component: str, label: str, detail: Any = None) -> ContextManager:
+        """``with runtime.span(...):`` one span on the track of the context
+        running now (:attr:`~repro.cab.cpu.CPU.span_track`, read once here).
+
+        The one way runtime and protocol code opens a span.  With no sink
+        attached it is one attribute test and a shared no-op; it never
+        costs simulated time.
+        """
+        tracer = self.tracer
+        if tracer.sink is None:
+            return _NO_SPAN
+        return tracer.span(component, label, detail, track=self.cpu.span_track)
+
     # ------------------------------------------------------------- mailboxes
 
-    def mailbox(self, name: str, cached_buffer_bytes: int = 128) -> Mailbox:
+    def mailbox(
+        self, name: str, cached_buffer_bytes: int = CACHED_BUFFER_BYTES
+    ) -> Mailbox:
         """Create a named mailbox (names are unique per CAB)."""
         if name in self.mailboxes:
             raise ConfigurationError(f"{self.name}: mailbox {name!r} already exists")

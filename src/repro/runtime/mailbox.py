@@ -165,16 +165,7 @@ class Mailbox:
 
     def begin_put(self, size: int) -> Generator:
         """Thread-context: allocate a data area; blocks until space exists."""
-        tracer = self.runtime.tracer
-        track = self.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin(
-                "mailbox",
-                "begin_put",
-                {"mailbox": self.name, "bytes": size},
-                track=track,
-            )
-        try:
+        with self.runtime.span("mailbox", "begin_put", {"mailbox": self.name, "bytes": size}):
             yield self.costs.rt_begin_put_ns
             while True:
                 msg = self._try_alloc_message(size)
@@ -184,9 +175,6 @@ class Mailbox:
                 token = WaitToken(name=f"heap:{self.name}")
                 self.runtime.heap_waiters.append(token)
                 yield Block(token)
-        finally:
-            if track is not None:
-                tracer.end("mailbox", "begin_put", track=track)
 
     def ibegin_put(self, size: int) -> Generator:
         """Interrupt-context: allocate or return None (never blocks)."""
@@ -198,19 +186,12 @@ class Mailbox:
 
     def end_put(self, msg: Message) -> Generator:
         """Make a written message available to readers; fire the upcall."""
-        tracer = self.runtime.tracer
-        track = self.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin("mailbox", "end_put", {"mailbox": self.name}, track=track)
-        try:
+        with self.runtime.span("mailbox", "end_put", {"mailbox": self.name}):
             yield self.costs.rt_end_put_ns
             self._queue_message(msg)
             if self.reader_upcall is not None:
                 yield self.costs.rt_upcall_ns
                 yield from self.reader_upcall(self)
-        finally:
-            if track is not None:
-                tracer.end("mailbox", "end_put", track=track)
 
     # The interrupt-context version is identical in structure: the upcall runs
     # at interrupt time, which is exactly the paper's IP-input design.
@@ -230,20 +211,13 @@ class Mailbox:
 
     def begin_get(self) -> Generator:
         """Thread-context: return the next message; blocks while empty."""
-        tracer = self.runtime.tracer
-        track = self.cpu.span_track if tracer.sink is not None else None
-        if track is not None:
-            tracer.begin("mailbox", "begin_get", {"mailbox": self.name}, track=track)
-        try:
+        with self.runtime.span("mailbox", "begin_get", {"mailbox": self.name}):
             yield self.costs.rt_begin_get_ns
             while not self.queue:
                 token = WaitToken(name=f"get:{self.name}")
                 self._get_waiters.append(token)
                 yield Block(token)
             return self._take_message()
-        finally:
-            if track is not None:
-                tracer.end("mailbox", "begin_get", track=track)
 
     def ibegin_get(self) -> Generator:
         """Interrupt-context: next message or None (never blocks)."""

@@ -181,7 +181,7 @@ class TestTelemetryOnOffInvariant:
         fleet = line_fleet(4, 16, hub_ports=18)
         spec = WorkloadSpec(
             seed=5, rmp_flows=8, rpc_flows=6, tcp_flows=2, tcp_bytes=2048,
-            mcast_flows=1, mcast_messages=3,
+            mcast_flows=1, mcast_messages=3, barrier_flows=1,
         )
 
         def run(telemetry):

@@ -6,7 +6,8 @@ import subprocess
 import sys
 import textwrap
 
-from repro.analysis.flow.callgraph import Project, dotted_name
+from repro.analysis.flow.callgraph import Project
+from repro.analysis.nectarlint import dotted_name
 
 
 def test_dotted_name():

@@ -117,6 +117,21 @@ def test_the_nectar_transports_have_one_receive_path():
     assert hits == [], "register a PacketKind instead:\n" + "\n".join(hits)
 
 
+def test_one_bounded_retry_loop():
+    """RMP and request-response send, wait one RTO, back off and retry
+    through ``RetransmitTimer.exchange``; only NMP's flush and NACK loops,
+    which hold the mutex across the send, wait on the timer themselves."""
+    timer_wait = re.compile(r"\b(rtt|timer)\.wait\(")
+    hits = [
+        f"{path.relative_to(REPO)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro" / "protocols" / "nectar").glob("*.py"))
+        if path.name != "nmp.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if timer_wait.search(line)
+    ]
+    assert hits == [], "retry through RetransmitTimer.exchange:\n" + "\n".join(hits)
+
+
 def _is_none(node):
     return isinstance(node, ast.Constant) and node.value is None
 
@@ -177,6 +192,41 @@ def test_detached_tracer_guard_catches_planted_sites():
         "            pass\n"
     )
     assert detached_tracer_sites(source) == [3, 4, 7, 9]
+
+
+def span_track_sites(source, filename="<source>"):
+    """Line numbers of every ``.span_track`` read: a span opened on the
+    running context's track by hand instead of through ``Runtime.span``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr == "span_track"
+    )
+
+
+def test_one_span_helper():
+    """Runtime and protocol code opens a span on the running context's
+    track only through ``Runtime.span``, which reads ``cpu.span_track``
+    once and is a shared no-op with no sink; no module hand-copies the
+    ``track = ... if tracer.sink ...; begin; try/finally; end`` block."""
+    hits = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != SRC / "repro" / "runtime" / "kernel.py"
+        for line in span_track_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert hits == [], "open the span with runtime.span(...):\n" + "\n".join(hits)
+
+
+def test_span_helper_guard_catches_planted_sites():
+    source = (
+        "def send(self, tracer, data):\n"
+        "    track = self.cpu.span_track if tracer.sink is not None else None\n"
+        "    tracer.begin('tcp', 'send', track=self.runtime.cpu.span_track)\n"
+        "    with self.runtime.span('tcp', 'send'):\n"
+        "        pass\n"
+    )
+    assert span_track_sites(source) == [2, 3]
 
 
 def vme_bus_sites(source, filename="<source>"):

@@ -414,3 +414,55 @@ class TestOneTracerPerSimulation:
             ("outer", 9, "t"),
             ("frame", 12, None),
         ]
+
+
+# ------------------------------------------------------- runtime-owned spans
+
+
+@pytest.fixture(scope="module")
+def recv_spans():
+    """``(component, track)`` of every closed ``recv`` span of two traced
+    runs: the Table 1 transports, and a fleet with a multicast and a
+    barrier flow; plus the span histograms the second run exported."""
+    from repro.cluster.fleet import build_fleet_system, line_fleet
+    from repro.cluster.workload import Workload, WorkloadSpec
+    from repro.telemetry.observe import run_observe
+
+    fleet = line_fleet(1, 6, hub_ports=8)
+    system = build_fleet_system(fleet)
+    telemetry = system.enable_telemetry()
+    workload = Workload(
+        WorkloadSpec(
+            seed=3, rmp_flows=0, rpc_flows=0, tcp_flows=0,
+            mcast_flows=1, mcast_messages=2, barrier_flows=1, barrier_rounds=1,
+        ),
+        fleet,
+    )
+    workload.install(system)
+    system.run()
+    assert not workload.incomplete(system)
+    telemetry.collect()
+    spans = set()
+    for recorder in (run_observe("table1", rounds=1).telemetry.recorder, telemetry.recorder):
+        spans.update(
+            (begin.component, track)
+            for begin, _end_ns, track in pair_spans(recorder.events)
+            if begin.label == "recv"
+        )
+    return spans, set(telemetry.metrics.names())
+
+
+class TestReceiveSpans:
+    """The Nectar receive table opens one ``(<scope>, "recv")`` span per
+    accepted packet, so every sub-protocol is seen without code of its own."""
+
+    @pytest.mark.parametrize("scope", ["datagram", "rmp", "rpc", "nmp", "coll"])
+    def test_every_nectar_sub_protocol_gets_a_recv_span(self, recv_spans, scope):
+        spans, _series = recv_spans
+        tracks = {track for component, track in spans if component == scope}
+        assert tracks, f"no closed ({scope!r}, 'recv') span"
+        assert all("/irq:" in track for track in tracks)
+
+    def test_recv_spans_feed_the_span_histograms(self, recv_spans):
+        _spans, series = recv_spans
+        assert {"span.nmp.recv.duration_ns", "span.coll.recv.duration_ns"} <= series
