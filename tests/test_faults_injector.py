@@ -9,6 +9,8 @@ across independent runs.
 
 import pytest
 
+from repro.cluster.fleet import build_fleet_system, line_fleet
+from repro.cluster.workload import Flow, Workload, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.faults.injector import Injector
 from repro.faults.plan import (
@@ -24,7 +26,7 @@ from repro.faults.plan import (
 )
 from repro.faults.catalogue import build, catalogue
 from repro.system import NectarSystem
-from repro.units import seconds, us
+from repro.units import ms, seconds, us
 
 
 class FakeFrame:
@@ -294,3 +296,50 @@ class TestDeterminism:
             assert case.plan.specs
         with pytest.raises(ConfigurationError, match="unknown fault case"):
             build("meteor-strike", 1)
+
+
+class TestDirectedPairFaults:
+    """A ``src->dst`` selector pins a fault to one CAB pair and direction."""
+
+    def _run(self, where):
+        fleet = line_fleet(1, 2, hub_ports=8)
+        flows = (
+            Flow(index=0, kind="rmp", src="cab-00-00", dst="cab-00-01",
+                 messages=4, size=128),
+            Flow(index=1, kind="rmp", src="cab-00-01", dst="cab-00-00",
+                 messages=4, size=128),
+        )
+        system = build_fleet_system(fleet)
+        injector = system.attach_fault_plan(
+            FaultPlan(
+                seed=7,
+                specs=(
+                    FaultSpec(
+                        kind=DROP,
+                        where=where,
+                        probability=1.0,
+                        window_ns=(0, us(800)),
+                    ),
+                ),
+            )
+        )
+        workload = Workload(WorkloadSpec(seed=7, explicit_flows=flows), fleet)
+        workload.install(system)
+        system.run(until=ms(40))
+        return injector
+
+    def test_directed_pattern_pins_one_direction(self):
+        injector = self._run("cab-00-00->cab-00-01")
+        sites = {site for _t, _kind, site in injector.fired}
+        assert sites == {"cab-00-00->cab-00-01"}
+
+    def test_plain_pattern_matches_the_sender(self):
+        injector = self._run("cab-00-00")
+        sites = {site for _t, _kind, site in injector.fired}
+        assert sites == {"cab-00-00"}
+
+    def test_spec_site_matching(self):
+        directed = FaultSpec(kind=DROP, where="cab-a->cab-b")
+        assert directed.matches_site("cab-a->cab-b")
+        assert not directed.matches_site("cab-b->cab-a")
+        assert not directed.matches_site("cab-a")

@@ -57,3 +57,36 @@ def test_valid_placements_still_accepted(rig):
     topology.place_cab("cab-x", hub_a, 0)
     topology.place_cab("cab-y", hub_b, 0)
     assert topology.compute_route("cab-x", "cab-y") == (7, 0)
+
+
+class TestCabOnRoute:
+    def _topology(self):
+        sim = Simulator()
+        hub0 = Hub(sim, "hub0", ports=8)
+        hub1 = Hub(sim, "hub1", ports=8)
+        topology = Topology()
+        topology.add_hub(hub0)
+        topology.add_hub(hub1)
+        topology.place_cab("cab-a", hub0, 0)
+        topology.place_cab("cab-b", hub0, 1)
+        topology.place_cab("cab-c", hub1, 0)
+        topology.link_hubs(hub0, 7, hub1, 7)
+        return topology
+
+    def test_resolves_local_and_multi_hop_routes(self):
+        topology = self._topology()
+        for src, dst in (("cab-a", "cab-b"), ("cab-a", "cab-c"), ("cab-c", "cab-b")):
+            route = topology.compute_route(src, dst)
+            assert topology.cab_on_route(src, route) == dst
+
+    def test_empty_route_is_loopback(self):
+        assert self._topology().cab_on_route("cab-a", ()) == "cab-a"
+
+    def test_malformed_routes_raise(self):
+        topology = self._topology()
+        with pytest.raises(RouteError):
+            topology.cab_on_route("cab-a", (7,))  # ends on the inter-hub link
+        with pytest.raises(RouteError):
+            topology.cab_on_route("cab-a", (5,))  # unwired port
+        with pytest.raises(RouteError):
+            topology.cab_on_route("cab-a", (1, 0))  # hops left after a CAB
