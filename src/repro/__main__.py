@@ -15,15 +15,14 @@ metrics, and cycle profiles (see :mod:`repro.telemetry.observe`);
 ``bench`` is the scenario harness (see :mod:`repro.scenario`) and the
 only way to run or gate a scenario kind — the sharded fleet (``bench
 scale``, :mod:`repro.cluster`), the multicast/collective bench (``bench
-mcast``), the buffer plane (``bench buf``), the scored operations lab
-(``bench ops``, :mod:`repro.ops`), the fault campaigns (``bench chaos``,
-:mod:`repro.faults.campaign`), the observe workloads' summaries and
+mcast``), the buffer plane (``bench buf``), the fault campaigns
+(``bench chaos``, :mod:`repro.faults.campaign`), the observe workloads' summaries and
 artifact digests (``bench observe``), the capacity workload, and the
 paper's tables and figures: it runs any committed scenario file, takes
 ``key=value`` parameter overrides, sweeps parameter grids into
 capacity-curve reports, and ``bench --check-all`` is the one regression
 gate over every committed baseline (``BENCH_*.json``,
-``OPS_baseline.txt``, ``CHAOS_baseline.txt``).
+``CHAOS_baseline.txt``).
 """
 
 from __future__ import annotations

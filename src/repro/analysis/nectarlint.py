@@ -63,7 +63,6 @@ SENSITIVE_PARTS = (
     "telemetry",
     "cluster",
     "buf",
-    "ops",
     "hub",
     "scenario",
 )

@@ -55,13 +55,6 @@ class FleetSpec:
             name for name, hub, _port in self.cabs if hub in wanted
         )
 
-    def describe(self) -> str:
-        """One-line human summary of the fleet's size."""
-        return (
-            f"{len(self.hubs)} hubs / {len(self.links)} inter-hub links / "
-            f"{len(self.cabs)} CABs"
-        )
-
 
 # ------------------------------------------------------------------ generators
 

@@ -107,9 +107,9 @@ class WorkloadSpec:
     barrier_flows: int = 0
     barrier_rounds: int = 3
     #: Explicit :class:`Flow` tuple overriding the seeded expansion.  The
-    #: ops lab uses this to pin incident traffic to known endpoints (the
-    #: count/size fields above are ignored when set).  Flow indices must be
-    #: distinct — they are the port basis.
+    #: fault catalogue and the ``mcast`` bench use this to pin traffic to
+    #: known endpoints (the count/size fields above are ignored when set).
+    #: Flow indices must be distinct — they are the port basis.
     explicit_flows: tuple = ()
 
     def flows(self, fleet: FleetSpec) -> tuple:

@@ -12,15 +12,13 @@ forces those paths to actually execute:
   plan at the instrumented hook points (fiber/link egress, datalink
   receive, FIFO back-pressure, mailbox queueing, whole-CAB crash windows).
 * :mod:`repro.faults.catalogue` — the one catalogue of fault cases (a
-  fleet, explicit flows, a seeded plan, a horizon): five chaos cases
-  (``lossy-link``, ``bursty-corruption``, ``cab-blackout``,
-  ``overloaded-fifo``, ``multicast-storm``) and the six ops incidents,
-  which add ground truth; and :func:`~repro.faults.catalogue.run_case`,
-  the one runner every consumer uses.
-* :mod:`repro.faults.campaign` — the chaos verdict behind
+  fleet, explicit flows, a seeded plan, a horizon): ``lossy-link``,
+  ``bursty-corruption``, ``cab-blackout``, ``overloaded-fifo`` and
+  ``multicast-storm``; and :func:`~repro.faults.catalogue.run_case`, the
+  one runner every consumer uses.
+* :mod:`repro.faults.campaign` — the one verdict, behind
   ``python -m repro bench chaos``: every flow of a case delivered exactly
-  once, in order, bit-exact, and two runs identical.  The ops lab
-  (:mod:`repro.ops.lab`) is the other verdict over the same catalogue.
+  once, in order, bit-exact, and two runs identical.
 
 Everything is driven by explicit seeds; a fixed (case, seed) pair
 reproduces the same faults at the same simulated nanoseconds every run.

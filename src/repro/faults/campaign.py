@@ -1,4 +1,4 @@
-"""Chaos campaigns: the catalogue's chaos cases, judged without ground truth.
+"""Chaos campaigns: the one verdict over the fault catalogue.
 
 A campaign runs one :class:`~repro.faults.catalogue.Case` through
 :func:`~repro.faults.catalogue.run_case` — four flows across a four-CAB
@@ -6,8 +6,9 @@ rig under a seeded fault plan (see :mod:`repro.faults.catalogue`) — and
 checks the repo's core invariant: every flow record delivered **exactly
 once, in order, bit-exact** (its delivered-bytes digest equals the digest
 of the flow's own payloads).  It then runs the case again from scratch
-and checks that the whole run (its last event's time, every counter,
-every fault firing, every delivered byte) is **deterministic** for the fixed seed.
+and checks that the whole run (its last event's time, its event count,
+every counter, every fault firing, every delivered byte) is
+**deterministic** for the fixed seed.
 ``python -m repro bench chaos`` renders every campaign and gates the text
 against ``CHAOS_baseline.txt``; exit status 0 means both invariants held.
 
@@ -188,10 +189,5 @@ def run_campaign(case: Case) -> CampaignReport:
         case=case,
         run=first,
         counters=first.system.metrics.counters(),
-        # An unobserved run's last event is behavior too (the report
-        # prints it); the signature leaves it out only for the recorder.
-        deterministic=(
-            first.system.sim.last_event_ns == second.system.sim.last_event_ns
-            and behavior_signature(first) == behavior_signature(second)
-        ),
+        deterministic=behavior_signature(first) == behavior_signature(second),
     )

@@ -146,8 +146,8 @@ class Injector:
         Plain ``where`` patterns keep their historical meaning — matched
         against the *sending* CAB name.  Patterns containing ``"->"`` are
         *directed-pair* selectors matched against ``"src->dest"``, which
-        pins a spec to one fiber direction (e.g. the lossy inter-HUB
-        incident drops only frames crossing a specific hub-to-hub link).
+        pins a spec to one fiber direction (e.g. ``multicast-storm`` drops
+        only the multicast replicas bound for one member).
         """
         now = self._clock()
         pair = f"{src}->{dest}"

@@ -70,8 +70,8 @@ class FaultSpec:
     may be matched alone).  ``"*"`` matches every site.  A ``drop`` or
     ``corrupt`` pattern containing ``"->"`` is *directed*: it is matched
     against ``"src->dst"`` instead of the sending CAB alone, pinning the
-    spec to one CAB pair and direction (how the ops lab models a single
-    lossy inter-HUB fiber).
+    spec to one CAB pair and direction (how ``multicast-storm`` drops
+    single fan-out branches).
 
     Firing schedule (first one set wins, checked in this order):
 

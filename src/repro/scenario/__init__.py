@@ -1,16 +1,16 @@
 """The declarative scenario/benchmark harness behind ``python -m repro bench``.
 
 Every benchmark in the tree — the paper tables and figures, the sharded
-fleet bench, the zero-copy buffer bench, the multicast bench, the ops lab,
-and the capacity-curve workloads — is described by one **scenario file**:
-a small TOML document naming a *kind* (which execution plane runs it),
-its parameters, an optional parameter **sweep** grid, and the committed
-baseline it is gated against.  The harness supplies, uniformly:
+fleet bench, the zero-copy buffer bench, the multicast bench, the fault
+campaigns, and the capacity-curve workloads — is described by one
+**scenario file**: a small TOML document naming a *kind* (which
+execution plane runs it), its parameters, an optional parameter
+**sweep** grid, and the committed baseline it is gated against.  The harness supplies, uniformly:
 
 * a validated schema with actionable file/line errors
   (:mod:`repro.scenario.config`, :mod:`repro.scenario.model`);
 * a runner that executes any scenario through the existing
-  system/cluster/faults/ops planes (:mod:`repro.scenario.runner`);
+  system/cluster/faults planes (:mod:`repro.scenario.runner`);
 * deterministic sweep expansion and byte-stable capacity-curve reports —
   events/sec, sim-time, p50/p99 latency, throughput, copy/crossing
   counters (:mod:`repro.scenario.sweep`, :mod:`repro.scenario.report`);

@@ -11,7 +11,7 @@ Usage::
 ``<scenario>`` is a committed scenario name (a file in ``scenarios/``)
 or a path to any ``.toml`` scenario file.  ``key=value`` overrides one of
 the kind's parameters for this run (``bench scale hubs=8 workers=1,2``,
-``bench ops incident=slow-cab``); overrides are validated like the
+``bench chaos scenario=cab-blackout``); overrides are validated like the
 scenario file's ``[params]`` and are refused with ``--check``/``--write``,
 which judge and record the committed configuration only.  Exit status:
 0 on success/clean gate, 1 on a regression or a report that breaks its
@@ -207,6 +207,6 @@ def main(argv: List[str]) -> int:
         return _run(scenario, json_path)
     except ConfigurationError as error:
         # A well-typed parameter the execution plane refuses (an unknown
-        # fleet shape, conductor mode or incident name).
+        # fleet shape, conductor mode or chaos scenario name).
         print(str(error), file=sys.stderr)
         return 2

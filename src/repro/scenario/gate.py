@@ -9,7 +9,7 @@ every kind:
   key-path verdict per leaf that differs
   (``deterministic.workers.4.barriers: 1145 -> 1200 (+55)``), per key the
   fresh report dropped and per key it grew.  A text golden
-  (``OPS_baseline.txt``) is the ``deterministic.report`` leaf of the same
+  (``CHAOS_baseline.txt``) is the ``deterministic.report`` leaf of the same
   walk.  The match is exact: an improvement is re-baselined with
   ``--write`` like any other deliberate change.
 * **is it sound?** — :func:`invariant_verdicts` applies the kind's

@@ -75,7 +75,7 @@ def _single_report(scenario: Scenario, report: dict) -> str:
         # Table/figure drivers already render their own report.
         return deterministic["text"].rstrip("\n") + "\n"
     if isinstance(deterministic.get("report"), str):
-        # The ops, chaos and observe report goldens are the report.
+        # The chaos and observe report goldens are the report.
         return deterministic["report"].rstrip("\n") + "\n"
     if all(_is_scalar(value) for value in deterministic.values()):
         rows = [

@@ -9,7 +9,7 @@ A **kind** names one execution plane and declares, in one place:
   ``config`` / ``deterministic`` split (``deterministic`` is
   byte-identical across runs: every value in it is simulated);
 * its **invariants** — what must hold of any fresh report regardless of a
-  baseline (parity not broken, every buffer freed, the lab verdict PASS),
+  baseline (parity not broken, every buffer freed, the chaos verdict PASS),
   declared as data and applied to every run and every sweep point;
 * a one-line summary of a report for the gate's OK line.
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import json
 import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -169,61 +168,27 @@ def _summarize_mcast(report: dict) -> str:
     return f"ratio {report['deterministic']['fanout']['crossing_ratio']}"
 
 
-# ---------------------------------------------- ops, chaos and observe kinds
+# ------------------------------------------------- chaos and observe kinds
 
 
-def _known(cases: dict, what: str, name: str, seed: int) -> dict:
-    """``cases`` (one verdict's share of the fault catalogue), once
-    ``name`` is empty or one of them.
+def _run_chaos(params: dict) -> dict:
+    """Every chaos campaign, or — with ``scenario`` — one; reports joined.
 
-    An unknown ``name`` raises a :class:`ConfigurationError` that lists
-    the verdict's own cases with their summaries.
+    An unknown ``scenario`` raises a :class:`ConfigurationError` that lists
+    the catalogue's cases with their summaries.
     """
+    from repro.faults.campaign import run_campaign
+    from repro.faults.catalogue import catalogue
+
+    seed, name = params["seed"], params["scenario"]
+    cases = catalogue(seed)
     if name and name not in cases:
         listing = "\n".join(
             f"  {known:18s} {cases[known].summary}" for known in sorted(cases)
         )
         raise ConfigurationError(
-            f"unknown {what} {name!r}; the catalogue (seed={seed}):\n{listing}"
+            f"unknown scenario {name!r}; the catalogue (seed={seed}):\n{listing}"
         )
-    return cases
-
-
-def _run_ops(params: dict) -> dict:
-    """The whole lab, or — with ``incident`` — one incident and its journal."""
-    from repro.faults.catalogue import incidents
-    from repro.ops import lab
-
-    seed, name = params["seed"], params["incident"]
-    cases = _known(incidents(seed), "incident", name, seed)
-    result = lab.run_incident(cases[name]) if name else lab.run_lab(seed)
-    deterministic = {
-        "passed": result.passed,
-        "report": result.render() + "\n",
-        "score": result.score if name else result.total_score,
-    }
-    if name:
-        deterministic["journal"] = json.loads(result.journal.render())
-    return {
-        "bench": "ops",
-        "config": dict(sorted(params.items())),
-        "deterministic": deterministic,
-    }
-
-
-def _summarize_ops(report: dict) -> str:
-    deterministic = report["deterministic"]
-    verdict = "PASS" if deterministic["passed"] else "FAIL"
-    return f"score {deterministic['score']}, {verdict}"
-
-
-def _run_chaos(params: dict) -> dict:
-    """Every chaos campaign, or — with ``scenario`` — one; reports joined."""
-    from repro.faults.campaign import run_campaign
-    from repro.faults.catalogue import chaos_cases
-
-    seed, name = params["seed"], params["scenario"]
-    cases = _known(chaos_cases(seed), "scenario", name, seed)
     reports = [
         run_campaign(cases[known]) for known in ([name] if name else sorted(cases))
     ]
@@ -393,19 +358,6 @@ KINDS: Dict[str, Kind] = {
                     "sharded runs diverged from the reference",
                 ),
                 Invariant("parity.reference.recoveries", "==", 0, _NO_RECOVERY),
-            ),
-        ),
-        Kind(
-            name="ops",
-            summary="scored operations lab (or one incident + its journal)",
-            params={
-                "seed": ParamSpec("int", 7),
-                "incident": ParamSpec("str", ""),
-            },
-            run=_run_ops,
-            summarize=_summarize_ops,
-            invariants=(
-                Invariant("passed", "==", True, "ops lab verdict is FAIL"),
             ),
         ),
         Kind(

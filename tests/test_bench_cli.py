@@ -95,7 +95,7 @@ class TestBenchCli:
     def test_list_shows_committed_scenarios(self, capsys):
         assert bench_cli.main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("scale", "buf", "mcast", "ops", "chaos", "observe", "load"):
+        for name in ("scale", "buf", "mcast", "chaos", "observe", "load"):
             assert name in out
 
     def test_check_and_write_are_mutually_exclusive(self, capsys):
@@ -118,7 +118,6 @@ class TestBenchCli:
             "BENCH_scale.json",
             "BENCH_buf.json",
             "BENCH_mcast.json",
-            "OPS_baseline.txt",
             "CHAOS_baseline.txt",
             "BENCH_observe.json",
             "BENCH_load.json",
@@ -130,7 +129,7 @@ class TestBenchCli:
             "BENCH_ablations.json",
         ):
             assert f"OK: {baseline}" in result.stdout
-        assert "bench --check-all: OK (13 gates)" in result.stdout
+        assert "bench --check-all: OK (12 gates)" in result.stdout
 
 
 class TestOverrides:
@@ -191,7 +190,6 @@ class TestInvariantExit:
             ("mcast", ("parity", "verdict"), False, "deterministic.parity.verdict: False must be == True"),
             ("buf", ("scale", "buffers_freed"), 0, "deterministic.scale.buffers_allocated"),
             ("buf", ("rmp_stream", "memcpy_bytes"), 30000, "must be <= 22368"),
-            ("ops", ("passed",), False, "ops lab verdict is FAIL"),
             ("chaos", ("passed",), False, "chaos campaign verdict is FAIL"),
         ],
     )
@@ -204,7 +202,7 @@ class TestInvariantExit:
         if scenario.baseline.endswith(".json"):
             report = json.loads((repo_root() / scenario.baseline).read_text())
         else:
-            report = {"deterministic": {"passed": True, "report": "", "score": 0}}
+            report = {"deterministic": {"passed": True, "report": ""}}
         leaf = report["deterministic"]
         for key in path[:-1]:
             leaf = leaf[key]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.buf import BufView, CopyMeter, PacketBuffer
 from repro.errors import BufError
-from repro.faults.catalogue import chaos_cases, run_case
+from repro.faults.catalogue import catalogue, run_case
 from repro.hw.fiber import Frame
 from tests.conftest import shrunk_case
 
@@ -213,7 +213,7 @@ def test_released_frame_payload_is_inaccessible():
 # ------------------------------------------------------- system-level leaks
 
 
-@pytest.mark.parametrize("scenario", sorted(chaos_cases(7)))
+@pytest.mark.parametrize("scenario", sorted(catalogue(7)))
 def test_no_buffer_leaks_after_chaos_scenario(scenario):
     """Every frame buffer allocated under faults is released: drops, CRC
     rejections, retransmissions, and deliveries all terminate ownership."""

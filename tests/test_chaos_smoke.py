@@ -10,11 +10,11 @@ compares every campaign's report with ``CHAOS_baseline.txt``.
 import pathlib
 
 from repro.analysis import nectarlint
-from repro.faults.catalogue import chaos_cases
+from repro.faults.catalogue import catalogue
 from repro.scenario import cli as bench_cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-CHAOS = chaos_cases(7)
+CHAOS = catalogue(7)
 
 
 def run_chaos(capsys, *overrides):

@@ -1,10 +1,8 @@
-"""The one fault catalogue: unique names, two verdicts, one listing helper.
+"""The one fault catalogue: unique names, one listing helper, one verdict.
 
-Chaos scenarios and ops incidents are the same kind of thing — a fleet,
-explicit flows, a seeded fault plan, a horizon — so they live in one
-catalogue (:mod:`repro.faults.catalogue`).  A case with ground truth is an
-ops incident; one without is a chaos case.  ``bench chaos`` and ``bench
-ops`` each list only their own cases when given an unknown name.
+Every fault case is a fleet, explicit flows, a seeded fault plan and a
+horizon (:mod:`repro.faults.catalogue`); ``bench chaos`` judges each one
+and lists the catalogue when given an unknown name.
 """
 
 import dataclasses
@@ -16,7 +14,7 @@ from repro.cluster.workload import Flow, Workload
 from repro.errors import ConfigurationError
 from repro.faults import catalogue as catalogue_module
 from repro.faults.campaign import run_campaign
-from repro.faults.catalogue import build, catalogue, chaos_cases, incidents
+from repro.faults.catalogue import build, catalogue
 from repro.faults.plan import FaultPlan
 from repro.scenario import cli as bench_cli
 from tests.conftest import shrunk_case
@@ -24,12 +22,9 @@ from tests.conftest import shrunk_case
 SEED = 7
 
 
-def test_eleven_uniquely_named_cases():
+def test_five_uniquely_named_cases():
     cases = catalogue(SEED)
-    assert len(cases) == len(catalogue_module._BUILDERS) == 11
-    chaos, graded = chaos_cases(SEED), incidents(SEED)
-    assert (len(chaos), len(graded)) == (5, 6)
-    assert {**chaos, **graded} == cases
+    assert len(cases) == len(catalogue_module._BUILDERS) == 5
     for name, case in cases.items():
         assert case.name == name and case.summary
         assert case.plan.seed == SEED and case.plan.specs and case.flows
@@ -42,18 +37,14 @@ def test_a_duplicate_name_is_refused(monkeypatch):
         catalogue(SEED)
 
 
-@pytest.mark.parametrize(
-    "kind,param,select",
-    [("chaos", "scenario", chaos_cases), ("ops", "incident", incidents)],
-)
-def test_an_unknown_name_lists_that_verdicts_own_cases(capsys, kind, param, select):
-    assert bench_cli.main([kind, f"{param}=nope"]) == 2
+def test_an_unknown_scenario_lists_the_catalogue(capsys):
+    assert bench_cli.main(["chaos", "scenario=nope"]) == 2
     header, *lines = capsys.readouterr().err.splitlines()
-    assert f"unknown {param} 'nope'" in header and f"seed={SEED}" in header
-    own = select(SEED)
-    assert [line.split()[0] for line in lines] == sorted(own)
+    assert "unknown scenario 'nope'" in header and f"seed={SEED}" in header
+    cases = catalogue(SEED)
+    assert [line.split()[0] for line in lines] == sorted(cases)
     for line in lines:
-        assert line.endswith(own[line.split()[0]].summary)
+        assert line.endswith(cases[line.split()[0]].summary)
 
 
 def test_a_corrupted_delivery_fails_the_bit_exact_check():

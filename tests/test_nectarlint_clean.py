@@ -360,26 +360,6 @@ def test_buf_package_is_lint_clean():
     assert findings == [], f"nectarlint findings in repro.buf:\n{rendered}"
 
 
-def test_ops_package_is_simulation_sensitive():
-    """The ops lab's journal and scores are goldens, so ops is strict."""
-    assert "ops" in nectarlint.SENSITIVE_PARTS
-    assert nectarlint._is_sensitive("src/repro/ops/lab.py")
-
-
-def test_ops_package_is_lint_clean():
-    findings = nectarlint.lint_paths([str(SRC / "repro" / "ops")])
-    rendered = "\n".join(finding.render() for finding in findings)
-    assert findings == [], f"nectarlint findings in repro.ops:\n{rendered}"
-
-
-def test_set_iteration_in_ops_gets_the_sensitive_rules():
-    source = "def alert_sites(sites):\n    return [s for s in set(sites)]\n"
-    sensitive = nectarlint.lint_source(source, path="src/repro/ops/detect.py")
-    relaxed = nectarlint.lint_source(source, path="src/repro/bench/x.py")
-    assert any(finding.code == "ND004" for finding in sensitive), sensitive
-    assert not any(finding.code == "ND004" for finding in relaxed), relaxed
-
-
 def test_payload_materialization_in_data_path_is_flagged():
     source = "def export(frame):\n    return bytes(frame.payload)\n"
     findings = nectarlint.lint_source(source, path="src/repro/hub/network.py")

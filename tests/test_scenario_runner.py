@@ -196,7 +196,7 @@ class TestCommittedScenarios:
         from repro.scenario.model import list_scenarios, load_scenario
 
         names = list_scenarios()
-        assert {"scale", "buf", "mcast", "ops", "chaos", "observe", "load"} <= set(names)
+        assert {"scale", "buf", "mcast", "chaos", "observe", "load"} <= set(names)
         for name in names:
             scenario = load_scenario(name)
             assert scenario.kind in KINDS
@@ -231,7 +231,6 @@ class TestCommittedScenarios:
             "scale": "BENCH_scale.json",
             "buf": "BENCH_buf.json",
             "mcast": "BENCH_mcast.json",
-            "ops": "OPS_baseline.txt",
             "chaos": "CHAOS_baseline.txt",
             "observe": "BENCH_observe.json",
         }

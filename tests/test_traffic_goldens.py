@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from repro.faults.catalogue import chaos_cases
+from repro.faults.catalogue import catalogue
 from repro.scenario.runner import KINDS
 from repro.telemetry.observe import WORKLOADS
 
@@ -42,7 +42,7 @@ def committed(kind: str) -> dict:
     return blocks(report["report"], "observe workload: ")
 
 
-CASES = [("chaos", "scenario", name) for name in sorted(chaos_cases(SEED))] + [
+CASES = [("chaos", "scenario", name) for name in sorted(catalogue(SEED))] + [
     ("observe", "workload", name) for name in sorted(WORKLOADS)
 ]
 
