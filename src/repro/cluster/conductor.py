@@ -474,13 +474,9 @@ class Conductor:
         return result
 
 
-def run_reference(
-    fleet: FleetSpec, workload_spec: WorkloadSpec, fault_plan=None
-) -> FleetResult:
+def run_reference(fleet: FleetSpec, workload_spec: WorkloadSpec) -> FleetResult:
     """The unsharded baseline: one Simulator runs the whole fleet."""
     system = build_fleet_system(fleet)
-    if fault_plan is not None:
-        system.attach_fault_plan(fault_plan)
     workload = Workload(workload_spec, fleet)
     workload.install(system)
     system.run()

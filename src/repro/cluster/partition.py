@@ -36,13 +36,6 @@ class Partition:
                 return shard_id
         raise ConfigurationError(f"hub {hub_name!r} not in any shard")
 
-    def describe(self) -> str:
-        """One-line human summary of the hub-to-shard assignment."""
-        return " | ".join(
-            f"shard{shard_id}={','.join(hub_names)}"
-            for shard_id, hub_names in enumerate(self.shards)
-        )
-
 
 class Partitioner:
     """Cuts a :class:`FleetSpec` into shards along inter-HUB links."""

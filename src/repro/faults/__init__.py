@@ -31,7 +31,6 @@ from repro.faults.plan import (
     DROP,
     FAULT_KINDS,
     MBOX_LOSE,
-    RX_DROP,
     SQUEEZE,
     STALL,
     FaultPlan,
@@ -47,7 +46,6 @@ __all__ = [
     "FaultSpec",
     "Injector",
     "MBOX_LOSE",
-    "RX_DROP",
     "SQUEEZE",
     "STALL",
 ]

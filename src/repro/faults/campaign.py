@@ -117,10 +117,10 @@ class CampaignReport:
             )
         if run.error is not None:
             lines.append(f"run error: {run.error}")
-        # What the fault plan ate: fabric frames, datalink frames, mailbox
-        # messages (``<cab>.mbox.<mailbox>.fault_lost_messages``).
+        # What the fault plan ate: fabric frames and mailbox messages
+        # (``<cab>.mbox.<mailbox>.fault_lost_messages``).
         fault_drops = self.counters.get("net.frames_dropped", 0) + self._counter(
-            ".hw.dl_fault_drops", ".fault_lost_messages"
+            ".fault_lost_messages"
         )
         lines.append(
             "recovery: "
@@ -154,9 +154,7 @@ class CampaignReport:
             f"nacks={nacks} suppressed={suppressed} "
             f"effectiveness={effectiveness}"
         )
-        injected = self._counter(
-            "fault.fault_drop", "fault.fault_rx-drop", "fault.fault_mbox-lose"
-        )
+        injected = self._counter("fault.fault_drop", "fault.fault_mbox-lose")
         lines.append(f"  drops: injected={injected} observed={fault_drops}")
         hist = Histogram("fault.fire_time_ns", buckets=_FIRE_BUCKETS)
         for time_ns, _kind, _site in run.injector.fired:

@@ -11,8 +11,6 @@ if-guard, so a system with no injector pays one attribute test per site:
 * ``on_fanout_branch(src, dest, replica)`` — HUB crossbar fan-out
   (:meth:`~repro.hub.network._HubForwarder.accept_tree`): directed ``drop``
   faults and ``crash`` blackouts on individual branches of a fan-out tree.
-* ``datalink_rx_drop(node, frame)`` — datalink start-of-packet handler:
-  ``rx-drop`` faults discard a good frame before dispatch.
 * ``mailbox_lose(node, mailbox, msg)`` — mailbox queueing: ``mbox-lose``
   faults eat a message as it is queued.
 * ``install(system)`` — wires the hooks into an assembled system and
@@ -36,7 +34,6 @@ from repro.faults.plan import (
     CRASH,
     DROP,
     MBOX_LOSE,
-    RX_DROP,
     SQUEEZE,
     STALL,
     FaultPlan,
@@ -228,16 +225,6 @@ class Injector:
                 total += state.spec.stall_ns
                 self._fire(state, src)
         return total
-
-    # --------------------------------------------------------- datalink hook
-
-    def datalink_rx_drop(self, node: str, frame) -> bool:
-        """Whether the datalink receive path should discard this good frame."""
-        for state in self._active(RX_DROP, node):
-            if state.decide():
-                self._fire(state, node)
-                return True
-        return False
 
     # ---------------------------------------------------------- mailbox hook
 

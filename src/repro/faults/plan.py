@@ -30,7 +30,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "MBOX_LOSE",
-    "RX_DROP",
     "SQUEEZE",
     "STALL",
 ]
@@ -45,9 +44,6 @@ STALL = "stall"
 #: FIFO back-pressure squeeze: part of a FIFO's capacity is reserved, so
 #: producers block earlier (the HUB's low-level flow control under load).
 SQUEEZE = "squeeze"
-#: Good frame discarded by the datalink receive path before dispatch
-#: (models software drops under interrupt/buffer pressure).
-RX_DROP = "rx-drop"
 #: Message lost while being queued into a mailbox (host-CAB interface
 #: loss; aim it at transport input mailboxes such as ``tcp-input``).
 MBOX_LOSE = "mbox-lose"
@@ -55,7 +51,7 @@ MBOX_LOSE = "mbox-lose"
 #: eaten while the window is open; the board "restarts" when it closes.
 CRASH = "crash"
 
-FAULT_KINDS = (DROP, CORRUPT, STALL, SQUEEZE, RX_DROP, MBOX_LOSE, CRASH)
+FAULT_KINDS = (DROP, CORRUPT, STALL, SQUEEZE, MBOX_LOSE, CRASH)
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,8 @@ class FaultSpec:
     ``where`` is matched against the hook site's label: the sending or
     receiving CAB name for ``crash``, the sending CAB name for
     ``drop``/``corrupt``/``stall``, the FIFO name for ``squeeze``
-    (substring match, e.g. ``"cab-b.fiber-in"``), the receiving CAB name
-    for ``rx-drop``, and ``"node:mailbox"`` for ``mbox-lose`` (either half
-    may be matched alone).  ``"*"`` matches every site.  A ``drop`` or
+    (substring match, e.g. ``"cab-b.fiber-in"``), and ``"node:mailbox"``
+    for ``mbox-lose`` (either half may be matched alone).  ``"*"`` matches every site.  A ``drop`` or
     ``corrupt`` pattern containing ``"->"`` is *directed*: it is matched
     against ``"src->dst"`` instead of the sending CAB alone, pinning the
     spec to one CAB pair and direction (how ``multicast-storm`` drops

@@ -188,13 +188,6 @@ class Datalink:
     def _sop_handler(self, frame: Frame) -> Generator:
         """Start-of-packet interrupt handler."""
         yield self.costs.dl_sop_handler_ns
-        faults = self.runtime.faults
-        if faults is not None and faults.datalink_rx_drop(self.cab.name, frame):
-            # Injected software drop: a good frame is discarded before
-            # dispatch (interrupt/buffer pressure); transports recover.
-            self.stats.add("dl_fault_drops")
-            self.cab.discard_rx(frame)
-            return
         try:
             header = DatalinkHeader.unpack(frame.payload.mv())
         except ProtocolError:

@@ -178,26 +178,3 @@ def test_injected_corruption_dropped_by_crc_before_protocol_layer():
     assert b.cab.stats.value("dl_crc_drops") == 1
     assert b.runtime.stats.value("datagram_in") == 0
     assert len(inbox) == 0
-
-
-def test_injected_rx_drop_counted_and_invisible_above():
-    """Negative path: an injected software rx-drop discards a *good* frame
-    before dispatch and counts it; nothing reaches the protocol layer."""
-    from repro.faults.plan import RX_DROP, FaultPlan, FaultSpec
-
-    system, a, b = rig()
-    system.attach_fault_plan(
-        FaultPlan(seed=5, specs=(FaultSpec(kind=RX_DROP, where="b", nth=1),))
-    )
-    inbox = b.runtime.mailbox("user-inbox")
-    b.datagram.bind(500, inbox)
-
-    def sender():
-        yield from a.datagram.send(1, b.node_id, 500, b"eaten in software")
-
-    a.runtime.fork_application(sender(), "s")
-    system.run(until=ms(5))
-    assert b.cab.stats.value("dl_fault_drops") == 1
-    assert b.cab.stats.value("crc_errors") == 0
-    assert b.runtime.stats.value("datagram_in") == 0
-    assert len(inbox) == 0

@@ -17,7 +17,6 @@ from repro.faults.plan import (
     CORRUPT,
     CRASH,
     DROP,
-    RX_DROP,
     SQUEEZE,
     STALL,
     FaultPlan,
@@ -166,12 +165,6 @@ class TestFiringSchedules:
         injector.on_link_frame("cab-a", "cab-b", frame)
         assert not frame.drop
         assert frame.corrupted_at is not None
-
-    def test_rx_drop_hook_matches_receiving_node(self):
-        plan = FaultPlan(seed=3, specs=(FaultSpec(kind=RX_DROP, where="cab-b", nth=1),))
-        injector = Injector(plan)
-        assert not injector.datalink_rx_drop("cab-a", FakeFrame())
-        assert injector.datalink_rx_drop("cab-b", FakeFrame())
 
     def test_stall_sums_matching_delays(self):
         plan = FaultPlan(
