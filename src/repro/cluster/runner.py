@@ -89,9 +89,11 @@ class ShardRunner:
         network = self.system.network
         network.boundary_egress = self.outbox.append
         # Events up to (first emission's fire time + this margin) are safe
-        # to run before exchanging: the emitted frame needs at least a
-        # forwarding hop and a propagation delay on the far side before
-        # anything can come back across.
+        # to run before exchanging: anything the emitted frame causes on
+        # the far side comes back no sooner than a forwarding hop, the
+        # frame's serialization (at least its 16-byte datalink header,
+        # 1,280 ns) and a propagation delay — more than the emission floor
+        # plus one propagation delay.
         self._emit_margin_ns = (
             network.min_emission_delta_ns()
             + network.costs.fiber_propagation_ns

@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError, RouteError
 from repro.hub.crossbar import Hub, PortAttachment, PortKind
 from repro.hub.groups import GroupTable, is_fanout_tree
 from repro.hub.routing import Topology
-from repro.hw.fiber import FiberIn, FiberOut, Frame
+from repro.hw.fiber import CHUNK_BYTES, FiberIn, FiberOut, Frame
 from repro.model.costs import CostModel
 from repro.sim.core import Simulator
 from repro.telemetry.metrics import CounterScope
@@ -139,24 +139,7 @@ class _HubForwarder:
         if is_fanout_tree(remaining):
             self.accept_tree(remaining, frame)
             return
-        port = remaining[0]
-        network = self.network
-        token = None
-        if len(remaining) > 1 and network.local_hubs is not None:
-            attachment = self.hub.attachment(port)
-            if (
-                attachment.kind is PortKind.HUB
-                and attachment.target.name not in network.local_hubs
-            ):
-                # Cut-bound forward: register the emission intent at chain
-                # start so the shard's emission bound covers the frame even
-                # while it queues for the port.
-                token = network._intent_register(
-                    network.sim.now
-                    + network.costs.hub_hop_ns
-                    + network._tx_floor_ns(frame.size)
-                )
-        self._enqueue(port, remaining, frame, token)
+        self._enqueue(remaining[0], remaining, frame)
 
     def accept_tree(self, tree: tuple, frame: Frame) -> None:
         """Event context: replicate a multicast frame across its branches.
@@ -177,25 +160,11 @@ class _HubForwarder:
                     replica.release()
                     continue
             network.stats.add("mcast_replicas")
-            token = None
-            if subtree and network.local_hubs is not None:
-                attachment = self.hub.attachment(port)
-                if (
-                    attachment.kind is PortKind.HUB
-                    and attachment.target.name not in network.local_hubs
-                ):
-                    token = network._intent_register(
-                        network.sim.now
-                        + network.costs.hub_hop_ns
-                        + network._tx_floor_ns(replica.size)
-                    )
-            self._enqueue(port, (port, subtree), replica, token)
+            self._enqueue(port, (port, subtree), replica)
         frame.release()
 
-    def _enqueue(
-        self, port: int, remaining: tuple, frame: Frame, token: Optional[int]
-    ) -> None:
-        self._queues.setdefault(port, deque()).append((remaining, frame, token))
+    def _enqueue(self, port: int, remaining: tuple, frame: Frame) -> None:
+        self._queues.setdefault(port, deque()).append((remaining, frame))
         if port not in self._active:
             self._active.add(port)
             self.network.sim.process(
@@ -206,14 +175,12 @@ class _HubForwarder:
         queue = self._queues[port]
         try:
             while queue:
-                remaining, frame, token = queue.popleft()
-                yield from self._forward_one(port, remaining, frame, token)
+                remaining, frame = queue.popleft()
+                yield from self._forward_one(port, remaining, frame)
         finally:
             self._active.discard(port)
 
-    def _forward_one(
-        self, port: int, remaining: tuple, frame: Frame, token: Optional[int] = None
-    ) -> Generator:
+    def _forward_one(self, port: int, remaining: tuple, frame: Frame) -> Generator:
         network = self.network
         costs = network.costs
         attachment = self.hub.attachment(port)
@@ -225,6 +192,14 @@ class _HubForwarder:
         wait = self.hub.acquire_output(port)
         if wait is not None:
             yield wait
+        token = None
+        if network._crosses_cut(attachment):
+            # Holding the cut port: the hand-off leaves exactly one hop and
+            # one serialization from now, and every frame queued behind
+            # this one leaves later, so the bound covers them too.
+            token = network._intent_register(
+                network.sim.now + costs.hub_hop_ns + costs.fiber_tx_ns(frame.size)
+            )
         try:
             if attachment.kind is PortKind.CAB:
                 if not terminal:
@@ -298,12 +273,15 @@ class NectarNetwork:
         #: Per (hub, out port) hand-off counter: the shard-independent
         #: tie-break for arrivals scheduled at the same nanosecond.
         self._handoff_seq: Dict[tuple[str, int], int] = {}
-        #: Live cut-bound transmissions: token -> conservative lower bound
-        #: (ns) on when that frame's hand-off can be emitted.  Registered
-        #: the moment a frame *starts* toward a cut (before any yield) and
-        #: cleared at emission, so :meth:`next_emission_bound` always sees
-        #: in-flight traffic — the signal behind the cluster conductor's
-        #: adaptive lookahead.
+        #: Cut-bound frames the event floor does not cover: token -> lower
+        #: bound (ns) on when that frame's hand-off is emitted.  A frame
+        #: registers once it *holds* the cut port, with its exact emission
+        #: time, and clears at emission; a frame queued for the port needs
+        #: none (it leaves after the holder).  An arrival whose next hop
+        #: crosses the cut is covered from scheduling to arrival, and a
+        #: multicast whose source HUB fans out across the cut from the
+        #: link pop to the fan-out.  Read by :meth:`next_emission_bound`,
+        #: the signal behind the cluster conductor's adaptive lookahead.
         self._intents: Dict[int, int] = {}
         self._intent_next = 0
 
@@ -318,26 +296,44 @@ class NectarNetwork:
         if token is not None:
             self._intents.pop(token, None)
 
-    def _tx_floor_ns(self, size: int) -> int:
-        """Provable lower bound on serializing ``size`` bytes at line rate.
+    def _crosses_cut(self, attachment: PortAttachment) -> bool:
+        """Whether a HUB port's fiber leads out of this shard."""
+        return (
+            self.local_hubs is not None
+            and attachment.kind is PortKind.HUB
+            and attachment.target.name not in self.local_hubs
+        )
 
-        The actual cost is a sum of per-chunk ``int(round(len * rate))``
-        timeouts; each chunk can round down by at most half a nanosecond,
-        and there are at most ``size`` chunks, hence the ``- 0.5 * size``.
+    def _tx_floor_ns(self, size: int) -> int:
+        """Line-rate time of a ``size``-byte frame on a CAB link.
+
+        The same per-chunk ``int(round(len * rate))`` sum that
+        :meth:`_consume_frame` and :meth:`_stream_frame` charge, chunk by
+        :data:`~repro.hw.fiber.CHUNK_BYTES` chunk.  Waits for the TX DMA's
+        next chunk only add to it, so it is a floor on the time a frame
+        holding its port takes to leave.
         """
-        return max(0, int(size * (self.costs.fiber_ns_per_byte - 0.5)))
+        rate = self.costs.fiber_ns_per_byte
+        full, tail = divmod(size, CHUNK_BYTES)
+        return full * int(round(CHUNK_BYTES * rate)) + int(round(tail * rate))
 
     def min_emission_delta_ns(self) -> int:
-        """Minimum ns between *any* fresh event and a hand-off emission.
+        """Minimum ns between a fresh event and an uncovered hand-off.
 
-        Every path to :meth:`_handoff` that is not already covered by a
-        registered intent starts inside some event and then pays at least a
-        hub hop plus one byte of line-rate serialization (the forwarder
-        path; the link path pays hub setup + fiber propagation, which is
-        more).  So a shard whose earliest pending event is at ``t`` cannot
-        emit before ``t + min_emission_delta_ns()``.
+        A frame that holds a cut port, waits for one, or is scheduled to
+        arrive at a HUB whose next hop crosses the cut is covered by an
+        intent (see :attr:`_intents`).  Any other emission starts with a
+        link pop: the TX DMA's push wakes the link, which takes the free
+        port and pays HUB setup, fiber propagation and at least one byte
+        (1,030 ns at the paper's constants).  A frame that first crosses
+        a HUB-to-HUB fiber inside the shard pays propagation, a hop and
+        its own serialization after that hand-off; a datalink frame is at
+        least its 16-byte header, which is longer.  So a shard whose
+        earliest pending event is at ``t`` cannot emit an uncovered
+        hand-off before ``t + min_emission_delta_ns()``.
         """
-        return self.costs.hub_hop_ns + self._tx_floor_ns(1)
+        costs = self.costs
+        return costs.hub_setup_ns + costs.fiber_propagation_ns + self._tx_floor_ns(1)
 
     def next_emission_bound(self) -> Optional[int]:
         """Conservative lower bound on this shard's next boundary emission.
@@ -519,32 +515,29 @@ class NectarNetwork:
         hub, _port = self.topology.hub_of(node.name)
         out_port = frame.route[0]
         attachment = hub.attachment(out_port)
+        costs = self.costs
+        wait = hub.acquire_output(out_port)
+        if wait is not None:
+            yield wait
         token = None
-        if self.local_hubs is not None and attachment.target.name not in self.local_hubs:
-            # The frame is headed across a shard cut: declare the earliest
-            # instant its hand-off could be emitted (ignores port
-            # contention and FIFO waits, which only delay it).
+        if self._crosses_cut(attachment):
+            # Holding the cut port: declare the exact emission time (only
+            # a wait for the TX DMA's next chunk could delay it).  A frame
+            # queued for the port leaves after this one and needs no bound.
             token = self._intent_register(
                 self.sim.now
-                + self.costs.hub_setup_ns
-                + self.costs.fiber_propagation_ns
+                + costs.hub_setup_ns
+                + costs.fiber_propagation_ns
                 + self._tx_floor_ns(frame.size)
             )
         try:
-            wait = hub.acquire_output(out_port)
-            if wait is not None:
-                yield wait
-            try:
-                yield self.costs.hub_setup_ns + self.costs.fiber_propagation_ns
-                yield from self._consume_frame(fifo, first_chunk)
-            finally:
-                hub.release_output(out_port)
-            self.stats.add("frames_forwarded")
-            self._handoff(
-                hub, out_port, attachment.target.name, frame.route[1:], frame
-            )
+            yield costs.hub_setup_ns + costs.fiber_propagation_ns
+            yield from self._consume_frame(fifo, first_chunk)
         finally:
+            hub.release_output(out_port)
             self._intent_clear(token)
+        self.stats.add("frames_forwarded")
+        self._handoff(hub, out_port, attachment.target.name, frame.route[1:], frame)
 
     def _tx_multicast(self, node, fifo, first_chunk, frame: Frame) -> Generator:
         """Store-and-forward a group frame into its HUB and fan it out.
@@ -556,15 +549,10 @@ class NectarNetwork:
         """
         hub, _port = self.topology.hub_of(node.name)
         token = None
-        if self.local_hubs is not None and any(
-            subtree
-            and hub.attachment(port).kind is PortKind.HUB
-            and hub.attachment(port).target.name not in self.local_hubs
-            for port, subtree in frame.route
-        ):
+        if self._next_hop_crosses_cut(hub, frame.route):
             # At least one branch is cut-bound: cover the whole fan-out
-            # with one conservative intent until the per-branch intents
-            # are registered at accept time.
+            # with one conservative intent until its replicas queue for
+            # their ports (a replica that takes its port registers then).
             token = self._intent_register(
                 self.sim.now
                 + self.costs.hub_setup_ns
@@ -658,9 +646,34 @@ class NectarNetwork:
         key: tuple,
     ) -> None:
         forwarder = self._forwarder_for(dst_hub_name)
-        self.sim.call_at(
-            fire_ns, lambda: forwarder.accept(remaining, frame), key=key
+        if not self._next_hop_crosses_cut(forwarder.hub, remaining):
+            self.sim.call_at(
+                fire_ns, lambda: forwarder.accept(remaining, frame), key=key
+            )
+            return
+        # The arriving HUB forwards straight across the cut: cover the
+        # frame until it arrives.  In the arrival's nanosecond it takes
+        # the port (and registers) or queues behind the holder.
+        token = self._intent_register(
+            fire_ns + self.costs.hub_hop_ns + self.costs.fiber_tx_ns(frame.size)
         )
+
+        def arrive() -> None:
+            self._intent_clear(token)
+            forwarder.accept(remaining, frame)
+
+        self.sim.call_at(fire_ns, arrive, key=key)
+
+    def _next_hop_crosses_cut(self, hub: Hub, remaining: tuple) -> bool:
+        """Whether a frame at ``hub`` with route ``remaining`` (a port list
+        or a fan-out tree) leaves it across the shard cut."""
+        if self.local_hubs is None or not remaining:
+            return False
+        if is_fanout_tree(remaining):
+            return any(
+                self._crosses_cut(hub.attachment(port)) for port, _subtree in remaining
+            )
+        return self._crosses_cut(hub.attachment(remaining[0]))
 
     def _forwarder_for(self, hub_name: str) -> _HubForwarder:
         forwarder = self._forwarders.get(hub_name)

@@ -17,12 +17,19 @@ The conductor's speed rests on three claims these tests pin down:
 import pytest
 
 from repro.cluster.conductor import Conductor, run_reference
-from repro.cluster.fleet import FleetSpec, fat_tree_fleet, line_fleet, star_fleet
+from repro.cluster.fleet import (
+    FleetSpec,
+    build_shard_system,
+    fat_tree_fleet,
+    line_fleet,
+    star_fleet,
+)
 from repro.cluster.partition import Partitioner
 from repro.cluster.runner import ShardRunner
 from repro.cluster.workload import WorkloadSpec
 from repro.faults.plan import FaultPlan
 from repro.model.costs import DEFAULT_COSTS
+from repro.protocols.headers import DatalinkHeader
 
 LINK_NS = DEFAULT_COSTS.fiber_propagation_ns
 
@@ -101,11 +108,34 @@ class TestEmissionBounds:
         assert bound == next_time + delta
 
     def test_emission_floor_accounts_for_hop_and_first_byte(self):
+        """The floor is the CAB-link path's: HUB setup, propagation, a byte.
+
+        Path by path, nothing the intents leave uncovered emits sooner:
+
+        * a TX-DMA push wakes the link, which pops the frame, takes the
+          free cut port (registering its exact emission) and pays setup
+          + propagation + at least one byte after that event;
+        * a frame waiting for a cut port leaves after the holder, whose
+          intent already covers it;
+        * an arrival whose next hop crosses the cut is covered from
+          ``_schedule_arrival`` until it holds the port;
+        * a frame that first crosses a fiber inside the shard pays
+          propagation, a hop and its own serialization after that
+          hand-off, and a datalink frame is never shorter than its header.
+        """
         runner = self.rig()
         network = runner.system.network
+        costs = network.costs
         assert network.min_emission_delta_ns() == (
-            network.costs.hub_hop_ns + network._tx_floor_ns(1)
+            costs.hub_setup_ns + costs.fiber_propagation_ns + network._tx_floor_ns(1)
         )
+        assert network.min_emission_delta_ns() == 1030
+        shortest_inner_path = (
+            costs.fiber_propagation_ns
+            + costs.hub_hop_ns
+            + costs.fiber_tx_ns(DatalinkHeader.SIZE)
+        )
+        assert shortest_inner_path >= network.min_emission_delta_ns()
 
     def test_drained_shard_reports_no_bound(self):
         fleet = line_fleet(2, 2, hub_ports=8)
@@ -165,6 +195,109 @@ class TestEmissionBounds:
             assert runner.sync_state()[1] == next_time
         finally:
             network._intent_clear(token)
+
+
+DL_TYPE_TEST = 0x7777
+
+
+def cut_shard(n_hubs: int, local: tuple):
+    """A shard build of a two-CAB-per-hub line, with an outbox at the cut."""
+    system = build_shard_system(line_fleet(n_hubs, 2, hub_ports=8), local)
+    outbox = []
+    system.network.boundary_egress = outbox.append
+    return system, outbox
+
+
+def send_raw(system, src: str, dst: str, nbytes: int) -> None:
+    node = system.nodes[src]
+    dst_id = system.registry.node_id(dst)
+
+    def sender():
+        yield from node.datalink.send_raw(dst_id, DL_TYPE_TEST, b"x" * nbytes)
+
+    node.runtime.fork_application(sender(), f"send-{src}")
+
+
+def between_nanoseconds(system, until):
+    """Step the shard, yielding at every instant a barrier could fall on
+    (all of one nanosecond's entries fired) until ``until()`` holds."""
+    sim = system.sim
+    while not until():
+        next_time = sim.peek_next_time()
+        assert next_time is not None, "shard went idle"
+        if next_time > sim.now:
+            yield
+        sim.step()
+
+
+class TestIntentsAtTheCut:
+    """A cut-bound frame declares its emission once it holds the cut port."""
+
+    def test_a_frame_waiting_for_the_cut_port_is_covered_by_the_holder(self):
+        system, outbox = cut_shard(2, ("hub00",))
+        network = system.network
+        hub = network.topology.hubs["hub00"]
+        cut_port = 7  # line_fleet wires hub00's last port to hub01
+        arbiter = hub._out_arbiters[cut_port]
+        # Two single-chunk frames from both hub00 CABs to the same remote CAB.
+        send_raw(system, "cab-00-00", "cab-01-00", 200)
+        send_raw(system, "cab-00-01", "cab-01-00", 200)
+        samples = []
+        for _ in between_nanoseconds(system, lambda: len(outbox) == 2):
+            samples.append(
+                (
+                    len(outbox),
+                    bool(arbiter._waiters),
+                    sorted(network._intents.values()),
+                    network.next_emission_bound(),
+                    system.sim.peek_next_time(),
+                )
+            )
+        link_ns = network.costs.fiber_propagation_ns
+        emissions = [handoff.fire_ns - link_ns for handoff in outbox]
+        delta = network.min_emission_delta_ns()
+        waiting = [s for s in samples if s[0] == 0 and s[1]]
+        assert waiting, "the second frame never queued for the cut port"
+        for _emitted, _queued, intents, bound, next_time in waiting:
+            # One intent, the holder's, at its exact emission: the waiter
+            # registered none, and nothing is clamped to the next event.
+            assert intents == [emissions[0]]
+            assert bound == min(emissions[0], next_time + delta)
+        second_holds = [s for s in samples if s[0] == 1 and s[2]]
+        assert second_holds
+        for _emitted, _queued, intents, _bound, _next in second_holds:
+            assert intents == [emissions[1]]
+        assert network._intents == {}
+
+    def test_an_arrival_headed_across_the_cut_is_covered_from_scheduling(self):
+        # hub00 and hub01 are local, hub02 is not: the frame crosses the
+        # inner fiber, then leaves hub01 across the cut.
+        system, outbox = cut_shard(3, ("hub00", "hub01"))
+        network = system.network
+        send_raw(system, "cab-00-00", "cab-02-00", 200)
+        def forwarded() -> bool:
+            return network.stats.value("frames_forwarded") >= 1
+
+        for _ in between_nanoseconds(system, forwarded):
+            # On the inner link nothing is cut-bound yet.
+            assert network._intents == {}
+        samples = [
+            (
+                sorted(network._intents.values()),
+                network.next_emission_bound(),
+                system.sim.peek_next_time(),
+            )
+            for _ in between_nanoseconds(system, lambda: bool(outbox))
+        ]
+        emission = outbox[0].fire_ns - network.costs.fiber_propagation_ns
+        delta = network.min_emission_delta_ns()
+        assert len(samples) >= 2
+        for intents, bound, next_time in samples:
+            # Covered at every instant from the inner hand-off (the arrival
+            # is scheduled) through the arrival to the cut emission.
+            assert intents == [emission]
+            assert bound == min(emission, next_time + delta)
+        assert network._intents == {}
 
 
 def adversarial_fleet() -> FleetSpec:

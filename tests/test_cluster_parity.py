@@ -153,6 +153,46 @@ def test_fanout_parity_across_workers_and_modes(seed):
             )
 
 
+# -- the lookahead entry: the benchmark's sharded fleet mix -----------------
+#
+# Cut-bound frames declare their emission once they hold the cut port, so a
+# shard's windows widen to the CAB-link floor.  The sharded benchmark's mix
+# (plus a barrier) must still land bit for bit on the reference at every
+# seed and worker count; a window that outran a hand-off would fail here
+# with ``call_at ... is in the past``.  ~4.5 s on a 2-vCPU box.
+
+LOOKAHEAD_SEEDS = [1, 2, 3, 7, 11]
+
+
+def sharded_bench_workload(seed: int) -> WorkloadSpec:
+    return WorkloadSpec(
+        seed=seed,
+        rmp_flows=32,
+        rpc_flows=24,
+        tcp_flows=8,
+        rmp_messages=5,
+        rpc_calls=4,
+        tcp_bytes=8192,
+        mcast_flows=2,
+        mcast_messages=10,
+        barrier_flows=1,
+    )
+
+
+@pytest.mark.parametrize("seed", LOOKAHEAD_SEEDS)
+def test_cut_port_intents_keep_parity_on_the_bench_mix(seed):
+    workload = sharded_bench_workload(seed)
+    reference = run_reference(FLEET, workload)
+    assert reference.incomplete == []
+    digest = reference.protocol_digest()
+    for n_workers in (2, 4):
+        result = Conductor(FLEET, workload, n_workers=n_workers).run()
+        assert result.handoffs > 0
+        assert result.protocol_digest() == digest, (
+            f"seed {seed}, {n_workers} workers diverged from the reference"
+        )
+
+
 def test_completion_times_are_plausible():
     """Parity aside, the merged records must be self-consistent."""
     workload = mixed_workload(0)
