@@ -6,11 +6,14 @@ if-guard, so a system with no injector pays one attribute test per site:
 
 * ``on_link_frame(src, dest, frame)`` — fabric egress
   (:meth:`~repro.hub.network.NectarNetwork._link_tx_loop`): applies
-  ``drop``/``corrupt`` faults and ``crash`` blackouts.
+  ``drop``/``corrupt`` faults matched against the sending CAB, and
+  ``crash`` blackouts.
 * ``link_delay_ns(src)`` — same site: extra ``stall`` delay for the frame.
 * ``on_fanout_branch(src, dest, replica)`` — HUB crossbar fan-out
-  (:meth:`~repro.hub.network._HubForwarder.accept_tree`): directed ``drop``
-  faults and ``crash`` blackouts on individual branches of a fan-out tree.
+  (:meth:`~repro.hub.network._HubForwarder.accept_tree`): directed
+  ``"sender->branch"`` ``drop`` faults (the only place a directed pattern
+  is matched) and ``crash`` blackouts on individual branches of a fan-out
+  tree.
 * ``mailbox_lose(node, mailbox, msg)`` — mailbox queueing: ``mbox-lose``
   faults eat a message as it is queued.
 * ``install(system)`` — wires the hooks into an assembled system and
@@ -137,37 +140,17 @@ class Injector:
             if spec.kind == kind and spec.in_window(now) and spec.matches_site(site):
                 yield state
 
-    def _active_link(self, kind: str, src: str, dest: str):
-        """Matching ``(state, site)`` pairs for a link-egress fault kind.
-
-        Plain ``where`` patterns keep their historical meaning — matched
-        against the *sending* CAB name.  Patterns containing ``"->"`` are
-        *directed-pair* selectors matched against ``"src->dest"``, which
-        pins a spec to one fiber direction (e.g. ``multicast-storm`` drops
-        only the multicast replicas bound for one member).
-        """
-        now = self._clock()
-        pair = f"{src}->{dest}"
-        for state in self._states:
-            spec = state.spec
-            if spec.kind != kind or not spec.in_window(now):
-                continue
-            if "->" in spec.where:
-                if spec.matches_site(pair):
-                    yield state, pair
-            elif spec.matches_site(src):
-                yield state, src
-
     # ------------------------------------------------------- link-level hooks
 
     def on_link_frame(self, src: str, dest: str, frame) -> None:
         """Fabric egress hook: may corrupt the frame or mark it dropped.
 
         ``crash`` blackouts eat every frame touching the crashed CAB;
-        ``drop``/``corrupt`` specs match the sending CAB (or, with a
-        ``"src->dst"`` pattern, one directed CAB pair); ``corrupt`` flips
-        one seeded payload byte so the receiver's hardware CRC rejects the
-        frame at end-of-packet.
+        ``drop``/``corrupt`` specs match the sending CAB (a directed
+        ``"src->dst"`` drop selects fan-out branches only, see
+        :meth:`on_fanout_branch`); ``corrupt`` flips one seeded payload
+        byte so the receiver's hardware CRC rejects the frame at
+        end-of-packet.
         """
         for state in self._states:
             spec = state.spec
@@ -177,15 +160,15 @@ class Injector:
                 frame.drop = True
                 self._fire(state, src if spec.matches_site(src) else dest)
         if not frame.drop:
-            for state, site in self._active_link(DROP, src, dest):
+            for state in self._active(DROP, src):
                 if state.decide():
                     frame.drop = True
-                    self._fire(state, site)
+                    self._fire(state, src)
         if not frame.drop:
-            for state, site in self._active_link(CORRUPT, src, dest):
+            for state in self._active(CORRUPT, src):
                 if state.decide():
                     frame.corrupt(state.rng.randrange(frame.size))
-                    self._fire(state, site)
+                    self._fire(state, src)
 
     def on_fanout_branch(self, src: str, dest: str, replica) -> None:
         """HUB fan-out hook: may drop one replica on one branch of the tree.

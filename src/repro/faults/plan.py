@@ -62,11 +62,12 @@ class FaultSpec:
     receiving CAB name for ``crash``, the sending CAB name for
     ``drop``/``corrupt``/``stall``, the FIFO name for ``squeeze``
     (substring match, e.g. ``"cab-b.fiber-in"``), and ``"node:mailbox"``
-    for ``mbox-lose`` (either half may be matched alone).  ``"*"`` matches every site.  A ``drop`` or
-    ``corrupt`` pattern containing ``"->"`` is *directed*: it is matched
-    against ``"src->dst"`` instead of the sending CAB alone, pinning the
-    spec to one CAB pair and direction (how ``multicast-storm`` drops
-    single fan-out branches).
+    for ``mbox-lose`` (either half may be matched alone).  ``"*"`` matches
+    every site.  A ``drop`` pattern containing ``"->"`` is *directed*: it
+    is matched against ``"sender->branch"`` at the HUB's multicast fan-out
+    only, dropping single replicas (how ``multicast-storm`` aims at one
+    member).  No other kind has a ``"src->dst"`` site, so a directed
+    pattern on any other kind is refused.
 
     Firing schedule (first one set wins, checked in this order):
 
@@ -115,6 +116,12 @@ class FaultSpec:
             raise ConfigurationError("squeeze faults require squeeze_bytes > 0")
         if self.max_fires is not None and self.max_fires <= 0:
             raise ConfigurationError("max_fires must be positive when set")
+        if "->" in self.where and self.kind != DROP:
+            raise ConfigurationError(
+                f"a directed 'src->dst' pattern selects fan-out branches, "
+                f"which only drop faults see; got {self.kind!r} "
+                f"where={self.where!r}"
+            )
 
     def in_window(self, now_ns: int) -> bool:
         """Whether the spec is active at simulated time ``now_ns``."""

@@ -17,6 +17,7 @@ from repro.faults.plan import (
     CORRUPT,
     CRASH,
     DROP,
+    FAULT_KINDS,
     SQUEEZE,
     STALL,
     FaultPlan,
@@ -292,7 +293,8 @@ class TestDeterminism:
 
 
 class TestDirectedPairFaults:
-    """A ``src->dst`` selector pins a fault to one CAB pair and direction."""
+    """A ``src->dst`` selector is a fan-out branch; link egress matches the
+    sending CAB only."""
 
     def _run(self, where):
         fleet = line_fleet(1, 2, hub_ports=8)
@@ -321,10 +323,14 @@ class TestDirectedPairFaults:
         system.run(until=ms(40))
         return injector
 
-    def test_directed_pattern_pins_one_direction(self):
-        injector = self._run("cab-00-00->cab-00-01")
-        sites = {site for _t, _kind, site in injector.fired}
-        assert sites == {"cab-00-00->cab-00-01"}
+    def test_directed_pattern_never_fires_at_unicast_egress(self):
+        assert self._run("cab-00-00->cab-00-01").fired == []
+
+    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != DROP])
+    def test_directed_pattern_is_refused_on_every_kind_but_drop(self, kind):
+        with pytest.raises(ConfigurationError, match="fan-out branches"):
+            FaultSpec(kind=kind, where="cab-a->cab-b", stall_ns=1, squeeze_bytes=1)
+        FaultSpec(kind=kind, where="cab-a", stall_ns=1, squeeze_bytes=1)
 
     def test_plain_pattern_matches_the_sender(self):
         injector = self._run("cab-00-00")
