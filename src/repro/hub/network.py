@@ -63,7 +63,8 @@ class NetworkNode(Protocol):
 
 @dataclass(frozen=True)
 class PathPlan:
-    """A resolved source route: the hops to arbitrate and the destination."""
+    """A resolved route inside one HUB: the output port to arbitrate (none
+    for a loopback) and the destination."""
 
     hops: tuple[tuple[Hub, int], ...]
     dest: NetworkNode
@@ -400,27 +401,28 @@ class NectarNetwork:
         return plan
 
     def _resolve_path(self, src: NetworkNode, route: tuple[int, ...]) -> PathPlan:
+        """A loopback, or one CAB port of the source HUB.
+
+        Every route that leaves the source HUB goes out through
+        :meth:`_tx_to_neighbor_hub` instead, so no plan spans HUBs.
+        """
+        costs = self.costs
         if not route:
             # Loopback: deliver to our own input FIFO.
-            return PathPlan(hops=(), dest=src, setup_ns=0, propagation_ns=self.costs.fiber_propagation_ns)
+            return PathPlan(hops=(), dest=src, setup_ns=0, propagation_ns=costs.fiber_propagation_ns)
         hub, _port = self.topology.hub_of(src.name)
-        hops: list[tuple[Hub, int]] = []
-        dest: Optional[NetworkNode] = None
-        for index, out_port in enumerate(route):
-            attachment = hub.attachment(out_port)
-            hops.append((hub, out_port))
-            if attachment.kind is PortKind.CAB:
-                if index != len(route) - 1:
-                    raise RouteError(f"route {route}: CAB reached mid-route")
-                dest = attachment.target  # type: ignore[assignment]
-            else:
-                if index == len(route) - 1:
-                    raise RouteError(f"route {route} ends on an inter-hub link")
-                hub = attachment.target  # type: ignore[assignment]
-        assert dest is not None
-        setup = self.costs.hub_setup_ns + self.costs.hub_hop_ns * (len(hops) - 1)
-        propagation = self.costs.fiber_propagation_ns * (len(hops) + 1)
-        return PathPlan(hops=tuple(hops), dest=dest, setup_ns=setup, propagation_ns=propagation)
+        attachment = hub.attachment(route[0])
+        if len(route) != 1 or attachment.kind is not PortKind.CAB:
+            raise RouteError(
+                f"route {route}: a path plan is a loopback or one CAB port "
+                f"of the source HUB"
+            )
+        return PathPlan(
+            hops=((hub, route[0]),),
+            dest=attachment.target,  # type: ignore[arg-type]
+            setup_ns=costs.hub_setup_ns,
+            propagation_ns=costs.fiber_propagation_ns * 2,
+        )
 
     # -- the link process ---------------------------------------------------------
 

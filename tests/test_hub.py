@@ -228,3 +228,21 @@ def test_path_plans_are_cached_until_the_wiring_changes():
     assert replanned is not plan and replanned == plan
     system.add_node("c", h1, 1)
     assert network.plan_path(a.cab, route) is not replanned
+
+
+def test_a_path_plan_is_a_loopback_or_one_cab_port():
+    """Routes that leave the source HUB go out through the inter-HUB seam,
+    so a plan never spans HUBs: a two-hop route is refused."""
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    h1 = system.add_hub("h1")
+    a = system.add_node("a", h0, 1)
+    system.add_node("c", h1, 1)
+    system.connect_hubs(h0, 15, h1, 0)
+    network = system.network
+    route = network.route_for("a", "c")
+    assert route == (15, 1)
+    with pytest.raises(RouteError, match="loopback or one CAB port"):
+        network.plan_path(a.cab, route)
+    with pytest.raises(RouteError, match="loopback or one CAB port"):
+        network.plan_path(a.cab, (15,))
