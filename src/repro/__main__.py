@@ -18,10 +18,9 @@ scale``, :mod:`repro.cluster`), the multicast/collective bench (``bench
 mcast``), the buffer plane (``bench buf``), the fault campaigns
 (``bench chaos``, :mod:`repro.faults.campaign`), the observe workloads' summaries and
 artifact digests (``bench observe``), the capacity workload, and the
-paper's tables and figures: it runs any committed scenario file, takes
-``key=value`` parameter overrides, sweeps parameter grids into
-capacity-curve reports, and ``bench --check-all`` is the one regression
-gate over every committed baseline (``BENCH_*.json``,
+paper's tables and figures: it runs any kind of the registry, takes
+``key=value`` parameter overrides, and ``bench --check-all`` is the one
+regression gate over every committed baseline (``BENCH_*.json``,
 ``CHAOS_baseline.txt``).
 """
 
@@ -73,10 +72,10 @@ def main(argv: list[str]) -> int:
         module = importlib.import_module(module_name)
         return module.main(argv[1:])
     if argv:
-        from repro.scenario.model import list_scenarios
+        from repro.scenario.runner import KINDS
 
         hint = ""
-        if argv[0] in list_scenarios():
+        if argv[0] in KINDS:
             hint = f": it is a scenario (python -m repro bench {argv[0]})"
         print(f"unknown subcommand {argv[0]!r}{hint}", file=sys.stderr)
     print(build_usage(), file=sys.stderr)

@@ -1,18 +1,18 @@
-"""``python -m repro bench`` — the one way to run or gate a scenario.
+"""``python -m repro bench`` — the one way to run or gate a scenario kind.
 
 Usage::
 
-    python -m repro bench --list                    # committed scenarios
-    python -m repro bench <scenario> [key=value ...] [--json FILE]
-    python -m repro bench <scenario> --check        # gate vs its baseline
-    python -m repro bench <scenario> --write        # refresh its baseline
+    python -m repro bench --list                    # every kind + baseline
+    python -m repro bench <kind> [key=value ...] [--json FILE]
+    python -m repro bench <kind> --check            # gate vs its baseline
+    python -m repro bench <kind> --write            # refresh its baseline
     python -m repro bench --check-all               # every committed gate
 
-``<scenario>`` is a committed scenario name (a file in ``scenarios/``)
-or a path to any ``.toml`` scenario file.  ``key=value`` overrides one of
-the kind's parameters for this run (``bench scale hubs=8 workers=1,2``,
-``bench chaos scenario=cab-blackout``); overrides are validated like the
-scenario file's ``[params]`` and are refused with ``--check``/``--write``,
+``<kind>`` names an entry of :data:`~repro.scenario.runner.KINDS`.
+``key=value`` overrides one of the kind's parameters for this run
+(``bench scale hubs=8 workers=1,2``, ``bench chaos scenario=cab-blackout``,
+``bench load users=3``); overrides are typed by the kind's schema
+(:mod:`repro.scenario.model`) and are refused with ``--check``/``--write``,
 which judge and record the committed configuration only.  Exit status:
 0 on success/clean gate, 1 on a regression or a report that breaks its
 kind's invariants, 2 on usage errors.
@@ -24,22 +24,16 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.scenario.config import ConfigError
 from repro.scenario.gate import (
+    baseline_path,
     check_all,
     invariant_verdicts,
     run_gate,
     write_baseline,
 )
-from repro.scenario.model import (
-    Scenario,
-    apply_overrides,
-    list_scenarios,
-    load_scenario,
-)
+from repro.scenario.model import ConfigError, apply_overrides
 from repro.scenario.report import render_json, render_text
-from repro.scenario.runner import KINDS
-from repro.scenario.sweep import run_scenario
+from repro.scenario.runner import KINDS, Kind
 
 __all__ = ["main"]
 
@@ -51,19 +45,10 @@ USAGE = (
 
 
 def _print_available(stream) -> None:
-    names = list_scenarios()
-    if names:
-        print("available scenarios:", file=stream)
-        for name in names:
-            try:
-                scenario = load_scenario(name)
-                print(f"  {name:16s} {scenario.describe()}", file=stream)
-            except ConfigError as error:
-                print(f"  {name:16s} INVALID ({error})", file=stream)
-    else:
-        print("no committed scenarios found", file=stream)
-    kinds = ", ".join(sorted(KINDS))
-    print(f"kinds: {kinds}", file=stream)
+    print("available scenarios:", file=stream)
+    for name in sorted(KINDS):
+        kind = KINDS[name]
+        print(f"  {name:10s} {kind.summary} (gate: {kind.baseline})", file=stream)
 
 
 def _run_check_all() -> int:
@@ -71,7 +56,7 @@ def _run_check_all() -> int:
     failures = 0
     for result in results:
         for line in result.verdict_lines():
-            print(f"{result.scenario.name:12s} {line}")
+            print(f"{result.kind.name:12s} {line}")
         failures += 0 if result.ok else 1
     gated = len(results)
     if failures:
@@ -81,56 +66,38 @@ def _run_check_all() -> int:
     return 0
 
 
-def _load(name: str, overrides: List[str]) -> Optional[Scenario]:
-    try:
-        return apply_overrides(load_scenario(name), overrides)
-    except FileNotFoundError:
-        print(f"unknown scenario {name!r}", file=sys.stderr)
-        _print_available(sys.stderr)
-        return None
-    except ConfigError as error:
-        print(str(error), file=sys.stderr)
-        return None
-
-
 def _write_json(json_path: Optional[str], report: dict) -> None:
     if json_path is not None and report:
         with open(json_path, "w") as handle:
             handle.write(render_json(report))
 
 
-def _gate(scenario: Scenario, json_path: Optional[str]) -> int:
-    result = run_gate(scenario)
+def _gate(kind: Kind, json_path: Optional[str]) -> int:
+    result = run_gate(kind)
     for line in result.verdict_lines():
         print(line, file=sys.stdout if result.ok else sys.stderr)
     _write_json(json_path, result.report)
     return 0 if result.ok else 1
 
 
-def _write(scenario: Scenario) -> int:
-    if scenario.baseline is None:
-        print(
-            f"scenario {scenario.name!r} names no baseline file to write",
-            file=sys.stderr,
-        )
-        return 2
-    result = write_baseline(scenario)
+def _write(kind: Kind) -> int:
+    result = write_baseline(kind)
     if not result.ok:
         for line in result.verdict_lines():
             print(line, file=sys.stderr)
-        print(f"{result.baseline.name} not written", file=sys.stderr)
+        print(f"{kind.baseline} not written", file=sys.stderr)
         return 1
-    print(f"wrote {result.baseline} ({result.detail()})")
+    print(f"wrote {baseline_path(kind)} ({result.detail()})")
     return 0
 
 
-def _run(scenario: Scenario, json_path: Optional[str]) -> int:
-    report = run_scenario(scenario)
-    sys.stdout.write(render_text(scenario, report))
+def _run(kind: Kind, params: dict, json_path: Optional[str]) -> int:
+    report = kind.run(params)
+    sys.stdout.write(render_text(kind, report))
     _write_json(json_path, report)
     if json_path is not None:
         print(f"wrote {json_path}")
-    verdicts = invariant_verdicts(scenario, report)
+    verdicts = invariant_verdicts(kind, report)
     for verdict in verdicts:
         print(f"FAIL: {verdict}", file=sys.stderr)
     return 1 if verdicts else 0
@@ -191,20 +158,26 @@ def main(argv: List[str]) -> int:
     if overrides and (check or write):
         print(
             "--check/--write judge the committed configuration; "
-            "overrides are for plain runs (put a variant in its own "
-            "scenario file to gate it)",
+            "overrides are for plain runs",
             file=sys.stderr,
         )
         return 2
-    scenario = _load(name, overrides)
-    if scenario is None:
+    kind = KINDS.get(name)
+    if kind is None:
+        print(f"unknown scenario {name!r}", file=sys.stderr)
+        _print_available(sys.stderr)
+        return 2
+    try:
+        params = apply_overrides(kind, overrides)
+    except ConfigError as error:
+        print(str(error), file=sys.stderr)
         return 2
     try:
         if check:
-            return _gate(scenario, json_path)
+            return _gate(kind, json_path)
         if write:
-            return _write(scenario)
-        return _run(scenario, json_path)
+            return _write(kind)
+        return _run(kind, params, json_path)
     except ConfigurationError as error:
         # A well-typed parameter the execution plane refuses (an unknown
         # fleet shape, conductor mode or chaos scenario name).

@@ -1,8 +1,8 @@
 """The one regression gate: a structural differ over every baseline.
 
-``python -m repro bench <scenario> --check`` re-runs the scenario with
-its committed configuration and asks two questions, the same way for
-every kind:
+``python -m repro bench <kind> --check`` re-runs the kind with its
+committed configuration and asks two questions, the same way for every
+kind:
 
 * **did it move?** — :func:`diff_reports` walks ``config`` + ``deterministic`` of
   the committed baseline and the fresh report together and returns one
@@ -13,13 +13,13 @@ every kind:
   walk.  The match is exact: an improvement is re-baselined with
   ``--write`` like any other deliberate change.
 * **is it sound?** — :func:`invariant_verdicts` applies the kind's
-  declared invariants (:mod:`repro.scenario.runner`) to the fresh report,
-  every sweep point included.  These hold of any run, so a plain
-  ``bench <scenario>`` exits non-zero on them too.
+  declared invariants (:mod:`repro.scenario.runner`) to the fresh report.
+  These hold of any run, so a plain ``bench <kind>`` exits non-zero on
+  them too.
 
-``--check-all`` gates every committed scenario that names a baseline —
-the single tier-1 entry point.  One broken baseline file is that
-scenario's FAIL, not the end of the run.
+``--check-all`` gates every kind in :data:`~repro.scenario.runner.KINDS`
+against the baseline it names — the single tier-1 entry point.  One
+broken baseline file is that kind's FAIL, not the end of the run.
 """
 
 from __future__ import annotations
@@ -28,17 +28,11 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import List, Optional
+from typing import List
 
-from repro.scenario.model import (
-    Scenario,
-    list_scenarios,
-    load_scenario,
-    repo_root,
-)
+from repro.scenario.model import repo_root
 from repro.scenario.report import render_json
-from repro.scenario.runner import KINDS, violations
-from repro.scenario.sweep import run_scenario
+from repro.scenario.runner import KINDS, Kind, violations
 
 __all__ = [
     "GateResult",
@@ -56,12 +50,11 @@ GATED = ("config", "deterministic")
 
 @dataclass
 class GateResult:
-    """One scenario's gate outcome: report, verdicts, summary detail."""
+    """One kind's gate outcome: report, verdicts, summary detail."""
 
-    scenario: Scenario
+    kind: Kind
     report: dict
     errors: List[str] = field(default_factory=list)
-    baseline: Optional[pathlib.Path] = None
 
     @property
     def ok(self) -> bool:
@@ -70,14 +63,11 @@ class GateResult:
 
     def detail(self) -> str:
         """The kind's one-line summary of the fresh report."""
-        if self.scenario.sweep:
-            points = self.report["deterministic"]["points"]
-            return f"{len(points)} sweep points"
-        return KINDS[self.scenario.kind].summarize(self.report)
+        return self.kind.summarize(self.report)
 
     def verdict_lines(self) -> List[str]:
         """Printable verdicts: one OK line, or one FAIL line per key."""
-        name = self.baseline.name if self.baseline else self.scenario.name
+        name = self.kind.baseline
         if self.ok:
             return [f"OK: {name} deterministic section holds ({self.detail()})"]
         return [f"FAIL: {name}: {error}" for error in self.errors]
@@ -146,44 +136,22 @@ def diff_reports(committed: dict, fresh: dict) -> List[str]:
     return []
 
 
-def invariant_verdicts(scenario: Scenario, report: dict) -> List[str]:
-    """The kind's invariants applied to a fresh report (each sweep point)."""
-    kind = KINDS[scenario.kind]
-    deterministic = report["deterministic"]
-    if not scenario.sweep:
-        return violations(kind, deterministic, "deterministic")
-    return [
-        verdict
-        for index, point in enumerate(deterministic["points"])
-        for verdict in violations(kind, point, f"deterministic.points[{index}]")
-    ]
+def invariant_verdicts(kind: Kind, report: dict) -> List[str]:
+    """The kind's invariants applied to a fresh report."""
+    return violations(kind, report["deterministic"], "deterministic")
 
 
-def baseline_path(scenario: Scenario) -> Optional[pathlib.Path]:
-    """The scenario's committed baseline file (repo-root-relative)."""
-    if scenario.baseline is None:
-        return None
-    return repo_root() / scenario.baseline
+def baseline_path(kind: Kind) -> pathlib.Path:
+    """The kind's committed baseline file."""
+    return repo_root() / kind.baseline
 
 
-def run_gate(scenario: Scenario) -> GateResult:
-    """Run the scenario and gate it against its committed baseline."""
-    path = baseline_path(scenario)
-    if path is None:
-        return GateResult(
-            scenario,
-            {},
-            errors=[
-                "the scenario names no baseline; add 'baseline = \"...\"' "
-                "under [scenario] and --write it"
-            ],
-        )
+def run_gate(kind: Kind) -> GateResult:
+    """Run the kind's committed configuration and gate it against its baseline."""
+    path = baseline_path(kind)
     if not path.exists():
         return GateResult(
-            scenario,
-            {},
-            errors=["no such committed baseline; create it with --write"],
-            baseline=path,
+            kind, {}, errors=["no such committed baseline; create it with --write"]
         )
     text = path.read_text()
     committed = None
@@ -192,12 +160,9 @@ def run_gate(scenario: Scenario) -> GateResult:
             committed = json.loads(text)
         except json.JSONDecodeError as error:
             return GateResult(
-                scenario,
-                {},
-                errors=[f"not valid JSON (line {error.lineno})"],
-                baseline=path,
+                kind, {}, errors=[f"not valid JSON (line {error.lineno})"]
             )
-    report = run_scenario(scenario)
+    report = kind.run(kind.defaults())
     # Compare JSON value to JSON value (tuples are lists, keys are strings).
     fresh = json.loads(render_json({key: report[key] for key in GATED}))
     if committed is None:
@@ -205,32 +170,27 @@ def run_gate(scenario: Scenario) -> GateResult:
         committed = dict(
             fresh, deterministic=dict(fresh["deterministic"], report=text)
         )
-    errors = diff_reports(committed, fresh) + invariant_verdicts(scenario, report)
-    return GateResult(scenario, report, errors=errors, baseline=path)
+    errors = diff_reports(committed, fresh) + invariant_verdicts(kind, report)
+    return GateResult(kind, report, errors=errors)
 
 
-def write_baseline(scenario: Scenario) -> GateResult:
-    """Run the scenario and (re)write the baseline file it names.
+def write_baseline(kind: Kind) -> GateResult:
+    """Run the kind's committed configuration and (re)write its baseline.
 
     A report that breaks its kind's invariants is not written: it could
     never pass the gate it would become.
     """
-    path = baseline_path(scenario)
-    report = run_scenario(scenario)
-    errors = invariant_verdicts(scenario, report)
+    path = baseline_path(kind)
+    report = kind.run(kind.defaults())
+    errors = invariant_verdicts(kind, report)
     if not errors:
         if path.suffix == ".json":
             path.write_text(render_json(report))
         else:
             path.write_text(report["deterministic"]["report"])
-    return GateResult(scenario, report, errors=errors, baseline=path)
+    return GateResult(kind, report, errors=errors)
 
 
 def check_all() -> List[GateResult]:
-    """Gate every committed scenario that names a baseline, sorted by name."""
-    results: List[GateResult] = []
-    for name in list_scenarios():
-        scenario = load_scenario(name)
-        if scenario.baseline is not None:
-            results.append(run_gate(scenario))
-    return results
+    """Gate every kind against its committed baseline, sorted by name."""
+    return [run_gate(KINDS[name]) for name in sorted(KINDS)]

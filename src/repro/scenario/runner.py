@@ -1,16 +1,19 @@
 """The scenario kind registry: how each scenario kind runs and is judged.
 
-A **kind** names one execution plane and declares, in one place:
+:data:`KINDS` is the one declaration of every scenario ``bench`` runs and
+gates.  A **kind** names one execution plane and declares, in one place:
 
-* its parameter schema (names, types, defaults) — the contract
-  :mod:`repro.scenario.model` validates scenario files and command-line
-  overrides against;
+* its committed baseline file (``BENCH_<name>.json``, or the
+  ``CHAOS_baseline.txt`` text golden);
+* its parameter schema (names, types, defaults) — the committed
+  configuration, and the contract :mod:`repro.scenario.model` validates
+  command-line overrides against;
 * ``run(params) -> report`` — a report dict with the repo's standard
   ``config`` / ``deterministic`` split (``deterministic`` is
   byte-identical across runs: every value in it is simulated);
 * its **invariants** — what must hold of any fresh report regardless of a
   baseline (parity not broken, every buffer freed, the chaos verdict PASS),
-  declared as data and applied to every run and every sweep point;
+  declared as data and applied to every run;
 * a one-line summary of a report for the gate's OK line.
 
 Whether a report *moved* is not a per-kind question: the one structural
@@ -37,8 +40,7 @@ class ParamSpec:
     """One kind parameter: its type name and default value.
 
     ``type`` is one of ``int``, ``str``, ``bool``, ``float``,
-    ``int_list``, ``str_list``.  Only scalar-typed parameters may be
-    swept.
+    ``int_list``, ``str_list``.
     """
 
     type: str
@@ -68,14 +70,20 @@ _NO_RECOVERY = "a retransmission, retry, NACK or repair without a fault plan"
 
 @dataclass(frozen=True)
 class Kind:
-    """One scenario kind: schema + runner + fresh-report invariants."""
+    """One scenario kind: baseline + schema + runner + fresh-report invariants."""
 
     name: str
     summary: str
+    #: The committed baseline file, relative to the repository root.
+    baseline: str
     params: Dict[str, ParamSpec]
     run: Callable[[dict], dict]
     summarize: Callable[[dict], str]
     invariants: Tuple[Invariant, ...] = ()
+
+    def defaults(self) -> dict:
+        """The committed configuration: every parameter at its default."""
+        return {name: spec.default for name, spec in self.params.items()}
 
 
 def _leaf(deterministic: dict, path: str):
@@ -246,18 +254,31 @@ def _run_observe(params: dict) -> dict:
 
 
 def _run_load(params: dict) -> dict:
+    """One capacity-curve point per entry of ``users``."""
     from repro.scenario.loadgen import run_load
 
+    if not params["users"]:
+        raise ConfigurationError("users must list at least one user count")
     return {
         "bench": "load",
         "config": dict(sorted(params.items())),
-        "deterministic": run_load(
-            users=params["users"],
-            messages=params["messages"],
-            payload_bytes=params["payload_bytes"],
-            warmup=params["warmup"],
-        ),
+        "deterministic": {
+            "points": [
+                run_load(
+                    users=users,
+                    messages=params["messages"],
+                    payload_bytes=params["payload_bytes"],
+                    warmup=params["warmup"],
+                )
+                for users in params["users"]
+            ]
+        },
     }
+
+
+def _summarize_load(report: dict) -> str:
+    last = report["deterministic"]["points"][-1]
+    return f"p99 {last['p99_us']} us at {last['users']} users"
 
 
 # ------------------------------------------------------ table/figure kinds
@@ -287,6 +308,7 @@ def _driver_kind(name: str, summary: str, module_name: str = "") -> Kind:
     return Kind(
         name=name,
         summary=summary,
+        baseline=f"BENCH_{name}.json",
         params={key: _spec_of(value) for key, value in module.DEFAULTS.items()},
         run=run,
         summarize=lambda report: f"{len(report['deterministic']['rows'])} rows",
@@ -299,6 +321,7 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="scale",
             summary="sharded fleet simulation: parity + sync counters",
+            baseline="BENCH_scale.json",
             params={
                 "shape": ParamSpec("str", "line"),
                 "hubs": ParamSpec("int", 4),
@@ -323,6 +346,7 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="buf",
             summary="zero-copy buffer plane: host-copy counters",
+            baseline="BENCH_buf.json",
             params={},
             run=_run_buf,
             summarize=_summarize_buf,
@@ -343,6 +367,7 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="mcast",
             summary="NMP multicast fan-out + CAB collectives",
+            baseline="BENCH_mcast.json",
             params={
                 "seed": ParamSpec("int", 0),
                 "messages": ParamSpec("int", 8),
@@ -363,6 +388,7 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="chaos",
             summary="fault campaigns: exactly-once delivery + determinism",
+            baseline="CHAOS_baseline.txt",
             params={
                 "seed": ParamSpec("int", 7),
                 "scenario": ParamSpec("str", ""),
@@ -376,6 +402,7 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="observe",
             summary="telemetry workloads: summaries + artifact digests",
+            baseline="BENCH_observe.json",
             params={
                 "seed": ParamSpec("int", 7),
                 "workload": ParamSpec("str", ""),
@@ -389,17 +416,15 @@ KINDS: Dict[str, Kind] = {
         Kind(
             name="load",
             summary="closed-loop capacity workload: users vs p50/p99/throughput",
+            baseline="BENCH_load.json",
             params={
-                "users": ParamSpec("int", 1),
+                "users": ParamSpec("int_list", [1, 2, 4, 8]),
                 "messages": ParamSpec("int", 16),
                 "payload_bytes": ParamSpec("int", 128),
                 "warmup": ParamSpec("int", 2),
             },
             run=_run_load,
-            summarize=lambda report: (
-                f"p99 {report['deterministic']['p99_us']} us at "
-                f"{report['deterministic']['users']} users"
-            ),
+            summarize=_summarize_load,
         ),
         _driver_kind(
             "table1", "Table 1 round-trip latencies over the four transports"

@@ -6,9 +6,11 @@ import re
 import pytest
 
 import repro.__main__ as entry
+from dataclasses import replace
+
 from repro.scenario import cli as bench_cli
-from repro.scenario.config import ConfigError
-from repro.scenario.model import apply_overrides, load_scenario
+from repro.scenario.model import ConfigError, apply_overrides, repo_root
+from repro.scenario.runner import KINDS
 from tests.conftest import run_cli
 
 
@@ -133,20 +135,19 @@ class TestBenchCli:
 
 
 class TestOverrides:
-    """``bench <scenario> key=value``: typed by the kind's ParamSpec and
-    validated exactly like a scenario file's ``[params]``."""
+    """``bench <scenario> key=value``: typed by the kind's ParamSpec."""
 
     def test_values_are_read_by_the_declared_type(self):
-        scenario = apply_overrides(
-            load_scenario("scale"),
-            ["hubs=3", "workers=1,2", "mode=inline", "skip_reference=true"],
+        scale = KINDS["scale"]
+        params = apply_overrides(
+            scale, ["hubs=3", "workers=1,2", "mode=inline", "skip_reference=true"]
         )
-        assert scenario.params["hubs"] == 3
-        assert scenario.params["workers"] == [1, 2]
-        assert scenario.params["mode"] == "inline"
-        assert scenario.params["skip_reference"] is True
-        assert scenario.params["cabs_per_hub"] == 16  # the file's value stays
-        assert apply_overrides(scenario, ["workers=[4]"]).params["workers"] == [4]
+        assert params["hubs"] == 3
+        assert params["workers"] == [1, 2]
+        assert params["mode"] == "inline"
+        assert params["skip_reference"] is True
+        assert params["cabs_per_hub"] == 16  # the committed value stays
+        assert apply_overrides(scale, ["workers=[4]"])["workers"] == [4]
 
     def test_unknown_key_names_the_known_ones(self, capsys):
         assert bench_cli.main(["scale", "frob=1"]) == 2
@@ -155,7 +156,7 @@ class TestOverrides:
 
     def test_wrong_type_is_located_by_override_position(self):
         with pytest.raises(ConfigError) as err:
-            apply_overrides(load_scenario("scale"), ["seed=1", "hubs=true"])
+            apply_overrides(KINDS["scale"], ["seed=1", "hubs=true"])
         assert str(err.value).startswith("<command line>:2: ")
         assert "must be int" in str(err.value)
         assert bench_cli.main(["scale", "hubs=many"]) == 2
@@ -196,38 +197,15 @@ class TestInvariantExit:
     def test_broken_invariant_exits_1(
         self, name, path, value, verdict, monkeypatch, capsys
     ):
-        from repro.scenario.model import repo_root
-
-        scenario = load_scenario(name)
-        if scenario.baseline.endswith(".json"):
-            report = json.loads((repo_root() / scenario.baseline).read_text())
+        kind = KINDS[name]
+        if kind.baseline.endswith(".json"):
+            report = json.loads((repo_root() / kind.baseline).read_text())
         else:
             report = {"deterministic": {"passed": True, "report": ""}}
         leaf = report["deterministic"]
         for key in path[:-1]:
             leaf = leaf[key]
         leaf[path[-1]] = value
-        monkeypatch.setattr(bench_cli, "run_scenario", lambda scenario: report)
+        monkeypatch.setitem(KINDS, name, replace(kind, run=lambda params: report))
         assert bench_cli.main([name]) == 1
         assert verdict in capsys.readouterr().err
-
-    def test_sweep_points_are_each_checked(self):
-        from repro.scenario.gate import invariant_verdicts
-        from repro.scenario.model import load_scenario_text
-
-        scenario = load_scenario_text(
-            '[scenario]\nname = "s"\nkind = "scale"\n[sweep]\nseed = [0, 1]\n',
-            "s.toml",
-        )
-        report = {
-            "deterministic": {
-                "points": [
-                    {"point": {"seed": 0}, "parity": True, "recoveries": 0},
-                    {"point": {"seed": 1}, "parity": False, "recoveries": 0},
-                ]
-            }
-        }
-        assert invariant_verdicts(scenario, report) == [
-            "deterministic.points[1].parity: False must be != False "
-            "(sharded runs diverged from the reference)"
-        ]

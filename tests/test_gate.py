@@ -10,22 +10,21 @@ mismatch): every one of them is "a leaf moved" or "an invariant broke".
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.scenario.gate import diff_reports
-from repro.scenario.model import list_scenarios, load_scenario, repo_root
+from repro.scenario.model import repo_root
 from repro.scenario.runner import KINDS, Ref, violations
 
-JSON_GATES = [
-    name
-    for name in list_scenarios()
-    if (load_scenario(name).baseline or "").endswith(".json")
-]
+JSON_GATES = sorted(
+    name for name, kind in KINDS.items() if kind.baseline.endswith(".json")
+)
 
 
 def committed_report(name):
-    return json.loads((repo_root() / load_scenario(name).baseline).read_text())
+    return json.loads((repo_root() / KINDS[name].baseline).read_text())
 
 
 def leaves(value, path):
@@ -66,9 +65,21 @@ def moved(value):
 
 
 def test_there_are_twelve_gates_and_eleven_are_json():
-    assert len(list_scenarios()) == 12
+    assert len(KINDS) == 12
     assert len(JSON_GATES) == 11
-    assert load_scenario("chaos").baseline == "CHAOS_baseline.txt"
+    assert KINDS["chaos"].baseline == "CHAOS_baseline.txt"
+
+
+def test_a_dropped_load_point_is_named_as_missing():
+    """``load``'s capacity curve is a list of points: a committed point the
+    fresh run no longer produces is named by its index."""
+    committed = committed_report("load")
+    fresh = copy.deepcopy(committed)
+    dropped = len(fresh["deterministic"]["points"]) - 1
+    del fresh["deterministic"]["points"][dropped]
+    assert diff_reports(committed, fresh) == [
+        f"deterministic.points[{dropped}]: missing from the fresh report"
+    ]
 
 
 @pytest.mark.parametrize("name", JSON_GATES)
@@ -122,17 +133,14 @@ class TestDiffer:
         assert diff_reports(committed, fresh) == []
 
     def test_the_committed_report_holds_its_kinds_invariants(self, name):
-        scenario = load_scenario(name)
         deterministic = committed_report(name)["deterministic"]
-        points = deterministic["points"] if scenario.sweep else [deterministic]
-        for point in points:
-            assert violations(KINDS[scenario.kind], point, "d") == []
+        assert violations(KINDS[name], deterministic, "d") == []
 
 
 class TestTextGolden:
     """A text golden is the ``deterministic.report`` leaf of the same walk."""
 
-    def test_a_changed_line_is_named_by_number(self, monkeypatch):
+    def test_a_changed_line_is_named_by_number(self):
         from repro.scenario import gate
 
         golden = (repo_root() / "CHAOS_baseline.txt").read_text()
@@ -142,14 +150,14 @@ class TestTextGolden:
             "config": {"scenario": "", "seed": 7},
             "deterministic": {"passed": True, "report": "\n".join(lines) + "\n"},
         }
-        monkeypatch.setattr(gate, "run_scenario", lambda scenario: report)
-        result = gate.run_gate(load_scenario("chaos"))
+        chaos = replace(KINDS["chaos"], run=lambda params: report)
+        result = gate.run_gate(chaos)
         old, new = golden.splitlines()[3], lines[3]
         assert result.errors == [
             f"deterministic.report: line 4: {old!r} -> {new!r}"
         ]
         report["deterministic"]["report"] = golden
-        assert gate.run_gate(load_scenario("chaos")).ok
+        assert gate.run_gate(chaos).ok
 
 
 class TestInvariants:

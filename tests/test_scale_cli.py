@@ -173,15 +173,17 @@ class TestCheckGate:
     def test_dropped_worker_row_is_a_named_failure(self):
         """The gate hole the per-kind checker had: a committed worker row
         the fresh run no longer produces used to print OK."""
-        from repro.scenario import gate
-        from repro.scenario.model import load_scenario_text
+        from dataclasses import replace
 
-        text = (repo_root() / "scenarios" / "scale.toml").read_text()
-        assert "workers = [1, 4]" in text
-        scenario = load_scenario_text(
-            text.replace("workers = [1, 4]", "workers = [1]"), "scale.toml"
+        from repro.scenario import gate
+        from repro.scenario.runner import ParamSpec
+
+        scale = KINDS["scale"]
+        assert scale.params["workers"].default == [1, 4]
+        one_worker = replace(
+            scale, params=dict(scale.params, workers=ParamSpec("int_list", [1]))
         )
-        result = gate.run_gate(scenario)
+        result = gate.run_gate(one_worker)
         assert result.errors == [
             "deterministic.workers.4: missing from the fresh report"
         ]

@@ -1,142 +1,133 @@
-"""Scenario execution: sweep determinism, reports, and the unified gate."""
+"""Scenario execution: capacity-curve determinism, reports, and the unified gate."""
 
 import json
+from dataclasses import replace
 
-import pytest
-
+from repro.scenario import cli
 from repro.scenario import gate as gate_mod
-from repro.scenario.model import load_scenario_text
-from repro.scenario.report import render_json, render_text
 from repro.scenario.gate import diff_reports
-from repro.scenario.runner import KINDS
-from repro.scenario.sweep import run_scenario
-
-SWEEP_TEXT = (
-    '[scenario]\nname = "cap"\nkind = "load"\n\n'
-    "[params]\nmessages = 4\n\n"
-    "[sweep]\nusers = [1, 2]\n"
-)
-
-SINGLE_TEXT = (
-    '[scenario]\nname = "one"\nkind = "load"\n\n'
-    "[params]\nmessages = 4\nusers = 2\n"
-)
+from repro.scenario.report import render_json, render_text
+from repro.scenario.runner import KINDS, ParamSpec
 
 
-def load(text=SWEEP_TEXT):
-    return load_scenario_text(text, "inline.toml")
+def small_load(name="load", baseline="TMP_gate.json"):
+    """The load kind at a two-point, four-message committed configuration."""
+    kind = KINDS["load"]
+    return replace(
+        kind,
+        name=name,
+        baseline=baseline,
+        params=dict(
+            kind.params,
+            messages=ParamSpec("int", 4),
+            users=ParamSpec("int_list", [1, 2]),
+        ),
+    )
+
+
+def run(kind=None, **params):
+    kind = kind or small_load()
+    return kind.run(dict(kind.defaults(), **params))
 
 
 class TestDeterminism:
     def test_double_run_deterministic_sections_are_identical(self):
-        scenario = load()
         stable = lambda report: json.dumps(
             {"config": report["config"], "deterministic": report["deterministic"]},
             sort_keys=True,
         )
-        assert stable(run_scenario(scenario)) == stable(run_scenario(scenario))
+        assert stable(run()) == stable(run())
 
     def test_double_run_text_report_is_byte_identical(self):
-        scenario = load()
-        first = render_text(scenario, run_scenario(scenario))
-        second = render_text(scenario, run_scenario(scenario))
-        assert first == second
+        kind = small_load()
+        assert render_text(kind, run(kind)) == render_text(kind, run(kind))
 
     def test_a_report_carries_no_host_clock(self):
-        report = run_scenario(load())
-        assert set(report) == {"bench", "scenario", "config", "deterministic"}
+        report = run()
+        assert set(report) == {"bench", "config", "deterministic"}
         assert "wall_ns" not in json.dumps(report)
 
 
 class TestReports:
     def test_sweep_report_is_a_capacity_curve(self):
-        scenario = load()
-        report = run_scenario(scenario)
-        text = render_text(scenario, report)
+        kind = small_load()
+        text = render_text(kind, run(kind))
         head = text.splitlines()[0]
-        assert head == "capacity curve: cap (kind load, 2 points)"
+        assert head == "capacity curve: load (2 points)"
         header = text.splitlines()[2]
-        assert header.startswith("users")  # sweep key leads the columns
+        assert header.startswith("users")  # the offered load leads the columns
         for series in ("p50_us", "p99_us", "throughput_mbps", "sim_ns"):
             assert series in header
 
     def test_single_run_report_tabulates_scalars(self):
-        scenario = load(SINGLE_TEXT)
-        text = render_text(scenario, run_scenario(scenario))
-        assert "scenario: one (kind load)" in text
-        assert "p99_us" in text
+        """``bench load users=2`` is a one-point curve."""
+        kind = small_load()
+        text = render_text(kind, run(kind, users=[2]))
+        assert text.splitlines()[0] == "capacity curve: load (1 points)"
+        assert "p99_us" in text and len(text.splitlines()) == 5  # title, blank, header, rule, row
 
     def test_render_json_is_canonical(self):
-        report = run_scenario(load(SINGLE_TEXT))
+        report = run(users=[2])
         rendered = render_json(report)
         assert rendered.endswith("\n")
         assert rendered == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 class TestGenericCheck:
-    """The one differ on the assembled sweep shape."""
+    """The one differ on the capacity curve's points."""
 
     def test_identical_reports_pass(self):
-        fresh = json.loads(render_json(run_scenario(load())))
+        fresh = json.loads(render_json(run()))
         assert diff_reports(json.loads(json.dumps(fresh)), fresh) == []
 
     def test_deterministic_divergence_is_flagged(self):
-        fresh = json.loads(render_json(run_scenario(load())))
+        fresh = json.loads(render_json(run()))
         committed = json.loads(json.dumps(fresh))
         committed["deterministic"]["points"][0]["p99_us"] += 1
         (verdict,) = diff_reports(committed, fresh)
         assert verdict.startswith("deterministic.points[0].p99_us: ")
 
     def test_config_change_is_flagged_as_rebaseline(self):
-        fresh = json.loads(render_json(run_scenario(load())))
+        fresh = json.loads(render_json(run()))
         committed = json.loads(json.dumps(fresh))
-        committed["config"]["params"]["messages"] = 99
-        assert diff_reports(committed, fresh) == [
-            "config.params.messages: 99 -> 4 (-95)"
-        ]
+        committed["config"]["messages"] = 99
+        assert diff_reports(committed, fresh) == ["config.messages: 99 -> 4 (-95)"]
 
 
 class TestGate:
-    def scenario_with_baseline(self):
-        return load_scenario_text(
-            SWEEP_TEXT.replace(
-                'kind = "load"\n', 'kind = "load"\nbaseline = "TMP_gate.json"\n'
-            ),
-            "inline.toml",
-        )
-
     def test_write_then_check_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
-        scenario = self.scenario_with_baseline()
-        written = gate_mod.write_baseline(scenario)
+        kind = small_load()
+        written = gate_mod.write_baseline(kind)
         assert written.ok and (tmp_path / "TMP_gate.json").exists()
-        result = gate_mod.run_gate(scenario)
+        result = gate_mod.run_gate(kind)
         assert result.ok
-        assert result.verdict_lines() == [
-            "OK: TMP_gate.json deterministic section holds (2 sweep points)"
-        ]
+        (line,) = result.verdict_lines()
+        assert line.startswith("OK: TMP_gate.json deterministic section holds (")
+        assert line.endswith(" at 2 users)")
 
     def test_corrupted_baseline_fails_the_gate(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
-        scenario = self.scenario_with_baseline()
-        gate_mod.write_baseline(scenario)
+        kind = small_load()
+        gate_mod.write_baseline(kind)
         path = tmp_path / "TMP_gate.json"
         committed = json.loads(path.read_text())
         committed["deterministic"]["points"][0]["events"] += 1
         path.write_text(json.dumps(committed, sort_keys=True, indent=2) + "\n")
-        result = gate_mod.run_gate(scenario)
+        result = gate_mod.run_gate(kind)
         assert not result.ok
         assert result.verdict_lines()[0].startswith("FAIL:")
 
     def test_missing_baseline_file_is_actionable(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
-        result = gate_mod.run_gate(self.scenario_with_baseline())
+        result = gate_mod.run_gate(small_load())
         assert not result.ok
         assert "--write" in result.errors[0]
 
     def test_dropped_sweep_point_is_a_named_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
-        gate_mod.write_baseline(self.scenario_with_baseline())
+        kind = small_load()
+        gate_mod.write_baseline(kind)
         path = tmp_path / "TMP_gate.json"
         committed = json.loads(path.read_text())
         # The committed curve had a third point the tree no longer produces
@@ -145,8 +136,7 @@ class TestGate:
             dict(committed["deterministic"]["points"][-1])
         )
         path.write_text(render_json(committed))
-        result = gate_mod.run_gate(self.scenario_with_baseline())
-        assert result.errors == [
+        assert gate_mod.run_gate(kind).errors == [
             "deterministic.points[2]: missing from the fresh report"
         ]
 
@@ -154,18 +144,12 @@ class TestGate:
         self, tmp_path, monkeypatch, capsys
     ):
         """``bench --check-all`` reports a baseline that is not JSON as
-        that scenario's FAIL, keeps gating the rest, and exits 1."""
-        from repro.scenario import cli, model
-
-        scenarios = tmp_path / "scenarios"
-        scenarios.mkdir()
-        for name in ("a_broken", "b_sound"):
-            (scenarios / f"{name}.toml").write_text(
-                SINGLE_TEXT.replace('name = "one"', f'name = "{name}"').replace(
-                    'kind = "load"\n', f'kind = "load"\nbaseline = "{name}.json"\n'
-                )
-            )
-        monkeypatch.setattr(model, "repo_root", lambda: tmp_path)
+        that kind's FAIL, keeps gating the rest, and exits 1."""
+        kinds = {
+            name: small_load(name, f"{name}.json") for name in ("a_broken", "b_sound")
+        }
+        monkeypatch.setattr(cli, "KINDS", kinds)
+        monkeypatch.setattr(gate_mod, "KINDS", kinds)
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
         assert cli.main(["b_sound", "--write"]) == 0
         (tmp_path / "a_broken.json").write_text('{\n  "bench": "load",\n  not json\n')
@@ -177,40 +161,23 @@ class TestGate:
         assert total == "bench --check-all: FAIL (1/2 gates)"
 
     def test_invariant_breaking_report_is_not_written(self, tmp_path, monkeypatch):
-        from repro.scenario.model import load_scenario_text as load_text
-
         monkeypatch.setattr(gate_mod, "repo_root", lambda: tmp_path)
-        scenario = load_text(
-            '[scenario]\nname = "s"\nkind = "scale"\nbaseline = "S.json"\n', "s.toml"
-        )
         broken = {"config": {}, "deterministic": {"parity": False}}
-        monkeypatch.setattr(gate_mod, "run_scenario", lambda scenario: broken)
-        result = gate_mod.write_baseline(scenario)
+        kind = replace(KINDS["scale"], baseline="S.json", run=lambda params: broken)
+        result = gate_mod.write_baseline(kind)
         assert not result.ok and not (tmp_path / "S.json").exists()
 
 
 class TestCommittedScenarios:
-    """The committed scenario set stays loadable and correctly wired."""
+    """The registry is the one declaration of every gate."""
 
-    def test_every_committed_scenario_validates(self):
-        from repro.scenario.model import list_scenarios, load_scenario
+    def test_every_kind_names_a_committed_baseline(self):
+        from repro.scenario.model import repo_root
 
-        names = list_scenarios()
-        assert {"scale", "buf", "mcast", "chaos", "observe", "load"} <= set(names)
-        for name in names:
-            scenario = load_scenario(name)
-            assert scenario.kind in KINDS
-
-    def test_every_kind_has_a_committed_gated_scenario(self):
-        """No kind without a scenario file, no scenario file without the
-        baseline it states — the file is the only declaration of either."""
-        from repro.scenario.model import list_scenarios, load_scenario, repo_root
-
-        scenarios = [load_scenario(name) for name in list_scenarios()]
-        assert {scenario.kind for scenario in scenarios} == set(KINDS)
-        for scenario in scenarios:
-            assert scenario.baseline, scenario.name
-            assert (repo_root() / scenario.baseline).is_file(), scenario.name
+        assert len(KINDS) == 12
+        for name, kind in KINDS.items():
+            assert kind.name == name
+            assert (repo_root() / kind.baseline).is_file(), name
 
     def test_driver_kinds_take_their_schema_from_the_driver(self):
         from repro.bench import fig7, fig8, table1
@@ -225,8 +192,6 @@ class TestCommittedScenarios:
         assert KINDS["micro"].params == {}
 
     def test_legacy_gates_keep_their_baseline_files(self):
-        from repro.scenario.model import load_scenario
-
         expected = {
             "scale": "BENCH_scale.json",
             "buf": "BENCH_buf.json",
@@ -235,7 +200,7 @@ class TestCommittedScenarios:
             "observe": "BENCH_observe.json",
         }
         for name, baseline in expected.items():
-            assert load_scenario(name).baseline == baseline
+            assert KINDS[name].baseline == baseline
 
     def test_observe_baseline_pins_every_workloads_events_and_summary(self):
         from repro.scenario.model import repo_root
