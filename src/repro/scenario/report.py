@@ -7,9 +7,9 @@ Two renderings, both deterministic functions of the report dict:
 * :func:`render_text` — the human-facing report.  A report whose
   ``deterministic`` section is a list of ``points`` (the ``load`` kind)
   renders as the **capacity-curve table**: one row per point, one column
-  per scalar series (users, events, sim-time, p50/p99 latency,
-  throughput).  Only deterministic values are rendered, so the text of a
-  double run is byte-identical.
+  per series (users, events, sim-time, p50/p99 latency, throughput).
+  Only deterministic values are rendered, so the text of a double run
+  is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,22 +26,10 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, float, str, bool)) or value is None
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return str(value)
-
-
 def _capacity_curve(kind, points: list) -> str:
     """One row per point; columns in the order the kind emits its series."""
-    columns = [key for key, value in points[0].items() if _is_scalar(value)]
-    rows = [[_format_cell(point.get(name)) for name in columns] for point in points]
+    columns = list(points[0])
+    rows = [[str(point[name]) for name in columns] for point in points]
     title = f"capacity curve: {kind.name} ({len(points)} points)"
     return format_table(title, columns, rows) + "\n"
 

@@ -70,18 +70,6 @@ def test_there_are_twelve_gates_and_eleven_are_json():
     assert KINDS["chaos"].baseline == "CHAOS_baseline.txt"
 
 
-def test_a_dropped_load_point_is_named_as_missing():
-    """``load``'s capacity curve is a list of points: a committed point the
-    fresh run no longer produces is named by its index."""
-    committed = committed_report("load")
-    fresh = copy.deepcopy(committed)
-    dropped = len(fresh["deterministic"]["points"]) - 1
-    del fresh["deterministic"]["points"][dropped]
-    assert diff_reports(committed, fresh) == [
-        f"deterministic.points[{dropped}]: missing from the fresh report"
-    ]
-
-
 @pytest.mark.parametrize("name", JSON_GATES)
 class TestDiffer:
     def test_a_baseline_matches_itself(self, name):
