@@ -171,12 +171,29 @@ class TestGate:
 class TestCommittedScenarios:
     """The registry is the one declaration of every gate."""
 
-    def test_every_kind_names_a_committed_baseline(self):
+    def test_every_committed_scenario_validates(self):
+        """Each kind's committed configuration is of the types its schema states."""
+        from repro.scenario.model import _check_scalar
+
+        assert {"scale", "buf", "mcast", "chaos", "observe", "load"} <= set(KINDS)
+        for name, kind in KINDS.items():
+            for key, spec in kind.params.items():
+                if spec.type.endswith("_list"):
+                    element = spec.type[: -len("_list")]
+                    assert isinstance(spec.default, list), (name, key)
+                    assert all(
+                        _check_scalar(element, item) for item in spec.default
+                    ), (name, key)
+                else:
+                    assert _check_scalar(spec.type, spec.default), (name, key)
+
+    def test_every_kind_has_a_committed_gated_scenario(self):
         from repro.scenario.model import repo_root
 
         assert len(KINDS) == 12
         for name, kind in KINDS.items():
             assert kind.name == name
+            assert kind.baseline, name
             assert (repo_root() / kind.baseline).is_file(), name
 
     def test_driver_kinds_take_their_schema_from_the_driver(self):
