@@ -52,7 +52,6 @@ def link_latency_ns() -> Dict[str, int]:
     """
     system, node_a, node_b = two_nodes()
     route = system.network.route_for("cab-a", "cab-b")
-    plan = system.network.plan_path(node_a.cab, route)
     frame = Frame(route=route, payload=bytearray(b"\x01"), src="cab-a")
     frame.seal()
     start = system.sim.now
@@ -72,7 +71,7 @@ def link_latency_ns() -> Dict[str, int]:
     system.sim.process(probe(), name="link-probe")
     system.sim.run(until=system.sim.now + 1_000_000)
     return {
-        "hub_setup_ns": plan.setup_ns,
+        "hub_setup_ns": system.costs.hub_setup_ns,
         "one_byte_latency_ns": arrival["ns"],
     }
 

@@ -132,10 +132,6 @@ class ShardRunner:
         for handoff in handoffs:
             self.system.network.inject_handoff(handoff)
 
-    def next_time(self) -> Optional[int]:
-        """Earliest pending local event (None when the shard is idle)."""
-        return self.system.sim.peek_next_time()
-
     def sync_state(self) -> Tuple[Optional[int], Optional[int]]:
         """(earliest pending event, conservative next-emission bound).
 

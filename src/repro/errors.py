@@ -15,6 +15,7 @@ __all__ = [
     "ProtocolError",
     "RouteError",
     "SyncError",
+    "WiringError",
 ]
 
 
@@ -52,6 +53,14 @@ class HubError(NectarError):
 
 class RouteError(NectarError):
     """No route, or a malformed source route."""
+
+
+class WiringError(HubError, RouteError):
+    """A HUB port out of range, wired twice, or looked up unwired.
+
+    Both a :class:`HubError` (a bad port) and a :class:`RouteError` (a
+    wrong wiring graph), so a caller that catches either catches it.
+    """
 
 
 class AddressError(NectarError):

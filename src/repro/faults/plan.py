@@ -187,10 +187,3 @@ class FaultPlan:
         with SHA-512 internally, so it is stable across processes.
         """
         return random.Random(f"faultplan:{self.seed}:{index}")
-
-    def describe(self) -> str:
-        """Stable multi-line rendering of the whole plan."""
-        lines = [f"plan seed={self.seed} specs={len(self.specs)}"]
-        for index, spec in enumerate(self.specs):
-            lines.append(f"  [{index}] {spec.describe()}")
-        return "\n".join(lines)

@@ -4,12 +4,13 @@ A HUB consists of a crossbar switch, a set of I/O ports, and a controller
 (paper Sec. 2.1).  The crossbar itself is non-blocking: contention exists
 only at output ports, which we model as single-slot resources.  The current
 Nectar HUBs are 16x16; the hardware latency to set up a connection and push
-the first byte through a single HUB is 700 ns.
+the first byte through a single HUB is 700 ns (``CostModel.hub_setup_ns``).
+What each port is wired to is recorded once, in
+:class:`~repro.hub.routing.Topology`; a Hub keeps only its crossbar.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
 from repro.errors import HubError
@@ -17,50 +18,20 @@ from repro.sim.core import Event, Simulator
 from repro.sim.primitives import Resource
 from repro.telemetry.metrics import CounterScope
 
-__all__ = ["Hub", "PortKind", "PortAttachment"]
+__all__ = ["Hub"]
 
 DEFAULT_PORTS = 16
-
-
-class PortKind(enum.Enum):
-    """What a HUB I/O port is wired to."""
-
-    CAB = "cab"
-    HUB = "hub"
-
-
-class PortAttachment:
-    """One end of a fiber pair plugged into a HUB port."""
-
-    __slots__ = ("kind", "target", "target_port")
-
-    def __init__(self, kind: PortKind, target: object, target_port: Optional[int] = None):
-        self.kind = kind
-        self.target = target  # a CAB-like node (has .fiber_in) or a Hub
-        self.target_port = target_port  # meaningful for HUB-HUB links
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.target, "name", self.target)
-        return f"<attach {self.kind.value}:{name}>"
 
 
 class Hub:
     """One crossbar switch."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        ports: int = DEFAULT_PORTS,
-        setup_ns: int = 700,
-    ):
+    def __init__(self, sim: Simulator, name: str, ports: int = DEFAULT_PORTS):
         if ports <= 1:
             raise HubError(f"hub needs at least 2 ports, got {ports}")
         self.sim = sim
         self.name = name
         self.ports = ports
-        self.setup_ns = setup_ns
-        self._attachments: list[Optional[PortAttachment]] = [None] * ports
         # Output-port arbitration: one frame at a time.
         self._out_arbiters = [
             Resource(sim, slots=1, name=f"{name}.out{p}") for p in range(ports)
@@ -68,28 +39,9 @@ class Hub:
         self.stats = CounterScope()
         self._grant_counters = [f"out{p}_grants" for p in range(ports)]
 
-    # -- wiring ---------------------------------------------------------------
-
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.ports:
             raise HubError(f"{self.name}: port {port} out of range 0..{self.ports - 1}")
-
-    def attach(self, port: int, attachment: PortAttachment) -> None:
-        """Wire an attachment (CAB or neighbouring HUB) to a port."""
-        self._check_port(port)
-        if self._attachments[port] is not None:
-            raise HubError(f"{self.name}: port {port} already attached")
-        self._attachments[port] = attachment
-
-    def attachment(self, port: int) -> PortAttachment:
-        """What is wired to a port (raises if nothing is)."""
-        self._check_port(port)
-        attachment = self._attachments[port]
-        if attachment is None:
-            raise HubError(f"{self.name}: port {port} is not attached")
-        return attachment
-
-    # -- switching --------------------------------------------------------------
 
     def acquire_output(self, port: int) -> Optional[Event]:
         """Take exclusive use of an output port (packet switching).

@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, Generator, Optional, Protocol, Set, Un
 
 from repro.buf.packet import BufView
 from repro.errors import ConfigurationError, RouteError
-from repro.hub.crossbar import Hub, PortAttachment, PortKind
+from repro.hub.crossbar import Hub
 from repro.hub.groups import GroupTable, is_fanout_tree
 from repro.hub.routing import Topology
 from repro.hw.fiber import CHUNK_BYTES, FiberIn, FiberOut, Frame
@@ -59,17 +59,6 @@ class NetworkNode(Protocol):
     name: str
     fiber_in: FiberIn
     fiber_out: FiberOut
-
-
-@dataclass(frozen=True)
-class PathPlan:
-    """A resolved route inside one HUB: the output port to arbitrate (none
-    for a loopback) and the destination."""
-
-    hops: tuple[tuple[Hub, int], ...]
-    dest: NetworkNode
-    setup_ns: int
-    propagation_ns: int
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,7 @@ class _HubForwarder:
     def _forward_one(self, port: int, remaining: tuple, frame: Frame) -> Generator:
         network = self.network
         costs = network.costs
-        attachment = self.hub.attachment(port)
+        carried = network.topology.wired_to(self.hub, port)
         # A multicast branch entry is (port, subtree); its onward route is
         # the subtree (a fan-out tree for the next HUB, or () at a CAB).
         is_branch = len(remaining) == 2 and isinstance(remaining[1], tuple)
@@ -194,7 +183,7 @@ class _HubForwarder:
         if wait is not None:
             yield wait
         token = None
-        if network._crosses_cut(attachment):
+        if network._crosses_cut(carried):
             # Holding the cut port: the hand-off leaves exactly one hop and
             # one serialization from now, and every frame queued behind
             # this one leaves later, so the bound covers them too.
@@ -202,14 +191,14 @@ class _HubForwarder:
                 network.sim.now + costs.hub_hop_ns + costs.fiber_tx_ns(frame.size)
             )
         try:
-            if attachment.kind is PortKind.CAB:
+            if not isinstance(carried, Hub):
                 if not terminal:
                     raise RouteError(
                         f"{self.hub.name}: route {remaining} reaches a CAB "
                         f"with hops left"
                     )
                 yield costs.hub_hop_ns + costs.fiber_propagation_ns
-                yield from self._stream_to_cab(attachment.target, frame)
+                yield from self._stream_to_cab(network.nodes[carried], frame)
                 network.stats.add("frames_delivered")
                 network.stats.add("bytes_delivered", frame.size)
             else:
@@ -223,9 +212,7 @@ class _HubForwarder:
                 network.stats.add("frames_forwarded")
                 if is_branch:
                     network.stats.add("mcast_crossings")
-                network._handoff(
-                    self.hub, port, attachment.target.name, onward, frame
-                )
+                network._handoff(self.hub, port, carried.name, onward, frame)
         finally:
             self.hub.release_output(port)
             network._intent_clear(token)
@@ -261,8 +248,6 @@ class NectarNetwork:
         #: The simulation's tracer, for per-link transfer spans.
         self.tracer = sim.tracer
         self._route_cache: Dict[tuple[str, str], tuple[int, ...]] = {}
-        #: Resolved plans per (source node, route); cleared with the routes.
-        self._plan_cache: Dict[tuple[str, tuple[int, ...]], PathPlan] = {}
         #: Hubs whose forwarding runs in this process.  None means all of
         #: them (the single-process reference); a cluster shard runner
         #: narrows it to the shard's own hubs and installs
@@ -297,12 +282,12 @@ class NectarNetwork:
         if token is not None:
             self._intents.pop(token, None)
 
-    def _crosses_cut(self, attachment: PortAttachment) -> bool:
-        """Whether a HUB port's fiber leads out of this shard."""
+    def _crosses_cut(self, carried: Union[str, Hub]) -> bool:
+        """Whether a HUB port carrying ``carried`` leads out of this shard."""
         return (
             self.local_hubs is not None
-            and attachment.kind is PortKind.HUB
-            and attachment.target.name not in self.local_hubs
+            and isinstance(carried, Hub)
+            and carried.name not in self.local_hubs
         )
 
     def _tx_floor_ns(self, size: int) -> int:
@@ -359,7 +344,7 @@ class NectarNetwork:
 
     def new_hub(self, name: str, ports: int = 16) -> Hub:
         """Create a HUB and register it with the topology."""
-        hub = Hub(self.sim, name, ports=ports, setup_ns=self.costs.hub_setup_ns)
+        hub = Hub(self.sim, name, ports=ports)
         self.topology.add_hub(hub)
         return hub
 
@@ -367,20 +352,15 @@ class NectarNetwork:
         """Plug a CAB's fiber pair into a HUB port and start its link process."""
         if node.name in self.nodes:
             raise ConfigurationError(f"node {node.name!r} already attached")
-        hub.attach(port, PortAttachment(PortKind.CAB, node))
         self.topology.place_cab(node.name, hub, port)
         self.nodes[node.name] = node
         self._route_cache.clear()
-        self._plan_cache.clear()
         self.sim.process(self._link_tx_loop(node), name=f"link:{node.name}")
 
     def link_hubs(self, hub_a: Hub, port_a: int, hub_b: Hub, port_b: int) -> None:
         """Wire two HUBs together with a fiber pair."""
-        hub_a.attach(port_a, PortAttachment(PortKind.HUB, hub_b, port_b))
-        hub_b.attach(port_b, PortAttachment(PortKind.HUB, hub_a, port_a))
         self.topology.link_hubs(hub_a, port_a, hub_b, port_b)
         self._route_cache.clear()
-        self._plan_cache.clear()
 
     # -- routing -----------------------------------------------------------------
 
@@ -391,45 +371,17 @@ class NectarNetwork:
             self._route_cache[key] = self.topology.compute_route(src, dst)
         return self._route_cache[key]
 
-    def plan_path(self, src: NetworkNode, route: tuple[int, ...]) -> PathPlan:
-        """Resolve a source route into hop resources and a destination node
-        (cached)."""
-        key = (src.name, route)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = self._resolve_path(src, route)
-        return plan
-
-    def _resolve_path(self, src: NetworkNode, route: tuple[int, ...]) -> PathPlan:
-        """A loopback, or one CAB port of the source HUB.
-
-        Every route that leaves the source HUB goes out through
-        :meth:`_tx_to_neighbor_hub` instead, so no plan spans HUBs.
-        """
-        costs = self.costs
-        if not route:
-            # Loopback: deliver to our own input FIFO.
-            return PathPlan(hops=(), dest=src, setup_ns=0, propagation_ns=costs.fiber_propagation_ns)
-        hub, _port = self.topology.hub_of(src.name)
-        attachment = hub.attachment(route[0])
-        if len(route) != 1 or attachment.kind is not PortKind.CAB:
-            raise RouteError(
-                f"route {route}: a path plan is a loopback or one CAB port "
-                f"of the source HUB"
-            )
-        return PathPlan(
-            hops=((hub, route[0]),),
-            dest=attachment.target,  # type: ignore[arg-type]
-            setup_ns=costs.hub_setup_ns,
-            propagation_ns=costs.fiber_propagation_ns * 2,
-        )
-
     # -- the link process ---------------------------------------------------------
 
     def _link_tx_loop(self, node: NetworkNode) -> Generator:
-        """Drain one CAB's output FIFO onto the fabric, frame by frame."""
+        """Drain one CAB's output FIFO onto the fabric, frame by frame.
+
+        Each frame is dispatched once, on its first hop: a fan-out tree, a
+        loopback, a CAB port of this HUB (cut-through) or a neighbour HUB.
+        """
         fifo = node.fiber_out.fifo
-        fiber_ns_per_byte = self.costs.fiber_ns_per_byte
+        hub, _port = self.topology.hub_of(node.name)
+        costs = self.costs
         while True:
             wait = fifo.wait_data()
             if wait is not None:
@@ -468,33 +420,48 @@ class NectarNetwork:
                     tracer.end("hub", "transfer", track=track)
                 continue
 
-            if is_fanout_tree(frame.route):
-                yield from self._tx_multicast(node, fifo, chunk, frame)
-            elif self._crosses_hubs(node, frame):
-                yield from self._tx_to_neighbor_hub(node, fifo, chunk, frame)
-            else:
-                plan = self.plan_path(node, frame.route)
-                for hub, port in plan.hops:
-                    wait = hub.acquire_output(port)
-                    if wait is not None:
-                        yield wait
-                yield plan.setup_ns + plan.propagation_ns
-                try:
-                    yield from self._stream_frame(node, fifo, chunk, plan)
-                finally:
-                    for hub, port in reversed(plan.hops):
-                        hub.release_output(port)
+            route = frame.route
+            if is_fanout_tree(route):
+                yield from self._tx_multicast(hub, fifo, chunk, frame)
+            elif not route:
+                # Loopback: back into our own input FIFO, no crossbar port.
+                yield costs.fiber_propagation_ns
+                yield from self._stream_frame(fifo, chunk, node.fiber_in.fifo)
                 self.stats.add("frames_delivered")
                 self.stats.add("bytes_delivered", frame.size)
+            else:
+                out_port = route[0]
+                carried = self.topology.wired_to(hub, out_port)
+                if isinstance(carried, Hub):
+                    yield from self._tx_to_neighbor_hub(
+                        hub, out_port, carried, fifo, chunk, frame
+                    )
+                else:
+                    if len(route) != 1:
+                        raise RouteError(
+                            f"route {route} from {node.name!r} reaches CAB "
+                            f"{carried!r} with hops left"
+                        )
+                    dest_fifo = self.nodes[carried].fiber_in.fifo
+                    wait = hub.acquire_output(out_port)
+                    if wait is not None:
+                        yield wait
+                    yield costs.hub_setup_ns + costs.fiber_propagation_ns * 2
+                    try:
+                        yield from self._stream_frame(fifo, chunk, dest_fifo)
+                    finally:
+                        hub.release_output(out_port)
+                    self.stats.add("frames_delivered")
+                    self.stats.add("bytes_delivered", frame.size)
             if track is not None:
                 tracer.end("hub", "transfer", track=track)
 
     def _frame_dest(self, node: NetworkNode, frame: Frame) -> str:
         """The destination CAB name of a frame (for fault-hook matching).
 
-        Resolved through the topology's wiring records rather than HUB
-        port attachments, so it also names ghost CABs on remote shards —
-        a fault plan must see cut-crossing frames exactly like local ones.
+        Resolved through the wiring table, so it also names ghost CABs on
+        remote shards — a fault plan must see cut-crossing frames exactly
+        like local ones.
         """
         if is_fanout_tree(frame.route):
             # A multicast frame has many destinations; directed per-member
@@ -505,24 +472,16 @@ class NectarNetwork:
 
     # -- the inter-hub seam -------------------------------------------------------
 
-    def _crosses_hubs(self, node: NetworkNode, frame: Frame) -> bool:
-        """Whether a frame's first hop leaves the source CAB's HUB."""
-        if not frame.route:
-            return False
-        hub, _port = self.topology.hub_of(node.name)
-        return hub.attachment(frame.route[0]).kind is PortKind.HUB
-
-    def _tx_to_neighbor_hub(self, node, fifo, first_chunk, frame: Frame) -> Generator:
+    def _tx_to_neighbor_hub(
+        self, hub: Hub, out_port: int, neighbour: Hub, fifo, first_chunk, frame: Frame
+    ) -> Generator:
         """Serialize a cross-hub frame onto its first inter-hub fiber."""
-        hub, _port = self.topology.hub_of(node.name)
-        out_port = frame.route[0]
-        attachment = hub.attachment(out_port)
         costs = self.costs
         wait = hub.acquire_output(out_port)
         if wait is not None:
             yield wait
         token = None
-        if self._crosses_cut(attachment):
+        if self._crosses_cut(neighbour):
             # Holding the cut port: declare the exact emission time (only
             # a wait for the TX DMA's next chunk could delay it).  A frame
             # queued for the port leaves after this one and needs no bound.
@@ -539,9 +498,9 @@ class NectarNetwork:
             hub.release_output(out_port)
             self._intent_clear(token)
         self.stats.add("frames_forwarded")
-        self._handoff(hub, out_port, attachment.target.name, frame.route[1:], frame)
+        self._handoff(hub, out_port, neighbour.name, frame.route[1:], frame)
 
-    def _tx_multicast(self, node, fifo, first_chunk, frame: Frame) -> Generator:
+    def _tx_multicast(self, hub: Hub, fifo, first_chunk, frame: Frame) -> Generator:
         """Store-and-forward a group frame into its HUB and fan it out.
 
         The sender emits *one* frame; the source HUB (and every HUB a
@@ -549,7 +508,6 @@ class NectarNetwork:
         per-member cost moves from the sending CAB's link to the crossbars
         where the members' paths actually diverge.
         """
-        hub, _port = self.topology.hub_of(node.name)
         token = None
         if self._next_hop_crosses_cut(hub, frame.route):
             # At least one branch is cut-bound: cover the whole fan-out
@@ -584,12 +542,13 @@ class NectarNetwork:
     ) -> None:
         """Give the fault injector one shot at a single fan-out branch.
 
-        The branch's destination label is the attached CAB for a leaf
+        The branch's destination label is the CAB on the port for a leaf
         branch or the neighbour HUB's name for an interior one, so directed
         ``"sender->member"`` specs can sever one member's replica while the
         rest of the group delivers — the NACK/repair storm scenario.
         """
-        dest = hub.attachment(port).target.name
+        carried = self.topology.wired_to(hub, port)
+        dest = carried.name if isinstance(carried, Hub) else carried
         self.fault_hooks.on_fanout_branch(replica.src, dest, replica)
 
     def _handoff(
@@ -673,9 +632,10 @@ class NectarNetwork:
             return False
         if is_fanout_tree(remaining):
             return any(
-                self._crosses_cut(hub.attachment(port)) for port, _subtree in remaining
+                self._crosses_cut(self.topology.wired_to(hub, port))
+                for port, _subtree in remaining
             )
-        return self._crosses_cut(hub.attachment(remaining[0]))
+        return self._crosses_cut(self.topology.wired_to(hub, remaining[0]))
 
     def _forwarder_for(self, hub_name: str) -> _HubForwarder:
         forwarder = self._forwarders.get(hub_name)
@@ -714,9 +674,8 @@ class NectarNetwork:
             tuple(handoff.key),
         )
 
-    def _stream_frame(self, node, fifo, first_chunk, plan: PathPlan) -> Generator:
+    def _stream_frame(self, fifo, first_chunk, dest_fifo) -> Generator:
         """Push a frame's chunks into the destination FIFO at line rate."""
-        dest_fifo = plan.dest.fiber_in.fifo
         fiber_ns_per_byte = self.costs.fiber_ns_per_byte
         chunk = first_chunk
         while True:

@@ -1,36 +1,39 @@
-"""Topology bookkeeping and source-route computation.
+"""The wiring table of the fabric and source-route computation.
 
 The CABs use *source routing* (paper Sec. 2.1): a route is the sequence of
 HUB output-port numbers a frame must take, one per HUB traversed.  The HUB
 command set supports multi-hop connections, so large Nectar systems are built
 by wiring HUB ports to other HUBs.
 
-This module keeps the wiring graph and computes shortest routes with a plain
-breadth-first search over HUBs.
+Each HUB I/O port carries one CAB's fiber pair or one fiber pair to another
+HUB.  :class:`Topology` is the one record of that wiring: it books every
+port, runs every wiring check, answers what a port carries, and computes
+shortest routes with a plain breadth-first search over HUBs.  A
+:class:`~repro.hub.crossbar.Hub` keeps only its crossbar.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from repro.errors import RouteError
-from repro.hub.crossbar import Hub, PortKind
+from repro.errors import RouteError, WiringError
+from repro.hub.crossbar import Hub
 
 __all__ = ["Topology"]
 
 
 class Topology:
-    """The wiring graph: which CAB/HUB sits on which HUB port."""
+    """The wiring table: which CAB or HUB sits on which HUB port."""
 
     def __init__(self):
-        #: cab name -> (hub, port) where the CAB's fibers terminate
-        self.cab_ports: Dict[str, tuple[Hub, int]] = {}
-        #: (hub name, out port) -> neighbour hub, for HUB-HUB links
-        self._hub_links: Dict[tuple[str, int], Hub] = {}
-        #: (hub name, port) -> cab name, the reverse of ``cab_ports``
-        self._cab_at: Dict[tuple[str, int], str] = {}
         self.hubs: Dict[str, Hub] = {}
+        #: (hub name, port) -> what the port carries: a CAB name (a live
+        #: CAB, or a ghost placed for another shard) or the neighbour Hub
+        #: at the far end of an inter-hub link.
+        self._wiring: Dict[tuple[str, int], Union[str, Hub]] = {}
+        #: cab name -> (hub, port) where the CAB's fibers terminate
+        self._placement: Dict[str, tuple[Hub, int]] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -40,51 +43,64 @@ class Topology:
             raise RouteError(f"duplicate hub name {hub.name!r}")
         self.hubs[hub.name] = hub
 
-    def place_cab(self, cab_name: str, hub: Hub, port: int) -> None:
-        """Record which HUB port a CAB's fibers terminate on."""
-        if cab_name in self.cab_ports:
-            raise RouteError(f"CAB {cab_name!r} already placed")
+    def _book(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
+        """Check that a port exists and is free, registering its HUB if new;
+        returns the port's table key."""
+        self._check_port(hub, port, f"cannot {action}: ")
+        key = (hub.name, port)
+        held = self._wiring.get(key)
+        if isinstance(held, Hub):
+            raise WiringError(
+                f"cannot {action}: {hub.name} port {port} carries an inter-hub "
+                f"link to {held.name}"
+            )
+        if held is not None:
+            raise WiringError(
+                f"cannot {action}: {hub.name} port {port} is already occupied "
+                f"by CAB {held!r}"
+            )
         if hub.name not in self.hubs:
             self.add_hub(hub)
-        key = (hub.name, port)
-        if key in self._hub_links:
-            raise RouteError(
-                f"cannot place CAB {cab_name!r} on {hub.name} port {port}: "
-                f"port carries an inter-hub link to {self._hub_links[key].name}"
+        return key
+
+    @staticmethod
+    def _check_port(hub: Hub, port: int, context: str = "") -> None:
+        if not 0 <= port < hub.ports:
+            raise WiringError(
+                f"{context}{hub.name} port {port} out of range 0..{hub.ports - 1}"
             )
-        if key in self._cab_at:
-            raise RouteError(
-                f"cannot place CAB {cab_name!r} on {hub.name} port {port}: "
-                f"port already occupied by CAB {self._cab_at[key]!r}"
-            )
-        self.cab_ports[cab_name] = (hub, port)
-        self._cab_at[key] = cab_name
+
+    def place_cab(self, cab_name: str, hub: Hub, port: int) -> None:
+        """Record which HUB port a CAB's fibers terminate on."""
+        if cab_name in self._placement:
+            raise RouteError(f"CAB {cab_name!r} already placed")
+        key = self._book(hub, port, f"place CAB {cab_name!r}")
+        self._wiring[key] = cab_name
+        self._placement[cab_name] = (hub, port)
 
     def link_hubs(self, hub_a: Hub, port_a: int, hub_b: Hub, port_b: int) -> None:
         """Record an inter-HUB fiber pair between two ports."""
-        for hub in (hub_a, hub_b):
-            if hub.name not in self.hubs:
-                self.add_hub(hub)
-        key_a = (hub_a.name, port_a)
-        key_b = (hub_b.name, port_b)
-        if key_a in self._hub_links or key_b in self._hub_links:
-            raise RouteError("hub port already used by another inter-hub link")
-        for key in (key_a, key_b):
-            if key in self._cab_at:
-                raise RouteError(
-                    f"cannot link {key[0]} port {key[1]} to another hub: "
-                    f"port already occupied by CAB {self._cab_at[key]!r}"
-                )
-        self._hub_links[key_a] = hub_b
-        self._hub_links[key_b] = hub_a
+        action = f"link {hub_a.name} port {port_a} to {hub_b.name} port {port_b}"
+        key_a = self._book(hub_a, port_a, action)
+        key_b = self._book(hub_b, port_b, action)
+        self._wiring[key_a] = hub_b
+        self._wiring[key_b] = hub_a
 
     # -- queries ---------------------------------------------------------------
 
     def hub_of(self, cab_name: str) -> tuple[Hub, int]:
         """The (hub, port) where a CAB is attached."""
-        if cab_name not in self.cab_ports:
+        if cab_name not in self._placement:
             raise RouteError(f"unknown CAB {cab_name!r}")
-        return self.cab_ports[cab_name]
+        return self._placement[cab_name]
+
+    def wired_to(self, hub: Hub, port: int) -> Union[str, Hub]:
+        """What a HUB port carries: a CAB name or the neighbour Hub."""
+        carried = self._wiring.get((hub.name, port))
+        if carried is None:
+            self._check_port(hub, port)
+            raise WiringError(f"{hub.name} port {port} is not wired")
+        return carried
 
     def compute_route(self, src_cab: str, dst_cab: str) -> tuple[int, ...]:
         """Shortest source route from one CAB to another.
@@ -97,14 +113,19 @@ class Topology:
         src_hub, _src_port = self.hub_of(src_cab)
         dst_hub, dst_port = self.hub_of(dst_cab)
 
-        # BFS over hubs; edges are inter-hub links.
+        # BFS over hubs; edges are inter-hub links, in wiring order.
+        links = [
+            (key, carried)
+            for key, carried in self._wiring.items()
+            if isinstance(carried, Hub)
+        ]
         frontier: deque[Hub] = deque([src_hub])
         parents: Dict[str, Optional[tuple[Hub, int]]] = {src_hub.name: None}
         while frontier:
             hub = frontier.popleft()
             if hub.name == dst_hub.name:
                 break
-            for (hub_name, out_port), neighbour in self._hub_links.items():
+            for (hub_name, out_port), neighbour in links:
                 if hub_name != hub.name or neighbour.name in parents:
                     continue
                 parents[neighbour.name] = (hub, out_port)
@@ -125,54 +146,27 @@ class Topology:
     def cab_on_route(self, src_cab: str, route: tuple[int, ...]) -> str:
         """The destination CAB name a route terminates at.
 
-        Resolves through the wiring graph alone (``place_cab`` records),
-        so it works for *ghost* CABs of a partitioned fleet too — a ghost
-        is placed in the topology but never attached to a HUB port, which
-        makes attachment-based resolution (``plan_path``) impossible for
-        cut-crossing frames.  Raises :class:`RouteError` on malformed
-        routes.
+        Resolves through the wiring table alone, so it names *ghost* CABs of
+        a partitioned fleet too.  Raises :class:`RouteError` on a route that
+        ends on an inter-hub link or reaches a CAB with hops left, and
+        :class:`WiringError` on a port that is not wired.
         """
         if not route:
             return src_cab  # loopback
         hub, _ = self.hub_of(src_cab)
-        for index, port in enumerate(route):
-            key = (hub.name, port)
-            last = index == len(route) - 1
-            neighbour = self._hub_links.get(key)
-            if neighbour is not None:
-                if last:
-                    raise RouteError(
-                        f"route {route} from {src_cab!r} ends on an inter-hub link"
-                    )
-                hub = neighbour
-                continue
-            cab = self._cab_at.get(key)
-            if cab is None:
+        *through, last = route
+        for index, port in enumerate(through):
+            carried = self.wired_to(hub, port)
+            if not isinstance(carried, Hub):
                 raise RouteError(
-                    f"route {route} from {src_cab!r}: {hub.name} port {port} "
-                    f"is not wired"
-                )
-            if not last:
-                raise RouteError(
-                    f"route {route} from {src_cab!r} reaches CAB {cab!r} at "
+                    f"route {route} from {src_cab!r} reaches CAB {carried!r} at "
                     f"hop {index} with hops left"
                 )
-            return cab
-        raise RouteError(f"empty route from {src_cab!r}")  # pragma: no cover
-
-    def validate_route(self, src_cab: str, route: tuple[int, ...]) -> None:
-        """Check that a route terminates at a CAB (raises RouteError if not)."""
-        if not route:
-            return  # loopback
-        hub, _ = self.hub_of(src_cab)
-        for index, port in enumerate(route):
-            attachment = hub.attachment(port)
-            last = index == len(route) - 1
-            if attachment.kind is PortKind.CAB and not last:
-                raise RouteError(
-                    f"route {route} reaches a CAB at hop {index} with hops left"
-                )
-            if attachment.kind is PortKind.HUB:
-                if last:
-                    raise RouteError(f"route {route} ends at an inter-hub link")
-                hub = attachment.target  # type: ignore[assignment]
+            hub = carried
+        carried = self.wired_to(hub, last)
+        if isinstance(carried, Hub):
+            raise RouteError(
+                f"route {route} from {src_cab!r} ends on the inter-hub link "
+                f"to {carried.name}"
+            )
+        return carried

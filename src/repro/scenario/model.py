@@ -95,7 +95,7 @@ def apply_overrides(kind, assignments: List[str]) -> dict:
         if spec is None:
             known = ", ".join(sorted(kind.params)) or "(none)"
             raise ConfigError(
-                position, f"unknown [params] key {key!r}; known: {known}"
+                position, f"unknown key {key!r}; known: {known}"
             )
         if spec.type == "str":
             value = text
@@ -108,12 +108,12 @@ def apply_overrides(kind, assignments: List[str]) -> dict:
             if not all(_check_scalar(element, item) for item in value):
                 raise ConfigError(
                     position,
-                    f"[params] {key} must be a list of {element}, got {value!r}",
+                    f"{key} must be a list of {element}, got {value!r}",
                 )
         elif not _check_scalar(spec.type, value):
             raise ConfigError(
                 position,
-                f"[params] {key} must be {spec.type}, "
+                f"{key} must be {spec.type}, "
                 f"got {type(value).__name__} {value!r}",
             )
         params[key] = value

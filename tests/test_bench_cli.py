@@ -152,7 +152,7 @@ class TestOverrides:
     def test_unknown_key_names_the_known_ones(self, capsys):
         assert bench_cli.main(["scale", "frob=1"]) == 2
         err = capsys.readouterr().err
-        assert "unknown [params] key 'frob'" in err and "cabs_per_hub" in err
+        assert "unknown key 'frob'" in err and "cabs_per_hub" in err
 
     def test_wrong_type_is_located_by_override_position(self):
         with pytest.raises(ConfigError) as err:

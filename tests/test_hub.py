@@ -3,20 +3,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import HubError, RouteError
-from repro.hub.crossbar import Hub, PortAttachment, PortKind
+from repro.errors import HubError, RouteError, WiringError
+from repro.hub.crossbar import Hub
 from repro.hub.routing import Topology
 from repro.system import NectarSystem
 from repro.units import seconds
 
 
 class TestCrossbar:
+    """The crossbar arbitrates output ports; what a port is wired to is
+    the wiring table's (``Topology``), so the wiring checks run there."""
+
     def test_port_range_checked(self):
         from repro.sim import Simulator
 
         hub = Hub(Simulator(), "h", ports=16)
-        with pytest.raises(HubError):
-            hub.attachment(16)
+        topo = Topology()
+        with pytest.raises(WiringError, match="h port 16 out of range 0..15"):
+            topo.place_cab("a", hub, 16)
+        with pytest.raises(WiringError, match="out of range"):
+            topo.link_hubs(hub, -1, Hub(Simulator(), "g"), 0)
+        with pytest.raises(WiringError, match="out of range"):
+            topo.wired_to(hub, 16)
         with pytest.raises(HubError):
             hub.acquire_output(-1)
 
@@ -24,16 +32,24 @@ class TestCrossbar:
         from repro.sim import Simulator
 
         hub = Hub(Simulator(), "h")
-        hub.attach(0, PortAttachment(PortKind.CAB, object()))
-        with pytest.raises(HubError, match="already attached"):
-            hub.attach(0, PortAttachment(PortKind.CAB, object()))
+        topo = Topology()
+        topo.place_cab("a", hub, 0)
+        with pytest.raises(WiringError, match="already occupied by CAB 'a'"):
+            topo.place_cab("b", hub, 0)
+        # Both error kinds a caller may catch still catch it.
+        with pytest.raises(HubError):
+            topo.place_cab("b", hub, 0)
+        with pytest.raises(RouteError):
+            topo.place_cab("b", hub, 0)
 
     def test_unattached_port_lookup_fails(self):
         from repro.sim import Simulator
 
         hub = Hub(Simulator(), "h")
-        with pytest.raises(HubError, match="not attached"):
-            hub.attachment(3)
+        topo = Topology()
+        topo.add_hub(hub)
+        with pytest.raises(WiringError, match="h port 3 is not wired"):
+            topo.wired_to(hub, 3)
 
     def test_output_arbitration_serializes(self):
         from repro.sim import Simulator
@@ -73,12 +89,8 @@ class TestRouting:
         hubs = [Hub(sim, f"h{i}") for i in range(n_hubs)]
         for i, hub in enumerate(hubs):
             topo.add_hub(hub)
-            cab = object()
-            hub.attach(0, PortAttachment(PortKind.CAB, cab))
             topo.place_cab(f"cab-{i}", hub, 0)
         for i in range(n_hubs - 1):
-            hubs[i].attach(15, PortAttachment(PortKind.HUB, hubs[i + 1], 14))
-            hubs[i + 1].attach(14, PortAttachment(PortKind.HUB, hubs[i], 15))
             topo.link_hubs(hubs[i], 15, hubs[i + 1], 14)
         return topo, hubs
 
@@ -94,8 +106,6 @@ class TestRouting:
         sim = Simulator()
         topo2 = Topology()
         hub = Hub(sim, "h")
-        hub.attach(0, PortAttachment(PortKind.CAB, object()))
-        hub.attach(1, PortAttachment(PortKind.CAB, object()))
         topo2.add_hub(hub)
         topo2.place_cab("a", hub, 0)
         topo2.place_cab("b", hub, 1)
@@ -111,9 +121,11 @@ class TestRouting:
     def test_route_validation(self):
         topo, _ = self._mesh(3)
         route = topo.compute_route("cab-0", "cab-2")
-        topo.validate_route("cab-0", route)
-        with pytest.raises(RouteError):
-            topo.validate_route("cab-0", (15,))  # ends on inter-hub link
+        assert topo.cab_on_route("cab-0", route) == "cab-2"
+        with pytest.raises(RouteError, match="ends on the inter-hub link to h1"):
+            topo.cab_on_route("cab-0", (15,))
+        with pytest.raises(RouteError, match="reaches CAB 'cab-1' at hop 1"):
+            topo.cab_on_route("cab-0", (15, 0, 15))
 
     def test_unknown_cab_rejected(self):
         topo, _ = self._mesh(2)
@@ -127,7 +139,6 @@ class TestRouting:
         topo = Topology()
         h0, h1 = Hub(sim, "h0"), Hub(sim, "h1")
         for i, hub in enumerate((h0, h1)):
-            hub.attach(0, PortAttachment(PortKind.CAB, object()))
             topo.add_hub(hub)
             topo.place_cab(f"cab-{i}", hub, 0)
         with pytest.raises(RouteError, match="no path"):
@@ -142,7 +153,7 @@ class TestRouting:
                 if src == dst:
                     continue
                 route = topo.compute_route(f"cab-{src}", f"cab-{dst}")
-                topo.validate_route(f"cab-{src}", route)
+                assert topo.cab_on_route(f"cab-{src}", route) == f"cab-{dst}"
                 # Number of hubs traversed equals the route length.
                 assert len(route) == abs(dst - src) + 1
 
@@ -172,6 +183,30 @@ class TestFabricEndToEnd:
         a.runtime.fork_application(sender(), "s")
         b.runtime.fork_application(receiver(), "r")
         assert system.run_until(done, limit=seconds(1)) == b"across the mesh"
+
+    def test_a_frame_to_its_own_cab_loops_back(self):
+        """An empty route takes no crossbar port: the frame streams back
+        into the sender's own input FIFO."""
+        system = NectarSystem()
+        hub = system.add_hub("hub0")
+        a = system.add_node("a", hub, 0)
+        inbox = a.runtime.mailbox("inbox")
+        a.datagram.bind(5, inbox)
+        done = system.sim.event()
+
+        def sender():
+            yield from a.datagram.send(1, a.node_id, 5, b"to myself")
+
+        def receiver():
+            msg = yield from inbox.begin_get()
+            done.succeed(msg.read(0, 9))
+            yield from inbox.end_get(msg)
+
+        a.runtime.fork_application(sender(), "s")
+        a.runtime.fork_application(receiver(), "r")
+        assert system.run_until(done, limit=seconds(1)) == b"to myself"
+        assert system.network.stats.value("frames_delivered") == 1
+        assert hub.stats.snapshot() == {}  # no output port was granted
 
     def test_output_port_contention_serializes_senders(self):
         """Two CABs streaming to the same destination share its hub port."""
@@ -209,40 +244,34 @@ class TestFabricEndToEnd:
         assert end >= wire_ns
 
 
-def test_path_plans_are_cached_until_the_wiring_changes():
-    """A frame's plan is resolved once per (source CAB, route); attaching
-    a CAB or linking HUBs drops every cached plan with the routes."""
+def test_a_route_reaching_a_cab_with_hops_left_is_refused():
+    """The link process dispatches a frame on its first hop; a route whose
+    first hop is a CAB port of the source HUB must end there."""
+    from repro.hw.fiber import Frame
+
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    a = system.add_node("a", h0, 1)
+    system.add_node("b", h0, 2)
+    frame = Frame(route=(2, 1), payload=bytearray(b"\x01"), src="a")
+    frame.seal()
+
+    def push():
+        for chunk in frame.chunks():
+            wait = a.cab.fiber_out.fifo.wait_space(chunk.length)
+            if wait is not None:
+                yield wait
+            a.cab.fiber_out.fifo.push(chunk)
+
+    system.sim.process(push(), name="push")
+    with pytest.raises(RouteError, match="reaches CAB 'b' with hops left"):
+        system.sim.run(until=system.sim.now + 1_000_000)
+
+
+def test_a_cab_on_a_linked_port_names_the_link():
     system = NectarSystem()
     h0 = system.add_hub("h0")
     h1 = system.add_hub("h1")
-    a = system.add_node("a", h0, 1)
-    b = system.add_node("b", h0, 2)
-    network = system.network
-    route = network.route_for("a", "b")
-    plan = network.plan_path(a.cab, route)
-    assert network.plan_path(a.cab, route) is plan
-    assert plan.hops == ((h0, 2),) and plan.dest is b.cab
-    assert network.plan_path(b.cab, ()) is not network.plan_path(a.cab, ())
-    system.connect_hubs(h0, 15, h1, 0)
-    replanned = network.plan_path(a.cab, route)
-    assert replanned is not plan and replanned == plan
-    system.add_node("c", h1, 1)
-    assert network.plan_path(a.cab, route) is not replanned
-
-
-def test_a_path_plan_is_a_loopback_or_one_cab_port():
-    """Routes that leave the source HUB go out through the inter-HUB seam,
-    so a plan never spans HUBs: a two-hop route is refused."""
-    system = NectarSystem()
-    h0 = system.add_hub("h0")
-    h1 = system.add_hub("h1")
-    a = system.add_node("a", h0, 1)
-    system.add_node("c", h1, 1)
-    system.connect_hubs(h0, 15, h1, 0)
-    network = system.network
-    route = network.route_for("a", "c")
-    assert route == (15, 1)
-    with pytest.raises(RouteError, match="loopback or one CAB port"):
-        network.plan_path(a.cab, route)
-    with pytest.raises(RouteError, match="loopback or one CAB port"):
-        network.plan_path(a.cab, (15,))
+    system.connect_hubs(h0, 7, h1, 0)
+    with pytest.raises(HubError, match="h0 port 7 carries an inter-hub link to h1"):
+        system.add_node("a", h0, 7)

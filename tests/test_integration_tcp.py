@@ -305,6 +305,34 @@ class TestTCPRecovery:
         assert system.run_until(done, limit=seconds(60)) == payload
         assert a.runtime.stats.value("tcp_retransmits") > 0
 
+    def test_reassembles_segments_that_overtake_a_lost_one(self, system):
+        """Five segments (MSS is 8,960 B); the second is dropped, so later
+        ones arrive first and wait in the out-of-order queue until the one
+        retransmission fills the hole."""
+        a, b = system.nodes["cab-a"], system.nodes["cab-b"]
+        payload = bytes(range(256)) * 160  # 40960 bytes
+        done = system.sim.event()
+
+        server_inbox = b.runtime.mailbox("srv-inbox")
+        b.tcp.listen(7000, lambda conn: server_inbox)
+
+        def client():
+            inbox = a.runtime.mailbox("cli-inbox")
+            conn = yield from a.tcp.connect(6000, b.ip_address, 7000, inbox)
+            system.attach_fault_plan(
+                FaultPlan(1, [FaultSpec(DROP, where="cab-a", nth=2)])
+            )
+            yield from a.tcp.send_direct(conn, payload)
+
+        a.runtime.fork_application(client(), "client")
+        b.runtime.fork_application(
+            collect_stream(b, server_inbox, len(payload), done, system.sim)(),
+            "collector",
+        )
+        assert system.run_until(done, limit=seconds(60)) == payload
+        assert b.runtime.stats.value("tcp_out_of_order") > 0
+        assert a.runtime.stats.value("tcp_retransmits") == 1
+
     def test_checksum_catches_corruption_that_crc_misses(self, system):
         """Direct unit-ish check: a corrupted segment fails TCP verify.
 

@@ -262,6 +262,66 @@ def test_vme_bus_guard_catches_planted_sites():
     assert vme_bus_sites(source) == [2, 3]
 
 
+#: Topology's port records, and the per-port records the table replaced.
+WIRING_RECORDS = ("_wiring", "_placement", "_attachments", "_cab_at", "_hub_links", "cab_ports")
+#: All a Hub holds: its ports, their output arbiters and grant counters.
+HUB_CROSSBAR_STATE = {"sim", "name", "ports", "_out_arbiters", "stats", "_grant_counters"}
+
+
+def wiring_record_sites(source, filename="<source>"):
+    """Line numbers of every access to a port record in ``WIRING_RECORDS``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr in WIRING_RECORDS
+    )
+
+
+def hub_state(source, filename="<source>"):
+    """Every ``self.<name>`` that a ``class Hub`` in ``source`` assigns."""
+    return {
+        node.attr
+        for cls in ast.walk(ast.parse(source, filename))
+        if isinstance(cls, ast.ClassDef) and cls.name == "Hub"
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def test_one_wiring_table():
+    """What each HUB port carries is recorded once, in ``Topology``: nothing
+    outside ``hub/routing.py`` touches its port records (look a port up with
+    ``Topology.wired_to``), and a ``Hub`` keeps no per-port wiring of its
+    own, only crossbar state."""
+    routing = SRC / "repro" / "hub" / "routing.py"
+    hits = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != routing
+        for line in wiring_record_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert hits == [], "read the wiring through Topology:\n" + "\n".join(hits)
+    crossbar = SRC / "repro" / "hub" / "crossbar.py"
+    assert hub_state(crossbar.read_text(encoding="utf-8")) == HUB_CROSSBAR_STATE
+
+
+def test_wiring_guard_catches_planted_sites():
+    source = (
+        "class Hub:\n"
+        "    def __init__(self, sim, name, ports):\n"
+        "        self.ports = ports\n"
+        "        self._attachments = [None] * ports\n"
+        "\n"
+        "def dest(network, hub, port):\n"
+        "    return network.topology._wiring[(hub.name, port)]\n"
+    )
+    assert wiring_record_sites(source) == [4, 7]
+    assert hub_state(source) - HUB_CROSSBAR_STATE == {"_attachments"}
+
+
 def test_nothing_under_src_repro_reads_the_host_clock():
     """Every report is simulated quantities only: ND001 has no suppression
     left and no ``time.perf_counter``/``time.time``/``time.monotonic`` call

@@ -1,9 +1,9 @@
-"""Regression: Topology port-occupancy validation.
+"""Topology port-occupancy validation.
 
 A (hub, port) can carry either one CAB's fibers or one inter-HUB link,
-never both and never two of either.  These used to be silently accepted,
-producing routes through ports whose attachment disagreed with the wiring
-graph.
+never both and never two of either.  ``Topology`` is the one record of
+that wiring, so these checks run once, there; an error names what already
+holds the port.
 """
 
 import pytest
@@ -42,6 +42,15 @@ def test_link_hubs_rejects_cab_occupied_port(rig):
         topology.link_hubs(hub_a, 3, hub_b, 7)
     with pytest.raises(RouteError, match="already occupied by CAB 'cab-x'"):
         topology.link_hubs(hub_b, 7, hub_a, 3)
+
+
+def test_link_hubs_rejects_linked_port(rig):
+    topology, hub_a, hub_b = rig
+    topology.link_hubs(hub_a, 7, hub_b, 7)
+    with pytest.raises(RouteError, match="hub-a port 7 carries an inter-hub link to hub-b"):
+        topology.link_hubs(hub_b, 5, hub_a, 7)
+    # A refused link books neither end: hub-b port 5 is still free.
+    topology.link_hubs(hub_a, 6, hub_b, 5)
 
 
 def test_place_cab_rejects_port_with_other_cab(rig):
