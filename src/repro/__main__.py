@@ -6,10 +6,9 @@ drift from the real command set; ``tests/test_bench_cli.py`` pins the two
 together.
 
 ``lint`` runs nectarlint, the static determinism/sim-safety checker
-(see :mod:`repro.analysis.nectarlint`); with ``--static`` it also runs
-the whole-program nectarflow pass over protocol FSMs (see
-:mod:`repro.analysis.flow`); ``flow --graph`` dumps the call graph and
-lifted state machines that pass computes; ``observe`` runs a
+(see :mod:`repro.analysis.nectarlint`); with ``--static`` it also checks
+the protocol state machines over the same parsed files (see
+:mod:`repro.analysis.fsm`); ``observe`` runs a
 workload with the telemetry plane on and exports Perfetto traces,
 metrics, and cycle profiles (see :mod:`repro.telemetry.observe`);
 ``bench`` is the scenario harness (see :mod:`repro.scenario`) and the
@@ -36,7 +35,6 @@ _SUBCOMMANDS = {
         "lint [paths...] [--strict] [--static] [--format text|json]\n"
         "                      [--select CODES] [--ignore CODES] [--explain]",
     ),
-    "flow": ("repro.analysis.flow.cli", "flow --graph [paths...]"),
     "observe": (
         "repro.telemetry.observe",
         "observe [--workload NAME] [--trace FILE] [--metrics FILE]",

@@ -6,8 +6,8 @@
   thread-context generators, blocking calls from interrupt-handler context,
   yields of non-event values) and payload copies on the data path.
   ``python -m repro lint``.
-* :mod:`repro.analysis.flow` — nectarflow, the whole-program protocol
-  state-machine pass behind ``lint --static``.
+* :mod:`repro.analysis.fsm` — the NP30x protocol state-machine pass that
+  ``lint --static`` runs over the files ``lint`` has already parsed.
 
 Run-time checks are not here: the runtime itself raises on a
 use-after-free view or a double release (:class:`~repro.errors.BufError`),

@@ -27,10 +27,13 @@ Scope notes
   ``# nectarlint: disable=NB201`` with a justifying note.
 
 Usage: ``python -m repro lint src/repro [--strict] [--static]
-[--format text|json] [--select CODES] [--ignore CODES]``.  ``--static``
-adds the whole-program nectarflow pass (:mod:`repro.analysis.flow`);
-exit codes are 0 (clean), 1 (findings), 2 (usage/internal error, which
-includes a ``--select``/``--ignore`` code the run cannot report).
+[--format text|json] [--select CODES] [--ignore CODES]``.  Each file is
+read and parsed once.  ``--static`` takes the linted files as the whole
+program and also runs the NP30x state-machine pass
+(:mod:`repro.analysis.fsm`) over the same trees; one suppression table
+per file applies to its per-file and NP30x findings alike.  Exit codes
+are 0 (clean), 1 (findings), 2 (usage/internal error, which includes a
+``--select``/``--ignore`` code the run cannot report).
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ import ast
 import json
 import os
 import sys
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.rules import (
     Finding,
+    Suppressions,
     all_rules,
     filter_findings,
     get_rule,
@@ -711,6 +715,17 @@ def _is_data_path(path: str) -> bool:
     return any(part in DATA_PATH_PARTS for part in parts)
 
 
+def _syntax_error(path: str, exc: SyntaxError) -> Finding:
+    """An unparseable file is a finding, not a linter crash."""
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        code="E999",
+        message=f"syntax error: {exc.msg}",
+    )
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -727,27 +742,40 @@ def lint_source(
     silence the complaint about itself) but still subject to
     ``--select``/``--ignore``.
     """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [_syntax_error(path, exc)]
+    return _lint_tree(
+        tree,
+        path,
+        parse_suppressions(source),
+        sensitive=sensitive,
+        select=select,
+        ignore=ignore,
+        data_path=data_path,
+        strict=strict,
+    )
+
+
+def _lint_tree(
+    tree: ast.Module,
+    path: str,
+    suppressions: Suppressions,
+    sensitive: Optional[bool] = None,
+    select: Optional[set] = None,
+    ignore: Optional[set] = None,
+    data_path: Optional[bool] = None,
+    strict: bool = False,
+) -> List[Finding]:
+    """The per-file rules over one parsed module (see :func:`lint_source`)."""
     if sensitive is None:
         sensitive = _is_sensitive(path)
     if data_path is None:
         data_path = _is_data_path(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        # An unparseable file is a finding, not a linter crash.
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code="E999",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
     checker = _Checker(path, sensitive, tree, data_path=data_path)
     checker.visit(tree)
     checker.findings.sort(key=lambda f: (f.line, f.col, f.code))
-    suppressions = parse_suppressions(source)
     kept = filter_findings(
         checker.findings, suppressions, select=select, ignore=ignore
     )
@@ -777,7 +805,7 @@ def lint_source(
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
     """Every ``.py`` file named by or under ``paths``, in walk order with
-    sorted names (the one file order of the linter and the call graph)."""
+    sorted names (the one file order of every lint run)."""
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -796,21 +824,50 @@ def lint_paths(
     select: Optional[set] = None,
     ignore: Optional[set] = None,
     strict: bool = False,
+    static: bool = False,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (deterministic order)."""
+    """Lint every ``.py`` file under ``paths`` (deterministic order).
+
+    Each file is read and parsed once.  With ``static`` the parsed files
+    are taken as the whole program and the NP30x pass runs over the same
+    trees; each file's suppression table filters its NP30x findings too,
+    and the whole report is sorted by path and position.
+    """
     findings: List[Finding] = []
+    trees: List[Tuple[str, ast.Module]] = []
+    tables: Dict[str, Suppressions] = {}
     for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
+        try:
+            tree = ast.parse(source, filename=filename)
+        except SyntaxError as exc:
+            findings.append(_syntax_error(filename, exc))
+            continue
+        suppressions = parse_suppressions(source)
+        if static:
+            trees.append((filename, tree))
+            tables[filename] = suppressions
         findings.extend(
-            lint_source(
-                source,
-                path=filename,
+            _lint_tree(
+                tree,
+                filename,
+                suppressions,
                 select=select,
                 ignore=ignore,
                 strict=strict,
             )
         )
+    if static:
+        from repro.analysis.fsm import FsmPass
+
+        for finding in FsmPass(trees).run():
+            findings.extend(
+                filter_findings(
+                    [finding], tables[finding.path], select=select, ignore=ignore
+                )
+            )
+        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
 
@@ -837,22 +894,6 @@ def render_rules() -> str:
         lines.append(f"{rule.code} ({rule.name}): {rule.summary}")
         lines.append(f"    why: {rule.rationale}")
     return "\n".join(lines)
-
-
-def _static_findings(
-    paths: List[str],
-    select: Optional[set],
-    ignore: Optional[set],
-) -> List[Finding]:
-    """Run nectarflow, then apply ``--select``/``--ignore``."""
-    from repro.analysis.flow import analyze_paths
-
-    findings = analyze_paths(paths)
-    if select:
-        findings = [f for f in findings if f.code in select]
-    if ignore:
-        findings = [f for f in findings if f.code not in ignore]
-    return findings
 
 
 def _unmatchable(code: str, static: bool, strict: bool) -> Optional[str]:
@@ -932,10 +973,9 @@ def main(argv: List[str]) -> int:
             if problem:
                 print(f"{option} {code}: {problem}", file=sys.stderr)
                 return 2
-    findings = lint_paths(paths, select=select, ignore=ignore, strict=strict)
-    if static:
-        findings.extend(_static_findings(paths, select, ignore))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    findings = lint_paths(
+        paths, select=select, ignore=ignore, strict=strict, static=static
+    )
     if fmt == "json":
         rendered = render_json(findings)
     else:

@@ -5,8 +5,8 @@ for simulated-concurrency/sim-safety hazards, ``NB2xx`` for buffer-plane
 hazards, ``NP3xx`` for protocol state-machine hazards, ``NL0xx`` for lint
 hygiene), a one-line summary, and the paper section whose invariant it
 protects.  The per-file AST checks live
-in :mod:`repro.analysis.nectarlint` and the whole-program pass
-in :mod:`repro.analysis.flow`; this module is pure bookkeeping so the
+in :mod:`repro.analysis.nectarlint` and the whole-program NP30x pass
+in :mod:`repro.analysis.fsm`; this module is pure bookkeeping so the
 rule table can be rendered (``--explain``, docs/analysis.md), filtered
 (``--select`` / ``--ignore``), and documented without importing the
 checkers.
@@ -166,7 +166,7 @@ NS103 = _register(
     "here instead",
 )
 
-# ----------------------------------------------- whole-program (nectarflow)
+# ------------------------------------------ whole-program (lint --static)
 
 NP301 = _register(
     "NP301",

@@ -43,9 +43,10 @@ class Topology:
             raise RouteError(f"duplicate hub name {hub.name!r}")
         self.hubs[hub.name] = hub
 
-    def _book(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
-        """Check that a port exists and is free, registering its HUB if new;
-        returns the port's table key."""
+    def check_free(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
+        """Refuse a port that does not exist or is already booked, changing
+        nothing; returns the port's table key.  A caller that builds before
+        it books (``NectarSystem.add_node``) asks first."""
         self._check_port(hub, port, f"cannot {action}: ")
         key = (hub.name, port)
         held = self._wiring.get(key)
@@ -59,6 +60,12 @@ class Topology:
                 f"cannot {action}: {hub.name} port {port} is already occupied "
                 f"by CAB {held!r}"
             )
+        return key
+
+    def _book(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
+        """Check that a port exists and is free, registering its HUB if new;
+        returns the port's table key."""
+        key = self.check_free(hub, port, action)
         if hub.name not in self.hubs:
             self.add_hub(hub)
         return key

@@ -140,6 +140,10 @@ def main(argv: List[str]) -> int:
             )
             return 2
 
+    if json_path is not None and (list_only or do_check_all):
+        flag = "--list" if list_only else "--check-all"
+        print(f"{flag} writes no report; --json is for one scenario", file=sys.stderr)
+        return 2
     if list_only:
         _print_available(sys.stdout)
         return 0

@@ -66,7 +66,7 @@ class TestDispatch:
         assert entry.main([]) == 2
         assert entry.build_usage() in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["scale", "mcast", "ops"])
+    @pytest.mark.parametrize("name", ["scale", "mcast", "ops", "flow"])
     def test_deleted_clis_are_ordinary_unknown_subcommands(self, name, capsys):
         assert name not in entry._SUBCOMMANDS
         assert entry.main([name, "--check"]) == 2
@@ -109,6 +109,13 @@ class TestBenchCli:
     def test_no_arguments_prints_usage_and_exits_2(self, capsys):
         assert bench_cli.main([]) == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--list", "--check-all"])
+    def test_a_run_with_no_report_refuses_json(self, flag, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert bench_cli.main([flag, "--json", str(report)]) == 2
+        assert f"{flag} writes no report" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_check_all_subsumes_every_legacy_gate(self, check_all_run):
         """Tier-1 tripwire: the one gate replays every committed baseline

@@ -1,15 +1,14 @@
 """NP30x FSM-pass tests: extraction of enum- and constant-style machines
 plus the unreachable / no-exit / unguarded-wait checks."""
 
+import ast
 import textwrap
 
-from repro.analysis.flow.callgraph import Project
-from repro.analysis.flow.fsm import FsmPass
+from repro.analysis.fsm import FsmPass
 
 
 def fsm_pass(source, path="src/repro/protocols/fixture.py"):
-    project = Project.from_source(textwrap.dedent(source), path)
-    return FsmPass(project)
+    return FsmPass([(path, ast.parse(textwrap.dedent(source)))])
 
 
 def codes(findings):
@@ -176,13 +175,24 @@ def test_extraction_lifts_members_initial_and_guarded_edges():
     machine = machines[0]
     assert machine.kind == "enum"
     assert machine.members == ["IDLE", "WAIT_ACK"]
+    assert machine.name == "repro.protocols.fixture.FlowState"
     assert "IDLE" in machine.initial
-    transitions = {(src, dst) for src, dst, _q, _l in machine.edges}
-    assert ("IDLE", "WAIT_ACK") in transitions
-    assert ("WAIT_ACK", "IDLE") in transitions
-    rendered = machine.render()
-    assert "fsm repro.protocols.fixture.FlowState (enum)" in rendered
-    assert "IDLE -> WAIT_ACK" in rendered
+    # Each transition is an entry site in one function and a test site
+    # of its source state in the same one.
+    entered = {
+        (member, site.qname.rsplit(".", 1)[-1])
+        for member, sites in machine.entries.items()
+        for site in sites
+    }
+    tested = {
+        (member, site.qname.rsplit(".", 1)[-1])
+        for member, sites in machine.tests.items()
+        for site in sites
+    }
+    assert ("WAIT_ACK", "send_timer") in entered
+    assert ("IDLE", "send_timer") in tested
+    assert ("IDLE", "on_input") in entered
+    assert ("WAIT_ACK", "on_input") in tested
 
 
 # ----------------------------------------------------------- constant style ----

@@ -275,3 +275,21 @@ def test_a_cab_on_a_linked_port_names_the_link():
     system.connect_hubs(h0, 7, h1, 0)
     with pytest.raises(HubError, match="h0 port 7 carries an inter-hub link to h1"):
         system.add_node("a", h0, 7)
+
+
+def test_a_refused_port_leaves_nothing_behind():
+    """The port is refused before the node mounts its counters, so the
+    same name can be placed on a free port right after."""
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    h1 = system.add_hub("h1")
+    system.connect_hubs(h0, 7, h1, 0)
+    before = system.metrics.mounts()
+    with pytest.raises(WiringError, match="cannot place CAB 'a': h0 port 7"):
+        system.add_node("a", h0, 7)
+    mounted = system.metrics.mounts()
+    assert mounted == before
+    assert [prefix for prefix in mounted if prefix.split(".")[0] == "a"] == []
+    node = system.add_node("a", h0, 3)
+    assert system.network.topology.hub_of("a") == (h0, 3)
+    assert "a.hw" in system.metrics.mounts() and node.name == "a"

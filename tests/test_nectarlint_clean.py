@@ -440,11 +440,11 @@ def test_set_iteration_in_cluster_gets_the_sensitive_rules():
     assert not any(finding.code == "ND004" for finding in relaxed), relaxed
 
 
-# ------------------------------------------------- nectarflow static gate ----
+# ------------------------------------------------------ lint --static gate ----
 
 
 def test_lint_cli_static_exits_zero():
-    """The one whole-program run in tier-1: per-file rules, nectarflow's
+    """The one whole-program run in tier-1: per-file rules, the NP30x
     FSM pass, and NL001, from the repo root as CI runs it.
     Every historical finding was fixed (NP30x found the TIME_WAIT
     2MSL-restart gap in tcp.py) or carries a justified suppression; prefer
@@ -458,6 +458,26 @@ def test_lint_cli_static_exits_zero():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "nectarlint: clean" in result.stdout
+
+
+def test_lint_static_parses_each_file_once(monkeypatch, capsys):
+    """``lint --static`` runs the per-file rules and the NP30x pass over
+    one parse of each file: a second index that re-reads the tree, as the
+    deleted call graph did, doubles the count."""
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    root = str(SRC / "repro")
+    assert nectarlint.main([root, "--static", "--strict"]) == 0
+    assert "nectarlint: clean" in capsys.readouterr().out
+    files = nectarlint.iter_python_files([root])
+    assert sorted(parsed) == sorted(files)
+    assert len(files) > 100
 
 
 def test_benchmarks_and_examples_use_no_host_entropy():
