@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.nectarlint import dotted_name
 from repro.analysis.rules import Finding
@@ -97,6 +97,19 @@ class StateMachine:
     initial: Set[str] = field(default_factory=set)
     entries: Dict[str, List[Site]] = field(default_factory=dict)
     tests: Dict[str, List[Site]] = field(default_factory=dict)
+
+
+@dataclass
+class _Watch:
+    """What site collection looks for on behalf of one machine."""
+
+    machine: StateMachine
+    #: The member a node names, or None.
+    ref: Callable[[ast.AST], Optional[str]]
+    #: Constant-style machines: only ``.<attr>`` targets and comparisons
+    #: count, and only in the declaring module.
+    attr_filter: Optional[str] = None
+    path: Optional[str] = None
 
 
 @dataclass
@@ -172,14 +185,14 @@ class FsmPass:
 
     def extract(self) -> List[StateMachine]:
         """Lift every enum- and constant-style machine (sorted by site)."""
-        machines: List[StateMachine] = []
-        machines.extend(self._extract_enums())
-        machines.extend(self._extract_constants())
+        watches = self._extract_enums() + self._extract_constants()
+        self._collect_sites(watches)
+        machines = [watch.machine for watch in watches]
         machines.sort(key=lambda m: (m.path, m.line))
         return machines
 
-    def _extract_enums(self) -> List[StateMachine]:
-        machines = []
+    def _extract_enums(self) -> List[_Watch]:
+        watches = []
         for class_name in sorted(self.classes):
             if not class_name.endswith("State"):
                 continue
@@ -201,14 +214,14 @@ class FsmPass:
                         if isinstance(target, ast.Name):
                             machine.members.append(target.id)
                             machine.member_lines[target.id] = stmt.lineno
-                self._collect_enum_sites(machine, class_name)
                 if machine.members:
-                    machines.append(machine)
-        return machines
+                    watches.append(
+                        _Watch(machine, self._enum_ref(set(machine.members), class_name))
+                    )
+        return watches
 
-    def _collect_enum_sites(self, machine: StateMachine, class_name: str) -> None:
-        members = set(machine.members)
-
+    @staticmethod
+    def _enum_ref(members: Set[str], class_name: str):
         def ref(node: ast.AST) -> Optional[str]:
             if (
                 isinstance(node, ast.Attribute)
@@ -218,10 +231,10 @@ class FsmPass:
                 return node.attr
             return None
 
-        self._collect_sites(machine, ref)
+        return ref
 
-    def _extract_constants(self) -> List[StateMachine]:
-        machines = []
+    def _extract_constants(self) -> List[_Watch]:
+        watches = []
         # Per module: string constants, and the attributes they flow into.
         for path in sorted(self.modules):
             module, tree = self.modules[path]
@@ -284,9 +297,8 @@ class FsmPass:
                         return node.id
                     return None
 
-                self._collect_sites(machine, ref, attr_filter=attr, path=path)
-                machines.append(machine)
-        return machines
+                watches.append(_Watch(machine, ref, attr_filter=attr, path=path))
+        return watches
 
     def _compare_refs(self, node: ast.Compare, constants) -> List[Tuple[str, Set[str]]]:
         """(state attr, constant names) pairs for one comparison."""
@@ -306,27 +318,28 @@ class FsmPass:
 
     # -- site collection -------------------------------------------------------
 
-    def _collect_sites(
-        self,
-        machine: StateMachine,
-        ref,
-        attr_filter: Optional[str] = None,
-        path: Optional[str] = None,
-    ) -> None:
-        """Fill entries/tests by walking every function's body."""
+    def _collect_sites(self, watches: List[_Watch]) -> None:
+        """Fill every machine's entries/tests in one walk of each function
+        body, in qualified-name order."""
+        anywhere = [watch for watch in watches if watch.path is None]
+        by_path: Dict[str, List[_Watch]] = {}
+        for watch in watches:
+            if watch.path is not None:
+                by_path.setdefault(watch.path, []).append(watch)
         for qname in sorted(self.functions):
             info = self.functions[qname]
-            if path is not None and info.path != path:
-                continue
-            _SiteCollector(machine, ref, info, attr_filter).visit(info.node)
-        # Initial states: entered in a constructor.
-        for member, sites in machine.entries.items():
-            for site in sites:
-                if site.qname.endswith(".__init__"):
-                    machine.initial.add(member)
-        # Enum convention: the first member is the start state.
-        if machine.kind == "enum" and machine.members:
-            machine.initial.add(machine.members[0])
+            active = anywhere + by_path.get(info.path, [])
+            if active:
+                _SiteCollector(active, info).visit(info.node)
+        for machine in (watch.machine for watch in watches):
+            # Initial states: entered in a constructor.
+            for member, sites in machine.entries.items():
+                for site in sites:
+                    if site.qname.endswith(".__init__"):
+                        machine.initial.add(member)
+            # Enum convention: the first member is the start state.
+            if machine.kind == "enum" and machine.members:
+                machine.initial.add(machine.members[0])
 
     # -- checks ----------------------------------------------------------------
 
@@ -408,19 +421,11 @@ class FsmPass:
 
 
 class _SiteCollector(ast.NodeVisitor):
-    """Record entries/tests for one machine within one function."""
+    """Record entries/tests for every watched machine within one function."""
 
-    def __init__(
-        self,
-        machine: StateMachine,
-        ref,
-        info: FunctionInfo,
-        attr_filter: Optional[str],
-    ):
-        self.machine = machine
-        self.ref = ref
+    def __init__(self, watches: List[_Watch], info: FunctionInfo):
+        self.watches = watches
         self.info = info
-        self.attr_filter = attr_filter
 
     def _site(self, node: ast.AST) -> Site:
         return Site(
@@ -437,43 +442,46 @@ class _SiteCollector(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        member = self.ref(node.value)
-        if member is not None and self._target_matches(node.targets):
-            self.machine.entries.setdefault(member, []).append(self._site(node))
+        for watch in self.watches:
+            member = watch.ref(node.value)
+            if member is not None and self._target_matches(watch, node.targets):
+                watch.machine.entries.setdefault(member, []).append(self._site(node))
         self.generic_visit(node)
 
-    def _target_matches(self, targets: List[ast.expr]) -> bool:
-        if self.attr_filter is None:
+    @staticmethod
+    def _target_matches(watch: _Watch, targets: List[ast.expr]) -> bool:
+        if watch.attr_filter is None:
             return True
         return any(
-            isinstance(t, ast.Attribute) and t.attr == self.attr_filter
+            isinstance(t, ast.Attribute) and t.attr == watch.attr_filter
             for t in targets
         )
 
     def visit_Compare(self, node: ast.Compare) -> None:
-        if self.attr_filter is not None and not self._compare_on_attr(node):
-            self.generic_visit(node)
-            return
-        for member in self._compare_members(node):
-            self.machine.tests.setdefault(member, []).append(self._site(node))
+        for watch in self.watches:
+            if watch.attr_filter is not None and not self._compare_on_attr(
+                watch.attr_filter, node
+            ):
+                continue
+            for member in self._compare_members(watch, node):
+                watch.machine.tests.setdefault(member, []).append(self._site(node))
         self.generic_visit(node)
 
-    def _compare_on_attr(self, node: ast.Compare) -> bool:
+    @staticmethod
+    def _compare_on_attr(attr: str, node: ast.Compare) -> bool:
         sides = [node.left] + list(node.comparators)
-        return any(
-            isinstance(s, ast.Attribute) and s.attr == self.attr_filter
-            for s in sides
-        )
+        return any(isinstance(s, ast.Attribute) and s.attr == attr for s in sides)
 
-    def _compare_members(self, node: ast.Compare) -> List[str]:
+    @staticmethod
+    def _compare_members(watch: _Watch, node: ast.Compare) -> List[str]:
         members: List[str] = []
         for side in [node.left] + list(node.comparators):
-            member = self.ref(side)
+            member = watch.ref(side)
             if member is not None:
                 members.append(member)
             if isinstance(side, (ast.Tuple, ast.List, ast.Set)):
                 for elt in side.elts:
-                    member = self.ref(elt)
+                    member = watch.ref(elt)
                     if member is not None:
                         members.append(member)
         return members
@@ -481,13 +489,15 @@ class _SiteCollector(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         # State refs passed as arguments count as both entry and test cover
         # (helper-mediated transitions: set_state(TCPState.X)).
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            member = self.ref(arg)
-            if member is not None:
-                self.machine.entries.setdefault(member, []).append(
-                    self._site(node)
-                )
-                self.machine.tests.setdefault(member, []).append(
-                    self._site(node)
-                )
+        args = list(node.args) + [kw.value for kw in node.keywords]
+        for watch in self.watches:
+            for arg in args:
+                member = watch.ref(arg)
+                if member is not None:
+                    watch.machine.entries.setdefault(member, []).append(
+                        self._site(node)
+                    )
+                    watch.machine.tests.setdefault(member, []).append(
+                        self._site(node)
+                    )
         self.generic_visit(node)

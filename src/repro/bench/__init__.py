@@ -1,13 +1,16 @@
 """Experiment drivers that regenerate every table and figure of the paper.
 
-Every driver module exposes the same result contract:
-``scenario(params) -> DriverResult`` runs it with the given (partial)
-parameter overrides.  The scenario harness (:mod:`repro.scenario`)
+Every driver module is its ``DEFAULTS``, its cell functions and one
+entry point: ``scenario(params) -> DriverResult`` runs it with the given
+(partial) parameter overrides.  The scenario harness (:mod:`repro.scenario`)
 consumes this uniformly, so tables and figures are ordinary scenarios and
 ``python -m repro bench <name>`` is the one way to run them.
 
-``DriverResult`` carries the resolved configuration, the deterministic
-rows (plain dicts, canonical-JSON-serializable), and the rendered text.
+``DriverResult`` carries the resolved configuration and the deterministic
+rows and extras (plain dicts, canonical-JSON-serializable).  A driver
+renders nothing: :func:`repro.bench.experiments.render_table` is the one
+rendering of every paper table, the one ``bench <name>`` prints and
+EXPERIMENTS.md shows.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
-
-__all__ = [
-    "DriverResult",
-    "format_table",
-    "resolve_params",
-    "two_hosted_nodes",
-    "two_nodes",
-]
+__all__ = ["DriverResult", "resolve_params"]
 
 
 @dataclass(frozen=True)
@@ -31,13 +26,12 @@ class DriverResult:
     """The common result contract of every ``repro.bench`` driver.
 
     ``rows`` and ``extras`` hold only JSON-serializable deterministic
-    values; ``text`` is the byte-stable rendered report.
+    values.
     """
 
     name: str
     config: Dict[str, object]
     rows: List[dict]
-    text: str
     extras: Dict[str, object] = field(default_factory=dict)
 
 

@@ -16,17 +16,17 @@
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Mapping, Optional
+from typing import Dict, Generator, Mapping, Optional
 
 from repro.apps.traffic import measure_rtt, measure_throughput
 from repro.bench import DriverResult, resolve_params
 from repro.bench.cells import run_cells
-from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
+from repro.bench.harness import two_hosted_nodes, two_nodes
 from repro.host.driver import MODE_RPC, MODE_SHARED
 from repro.model.costs import CostModel
 from repro.units import seconds
 
-__all__ = ["ablation_cell", "run", "scenario"]
+__all__ = ["ablation_cell", "scenario"]
 
 
 def upcall_cell(shape: str, rounds: int = 50) -> float:
@@ -148,8 +148,9 @@ CHECKSUM_NS_PER_BYTE = (0, 75, 150, 300)
 DEFAULTS: Dict[str, object] = {}
 
 
-def run() -> Dict[str, object]:
-    """Run every ablation; returns a name -> measurements dict."""
+def scenario(params: Optional[Mapping] = None) -> DriverResult:
+    """Run every ablation under the common driver contract."""
+    config = resolve_params(DEFAULTS, params)
     cells = (
         [("upcall", "thread"), ("upcall", "upcall"), ("mailbox",)]
         + [("ip_input", "interrupt"), ("ip_input", "thread")]
@@ -163,84 +164,25 @@ def run() -> Dict[str, object]:
     mailbox["speedup"] = mailbox["rpc_us"] / mailbox["shared_us"]
     modes = {"interrupt_us": value["ip_input", "interrupt"], "thread_us": value["ip_input", "thread"]}
     modes["thread_penalty_us"] = modes["thread_us"] - modes["interrupt_us"]
-    return {
-        "upcall": upcall,
-        "mailbox": mailbox,
-        "ip_input": modes,
-        "vme": [(mbps, round(value["vme", mbps], 2)) for mbps in VME_MBPS],
-        "checksum": [(cost, round(value["checksum", cost], 2)) for cost in CHECKSUM_NS_PER_BYTE],
-    }
-
-
-def render(results: Dict[str, object]) -> str:
-    """Format every ablation as its paper-style table."""
-    upcall = results["upcall"]
-    mailbox = results["mailbox"]
-    modes = results["ip_input"]
-    tables = [
-        format_table(
-            "Ablation: mailbox server as upcall vs thread (per request)",
-            ["shape", "us/request"],
-            [
-                ("separate thread", f"{upcall['thread_us']:.1f}"),
-                ("reader upcall", f"{upcall['upcall_us']:.1f}"),
-                ("upcall saves", f"{upcall['upcall_advantage_us']:.1f}"),
-            ],
-        ),
-        format_table(
-            "Ablation: host mailbox op implementations (per put+get cycle)",
-            ["implementation", "us/cycle"],
-            [
-                ("shared memory", f"{mailbox['shared_us']:.1f}"),
-                ("RPC-based", f"{mailbox['rpc_us']:.1f}"),
-                ("speedup", f"{mailbox['speedup']:.2f}x (paper: ~2x)"),
-            ],
-        ),
-        format_table(
-            "Ablation: IP input placement (UDP RTT)",
-            ["mode", "us"],
-            [
-                ("interrupt time", f"{modes['interrupt_us']:.1f}"),
-                ("high-priority thread", f"{modes['thread_us']:.1f}"),
-                ("thread penalty", f"{modes['thread_penalty_us']:.1f}"),
-            ],
-        ),
-        format_table(
-            "Ablation: VME bus bandwidth sweep (host-host RMP, 8 KB)",
-            ["bus Mbit/s", "throughput Mbit/s"],
-            [(f"{m:.0f}", t) for m, t in results["vme"]],
-        ),
-        format_table(
-            "Ablation: software checksum cost (CAB-CAB TCP, 8 KB)",
-            ["ns/byte", "throughput Mbit/s"],
-            [(c, t) for c, t in results["checksum"]],
-        ),
+    rows = [
+        {"ablation": name, "quantity": key, "value": round(measured, 3)}
+        for name, results in (("upcall", upcall), ("mailbox", mailbox), ("ip_input", modes))
+        for key, measured in results.items()
     ]
-    return "\n\n".join(tables)
-
-
-def scenario(params: Optional[Mapping] = None) -> DriverResult:
-    """Run every ablation under the common driver contract."""
-    config = resolve_params(DEFAULTS, params)
-    results = run()
-    rows: List[dict] = []
-    for name in ("upcall", "mailbox", "ip_input"):
-        for key, value in results[name].items():
-            rows.append(
-                {"ablation": name, "quantity": key, "value": round(value, 3)}
-            )
-    for mbps, throughput in results["vme"]:
-        rows.append(
-            {"ablation": "vme", "quantity": f"bus_{mbps:.0f}_mbps", "value": throughput}
-        )
-    for cost, throughput in results["checksum"]:
-        rows.append(
-            {"ablation": "checksum", "quantity": f"cost_{cost}_ns_per_byte", "value": throughput}
-        )
-    return DriverResult(
-        name="ablations",
-        config=config,
-        rows=rows,
-        text=render(results),
-    )
-
+    rows += [
+        {
+            "ablation": "vme",
+            "quantity": f"bus_{mbps:.0f}_mbps",
+            "value": round(value["vme", mbps], 2),
+        }
+        for mbps in VME_MBPS
+    ]
+    rows += [
+        {
+            "ablation": "checksum",
+            "quantity": f"cost_{cost}_ns_per_byte",
+            "value": round(value["checksum", cost], 2),
+        }
+        for cost in CHECKSUM_NS_PER_BYTE
+    ]
+    return DriverResult(name="ablations", config=config, rows=rows)

@@ -1,12 +1,15 @@
-"""EXPERIMENTS.md's numeric tables, rendered from the committed baselines.
+"""The one rendering of the paper's tables: what ``bench <name>`` prints
+and what EXPERIMENTS.md shows.
 
 Each of the six paper drivers has a gated baseline (``BENCH_<name>.json``,
-held by ``bench --check-all``).  The doc's table for that driver sits
-between ``<!-- bench:<name>:begin -->`` and ``<!-- bench:<name>:end -->``
-and is exactly :func:`render_table` of the baseline's deterministic
-section, so a re-baselined number cannot leave the doc behind
-(``tests/test_experiments_doc.py``).  Regenerate the doc with
-``PYTHONPATH=src python -m repro.bench.experiments``.
+held by ``bench --check-all``).  :func:`render_table` renders a report's
+deterministic section as a markdown table; the kind registry names it, so
+``python -m repro bench fig7`` prints it for a fresh run.  The doc's table
+for that driver sits between ``<!-- bench:<name>:begin -->`` and
+``<!-- bench:<name>:end -->`` and is exactly :func:`render_table` of the
+baseline's deterministic section, so a re-baselined number cannot leave
+the doc behind (``tests/test_experiments_doc.py``).  Regenerate the doc
+with ``PYTHONPATH=src python -m repro.bench.experiments``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.bench import fig6, fig7, fig8, microcosts
 
-__all__ = ["PAPER_TABLES", "render_document", "render_table"]
+__all__ = ["PAPER_TABLES", "markdown_table", "render_document", "render_table"]
 
 #: The drivers whose baselines EXPERIMENTS.md tabulates, in doc order.
 PAPER_TABLES = ("table1", "fig6", "fig7", "fig8", "micro", "ablations")
@@ -29,7 +32,8 @@ _BLOCK = re.compile(
 )
 
 
-def _markdown(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str]:
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str]:
+    """The lines of a markdown table: header, rule, one line per row."""
     lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
     lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
     return lines
@@ -41,7 +45,7 @@ def _paper(value) -> str:
 
 def _table1(det: dict) -> List[str]:
     names = {"rmp": "RMP", "udp": "UDP"}
-    return _markdown(
+    return markdown_table(
         ["protocol", "host-host", "CAB-CAB", "paper host-host", "paper CAB-CAB"],
         [
             (
@@ -65,11 +69,13 @@ def _fig6(det: dict) -> List[str]:
             )
         else:
             rows.append((row["component"], f"{row['us']:.1f}"))
+    # In key order, as the baseline's sorted JSON holds them: a fresh run
+    # and its baseline print the same line.
     shares = ", ".join(
         f"{name} {share * 100:.0f}% (paper ~{fig6.PAPER_SHARES[name] * 100:.0f}%)"
-        for name, share in det["shares"].items()
+        for name, share in sorted(det["shares"].items())
     )
-    return _markdown(["component", "measured (us)"], rows) + ["", f"Shares: {shares}."]
+    return markdown_table(["component", "measured (us)"], rows) + ["", f"Shares: {shares}."]
 
 
 def _fig7(det: dict) -> List[str]:
@@ -88,7 +94,7 @@ def _fig7(det: dict) -> List[str]:
                 f"{row['rmp_cpu_util'] * 100:.0f}%",
             )
         )
-    return _markdown(
+    return markdown_table(
         ["size (B)", "RMP", "TCP/IP", "TCP w/o checksum", "TCP sender CPU", "RMP sender CPU"],
         rows,
     )
@@ -103,7 +109,7 @@ def _fig8(det: dict) -> List[str]:
             tcp = f"**{tcp}** (paper ~{fig8.PAPER_TCP_MAX:g})"
         rows.append((row["size"], rmp, tcp))
     base = det["baselines"]
-    return _markdown(["size (B)", "RMP", "TCP/IP"], rows) + [
+    return markdown_table(["size (B)", "RMP", "TCP/IP"], rows) + [
         "",
         f"Reference points: network-device mode {base['netdev_mbps']:.2f} Mbit/s "
         f"(paper {fig8.PAPER_NETDEV:g}), Ethernet {base['ethernet_mbps']:.2f} Mbit/s "
@@ -113,7 +119,7 @@ def _fig8(det: dict) -> List[str]:
 
 def _micro(det: dict) -> List[str]:
     value = {row["quantity"]: row["value"] for row in det["rows"]}
-    return _markdown(
+    return markdown_table(
         ["quantity", "measured", "paper"],
         [
             ("thread context switch", f"{value['context_switch_us']:.1f} us",
@@ -129,7 +135,7 @@ def _micro(det: dict) -> List[str]:
 
 
 def _ablations(det: dict) -> List[str]:
-    return _markdown(
+    return markdown_table(
         ["ablation", "quantity", "value"],
         [(row["ablation"], row["quantity"], f"{row['value']:g}") for row in det["rows"]],
     )
@@ -146,7 +152,7 @@ _RENDERERS: Dict[str, Callable[[dict], List[str]]] = {
 
 
 def render_table(name: str, deterministic: dict) -> str:
-    """The doc block for one driver's baseline (its deterministic section)."""
+    """The table of one driver's report, from its deterministic section."""
     return "\n".join(_RENDERERS[name](deterministic)) + "\n"
 
 

@@ -14,11 +14,11 @@ from typing import Dict, Generator, Mapping, Optional
 
 from repro.apps.traffic import Datagram
 from repro.bench import DriverResult, resolve_params
-from repro.bench.harness import format_table, two_hosted_nodes
+from repro.bench.harness import two_hosted_nodes
 from repro.sim.trace import TraceRecorder
 from repro.units import seconds
 
-__all__ = ["run", "scenario", "shares"]
+__all__ = ["breakdown_cell", "scenario", "shares"]
 
 #: The driver's parameter contract (see :func:`scenario`).
 DEFAULTS = {"message_size": 32}
@@ -31,7 +31,7 @@ PAPER_SHARES = {
 }
 
 
-def run(message_size: int = 32) -> Dict[str, float]:
+def breakdown_cell(message_size: int = 32) -> Dict[str, float]:
     """One-way host-to-host datagram latency, decomposed as in Figure 6.
 
     Returns microsecond intervals: message creation on the sending host, the
@@ -106,33 +106,10 @@ def shares(breakdown: Dict[str, float]) -> Dict[str, float]:
     }
 
 
-def render(breakdown: Dict[str, float]) -> str:
-    """Format the breakdown and paper-share tables."""
-    lines = [
-        format_table(
-            "Figure 6: one-way datagram latency breakdown (us)",
-            ["component", "us"],
-            [(name, f"{value:.1f}") for name, value in breakdown.items()],
-        ),
-        "",
-        format_table(
-            "Shares vs paper",
-            ["component", "measured", "paper"],
-            [
-                (name, f"{fraction * 100:.0f}%", f"{PAPER_SHARES[name] * 100:.0f}%")
-                for name, fraction in shares(breakdown).items()
-            ],
-        ),
-        f"\npaper one-way total: {PAPER_TOTAL_US} us; "
-        f"measured: {breakdown['total one-way']:.1f} us",
-    ]
-    return "\n".join(lines)
-
-
 def scenario(params: Optional[Mapping] = None) -> DriverResult:
     """Run the Fig. 6 breakdown under the common driver contract."""
     config = resolve_params(DEFAULTS, params)
-    breakdown = run(config["message_size"])
+    breakdown = breakdown_cell(config["message_size"])
     fractions = shares(breakdown)
     return DriverResult(
         name="fig6",
@@ -141,7 +118,6 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
             {"component": name, "us": round(value, 1)}
             for name, value in breakdown.items()
         ],
-        text=render(breakdown),
         extras={
             "shares": {name: round(f, 4) for name, f in fractions.items()}
         },

@@ -1,14 +1,14 @@
-"""Shared rig builders and table formatting for the experiment drivers."""
+"""Shared rig builders for the experiment drivers."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.host.machine import HostedNode
 from repro.model.costs import CostModel
 from repro.system import NectarNode, NectarSystem
 
-__all__ = ["format_table", "two_hosted_nodes", "two_nodes"]
+__all__ = ["two_hosted_nodes", "two_nodes"]
 
 
 def two_nodes(
@@ -36,17 +36,3 @@ def two_hosted_nodes(
     system, node_a, node_b = two_nodes(costs=costs, tcp_checksums=tcp_checksums)
     return system, HostedNode(system, node_a), HostedNode(system, node_b)
 
-
-def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Render an aligned text table (the shape the paper's tables take)."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in cells)) if cells else len(headers[col])
-        for col in range(len(headers))
-    ]
-    lines = [title, ""]
-    lines.append("  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)))
-    lines.append("  ".join("-" * width for width in widths))
-    for row in cells:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(lines)

@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.apps.traffic import measure_rtt
 from repro.bench import DriverResult, resolve_params
-from repro.bench.harness import format_table, two_hosted_nodes, two_nodes
+from repro.bench.harness import two_hosted_nodes, two_nodes
 from repro.hw.fiber import Frame
 from repro.units import ns_to_us
 
@@ -21,7 +21,6 @@ __all__ = [
     "context_switch_us",
     "link_latency_ns",
     "rpc_claim_us",
-    "run",
     "scenario",
 ]
 
@@ -29,6 +28,9 @@ PAPER_CONTEXT_SWITCH_US = 20.0
 PAPER_HUB_SETUP_NS = 700
 PAPER_LINK_LATENCY_LIMIT_US = 5.0
 PAPER_RPC_LIMIT_US = 500.0
+
+#: The driver's parameter contract (see :func:`scenario`).
+DEFAULTS: Dict[str, object] = {}
 
 
 def context_switch_us() -> float:
@@ -85,36 +87,16 @@ def rpc_claim_us() -> float:
     return recorder.mean_us
 
 
-def run() -> Dict[str, float]:
-    """Measure every micro-cost; returns a name -> value dict."""
+def scenario(params: Optional[Mapping] = None) -> DriverResult:
+    """Run the micro-cost checks under the common driver contract."""
+    config = resolve_params(DEFAULTS, params)
     link = link_latency_ns()
-    return {
+    results = {
         "context_switch_us": context_switch_us(),
         "hub_setup_ns": float(link["hub_setup_ns"]),
         "link_one_byte_us": ns_to_us(link["one_byte_latency_ns"]),
         "rpc_rtt_us": rpc_claim_us(),
     }
-
-
-#: The driver's parameter contract (see :func:`scenario`).
-DEFAULTS: Dict[str, object] = {}
-
-
-def render(results: Dict[str, float]) -> str:
-    """Format the micro-cost table against the paper's stated numbers."""
-    rows = [
-        ("context switch (us)", f"{results['context_switch_us']:.1f}", PAPER_CONTEXT_SWITCH_US),
-        ("HUB setup (ns)", f"{results['hub_setup_ns']:.0f}", PAPER_HUB_SETUP_NS),
-        ("link 1-byte latency (us)", f"{results['link_one_byte_us']:.2f}", f"< {PAPER_LINK_LATENCY_LIMIT_US}"),
-        ("host RPC RTT (us)", f"{results['rpc_rtt_us']:.1f}", f"< {PAPER_RPC_LIMIT_US}"),
-    ]
-    return format_table("Micro-costs vs paper", ["quantity", "measured", "paper"], rows)
-
-
-def scenario(params: Optional[Mapping] = None) -> DriverResult:
-    """Run the micro-cost checks under the common driver contract."""
-    config = resolve_params(DEFAULTS, params)
-    results = run()
     return DriverResult(
         name="micro",
         config=config,
@@ -122,6 +104,4 @@ def scenario(params: Optional[Mapping] = None) -> DriverResult:
             {"quantity": name, "value": round(value, 3)}
             for name, value in results.items()
         ],
-        text=render(results),
     )
-

@@ -45,8 +45,7 @@ class Topology:
 
     def check_free(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
         """Refuse a port that does not exist or is already booked, changing
-        nothing; returns the port's table key.  A caller that builds before
-        it books (``NectarSystem.add_node``) asks first."""
+        nothing; returns the port's table key."""
         self._check_port(hub, port, f"cannot {action}: ")
         key = (hub.name, port)
         held = self._wiring.get(key)
@@ -61,6 +60,15 @@ class Topology:
                 f"by CAB {held!r}"
             )
         return key
+
+    def check_placeable(self, cab_name: str, hub: Hub, port: int) -> tuple[str, int]:
+        """Refuse a CAB name already placed (a live CAB or a ghost) or a
+        port :meth:`check_free` refuses, changing nothing; returns the
+        port's table key.  A caller that builds before it places
+        (``NectarSystem.add_node``) asks first."""
+        if cab_name in self._placement:
+            raise RouteError(f"CAB {cab_name!r} already placed")
+        return self.check_free(hub, port, f"place CAB {cab_name!r}")
 
     def _book(self, hub: Hub, port: int, action: str) -> tuple[str, int]:
         """Check that a port exists and is free, registering its HUB if new;
@@ -79,9 +87,9 @@ class Topology:
 
     def place_cab(self, cab_name: str, hub: Hub, port: int) -> None:
         """Record which HUB port a CAB's fibers terminate on."""
-        if cab_name in self._placement:
-            raise RouteError(f"CAB {cab_name!r} already placed")
-        key = self._book(hub, port, f"place CAB {cab_name!r}")
+        key = self.check_placeable(cab_name, hub, port)
+        if hub.name not in self.hubs:
+            self.add_hub(hub)
         self._wiring[key] = cab_name
         self._placement[cab_name] = (hub, port)
 

@@ -145,6 +145,10 @@ def main(argv: List[str]) -> int:
         print(f"{flag} writes no report; --json is for one scenario", file=sys.stderr)
         return 2
     if list_only:
+        others = [arg for arg in argv if arg != "--list"]
+        if others:
+            print(f"--list takes no other argument; got {others[0]!r}", file=sys.stderr)
+            return 2
         _print_available(sys.stdout)
         return 0
     if do_check_all:

@@ -14,7 +14,9 @@ gates.  A **kind** names one execution plane and declares, in one place:
 * its **invariants** — what must hold of any fresh report regardless of a
   baseline (parity not broken, every buffer freed, the chaos verdict PASS),
   declared as data and applied to every run;
-* a one-line summary of a report for the gate's OK line.
+* a one-line summary of a report for the gate's OK line;
+* for a paper table or figure, its text rendering
+  (:func:`repro.bench.experiments.render_table`).
 
 Whether a report *moved* is not a per-kind question: the one structural
 differ in :mod:`repro.scenario.gate` compares ``config`` +
@@ -27,8 +29,9 @@ import hashlib
 import importlib
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.bench.experiments import render_table
 from repro.buf.bench import RMP_STREAM_CEILING_BYTES
 from repro.errors import ConfigurationError
 
@@ -80,6 +83,9 @@ class Kind:
     run: Callable[[dict], dict]
     summarize: Callable[[dict], str]
     invariants: Tuple[Invariant, ...] = ()
+    #: Renders the deterministic section as ``bench <name>`` prints it;
+    #: None leaves it to :func:`repro.scenario.report.render_text`.
+    render: Optional[Callable[[dict], str]] = None
 
     def defaults(self) -> dict:
         """The committed configuration: every parameter at its default."""
@@ -292,7 +298,8 @@ def _spec_of(default) -> ParamSpec:
 
 
 def _driver_kind(name: str, summary: str, module_name: str = "") -> Kind:
-    """A table/figure kind; its schema is the driver module's ``DEFAULTS``."""
+    """A table/figure kind; its schema is the driver module's ``DEFAULTS``,
+    its text the table EXPERIMENTS.md shows."""
     module = importlib.import_module(f"repro.bench.{module_name or name}")
 
     def run(params: dict) -> dict:
@@ -300,9 +307,7 @@ def _driver_kind(name: str, summary: str, module_name: str = "") -> Kind:
         return {
             "bench": result.name,
             "config": result.config,
-            "deterministic": dict(
-                result.extras, rows=result.rows, text=result.text
-            ),
+            "deterministic": dict(result.extras, rows=result.rows),
         }
 
     return Kind(
@@ -312,6 +317,7 @@ def _driver_kind(name: str, summary: str, module_name: str = "") -> Kind:
         params={key: _spec_of(value) for key, value in module.DEFAULTS.items()},
         run=run,
         summarize=lambda report: f"{len(report['deterministic']['rows'])} rows",
+        render=lambda deterministic: render_table(name, deterministic),
     )
 
 

@@ -145,8 +145,9 @@ class NectarSystem:
         """Create a CAB with a full protocol stack on a HUB port."""
         if name in self.nodes:
             raise ConfigurationError(f"node {name!r} already exists")
-        # Refuse the port before the node mounts counters or starts processes.
-        self.network.topology.check_free(hub, port, f"place CAB {name!r}")
+        # Refuse the name and the port before the node mounts counters or
+        # starts processes.
+        self.network.topology.check_placeable(name, hub, port)
         node = NectarNode(
             self,
             name,

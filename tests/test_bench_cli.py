@@ -81,7 +81,10 @@ class TestDispatch:
         assert result.name == "table1"
         assert result.config["rounds"] == 2
         assert len(result.rows) == 4  # one per protocol
-        assert "Table 1" in result.text
+        assert not hasattr(result, "text")  # a driver renders nothing
+        # The kind renders the rows: the table EXPERIMENTS.md shows.
+        table = KINDS["table1"].render(dict(result.extras, rows=result.rows))
+        assert table.startswith("| protocol | host-host | CAB-CAB |")
         with pytest.raises(KeyError):
             resolve_params({"a": 1}, {"b": 2})
 
@@ -116,6 +119,20 @@ class TestBenchCli:
         assert bench_cli.main([flag, "--json", str(report)]) == 2
         assert f"{flag} writes no report" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["--list", "nosuch", "--write"], "nosuch"),
+            (["table1", "--list"], "table1"),
+            (["--list", "--check-all"], "--check-all"),
+        ],
+    )
+    def test_list_refuses_any_other_argument(self, argv, extra, capsys):
+        assert bench_cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"--list takes no other argument; got {extra!r}" in captured.err
+        assert "available scenarios:" not in captured.out
 
     def test_check_all_subsumes_every_legacy_gate(self, check_all_run):
         """Tier-1 tripwire: the one gate replays every committed baseline

@@ -32,7 +32,7 @@ def pooled(monkeypatch):
 def _scenario(driver, params, monkeypatch, inline):
     monkeypatch.setattr(cells, "runs_inline", lambda count: inline)
     result = driver.scenario(params)
-    return result.rows, result.text
+    return result.rows, result.extras
 
 
 @pytest.mark.parametrize(

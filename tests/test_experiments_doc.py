@@ -7,10 +7,15 @@ re-baselined number that the doc does not show fails here.  Re-render with
 """
 
 import json
+import re
 import shutil
+
+import pytest
 
 from repro.bench.experiments import PAPER_TABLES, render_document
 from repro.scenario.model import repo_root
+from repro.scenario.report import render_text
+from repro.scenario.runner import KINDS
 
 DOC = repo_root() / "EXPERIMENTS.md"
 
@@ -41,3 +46,15 @@ def test_a_moved_baseline_number_shows_as_drift(tmp_path):
     rendered = render_document(text, tmp_path)
     assert rendered != text
     assert "| 16 | 0.92 | 1.12 |" in rendered
+
+
+@pytest.mark.parametrize("name", PAPER_TABLES)
+def test_a_paper_kind_prints_its_experiments_block(name):
+    """``bench <name>`` prints exactly the doc's table: the committed
+    report, rendered as the CLI renders a fresh one, is the block."""
+    text = DOC.read_text(encoding="utf-8")
+    block = re.search(
+        f"<!-- bench:{name}:begin -->\n(.*?)<!-- bench:{name}:end -->", text, re.DOTALL
+    ).group(1)
+    report = json.loads((repo_root() / f"BENCH_{name}.json").read_text(encoding="utf-8"))
+    assert render_text(KINDS[name], report) == block

@@ -293,3 +293,17 @@ def test_a_refused_port_leaves_nothing_behind():
     node = system.add_node("a", h0, 3)
     assert system.network.topology.hub_of("a") == (h0, 3)
     assert "a.hw" in system.metrics.mounts() and node.name == "a"
+
+
+def test_a_name_placed_as_a_ghost_is_refused_before_the_node_is_built():
+    """A ghost (a CAB simulated by another shard) holds its name: placing a
+    live CAB under it is refused before the node mounts anything."""
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    system.add_remote_node("g", h0, 1)
+    before = system.metrics.mounts()
+    with pytest.raises(RouteError, match="CAB 'g' already placed"):
+        system.add_node("g", h0, 2)
+    assert system.metrics.mounts() == before
+    assert "g" not in system.nodes
+    assert system.network.topology.hub_of("g") == (h0, 1)

@@ -55,7 +55,7 @@ class TestReports:
         head = text.splitlines()[0]
         assert head == "capacity curve: load (2 points)"
         header = text.splitlines()[2]
-        assert header.startswith("users")  # the offered load leads the columns
+        assert header.startswith("| users |")  # the offered load leads the columns
         for series in ("p50_us", "p99_us", "throughput_mbps", "sim_ns"):
             assert series in header
 
