@@ -21,7 +21,10 @@ per-file linter has already parsed
 (:func:`~repro.analysis.nectarlint.lint_paths`), and takes them as the
 whole program: a machine's states are declared in one module and
 entered in another.  The pass indexes only what it reads: each module's
-name and tree, every class by name, and every function by qualified name.
+name and tree, every class by name, and every function by qualified name
+with its ``Assign``/``Compare``/``Call`` nodes — all from one explicit
+walk of each module, which the constants scan and the site collection
+then read instead of walking the trees again.
 """
 
 from __future__ import annotations
@@ -119,6 +122,8 @@ class FunctionInfo:
     qname: str
     path: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef
+    #: Its Assign/Compare/Call nodes in source order, nested defs' excluded.
+    sites: List[ast.AST] = field(default_factory=list)
 
 
 def _module_name(path: str) -> str:
@@ -135,34 +140,47 @@ def _module_name(path: str) -> str:
     return ".".join(part for part in parts if part not in ("", ".", ".."))
 
 
-class _Indexer(ast.NodeVisitor):
-    """Index one module's classes and functions (with their scope)."""
+#: The nodes a state reference counts in: an entry, a test, a call.
+_SITE_NODES = (ast.Assign, ast.Compare, ast.Call)
 
-    def __init__(self, fsm: "FsmPass", path: str, module: str):
-        self.fsm = fsm
-        self.path = path
-        self.module = module
-        self._class_stack: List[str] = []
-        self._func_stack: List[str] = []
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.fsm.classes.setdefault(node.name, []).append(
-            (self.module, self.path, node)
-        )
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_func(self, node) -> None:
-        scope = self._class_stack + self._func_stack
-        qname = ".".join([self.module] + scope + [node.name])
-        self.fsm.functions[qname] = FunctionInfo(qname, self.path, node)
-        self._func_stack.append(node.name)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
+def _index_module(fsm: "FsmPass", path: str, module: str, tree: ast.Module) -> List[ast.AST]:
+    """One walk of a module, in source (pre-)order: index its classes and
+    functions into ``fsm``, file each site node under the function whose
+    body holds it (a nested def owns its own), and return every site node
+    of the module."""
+    sites: List[ast.AST] = []
+    # (node, enclosing class names, enclosing function names, the site list
+    # of the function whose body holds the node or None)
+    stack = [(tree, (), (), None)]
+    while stack:
+        node, classes, funcs, owned = stack.pop()
+        if isinstance(node, _SITE_NODES):
+            sites.append(node)
+            if owned is not None:
+                owned.append(node)
+        elif isinstance(node, ast.ClassDef):
+            fsm.classes.setdefault(node.name, []).append((module, path, node))
+            classes += (node.name,)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qname = ".".join((module,) + classes + funcs + (node.name,))
+            info = FunctionInfo(qname, path, node)
+            fsm.functions[qname] = info
+            funcs += (node.name,)
+            owned = info.sites
+        # Children go on last-first so they pop in ast.iter_child_nodes
+        # order; ``ctx`` (Load/Store/Del) holds no site.
+        for name in reversed(node._fields):
+            if name == "ctx":
+                continue
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, ast.AST):
+                        stack.append((item, classes, funcs, owned))
+            elif isinstance(value, ast.AST):
+                stack.append((value, classes, funcs, owned))
+    return sites
 
 
 class FsmPass:
@@ -176,10 +194,12 @@ class FsmPass:
         self.functions: Dict[str, FunctionInfo] = {}
         #: class name -> [(module name, path, node)].
         self.classes: Dict[str, List[Tuple[str, str, ast.ClassDef]]] = {}
+        #: path -> every Assign/Compare/Call of the module, in source order.
+        self._module_sites: Dict[str, List[ast.AST]] = {}
         for path, tree in trees:
             module = _module_name(path)
             self.modules[path] = (module, tree)
-            _Indexer(self, path, module).visit(tree)
+            self._module_sites[path] = _index_module(self, path, module, tree)
 
     # -- extraction ------------------------------------------------------------
 
@@ -259,7 +279,7 @@ class FsmPass:
             # string-tag fields (fault kinds, span categories) are
             # configuration vocabularies, not machines.
             attrs: Dict[str, Set[str]] = {}
-            for node in ast.walk(tree):
+            for node in self._module_sites[path]:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target = node.targets[0]
                     if (
@@ -330,7 +350,7 @@ class FsmPass:
             info = self.functions[qname]
             active = anywhere + by_path.get(info.path, [])
             if active:
-                _SiteCollector(active, info).visit(info.node)
+                _collect(active, info)
         for machine in (watch.machine for watch in watches):
             # Initial states: entered in a constructor.
             for member, sites in machine.entries.items():
@@ -420,84 +440,58 @@ class FsmPass:
         return any(fragment in name for fragment in _TIMER_FRAGMENTS)
 
 
-class _SiteCollector(ast.NodeVisitor):
+def _collect(watches: List[_Watch], info: FunctionInfo) -> None:
     """Record entries/tests for every watched machine within one function."""
-
-    def __init__(self, watches: List[_Watch], info: FunctionInfo):
-        self.watches = watches
-        self.info = info
-
-    def _site(self, node: ast.AST) -> Site:
-        return Site(
-            qname=self.info.qname,
-            path=self.info.path,
-            line=getattr(node, "lineno", 1),
-        )
-
-    def visit_FunctionDef(self, node) -> None:
-        if node is self.info.node:
-            self.generic_visit(node)
-        # Nested defs are their own FunctionInfos; skip to avoid double counting.
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for watch in self.watches:
-            member = watch.ref(node.value)
-            if member is not None and self._target_matches(watch, node.targets):
-                watch.machine.entries.setdefault(member, []).append(self._site(node))
-        self.generic_visit(node)
-
-    @staticmethod
-    def _target_matches(watch: _Watch, targets: List[ast.expr]) -> bool:
-        if watch.attr_filter is None:
-            return True
-        return any(
-            isinstance(t, ast.Attribute) and t.attr == watch.attr_filter
-            for t in targets
-        )
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        for watch in self.watches:
-            if watch.attr_filter is not None and not self._compare_on_attr(
-                watch.attr_filter, node
-            ):
-                continue
-            for member in self._compare_members(watch, node):
-                watch.machine.tests.setdefault(member, []).append(self._site(node))
-        self.generic_visit(node)
-
-    @staticmethod
-    def _compare_on_attr(attr: str, node: ast.Compare) -> bool:
-        sides = [node.left] + list(node.comparators)
-        return any(isinstance(s, ast.Attribute) and s.attr == attr for s in sides)
-
-    @staticmethod
-    def _compare_members(watch: _Watch, node: ast.Compare) -> List[str]:
-        members: List[str] = []
-        for side in [node.left] + list(node.comparators):
-            member = watch.ref(side)
-            if member is not None:
-                members.append(member)
-            if isinstance(side, (ast.Tuple, ast.List, ast.Set)):
-                for elt in side.elts:
-                    member = watch.ref(elt)
+    for node in info.sites:
+        site = Site(qname=info.qname, path=info.path, line=node.lineno)
+        if isinstance(node, ast.Assign):
+            for watch in watches:
+                member = watch.ref(node.value)
+                if member is not None and _target_matches(watch, node.targets):
+                    watch.machine.entries.setdefault(member, []).append(site)
+        elif isinstance(node, ast.Compare):
+            for watch in watches:
+                if watch.attr_filter is not None and not _compare_on_attr(
+                    watch.attr_filter, node
+                ):
+                    continue
+                for member in _compare_members(watch, node):
+                    watch.machine.tests.setdefault(member, []).append(site)
+        else:
+            # State refs passed as arguments count as both entry and test
+            # cover (helper-mediated transitions: set_state(TCPState.X)).
+            args = list(node.args) + [kw.value for kw in node.keywords]
+            for watch in watches:
+                for arg in args:
+                    member = watch.ref(arg)
                     if member is not None:
-                        members.append(member)
-        return members
+                        watch.machine.entries.setdefault(member, []).append(site)
+                        watch.machine.tests.setdefault(member, []).append(site)
 
-    def visit_Call(self, node: ast.Call) -> None:
-        # State refs passed as arguments count as both entry and test cover
-        # (helper-mediated transitions: set_state(TCPState.X)).
-        args = list(node.args) + [kw.value for kw in node.keywords]
-        for watch in self.watches:
-            for arg in args:
-                member = watch.ref(arg)
+
+def _target_matches(watch: _Watch, targets: List[ast.expr]) -> bool:
+    if watch.attr_filter is None:
+        return True
+    return any(
+        isinstance(t, ast.Attribute) and t.attr == watch.attr_filter
+        for t in targets
+    )
+
+
+def _compare_on_attr(attr: str, node: ast.Compare) -> bool:
+    sides = [node.left] + list(node.comparators)
+    return any(isinstance(s, ast.Attribute) and s.attr == attr for s in sides)
+
+
+def _compare_members(watch: _Watch, node: ast.Compare) -> List[str]:
+    members: List[str] = []
+    for side in [node.left] + list(node.comparators):
+        member = watch.ref(side)
+        if member is not None:
+            members.append(member)
+        if isinstance(side, (ast.Tuple, ast.List, ast.Set)):
+            for elt in side.elts:
+                member = watch.ref(elt)
                 if member is not None:
-                    watch.machine.entries.setdefault(member, []).append(
-                        self._site(node)
-                    )
-                    watch.machine.tests.setdefault(member, []).append(
-                        self._site(node)
-                    )
-        self.generic_visit(node)
+                    members.append(member)
+    return members

@@ -47,9 +47,12 @@ produce bit-identical protocol-level results, and inline and process
 modes take bit-identical conductor decisions (same barriers, same
 epochs) because those decisions are pure functions of the shard states.
 
-In process mode, bulk hand-off records ride per-shard shared-memory
-:class:`~repro.buf.ring.HandoffRing` pairs; the pipe carries only verbs,
-counts, and overflow (see ``runner.worker_main`` for the protocol).
+In process mode the conductor hosts shard 0 itself and forks one worker
+process for each other shard, so n shards run on n processes.  Only the
+workers use the seam transport: their bulk hand-off records ride per-shard
+shared-memory :class:`~repro.buf.ring.HandoffRing` pairs, and the pipe
+carries only verbs, counts, and overflow (see ``runner.worker_main`` for
+the protocol).  Shard 0's hand-offs pass by reference, as in inline mode.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class FleetResult:
     conductor counters (``barriers`` through ``handoffs``) are meter
     readings that are deterministic for a given worker count and identical
     across inline/process modes; ``ring_bytes`` / ``pickle_bytes`` are
-    transport meters (process mode only — inline has no seam transport).
+    transport meters (process mode's worker shards only — a shard in the
+    conductor's process has no seam transport).
     """
 
     n_workers: int
@@ -133,7 +137,8 @@ class FleetResult:
 
 
 class _InlineShard:
-    """A shard executed in-process (debuggable, zero IPC, no seam transport)."""
+    """A shard executed in the conductor's process (zero IPC, no seam
+    transport): every shard in inline mode, shard 0 in process mode."""
 
     def __init__(self, fleet, partition, shard_id, workload_spec, fault_plan=None):
         self.runner = ShardRunner(
@@ -337,20 +342,25 @@ class Conductor:
     def run(self) -> FleetResult:
         """Drive every shard to quiescence; return the merged result."""
         n = self.partition.n_shards
-        if self.mode == "process" and n > 1:
+        # Process mode hosts shard 0 here and forks a worker for each other
+        # shard: n shards on n processes.  The workers fork first, so they
+        # build their shards while this process builds shard 0, and every
+        # build sits inside the ``finally`` so a failed one leaves no worker.
+        workers = range(1, n) if self.mode == "process" else range(0)
+        shards = []
+        try:
             context = _fork_context()
-            shards = [
-                _ProcessShard(
-                    context,
-                    self.fleet,
-                    self.partition,
-                    i,
-                    self.workload_spec,
-                    self.fault_plan,
+            for i in workers:
+                shards.append(
+                    _ProcessShard(
+                        context,
+                        self.fleet,
+                        self.partition,
+                        i,
+                        self.workload_spec,
+                        self.fault_plan,
+                    )
                 )
-                for i in range(n)
-            ]
-        else:
             shards = [
                 _InlineShard(
                     self.fleet,
@@ -359,9 +369,8 @@ class Conductor:
                     self.workload_spec,
                     self.fault_plan,
                 )
-                for i in range(n)
-            ]
-        try:
+                for i in range(n - len(workers))
+            ] + shards
             return self._drive(shards)
         finally:
             for shard in shards:
@@ -419,7 +428,9 @@ class Conductor:
                 raise RuntimeError(
                     f"conductor deadlock: no shard grantable at t={start}"
                 )
-            for index, until in grants:
+            # Grants are in shard order, so a worker's ``advance`` goes out
+            # before shard 0 advances in place and the two run together.
+            for index, until in reversed(grants):
                 shards[index].begin_advance(until)
             window = []
             for index, until in grants:

@@ -174,6 +174,8 @@ class NectarSystem:
         """
         if name in self.nodes:
             raise ConfigurationError(f"node {name!r} already exists locally")
+        # Refuse the name and the port before the registry hands out an id.
+        self.network.topology.check_placeable(name, hub, port)
         node_id = self.registry.register(name)
         self.network.topology.place_cab(name, hub, port)
         return node_id

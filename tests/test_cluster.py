@@ -11,6 +11,7 @@ import signal
 
 import pytest
 
+from repro.cluster import conductor as conductor_module
 from repro.cluster.conductor import Conductor, _ProcessShard, run_reference
 from repro.cluster.fleet import (
     FleetSpec,
@@ -209,4 +210,50 @@ class TestConductor:
         # A reply read from the buffer lets the conductor finish that barrier
         # and grant shard 1 once more; that fourth grant is the send that fails.
         assert len(grants) == (3 if kill == "before-send" else 4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_process_mode_forks_a_worker_per_shard_but_the_first(
+        self, n_workers, monkeypatch
+    ):
+        """n shards run on n processes: the conductor hosts shard 0 and
+        forks a worker for every other shard."""
+        forked = []
+        init = _ProcessShard.__init__
+
+        def recording_init(shard, context, fleet, partition, shard_id, *args):
+            forked.append(shard_id)
+            init(shard, context, fleet, partition, shard_id, *args)
+
+        monkeypatch.setattr(_ProcessShard, "__init__", recording_init)
+        fleet = line_fleet(4, 2, hub_ports=8)
+        result = Conductor(fleet, SMALL_LOAD, n_workers=n_workers, mode="process").run()
+        assert forked == list(range(1, n_workers))
+        assert result.incomplete == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure", ["worker-fork", "hosted-shard"])
+    def test_a_shard_that_fails_to_start_leaves_no_worker(self, failure, monkeypatch):
+        """A shard that cannot be built fails the run and the conductor
+        stops every worker already forked: the last worker failing to fork,
+        or the hosted shard's runner raising once the workers exist."""
+        if failure == "worker-fork":
+            init = _ProcessShard.__init__
+
+            def failing_init(shard, context, fleet, partition, shard_id, *args):
+                if shard_id == 2:
+                    raise OSError("fork failed")
+                init(shard, context, fleet, partition, shard_id, *args)
+
+            monkeypatch.setattr(_ProcessShard, "__init__", failing_init)
+        else:
+
+            def failing_runner(*args, **kwargs):
+                assert len(multiprocessing.active_children()) == 2
+                raise OSError("shard 0 failed to build")
+
+            monkeypatch.setattr(conductor_module, "ShardRunner", failing_runner)
+        conductor = Conductor(SMALL_FLEET, SMALL_LOAD, n_workers=3, mode="process")
+        with pytest.raises(OSError, match="fork failed|shard 0 failed to build"):
+            conductor.run()
         assert multiprocessing.active_children() == []

@@ -307,3 +307,20 @@ def test_a_name_placed_as_a_ghost_is_refused_before_the_node_is_built():
     assert system.metrics.mounts() == before
     assert "g" not in system.nodes
     assert system.network.topology.hub_of("g") == (h0, 1)
+
+
+def test_a_refused_ghost_takes_no_id():
+    """A ghost refused for its port keeps no registry entry: the retry on a
+    free port takes the id the refused call would have had, as it does on
+    every other shard of the fleet."""
+    system = NectarSystem()
+    h0 = system.add_hub("h0")
+    h1 = system.add_hub("h1")
+    system.connect_hubs(h0, 7, h1, 0)
+    twin = NectarSystem()
+    expected = twin.add_remote_node("g", twin.add_hub("h0"), 3)
+    with pytest.raises(WiringError, match="cannot place CAB 'g': h0 port 7"):
+        system.add_remote_node("g", h0, 7)
+    assert system.add_remote_node("g", h0, 3) == expected
+    assert system.add_remote_node("g2", h0, 4) == expected + 1
+    assert system.network.topology.hub_of("g") == (h0, 3)
